@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteRv, ess_bounds
+from .core import DiscreteRv, ess_bounds, sample_rvs
 from .constructions import Quadrangle, project_error, regret_to_risk
 
 __all__ = ["CheckResult", "run_quadrangle_checks", "sample_rvs"]
@@ -18,16 +18,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def sample_rvs(rng: np.random.Generator, n: int, max_atoms: int = 8, span: float = 3.0, offset: float = 0.0):
-    out = []
-    for _ in range(n):
-        k = int(rng.integers(2, max_atoms + 1))
-        vals = rng.uniform(-span, span, size=k) + offset
-        probs = rng.dirichlet(np.ones(k))
-        out.append(DiscreteRv(vals, probs))
-    return out
 
 
 def run_quadrangle_checks(

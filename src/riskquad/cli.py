@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,9 +27,9 @@ from .divergence import (
     make_divergence,
     make_divergence_quadrangle,
 )
-from .dual import cvar_envelope, dual_axiom_check, envelope_sup, expectile_envelope, mean_abs_risk_envelope, mean_envelope
+from .dual import cvar_envelope, dual_axiom_check, envelope_sup, expectile_envelope, mean_abs_risk_envelope
 from .measures import CATALOG_FAMILIES, CatalogSpec, make_catalog_quadrangle
-from .regression import Dataset, NAMED_MODELS, fit_named, track_statistic
+from .regression import Dataset, NAMED_MODELS, fit_linear, named_quadrangle, track_statistic
 from .robust import DroProblem, EpiSpec, dro_solve, epi_risk_dual, epi_risk_primal, kernel_quadratic_regret, portfolio_optimize
 
 __all__ = ["main", "run_command", "RunConfig", "ingest_rv_csv", "fmt12"]
@@ -282,17 +281,8 @@ def _dispatch(cfg: RunConfig) -> int:
     if cfg.command == "regress":
         data = ingest_dataset_csv(cfg.input_path, cfg.target)
         model = cfg.model or "quantile"
-        fit = fit_named(model, data, seed=cfg.seed, **cfg.params)
-        spec_map = {
-            "quantile": ("quantile", lambda p: {"alpha": p["alpha"]}),
-            "expectile_pl": ("expectile_pl", lambda p: {"K": p["K"]}),
-            "expectile_mse": ("expectile_mse", lambda p: {"q": p["q"]}),
-            "svr": ("qsau", lambda p: {"eps": p["eps"]}),
-            "mean_pl": ("mean_pl", lambda p: {}),
-            "biased_mean": ("biased_mean", lambda p: {"x": p["x"]}),
-        }
-        fam, map_params = spec_map[model]
-        quartet = make_catalog_quadrangle(CatalogSpec(fam, map_params(cfg.params)))
+        quartet = named_quadrangle(model, **cfg.params)
+        fit = fit_linear(quartet.error_fn, data, seed=cfg.seed)
         _emit(cfg, {
             "model": model,
             "intercept": fmt12(fit.intercept),

@@ -10,20 +10,19 @@ intervals provably equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval, expectation
+from .core import DiscreteRv, StatInterval, sample_rvs
 from .solvers import (
     LpProblem,
     ObjectiveInfiniteError,
     argmin_interval_pwl,
-    compass_search,
     flat_interval,
+    minimize_multistart,
     minimize_scalar_convex,
-    minimize_subgradient,
     solve_lp,
 )
 
@@ -291,7 +290,7 @@ def _shift_breakpoints(f, x: DiscreteRv) -> Optional[np.ndarray]:
     return None
 
 
-def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv, around: float) -> StatInterval:
+def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
     """Statistic from the one-sided derivative criterion.
 
     {C : E[e'_-(X-C)] <= 0 <= E[e'_+(X-C)]}; both expectations are
@@ -370,7 +369,7 @@ def project_error(err: ErrorFn, x: DiscreteRv, tol: float = 1e-10) -> tuple[floa
         interval = argmin_interval_pwl(g, bps)
         return g(interval.lo), interval
     if err.loss is not None:
-        interval = _stat_from_derivatives(err.loss, x, x.mean())
+        interval = _stat_from_derivatives(err.loss, x)
         return g(interval.midpoint), interval
     try:
         cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
@@ -402,7 +401,7 @@ def regret_to_risk(
             d_right=lambda z: v.loss.d_right(z) - 1.0,
             kinks=v.loss.kinks,
         )
-        interval = _stat_from_derivatives(err_loss, x, x.mean())
+        interval = _stat_from_derivatives(err_loss, x)
         return g(interval.midpoint), interval
     try:
         cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
@@ -444,26 +443,16 @@ class Quadrangle:
     regret_fn: Optional[RegretFn] = None
 
 
-def _sample_rvs(rng: np.random.Generator, n: int, max_atoms: int = 6, span: float = 4.0):
-    out = []
-    for _ in range(n):
-        k = int(rng.integers(2, max_atoms + 1))
-        vals = rng.uniform(-span, span, size=k)
-        probs = rng.dirichlet(np.ones(k))
-        out.append(DiscreteRv(vals, probs))
-    return out
-
-
 def check_subregular_error(err: ErrorFn, rng: Optional[np.random.Generator] = None) -> None:
     """Sampled falsification of the error axioms; raises naming the clause."""
     rng = rng or np.random.default_rng(0)
     zero = DiscreteRv.constant(0.0)
     if abs(err.fn(zero)) > 1e-9:
         raise SubregularityError("zero-fidelity failed: error at the zero r.v. is nonzero")
-    for x in _sample_rvs(rng, 12) + [DiscreteRv.constant(1.0), DiscreteRv.constant(-1.0)]:
+    for x in sample_rvs(rng, 12, max_atoms=6, span=4.0) + [DiscreteRv.constant(1.0), DiscreteRv.constant(-1.0)]:
         if err.fn(x) < -1e-9:
             raise SubregularityError("nonnegativity failed: negative error value")
-    for x in _sample_rvs(rng, 6) + [DiscreteRv.constant(1.0), DiscreteRv.constant(-1.0)]:
+    for x in sample_rvs(rng, 6, max_atoms=6, span=4.0) + [DiscreteRv.constant(1.0), DiscreteRv.constant(-1.0)]:
         lam = 1.0
         hit = False
         for _ in range(40):
@@ -558,19 +547,8 @@ def _mixed_error_value(errors: Sequence[ErrorFn], weights: np.ndarray, x: Discre
         full = unpack(cs)
         return float(sum(w * e.fn(x.shift(-c)) for w, e, c in zip(weights, errors, full)))
 
-    def num_grad(cs):
-        h = 1e-6
-        g = np.zeros_like(cs)
-        f0 = obj(cs)
-        for i in range(cs.size):
-            step = np.zeros_like(cs)
-            step[i] = h
-            g[i] = (obj(cs + step) - f0) / h
-        return g
-
-    res = minimize_subgradient(obj, num_grad, lambda z: z, np.zeros(r - 1), steps=3000, tol=1e-10)
-    xs, fs = compass_search(obj, res.x, step=0.5, tol=1e-11)
-    return min(fs, res.value)
+    _, fs, _ = minimize_multistart(obj, [np.zeros(r - 1)], steps=3000, tol=1e-10, polish_step=0.5, polish_tol=1e-11)
+    return fs
 
 
 def _mixed_error_lp(errors: Sequence[ErrorFn], weights: np.ndarray, x: DiscreteRv) -> float:

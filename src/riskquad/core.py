@@ -22,6 +22,7 @@ __all__ = [
     "quantile_interval",
     "cvar_direct",
     "ess_bounds",
+    "sample_rvs",
 ]
 
 # Probability vectors further off than this from summing to one are rejected
@@ -213,6 +214,17 @@ def cvar_direct(x: DiscreteRv, alpha: float) -> float:
 def ess_bounds(x: DiscreteRv) -> tuple[float, float]:
     """(ess inf, ess sup) over atoms with positive probability."""
     return float(x.values[0]), float(x.values[-1])
+
+
+def sample_rvs(rng: np.random.Generator, n: int, max_atoms: int = 8, span: float = 3.0, offset: float = 0.0) -> list[DiscreteRv]:
+    """n random r.v.s of 2..max_atoms atoms uniform on offset + [-span, span]."""
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(2, max_atoms + 1))
+        vals = rng.uniform(-span, span, size=k) + offset
+        probs = rng.dirichlet(np.ones(k))
+        out.append(DiscreteRv(vals, probs))
+    return out
 
 
 # -- statistic intervals -------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, expectation, quantile_interval
+from .core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, quantile_interval
 from .constructions import (
     ErrorFn,
     Flags,
@@ -24,7 +24,6 @@ from .constructions import (
     QuadrangleFlags,
     RegretFn,
     mean_center_regret,
-    project_error,
     regret_to_risk,
 )
 from .solvers import LpProblem, bisect_root, flat_interval, minimize_scalar_convex, solve_lp
@@ -37,6 +36,7 @@ __all__ = [
     "divergence_value",
     "family_eval_perspective",
     "family_eval_envelope",
+    "perspective_inf",
     "make_divergence_quadrangle",
     "perspective_quadrangle",
     "classify_divergence",
@@ -234,33 +234,35 @@ def divergence_value(j, q, probs) -> float:
 # -- perspective route ---------------------------------------------------------
 
 
-def family_eval_perspective(
-    parent: Callable[[DiscreteRv], float],
-    tau: float,
-    x: DiscreteRv,
-    log_bracket: tuple[float, float] = (_LOG_LO, _LOG_HI),
-) -> float:
-    """inf_{l > 0} l * (parent(X / l) + tau) by golden section in log l.
+def perspective_inf(h: Callable[[float], float], tau: float) -> tuple[float, float]:
+    """inf_{l > 0} l * (tau + h(l)) by golden section in log l on [1e-8, 1e8].
 
-    Minima escaping to the lower bracket edge are reported with their limit
-    value: the recession of l * parent(X / l), i.e. the scaled parent term
-    without the vanishing l * tau contribution.
+    ``h(l)`` is the parent term at multiplier l, such as E[phi*(X / l)]; l is
+    infeasible where it is not finite.  A minimum at the lower bracket edge is
+    reported with its limit value: the recession l * h(l), without the
+    vanishing l * tau contribution.  Returns the infimum and its l.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
 
     def g(t):
         lam = math.exp(t)
-        val = parent(x.scale(1.0 / lam))
-        return lam * (val + tau) if math.isfinite(val) else math.inf
+        s = h(lam)
+        return lam * (tau + s) if math.isfinite(s) else math.inf
 
-    t_star, val = minimize_scalar_convex(g, tol=1e-12, bracket=log_bracket)
-    edge = 1e-3 * (log_bracket[1] - log_bracket[0])
-    if t_star - log_bracket[0] < edge:
-        lam = math.exp(log_bracket[0])
-        limit = lam * parent(x.scale(1.0 / lam))
-        return min(val, limit)
-    return val
+    t_star, val = minimize_scalar_convex(g, tol=1e-12, bracket=(_LOG_LO, _LOG_HI))
+    if t_star - _LOG_LO < 1e-3 * (_LOG_HI - _LOG_LO):
+        lam_edge = math.exp(_LOG_LO)
+        s = h(lam_edge)
+        if math.isfinite(s):
+            val = min(val, lam_edge * s)
+            t_star = _LOG_LO
+    return val, math.exp(t_star)
+
+
+def family_eval_perspective(parent: Callable[[DiscreteRv], float], tau: float, x: DiscreteRv) -> float:
+    """inf_{l > 0} l * (parent(X / l) + tau), by ``perspective_inf``."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    return perspective_inf(lambda lam: parent(x.scale(1.0 / lam)), tau)[0]
 
 
 # -- envelope route -------------------------------------------------------------
@@ -461,16 +463,7 @@ def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
 
     def fn(x: DiscreteRv) -> float:
         v, p = x.values, x.probs
-
-        def g(t):
-            lam = math.exp(t)
-            vals = np.asarray(div.phi_conj(v / lam), dtype=float)
-            if np.any(np.isinf(vals)) or np.any(np.isnan(vals)):
-                return math.inf
-            return lam * (beta + float(np.dot(p, vals)))
-
-        t_star, val = minimize_scalar_convex(g, tol=1e-12, bracket=(_LOG_LO, _LOG_HI))
-        return val
+        return perspective_inf(lambda lam: float(np.dot(p, div.phi_conj(v / lam))), beta)[0]
 
     return RegretFn(fn=fn, flags=Flags(True, div.kind == "divergence", False), label=f"{div.label}_regret({beta:g})")
 

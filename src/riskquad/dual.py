@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval
-from .solvers import LpProblem, compass_search, minimize_subgradient, solve_lp
+from .core import DiscreteRv
+from .solvers import LpProblem, minimize_multistart, solve_lp
 
 __all__ = [
     "Envelope",
@@ -185,17 +185,10 @@ def envelope_sup(env: Envelope, values) -> tuple[float, Optional[np.ndarray]]:
     if env.support is not None:
         return env.support(x), None
     if env.polyhedral:
-        c = -(env.probs * x)
-        m = x.size
-        bounds = []
-        for i in range(m):
-            lo = env.lb[i] if env.lb is not None else None
-            hi = env.ub[i] if env.ub is not None else None
-            bounds.append((lo, hi))
-        sol = solve_lp(LpProblem(c=c, a_eq=env.a_eq, b_eq=env.b_eq, a_ub=env.a_ub, b_ub=env.b_ub, bounds=bounds))
-        if sol.status != "optimal":
-            raise RuntimeError(f"envelope support LP {sol.status}")
-        return -sol.objective, sol.x
+        val, q = envelope_sup_direction(env, env.probs * x)
+        if q is None:
+            raise RuntimeError("envelope support LP not optimal")
+        return val, q
     # membership-oracle ascent with pullback toward the center
     p = env.probs
     center = env.center.astype(float)
@@ -239,13 +232,13 @@ def conjugate_eval(
     p = np.asarray(probs, dtype=float)
     rng = np.random.default_rng(seed)
 
-    def value(vals, b=box):
+    def value(vals):
         return float(np.dot(p, q * vals)) - f(DiscreteRv(vals, p))
 
     # recession probe: growth along constant and coordinate rays means +inf
     m = q.size
     rays = [np.ones(m), -np.ones(m)]
-    rays += [r for i in range(m) for r in (_ray(m, i), -_ray(m, i))]
+    rays += [r for e in np.eye(m) for r in (e, -e)]
     for d in rays:
         near, far = value(0.5 * box * d), value(box * d)
         if math.isfinite(near) and far > near + 1e-7 * (1.0 + abs(near)) and far > value(0.25 * box * d) + 1e-7:
@@ -255,26 +248,13 @@ def conjugate_eval(
         def neg(vals):
             return -value(vals)
 
-        def grad(vals):
-            h = 1e-6 * (1.0 + np.abs(vals))
-            g = np.zeros_like(vals)
-            f0 = neg(vals)
-            for i in range(vals.size):
-                step = np.zeros_like(vals)
-                step[i] = h[i]
-                g[i] = (neg(vals + step) - f0) / h[i]
-            return g
-
         def project(vals):
             return np.clip(vals, -b, b)
 
-        best_v, best = None, math.inf
-        for s in range(starts):
-            x0 = np.zeros(q.size) if s == 0 else rng.uniform(-b / 4, b / 4, q.size)
-            res = minimize_subgradient(neg, grad, project, x0, steps=steps, tol=1e-12)
-            xs, fs = compass_search(neg, res.x, step=b / 8.0, project=project, tol=1e-11, diagonals=True)
-            if fs < best:
-                best, best_v = fs, xs
+        x0s = [np.zeros(q.size) if s == 0 else rng.uniform(-b / 4, b / 4, q.size) for s in range(starts)]
+        best_v, best, _ = minimize_multistart(
+            neg, x0s, project=project, steps=steps, tol=1e-12, polish_step=b / 8.0, polish_tol=1e-11, diagonals=True
+        )
         return -best, best_v
 
     val1, arg1 = solve_in(box)
@@ -284,12 +264,6 @@ def conjugate_eval(
             return math.inf
         return val2
     return val1
-
-
-def _ray(m: int, i: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
 
 
 def envelope_extract(

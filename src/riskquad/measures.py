@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, expectation, p_norm, quantile_interval
+from .core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, p_norm, quantile_interval
 from .constructions import (
     ErrorFn,
     Flags,

@@ -8,16 +8,14 @@ polish.  The fitted residual statistic certifies the tracking property
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DiscreteRv, StatInterval, cvar_direct
 from .constructions import ErrorFn, Quadrangle, project_error
-from .measures import koenker_bassett_loss, vapnik_loss, asymmetric_mse_loss, make_catalog_quadrangle, CatalogSpec
-from .solvers import LpProblem, compass_search, minimize_subgradient, solve_lp
+from .measures import CATALOG_FAMILIES, CatalogSpec, make_catalog_quadrangle
+from .solvers import LpProblem, minimize_multistart, solve_lp
 
 __all__ = [
     "Dataset",
@@ -26,11 +24,15 @@ __all__ = [
     "regression_equivalence_check",
     "track_statistic",
     "fit_named",
+    "named_quadrangle",
     "nu_svc",
     "NAMED_MODELS",
 ]
 
 NAMED_MODELS = ("quantile", "expectile_pl", "expectile_mse", "svr", "mean_pl", "biased_mean")
+
+# a named model's catalog family is its own name, except for these
+_MODEL_FAMILY = {"svr": "qsau"}
 
 
 @dataclass(frozen=True)
@@ -162,32 +164,11 @@ def _fit_numeric(err: ErrorFn, data: Dataset, seed: int, steps: int) -> tuple[np
     def obj(beta):
         return err.fn(_residual_rv(data, beta[0], beta[1:]))
 
-    def grad(beta):
-        h = 1e-6
-        g = np.zeros_like(beta)
-        f0 = obj(beta)
-        for i in range(beta.size):
-            step = np.zeros_like(beta)
-            step[i] = h
-            g[i] = (obj(beta + step) - f0) / h
-        return g
-
     # least-squares start plus perturbations
     design = np.hstack([np.ones((n, 1)), data.features])
     ls, *_ = np.linalg.lstsq(design, data.target, rcond=None)
-    best_beta, best = None, math.inf
-    for s in range(5):
-        if s == 0:
-            b0 = ls.copy()
-        elif s == 1:
-            b0 = np.zeros(1 + d)
-        else:
-            b0 = ls + rng.normal(scale=0.5, size=1 + d)
-        res = minimize_subgradient(obj, grad, lambda z: z, b0, steps=steps, tol=1e-12)
-        bs, fs = compass_search(obj, res.x, step=0.5, tol=1e-12)
-        if fs < best:
-            best, best_beta = fs, bs
-    return best_beta, best
+    starts = [ls.copy(), np.zeros(1 + d)] + [ls + rng.normal(scale=0.5, size=1 + d) for _ in range(3)]
+    return minimize_multistart(obj, starts, steps=steps, tol=1e-12, polish_step=0.5, polish_tol=1e-12)[:2]
 
 
 def fit_linear(
@@ -222,25 +203,12 @@ def regression_equivalence_check(err: ErrorFn, data: Dataset, seed: int = 0) -> 
     zero enters the residual statistic)."""
     fit = fit_linear(err, data, seed=seed)
 
-    d = data.n_features
-
     def dev_obj(coefs):
         z = data.target - data.features @ coefs
         return project_error(err, DiscreteRv(z, data.weights))[0]
 
-    def grad(coefs):
-        h = 1e-6
-        g = np.zeros_like(coefs)
-        f0 = dev_obj(coefs)
-        for i in range(coefs.size):
-            step = np.zeros_like(coefs)
-            step[i] = h
-            g[i] = (dev_obj(coefs + step) - f0) / h
-        return g
-
     start = fit.coefficients.copy()
-    res = minimize_subgradient(dev_obj, grad, lambda z: z, start, steps=1500, tol=1e-12)
-    coefs, dval = compass_search(dev_obj, res.x, step=0.25, tol=1e-12)
+    coefs, dval, _ = minimize_multistart(dev_obj, [start], steps=1500, tol=1e-12, polish_step=0.25, polish_tol=1e-12)
     z = data.target - data.features @ coefs
     resid0 = DiscreteRv(z, data.weights)
     _, stat = project_error(err, resid0)
@@ -262,27 +230,21 @@ def track_statistic(fit: FitResult, quartet: Quadrangle, tol: float = 1e-7) -> b
     return quartet.statistic(fit.residual_rv).contains(0.0, tol=tol)
 
 
-def fit_named(model: str, data: Dataset, seed: int = 0, **params) -> FitResult:
-    """Named estimators dispatching to the catalog errors.
+def named_quadrangle(model: str, **params) -> Quadrangle:
+    """The catalog quadrangle of a named estimator; extra params are ignored.
 
-    quantile(alpha), expectile_pl(K), expectile_mse(q), svr(eps), mean_pl,
-    biased_mean(x).
+    quantile(alpha), expectile_pl(K), expectile_mse(q), svr(eps) on the qsau
+    family, mean_pl, biased_mean(x).
     """
-    if model == "quantile":
-        q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": params["alpha"]}))
-    elif model == "expectile_pl":
-        q = make_catalog_quadrangle(CatalogSpec("expectile_pl", {"K": params["K"]}))
-    elif model == "expectile_mse":
-        q = make_catalog_quadrangle(CatalogSpec("expectile_mse", {"q": params["q"]}))
-    elif model == "svr":
-        q = make_catalog_quadrangle(CatalogSpec("qsau", {"eps": params["eps"]}))
-    elif model == "mean_pl":
-        q = make_catalog_quadrangle(CatalogSpec("mean_pl", {}))
-    elif model == "biased_mean":
-        q = make_catalog_quadrangle(CatalogSpec("biased_mean", {"x": params["x"]}))
-    else:
+    if model not in NAMED_MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {NAMED_MODELS}")
-    return fit_linear(q.error_fn, data, seed=seed)
+    family = _MODEL_FAMILY.get(model, model)
+    return make_catalog_quadrangle(CatalogSpec(family, {k: params[k] for k in CATALOG_FAMILIES[family]}))
+
+
+def fit_named(model: str, data: Dataset, seed: int = 0, **params) -> FitResult:
+    """Regression with the error of the named estimator's quadrangle."""
+    return fit_linear(named_quadrangle(model, **params).error_fn, data, seed=seed)
 
 
 def nu_svc(alpha: float, data: Dataset, seed: int = 0, steps: int = 6000) -> tuple[np.ndarray, float, float]:
@@ -331,13 +293,8 @@ def nu_svc(alpha: float, data: Dataset, seed: int = 0, steps: int = 6000) -> tup
             theta[:d] /= nb
         return theta
 
-    best_theta, best = None, math.inf
-    for s in range(3):
-        t0 = np.zeros(d + 2) if s == 0 else np.concatenate([rng.normal(size=d) * 0.5, [0.0, 0.0]])
-        res = minimize_subgradient(obj, grad, project, t0, steps=steps, tol=1e-12)
-        ts, fs = compass_search(obj, res.x, step=0.25, project=project, tol=1e-12)
-        if fs < best:
-            best, best_theta = fs, ts
+    starts = [np.zeros(d + 2) if s == 0 else np.concatenate([rng.normal(size=d) * 0.5, [0.0, 0.0]]) for s in range(3)]
+    best_theta, _, _ = minimize_multistart(obj, starts, grad, project, steps=steps, tol=1e-12, polish_step=0.25, polish_tol=1e-12)
     wb, w0 = best_theta[:d], float(best_theta[d])
     margin_rv = DiscreteRv(-y * (f @ wb + w0), w)
     objective = cvar_direct(margin_rv, alpha)

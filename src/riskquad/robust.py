@@ -9,16 +9,16 @@ worst-case density comes from one envelope ascent at the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval, cvar_direct
-from .constructions import RegretFn, Flags, regret_to_risk
-from .divergence import DivergenceFn, StochasticDivergenceJ, family_eval_envelope
-from .dual import Envelope, cvar_envelope
-from .solvers import LpProblem, bisect_root, compass_search, minimize_scalar_convex, minimize_subgradient, solve_lp
+from .core import DiscreteRv
+from .constructions import RegretFn, Flags
+from .divergence import DivergenceFn, StochasticDivergenceJ, family_eval_envelope, perspective_inf
+from .dual import Envelope
+from .solvers import LpProblem, bisect_root, compass_search, minimize_multistart, minimize_scalar_convex, solve_lp
 
 __all__ = [
     "DroProblem",
@@ -34,9 +34,6 @@ __all__ = [
     "kernel_quadratic_regret",
     "kernel_l2_regret",
 ]
-
-_LOG_LO, _LOG_HI = math.log(1e-8), math.log(1e8)
-
 
 @dataclass(frozen=True)
 class DroProblem:
@@ -108,21 +105,7 @@ def _phi_family_regret(phi: DivergenceFn, tau: float) -> Callable[[np.ndarray, n
     """V_tau on value vectors; returns the value and a supergradient density."""
 
     def eval_with_grad(values: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
-        def g(t):
-            lam = math.exp(t)
-            s = float(np.dot(probs, phi.phi_conj(values / lam)))
-            return lam * (tau + s) if math.isfinite(s) else math.inf
-
-        t_star, val = minimize_scalar_convex(g, tol=1e-12, bracket=(_LOG_LO, _LOG_HI))
-        if t_star - _LOG_LO < 1e-3 * (_LOG_HI - _LOG_LO):
-            # infimum escaping to lam -> 0: the lam * tau term vanishes in the
-            # limit, leaving the recession of lam * E[phi*(Y / lam)]
-            lam_edge = math.exp(_LOG_LO)
-            s = float(np.dot(probs, phi.phi_conj(values / lam_edge)))
-            if math.isfinite(s):
-                val = min(val, lam_edge * s)
-                t_star = _LOG_LO
-        lam = math.exp(t_star)
+        val, lam = perspective_inf(lambda lam: float(np.dot(probs, phi.phi_conj(values / lam))), tau)
         if phi.conj_grad is not None:
             q = np.asarray(phi.conj_grad(values / lam), dtype=float)
         else:
@@ -180,15 +163,11 @@ def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None)
             out[:n_assets] = _project_simplex_mean(out[:n_assets], means, p.target_mean)
         return out
 
-    best_theta, best = None, math.inf
-    for trial in range(3):
-        w0 = np.full(n_assets, 1.0 / n_assets) if trial == 0 else rng.dirichlet(np.ones(n_assets))
-        c0 = float(np.dot(pr, losses(w0)))
-        theta0 = project(np.concatenate([w0, [c0]]))
-        res = minimize_subgradient(obj, grad, project, theta0, steps=steps, tol=1e-11, should_stop=should_stop)
-        ts, fs = compass_search(obj, res.x, step=0.2, project=project, tol=1e-8, max_iter=2000)
-        if fs < best:
-            best, best_theta = fs, ts
+    w0s = [np.full(n_assets, 1.0 / n_assets) if trial == 0 else rng.dirichlet(np.ones(n_assets)) for trial in range(3)]
+    starts = [project(np.concatenate([w0, [float(np.dot(pr, losses(w0)))]])) for w0 in w0s]
+    best_theta, best, _ = minimize_multistart(
+        obj, starts, grad, project, steps=steps, tol=1e-11, polish_step=0.2, polish_tol=1e-8, max_iter=2000, should_stop=should_stop
+    )
 
     # final polish on the partially minimized objective G(w) = min_C (...):
     # the inner golden absorbs the stiffness of extreme radii
@@ -337,7 +316,6 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
         return _epi_dual_waterfill(spec, x)
     p = x.probs
     vals = x.values
-    m = vals.size
     inv_eps = 1.0 / spec.epsilon
     center = env.center.astype(float)
 
@@ -349,19 +327,6 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
 
     def neg(q):
         return -obj(q)
-
-    def grad(q):
-        h = 1e-6
-        g = np.zeros_like(q)
-        f0 = neg(q)
-        if not math.isfinite(f0):
-            return g
-        for i in range(m):
-            step = np.zeros(m)
-            step[i] = h
-            f1 = neg(q + step)
-            g[i] = (f1 - f0) / h if math.isfinite(f1) else 0.0
-        return g
 
     def project(q):
         q = q.copy()
@@ -400,8 +365,9 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
             q = center + lo_t * (q - center)
         return q
 
-    res = minimize_subgradient(neg, grad, project, center.copy(), steps=steps, tol=1e-13)
-    qs, fs = compass_search(neg, res.x, step=0.3, project=project, tol=1e-13)
+    _, fs, res = minimize_multistart(
+        neg, [center.copy()], project=project, steps=steps, tol=1e-13, polish_step=0.3, polish_tol=1e-13
+    )
     return -min(fs, res.value)
 
 
@@ -542,29 +508,15 @@ def portfolio_optimize(
     def obj(w):
         return risk_fn(DiscreteRv(-(s @ w), p))
 
-    def grad(w):
-        h = 1e-6
-        g = np.zeros_like(w)
-        f0 = obj(w)
-        for i in range(w.size):
-            step = np.zeros_like(w)
-            step[i] = h
-            g[i] = (obj(w + step) - f0) / h
-        return g
-
     def project(w):
         if target_mean is None:
             return _project_simplex(w)
         return _project_simplex_mean(w, means, target_mean)
 
-    best_w, best = None, math.inf
-    for trial in range(3):
-        w0 = np.full(n_assets, 1.0 / n_assets) if trial == 0 else rng.dirichlet(np.ones(n_assets))
-        res = minimize_subgradient(obj, grad, project, project(w0), steps=steps, tol=1e-11)
-        ws, fs = compass_search(obj, res.x, step=0.2, project=project, tol=1e-12)
-        if fs < best:
-            best, best_w = fs, ws
-    return best_w, best
+    w0s = [np.full(n_assets, 1.0 / n_assets) if trial == 0 else rng.dirichlet(np.ones(n_assets)) for trial in range(3)]
+    return minimize_multistart(
+        obj, [project(w0) for w0 in w0s], project=project, steps=steps, tol=1e-11, polish_step=0.2, polish_tol=1e-12
+    )[:2]
 
 
 def _portfolio_cvar_lp(s, p, alpha, means, target_mean):

@@ -2,15 +2,17 @@
 
 Scalar golden-section minimization with auto-bracketing, exact argmin
 intervals for piecewise-linear convex functions, projected subgradient
-descent, a deterministic compass-search polish, and a dense two-phase
-simplex LP solver with Bland's anti-cycling rule.
+descent, a deterministic compass-search polish, the multistart routine that
+chains the two (``minimize_multistart``, with a forward-difference gradient
+when none is given), and a dense two-phase simplex LP solver with Bland's
+anti-cycling rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "argmin_interval_pwl",
     "minimize_subgradient",
     "compass_search",
+    "minimize_multistart",
     "solve_lp",
     "bisect_root",
 ]
@@ -66,21 +69,6 @@ class ScalarFn:
 
 def _as_callable(f):
     return f.fn if isinstance(f, ScalarFn) else f
-
-
-def spot_check_convexity(f, lo: float, hi: float, n: int = 7, tol: float = 1e-7) -> bool:
-    """Midpoint-inequality spot check on an equispaced grid."""
-    fn = _as_callable(f)
-    cs = np.linspace(lo, hi, n)
-    for a in cs:
-        for b in cs:
-            fa, fb = fn(a), fn(b)
-            if math.isinf(fa) or math.isinf(fb):
-                continue
-            mid = fn(0.5 * (a + b))
-            if mid > 0.5 * (fa + fb) + tol * (1.0 + abs(fa) + abs(fb)):
-                return False
-    return True
 
 
 def _find_finite(fn, hint: float = 0.0):
@@ -387,6 +375,53 @@ def _unit(n: int, i: int) -> np.ndarray:
     e = np.zeros(n)
     e[i] = 1.0
     return e
+
+
+def _forward_difference(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Forward-difference gradient of step 1e-6; a non-finite value or probe contributes 0."""
+    h = 1e-6
+    g = np.zeros_like(x)
+    f0 = f(x)
+    if not math.isfinite(f0):
+        return g
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        f1 = f(x + step)
+        g[i] = (f1 - f0) / h if math.isfinite(f1) else 0.0
+    return g
+
+
+def minimize_multistart(
+    f: Callable[[np.ndarray], float],
+    starts: Iterable,
+    subgrad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    steps: int = 50_000,
+    tol: float = 1e-9,
+    polish_step: float = 0.25,
+    polish_tol: float = 1e-12,
+    max_iter: int = 20_000,
+    diagonals: bool = False,
+    should_stop: Optional[Callable[[], bool]] = None,
+) -> tuple[np.ndarray, float, SubgradientResult]:
+    """Projected subgradient descent, then a compass polish, from each start.
+
+    The first strictly best polished point wins.  Without ``subgrad`` the
+    gradient is a forward difference of step 1e-6.  Returns the winning
+    point, its value, and the descent result it was polished from.
+    """
+    if subgrad is None:
+        subgrad = lambda x: _forward_difference(f, x)
+    descent_project = project if project is not None else (lambda z: z)
+    best = None
+    for x0 in starts:
+        res = minimize_subgradient(f, subgrad, descent_project, x0, steps=steps, tol=tol, should_stop=should_stop)
+        x, fx = compass_search(f, res.x, step=polish_step, project=project, tol=polish_tol, max_iter=max_iter, diagonals=diagonals)
+        # a NaN value never blocks a later start
+        if best is None or fx < best[1] or math.isnan(best[1]):
+            best = (x, fx, res)
+    return best
 
 
 # -- dense simplex LP ----------------------------------------------------------

@@ -1,19 +1,14 @@
 """Shared sampling helpers for the test suite."""
 
-import numpy as np
-
-from riskquad.core import DiscreteRv
+from riskquad.core import sample_rvs
 
 
 def random_rv(rng, max_atoms=8, span=3.0, offset=0.0):
-    k = int(rng.integers(2, max_atoms + 1))
-    vals = rng.uniform(-span, span, size=k) + offset
-    probs = rng.dirichlet(np.ones(k))
-    return DiscreteRv(vals, probs)
+    return sample_rvs(rng, 1, max_atoms=max_atoms, span=span, offset=offset)[0]
 
 
 def random_rvs(rng, n, **kw):
-    return [random_rv(rng, **kw) for _ in range(n)]
+    return sample_rvs(rng, n, **kw)
 
 
 def interval_gap(a, b):

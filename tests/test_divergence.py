@@ -227,6 +227,19 @@ def test_kl_quadrangle_stationarity():
             assert abs(resid) <= 1e-6
 
 
+@pytest.mark.parametrize("x", [DiscreteRv.constant(-1.0), DiscreteRv([-3.0, -1.0], [0.5, 0.5])])
+def test_lambda_edge_limit_agrees_across_routes(x):
+    # at kl, beta = 2 the infimum over lambda is the lambda -> 0 limit
+    from riskquad.robust import _phi_family_regret
+
+    kl = make_divergence("kl")
+    beta = 2.0
+    generic = make_divergence_quadrangle(kl, beta, fast=False).regret(x)
+    dro, _ = _phi_family_regret(kl, beta)(x.values, x.probs)
+    persp = family_eval_perspective(lambda y: float(np.dot(y.probs, kl.phi_conj(y.values))), beta, x)
+    assert generic == dro == persp
+
+
 def test_kl_quadrangle_limits():
     x = DiscreteRv([0.1, 0.4, 0.8], [0.3, 0.4, 0.3])
     lo = make_divergence_quadrangle(make_divergence("kl"), 1e-6)

@@ -12,6 +12,7 @@ from riskquad.solvers import (
     UnboundedObjectiveError,
     argmin_interval_pwl,
     compass_search,
+    minimize_multistart,
     minimize_scalar_convex,
     minimize_subgradient,
     solve_lp,
@@ -105,6 +106,49 @@ def test_subgradient_simplex_symmetric():
 def test_compass_polish():
     x, v = compass_search(lambda z: float((z[0] - 1) ** 2 + abs(z[1] + 2)), np.zeros(2), step=1.0)
     assert abs(x[0] - 1) < 1e-9 and abs(x[1] + 2) < 1e-9
+
+
+def test_multistart_keeps_first_tied_start_and_the_strictly_best():
+    def basins(lift):
+        return lambda z: min((z[0] - 2.0) ** 2 + lift, (z[0] + 2.0) ** 2)
+
+    # both starts sit at a global minimum already; the earlier one is kept
+    x, v, _ = minimize_multistart(basins(0.0), [np.array([2.0]), np.array([-2.0])], steps=200)
+    assert (x[0], v) == (2.0, 0.0)
+    x, v, res = minimize_multistart(basins(1.0), [np.array([2.5]), np.array([-1.5])], steps=200)
+    assert x[0] == pytest.approx(-2.0, abs=1e-6) and v < 1e-10
+    assert v <= res.value
+
+
+def test_forward_difference_reads_zero_on_nonfinite_probes():
+    from riskquad.solvers import _forward_difference
+
+    def f(z):
+        return float(z[0] ** 2 + z[1]) if z[0] <= 1.0 else math.inf
+
+    g = _forward_difference(f, np.array([1.0, 0.5]))
+    assert g[0] == 0.0 and g[1] == pytest.approx(1.0, abs=1e-6)
+    assert np.all(_forward_difference(lambda z: math.inf, np.zeros(2)) == 0.0)
+
+
+def test_multistart_calls_module_level_solvers_once_per_start(monkeypatch):
+    # perfbench's tracer counts descents and polishes by patching these names
+    import riskquad.solvers as solvers
+
+    calls = {"subgrad": 0, "compass": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solvers, "minimize_subgradient", counting("subgrad", solvers.minimize_subgradient))
+    monkeypatch.setattr(solvers, "compass_search", counting("compass", solvers.compass_search))
+    starts = [np.full(2, s) for s in (-1.0, 0.0, 2.0)]
+    solvers.minimize_multistart(lambda z: float(z @ z), starts, steps=50)
+    assert calls == {"subgrad": 3, "compass": 3}
 
 
 # -- LP ------------------------------------------------------------------------
