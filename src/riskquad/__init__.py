@@ -22,7 +22,6 @@ from .constructions import (
     Flags,
     MomentMaxSpec,
     Quadrangle,
-    QuadrangleFlags,
     RegretFn,
     ScalarLoss,
     error_from_coherent_risk,

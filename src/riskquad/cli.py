@@ -28,7 +28,7 @@ from .divergence import (
     make_divergence_quadrangle,
 )
 from .dual import cvar_envelope, dual_axiom_check, envelope_sup, expectile_envelope, mean_abs_risk_envelope
-from .measures import CATALOG_FAMILIES, CatalogSpec, make_catalog_quadrangle
+from .measures import CATALOG_FAMILIES, CatalogSpec, _expectile_q_from_k, make_catalog_quadrangle
 from .regression import Dataset, NAMED_MODELS, fit_linear, named_quadrangle, track_statistic
 from .robust import DroProblem, EpiSpec, dro_solve, epi_risk_dual, epi_risk_primal, kernel_quadratic_regret, portfolio_optimize
 
@@ -50,7 +50,6 @@ class RunConfig:
     input_path: Optional[str] = None
     spec: Optional[dict] = None
     params: dict = field(default_factory=dict)
-    tol: float = 1e-9
     max_iter: int = 4000
     seed: int = 0
     output_format: str = "table"
@@ -214,7 +213,6 @@ def _dispatch(cfg: RunConfig) -> int:
             "regret": fmt12(q.regret(x)),
             "error": fmt12(q.error(x)),
             "statistic": _interval_payload(s),
-            "tolerance": cfg.tol,
         })
         return EXIT_OK
 
@@ -238,8 +236,7 @@ def _dispatch(cfg: RunConfig) -> int:
             q = make_catalog_quadrangle(CatalogSpec("mean_pl", {}))
         elif fam == "expectile_pl":
             k = params["K"]
-            q_level = (1.0 + k) / (1.0 + 2.0 * k)
-            env = expectile_envelope(q_level, p)
+            env = expectile_envelope(_expectile_q_from_k(k), p)
             q = make_catalog_quadrangle(CatalogSpec("expectile_pl", {"K": k}))
         else:
             raise ValueError("envelope report supports families quantile, mean_pl, expectile_pl")
@@ -429,12 +426,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--x", type=float)
         p.add_argument("--tau", type=float)
         p.add_argument("--taus", help="comma-separated tau grid")
-        p.add_argument("--epsilon", type=float)
         p.add_argument("--epsilons", help="comma-separated epsilon grid")
         p.add_argument("--model", choices=NAMED_MODELS)
         p.add_argument("--target")
         p.add_argument("--target-mean", dest="target_mean", type=float)
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=4000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", dest="output_format", choices=("table", "json"), default="table")
@@ -450,13 +445,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         input_path=args.input_path,
         spec=_parse_spec(args),
         params=params,
-        tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
         output_format=args.output_format,
         output_path=args.output_path,
         taus=[float(t) for t in args.taus.split(",")] if args.taus else None,
-        epsilons=[float(e) for e in args.epsilons.split(",")] if args.epsilons else ([args.epsilon] if args.epsilon else None),
+        epsilons=[float(e) for e in args.epsilons.split(",")] if args.epsilons else None,
         model=args.model,
         target=args.target,
         target_mean=args.target_mean,

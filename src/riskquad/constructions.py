@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,8 +33,8 @@ __all__ = [
     "MomentMaxSpec",
     "ErrorFn",
     "RegretFn",
+    "Functional",
     "Quadrangle",
-    "QuadrangleFlags",
     "SubregularityError",
     "error_from_loss",
     "error_from_moment_max",
@@ -61,6 +62,10 @@ class Flags:
     positively_homogeneous: bool = False
     monotone: bool = False
     expectation_type: bool = False
+
+    @property
+    def coherent(self) -> bool:
+        return self.monotone and self.positively_homogeneous
 
 
 # -- scalar losses -------------------------------------------------------------
@@ -119,18 +124,16 @@ class ScalarLoss:
         return ScalarLoss(fn, d_left, d_right, tuple(sorted(set(kinks))), tuple(ps), label)
 
 
-def _loss_to_regret_loss(loss: ScalarLoss) -> ScalarLoss:
-    """v(x) = x + e(x)."""
-    pieces = None
-    if loss.pieces is not None:
-        pieces = tuple((s + 1.0, b) for s, b in loss.pieces)
+def _affine_loss(loss: ScalarLoss, scale: float = 1.0, tilt: float = 0.0) -> ScalarLoss:
+    """z -> scale * e(z) + tilt * z, with its derivatives and affine pieces."""
+    pieces = None if loss.pieces is None else tuple((scale * s + tilt, scale * b) for s, b in loss.pieces)
     return ScalarLoss(
-        fn=lambda z: np.asarray(z, dtype=float) + loss.fn(z),
-        d_left=lambda z: 1.0 + loss.d_left(z),
-        d_right=lambda z: 1.0 + loss.d_right(z),
+        fn=lambda z: scale * loss.fn(z) + tilt * np.asarray(z, dtype=float),
+        d_left=lambda z: scale * loss.d_left(z) + tilt,
+        d_right=lambda z: scale * loss.d_right(z) + tilt,
         kinks=loss.kinks,
         pieces=pieces,
-        label=(loss.label + "+x") if loss.label else "",
+        label=loss.label,
     )
 
 
@@ -184,8 +187,12 @@ class MomentMaxSpec:
 
 
 @dataclass(frozen=True)
-class ErrorFn:
-    """Nonnegative functional quantifying nonzeroness; eval(0) = 0."""
+class Functional:
+    """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
+
+    ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
+    that the projections exploit when it is known.
+    """
 
     fn: Callable[[DiscreteRv], float]
     flags: Flags = Flags()
@@ -198,19 +205,7 @@ class ErrorFn:
         return self.fn(x)
 
 
-@dataclass(frozen=True)
-class RegretFn:
-    """Functional quantifying displeasure with a loss mix; eval >= E."""
-
-    fn: Callable[[DiscreteRv], float]
-    flags: Flags = Flags()
-    label: str = ""
-    loss: Optional[ScalarLoss] = None
-    moment_max: Optional[MomentMaxSpec] = None
-    shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
-
-    def __call__(self, x: DiscreteRv) -> float:
-        return self.fn(x)
+ErrorFn = RegretFn = Functional
 
 
 def error_from_loss(loss: ScalarLoss, flags: Flags | None = None, label: str = "") -> ErrorFn:
@@ -236,39 +231,23 @@ def error_from_moment_max(spec: MomentMaxSpec, flags: Flags, label: str = "") ->
 
 def mean_center_error(err: ErrorFn) -> RegretFn:
     """V(X) = E(X) + E[X]."""
-    loss = _loss_to_regret_loss(err.loss) if err.loss is not None else None
-    mm = err.moment_max.shifted(1.0) if err.moment_max is not None else None
-    return RegretFn(
-        fn=lambda x: err.fn(x) + x.mean(),
-        flags=err.flags,
-        label=err.label,
-        loss=loss,
-        moment_max=mm,
-        shift_breakpoints=err.shift_breakpoints,
-    )
+    return _mean_centered(err, 1.0)
 
 
 def mean_center_regret(v: RegretFn) -> ErrorFn:
     """E(X) = V(X) - E[X]."""
-    loss = None
-    if v.loss is not None:
-        pieces = tuple((s - 1.0, b) for s, b in v.loss.pieces) if v.loss.pieces else None
-        loss = ScalarLoss(
-            fn=lambda z: v.loss.fn(z) - np.asarray(z, dtype=float),
-            d_left=lambda z: v.loss.d_left(z) - 1.0,
-            d_right=lambda z: v.loss.d_right(z) - 1.0,
-            kinks=v.loss.kinks,
-            pieces=pieces,
-            label=v.loss.label,
-        )
-    mm = v.moment_max.shifted(-1.0) if v.moment_max is not None else None
-    return ErrorFn(
-        fn=lambda x: v.fn(x) - x.mean(),
-        flags=v.flags,
-        label=v.label,
-        loss=loss,
-        moment_max=mm,
-        shift_breakpoints=v.shift_breakpoints,
+    return _mean_centered(v, -1.0)
+
+
+def _mean_centered(f: Functional, sign: float) -> Functional:
+    """f(X) + sign * E[X], with the structure of f carried over."""
+    return Functional(
+        fn=lambda x: f.fn(x) + sign * x.mean(),
+        flags=f.flags,
+        label=f.label,
+        loss=None if f.loss is None else _affine_loss(f.loss, tilt=sign),
+        moment_max=None if f.moment_max is None else f.moment_max.shifted(sign),
+        shift_breakpoints=f.shift_breakpoints,
     )
 
 
@@ -395,13 +374,7 @@ def regret_to_risk(
         interval = argmin_interval_pwl(g, bps)
         return g(interval.lo), interval
     if v.loss is not None:
-        err_loss = ScalarLoss(
-            fn=lambda z: v.loss.fn(z) - np.asarray(z, dtype=float),
-            d_left=lambda z: v.loss.d_left(z) - 1.0,
-            d_right=lambda z: v.loss.d_right(z) - 1.0,
-            kinks=v.loss.kinks,
-        )
-        interval = _stat_from_derivatives(err_loss, x)
+        interval = _stat_from_derivatives(_affine_loss(v.loss, tilt=-1.0), x)
         return g(interval.midpoint), interval
     try:
         cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
@@ -421,14 +394,6 @@ def regret_to_risk(
 
 
 @dataclass(frozen=True)
-class QuadrangleFlags:
-    positively_homogeneous: bool = False
-    monotone: bool = False
-    expectation_type: bool = False
-    coherent: bool = False  # monotone and positively homogeneous
-
-
-@dataclass(frozen=True)
 class Quadrangle:
     """Risk, deviation, regret, error evaluators plus the statistic."""
 
@@ -437,10 +402,46 @@ class Quadrangle:
     regret: Callable[[DiscreteRv], float]
     error: Callable[[DiscreteRv], float]
     statistic: Callable[[DiscreteRv], StatInterval]
-    flags: QuadrangleFlags
+    flags: Flags
     label: str = ""
     error_fn: Optional[ErrorFn] = None
     regret_fn: Optional[RegretFn] = None
+
+
+def complete_quadrangle(
+    err: Optional[ErrorFn],
+    statistic: Callable[[DiscreteRv], StatInterval],
+    label: str,
+    *,
+    risk=None,
+    deviation=None,
+    error=None,
+    regret=None,
+    regret_fn: Optional[RegretFn] = None,
+    flags: Optional[Flags] = None,
+) -> Quadrangle:
+    """The quadrangle of an error functional plus the closed forms a family has.
+
+    Mean-centering fills in what is not given: risk = deviation + E[X] or
+    deviation = risk - E[X], regret = error + E[X], regret_fn =
+    mean_center_error(err), flags from the error.  Without ``err`` (members
+    composed from other quadrangles') no error or regret functional is
+    attached, and ``error`` and ``flags`` are required.
+    """
+    if err is not None:
+        regret_fn = regret_fn or mean_center_error(err)
+        flags = flags or err.flags
+    if regret is None:
+        regret = regret_fn.fn if error is None else _plus_mean(error)
+    if risk is None:
+        risk = _plus_mean(deviation)
+    elif deviation is None:
+        deviation = lambda x: risk(x) - x.mean()
+    return Quadrangle(risk, deviation, regret, error or err.fn, statistic, flags, label, err, regret_fn)
+
+
+def _plus_mean(f: Callable[[DiscreteRv], float]) -> Callable[[DiscreteRv], float]:
+    return lambda x: f(x) + x.mean()
 
 
 def check_subregular_error(err: ErrorFn, rng: Optional[np.random.Generator] = None) -> None:
@@ -489,31 +490,17 @@ def quadrangle_from_error(
         check_subregular_error(err, rng)
     if monotone is None:
         monotone = check_monotone_error(err, rng)
-    v = mean_center_error(err)
-    ph = err.flags.positively_homogeneous
-    flags = QuadrangleFlags(
-        positively_homogeneous=ph,
-        monotone=monotone,
-        expectation_type=err.flags.expectation_type,
-        coherent=monotone and ph,
-    )
-
-    from functools import lru_cache
 
     @lru_cache(maxsize=256)
     def _proj(x: DiscreteRv):
         return project_error(err, x)
 
-    return Quadrangle(
-        risk=lambda x: x.mean() + _proj(x)[0],
+    return complete_quadrangle(
+        err,
+        lambda x: _proj(x)[1],
+        label or err.label,
         deviation=lambda x: _proj(x)[0],
-        regret=v.fn,
-        error=err.fn,
-        statistic=lambda x: _proj(x)[1],
-        flags=flags,
-        label=label or err.label,
-        error_fn=err,
-        regret_fn=v,
+        flags=replace(err.flags, monotone=monotone),
     )
 
 
@@ -617,27 +604,14 @@ def mix_quadrangles(quartets: Sequence[Quadrangle], weights) -> Quadrangle:
         def error(x):
             raise NotImplementedError("component error functionals unavailable")
 
-    def regret(x):
-        return error(x) + x.mean()
-
-    flags = QuadrangleFlags(
+    flags = Flags(
         positively_homogeneous=all(q.flags.positively_homogeneous for q in qs),
         monotone=all(q.flags.monotone for q in qs),
         expectation_type=False,
-        coherent=all(q.flags.coherent for q in qs),
     )
-    err_fn = ErrorFn(fn=error, flags=Flags(flags.positively_homogeneous, flags.monotone, False)) if have_errors else None
-    return Quadrangle(
-        risk=risk,
-        deviation=deviation,
-        regret=regret,
-        error=error,
-        statistic=statistic,
-        flags=flags,
-        label="mix(" + ",".join(q.label for q in qs) + ")",
-        error_fn=err_fn,
-        regret_fn=RegretFn(fn=regret) if have_errors else None,
-    )
+    label = "mix(" + ",".join(q.label for q in qs) + ")"
+    err = ErrorFn(fn=error, flags=flags) if have_errors else None
+    return complete_quadrangle(err, statistic, label, risk=risk, deviation=deviation, error=error, flags=flags)
 
 
 # -- scaling ------------------------------------------------------------------------
@@ -653,59 +627,41 @@ def scale_quadrangle(q: Quadrangle, lam: float, mode: str = "affine") -> Quadran
     if lam <= 0:
         raise ValueError("scale factor must be positive")
     if mode == "affine":
-        flags = QuadrangleFlags(
-            positively_homogeneous=q.flags.positively_homogeneous,
-            monotone=q.flags.monotone and lam <= 1.0,
-            expectation_type=q.flags.expectation_type,
-            coherent=q.flags.coherent and lam <= 1.0,
-        )
-        err_fn = None
+        err = None
         if q.error_fn is not None:
             base = q.error_fn
-            err_fn = ErrorFn(
+            err = ErrorFn(
                 fn=lambda x: lam * base.fn(x),
                 flags=replace(base.flags, monotone=base.flags.monotone and lam <= 1.0),
                 label=base.label,
-                loss=None if base.loss is None else _scale_loss_affine(base.loss, lam),
+                loss=None if base.loss is None else _affine_loss(base.loss, scale=lam),
                 moment_max=None if base.moment_max is None else MomentMaxSpec(
                     tuple((lam * a, lam * b, lam * c) for a, b, c in base.moment_max.terms)
                 ),
                 shift_breakpoints=base.shift_breakpoints,
             )
-        return Quadrangle(
+        return complete_quadrangle(
+            err,
+            q.statistic,
+            f"affine({lam})*{q.label}",
             risk=lambda x: (1.0 - lam) * x.mean() + lam * q.risk(x),
             deviation=lambda x: lam * q.deviation(x),
-            regret=lambda x: (1.0 - lam) * x.mean() + lam * q.regret(x),
             error=lambda x: lam * q.error(x),
-            statistic=q.statistic,
-            flags=flags,
-            label=f"affine({lam})*{q.label}",
-            error_fn=err_fn,
-            regret_fn=None if err_fn is None else mean_center_error(err_fn),
+            regret=lambda x: (1.0 - lam) * x.mean() + lam * q.regret(x),
+            flags=replace(q.flags, monotone=q.flags.monotone and lam <= 1.0),
         )
     if mode == "perspective":
-        return Quadrangle(
+        return complete_quadrangle(
+            None,
+            lambda x: q.statistic(x.scale(1.0 / lam)).scale(lam),
+            f"perspective({lam})*{q.label}",
             risk=lambda x: lam * q.risk(x.scale(1.0 / lam)),
             deviation=lambda x: lam * q.deviation(x.scale(1.0 / lam)),
-            regret=lambda x: lam * q.regret(x.scale(1.0 / lam)),
             error=lambda x: lam * q.error(x.scale(1.0 / lam)),
-            statistic=lambda x: q.statistic(x.scale(1.0 / lam)).scale(lam),
+            regret=lambda x: lam * q.regret(x.scale(1.0 / lam)),
             flags=q.flags,
-            label=f"perspective({lam})*{q.label}",
         )
     raise ValueError(f"unknown scaling mode {mode!r}")
-
-
-def _scale_loss_affine(loss: ScalarLoss, lam: float) -> ScalarLoss:
-    pieces = tuple((lam * s, lam * b) for s, b in loss.pieces) if loss.pieces else None
-    return ScalarLoss(
-        fn=lambda z: lam * loss.fn(z),
-        d_left=lambda z: lam * loss.d_left(z),
-        d_right=lambda z: lam * loss.d_right(z),
-        kinks=loss.kinks,
-        pieces=pieces,
-        label=loss.label,
-    )
 
 
 # -- reverting ----------------------------------------------------------------------
@@ -741,22 +697,9 @@ def revert_quadrangles(q1: Quadrangle, q2: Quadrangle) -> Quadrangle:
         _, fstar = minimize_scalar_convex(g, tol=1e-11, hint=0.0)
         return fstar
 
-    flags = QuadrangleFlags(
-        positively_homogeneous=q1.flags.positively_homogeneous and q2.flags.positively_homogeneous,
-        monotone=False,
-        expectation_type=False,
-        coherent=False,
-    )
-    return Quadrangle(
-        risk=lambda x: x.mean() + deviation(x),
-        deviation=deviation,
-        regret=lambda x: x.mean() + error(x),
-        error=error,
-        statistic=statistic,
-        flags=flags,
-        label=f"revert({q1.label},{q2.label})",
-        error_fn=ErrorFn(fn=error, flags=Flags(flags.positively_homogeneous, False, False)),
-    )
+    ph = q1.flags.positively_homogeneous and q2.flags.positively_homogeneous
+    err = ErrorFn(fn=error, flags=Flags(ph, False, False))
+    return complete_quadrangle(err, statistic, f"revert({q1.label},{q2.label})", deviation=deviation)
 
 
 # -- expectation quadrangles -----------------------------------------------------------

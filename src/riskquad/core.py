@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,11 @@ __all__ = [
 # rather than silently rescaled (tolerates CSV rounding, not bugs).
 PROB_SUM_TOL = 1e-9
 
-_CDF_EPS = 1e-12
+# CDF comparisons allow the rounding of the cumulative sum and of levels
+# computed from probabilities: this many ulps of 1 per atom, never more than
+# an absolute 1e-12.
+_CDF_ULPS_PER_ATOM = 4.0
+_CDF_EPS_MAX = 1e-12
 
 
 class InvalidDistribution(ValueError):
@@ -86,11 +90,6 @@ class DiscreteRv:
     def uniform(cls, values) -> "DiscreteRv":
         return cls(values)
 
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "DiscreteRv":
-        pairs = list(atoms)
-        return cls([a[0] for a in pairs], [a[1] for a in pairs])
-
     # -- views --------------------------------------------------------------
 
     @property
@@ -131,9 +130,6 @@ class DiscreteRv:
 
     def abs(self) -> "DiscreteRv":
         return DiscreteRv(np.abs(self.values), self.probs)
-
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "DiscreteRv":
-        return DiscreteRv(fn(self.values), self.probs)
 
     # -- moments -------------------------------------------------------------
 
@@ -187,8 +183,9 @@ def quantile_interval(x: DiscreteRv, alpha: float) -> "StatInterval":
         raise ValueError(f"quantile level must be in (0,1), got {alpha}")
     cum = np.cumsum(x.probs)
     m = cum.size
-    i_lo = int(np.searchsorted(cum, alpha - _CDF_EPS, side="left"))
-    i_hi = int(np.searchsorted(cum, alpha + _CDF_EPS, side="right"))
+    tol = min(_CDF_EPS_MAX, _CDF_ULPS_PER_ATOM * m * np.finfo(float).eps)
+    i_lo = int(np.searchsorted(cum, alpha - tol, side="left"))
+    i_hi = int(np.searchsorted(cum, alpha + tol, side="right"))
     i_lo = min(i_lo, m - 1)
     i_hi = min(i_hi, m - 1)
     return StatInterval(float(x.values[i_lo]), float(x.values[i_hi]))
@@ -274,14 +271,8 @@ class StatInterval:
     def __add__(self, other: "StatInterval") -> "StatInterval":
         return StatInterval(self.lo + other.lo, self.hi + other.hi)
 
-    def hull(self, other: "StatInterval") -> "StatInterval":
-        return StatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def contains(self, c: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= c <= self.hi + tol
-
-    def isclose(self, other: "StatInterval", tol: float) -> bool:
-        return abs(self.lo - other.lo) <= tol and abs(self.hi - other.hi) <= tol
 
     @staticmethod
     def weighted_sum(intervals: Sequence["StatInterval"], weights) -> "StatInterval":

@@ -21,11 +21,13 @@ from .constructions import (
     ErrorFn,
     Flags,
     Quadrangle,
-    QuadrangleFlags,
     RegretFn,
+    complete_quadrangle,
+    mean_center_error,
     mean_center_regret,
     regret_to_risk,
 )
+from .dual import ascend_envelope
 from .solvers import LpProblem, bisect_root, flat_interval, minimize_scalar_convex, solve_lp
 
 __all__ = [
@@ -54,7 +56,13 @@ class DivergenceFn:
 
     kind is "divergence" when phi = +inf on negatives (dom inside [0, inf)),
     "extended" otherwise.  conj_grad, when given, is a derivative selection
-    of phi* used for closed-form worst-case densities.
+    of phi* used for closed-form worst-case densities; conj_dom is where phi*
+    is finite.  A named family also carries its level ``q`` (when it has
+    one) and its closed forms, each called with the DivergenceFn it serves:
+    ``closed_forms(div, beta)`` gives the quadrangle members for
+    ``complete_quadrangle``, ``envelope_route(tau, x, normalized)`` the
+    worst-case expectation, and ``risk_search(x, beta)`` the risk and its
+    multiplier l from a search in l alone, the shift eliminated in closed form.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -63,6 +71,11 @@ class DivergenceFn:
     kind: str
     label: str
     conj_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    conj_dom: tuple[float, float] = (-math.inf, math.inf)
+    q: Optional[float] = None
+    closed_forms: Optional[Callable[["DivergenceFn", float], dict]] = None
+    envelope_route: Optional[Callable[[float, DiscreteRv, bool], tuple[float, np.ndarray]]] = None
+    risk_search: Optional[Callable[[DiscreteRv, float], tuple[float, float]]] = None
 
 
 def _phi_kl(x):
@@ -104,6 +117,8 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             kind="divergence",
             label="kl",
             conj_grad=lambda z: np.exp(np.minimum(np.asarray(z, dtype=float), 700.0)),
+            closed_forms=_kl_forms,
+            risk_search=_kl_risk,
         )
     if name == "tv":
         return DivergenceFn(
@@ -113,6 +128,9 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             kind="divergence",
             label="tv",
             conj_grad=None,  # subdifferential is set-valued; use the LP route
+            conj_dom=(-math.inf, 1.0),
+            closed_forms=_tv_forms,
+            envelope_route=_envelope_sup_tv,
         )
     if name == "pearson":
         return DivergenceFn(
@@ -122,6 +140,7 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             kind="divergence",
             label="pearson",
             conj_grad=lambda z: np.maximum((np.asarray(z, dtype=float) + 2.0) / 2.0, 0.0),
+            closed_forms=_pearson_forms,
         )
     if name == "extended_pearson":
         return DivergenceFn(
@@ -131,24 +150,35 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             kind="extended",
             label="extended_pearson",
             conj_grad=lambda z: np.asarray(z, dtype=float) / 2.0 + 1.0,
+            closed_forms=_extended_pearson_forms,
         )
     if name == "gen_extended_pearson":
         if q is None or not 0.0 < q < 1.0:
             raise ValueError("gen_extended_pearson requires q in (0,1)")
 
+        # weight q on the upside, so the regret is E[X] + sqrt(beta E[q X_+^2 + (1-q) X_-^2])
         def phi(x):
             x = np.asarray(x, dtype=float)
-            return np.where(x > 1.0, (x - 1.0) ** 2 / (1.0 - q), (x - 1.0) ** 2 / q)
+            return np.where(x > 1.0, (x - 1.0) ** 2 / q, (x - 1.0) ** 2 / (1.0 - q))
 
         def phi_conj(z):
             z = np.asarray(z, dtype=float)
-            return np.where(z > 0.0, (1.0 - q) * z**2 / 4.0 + z, q * z**2 / 4.0 + z)
+            return np.where(z > 0.0, q * z**2 / 4.0 + z, (1.0 - q) * z**2 / 4.0 + z)
 
         def conj_grad(z):
             z = np.asarray(z, dtype=float)
-            return np.where(z > 0.0, (1.0 - q) * z / 2.0 + 1.0, q * z / 2.0 + 1.0)
+            return np.where(z > 0.0, q * z / 2.0 + 1.0, (1.0 - q) * z / 2.0 + 1.0)
 
-        return DivergenceFn(phi, phi_conj, (-math.inf, math.inf), "extended", f"gen_extended_pearson({q:g})", conj_grad)
+        return DivergenceFn(
+            phi=phi,
+            phi_conj=phi_conj,
+            dom=(-math.inf, math.inf),
+            kind="extended",
+            label=f"gen_extended_pearson({q:g})",
+            conj_grad=conj_grad,
+            q=q,
+            closed_forms=_gen_extended_pearson_forms,
+        )
     raise ValueError(f"unknown divergence {name!r}")
 
 
@@ -158,7 +188,7 @@ PHI_REGISTRY = ("kl", "tv", "pearson", "extended_pearson", "gen_extended_pearson
 def verify_conjugate(div: DivergenceFn, z_grid=None, tol: float = 1e-8) -> float:
     """Max gap between phi_conj and the numeric conjugate sup_x (xz - phi(x))."""
     if z_grid is None:
-        z_grid = np.linspace(-3.0, 0.9 if div.label == "tv" else 3.0, 25)
+        z_grid = np.linspace(-3.0, min(3.0, div.conj_dom[1] - 0.1), 25)
     worst = 0.0
     lo = div.dom[0] if math.isfinite(div.dom[0]) else -60.0
     hi = div.dom[1] if math.isfinite(div.dom[1]) else 60.0
@@ -408,8 +438,8 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
     if tau <= 0:
         raise ValueError("tau must be positive")
     normalized = j.classification == "stochastic_divergence"
-    if j.phi is not None and j.phi.label == "tv":
-        return _envelope_sup_tv(tau, x, normalized)
+    if j.phi is not None and j.phi.envelope_route is not None:
+        return j.phi.envelope_route(tau, x, normalized)
     if j.phi is not None:
         return _envelope_sup_phi(j.phi, tau, x, normalized)
     return _envelope_sup_generic(j, tau, x, normalized)
@@ -418,41 +448,17 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
 def _envelope_sup_generic(j, tau, x, normalized) -> tuple[float, np.ndarray]:
     """Projected ascent with feasibility restored by bisection toward Q = 1."""
     v, p = x.values, x.probs
-    m = v.size
-    center = np.ones(m)
+    center = np.ones(v.size)
     assert j.fn(center, p) <= tau + 1e-12, "center density must be feasible"
 
-    def project(q):
+    def prepare(q):
         q = np.maximum(q, 0.0)
         if normalized:
             s = float(np.dot(p, q))
             q = q / s if s > 0 else center.copy()
-        if j.fn(q, p) <= tau:
-            return q
-        lo_t, hi_t = 0.0, 1.0
+        return q
 
-        def feas(t):
-            return j.fn(center + t * (q - center), p) - tau
-
-        for _ in range(80):
-            mid = 0.5 * (lo_t + hi_t)
-            if feas(mid) <= 0:
-                lo_t = mid
-            else:
-                hi_t = mid
-        return center + lo_t * (q - center)
-
-    q = center.copy()
-    best_q, best = q, float(np.dot(p, q * v))
-    step = 1.0
-    grad = p * v
-    gn = float(np.linalg.norm(grad)) or 1.0
-    for k in range(1, 4001):
-        q = project(q + (step / math.sqrt(k)) * grad / gn)
-        val = float(np.dot(p, q * v))
-        if val > best + 1e-15:
-            best, best_q = val, q.copy()
-    return best, best_q
+    return ascend_envelope(p, v, center, lambda q: j.fn(q, p) <= tau, iters=4000, pull_iters=80, prepare=prepare)
 
 
 # -- divergence quadrangles ---------------------------------------------------------
@@ -509,162 +515,106 @@ def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
 def make_divergence_quadrangle(div: DivergenceFn, beta: float, fast: bool = True) -> Quadrangle:
     """The quadrangle generated by a divergence function at budget beta.
 
-    Named divergences take their closed forms; the generic path evaluates the
-    regret by a one-dimensional search in the perspective multiplier and
-    projects the rest.
+    Named divergences take their closed forms (``div.closed_forms``); the
+    generic path evaluates the regret by a one-dimensional search in the
+    perspective multiplier and projects the rest.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     v_regret = _phi_regret(div, beta)
-    err = mean_center_regret(v_regret)
-    monotone = div.kind == "divergence"
-    flags = QuadrangleFlags(True, monotone, False, monotone)
-
+    forms = {"err": mean_center_regret(v_regret), "regret_fn": v_regret}
     label = f"{div.label}_quadrangle({beta:g})"
-    if fast and div.label == "kl":
-        def risk(x):
-            return _kl_risk(x, beta)[0]
+    if fast and div.closed_forms is not None:
+        forms.update(div.closed_forms(div, beta))
+    else:
+        forms["risk"] = lambda x: regret_to_risk(v_regret, x)[0]
+        forms["statistic"] = lambda x: regret_to_risk(v_regret, x)[1]
+        label += "|generic"
+    return complete_quadrangle(label=label, **forms)
 
-        def statistic(x):
-            val, lam = _kl_risk(x, beta)
-            if lam == 0.0:
-                return StatInterval.point(float(x.values[-1]))
-            v, p = x.values, x.probs
-            vmax = float(v[-1])
-            return StatInterval.point(vmax + lam * math.log(float(np.dot(p, np.exp((v - vmax) / lam)))))
 
-        return Quadrangle(
-            risk=risk,
-            deviation=lambda x: risk(x) - x.mean(),
-            regret=v_regret.fn,
-            error=err.fn,
-            statistic=statistic,
-            flags=flags,
-            label=label,
-            error_fn=err,
-            regret_fn=v_regret,
-        )
-    if fast and div.label == "tv":
-        if beta >= 2.0:
-            raise ValueError("total-variation budget must lie in (0, 2)")
+def _kl_forms(div: DivergenceFn, beta: float) -> dict:
+    def statistic(x):
+        _, lam = div.risk_search(x, beta)
+        if lam == 0.0:
+            return StatInterval.point(float(x.values[-1]))
+        v, p = x.values, x.probs
+        vmax = float(v[-1])
+        return StatInterval.point(vmax + lam * math.log(float(np.dot(p, np.exp((v - vmax) / lam)))))
 
-        def risk(x):
-            lo, hi = ess_bounds(x)
-            return 0.5 * beta * hi + (1.0 - 0.5 * beta) * cvar_direct(x, beta / 2.0)
+    return {"risk": lambda x: div.risk_search(x, beta)[0], "statistic": statistic}
 
-        def statistic(x):
-            # derived from the shifted-regret optimality condition: the argmin
-            # is the midpoint set between the essential supremum and the
-            # (beta/2)-quantile interval (checked against the generic route)
-            q = quantile_interval(x, beta / 2.0)
-            hi = ess_bounds(x)[1]
-            return StatInterval(0.5 * (hi + q.lo), 0.5 * (hi + q.hi))
 
-        return Quadrangle(
-            risk=risk,
-            deviation=lambda x: risk(x) - x.mean(),
-            regret=v_regret.fn,
-            error=err.fn,
-            statistic=statistic,
-            flags=flags,
-            label=label,
-            error_fn=err,
-            regret_fn=v_regret,
-        )
-    if fast and div.label == "extended_pearson":
-        rt = math.sqrt(beta)
+def _tv_forms(div: DivergenceFn, beta: float) -> dict:
+    if beta >= 2.0:
+        raise ValueError("total-variation budget must lie in (0, 2)")
 
-        def risk(x):
-            return x.mean() + rt * x.std()
-
-        return Quadrangle(
-            risk=risk,
-            deviation=lambda x: rt * x.std(),
-            regret=lambda x: x.mean() + rt * math.sqrt(max(x.moment(lambda t: t * t), 0.0)),
-            error=lambda x: rt * math.sqrt(max(x.moment(lambda t: t * t), 0.0)),
-            statistic=lambda x: StatInterval.point(x.mean()),
-            flags=flags,
-            label=label,
-            error_fn=err,
-            regret_fn=v_regret,
-        )
-    if fast and div.label == "pearson":
-        coef = beta + 1.0
-
-        def vreg(x):
-            return math.sqrt(coef * x.moment(lambda t: np.maximum(t, 0.0) ** 2))
-
-        def risk_stat(x):
-            def g(c):
-                return c + vreg(x.shift(-c))
-
-            cstar, val = minimize_scalar_convex(g, tol=1e-12, hint=x.mean())
-            return val, flat_interval(lambda c: g(c) - x.mean(), cstar, val - x.mean())
-
-        return Quadrangle(
-            risk=lambda x: risk_stat(x)[0],
-            deviation=lambda x: risk_stat(x)[0] - x.mean(),
-            regret=vreg,
-            error=lambda x: vreg(x) - x.mean(),
-            statistic=lambda x: risk_stat(x)[1],
-            flags=flags,
-            label=label,
-            error_fn=ErrorFn(fn=lambda x: vreg(x) - x.mean(), flags=Flags(True, True, False)),
-            regret_fn=RegretFn(fn=vreg, flags=Flags(True, True, False)),
-        )
-    if fast and div.label.startswith("gen_extended_pearson"):
-        from .measures import expectile_value
-
-        q_level = _gep_level(div)
-
-        def error_fast(x):
-            return math.sqrt(
-                beta
-                * x.moment(
-                    lambda t: q_level * np.maximum(t, 0.0) ** 2 + (1.0 - q_level) * np.maximum(-t, 0.0) ** 2
-                )
-            )
-
-        def deviation(x):
-            e = expectile_value(x, q_level)
-            return error_fast(x.shift(-e))
-
-        return Quadrangle(
-            risk=lambda x: deviation(x) + x.mean(),
-            deviation=deviation,
-            regret=lambda x: error_fast(x) + x.mean(),
-            error=error_fast,
-            statistic=lambda x: StatInterval.point(expectile_value(x, q_level)),
-            flags=QuadrangleFlags(True, False, False, False),
-            label=label,
-            error_fn=ErrorFn(fn=error_fast, flags=Flags(True, False, False)),
-            regret_fn=RegretFn(fn=lambda x: error_fast(x) + x.mean(), flags=Flags(True, False, False)),
-        )
-
-    # generic path
     def risk(x):
-        return regret_to_risk(v_regret, x)[0]
+        lo, hi = ess_bounds(x)
+        return 0.5 * beta * hi + (1.0 - 0.5 * beta) * cvar_direct(x, beta / 2.0)
 
     def statistic(x):
-        return regret_to_risk(v_regret, x)[1]
+        # derived from the shifted-regret optimality condition: the argmin
+        # is the midpoint set between the essential supremum and the
+        # (beta/2)-quantile interval (checked against the generic route)
+        q = quantile_interval(x, beta / 2.0)
+        hi = ess_bounds(x)[1]
+        return StatInterval(0.5 * (hi + q.lo), 0.5 * (hi + q.hi))
 
-    return Quadrangle(
-        risk=risk,
-        deviation=lambda x: risk(x) - x.mean(),
-        regret=v_regret.fn,
-        error=err.fn,
-        statistic=statistic,
-        flags=flags,
-        label=label + "|generic",
-        error_fn=err,
-        regret_fn=v_regret,
-    )
+    return {"risk": risk, "statistic": statistic}
 
 
-def _gep_level(div: DivergenceFn) -> float:
-    # label carries the level: gen_extended_pearson(q)
-    inside = div.label[div.label.index("(") + 1 : div.label.rindex(")")]
-    return float(inside)
+def _extended_pearson_forms(div: DivergenceFn, beta: float) -> dict:
+    rt = math.sqrt(beta)
+    return {
+        "deviation": lambda x: rt * x.std(),
+        "error": lambda x: rt * math.sqrt(max(x.moment(lambda t: t * t), 0.0)),
+        "statistic": lambda x: StatInterval.point(x.mean()),
+    }
+
+
+def _pearson_forms(div: DivergenceFn, beta: float) -> dict:
+    coef = beta + 1.0
+
+    def vreg(x):
+        return math.sqrt(coef * x.moment(lambda t: np.maximum(t, 0.0) ** 2))
+
+    def risk_stat(x):
+        def g(c):
+            return c + vreg(x.shift(-c))
+
+        cstar, val = minimize_scalar_convex(g, tol=1e-12, hint=x.mean())
+        return val, flat_interval(lambda c: g(c) - x.mean(), cstar, val - x.mean())
+
+    v_regret = RegretFn(fn=vreg, flags=Flags(True, True, False))
+    return {
+        "err": mean_center_regret(v_regret),
+        "regret_fn": v_regret,
+        "risk": lambda x: risk_stat(x)[0],
+        "statistic": lambda x: risk_stat(x)[1],
+    }
+
+
+def _gen_extended_pearson_forms(div: DivergenceFn, beta: float) -> dict:
+    from .measures import expectile_value
+
+    q = div.q
+
+    def error(x):
+        return math.sqrt(
+            beta
+            * x.moment(
+                lambda t: q * np.maximum(t, 0.0) ** 2 + (1.0 - q) * np.maximum(-t, 0.0) ** 2
+            )
+        )
+
+    err = ErrorFn(fn=error, flags=Flags(True, False, False))
+    return {
+        "err": err,
+        "regret_fn": mean_center_error(err),
+        "deviation": lambda x: error(x.shift(-expectile_value(x, q))),
+        "statistic": lambda x: StatInterval.point(expectile_value(x, q)),
+    }
 
 
 def perspective_quadrangle(base: Quadrangle, tau: float) -> Quadrangle:
@@ -673,20 +623,14 @@ def perspective_quadrangle(base: Quadrangle, tau: float) -> Quadrangle:
         name: (lambda fn: lambda x: family_eval_perspective(fn, tau, x))(getattr(base, name))
         for name in ("risk", "deviation", "regret", "error")
     }
-    v_regret = RegretFn(fn=members["regret"], flags=Flags(True, base.flags.monotone, False))
-
-    def statistic(x):
-        return regret_to_risk(v_regret, x)[1]
-
-    return Quadrangle(
+    flags = Flags(True, base.flags.monotone, False)
+    v_regret = RegretFn(fn=members["regret"], flags=flags)
+    return complete_quadrangle(
+        ErrorFn(fn=members["error"], flags=flags),
+        lambda x: regret_to_risk(v_regret, x)[1],
+        f"perspective({tau:g})*{base.label}",
         risk=members["risk"],
         deviation=members["deviation"],
-        regret=members["regret"],
-        error=members["error"],
-        statistic=statistic,
-        flags=QuadrangleFlags(True, base.flags.monotone, False, base.flags.monotone),
-        label=f"perspective({tau:g})*{base.label}",
-        error_fn=ErrorFn(fn=members["error"], flags=Flags(True, base.flags.monotone, False)),
         regret_fn=v_regret,
     )
 

@@ -24,6 +24,7 @@ __all__ = [
     "expectile_envelope",
     "stddev_deviation_envelope",
     "envelope_sup",
+    "ascend_envelope",
     "conjugate_eval",
     "envelope_extract",
     "dual_axiom_check",
@@ -189,20 +190,30 @@ def envelope_sup(env: Envelope, values) -> tuple[float, Optional[np.ndarray]]:
         if q is None:
             raise RuntimeError("envelope support LP not optimal")
         return val, q
-    # membership-oracle ascent with pullback toward the center
-    p = env.probs
-    center = env.center.astype(float)
+    return ascend_envelope(env.probs, x, env.center.astype(float), env.contains, iters=3000, pull_iters=60)
+
+
+def ascend_envelope(p, x, center, member, iters: int, pull_iters: int, prepare=None) -> tuple[float, np.ndarray]:
+    """sup E[XQ] over a convex set of densities known by a membership oracle.
+
+    Steps of length 1/sqrt(k) along the gradient p * x start at ``center``,
+    a member; ``prepare`` maps each step before the test, and a step outside
+    the set is pulled back toward the center by ``pull_iters`` bisections.
+    Returns the best value seen and its density.
+    """
     q = center.copy()
     best_q, best = q.copy(), float(np.dot(p, q * x))
     grad = p * x
     gn = float(np.linalg.norm(grad)) or 1.0
-    for k in range(1, 3001):
+    for k in range(1, iters + 1):
         cand = q + (1.0 / math.sqrt(k)) * grad / gn
-        if not env.contains(cand):
+        if prepare is not None:
+            cand = prepare(cand)
+        if not member(cand):
             lo_t, hi_t = 0.0, 1.0
-            for _ in range(60):
+            for _ in range(pull_iters):
                 mid = 0.5 * (lo_t + hi_t)
-                if env.contains(center + mid * (cand - center)):
+                if member(center + mid * (cand - center)):
                     lo_t = mid
                 else:
                     hi_t = mid

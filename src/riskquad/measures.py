@@ -20,9 +20,9 @@ from .constructions import (
     Flags,
     MomentMaxSpec,
     Quadrangle,
-    QuadrangleFlags,
     RegretFn,
     ScalarLoss,
+    complete_quadrangle,
     error_from_loss,
     error_from_moment_max,
     mean_center_error,
@@ -336,27 +336,7 @@ def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
 
 def make_catalog_quadrangle(spec: CatalogSpec) -> Quadrangle:
     """Instantiate a catalog family with its printed closed forms."""
-    fam = spec.family
-    p = spec.params
-    if fam == "standard_mean":
-        return _standard_mean(p["lam"])
-    if fam == "quantile":
-        return _quantile(p["alpha"])
-    if fam == "cvar2":
-        return _cvar2(p["alpha"])
-    if fam == "qsa":
-        return _qsa(p["alpha"])
-    if fam == "qsau":
-        return _qsau(p["eps"])
-    if fam == "expectile_mse":
-        return _expectile_mse(p["q"])
-    if fam == "expectile_pl":
-        return _expectile_pl(p["K"])
-    if fam == "mean_pl":
-        return _mean_pl()
-    if fam == "biased_mean":
-        return _biased_mean(p["x"])
-    raise AssertionError(fam)
+    return _CONSTRUCTORS[spec.family](*(spec.params[k] for k in CATALOG_FAMILIES[spec.family]))
 
 
 def _standard_mean(lam: float) -> Quadrangle:
@@ -365,22 +345,13 @@ def _standard_mean(lam: float) -> Quadrangle:
         flags=Flags(positively_homogeneous=True, monotone=False, expectation_type=False),
         label=f"l2_error({lam:g})",
     )
-    return Quadrangle(
-        risk=lambda x: x.mean() + lam * x.std(),
-        deviation=lambda x: lam * x.std(),
-        regret=lambda x: x.mean() + lam * p_norm(x, 2.0),
-        error=err.fn,
-        statistic=lambda x: StatInterval.point(x.mean()),
-        flags=QuadrangleFlags(True, False, False, False),
-        label=f"standard_mean({lam:g})",
-        error_fn=err,
-        regret_fn=mean_center_error(err),
+    return complete_quadrangle(
+        err, lambda x: StatInterval.point(x.mean()), f"standard_mean({lam:g})", deviation=lambda x: lam * x.std()
     )
 
 
 def _quantile(alpha: float) -> Quadrangle:
-    loss = koenker_bassett_loss(alpha)
-    err = error_from_loss(loss, Flags(True, True, True), label=f"koenker_bassett({alpha:g})")
+    err = error_from_loss(koenker_bassett_loss(alpha), Flags(True, True, True))
     scale = 1.0 / (1.0 - alpha)
     v_regret = RegretFn(
         fn=lambda x: scale * x.mean_pos(),
@@ -388,15 +359,12 @@ def _quantile(alpha: float) -> Quadrangle:
         label=f"scaled_partial_moment({alpha:g})",
         loss=ScalarLoss.from_pieces([(scale, 0.0), (0.0, 0.0)]),
     )
-    return Quadrangle(
+    return complete_quadrangle(
+        err,
+        lambda x: quantile_interval(x, alpha),
+        f"quantile({alpha:g})",
         risk=lambda x: cvar_direct(x, alpha),
         deviation=lambda x: cvar_direct(x.shift(-x.mean()), alpha),
-        regret=v_regret.fn,
-        error=err.fn,
-        statistic=lambda x: quantile_interval(x, alpha),
-        flags=QuadrangleFlags(True, True, True, True),
-        label=f"quantile({alpha:g})",
-        error_fn=err,
         regret_fn=v_regret,
     )
 
@@ -412,15 +380,11 @@ def _cvar2(alpha: float) -> Quadrangle:
         flags=Flags(True, True, False),
         label=f"cvar2_regret({alpha:g})",
     )
-    return Quadrangle(
+    return complete_quadrangle(
+        err,
+        lambda x: StatInterval.point(cvar_direct(x, alpha)),
+        f"cvar2({alpha:g})",
         risk=lambda x: cvar2_risk(x, alpha),
-        deviation=lambda x: cvar2_risk(x, alpha) - x.mean(),
-        regret=v_regret.fn,
-        error=err.fn,
-        statistic=lambda x: StatInterval.point(cvar_direct(x, alpha)),
-        flags=QuadrangleFlags(True, True, False, True),
-        label=f"cvar2({alpha:g})",
-        error_fn=err,
         regret_fn=v_regret,
     )
 
@@ -432,11 +396,8 @@ def _qsa_breakpoints(x: DiscreteRv) -> np.ndarray:
 
 
 def _qsa(alpha: float) -> Quadrangle:
-    def cvar_norm(x: DiscreteRv) -> float:
-        return (1.0 - alpha) * cvar_direct(x.abs(), alpha)
-
     err = ErrorFn(
-        fn=cvar_norm,
+        fn=lambda x: (1.0 - alpha) * cvar_direct(x.abs(), alpha),
         flags=Flags(True, True, False),
         label=f"cvar_norm({alpha:g})",
         shift_breakpoints=_qsa_breakpoints,
@@ -452,40 +413,18 @@ def _qsa(alpha: float) -> Quadrangle:
         qh = quantile_interval(x, a_hi)
         return StatInterval.weighted_sum([ql, qh], [0.5, 0.5])
 
-    return Quadrangle(
-        risk=risk,
-        deviation=lambda x: risk(x) - x.mean(),
-        regret=lambda x: cvar_norm(x) + x.mean(),
-        error=err.fn,
-        statistic=statistic,
-        flags=QuadrangleFlags(True, True, False, True),
-        label=f"qsa({alpha:g})",
-        error_fn=err,
-        regret_fn=mean_center_error(err),
-    )
+    return complete_quadrangle(err, statistic, f"qsa({alpha:g})", risk=risk)
 
 
 def _qsau(eps: float) -> Quadrangle:
-    loss = vapnik_loss(eps)
     ph = eps == 0.0
-    err = error_from_loss(loss, Flags(ph, True, True), label=f"vapnik({eps:g})")
+    err = error_from_loss(vapnik_loss(eps), Flags(ph, True, True))
     v_regret = mean_center_error(err)
-
-    def statistic(x):
-        return project_error(err, x)[1]
-
-    def risk(x):
-        return regret_to_risk(v_regret, x)[0]
-
-    return Quadrangle(
-        risk=risk,
-        deviation=lambda x: risk(x) - x.mean(),
-        regret=v_regret.fn,
-        error=err.fn,
-        statistic=statistic,
-        flags=QuadrangleFlags(ph, True, True, ph),
-        label=f"qsau({eps:g})",
-        error_fn=err,
+    return complete_quadrangle(
+        err,
+        lambda x: project_error(err, x)[1],
+        f"qsau({eps:g})",
+        risk=lambda x: regret_to_risk(v_regret, x)[0],
         regret_fn=v_regret,
     )
 
@@ -498,24 +437,15 @@ def qsau_printed_risk(x: DiscreteRv, eps: float, alpha: float) -> float:
 
 
 def _expectile_mse(q: float) -> Quadrangle:
-    loss = asymmetric_mse_loss(q)
-    err = error_from_loss(loss, Flags(False, False, True), label=f"asymmetric_mse({q:g})")
+    err = error_from_loss(asymmetric_mse_loss(q), Flags(False, False, True))
 
     def deviation(x):
         e = expectile_value(x, q)
         d = x.values - e
         return float(np.dot(x.probs, q * np.maximum(d, 0.0) ** 2 + (1.0 - q) * np.maximum(-d, 0.0) ** 2))
 
-    return Quadrangle(
-        risk=lambda x: deviation(x) + x.mean(),
-        deviation=deviation,
-        regret=lambda x: err.fn(x) + x.mean(),
-        error=err.fn,
-        statistic=lambda x: StatInterval.point(expectile_value(x, q)),
-        flags=QuadrangleFlags(False, False, True, False),
-        label=f"expectile_mse({q:g})",
-        error_fn=err,
-        regret_fn=mean_center_error(err),
+    return complete_quadrangle(
+        err, lambda x: StatInterval.point(expectile_value(x, q)), f"expectile_mse({q:g})", deviation=deviation
     )
 
 
@@ -523,40 +453,20 @@ def _expectile_pl(k: float) -> Quadrangle:
     q = _expectile_q_from_k(k)
     spec = MomentMaxSpec(((-1.0, 0.0, 0.0), (0.0, 1.0 / k, 0.0)))
     err = error_from_moment_max(spec, Flags(True, True, False), label=f"expectile_pl_error({k:g})")
-
-    def statistic_value(x):
-        return expectile_value(x, q)
-
-    return Quadrangle(
-        risk=statistic_value,
+    return complete_quadrangle(
+        err,
+        lambda x: StatInterval.point(expectile_value(x, q)),
+        f"expectile_pl({k:g})",
+        risk=lambda x: expectile_value(x, q),
         deviation=lambda x: expectile_value(x.shift(-x.mean()), q),
-        regret=lambda x: err.fn(x) + x.mean(),
-        error=err.fn,
-        statistic=lambda x: StatInterval.point(statistic_value(x)),
-        flags=QuadrangleFlags(True, True, False, True),
-        label=f"expectile_pl({k:g})",
-        error_fn=err,
-        regret_fn=mean_center_error(err),
     )
 
 
 def _mean_pl() -> Quadrangle:
     spec = MomentMaxSpec(((-1.0, 1.0, 0.0), (0.0, 1.0, 0.0)))
     err = error_from_moment_max(spec, Flags(True, True, False), label="adjusted_mean_abs_error")
-
-    def deviation(x):
-        return x.shift(-x.mean()).mean_pos()
-
-    return Quadrangle(
-        risk=lambda x: deviation(x) + x.mean(),
-        deviation=deviation,
-        regret=lambda x: err.fn(x) + x.mean(),
-        error=err.fn,
-        statistic=lambda x: StatInterval.point(x.mean()),
-        flags=QuadrangleFlags(True, True, False, True),
-        label="mean_pl",
-        error_fn=err,
-        regret_fn=mean_center_error(err),
+    return complete_quadrangle(
+        err, lambda x: StatInterval.point(x.mean()), "mean_pl", deviation=lambda x: x.shift(-x.mean()).mean_pos()
     )
 
 
@@ -564,18 +474,22 @@ def _biased_mean(x0: float) -> Quadrangle:
     xp, xn = max(x0, 0.0), max(-x0, 0.0)
     spec = MomentMaxSpec(((-1.0, 1.0, -xp), (0.0, 1.0, -xn)))
     err = error_from_moment_max(spec, Flags(x0 == 0.0, True, False), label=f"superexpectation_error({x0:g})")
-
-    def deviation(x):
-        return x.shift(-x.mean() - x0).mean_pos() - xn
-
-    return Quadrangle(
-        risk=lambda x: deviation(x) + x.mean(),
-        deviation=deviation,
-        regret=lambda x: err.fn(x) + x.mean(),
-        error=err.fn,
-        statistic=lambda x: StatInterval.point(x0 + x.mean()),
-        flags=QuadrangleFlags(x0 == 0.0, True, False, x0 == 0.0),
-        label=f"biased_mean({x0:g})",
-        error_fn=err,
-        regret_fn=mean_center_error(err),
+    return complete_quadrangle(
+        err,
+        lambda x: StatInterval.point(x0 + x.mean()),
+        f"biased_mean({x0:g})",
+        deviation=lambda x: x.shift(-x.mean() - x0).mean_pos() - xn,
     )
+
+
+_CONSTRUCTORS = {
+    "standard_mean": _standard_mean,
+    "quantile": _quantile,
+    "cvar2": _cvar2,
+    "qsa": _qsa,
+    "qsau": _qsau,
+    "expectile_mse": _expectile_mse,
+    "expectile_pl": _expectile_pl,
+    "mean_pl": _mean_pl,
+    "biased_mean": _biased_mean,
+}

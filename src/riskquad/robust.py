@@ -176,11 +176,9 @@ def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None)
             return _project_simplex(w)
         return _project_simplex_mean(w, means, p.target_mean)
 
-    if p.phi.label == "kl":
-        from .divergence import _kl_risk
-
+    if p.phi.risk_search is not None:
         def g_of_w(w):
-            return _kl_risk(DiscreteRv(losses(w), pr), p.tau)[0]
+            return p.phi.risk_search(DiscreteRv(losses(w), pr), p.tau)[0]
 
     else:
         def g_of_w(w):

@@ -57,10 +57,9 @@ class ObjectiveInfiniteError(ValueError):
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """Scalar extended-real function with a caller-declared convexity contract."""
+    """Scalar extended-real function, convex by the caller's contract."""
 
     fn: Callable[[float], float]
-    declared_convex: bool = True
     bracket: Optional[tuple[float, float]] = None
 
     def __call__(self, c: float) -> float:
@@ -175,20 +174,20 @@ def minimize_scalar_convex(
     return float(x_best), float(f_best)
 
 
-def flat_interval(
-    fn,
-    cstar: float,
-    fstar: float,
-    rel_flat: float = 1e-9,
-    max_span: float = 1e12,
-) -> StatInterval:
+_REL_FLAT = 1e-9
+_MAX_SPAN = 1e12
+_SLOPE_TOL_REL = 1e-9
+
+
+def flat_interval(fn, cstar: float, fstar: float) -> StatInterval:
     """Recover the flat-bottom interval {c : fn(c) <= fstar + tol_flat}.
 
-    Expands outward from the minimizer, then bisects for the two boundary
-    crossings of the sublevel set.
+    Expands outward from the minimizer (at most ``_MAX_SPAN`` away), then
+    bisects for the two boundary crossings of the sublevel set;
+    tol_flat = ``_REL_FLAT`` * (1 + |fstar|).
     """
     fn = _as_callable(fn)
-    tol_flat = rel_flat * (1.0 + abs(fstar))
+    tol_flat = _REL_FLAT * (1.0 + abs(fstar))
     thresh = fstar + tol_flat
 
     def crossing(direction: int) -> float:
@@ -198,7 +197,7 @@ def flat_interval(
         while fn(outer) <= thresh:
             inner = outer
             step *= 2.0
-            if step > max_span:
+            if step > _MAX_SPAN:
                 return inner
             outer = cstar + direction * step
         for _ in range(100):
@@ -212,7 +211,7 @@ def flat_interval(
     return StatInterval(crossing(-1), crossing(+1))
 
 
-def argmin_interval_pwl(f, breakpoints, slope_tol_rel: float = 1e-9) -> StatInterval:
+def argmin_interval_pwl(f, breakpoints) -> StatInterval:
     """Exact flat-bottom argmin interval of a convex piecewise-linear function.
 
     ``breakpoints`` must contain every kink, so the function is affine between
@@ -237,7 +236,7 @@ def argmin_interval_pwl(f, breakpoints, slope_tol_rel: float = 1e-9) -> StatInte
     slopes = np.diff(vals) / gaps
     # slope noise scales with the evaluation noise over the smallest gap
     f_noise = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    s_tol = slope_tol_rel * (1.0 + float(np.max(np.abs(slopes)))) + f_noise / float(np.min(gaps))
+    s_tol = _SLOPE_TOL_REL * (1.0 + float(np.max(np.abs(slopes)))) + f_noise / float(np.min(gaps))
     if np.any(np.diff(slopes) < -10.0 * s_tol):
         raise NonConvexError("slope sequence is decreasing; function is not convex")
     neg = np.nonzero(slopes < -s_tol)[0]

@@ -424,3 +424,26 @@ def test_monotone_flag_and_deviation_bound():
         y = DiscreteRv(x.values + bump, x.probs)
         assert q.risk(x) <= q.risk(y) + 1e-9
         assert q.deviation(x) <= ess_bounds(x)[1] - x.mean() + 1e-9
+
+
+# -- one functional type, one flags type ----------------------------------------------
+
+
+def test_flags_coherent_is_derived():
+    assert Flags(True, True, False).coherent
+    assert not Flags(True, False, False).coherent
+    assert not Flags(False, True, True).coherent
+
+
+def test_exported_names_resolve():
+    import ast
+    import pathlib
+
+    import riskquad
+
+    tree = ast.parse(pathlib.Path(riskquad.__file__).read_text())
+    names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert {"ErrorFn", "RegretFn", "Flags"} <= set(names)
+    for name in names:
+        assert getattr(riskquad, name) is not None
+    assert riskquad.ErrorFn is riskquad.RegretFn

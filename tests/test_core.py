@@ -44,6 +44,14 @@ def test_quantile_interval_examples():
         quantile_interval(U5, 1.0)
 
 
+def test_quantile_interval_tiny_atom_mass():
+    # F(0) = 1e-13 > alpha: both quantiles sit at the tiny atom
+    x = DiscreteRv([0.0, 1.0], [1e-13, 1.0 - 1e-13])
+    assert quantile_interval(x, 5e-14) == StatInterval(0.0, 0.0)
+    assert quantile_interval(x, 1e-13) == StatInterval(0.0, 1.0)
+    assert quantile_interval(x, 2e-13) == StatInterval(1.0, 1.0)
+
+
 def test_cvar_examples():
     assert cvar_direct(U5, 0.6) == pytest.approx(4.5, abs=1e-15)
     assert cvar_direct(U5, 0.0) == pytest.approx(expectation(U5), abs=1e-15)

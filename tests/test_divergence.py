@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from riskquad.core import DiscreteRv, cvar_direct, ess_bounds, expectation
 from riskquad.constructions import RegretFn, project_error, regret_to_risk
 from riskquad.divergence import (
     StochasticDivergenceJ,
+    _kl_risk,
     classify_divergence,
     cvar_indicator_regret,
     cvar_indicator_regret_family,
@@ -262,6 +264,29 @@ def test_gep_quadrangle_statistic_expectile_beta_free():
     assert gen.risk(U5) == pytest.approx(
         make_divergence_quadrangle(make_divergence("gen_extended_pearson", q=q_level), 1.0).risk(U5), abs=1e-6
     )
+    # an asymmetric input tells q from 1 - q: both routes weight the upside by q
+    skew = DiscreteRv([0.0, 1.0, 3.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+    for q_level in (0.3, 0.7):
+        div = make_divergence("gen_extended_pearson", q=q_level)
+        fast, gen = make_divergence_quadrangle(div, 1.0), make_divergence_quadrangle(div, 1.0, fast=False)
+        assert fast.statistic(skew).midpoint == pytest.approx(expectile_value(skew, q_level), abs=1e-9)
+        assert gen.statistic(skew).midpoint == pytest.approx(expectile_value(skew, q_level), abs=1e-6)
+        assert gen.risk(skew) == pytest.approx(fast.risk(skew), abs=1e-6)
+
+
+def test_closed_forms_ride_on_the_divergence_not_its_label():
+    renamed = dataclasses.replace(make_divergence("kl"), label="renamed")
+    q = make_divergence_quadrangle(renamed, 0.5)
+    assert not q.label.endswith("|generic")
+    x = DiscreteRv([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
+    assert q.risk(x) == _kl_risk(x, 0.5)[0]
+
+
+def test_gep_level_is_kept_at_full_precision():
+    q_level = 0.123456789
+    qg = make_divergence_quadrangle(make_divergence("gen_extended_pearson", q=q_level), 1.0)
+    for x in (U5, DiscreteRv([0.0, 1.0, 3.0, 7.0], [0.1, 0.2, 0.3, 0.4])):
+        assert abs(qg.statistic(x).midpoint - expectile_value(x, q_level)) <= 1e-12
 
 
 def test_pearson_quadrangle_fast_vs_generic():
