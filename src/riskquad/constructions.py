@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval, sample_rvs
+from .core import DiscreteRv, SortedSums, StatInterval, map_chunks, sample_rvs
 from .solvers import (
     LpProblem,
     ObjectiveInfiniteError,
@@ -24,6 +24,8 @@ from .solvers import (
     flat_interval,
     minimize_multistart,
     minimize_scalar_convex,
+    pwl_argmin_interval,
+    pwl_grid,
     solve_lp,
 )
 
@@ -89,6 +91,34 @@ class ScalarLoss:
     @property
     def piecewise_linear(self) -> bool:
         return self.pieces is not None
+
+    def shift_values(self, x: DiscreteRv, cs: np.ndarray) -> np.ndarray:
+        """E[e(X - C)] for each C in ``cs``, from prefix sums over the sorted atoms.
+
+        Between consecutive kinks e is one affine piece, so the expectation is
+        sum_j s_j (S_j - C P_j) + b_j P_j over the bands of atoms with X - C
+        between kinks j-1 and j (P_j their mass, S_j their first moment).
+        """
+        kinks = np.asarray(self.kinks, dtype=float)
+        slopes, icpts = (np.array(col) for col in zip(*self.pieces))
+        # the piece active in each band, read off at a point inside it
+        probes = np.zeros(1)
+        if kinks.size:
+            probes = np.concatenate(([kinks[0] - 1.0], 0.5 * (kinks[:-1] + kinks[1:]), [kinks[-1] + 1.0]))
+        active = np.argmax(np.multiply.outer(probes, slopes) + icpts, axis=1)
+        s_band, b_band = slopes[active], icpts[active]
+        sums = SortedSums(x)
+
+        def rows(c):
+            d = c - sums.ref
+            if not kinks.size:
+                return s_band[0] * (sums.mean_u - d) + b_band[0]
+            lo_p, lo_s, hi_p, hi_s = sums.split(d[:, None] + kinks[None, :])
+            mass = np.concatenate((lo_p[:, :1], np.diff(lo_p, axis=1), hi_p[:, -1:]), axis=1)
+            moment = np.concatenate((lo_s[:, :1], np.diff(lo_s, axis=1), hi_s[:, -1:]), axis=1)
+            return (moment - d[:, None] * mass) @ s_band + mass @ b_band
+
+        return map_chunks(rows, np.asarray(cs, dtype=float), kinks.size + 1)
 
     @staticmethod
     def from_pieces(pieces: Sequence[tuple[float, float]], label: str = "") -> "ScalarLoss":
@@ -160,27 +190,43 @@ class MomentMaxSpec:
     def shifted(self, delta_a: float) -> "MomentMaxSpec":
         return MomentMaxSpec(tuple((a + delta_a, b, c) for a, b, c in self.terms))
 
+    def shift_values(self, x: DiscreteRv, cs: np.ndarray) -> np.ndarray:
+        """value(X - C) for each C in ``cs``, from suffix sums over the sorted atoms:
+        E[(X - C)_+] is the first moment minus C times the mass above C."""
+        sums = SortedSums(x)
+        a, b, k = (np.array(col)[:, None] for col in zip(*self.terms))
+
+        def rows(c):
+            d = c - sums.ref
+            _, _, hi_p, hi_s = sums.split(d, side="right")
+            return np.max(a * (sums.mean_u - d) + b * (hi_s - d * hi_p) + k, axis=0)
+
+        return map_chunks(rows, np.asarray(cs, dtype=float), len(self.terms))
+
     def shift_breakpoints(self, x: DiscreteRv) -> np.ndarray:
-        """Kinks of C -> value(X - C): atom values plus branch crossings."""
+        """Kinks of C -> value(X - C): atom values plus branch crossings.
+
+        On the segment between consecutive atoms (and beyond the extreme ones)
+        branch j is the line icpt_j + slope_j C; a crossing of two branches
+        is kept when it falls inside its segment.
+        """
         v, p = x.values, x.probs
         mean = x.mean()
-        pts = list(v)
-        # per segment, each branch is affine: h_j(C) = icpt_j + slope_j * C
-        seg_edges = np.concatenate(([-np.inf], v, [np.inf]))
+        lo = np.concatenate(([-np.inf], v))
+        hi = np.concatenate((v, [np.inf]))
         tail_p = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
         tail_s = np.concatenate((np.cumsum((p * v)[::-1])[::-1], [0.0]))
-        for i in range(len(seg_edges) - 1):
-            lo, hi = seg_edges[i], seg_edges[i + 1]
-            pgt, sgt = tail_p[i], tail_s[i]
-            lines = [(a * mean + b * sgt + c, -(a + b * pgt)) for a, b, c in self.terms]
-            for j in range(len(lines)):
-                for k in range(j + 1, len(lines)):
-                    (i1, s1), (i2, s2) = lines[j], lines[k]
-                    if abs(s1 - s2) > 1e-14:
-                        cstar = (i2 - i1) / (s1 - s2)
-                        if lo - 1e-12 <= cstar <= hi + 1e-12 and math.isfinite(cstar):
-                            pts.append(cstar)
-        return np.unique(np.asarray(pts, dtype=float))
+        lines = [(a * mean + b * tail_s + c, -(a + b * tail_p)) for a, b, c in self.terms]
+        pts = [v]
+        for j in range(len(lines)):
+            for k in range(j + 1, len(lines)):
+                (i1, s1), (i2, s2) = lines[j], lines[k]
+                ok = np.abs(s1 - s2) > 1e-14
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cstar = (i2 - i1) / (s1 - s2)
+                ok &= (lo - 1e-12 <= cstar) & (cstar <= hi + 1e-12) & np.isfinite(cstar)
+                pts.append(cstar[ok])
+        return np.unique(np.concatenate(pts))
 
 
 # -- error / regret wrappers -----------------------------------------------------
@@ -191,7 +237,10 @@ class Functional:
     """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
 
     ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
-    that the projections exploit when it is known.
+    that the projections exploit when it is known.  ``shift_values(x, cs)``,
+    for a functional with neither a piecewise-linear loss nor a moment-max
+    form, gives C -> f(X - C) at every C of the sorted array ``cs`` in one
+    pass; the other two forms supply their own.
     """
 
     fn: Callable[[DiscreteRv], float]
@@ -200,6 +249,7 @@ class Functional:
     loss: Optional[ScalarLoss] = None
     moment_max: Optional[MomentMaxSpec] = None
     shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
+    shift_values: Optional[Callable[[DiscreteRv, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: DiscreteRv) -> float:
         return self.fn(x)
@@ -241,6 +291,7 @@ def mean_center_regret(v: RegretFn) -> ErrorFn:
 
 def _mean_centered(f: Functional, sign: float) -> Functional:
     """f(X) + sign * E[X], with the structure of f carried over."""
+    sv = f.shift_values
     return Functional(
         fn=lambda x: f.fn(x) + sign * x.mean(),
         flags=f.flags,
@@ -248,6 +299,7 @@ def _mean_centered(f: Functional, sign: float) -> Functional:
         loss=None if f.loss is None else _affine_loss(f.loss, tilt=sign),
         moment_max=None if f.moment_max is None else f.moment_max.shifted(sign),
         shift_breakpoints=f.shift_breakpoints,
+        shift_values=None if sv is None else lambda x, cs: sv(x, cs) + sign * (x.mean() - cs),
     )
 
 
@@ -267,6 +319,28 @@ def _shift_breakpoints(f, x: DiscreteRv) -> Optional[np.ndarray]:
             pts = v
         return np.unique(pts)
     return None
+
+
+def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float) -> Optional[StatInterval]:
+    """Exact argmin interval of g(C) = tilt * C + f(X - C) over f's shift
+    breakpoints, or None when f is not known to be piecewise linear.
+
+    The values at the breakpoints come in one pass from the evaluator that
+    f's structure gives; without one, g is called at each breakpoint.
+    """
+    bps = _shift_breakpoints(f, x)
+    if bps is None:
+        return None
+    if f.shift_values is not None:
+        scan = f.shift_values
+    elif f.moment_max is not None:
+        scan = f.moment_max.shift_values
+    elif f.loss is not None and f.loss.piecewise_linear:
+        scan = f.loss.shift_values
+    else:
+        return argmin_interval_pwl(g, bps)
+    pts = pwl_grid(bps)
+    return pwl_argmin_interval(pts, scan(x, pts) + tilt * pts)
 
 
 def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
@@ -343,9 +417,8 @@ def project_error(err: ErrorFn, x: DiscreteRv, tol: float = 1e-10) -> tuple[floa
     def g(c):
         return err.fn(x.shift(-c))
 
-    bps = _shift_breakpoints(err, x)
-    if bps is not None:
-        interval = argmin_interval_pwl(g, bps)
+    interval = _pwl_shift_argmin(err, x, g, 0.0)
+    if interval is not None:
         return g(interval.lo), interval
     if err.loss is not None:
         interval = _stat_from_derivatives(err.loss, x)
@@ -369,9 +442,8 @@ def regret_to_risk(
     def g(c):
         return c + v.fn(x.shift(-c))
 
-    bps = _shift_breakpoints(v, x)
-    if bps is not None:
-        interval = argmin_interval_pwl(g, bps)
+    interval = _pwl_shift_argmin(v, x, g, 1.0)
+    if interval is not None:
         return g(interval.lo), interval
     if v.loss is not None:
         interval = _stat_from_derivatives(_affine_loss(v.loss, tilt=-1.0), x)
@@ -639,6 +711,7 @@ def scale_quadrangle(q: Quadrangle, lam: float, mode: str = "affine") -> Quadran
                     tuple((lam * a, lam * b, lam * c) for a, b, c in base.moment_max.terms)
                 ),
                 shift_breakpoints=base.shift_breakpoints,
+                shift_values=None if base.shift_values is None else lambda x, cs: lam * base.shift_values(x, cs),
             )
         return complete_quadrangle(
             err,

@@ -23,6 +23,8 @@ __all__ = [
     "cvar_direct",
     "ess_bounds",
     "sample_rvs",
+    "SortedSums",
+    "map_chunks",
 ]
 
 # Probability vectors further off than this from summing to one are rejected
@@ -34,6 +36,11 @@ PROB_SUM_TOL = 1e-9
 # an absolute 1e-12.
 _CDF_ULPS_PER_ATOM = 4.0
 _CDF_EPS_MAX = 1e-12
+
+# cells of one batched temporary (rows x columns) in ``map_chunks``, 32 KB:
+# 16 K cells made the 100-atom qsa scans no faster and raised the peak memory
+# of the process running them by 0.5 MB.
+_CHUNK_CELLS = 4096
 
 
 class InvalidDistribution(ValueError):
@@ -80,6 +87,18 @@ class DiscreteRv:
         self.values.setflags(write=False)
         self.probs.setflags(write=False)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteRv":
+        """Atoms from a transform that keeps them sorted: skips the merge and the
+        renormalization unless rounding made values collide or overflow."""
+        if not (np.all(np.isfinite(values)) and np.all(values[1:] > values[:-1])):
+            return cls(values, probs)
+        rv = cls.__new__(cls)
+        rv.values = values
+        rv.probs = probs
+        values.setflags(write=False)
+        return rv
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -120,9 +139,13 @@ class DiscreteRv:
     # -- pointwise transforms ------------------------------------------------
 
     def shift(self, c: float) -> "DiscreteRv":
-        return DiscreteRv(self.values + c, self.probs)
+        return DiscreteRv._trusted(self.values + c, self.probs)
 
     def scale(self, a: float) -> "DiscreteRv":
+        if a > 0:
+            return DiscreteRv._trusted(self.values * a, self.probs)
+        if a < 0:
+            return DiscreteRv._trusted(self.values[::-1] * a, self.probs[::-1])
         return DiscreteRv(self.values * a, self.probs)
 
     def neg(self) -> "DiscreteRv":
@@ -222,6 +245,44 @@ def sample_rvs(rng: np.random.Generator, n: int, max_atoms: int = 8, span: float
         probs = rng.dirichlet(np.ones(k))
         out.append(DiscreteRv(vals, probs))
     return out
+
+
+class SortedSums:
+    """Prefix and suffix sums of mass and first moment over the sorted atoms.
+
+    Values are centred at a reference atom ``ref``, so the rounding of every
+    partial moment scales with the spread of X, not with its offset.
+    """
+
+    __slots__ = ("ref", "u", "lo_p", "lo_s", "hi_p", "hi_s", "mean_u")
+
+    def __init__(self, x: DiscreteRv):
+        self.ref = float(x.values[x.n_atoms // 2])
+        self.u = x.values - self.ref
+        p, pu = x.probs, x.probs * self.u
+        self.lo_p = np.concatenate(([0.0], np.cumsum(p)))
+        self.lo_s = np.concatenate(([0.0], np.cumsum(pu)))
+        self.hi_p = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
+        self.hi_s = np.concatenate((np.cumsum(pu[::-1])[::-1], [0.0]))
+        self.mean_u = float(np.dot(p, self.u))
+
+    def split(self, t, side: str = "left"):
+        """Mass and centred first moment below and above ``ref + t``.
+
+        Returns (P_lo, S_lo, P_hi, S_hi) with the atoms at ``ref + t`` counted
+        above for ``side="left"`` and below for ``side="right"``.
+        """
+        i = np.searchsorted(self.u, t, side)
+        return self.lo_p[i], self.lo_s[i], self.hi_p[i], self.hi_s[i]
+
+
+def map_chunks(fn: Callable[[np.ndarray], np.ndarray], cs: np.ndarray, width: int) -> np.ndarray:
+    """fn over row chunks of ``cs``, for an fn whose widest temporary holds
+    ``width`` cells per row of ``cs``."""
+    step = max(1, _CHUNK_CELLS // max(1, width))
+    if cs.size <= step:
+        return fn(cs)
+    return np.concatenate([fn(cs[i : i + step]) for i in range(0, cs.size, step)])
 
 
 # -- statistic intervals -------------------------------------------------------

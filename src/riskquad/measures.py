@@ -8,13 +8,12 @@ piecewise-linear mean family, and the biased mean family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, p_norm, quantile_interval
+from .core import DiscreteRv, SortedSums, StatInterval, cvar_direct, ess_bounds, map_chunks, p_norm, quantile_interval
 from .constructions import (
     ErrorFn,
     Flags,
@@ -124,28 +123,24 @@ def asymmetric_mse_loss(q: float) -> ScalarLoss:
 def expectile_value(x: DiscreteRv, q: float) -> float:
     """The unique C with q E[(X-C)_+] = (1-q) E[(X-C)_-].
 
-    The balance function is piecewise linear and strictly decreasing in C, so
-    the root is located by a segment scan and solved exactly.
+    The balance function is piecewise linear and strictly decreasing in C,
+    so it is evaluated at every atom in one prefix-sum pass, and the root is
+    solved exactly on the first segment where it changes sign.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("expectile level must lie in (0,1)")
     v = x.values
     if x.is_constant():
         return float(v[0])
-
-    def h(c):
-        d = v - c
-        return float(np.dot(x.probs, q * np.maximum(d, 0.0) - (1.0 - q) * np.maximum(-d, 0.0)))
-
-    lo, hi = float(v[0]), float(v[-1])
-    hs = [h(c) for c in v]
-    idx = 0
-    for i in range(len(v) - 1):
-        if hs[i] >= 0.0 >= hs[i + 1]:
-            idx = i
-            break
+    # h(C) = q E[(X-C)_+] - (1-q) E[(X-C)_-], with the atoms at C counted in neither
+    sums = SortedSums(x)
+    lo_p, lo_s, _, _ = sums.split(sums.u, side="left")
+    _, _, hi_p, hi_s = sums.split(sums.u, side="right")
+    hs = q * (hi_s - sums.u * hi_p) - (1.0 - q) * (sums.u * lo_p - lo_s)
+    crossing = np.nonzero((hs[:-1] >= 0.0) & (hs[1:] <= 0.0))[0]
+    idx = int(crossing[0]) if crossing.size else 0
     a, b = float(v[idx]), float(v[idx + 1])
-    ha, hb = hs[idx], hs[idx + 1]
+    ha, hb = float(hs[idx]), float(hs[idx + 1])
     if ha == hb:
         return 0.5 * (a + b)
     return a - ha * (b - a) / (hb - ha)
@@ -161,35 +156,28 @@ def _expectile_q_from_k(k: float) -> float:
 def _tail_segments(x: DiscreteRv):
     """Per CDF-segment coefficients of CVaR_b = (A_i - v_i b)/(1-b) on (pi_{i-1}, pi_i).
 
-    On the last segment CVaR_b is identically ess sup, so its log coefficient
-    A_i - v_i is pinned to zero exactly.
+    Returns the arrays (lo, hi, v, A).  On the last segment CVaR_b is
+    identically ess sup, so its log coefficient A_i - v_i is pinned to zero
+    exactly.
     """
     v, p = x.values, x.probs
     cum = np.cumsum(p)
-    tail_sum = np.concatenate((np.cumsum((p * v)[::-1])[::-1], [0.0]))
-    segs = []
-    lo = 0.0
-    for i in range(v.size):
-        last = i == v.size - 1
-        hi = 1.0 if last else float(cum[i])
-        a_i = float(v[i]) if last else float(v[i] * cum[i] + tail_sum[i + 1])
-        segs.append((lo, hi, float(v[i]), a_i))
-        lo = hi
-    return segs
+    tail_sum = np.cumsum((p * v)[::-1])[::-1]
+    hi = np.append(cum[:-1], 1.0)
+    lo = np.concatenate(([0.0], hi[:-1]))
+    a = np.append(v[:-1] * cum[:-1] + tail_sum[1:], v[-1])
+    return lo, hi, v, a
 
 
 def _integral_cvar(segs, a: float, b: float) -> float:
     """Integral of CVaR_beta over [a, b] in closed form per segment."""
-    total = 0.0
-    for lo, hi, vi, ai in segs:
-        s, t = max(a, lo), min(b, hi)
-        if t <= s:
-            continue
-        coef = ai - vi  # log coefficient; exactly zero on the last segment
-        if coef != 0.0:
-            total += coef * (math.log(1.0 - s) - math.log(1.0 - t))
-        total += vi * (t - s)
-    return total
+    lo, hi, v, ai = segs
+    s, t = np.maximum(a, lo), np.minimum(b, hi)
+    on = t > s
+    coef = ai - v  # log coefficient; exactly zero on the last segment
+    logs = on & (coef != 0.0)
+    total = float(np.dot(coef[logs], np.log(1.0 - s[logs]) - np.log(1.0 - t[logs])))
+    return total + float(np.dot(v[on], t[on] - s[on]))
 
 
 def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
@@ -202,28 +190,28 @@ def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
     """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly.
 
     CVaR_beta is continuous and nondecreasing in beta: the positive part of
-    the integrand starts at the unique root, solved per segment from the
-    (a_i - v_i b)/(1 - b) representation.
+    the integrand starts at the unique root, solved on the first segment
+    where the (a_i - v_i b)/(1 - b) representation changes sign.
     """
     segs = _tail_segments(x)
+    lo, hi, v, a = segs
     if x.mean() >= 0.0:
         start = 0.0
-    elif segs[-1][2] <= 0.0:  # ess sup <= 0: integrand never positive
+    elif v[-1] <= 0.0:  # ess sup <= 0: integrand never positive
         return 0.0
     else:
-        start = None
-        for lo, hi, vi, ai in segs:
-            b_end = min(hi, 1.0 - 1e-15)
-            f_lo = (ai - vi * lo) / (1.0 - lo)
-            f_hi = (ai - vi * b_end) / (1.0 - b_end)
-            if f_lo < 0.0 <= f_hi:
-                start = min(max(ai / vi, lo), hi) if vi != 0.0 else lo
-                break
-        if start is None:
+        b_end = np.minimum(hi, 1.0 - 1e-15)
+        f_lo = (a - v * lo) / (1.0 - lo)
+        f_hi = (a - v * b_end) / (1.0 - b_end)
+        hit = np.nonzero((f_lo < 0.0) & (0.0 <= f_hi))[0]
+        if hit.size:
+            i = int(hit[0])
+            start = min(max(a[i] / v[i], lo[i]), hi[i]) if v[i] != 0.0 else lo[i]
+        else:
             # no sign change located although ess sup > 0: the mean sits at
             # zero within rounding and the integrand is nonnegative throughout
             start = 0.0
-    return _integral_cvar(segs, start, 1.0) / (1.0 - alpha)
+    return _integral_cvar(segs, float(start), 1.0) / (1.0 - alpha)
 
 
 # -- the alpha-set of the union family ----------------------------------------------------
@@ -395,12 +383,33 @@ def _qsa_breakpoints(x: DiscreteRv) -> np.ndarray:
     return np.unique(np.concatenate([v, mids.ravel()]))
 
 
+def _cvar_norm_shift_values(alpha: float):
+    """C -> (1-alpha) CVaR_alpha(|X - C|) at every C of an array: each row of
+    |X - C| sorted in decreasing order, its top 1 - alpha of mass summed."""
+
+    def shift_values(x: DiscreteRv, cs: np.ndarray) -> np.ndarray:
+        sums = SortedSums(x)
+
+        def rows(c):
+            z = np.abs(sums.u[None, :] - (c - sums.ref)[:, None])
+            order = np.argsort(-z, axis=1)
+            z = np.take_along_axis(z, order, axis=1)
+            p = x.probs[order]
+            take = np.clip((1.0 - alpha) - (np.cumsum(p, axis=1) - p), 0.0, p)
+            return np.sum(take * z, axis=1)
+
+        return map_chunks(rows, np.asarray(cs, dtype=float), x.n_atoms)
+
+    return shift_values
+
+
 def _qsa(alpha: float) -> Quadrangle:
     err = ErrorFn(
         fn=lambda x: (1.0 - alpha) * cvar_direct(x.abs(), alpha),
         flags=Flags(True, True, False),
         label=f"cvar_norm({alpha:g})",
         shift_breakpoints=_qsa_breakpoints,
+        shift_values=_cvar_norm_shift_values(alpha),
     )
     a_lo = (1.0 - alpha) / 2.0
     a_hi = (1.0 + alpha) / 2.0

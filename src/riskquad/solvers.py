@@ -28,6 +28,8 @@ __all__ = [
     "ObjectiveInfiniteError",
     "minimize_scalar_convex",
     "argmin_interval_pwl",
+    "pwl_grid",
+    "pwl_argmin_interval",
     "minimize_subgradient",
     "compass_search",
     "minimize_multistart",
@@ -211,33 +213,42 @@ def flat_interval(fn, cstar: float, fstar: float) -> StatInterval:
     return StatInterval(crossing(-1), crossing(+1))
 
 
-def argmin_interval_pwl(f, breakpoints) -> StatInterval:
-    """Exact flat-bottom argmin interval of a convex piecewise-linear function.
-
-    ``breakpoints`` must contain every kink, so the function is affine between
-    consecutive candidates and beyond the extreme ones.  Sentinel evaluations
-    one unit outside each end supply the outer slopes.
-    """
-    fn = _as_callable(f)
-    bps = np.unique(np.asarray(list(breakpoints), dtype=float))
+def pwl_grid(breakpoints) -> np.ndarray:
+    """Sorted candidates for ``pwl_argmin_interval``: the breakpoints, with
+    kinks closer than the evaluation noise floor merged, plus one sentinel a
+    unit outside each end to supply the outer slopes."""
+    bps = np.unique(np.asarray(breakpoints, dtype=float))
     if bps.size == 0:
         raise ValueError("need at least one breakpoint")
-    scale = max(1.0, float(np.max(np.abs(bps))))
-    # kinks closer than the evaluation noise floor are indistinguishable
-    keep = [bps[0]]
-    for b in bps[1:]:
-        if b - keep[-1] > 1e-9 * scale:
-            keep.append(b)
-    pts = np.concatenate(([keep[0] - 1.0], np.asarray(keep), [keep[-1] + 1.0]))
-    vals = np.array([fn(c) for c in pts])
+    thresh = 1e-9 * max(1.0, float(np.max(np.abs(bps))))
+    # each breakpoint is kept when it lies beyond the threshold from the last
+    # kept one; only those within it of their predecessor can be dropped
+    keep = np.ones(bps.size, dtype=bool)
+    last = bps[0]
+    for i in np.flatnonzero(np.diff(bps) <= thresh) + 1:
+        if keep[i - 1]:
+            last = bps[i - 1]
+        keep[i] = bps[i] - last > thresh
+    kept = bps[keep]
+    return np.concatenate(([kept[0] - 1.0], kept, [kept[-1] + 1.0]))
+
+
+def pwl_argmin_interval(pts: np.ndarray, vals: np.ndarray) -> StatInterval:
+    """Exact flat-bottom argmin interval of a convex piecewise-linear function
+    from its values ``vals`` at the sorted candidates ``pts`` (``pwl_grid``),
+    between which it is affine.
+
+    A segment counts as flat when its slope is within the relative slope
+    tolerance plus the evaluation noise over that segment's own width; raises
+    NonConvexError when the slopes decrease by more than that noise.
+    """
     if not np.all(np.isfinite(vals)):
         raise ValueError("piecewise-linear objective must be finite at breakpoints")
     gaps = np.diff(pts)
     slopes = np.diff(vals) / gaps
-    # slope noise scales with the evaluation noise over the smallest gap
     f_noise = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    s_tol = _SLOPE_TOL_REL * (1.0 + float(np.max(np.abs(slopes)))) + f_noise / float(np.min(gaps))
-    if np.any(np.diff(slopes) < -10.0 * s_tol):
+    s_tol = _SLOPE_TOL_REL * (1.0 + float(np.max(np.abs(slopes)))) + f_noise / gaps
+    if np.any(np.diff(slopes) < -10.0 * np.maximum(s_tol[:-1], s_tol[1:])):
         raise NonConvexError("slope sequence is decreasing; function is not convex")
     neg = np.nonzero(slopes < -s_tol)[0]
     pos = np.nonzero(slopes > s_tol)[0]
@@ -246,6 +257,17 @@ def argmin_interval_pwl(f, breakpoints) -> StatInterval:
     if hi < lo:
         hi = lo
     return StatInterval(float(lo), float(hi))
+
+
+def argmin_interval_pwl(f, breakpoints) -> StatInterval:
+    """``pwl_argmin_interval`` of a callable, evaluated at each candidate.
+
+    ``breakpoints`` must contain every kink, so the function is affine between
+    consecutive candidates and beyond the extreme ones.
+    """
+    fn = _as_callable(f)
+    pts = pwl_grid(list(breakpoints))
+    return pwl_argmin_interval(pts, np.array([fn(c) for c in pts]))
 
 
 def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:

@@ -146,3 +146,38 @@ def test_quantile_level_ordering():
         q1 = quantile_interval(x, 0.3)
         q2 = quantile_interval(x, 0.7)
         assert q2.lo >= q1.lo - 1e-12 and q2.hi >= q1.hi - 1e-12
+
+
+# -- transforms that keep the atoms sorted skip the merge ---------------------
+
+
+@given(atoms_strategy, st.sampled_from([2.5, 1e-9, 1e9, -0.75, -1.0, -1e9, 0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+@settings(max_examples=60, deadline=None)
+def test_transforms_match_the_full_constructor(atoms, a, c):
+    x = _build(atoms)
+    for got, want in (
+        (x.shift(c), DiscreteRv(x.values + c, x.probs)),
+        (x.scale(a), DiscreteRv(x.values * a, x.probs)),
+        (x.neg(), DiscreteRv(-x.values, x.probs)),
+    ):
+        assert np.array_equal(got.values, want.values)
+        # the full constructor renormalizes probabilities that already sum to 1
+        np.testing.assert_allclose(got.probs, want.probs, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert not got.values.flags.writeable and not got.probs.flags.writeable
+
+
+def test_transforms_merge_atoms_that_collide_by_rounding():
+    x = DiscreteRv([1.0, 1.0 + 2.0**-52, 3.0], [0.25, 0.25, 0.5])
+    assert x.n_atoms == 3
+    # at 1e6 one ulp is about 1.2e-10, so the two lower atoms land on one value
+    y = x.shift(1e6)
+    assert y.n_atoms == 2 and y == DiscreteRv(x.values + 1e6, x.probs)
+    assert y.probs.tolist() == [0.5, 0.5]
+    # a positive scale that underflows the gap between atoms merges them too
+    z = DiscreteRv([1e-300, 2e-300], [0.5, 0.5]).scale(1e-30)
+    assert z.n_atoms == 1 and z.probs.tolist() == [1.0]
+    assert DiscreteRv([1e-300, 2e-300], [0.5, 0.5]).scale(-1e-30).values.tolist() == [-0.0]
+    # scaling by zero collapses every atom onto one
+    assert x.scale(0.0) == DiscreteRv.constant(0.0)
+    with pytest.raises(InvalidDistribution), np.errstate(over="ignore"):
+        DiscreteRv([1e300, 2e300]).scale(1e10)

@@ -1,0 +1,216 @@
+"""One-pass array scans against the per-point paths they replace.
+
+The per-breakpoint ``argmin_interval_pwl`` route, the per-segment cvar2 loops
+and the per-atom expectile loop are kept here as oracles.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from riskquad.constructions import (
+    _shift_breakpoints,
+    mean_center_error,
+    mean_center_regret,
+    project_error,
+    regret_to_risk,
+    scale_quadrangle,
+)
+from riskquad.core import DiscreteRv
+from riskquad.measures import (
+    CatalogSpec,
+    _tail_segments,
+    cvar2_regret,
+    cvar2_risk,
+    expectile_value,
+    make_catalog_quadrangle,
+)
+from riskquad.solvers import argmin_interval_pwl
+
+from helpers import random_rvs
+
+# -- oracles ---------------------------------------------------------------------------
+
+
+def per_point_argmin(f, x, tilt):
+    """min_C tilt * C + f(X - C) and its interval, evaluating f at each breakpoint."""
+
+    def g(c):
+        return tilt * c + f.fn(x.shift(-c))
+
+    interval = argmin_interval_pwl(g, _shift_breakpoints(f, x))
+    return g(interval.lo), interval
+
+
+def loop_tail_segments(x):
+    v, p = x.values, x.probs
+    cum = np.cumsum(p)
+    tail_sum = np.concatenate((np.cumsum((p * v)[::-1])[::-1], [0.0]))
+    segs = []
+    lo = 0.0
+    for i in range(v.size):
+        last = i == v.size - 1
+        hi = 1.0 if last else float(cum[i])
+        a_i = float(v[i]) if last else float(v[i] * cum[i] + tail_sum[i + 1])
+        segs.append((lo, hi, float(v[i]), a_i))
+        lo = hi
+    return segs
+
+
+def loop_integral_cvar(segs, a, b):
+    total = 0.0
+    for lo, hi, vi, ai in segs:
+        s, t = max(a, lo), min(b, hi)
+        if t <= s:
+            continue
+        coef = ai - vi
+        if coef != 0.0:
+            total += coef * (math.log(1.0 - s) - math.log(1.0 - t))
+        total += vi * (t - s)
+    return total
+
+
+def loop_cvar2_regret(x, alpha):
+    segs = loop_tail_segments(x)
+    if x.mean() >= 0.0:
+        start = 0.0
+    elif segs[-1][2] <= 0.0:
+        return 0.0
+    else:
+        start = None
+        for lo, hi, vi, ai in segs:
+            b_end = min(hi, 1.0 - 1e-15)
+            f_lo = (ai - vi * lo) / (1.0 - lo)
+            f_hi = (ai - vi * b_end) / (1.0 - b_end)
+            if f_lo < 0.0 <= f_hi:
+                start = min(max(ai / vi, lo), hi) if vi != 0.0 else lo
+                break
+        if start is None:
+            start = 0.0
+    return loop_integral_cvar(segs, start, 1.0) / (1.0 - alpha)
+
+
+def loop_expectile(x, q):
+    v = x.values
+    if x.is_constant():
+        return float(v[0])
+
+    def h(c):
+        d = v - c
+        return float(np.dot(x.probs, q * np.maximum(d, 0.0) - (1.0 - q) * np.maximum(-d, 0.0)))
+
+    hs = [h(c) for c in v]
+    idx = 0
+    for i in range(len(v) - 1):
+        if hs[i] >= 0.0 >= hs[i + 1]:
+            idx = i
+            break
+    a, b = float(v[idx]), float(v[idx + 1])
+    ha, hb = hs[idx], hs[idx + 1]
+    if ha == hb:
+        return 0.5 * (a + b)
+    return a - ha * (b - a) / (hb - ha)
+
+
+# -- inputs: scales 1e-9..1e9, offsets up to 1e6 spreads, tiny masses, single atoms ----------
+
+SCALES = [1e-9, 1e-3, 1.0, 1e3, 1e9]
+
+
+@st.composite
+def shifted_rvs(draw, max_atoms=14):
+    n = draw(st.integers(1, max_atoms))
+    z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        z = np.round(z * 8.0) / 8.0
+    raw = np.array(draw(st.lists(st.sampled_from([1e-13, 1e-6, 0.3, 1.0, 2.5]), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from(SCALES))
+    offset = scale * draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, -1e6, 1e6]))
+    return DiscreteRv(offset + scale * z, raw / raw.sum()), scale
+
+
+def pwl_families(scale):
+    """Every piecewise-linear catalog family, offsets in its parameters at the r.v.'s scale."""
+    return [
+        ("quantile", {"alpha": 0.3}),
+        ("quantile", {"alpha": 0.85}),
+        ("qsau", {"eps": 0.0}),
+        ("qsau", {"eps": 0.25 * scale}),
+        ("qsa", {"alpha": 0.5}),
+        ("expectile_pl", {"K": 0.5}),
+        ("mean_pl", {}),
+        ("biased_mean", {"x": 0.5 * scale}),
+        ("biased_mean", {"x": -0.3 * scale}),
+    ]
+
+
+def forms(q):
+    """(name, functional, tilt): tilt 0 is an error's projection, 1 a regret's risk."""
+    affine = scale_quadrangle(q, 0.4)
+    return [
+        ("error", q.error_fn, 0.0),
+        ("regret", q.regret_fn, 1.0),
+        ("affine error", affine.error_fn, 0.0),
+        ("affine regret", affine.regret_fn, 1.0),
+        ("centred regret", mean_center_regret(q.regret_fn), 0.0),
+        ("centred error", mean_center_error(q.error_fn), 1.0),
+    ]
+
+
+@given(shifted_rvs())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_array_scans_match_the_per_point_oracle(case):
+    x, scale = case
+    for family, params in pwl_families(scale):
+        q = make_catalog_quadrangle(CatalogSpec(family, params))
+        for name, f, tilt in forms(q):
+            value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
+            want_value, want_interval = per_point_argmin(f, x, tilt)
+            assert interval == want_interval, (family, params, name)
+            assert value == want_value, (family, params, name)
+
+
+def test_large_scans_match_the_per_point_oracle():
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e3):
+        for n in (60, 300):
+            vals = scale * (rng.uniform(-3.0, 3.0) + np.round(rng.standard_normal(n) * 64) / 64)
+            x = DiscreteRv(vals, rng.dirichlet(np.ones(n)))
+            for family, params in pwl_families(scale):
+                if family == "qsa" and n > 60:
+                    continue
+                q = make_catalog_quadrangle(CatalogSpec(family, params))
+                for name, f, tilt in forms(q)[:2]:
+                    value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
+                    assert (value, interval) == per_point_argmin(f, x, tilt), (family, params, name, n)
+
+
+# -- cvar2 and expectiles --------------------------------------------------------------------
+
+
+def test_vectorised_cvar2_matches_the_segment_loops():
+    rng = np.random.default_rng(11)
+    rvs = random_rvs(rng, 30, max_atoms=12) + random_rvs(rng, 10, max_atoms=400, span=1e3, offset=-50.0)
+    rvs += [DiscreteRv.constant(-2.0), DiscreteRv.constant(0.0), DiscreteRv([-5.0, 1e-3], [0.999, 0.001])]
+    for x in rvs:
+        lo, hi, v, a = _tail_segments(x)
+        assert [tuple(s) for s in zip(lo, hi, v, a)] == loop_tail_segments(x)
+        for alpha in (0.1, 0.5, 0.9):
+            tol = 1e-13 * x.n_atoms * max(1.0, float(np.max(np.abs(x.values))))
+            assert cvar2_risk(x, alpha) == pytest.approx(
+                loop_integral_cvar(loop_tail_segments(x), alpha, 1.0) / (1.0 - alpha), rel=0.0, abs=tol
+            )
+            assert cvar2_regret(x, alpha) == pytest.approx(loop_cvar2_regret(x, alpha), rel=0.0, abs=tol)
+            assert cvar2_regret(x.shift(-x.mean()), alpha) == pytest.approx(
+                loop_cvar2_regret(x.shift(-x.mean()), alpha), rel=0.0, abs=tol
+            )
+
+
+@given(shifted_rvs(max_atoms=40), st.sampled_from([0.05, 0.5, 0.75, 0.97]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_prefix_sum_expectile_matches_the_atom_loop(case, q):
+    x, _ = case
+    spread = float(x.values[-1] - x.values[0])
+    assert expectile_value(x, q) == pytest.approx(loop_expectile(x, q), rel=0.0, abs=1e-12 * max(spread, 1e-300))

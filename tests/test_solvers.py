@@ -15,6 +15,8 @@ from riskquad.solvers import (
     minimize_multistart,
     minimize_scalar_convex,
     minimize_subgradient,
+    pwl_argmin_interval,
+    pwl_grid,
     solve_lp,
 )
 from riskquad.constructions import error_from_loss, project_error, Flags
@@ -74,6 +76,35 @@ def test_pwl_single_kink():
 def test_pwl_rejects_nonconvex():
     with pytest.raises(NonConvexError):
         argmin_interval_pwl(lambda c: -abs(c), [-1.0, 0.0, 1.0])
+
+
+def test_pwl_near_coincident_kinks_leave_sloped_segments_sloped():
+    # two breakpoints 1e-8 apart far from the minimum once widened the slope
+    # tolerance of every segment by the noise floor over the smallest gap, so
+    # the gentle slopes of 1e-5 * |c - 1| all counted as flat
+    def f(c):
+        return 1e-5 * abs(c - 1.0)
+
+    bps = [0.0, 1.0, 3.0, 3.0 + 1e-8]
+    assert argmin_interval_pwl(f, bps) == StatInterval(1, 1)
+    pts = pwl_grid(bps)
+    assert pwl_argmin_interval(pts, np.array([f(c) for c in pts])) == StatInterval(1, 1)
+
+
+def test_pwl_grid_merges_like_the_greedy_loop():
+    rng = np.random.default_rng(5)
+    for scale in (1e-3, 1.0, 1e3):
+        # clusters of breakpoints spaced around the merge threshold
+        base = np.repeat(rng.uniform(-5, 5, 40) * scale, 4)
+        bps = np.unique(base + rng.uniform(0, 3e-9, base.size) * max(1.0, 5 * scale))
+        thresh = 1e-9 * max(1.0, float(np.max(np.abs(bps))))
+        kept = [bps[0]]
+        for b in bps[1:]:
+            if b - kept[-1] > thresh:
+                kept.append(b)
+        pts = pwl_grid(bps)
+        assert pts[1:-1].tolist() == kept
+        assert pts[0] == kept[0] - 1.0 and pts[-1] == kept[-1] + 1.0
 
 
 def test_pwl_inside_scalar_min():
