@@ -381,6 +381,9 @@ def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
             b = expand(g, float(v[-1]) + span0, +1.0, "nonpos")
         for _ in range(200):
             m = 0.5 * (a + b)
+            # a midpoint equal to an end is the last step that can move one;
+            # every later one repeats it
+            settled = m == a or m == b
             gm = g(m)
             if target_sign > 0:
                 if gm >= 0.0:
@@ -392,6 +395,8 @@ def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
                     b = m
                 else:
                     a = m
+            if settled:
+                break
         return a if target_sign > 0 else b
 
     hi = mono_crossing(g_plus, +1)

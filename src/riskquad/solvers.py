@@ -4,8 +4,10 @@ Scalar golden-section minimization with auto-bracketing, exact argmin
 intervals for piecewise-linear convex functions, projected subgradient
 descent, a deterministic compass-search polish, the multistart routine that
 chains the two (``minimize_multistart``, with a forward-difference gradient
-when none is given), and a dense two-phase simplex LP solver with Bland's
-anti-cycling rule.
+when none is given), and a two-phase tableau simplex LP solver: numpy rank-1
+pivots, free variables kept in one column, a start basis of slacks with free
+columns crashed into the artificials' rows, Dantzig pricing in phase 1 (Bland's
+rule through runs of degenerate pivots) and Bland's rule in phase 2.
 """
 
 from __future__ import annotations
@@ -215,12 +217,20 @@ def flat_interval(fn, cstar: float, fstar: float) -> StatInterval:
 
 def pwl_grid(breakpoints) -> np.ndarray:
     """Sorted candidates for ``pwl_argmin_interval``: the breakpoints, with
-    kinks closer than the evaluation noise floor merged, plus one sentinel a
-    unit outside each end to supply the outer slopes."""
+    kinks closer than the evaluation noise floor merged, plus one sentinel
+    outside each end to supply the outer slopes.
+
+    The floor is 1e-9 of max(1, max|bps|), but at most 1e-6 of the
+    breakpoints' spread and at least four ulps of max|bps|; the sentinels sit
+    a unit out, or 1000 spreads out when that is less.
+    """
     bps = np.unique(np.asarray(breakpoints, dtype=float))
     if bps.size == 0:
         raise ValueError("need at least one breakpoint")
-    thresh = 1e-9 * max(1.0, float(np.max(np.abs(bps))))
+    top = max(-float(bps[0]), float(bps[-1]))
+    spread = float(bps[-1] - bps[0])
+    thresh = max(min(1e-9 * max(1.0, top), 1e-6 * spread), 4.0 * math.ulp(top))
+    reach = min(1.0, 1e3 * spread) if spread > 0.0 else 1.0
     # each breakpoint is kept when it lies beyond the threshold from the last
     # kept one; only those within it of their predecessor can be dropped
     keep = np.ones(bps.size, dtype=bool)
@@ -230,7 +240,7 @@ def pwl_grid(breakpoints) -> np.ndarray:
             last = bps[i - 1]
         keep[i] = bps[i] - last > thresh
     kept = bps[keep]
-    return np.concatenate(([kept[0] - 1.0], kept, [kept[-1] + 1.0]))
+    return np.concatenate(([kept[0] - reach], kept, [kept[-1] + reach]))
 
 
 def pwl_argmin_interval(pts: np.ndarray, vals: np.ndarray) -> StatInterval:
@@ -445,7 +455,7 @@ def minimize_multistart(
     return best
 
 
-# -- dense simplex LP ----------------------------------------------------------
+# -- two-phase tableau simplex LP ---------------------------------------------
 
 
 @dataclass
@@ -468,54 +478,154 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective: Optional[float]
-    # indices of original variables whose optimal basis admits an alternate
-    # optimum (zero reduced cost on a nonbasic column)
+    # original variables that an alternate optimum moves: those a nonbasic
+    # column (slack included) of zero reduced cost and positive or unbounded
+    # step changes, and that column itself when it is an original variable
     degenerate_columns: tuple[int, ...] = ()
+    # tableau pivots of the crash, both phases and the artificials' drive-out
+    pivots: int = 0
 
 
 _PIV_TOL = 1e-9
+_MAX_PIVOTS = 50_000
+# phase 1 prices by Dantzig's rule, and by Bland's once this many pivots in a
+# row have lowered its objective by no more than _STALL_REL of it
+_STALL_RUN = 50
+_STALL_REL = 1e-12
 
 
-def _simplex_core(tableau: np.ndarray, basis: list[int], cost: np.ndarray, n_cols: int):
-    """Bland-rule simplex on an equality-form tableau; returns status."""
-    m = tableau.shape[0]
-    # reduced cost row
-    z = cost.astype(float).copy()
-    obj = 0.0
-    for i, bi in enumerate(basis):
-        if abs(z[bi]) > 0:
-            obj -= z[bi] * tableau[i, -1]
-            z -= z[bi] * tableau[i, :-1]
-    for _ in range(50_000):
-        enter = -1
-        for j in range(n_cols):
-            if z[j] < -_PIV_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", z, obj
-        ratios = []
-        for i in range(m):
-            a = tableau[i, enter]
-            if a > _PIV_TOL:
-                ratios.append((tableau[i, -1] / a, basis[i], i))
-        if not ratios:
-            return "unbounded", z, obj
-        best = min(ratios, key=lambda t: (t[0], t[1]))
-        leave_row = best[2]
-        piv = tableau[leave_row, enter]
-        tableau[leave_row] /= piv
-        for i in range(m):
-            if i != leave_row and abs(tableau[i, enter]) > 1e-14:
-                tableau[i] -= tableau[i, enter] * tableau[leave_row]
-        obj += z[enter] * tableau[leave_row, -1]
-        z = z - z[enter] * tableau[leave_row, :-1]
-        basis[leave_row] = enter
-    raise RuntimeError("simplex iteration cap exceeded")
+class _Tableau:
+    """Dense column-major tableau: m constraint rows, then the phase-2 and the
+    phase-1 cost rows (reduced costs; their last entry is minus the
+    objective). ``basis`` holds each row's basic column, -1 for a row still
+    held by its artificial, whose unit column is not stored. Free columns
+    enter in either direction and never leave."""
+
+    def __init__(self, t: np.ndarray, basis: np.ndarray, free: np.ndarray):
+        self.t, self.basis, self.free = t, basis, free
+        self.row_free = np.zeros(basis.size, dtype=bool)
+        self.pivots = 0
+
+    @property
+    def m(self) -> int:
+        return self.basis.size
+
+    def pivot(self, r: int, q: int) -> None:
+        t = self.t
+        row = t[r] / t[r, q]
+        col = t[:, q].copy()
+        col[r] = 0.0
+        # the rank-1 update touches only the pivot row's nonzero columns
+        nz = np.flatnonzero(row)
+        t[:, nz] -= np.outer(col, row[nz])
+        t[r] = row
+        t[:, q] = 0.0
+        t[r, q] = 1.0
+        self.basis[r] = q
+        self.row_free[r] = self.free[q]
+        rhs = t[: self.m, -1]
+        # the ratio test keeps bounded basics >= 0; clear their round-off
+        np.maximum(rhs, 0.0, out=rhs, where=~self.row_free)
+        self.pivots += 1
+        if self.pivots > _MAX_PIVOTS:
+            raise RuntimeError("simplex iteration cap exceeded")
+
+    def crash(self) -> None:
+        """Pivot each free column into a row held by an artificial when the
+        pivot leaves every bounded basic >= 0."""
+        m, t = self.m, self.t
+        for j in np.flatnonzero(self.free):
+            col = t[:m, j]
+            cand = np.flatnonzero((self.basis < 0) & (np.abs(col) > _PIV_TOL))
+            if cand.size == 0:
+                continue
+            bounded = ~self.row_free
+            rhs = t[:m, -1]
+            up = bounded & (col > _PIV_TOL)
+            down = bounded & (col < -_PIV_TOL)
+            hi = np.min(rhs[up] / col[up]) if up.any() else math.inf
+            lo = np.max(rhs[down] / col[down]) if down.any() else -math.inf
+            theta = rhs[cand] / col[cand]
+            ok = np.flatnonzero((theta >= lo) & (theta <= hi))
+            if ok.size:
+                self.pivot(int(cand[ok[0]]), int(j))
+
+    def run(self, phase1: bool) -> str:
+        """Simplex on the last row's costs. Phase 2 prices by Bland's rule
+        (smallest index enters, ties leave by the smallest basic index).
+        Phase 1 prices by Dantzig's rule, ties leaving by the largest pivot
+        element, and by Bland's during a run of stalled pivots; the first
+        pivot that makes progress returns it to Dantzig's."""
+        m, t = self.m, self.t
+        stalled = 0 if phase1 else _STALL_RUN
+        while True:
+            bland = stalled >= _STALL_RUN
+            z = t[-1, :-1]
+            score = np.where(self.free, np.abs(z), -z)
+            cand = np.flatnonzero(score > _PIV_TOL)
+            if cand.size == 0:
+                return "optimal"
+            q = int(cand[0] if bland else cand[np.argmax(score[cand])])
+            col = t[:m, q] if z[q] < 0.0 else -t[:m, q]
+            rows = np.flatnonzero((col > _PIV_TOL) & ~self.row_free)
+            if rows.size == 0:
+                return "unbounded"
+            ratios = t[rows, -1] / col[rows]
+            step = ratios.min()
+            tied = rows[ratios == step]
+            if bland:
+                # artificials rank after every column
+                keys = np.where(self.basis[tied] < 0, t.shape[1] + tied, self.basis[tied])
+                r = tied[np.argmin(keys)]
+            else:
+                r = tied[np.argmax(col[tied])]
+            before = -t[-1, -1]
+            self.pivot(int(r), q)
+            if phase1:
+                stalled = stalled + 1 if before + t[-1, -1] <= _STALL_REL * (1.0 + before) else 0
+
+    def drive_out_artificials(self) -> None:
+        """Pivot each artificial left at zero level out of the basis, and drop
+        its row when no column can replace it (the row is redundant)."""
+        keep = np.ones(self.m, dtype=bool)
+        for r in np.flatnonzero(self.basis < 0):
+            self.t[r, -1] = 0.0
+            entries = np.abs(self.t[r, :-1])
+            q = int(np.argmax(entries))
+            if entries[q] > _PIV_TOL:
+                self.pivot(int(r), q)
+            else:
+                keep[r] = False
+        if not keep.all():
+            self.t = np.asfortranarray(self.t[np.concatenate((keep, [True, True]))])
+            self.basis = self.basis[keep]
+            self.row_free = self.row_free[keep]
+
+    def alternate_optima(self, n: int) -> tuple[int, ...]:
+        """Original variables moved by a nonbasic column of zero reduced cost
+        whose ratio test allows a positive (or unbounded) step."""
+        m, t = self.m, self.t
+        nonbasic = np.ones(t.shape[1] - 1, dtype=bool)
+        nonbasic[self.basis] = False
+        cand = np.flatnonzero(nonbasic & (np.abs(t[-1, :-1]) <= _PIV_TOL))
+        block = (~self.row_free & (t[:m, -1] <= _PIV_TOL))[:, None]
+        sub = t[:m, cand]
+        up = ~np.any(block & (sub > _PIV_TOL), axis=0)
+        down = self.free[cand] & ~np.any(block & (sub < -_PIV_TOL), axis=0)
+        alt = cand[up | down]
+        moved = self.basis[np.any(np.abs(t[:m, alt]) > _PIV_TOL, axis=1)]
+        return tuple(sorted({int(j) for j in np.concatenate((alt, moved)) if j < n}))
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Two-phase dense simplex with Bland's rule; statuses are faithful."""
+    """Two-phase dense tableau simplex; statuses are faithful.
+
+    A variable with a finite bound is shifted (or reflected) to be >= 0 and
+    a finite upper bound on top of a lower one becomes a row; a free variable
+    keeps one column. A <= row with rhs >= 0 starts on its slack, every other
+    row on an artificial, and free columns are crashed into the artificials'
+    rows before phase 1.
+    """
     c = np.asarray(p.c, dtype=float)
     n = c.size
     a_eq = np.asarray(p.a_eq, dtype=float).reshape(-1, n) if p.a_eq is not None else np.zeros((0, n))
@@ -525,169 +635,46 @@ def solve_lp(p: LpProblem) -> LpSolution:
     bounds = list(p.bounds) if p.bounds is not None else [(None, None)] * n
     if len(bounds) != n:
         raise ValueError("bounds length mismatch")
-
-    # Standard-form conversion: every variable becomes nonnegative.
-    # col_map[j] = ("shift", col, lo) | ("neg", col, hi) | ("split", cp, cn)
-    col_map = []
-    std_cols = 0
-    extra_ub_rows = []  # (col, cap) for finite two-sided bounds
-    for j, (lo, hi) in enumerate(bounds):
-        lo_f = -math.inf if lo is None else float(lo)
-        hi_f = math.inf if hi is None else float(hi)
-        if lo_f > hi_f:
-            return LpSolution("infeasible", None, None)
-        if math.isfinite(lo_f):
-            col_map.append(("shift", std_cols, lo_f))
-            if math.isfinite(hi_f):
-                extra_ub_rows.append((std_cols, hi_f - lo_f))
-            std_cols += 1
-        elif math.isfinite(hi_f):
-            col_map.append(("neg", std_cols, hi_f))
-            std_cols += 1
-        else:
-            col_map.append(("split", std_cols, std_cols + 1))
-            std_cols += 2
-
-    n_ub = a_ub.shape[0] + len(extra_ub_rows)
-    total = std_cols + n_ub  # + slacks
-    c_std = np.zeros(total)
-    rows = []
-    rhs = []
-
-    def emit(row_orig: np.ndarray, b: float, slack_idx: Optional[int]):
-        row = np.zeros(total)
-        shift = 0.0
-        for j in range(n):
-            a = row_orig[j]
-            if a == 0.0:
-                continue
-            kind = col_map[j]
-            if kind[0] == "shift":
-                row[kind[1]] += a
-                shift += a * kind[2]
-            elif kind[0] == "neg":
-                row[kind[1]] -= a
-                shift += a * kind[2]
-            else:
-                row[kind[1]] += a
-                row[kind[2]] -= a
-        if slack_idx is not None:
-            row[slack_idx] = 1.0
-        rows.append(row)
-        rhs.append(b - shift)
-
-    for i in range(a_eq.shape[0]):
-        emit(a_eq[i], float(b_eq[i]), None)
-    slack = std_cols
-    for i in range(a_ub.shape[0]):
-        emit(a_ub[i], float(b_ub[i]), slack)
-        slack += 1
-    for col, cap in extra_ub_rows:
-        row = np.zeros(total)
-        row[col] = 1.0
-        row[slack] = 1.0
-        rows.append(row)
-        rhs.append(cap)
-        slack += 1
-
-    for j in range(n):
-        kind = col_map[j]
-        if kind[0] == "shift":
-            c_std[kind[1]] += c[j]
-        elif kind[0] == "neg":
-            c_std[kind[1]] -= c[j]
-        else:
-            c_std[kind[1]] += c[j]
-            c_std[kind[2]] -= c[j]
-
-    A = np.asarray(rows) if rows else np.zeros((0, total))
-    b = np.asarray(rhs)
-    m = A.shape[0]
-    obj_shift = 0.0
-    for j in range(n):
-        kind = col_map[j]
-        if kind[0] == "shift":
-            obj_shift += c[j] * kind[2]
-        elif kind[0] == "neg":
-            obj_shift += c[j] * kind[2]
-
-    if m == 0:
-        # unconstrained nonnegative minimization
-        if np.any(c_std < -_PIV_TOL):
-            return LpSolution("unbounded", None, None)
-        x_std = np.zeros(total)
-        return _lp_extract("optimal", x_std, col_map, n, obj_shift, c, (), None)
-
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1
-    T = np.hstack([A, np.eye(m), b.reshape(-1, 1)])
-    basis = list(range(total, total + m))
-    cost1 = np.concatenate([np.zeros(total), np.ones(m)])
-    status, z1, obj1 = _simplex_core(T, basis, cost1, total + m)
-    phase1_val = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= total)
-    if phase1_val > 1e-7:
+    lo = np.array([-math.inf if b[0] is None else float(b[0]) for b in bounds])
+    hi = np.array([math.inf if b[1] is None else float(b[1]) for b in bounds])
+    if np.any(lo > hi):
         return LpSolution("infeasible", None, None)
-    # drive artificials out of the basis where possible
-    for i, bi in enumerate(basis):
-        if bi >= total:
-            pivot_col = -1
-            for j in range(total):
-                if abs(T[i, j]) > _PIV_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                piv = T[i, pivot_col]
-                T[i] /= piv
-                for r in range(m):
-                    if r != i and abs(T[r, pivot_col]) > 1e-14:
-                        T[r] -= T[r, pivot_col] * T[i]
-                basis[i] = pivot_col
-    keep_rows = [i for i in range(m) if basis[i] < total or abs(T[i, -1]) <= 1e-9]
-    # redundant rows with artificial basics and zero rhs can be dropped
-    T2 = np.hstack([T[keep_rows][:, :total], T[keep_rows][:, -1:]])
-    basis2 = [basis[i] for i in keep_rows if basis[i] < total]
-    if len(basis2) != len(keep_rows):
-        # residual artificial at zero level: keep the row with identity handling
-        T2 = T2[[i for i, r in enumerate(keep_rows) if basis[r] < total]]
-        basis2 = [basis[r] for r in keep_rows if basis[r] < total]
 
-    status, z2, obj2 = _simplex_core(T2, basis2, c_std, total)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None)
-    x_std = np.zeros(total)
-    for i, bi in enumerate(basis2):
-        x_std[bi] = T2[i, -1]
-    return _lp_extract(status, x_std, col_map, n, obj_shift, c, tuple(basis2), z2)
+    # x = shift + sign * x' with x' >= 0, except free columns
+    has_lo = np.isfinite(lo)
+    flip = ~has_lo & np.isfinite(hi)
+    sign = np.where(flip, -1.0, 1.0)
+    shift = np.where(has_lo, lo, np.where(flip, hi, 0.0))
+    boxed = np.flatnonzero(has_lo & np.isfinite(hi))
+    a = np.vstack((a_eq, a_ub, np.eye(n)[boxed])) * sign
+    b = np.concatenate((b_eq - a_eq @ shift, b_ub - a_ub @ shift, hi[boxed] - lo[boxed]))
 
+    n_eq, m = b_eq.size, b.size
+    n_slack = m - n_eq
+    t = np.zeros((m + 2, n + n_slack + 1), order="F")
+    t[:m, :n] = a
+    t[np.arange(n_eq, m), n + np.arange(n_slack)] = 1.0
+    t[:m, -1] = b
+    negative = b < 0.0
+    t[:m][negative] *= -1.0
+    artificial = negative | (np.arange(m) < n_eq)
+    basis = np.where(artificial, -1, n + np.arange(m) - n_eq)
+    t[m, :n] = sign * c
+    t[m + 1] = -t[:m][artificial].sum(axis=0)
+    free = np.concatenate((~has_lo & ~flip, np.zeros(n_slack, dtype=bool)))
+    tab = _Tableau(t, basis, free)
 
-def _lp_extract(status, x_std, col_map, n, obj_shift, c, basis, z):
-    x = np.zeros(n)
-    degenerate = []
-    basis_set = set(basis)
-    for j in range(n):
-        kind = col_map[j]
-        if kind[0] == "shift":
-            x[j] = x_std[kind[1]] + kind[2]
-            cols = (kind[1],)
-        elif kind[0] == "neg":
-            x[j] = kind[2] - x_std[kind[1]]
-            cols = (kind[1],)
-        else:
-            x[j] = x_std[kind[1]] - x_std[kind[2]]
-            cols = (kind[1], kind[2])
-        if z is not None:
-            for col in cols:
-                if col not in basis_set and abs(z[col]) <= 1e-9:
-                    if kind[0] == "split":
-                        # the sibling of a basic split column always prices
-                        # at zero; only count a genuinely alternate column
-                        sibling = kind[2] if col == kind[1] else kind[1]
-                        if sibling in basis_set:
-                            continue
-                    degenerate.append(j)
-                    break
-    objective = float(np.dot(c, x))
-    return LpSolution(status, x, objective, tuple(degenerate))
+    tab.crash()
+    if np.any(tab.basis < 0):
+        tab.run(phase1=True)
+        if tab.t[: tab.m, -1][tab.basis < 0].sum() > 1e-7:
+            return LpSolution("infeasible", None, None, pivots=tab.pivots)
+        tab.drive_out_artificials()
+    tab.t = tab.t[:-1]
+    if tab.run(phase1=False) == "unbounded":
+        return LpSolution("unbounded", None, None, pivots=tab.pivots)
+
+    x_std = np.zeros(tab.t.shape[1] - 1)
+    x_std[tab.basis] = tab.t[: tab.m, -1]
+    x = shift + sign * x_std[:n]
+    return LpSolution("optimal", x, float(np.dot(c, x)), tab.alternate_optima(n), tab.pivots)

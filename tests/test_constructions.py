@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -447,3 +448,94 @@ def test_exported_names_resolve():
     for name in names:
         assert getattr(riskquad, name) is not None
     assert riskquad.ErrorFn is riskquad.RegretFn
+
+
+def _stat_from_derivatives_200_steps(loss, x):
+    """The derivative criterion with a fixed 200 bisection steps per endpoint."""
+    v, p = x.values, x.probs
+
+    def g_plus(c):
+        return float(np.dot(p, loss.d_right(v - c)))
+
+    def g_minus(c):
+        return float(np.dot(p, loss.d_left(v - c)))
+
+    span0 = max(1.0, float(v[-1] - v[0]))
+
+    def expand(g, start, direction, want):
+        c, step = start, span0
+        for _ in range(60):
+            val = g(c)
+            ok = val >= 0.0 if want == "nonneg" else (val > 0.0 if want == "pos" else (val < 0.0 if want == "neg" else val <= 0.0))
+            if ok:
+                return c
+            c += direction * step
+            step *= 2.0
+        return c
+
+    def mono_crossing(g, target_sign):
+        if target_sign > 0:
+            a = expand(g, float(v[0]) - span0, -1.0, "nonneg")
+            b = expand(g, float(v[-1]) + span0, +1.0, "neg")
+        else:
+            a = expand(g, float(v[0]) - span0, -1.0, "pos")
+            b = expand(g, float(v[-1]) + span0, +1.0, "nonpos")
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            gm = g(m)
+            if target_sign > 0:
+                if gm >= 0.0:
+                    a = m
+                else:
+                    b = m
+            else:
+                if gm <= 0.0:
+                    b = m
+                else:
+                    a = m
+        return a if target_sign > 0 else b
+
+    hi = mono_crossing(g_plus, +1)
+    lo = mono_crossing(g_minus, -1)
+    if loss.kinks:
+        candidates = np.unique((v[:, None] - np.asarray(loss.kinks)[None, :]).ravel())
+        for i, c in enumerate((lo, hi)):
+            near = candidates[np.abs(candidates - c) <= 1e-8 * (1.0 + abs(c))]
+            if near.size:
+                snapped = float(near[np.argmin(np.abs(near - c))])
+                if i == 0:
+                    lo = snapped
+                else:
+                    hi = snapped
+    if hi < lo:
+        lo = hi = 0.5 * (lo + hi)
+    return StatInterval(lo, hi)
+
+
+def test_derivative_bisection_stops_at_adjacent_floats_with_the_same_endpoints():
+    from riskquad.constructions import _stat_from_derivatives
+
+    rng = np.random.default_rng(17)
+    rvs = random_rvs(rng, 12, max_atoms=9) + [
+        DiscreteRv.constant(3.0),
+        DiscreteRv([-1e6, 1e6 + 0.5], [0.5, 0.5]),
+        DiscreteRv(1e-9 * np.array([1.0, 2.0, 7.0]), [0.2, 0.3, 0.5]),
+        DiscreteRv(1e9 + np.array([0.0, 1.0, 5.0]), [0.6, 0.3, 0.1]),
+    ]
+    losses = [asymmetric_mse_loss(0.3), asymmetric_mse_loss(0.75), koenker_bassett_loss(0.4)]
+    for loss in losses:
+        calls = []
+
+        def counted(d, calls=calls):
+            def f(z):
+                calls.append(1)
+                return d(z)
+
+            return f
+
+        fast = dataclasses.replace(loss, d_left=counted(loss.d_left), d_right=counted(loss.d_right))
+        for x in rvs:
+            calls.clear()
+            assert _stat_from_derivatives(fast, x) == _stat_from_derivatives_200_steps(loss, x)
+            # bisection settles in about 60 halvings per endpoint, not 200
+            assert len(calls) < 2 * (60 + 80), len(calls)

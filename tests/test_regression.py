@@ -57,6 +57,22 @@ def test_perfect_linear_data_zero_objective():
         assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-4)
 
 
+def test_nonunique_flags_alternate_optima_through_slack_columns():
+    # the svr tube makes the optimal set thick on a perfect line: intercept 0.8
+    # with coefficient 2 and intercept 0.984 with coefficient 1.888 both fit
+    # exactly, and the edge between them leaves through a slack column
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, size=(8, 1))
+    fit = fit_named("svr", Dataset(X, 1.0 + 2.0 * X[:, 0]), eps=0.2)
+    assert fit.objective == pytest.approx(0.0, abs=1e-7)
+    assert fit.nonunique
+    # a quantile fit on data in general position has one optimum
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 2))
+    fit = fit_named("quantile", Dataset(X, X @ [1.0, -2.0] + rng.standard_t(3, 40)), alpha=0.3)
+    assert not fit.nonunique
+
+
 def test_intercept_only_median():
     data = Dataset(np.zeros((3, 1)), [1.0, 2.0, 3.0])
     fit = fit_named("quantile", data, alpha=0.5)

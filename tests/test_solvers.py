@@ -20,7 +20,7 @@ from riskquad.solvers import (
     solve_lp,
 )
 from riskquad.constructions import error_from_loss, project_error, Flags
-from riskquad.measures import koenker_bassett_loss, vapnik_loss
+from riskquad.measures import CatalogSpec, koenker_bassett_loss, make_catalog_quadrangle, vapnik_loss
 
 
 def test_scalar_quadratic():
@@ -105,6 +105,21 @@ def test_pwl_grid_merges_like_the_greedy_loop():
         pts = pwl_grid(bps)
         assert pts[1:-1].tolist() == kept
         assert pts[0] == kept[0] - 1.0 and pts[-1] == kept[-1] + 1.0
+
+
+def test_pwl_grid_resolves_breakpoints_below_a_unit_spread():
+    # kinks 1e-10 apart were merged within an absolute 1e-9 and the sentinels
+    # sat a unit out: the median came back as the first atom
+    v = 1e-10 * np.array([1, 2, 3, 4, 5, 6, 7, 8, 9.5])
+    q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5}))
+    for offset in (0.0, 1.0):
+        x = DiscreteRv(offset + v, np.full(9, 1.0 / 9.0))
+        d, stat = project_error(q.error_fn, x)
+        assert stat.lo == stat.hi == x.values[4]
+        assert d == pytest.approx(q.deviation(DiscreteRv(v, np.full(9, 1.0 / 9.0))), rel=1e-6)
+    pts = pwl_grid(v)
+    assert pts[1:-1].tolist() == v.tolist()
+    assert pts[0] == pytest.approx(v[0] - 1e3 * (v[-1] - v[0]))
 
 
 def test_pwl_inside_scalar_min():
@@ -291,6 +306,100 @@ def test_lp_matches_vertex_enumeration():
         oracle = _enumerate_vertices(p)
         assert ours.status == "optimal"
         assert ours.objective == pytest.approx(oracle, abs=1e-8)
+
+
+def _mixed_lp(rng, n, m_eq, m_ub):
+    """A random LP around a feasible point, with every kind of bound (free,
+    lower, upper only, two-sided), equality rows, negative rhs and <= rows
+    tight at that point (zero slack, so degenerate)."""
+    x0 = rng.uniform(-2, 2, n)
+    lo, hi = x0 - rng.uniform(0, 2, n), x0 + rng.uniform(0, 2, n)
+    kinds = rng.integers(0, 4, n)
+    bounds = [[(lo[j], None), (lo[j], hi[j]), (None, hi[j]), (None, None)][k] for j, k in enumerate(kinds)]
+    a_eq = rng.uniform(-1, 1, (m_eq, n)) if m_eq else None
+    a_ub = rng.uniform(-1, 1, (m_ub, n)) if m_ub else None
+    b_eq = a_eq @ x0 if m_eq else None
+    b_ub = a_ub @ x0 + rng.uniform(0, 1, m_ub) * (rng.random(m_ub) < 0.6) if m_ub else None
+    return LpProblem(c=rng.uniform(-1, 1, n), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+
+
+def _cvar_lp(rng, m, k, alpha, target=None):
+    """Rockafellar-Uryasev CVaR portfolio LP over (w, C, u): every scenario
+    row has rhs 0, so the slack start is fully degenerate."""
+    s = rng.normal(0.01, 0.05, (m, k))
+    c = np.concatenate((np.zeros(k), [1.0], np.full(m, 1.0 / ((1.0 - alpha) * m))))
+    a_ub = np.hstack((-s, -np.ones((m, 1)), -np.eye(m)))
+    a_eq = [np.concatenate((np.ones(k), np.zeros(1 + m)))]
+    b_eq = [1.0]
+    if target is not None:
+        a_eq.append(np.concatenate((s.mean(axis=0), np.zeros(1 + m))))
+        b_eq.append(target)
+    bounds = [(0.0, None)] * k + [(None, None)] + [(0.0, None)] * m
+    return LpProblem(c=c, a_eq=np.array(a_eq), b_eq=np.array(b_eq), a_ub=a_ub, b_ub=np.zeros(m), bounds=bounds)
+
+
+def _assert_matches_highs(p):
+    ours, ref = solve_lp(p), _scipy_solve(p)
+    want = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    assert ours.status == want
+    if want == "optimal":
+        assert ours.objective == pytest.approx(ref.fun, abs=1e-7 * (1.0 + abs(ref.fun)))
+        x = ours.x
+        if p.a_eq is not None:
+            assert np.allclose(p.a_eq @ x, p.b_eq, atol=1e-8)
+        if p.a_ub is not None:
+            assert np.all(p.a_ub @ x <= p.b_ub + 1e-8)
+        for xj, (lo, hi) in zip(x, p.bounds):
+            assert (lo is None or xj >= lo - 1e-9) and (hi is None or xj <= hi + 1e-9)
+    return want
+
+
+def test_lp_matches_highs_on_mixed_bounds_and_rows():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for trial in range(150):
+        n = int(rng.integers(1, 8))
+        p = _mixed_lp(rng, n, int(rng.integers(0, min(3, n) + 1)), int(rng.integers(0, 7)))
+        if trial % 10 == 4 and p.a_eq is not None:
+            # a redundant equality row: its artificial cannot be driven out
+            p.a_eq = np.vstack((p.a_eq, 2.0 * p.a_eq[:1]))
+            p.b_eq = np.concatenate((p.b_eq, 2.0 * p.b_eq[:1]))
+        if trial % 10 == 9 and p.a_ub is not None:
+            # a row and its negation pushed past it: nothing is feasible
+            p.a_ub = np.vstack((p.a_ub, -p.a_ub[:1]))
+            p.b_ub = np.concatenate((p.b_ub, -p.b_ub[:1] - 0.5))
+        seen.add(_assert_matches_highs(p))
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lp_matches_highs_on_degenerate_cvar_lps():
+    rng = np.random.default_rng(8)
+    for m, k, alpha in ((12, 3, 0.5), (40, 5, 0.9), (60, 8, 0.8)):
+        assert _assert_matches_highs(_cvar_lp(rng, m, k, alpha)) == "optimal"
+        assert _assert_matches_highs(_cvar_lp(rng, m, k, alpha, target=0.012)) in ("optimal", "infeasible")
+    # a mean target beyond every asset's mean
+    assert _assert_matches_highs(_cvar_lp(rng, 20, 4, 0.9, target=1.0)) == "infeasible"
+
+
+def test_lp_counts_pivots_and_keeps_degenerate_cvar_short():
+    assert solve_lp(LpProblem(c=np.array([1.0]), bounds=[(0, None)])).pivots == 0
+    sol = solve_lp(_cvar_lp(np.random.default_rng(1), 200, 10, 0.9))
+    assert sol.status == "optimal"
+    # Bland's rule after every degenerate pivot took 8,821 pivots here
+    assert 0 < sol.pivots <= 1000
+
+
+def test_lp_reports_alternate_optima_through_any_nonbasic_column():
+    # min x0 s.t. x0 + x1 <= 1, x >= 0: x1 anywhere in [0, 1] is optimal
+    sol = solve_lp(LpProblem(c=np.array([1.0, 0.0]), a_ub=np.array([[1.0, 1.0]]), b_ub=[1.0], bounds=[(0, None)] * 2))
+    assert sol.objective == 0.0 and 1 in sol.degenerate_columns
+    # min -x0 - x1 on the same row: the whole edge is optimal, and a vertex's
+    # basic variable moves along it when the other enters
+    sol = solve_lp(LpProblem(c=-np.ones(2), a_ub=np.array([[1.0, 1.0]]), b_ub=[1.0], bounds=[(0, None)] * 2))
+    assert set(sol.degenerate_columns) == {0, 1}
+    # a unique optimum reports none
+    sol = solve_lp(LpProblem(c=np.array([1.0, 2.0]), a_ub=-np.eye(2), b_ub=-np.ones(2)))
+    assert sol.x.tolist() == [1.0, 1.0] and sol.degenerate_columns == ()
 
 
 def test_subgradient_matches_lp():
