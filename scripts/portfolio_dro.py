@@ -30,7 +30,7 @@ def main():
     sol = dro_solve(DroProblem(scen, make_divergence("kl"), tau), steps=1500)
     print(f"\nrobust portfolio over the KL ball (tau = {tau}):")
     print("  weights:", np.round(sol.weights, 4), f" worst-case loss = {sol.value:.6f}")
-    print("  route gap (regret vs envelope):", f"{sol.route_gap:.2e}")
+    print("  route gap (certified bound on the value):", f"{sol.route_gap:.2e}")
     print("  adversarial density:", np.round(sol.worst_case_density, 4))
 
     nominal_rv = DiscreteRv(-(scen @ sol.weights))

@@ -199,6 +199,9 @@ def run_command(cfg: RunConfig) -> int:
     except RuntimeError as exc:
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except Exception as exc:  # any other fault inside a solve: one line, no traceback
+        print(f"solver: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def _dispatch(cfg: RunConfig) -> int:

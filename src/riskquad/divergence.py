@@ -60,9 +60,9 @@ class DivergenceFn:
     is finite.  A named family also carries its level ``q`` (when it has
     one) and its closed forms, each called with the DivergenceFn it serves:
     ``closed_forms(div, beta)`` gives the quadrangle members for
-    ``complete_quadrangle``, ``envelope_route(tau, x, normalized)`` the
-    worst-case expectation, and ``risk_search(x, beta)`` the risk and its
-    multiplier l from a search in l alone, the shift eliminated in closed form.
+    ``complete_quadrangle`` and ``envelope_route(div, tau, x, normalized)``
+    the worst-case expectation with its density (``family_eval_envelope``
+    has already ruled out the point mass on ess sup X).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -74,8 +74,7 @@ class DivergenceFn:
     conj_dom: tuple[float, float] = (-math.inf, math.inf)
     q: Optional[float] = None
     closed_forms: Optional[Callable[["DivergenceFn", float], dict]] = None
-    envelope_route: Optional[Callable[[float, DiscreteRv, bool], tuple[float, np.ndarray]]] = None
-    risk_search: Optional[Callable[[DiscreteRv, float], tuple[float, float]]] = None
+    envelope_route: Optional[Callable[["DivergenceFn", float, DiscreteRv, bool], tuple[float, np.ndarray]]] = None
 
 
 def _phi_kl(x):
@@ -118,7 +117,7 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             label="kl",
             conj_grad=lambda z: np.exp(np.minimum(np.asarray(z, dtype=float), 700.0)),
             closed_forms=_kl_forms,
-            risk_search=_kl_risk,
+            envelope_route=_envelope_kl,
         )
     if name == "tv":
         return DivergenceFn(
@@ -127,10 +126,10 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             dom=(0.0, math.inf),
             kind="divergence",
             label="tv",
-            conj_grad=None,  # subdifferential is set-valued; use the LP route
+            conj_grad=None,  # subdifferential is set-valued
             conj_dom=(-math.inf, 1.0),
             closed_forms=_tv_forms,
-            envelope_route=_envelope_sup_tv,
+            envelope_route=_envelope_tv,
         )
     if name == "pearson":
         return DivergenceFn(
@@ -141,6 +140,7 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             label="pearson",
             conj_grad=lambda z: np.maximum((np.asarray(z, dtype=float) + 2.0) / 2.0, 0.0),
             closed_forms=_pearson_forms,
+            envelope_route=_envelope_pearson,
         )
     if name == "extended_pearson":
         return DivergenceFn(
@@ -299,11 +299,9 @@ def family_eval_perspective(parent: Callable[[DiscreteRv], float], tau: float, x
 
 
 def _density_point_mass(x: DiscreteRv) -> np.ndarray:
-    """The density putting all mass on the top atoms."""
-    v, p = x.values, x.probs
-    top = v >= v[-1] - 1e-15
-    q = np.zeros_like(p)
-    q[top] = 1.0 / float(p[top].sum())
+    """The density putting all mass on the top atom, ess sup X."""
+    q = np.zeros_like(x.probs)
+    q[-1] = 1.0 / float(x.probs[-1])
     return q
 
 
@@ -333,15 +331,12 @@ def _envelope_sup_phi(
 
     Worst-case densities have the parametric form q_i = (phi*)'((x_i - mu)/l);
     mu is fixed by the density constraint (bisection) and l by the divergence
-    budget (bisection), both monotone.
+    budget (bisection), both monotone.  On the density ball the point mass on
+    ess sup X must have been ruled out (``family_eval_envelope`` does so).
     """
     v, p = x.values, x.probs
     if x.is_constant():
         return float(v[0]), np.ones_like(p)
-    if normalized:
-        q_top = _density_point_mass(x)
-        if divergence_value(div, q_top, p) <= tau:
-            return float(v[-1]), q_top
 
     def q_of(lam: float, mu: float) -> np.ndarray:
         return _per_atom_argmax(div, (v - mu) / lam)
@@ -394,7 +389,8 @@ def _envelope_sup_phi(
 
 
 def _envelope_sup_tv(tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
-    """LP route for the polyhedral total-variation ball."""
+    """LP route for the polyhedral total-variation ball, kept for the ball
+    without the density constraint."""
     v, p = x.values, x.probs
     m = v.size
     # variables [q_1..q_m, s_1..s_m]; max sum p_i q_i v_i
@@ -428,21 +424,96 @@ def _envelope_sup_tv(tau: float, x: DiscreteRv, normalized: bool) -> tuple[float
     return float(np.dot(p, q * v)), q
 
 
+def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
+    """The kl density ball: EVaR, inf_l l * (tau + ln E e^{X/l}) by ``_kl_risk``,
+    and the exponential tilt Q = e^{X/l*} / E e^{X/l*} at its multiplier."""
+    if not normalized:
+        return _envelope_sup_phi(div, tau, x, normalized)
+    val, lam = _kl_risk(x, tau)
+    if lam == 0.0:
+        return val, _density_point_mass(x)
+    w = np.exp((x.values - x.values[-1]) / lam)
+    return val, w / float(np.dot(x.probs, w))
+
+
+def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
+    """The Pearson density ball in its shifted form min_c c + sqrt((1 + tau) E(X - c)_+^2),
+    and the density Q = (X - c*)_+ / E(X - c*)_+, which is
+    sqrt(1 + tau) (X - c*)_+ / ||(X - c*)_+||_2 at the minimizer c*.
+
+    The shifted objective is C^1 in c, and on the segment where the atoms
+    above c are a fixed tail its stationarity condition is a quadratic in c.
+    The tail is found by bisection over the atoms on the sign of the slope.
+    """
+    if not normalized:
+        return _envelope_sup_phi(div, tau, x, normalized)
+    v, p = x.values, x.probs
+    a = 1.0 + tau
+    # the slope 1 - sqrt(a) E(X-c)_+ / ||(X-c)_+||_2 is negative as c -> -inf and
+    # positive just below ess sup X, where the point mass is infeasible (a p_top < 1)
+    lo, hi = 0, v.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        t = np.maximum(v - v[mid], 0.0)
+        if a * float(np.dot(p, t)) ** 2 > float(np.dot(p, t * t)):
+            lo = mid + 1
+        else:
+            hi = mid
+    pt, vt = p[lo:], v[lo:]
+    s0 = float(pt.sum())
+    m = float(np.dot(pt, vt)) / s0
+    var = float(np.dot(pt, (vt - m) ** 2))
+    c = m - math.sqrt(var / (s0 * (a * s0 - 1.0)))
+    r = np.maximum(v - c, 0.0)
+    value = c + math.sqrt(a) * math.sqrt(float(np.dot(p, r * r)))
+    # below c* the slope is negative, sqrt(a) E r >= ||r||_2, so the density
+    # r / E r lies in the ball.  Where the top atoms nearly tie, c* and r carry
+    # rounding of their own size; c then steps down until the density is
+    # feasible, by ulps that double, which keeps E_Q X within a few of the value
+    step = math.ulp(float(np.max(np.abs(v))))
+    while True:
+        mean_r = float(np.dot(p, r))
+        if mean_r > 0.0:
+            q = r / mean_r
+            if float(np.dot(p, (q - 1.0) ** 2)) <= tau:
+                return value, q
+        c -= step
+        step *= 2.0
+        r = np.maximum(v - c, 0.0)
+
+
+def _envelope_tv(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
+    """The total-variation density ball: mass beta = tau/2 moves from the bottom
+    of X onto ess sup X, for beta * ess sup + (1 - beta) * CVaR_beta."""
+    if not normalized:
+        return _envelope_sup_tv(tau, x, normalized)
+    v, p = x.values, x.probs
+    beta = 0.5 * tau  # below 1 - P(ess sup) once the point mass is ruled out
+    q = np.clip(np.cumsum(p) - beta, 0.0, p) / p
+    q[-1] += beta / p[-1]
+    return float(np.dot(p * q, v)), q
+
+
 def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) -> tuple[float, np.ndarray]:
     """sup{ E[QX] : J(Q) <= tau } over densities, with the maximizing density.
 
-    Polyhedral balls (total variation) go through the LP; phi-generated balls
-    use the per-atom parametric maximizer; other J fall back to a projected
-    ascent with budget bisection toward the center.
+    On a phi-generated density ball the point mass on ess sup X comes first:
+    when it lies in the ball it is the worst case.  Otherwise phi-generated
+    balls take their divergence's ``envelope_route`` (closed forms for kl,
+    pearson and tv) or the per-atom parametric maximizer; other J fall back to
+    a projected ascent with budget bisection toward the center.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     normalized = j.classification == "stochastic_divergence"
-    if j.phi is not None and j.phi.envelope_route is not None:
-        return j.phi.envelope_route(tau, x, normalized)
-    if j.phi is not None:
-        return _envelope_sup_phi(j.phi, tau, x, normalized)
-    return _envelope_sup_generic(j, tau, x, normalized)
+    div = j.phi
+    if div is None:
+        return _envelope_sup_generic(j, tau, x, normalized)
+    if normalized:
+        q_top = _density_point_mass(x)
+        if divergence_value(div, q_top, x.probs) <= tau:
+            return float(x.values[-1]), q_top
+    return (div.envelope_route or _envelope_sup_phi)(div, tau, x, normalized)
 
 
 def _envelope_sup_generic(j, tau, x, normalized) -> tuple[float, np.ndarray]:
@@ -475,41 +546,38 @@ def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
 
 
 def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
-    """Entropic-tail risk inf_l l*(beta + ln E[exp(X/l)]) and the optimal l.
+    """Entropic-tail risk (EVaR) inf_l l*(beta + ln E[exp(X/l)]) and the optimal l.
 
-    Uses shifted exponentials throughout; when the infimum is attained in the
-    l -> 0 limit the essential supremum is returned with l = 0.
+    The objective's slope in l is beta - KL(Q_l) for the tilt Q_l ~ e^{X/l},
+    whose divergence falls from -ln P(ess sup X) as l -> 0 to 0 as l -> inf,
+    so the optimal l is bisected on the slope's sign in log l.  The bracket
+    starts from the gaps of X, below which the tilt is the point mass, so the
+    search does not depend on the units of X.  Exponentials are shifted by
+    ess sup X throughout; when the point mass lies within the budget the
+    ess-sup limit is returned with l = 0.
     """
     v, p = x.values, x.probs
     vmax = float(v[-1])
-    if x.is_constant():
+    if x.is_constant() or beta >= -math.log(float(p[-1])):
         return vmax, 0.0
-    p_top = float(p[v >= vmax - 1e-15].sum())
-    if beta >= -math.log(p_top):
-        # no interior stationary point: the ess-sup limit is the infimum
-        return vmax, 0.0
+    u = v - vmax
 
-    def lse(lam):
-        return vmax + lam * math.log(float(np.dot(p, np.exp((v - vmax) / lam))))
-
-    def g(t):
+    def slope(t: float) -> float:
         lam = math.exp(t)
-        return lam * beta + lse(lam)
+        w = p * np.exp(u / lam)
+        s = float(w.sum())
+        return beta + math.log(s) - float(np.dot(w, u)) / (lam * s)
 
-    t_star, val = minimize_scalar_convex(g, tol=1e-13, bracket=(_LOG_LO, _LOG_HI))
-    lam = math.exp(t_star)
-
-    def dg(lam):
-        w = p * np.exp((v - vmax) / lam)
-        mean_w = float(np.dot(w, v)) / float(w.sum())
-        return beta + math.log(float(np.dot(p, np.exp((v - vmax) / lam)))) + vmax / lam - mean_w / lam
-
-    # polish the stationary point: g'(l) = beta + ln E e^{X/l} - E[X e]/l E[e]
-    lo, hi = lam / 8.0, lam * 8.0
-    if dg(lo) < 0 < dg(hi):
-        lam = bisect_root(dg, lo, hi, iters=200)
-    val = lam * beta + lse(lam)
-    return val, lam
+    # at l = gap/800 every weight but the top atom's underflows to 0: the tilt is
+    # the point mass, outside the budget, and the slope is negative
+    lo = math.log(-float(u[-2]) / 800.0)
+    hi = math.log(-float(u[0]))
+    for _ in range(400):
+        if slope(hi) >= 0.0:
+            break
+        hi += 2.0
+    lam = math.exp(bisect_root(slope, lo, hi, iters=200))
+    return vmax + lam * (beta + math.log(float(np.dot(p, np.exp(u / lam))))), lam
 
 
 def make_divergence_quadrangle(div: DivergenceFn, beta: float, fast: bool = True) -> Quadrangle:
@@ -535,14 +603,14 @@ def make_divergence_quadrangle(div: DivergenceFn, beta: float, fast: bool = True
 
 def _kl_forms(div: DivergenceFn, beta: float) -> dict:
     def statistic(x):
-        _, lam = div.risk_search(x, beta)
+        _, lam = _kl_risk(x, beta)
         if lam == 0.0:
             return StatInterval.point(float(x.values[-1]))
         v, p = x.values, x.probs
         vmax = float(v[-1])
         return StatInterval.point(vmax + lam * math.log(float(np.dot(p, np.exp((v - vmax) / lam)))))
 
-    return {"risk": lambda x: div.risk_search(x, beta)[0], "statistic": statistic}
+    return {"risk": lambda x: _kl_risk(x, beta)[0], "statistic": statistic}
 
 
 def _tv_forms(div: DivergenceFn, beta: float) -> dict:

@@ -1,9 +1,10 @@
 """Distributionally robust portfolio optimization over divergence balls and
 epi-regularization of risk/regret functionals by infimal convolution.
 
-The DRO solve works in the shifted-regret form min_{w,C} C + V_tau(l_w - C),
-with V_tau the perspective family of the divergence's conjugate; the
-worst-case density comes from one envelope ascent at the optimum.
+The DRO solve minimizes the worst-case expectation over the ball by
+cutting planes on its envelope route, whose worst-case densities give the
+cuts; epi-regularized risks are recovered from the exact dual where the
+kernel conjugate is separable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import DiscreteRv
 from .constructions import RegretFn, Flags
-from .divergence import DivergenceFn, StochasticDivergenceJ, family_eval_envelope, perspective_inf
+from .divergence import DivergenceFn, StochasticDivergenceJ, family_eval_envelope
 from .dual import Envelope
 from .solvers import LpProblem, bisect_root, compass_search, minimize_multistart, minimize_scalar_convex, solve_lp
 
@@ -101,32 +102,25 @@ def _project_simplex_mean(w, means, mu, iters=200):
     return _project_simplex(x)
 
 
-def _phi_family_regret(phi: DivergenceFn, tau: float) -> Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]:
-    """V_tau on value vectors; returns the value and a supergradient density."""
-
-    def eval_with_grad(values: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
-        val, lam = perspective_inf(lambda lam: float(np.dot(probs, phi.phi_conj(values / lam))), tau)
-        if phi.conj_grad is not None:
-            q = np.asarray(phi.conj_grad(values / lam), dtype=float)
-        else:
-            h = 1e-6
-            q = np.array(
-                [
-                    (float(np.asarray(phi.phi_conj(np.array([(v + h) / lam])))[0]) - float(np.asarray(phi.phi_conj(np.array([(v - h) / lam])))[0]))
-                    / (2 * h)
-                    for v in values
-                ]
-            )
-        return val, q
-
-    return eval_with_grad
+# the cutting planes stop once upper - lower <= _GAP_REL * (1 + |upper|)
+_GAP_REL = 1e-12
 
 
 def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None) -> DroSolution:
-    """min over the feasible simplex of the worst-case expected portfolio loss.
+    """min over the feasible simplex of G(w) = sup_Q E_Q[l_w], the worst-case
+    expected portfolio loss l_w = -S w over the divergence ball, by Kelley's
+    cutting planes.
 
-    Solved in the shifted-regret form over (w, C); the envelope route at the
-    returned decision provides the worst-case density and the route gap.
+    Each evaluation of G by the ball's envelope route also returns a
+    worst-case density Q, and w -> E_Q[l_w] is a linear minorant of G, exact
+    at the evaluated w.  The LP master min t s.t. t >= every cut, over the
+    simplex (and the mean row when a target is set), gives a lower bound and
+    the next w; the best evaluated G is the upper bound.  ``route_gap`` is
+    upper - lower, a certificate on the reported value.  The rounds stop
+    when the gap closes, when the master returns a w already evaluated (its
+    pivot tolerance hides cuts that differ by less, so no round could add
+    one), or after ``steps`` rounds (one evaluation and one master LP
+    each).  ``seed`` is unused, the solve being deterministic.
     """
     s, pr = p.scenarios, p.probs
     m, n_assets = s.shape
@@ -135,90 +129,57 @@ def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None)
         lo, hi = float(means.min()), float(means.max())
         if not lo - 1e-12 <= p.target_mean <= hi + 1e-12:
             raise ValueError(f"target mean {p.target_mean} outside achievable [{lo}, {hi}]")
-    family = _phi_family_regret(p.phi, p.tau)
-    rng = np.random.default_rng(seed)
-
-    def losses(w):
-        return -(s @ w)
-
-    def obj(theta):
-        w, c = theta[:n_assets], theta[n_assets]
-        val, _ = family(losses(w) - c, pr)
-        return c + val
-
-    def grad(theta):
-        w, c = theta[:n_assets], theta[n_assets]
-        _, q = family(losses(w) - c, pr)
-        g = np.zeros_like(theta)
-        # d/dw of E[Q (l_w - C)] with l_w = -s w
-        g[:n_assets] = -(s.T @ (pr * q))
-        g[n_assets] = 1.0 - float(np.dot(pr, q))
-        return g
-
-    def project(theta):
-        out = theta.copy()
-        if p.target_mean is None:
-            out[:n_assets] = _project_simplex(out[:n_assets])
-        else:
-            out[:n_assets] = _project_simplex_mean(out[:n_assets], means, p.target_mean)
-        return out
-
-    w0s = [np.full(n_assets, 1.0 / n_assets) if trial == 0 else rng.dirichlet(np.ones(n_assets)) for trial in range(3)]
-    starts = [project(np.concatenate([w0, [float(np.dot(pr, losses(w0)))]])) for w0 in w0s]
-    best_theta, best, _ = minimize_multistart(
-        obj, starts, grad, project, steps=steps, tol=1e-11, polish_step=0.2, polish_tol=1e-8, max_iter=2000, should_stop=should_stop
-    )
-
-    # final polish on the partially minimized objective G(w) = min_C (...):
-    # the inner golden absorbs the stiffness of extreme radii
-    def project_w(w):
-        if p.target_mean is None:
-            return _project_simplex(w)
-        return _project_simplex_mean(w, means, p.target_mean)
-
-    if p.phi.risk_search is not None:
-        def g_of_w(w):
-            return p.phi.risk_search(DiscreteRv(losses(w), pr), p.tau)[0]
-
-    else:
-        def g_of_w(w):
-            def h(c):
-                val, _ = family(losses(w) - c, pr)
-                return c + val
-
-            _, val = minimize_scalar_convex(h, tol=1e-9, hint=float(np.dot(pr, losses(w))))
-            return val
-
-    w_polish, f_polish = compass_search(g_of_w, best_theta[:n_assets], step=0.25, project=project_w, tol=1e-8)
-    if f_polish < best:
-        best = f_polish
-        best_theta = np.concatenate([w_polish, [best_theta[n_assets]]])
-    w_star = best_theta[:n_assets]
-    loss_rv_vals = losses(w_star)
     j = StochasticDivergenceJ.from_phi(p.phi, normalized=True)
-    env_val, q_star = family_eval_envelope(j, p.tau, DiscreteRv(loss_rv_vals, pr))
-    # the envelope call canonicalizes atoms; recover a density per original atom
-    q_map = _density_on_original_atoms(loss_rv_vals, pr, q_star)
-    gap = abs(env_val - best)
+    # cuts and the mean row in units of max|s|, so the LP's tolerances are unitless
+    scale = float(np.max(np.abs(s))) or 1.0
+    a_eq = [np.append(np.ones(n_assets), 0.0)]
+    b_eq = [1.0]
+    if p.target_mean is not None:
+        a_eq.append(np.append(means / scale, 0.0))
+        b_eq.append(p.target_mean / scale)
+    c = np.append(np.zeros(n_assets), 1.0)
+    bounds = [(0.0, None)] * n_assets + [(None, None)]
+    cuts = []
+    upper, lower = math.inf, -math.inf
+    w_best = q_best = None
+    evaluated = set()
+    # the uniform start is feasible, and so a candidate, only without a mean target
+    w, candidate = np.full(n_assets, 1.0 / n_assets), p.target_mean is None
+    for _ in range(max(steps, 1)):
+        evaluated.add(w.tobytes())
+        losses = -(s @ w)
+        val, q_canon = family_eval_envelope(j, p.tau, DiscreteRv(losses, pr))
+        q = _density_on_original_atoms(losses, pr, q_canon)
+        if candidate and val < upper:
+            upper, w_best, q_best = val, w, q
+        cuts.append(np.append(-(s.T @ (pr * q)) / scale, -1.0))
+        master = LpProblem(c=c, a_eq=np.asarray(a_eq), b_eq=np.asarray(b_eq), a_ub=np.asarray(cuts), b_ub=np.zeros(len(cuts)), bounds=bounds)
+        sol = solve_lp(master)
+        if sol.status != "optimal":
+            raise RuntimeError(f"DRO cutting-plane master LP {sol.status}")
+        lower = max(lower, sol.objective * scale)
+        w, candidate = sol.x[:n_assets], True
+        if w_best is None:
+            continue
+        if upper - lower <= _GAP_REL * (1.0 + abs(upper)) or w.tobytes() in evaluated or (should_stop is not None and should_stop()):
+            break
+    if w_best is None:
+        raise RuntimeError("DRO cutting planes stopped before a feasible evaluation")
+    gap = max(upper - lower, 0.0)
     return DroSolution(
-        weights=w_star,
-        value=best,
-        worst_case_density=q_map,
+        weights=w_best,
+        value=upper,
+        worst_case_density=q_best,
         route_gap=gap,
         density_approximate=gap > 1e-6,
     )
 
 
 def _density_on_original_atoms(values, probs, q_canonical) -> np.ndarray:
+    """The density of each scenario: canonical atoms merge equal values only,
+    and an atom of zero probability takes its neighbour's density."""
     canon = DiscreteRv(values, probs)
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
-        j = int(np.searchsorted(canon.values, v))
-        j = min(max(j, 0), canon.values.size - 1)
-        if abs(canon.values[j] - v) > 1e-12:
-            j = int(np.argmin(np.abs(canon.values - v)))
-        out[i] = q_canonical[j]
-    return out
+    return q_canonical[np.minimum(np.searchsorted(canon.values, values), canon.values.size - 1)]
 
 
 def dro_envelope_value(p: DroProblem, w) -> float:
@@ -255,6 +216,11 @@ class EpiSpec:
             raise ValueError("epsilon must be positive")
 
 
+def _convolution_value(outer: Callable[[DiscreteRv], float], kernel, epsilon, x: DiscreteRv, y: np.ndarray) -> float:
+    """outer(X - Y) + kernel(eps Y)/eps at one Y on the atoms of X."""
+    return outer(DiscreteRv(x.values - y, x.probs)) + kernel(DiscreteRv(epsilon * y, x.probs)) / epsilon
+
+
 def _inf_convolution(outer: Callable[[DiscreteRv], float], kernel, epsilon, x: DiscreteRv, starts, seed) -> float:
     """inf_Y outer(X - Y) + kernel(eps Y)/eps over atom-dimensional Y.
 
@@ -262,16 +228,13 @@ def _inf_convolution(outer: Callable[[DiscreteRv], float], kernel, epsilon, x: D
     upper-bounds outer(X)) does the work, with optional restarts to escape
     nonsmooth coordinate traps.
     """
-    p = x.probs
     vals = x.values
     m = vals.size
     rng = np.random.default_rng(seed)
     span = max(1.0, float(vals[-1] - vals[0]))
 
     def obj(yvec):
-        a = outer(DiscreteRv(vals - yvec, p))
-        b = kernel(DiscreteRv(epsilon * yvec, p)) / epsilon
-        return a + b
+        return _convolution_value(outer, kernel, epsilon, x, yvec)
 
     best_y, best = np.zeros(m), obj(np.zeros(m))
     for trial in range(max(starts, 1)):
@@ -282,9 +245,35 @@ def _inf_convolution(outer: Callable[[DiscreteRv], float], kernel, epsilon, x: D
     return best
 
 
+def _waterfill_applies(spec: EpiSpec) -> bool:
+    """A separable kernel conjugate over a box-plus-hyperplane base envelope."""
+    env = spec.base_envelope
+    return (
+        env is not None
+        and spec.kernel_conj_scalar is not None
+        and env.polyhedral
+        and env.a_ub is None
+        and env.a_eq is not None
+        and env.a_eq.shape[0] == 1
+    )
+
+
 def epi_risk_primal(spec: EpiSpec, x: DiscreteRv, starts: int = 3, seed: int = 0) -> float:
-    """inf_Y R(X - Y) + kernel(eps Y)/eps."""
-    return _inf_convolution(spec.base_risk, spec.kernel, spec.epsilon, x, starts, seed)
+    """inf_Y R(X - Y) + kernel(eps Y)/eps.
+
+    Where the exact waterfill dual applies, the primal is evaluated at
+    Y* = g'(Q*)/eps, the optimality condition Y* in d(kernel*/eps)(Q*) at the
+    dual optimum Q*, with g' a central difference of the separable conjugate
+    g (which must be finite a step beyond the envelope's box).
+    Any Y gives an upper bound, so by weak duality this value minus the dual
+    bounds the error of both.  Otherwise a compass search over Y does the
+    work (``starts`` and ``seed`` serve its restarts).
+    """
+    if not _waterfill_applies(spec):
+        return _inf_convolution(spec.base_risk, spec.kernel, spec.epsilon, x, starts, seed)
+    _, q = _epi_dual_waterfill(spec, x)
+    y = np.array([_conj_slope(spec.kernel_conj_scalar, qi) for qi in q]) / spec.epsilon
+    return _convolution_value(spec.base_risk, spec.kernel, spec.epsilon, x, y)
 
 
 def epi_regret(spec: EpiSpec, x: DiscreteRv, starts: int = 1, seed: int = 0) -> float:
@@ -304,14 +293,8 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
     env = spec.base_envelope
     if env is None or (spec.kernel_conj is None and spec.kernel_conj_scalar is None):
         raise ValueError("dual evaluation needs the base envelope and kernel conjugate")
-    if (
-        spec.kernel_conj_scalar is not None
-        and env.polyhedral
-        and env.a_ub is None
-        and env.a_eq is not None
-        and env.a_eq.shape[0] == 1
-    ):
-        return _epi_dual_waterfill(spec, x)
+    if _waterfill_applies(spec):
+        return _epi_dual_waterfill(spec, x)[0]
     p = x.probs
     vals = x.values
     inv_eps = 1.0 / spec.epsilon
@@ -369,12 +352,16 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
     return -min(fs, res.value)
 
 
-def _epi_dual_waterfill(spec: EpiSpec, x: DiscreteRv) -> float:
-    """Exact dual over a box-plus-hyperplane envelope with separable penalty.
+def _epi_dual_waterfill(spec: EpiSpec, x: DiscreteRv) -> tuple[float, np.ndarray]:
+    """Exact dual over a box-plus-hyperplane envelope with separable penalty,
+    and its optimal density.
 
-    Per atom, q_i(mu) maximizes q (x_i - mu) - g(q)/eps over the box slice;
-    the hyperplane multiplier mu is fixed by bisection on the total mass,
-    which is monotone in mu.
+    Per atom, q_i(mu) maximizes q (x_i - mu) - g(q)/eps over the box slice,
+    by bisection on the slope condition g'(q) = eps (x_i - mu); the
+    hyperplane multiplier mu is fixed by bisection on the total mass, which
+    is monotone in mu.  The density's residual mass is then put on the atoms
+    inside the box, so the value is that of a feasible density: a lower
+    bound on the epi-regularized risk.
     """
     env = spec.base_envelope
     g = spec.kernel_conj_scalar
@@ -383,19 +370,23 @@ def _epi_dual_waterfill(spec: EpiSpec, x: DiscreteRv) -> float:
     m = v.size
     lb = env.lb if env.lb is not None else np.full(m, -1e9)
     ub = env.ub if env.ub is not None else np.full(m, 1e9)
+    a, b = env.a_eq[0], float(env.b_eq[0])
 
     def q_of(mu: float) -> np.ndarray:
         out = np.empty(m)
         for i in range(m):
-            def neg(qv, i=i, mu=mu):
-                return -(qv * (v[i] - mu) - inv_eps * g(qv))
-
-            qi, _ = minimize_scalar_convex(neg, tol=1e-13, bracket=(float(lb[i]), float(ub[i])))
-            out[i] = qi
+            z = spec.epsilon * (v[i] - mu)
+            lo_i, hi_i = float(lb[i]), float(ub[i])
+            if _conj_slope(g, lo_i) >= z:
+                out[i] = lo_i
+            elif _conj_slope(g, hi_i) <= z:
+                out[i] = hi_i
+            else:
+                out[i] = bisect_root(lambda qv: z - _conj_slope(g, qv), lo_i, hi_i, iters=200)
         return out
 
     def mass(mu: float) -> float:
-        return float(np.dot(env.a_eq[0], q_of(mu))) - float(env.b_eq[0])
+        return float(np.dot(a, q_of(mu))) - b
 
     lo, hi = float(v[0]) - 1.0, float(v[-1]) + 1.0
     span = float(v[-1] - v[0]) + 1.0
@@ -410,9 +401,22 @@ def _epi_dual_waterfill(spec: EpiSpec, x: DiscreteRv) -> float:
             break
         hi += span
         span *= 2.0
-    mu = bisect_root(mass, lo, hi, iters=200)
-    q = q_of(mu)
-    return float(np.dot(p, q * v)) - inv_eps * float(np.dot(p, np.array([g(qi) for qi in q])))
+    q = q_of(bisect_root(mass, lo, hi, iters=200))
+    inside = (q > lb) & (q < ub)
+    if inside.any():
+        q[inside] += (b - float(np.dot(a, q))) / float(a[inside].sum())
+    return float(np.dot(p, q * v)) - inv_eps * float(np.dot(p, np.array([g(qi) for qi in q]))), q
+
+
+# central-difference step of the kernel conjugate's derivative, about the cube
+# root of the double epsilon: truncation and rounding error balance there
+_DIFF_STEP = 2.0**-17
+
+
+def _conj_slope(g: Callable[[float], float], q: float) -> float:
+    """g'(q) by a central difference."""
+    h = _DIFF_STEP * (1.0 + abs(q))
+    return (g(q + h) - g(q - h)) / (2.0 * h)
 
 
 def epi_regret_divroot(

@@ -291,6 +291,8 @@ def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:
         raise ValueError("root not bracketed")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: every later step would leave lo and hi as they are
         gm = g(mid)
         if gm == 0.0:
             return mid

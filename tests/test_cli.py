@@ -135,6 +135,27 @@ def test_dro_command(scen_csv, capsys):
     assert payload["route_gap"] <= 1e-4
 
 
+@pytest.mark.parametrize("phi", ["kl", "tv", "pearson"])
+def test_dro_command_certifies_every_ball(scen_csv, capsys, phi):
+    code = main(["dro", "--phi", phi, "--tau", "0.5", "--input", scen_csv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0.0 <= payload["route_gap"] <= 1e-12 * (1.0 + abs(payload["value"]))
+
+
+def test_solver_fault_exits_2_without_traceback(scen_csv, capsys, monkeypatch):
+    import riskquad.cli as cli
+
+    def broken(*args, **kwargs):
+        raise IndexError("index 3 is out of bounds")
+
+    monkeypatch.setattr(cli, "dro_solve", broken)
+    code = main(["dro", "--phi", "kl", "--tau", "0.5", "--input", scen_csv])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("# read")]
+    assert lines == ["solver: IndexError: index 3 is out of bounds"]
+
+
 def test_epi_command(atoms_csv, capsys):
     code = main(["epi", "--input", atoms_csv, "--alpha", "0.5", "--epsilons", "0.5,1", "--format", "json"])
     assert code == 0

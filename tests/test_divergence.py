@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskquad.core import DiscreteRv, cvar_direct, ess_bounds, expectation
 from riskquad.constructions import RegretFn, project_error, regret_to_risk
 from riskquad.divergence import (
     StochasticDivergenceJ,
+    _envelope_sup_tv,
     _kl_risk,
     classify_divergence,
     cvar_indicator_regret,
@@ -111,6 +113,69 @@ def test_envelope_limits():
         hi, _ = family_eval_envelope(j, 1e6, small)
         assert abs(lo - expectation(small)) <= 1e-3
         assert abs(hi - ess_bounds(small)[1]) <= 1e-3
+
+
+@st.composite
+def _ball_cases(draw, max_atoms=12):
+    """A unit-scale r.v. of up to ``max_atoms`` atoms at least 0.01 apart, and
+    a radius in [1e-6, 1e6]."""
+    n = draw(st.integers(2, max_atoms))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    values = draw(st.floats(-3.0, 0.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    tau = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return DiscreteRv(values, weights / weights.sum()), tau
+
+
+def _check_worst_case(div, tau, x, val, q, tol):
+    """The density lies in the ball and attains the value."""
+    p = x.probs
+    assert abs(float(np.dot(p, q)) - 1.0) <= 1e-12
+    assert np.all(q >= 0.0)
+    assert divergence_value(div, q, p) <= tau * (1.0 + 1e-9) + 1e-15
+    assert abs(float(np.dot(p, q * x.values)) - val) <= tol
+
+
+@pytest.mark.parametrize("name", ["kl", "pearson"])
+@given(_ball_cases())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_closed_envelope_routes_match_the_parametric_route(name, case):
+    # the closed forms against the per-atom parametric maximizer of the same ball
+    x, tau = case
+    div = make_divergence(name)
+    val, q = family_eval_envelope(StochasticDivergenceJ.from_phi(div, normalized=True), tau, x)
+    generic = StochasticDivergenceJ.from_phi(dataclasses.replace(div, envelope_route=None), normalized=True)
+    want, _ = family_eval_envelope(generic, tau, x)
+    tol = 1e-11 * (1.0 + float(np.max(np.abs(x.values))))
+    assert abs(val - want) <= tol
+    _check_worst_case(div, tau, x, val, q, tol)
+
+
+@given(_ball_cases(), st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tv_envelope_matches_the_lp_and_is_homogeneous(case, s):
+    x, tau = case
+    tau = min(tau, 1.99)
+    tv = make_divergence("tv")
+    j = StochasticDivergenceJ.from_phi(tv, normalized=True)
+    val, q = family_eval_envelope(j, tau, x)
+    scale = 1.0 + float(np.max(np.abs(x.values)))
+    assert abs(val - _envelope_sup_tv(tau, x, True)[0]) <= 1e-12 * scale
+    _check_worst_case(tv, tau, x, val, q, 1e-12 * scale)
+    val_s, q_s = family_eval_envelope(j, tau, x.scale(s))
+    assert abs(val_s - s * val) <= 1e-12 * s * scale
+    assert np.array_equal(q_s, q)
+
+
+@pytest.mark.parametrize("top", [0.26421099378398505, 0.3, 1.0, 0.123456789])
+@pytest.mark.parametrize("name, tau", [("kl", 1.0), ("pearson", 10.0**0.6875), ("tv", 1.0)])
+def test_envelope_density_feasible_at_near_tied_top_atoms(name, tau, top):
+    # the top two atoms one ulp apart: the pearson minimizer then sits within
+    # rounding of them, and (X - c*)_+ alone gave a density off the ball
+    x = DiscreteRv([-0.8, -0.7, -0.45, -0.26, 0.19, top, np.nextafter(top, 2.0)])
+    div = make_divergence(name)
+    val, q = family_eval_envelope(StochasticDivergenceJ.from_phi(div, normalized=True), tau, x)
+    _check_worst_case(div, tau, x, val, q, 1e-12)
 
 
 def _density_grid_oracle(j, tau, x, resolution=200):
@@ -232,14 +297,11 @@ def test_kl_quadrangle_stationarity():
 @pytest.mark.parametrize("x", [DiscreteRv.constant(-1.0), DiscreteRv([-3.0, -1.0], [0.5, 0.5])])
 def test_lambda_edge_limit_agrees_across_routes(x):
     # at kl, beta = 2 the infimum over lambda is the lambda -> 0 limit
-    from riskquad.robust import _phi_family_regret
-
     kl = make_divergence("kl")
     beta = 2.0
     generic = make_divergence_quadrangle(kl, beta, fast=False).regret(x)
-    dro, _ = _phi_family_regret(kl, beta)(x.values, x.probs)
     persp = family_eval_perspective(lambda y: float(np.dot(y.probs, kl.phi_conj(y.values))), beta, x)
-    assert generic == dro == persp
+    assert generic == persp
 
 
 def test_kl_quadrangle_limits():

@@ -1,15 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskquad.core import DiscreteRv, cvar_direct, expectation
 from riskquad.constructions import regret_to_risk
 from riskquad.divergence import _kl_risk, make_divergence
 from riskquad.dual import cvar_envelope
 from riskquad.measures import CatalogSpec, make_catalog_quadrangle
+from riskquad.solvers import solve_lp
 from riskquad.robust import (
     DroProblem,
+    _inf_convolution,
     EpiSpec,
     dro_envelope_value,
     dro_solve,
@@ -99,6 +103,19 @@ def test_epi_primal_dual_3atoms():
         vp = epi_risk_primal(spec, x)
         vd = epi_risk_dual(spec, x)
         assert abs(vp - vd) <= 1e-4
+
+
+@given(st.integers(2, 3), st.floats(0.3, 2.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_epi_recovered_primal_is_bracketed(k, eps, draw):
+    # weak duality below (to the rounding of the two evaluations), the
+    # compass-search primal above
+    rng = np.random.default_rng(draw)
+    x = DiscreteRv(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k)))
+    spec = _cvar_spec(0.5, x.probs, eps)
+    vp = epi_risk_primal(spec, x)
+    assert epi_risk_dual(spec, x) <= vp + 1e-15 * (1.0 + abs(vp))
+    assert vp <= _inf_convolution(spec.base_risk, spec.kernel, eps, x, 3, 0) + 1e-9
 
 
 def test_epi_dual_l2_kernel_matches_primal():
@@ -246,6 +263,81 @@ def test_dro_worst_case_density_feasible():
     assert float(np.dot(prob.probs, q)) == pytest.approx(1.0, abs=1e-6)
     kl_val = float(np.dot(prob.probs, q * np.log(np.maximum(q, 1e-300)) - q + 1.0))
     assert kl_val <= 0.4 + 1e-6
+
+
+def _certified(sol, grid_best):
+    """The certificate brackets the grid: lower = value - route_gap lies at or
+    below the best grid point (to the rounding of one evaluation), and the
+    value is no worse than it."""
+    assert sol.route_gap >= 0.0
+    assert sol.value - sol.route_gap <= grid_best + 1e-15 * (1.0 + abs(grid_best))
+    assert sol.value <= grid_best + 1e-12 * (1.0 + abs(grid_best))
+
+
+@given(
+    st.integers(2, 8),
+    st.sampled_from(["kl", "pearson", "tv"]),
+    st.floats(-3.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_dro_certificate_brackets_the_weight_grid(m, phi, log_tau, draw):
+    scen = np.random.default_rng(draw).uniform(-1.0, 1.5, size=(m, 2))
+    prob = DroProblem(scen, make_divergence(phi), 10.0**log_tau)
+    sol = dro_solve(prob)
+    # the rounds stop at a gap of 1e-12 (1 + |value|), or a few times that where
+    # the master LP's pivot tolerance hides the last cut at a kink of G
+    assert sol.route_gap <= 1e-10 * (1.0 + abs(sol.value))
+    assert np.all(sol.weights >= 0.0) and abs(sol.weights.sum() - 1.0) <= 1e-12
+    _certified(sol, min(dro_envelope_value(prob, [w1, 1.0 - w1]) for w1 in np.linspace(0.0, 1.0, 201)))
+
+
+def test_dro_stops_when_the_master_repeats_a_decision(monkeypatch):
+    # at this optimum two losses tie; the master LP's pivot tolerance hides the
+    # last few 1e-12 of the cut there, and it returns the same weights again
+    import riskquad.robust as robust
+
+    solves = []
+
+    def counting(problem):
+        solves.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(robust, "solve_lp", counting)
+    scen = np.random.default_rng(431).uniform(-1.0, 1.5, size=(4, 2))
+    sol = dro_solve(DroProblem(scen, make_divergence("kl"), 1.0))
+    assert len(solves) <= 10
+    assert 0.0 <= sol.route_gap <= 1e-10 * (1.0 + abs(sol.value))
+
+
+@pytest.mark.parametrize("phi", ["kl", "pearson", "tv"])
+def test_dro_daily_annual_homogeneity(phi):
+    # the optimum is positively homogeneous in the scenarios: the daily problem
+    # is the annual one scaled by 1e-2, certified to 1e-12 in each
+    scen = np.random.default_rng(9).normal(0.05, 0.2, size=(12, 3))
+    annual = dro_solve(DroProblem(scen, make_divergence(phi), 1.0))
+    daily = dro_solve(DroProblem(1e-2 * scen, make_divergence(phi), 1.0))
+    assert abs(daily.value / 1e-2 - annual.value) <= 1e-9 * (1.0 + abs(annual.value))
+
+
+def test_dro_target_mean_row():
+    scen = np.random.default_rng(10).uniform(-1.0, 1.5, size=(8, 3))
+    means = scen.mean(axis=0)
+    target = float(means.min() + 0.4 * (means.max() - means.min()))
+    prob = DroProblem(scen, make_divergence("kl"), 0.5, target_mean=target)
+    sol = dro_solve(prob)
+    assert abs(float(means @ sol.weights) - target) <= 1e-12
+    assert np.all(sol.weights >= 0.0) and abs(sol.weights.sum() - 1.0) <= 1e-12
+    # the feasible set is the segment where the mean row crosses the simplex's edges
+    ends = []
+    for i, j in itertools.combinations(range(3), 2):
+        lam = (target - means[j]) / (means[i] - means[j])
+        if 0.0 <= lam <= 1.0:
+            w = np.zeros(3)
+            w[i], w[j] = lam, 1.0 - lam
+            ends.append(w)
+    a, b = ends[0], ends[-1]
+    _certified(sol, min(dro_envelope_value(prob, a + t * (b - a)) for t in np.linspace(0.0, 1.0, 201)))
 
 
 def test_dro_infeasible_target_mean():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from riskquad.core import DiscreteRv, StatInterval
@@ -11,6 +12,7 @@ from riskquad.solvers import (
     NonConvexError,
     UnboundedObjectiveError,
     argmin_interval_pwl,
+    bisect_root,
     compass_search,
     minimize_multistart,
     minimize_scalar_convex,
@@ -425,3 +427,60 @@ def test_subgradient_matches_lp():
     res = minimize_subgradient(lambda w: float(c @ w), lambda w: c, project, np.full(4, 0.25), steps=20000)
     x, v = compass_search(lambda w: float(c @ w), res.x, step=0.25, project=project)
     assert v == pytest.approx(lp.objective, abs=1e-4)
+
+
+def _bisect_fixed_count(g, lo, hi, iters):
+    """The bisection loop without the early stop: every step runs."""
+    glo, ghi = g(lo), g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if glo * gm < 0:
+            hi, ghi = mid, gm
+        else:
+            lo, glo = mid, gm
+    return 0.5 * (lo + hi)
+
+
+@given(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 1e8]),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["linear", "cubic", "step", "tanh"]),
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(0, 200),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bisect_root_early_stop_is_bit_identical(centre, width, frac, shape, sign, iters):
+    # once mid rounds to lo or hi every later step leaves the bracket as it is,
+    # so stopping there returns the fixed-count loop's float exactly
+    lo, hi = centre - width, centre + width
+    root = lo + frac * (hi - lo)
+    assume(lo < root < hi)
+    shapes = {
+        "linear": lambda c: c - root,
+        "cubic": lambda c: (c - root) ** 3 + 1e-3 * (c - root),
+        "step": lambda c: -1.0 if c < root else 1.0,
+        "tanh": lambda c: math.tanh((c - root) / width),
+    }
+    fn = shapes[shape]
+    g = lambda c: sign * fn(c)  # noqa: E731
+    assert bisect_root(g, lo, hi, iters=iters) == _bisect_fixed_count(g, lo, hi, iters)
+
+
+def test_bisect_root_stops_at_adjacent_floats():
+    evals = []
+
+    def g(c):
+        evals.append(c)
+        return c - 1.0 / 3.0
+
+    bisect_root(g, 0.0, 1.0, iters=200)
+    # the bracket [0, 1] reaches adjacent floats near 1/3 after 54 halvings
+    assert len(evals) <= 2 + 55
