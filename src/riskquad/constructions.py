@@ -16,12 +16,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DiscreteRv, SortedSums, StatInterval, map_chunks, sample_rvs
+from .core import DiscreteRv, SortedSums, StatInterval, chunk_rows, map_chunks, sample_rvs
 from .solvers import (
+    KSECTION,
     LpProblem,
     ObjectiveInfiniteError,
     argmin_interval_pwl,
     flat_interval,
+    ksection_crossings,
+    ksection_flat_interval,
+    ksection_min,
     minimize_multistart,
     minimize_scalar_convex,
     pwl_argmin_interval,
@@ -92,8 +96,8 @@ class ScalarLoss:
     def piecewise_linear(self) -> bool:
         return self.pieces is not None
 
-    def shift_values(self, x: DiscreteRv, cs: np.ndarray) -> np.ndarray:
-        """E[e(X - C)] for each C in ``cs``, from prefix sums over the sorted atoms.
+    def shift_values(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
+        """C -> E[e(X - C)] for each C of an array, from prefix sums over the sorted atoms.
 
         Between consecutive kinks e is one affine piece, so the expectation is
         sum_j s_j (S_j - C P_j) + b_j P_j over the bands of atoms with X - C
@@ -118,7 +122,7 @@ class ScalarLoss:
             moment = np.concatenate((lo_s[:, :1], np.diff(lo_s, axis=1), hi_s[:, -1:]), axis=1)
             return (moment - d[:, None] * mass) @ s_band + mass @ b_band
 
-        return map_chunks(rows, np.asarray(cs, dtype=float), kinks.size + 1)
+        return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), kinks.size + 1)
 
     @staticmethod
     def from_pieces(pieces: Sequence[tuple[float, float]], label: str = "") -> "ScalarLoss":
@@ -157,10 +161,11 @@ class ScalarLoss:
 def _affine_loss(loss: ScalarLoss, scale: float = 1.0, tilt: float = 0.0) -> ScalarLoss:
     """z -> scale * e(z) + tilt * z, with its derivatives and affine pieces."""
     pieces = None if loss.pieces is None else tuple((scale * s + tilt, scale * b) for s, b in loss.pieces)
+    d_left = lambda z: scale * loss.d_left(z) + tilt
     return ScalarLoss(
         fn=lambda z: scale * loss.fn(z) + tilt * np.asarray(z, dtype=float),
-        d_left=lambda z: scale * loss.d_left(z) + tilt,
-        d_right=lambda z: scale * loss.d_right(z) + tilt,
+        d_left=d_left,
+        d_right=d_left if loss.d_right is loss.d_left else lambda z: scale * loss.d_right(z) + tilt,
         kinks=loss.kinks,
         pieces=pieces,
         label=loss.label,
@@ -190,9 +195,9 @@ class MomentMaxSpec:
     def shifted(self, delta_a: float) -> "MomentMaxSpec":
         return MomentMaxSpec(tuple((a + delta_a, b, c) for a, b, c in self.terms))
 
-    def shift_values(self, x: DiscreteRv, cs: np.ndarray) -> np.ndarray:
-        """value(X - C) for each C in ``cs``, from suffix sums over the sorted atoms:
-        E[(X - C)_+] is the first moment minus C times the mass above C."""
+    def shift_values(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
+        """C -> value(X - C) for each C of an array, from suffix sums over the sorted
+        atoms: E[(X - C)_+] is the first moment minus C times the mass above C."""
         sums = SortedSums(x)
         a, b, k = (np.array(col)[:, None] for col in zip(*self.terms))
 
@@ -201,7 +206,7 @@ class MomentMaxSpec:
             _, _, hi_p, hi_s = sums.split(d, side="right")
             return np.max(a * (sums.mean_u - d) + b * (hi_s - d * hi_p) + k, axis=0)
 
-        return map_chunks(rows, np.asarray(cs, dtype=float), len(self.terms))
+        return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), len(self.terms))
 
     def shift_breakpoints(self, x: DiscreteRv) -> np.ndarray:
         """Kinks of C -> value(X - C): atom values plus branch crossings.
@@ -237,10 +242,11 @@ class Functional:
     """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
 
     ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
-    that the projections exploit when it is known.  ``shift_values(x, cs)``,
-    for a functional with neither a piecewise-linear loss nor a moment-max
-    form, gives C -> f(X - C) at every C of the sorted array ``cs`` in one
-    pass; the other two forms supply their own.
+    that the projections exploit when it is known.  ``shift_values(x)``, for
+    a functional with neither a piecewise-linear loss nor a moment-max form,
+    returns the array evaluator C -> f(X - C), built once per X: one call
+    gives every C of an array, and the values are convex in C.  The other
+    two forms supply their own.
     """
 
     fn: Callable[[DiscreteRv], float]
@@ -249,7 +255,7 @@ class Functional:
     loss: Optional[ScalarLoss] = None
     moment_max: Optional[MomentMaxSpec] = None
     shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
-    shift_values: Optional[Callable[[DiscreteRv, np.ndarray], np.ndarray]] = None
+    shift_values: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
 
     def __call__(self, x: DiscreteRv) -> float:
         return self.fn(x)
@@ -292,6 +298,11 @@ def mean_center_regret(v: RegretFn) -> ErrorFn:
 def _mean_centered(f: Functional, sign: float) -> Functional:
     """f(X) + sign * E[X], with the structure of f carried over."""
     sv = f.shift_values
+
+    def shift_values(x):
+        at, mean = sv(x), x.mean()
+        return lambda cs: at(cs) + sign * (mean - cs)
+
     return Functional(
         fn=lambda x: f.fn(x) + sign * x.mean(),
         flags=f.flags,
@@ -299,7 +310,7 @@ def _mean_centered(f: Functional, sign: float) -> Functional:
         loss=None if f.loss is None else _affine_loss(f.loss, tilt=sign),
         moment_max=None if f.moment_max is None else f.moment_max.shifted(sign),
         shift_breakpoints=f.shift_breakpoints,
-        shift_values=None if sv is None else lambda x, cs: sv(x, cs) + sign * (x.mean() - cs),
+        shift_values=None if sv is None else shift_values,
     )
 
 
@@ -340,67 +351,52 @@ def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float
     else:
         return argmin_interval_pwl(g, bps)
     pts = pwl_grid(bps)
-    return pwl_argmin_interval(pts, scan(x, pts) + tilt * pts)
+    return pwl_argmin_interval(pts, scan(x)(pts) + tilt * pts)
 
 
 def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
     """Statistic from the one-sided derivative criterion.
 
     {C : E[e'_-(X-C)] <= 0 <= E[e'_+(X-C)]}; both expectations are
-    nonincreasing in C, so each endpoint is a monotone crossing.
+    nonincreasing in C, so each endpoint is a monotone crossing, and the two
+    are narrowed together by ``ksection_crossings`` on blocks of shifts by
+    atoms.  Each row's expectation is summed as ``np.dot`` sums one, so the
+    crossings are those of the scalar criterion.
     """
     v, p = x.values, x.probs
+    # a loss with one derivative evaluates both crossings' points in one block
+    one = loss.d_left is loss.d_right
+    k = min(KSECTION, max(4, chunk_rows(v.size) // 2))
 
-    def g_plus(c):
-        return float(np.dot(p, loss.d_right(v - c)))
+    def mean_d(d, cs):
+        # E[d(X - C)] for each C of the 1-d array cs
+        rows = lambda c: np.matmul(d(v[None, :] - c[:, None])[:, None, :], p[:, None])[:, 0, 0]
+        return map_chunks(rows, cs, v.size)
 
-    def g_minus(c):
-        return float(np.dot(p, loss.d_left(v - c)))
+    def criteria(cs):
+        # rows E[e'_-(X - C)] and E[e'_+(X - C)] at the rows of the (2, n) array cs
+        if one:
+            return mean_d(loss.d_left, cs.ravel()).reshape(cs.shape)
+        return np.stack((mean_d(loss.d_left, cs[0]), mean_d(loss.d_right, cs[1])))
 
+    # march out from the support by steps that double until each criterion has
+    # the sign its bracket end needs
     span0 = max(1.0, float(v[-1] - v[0]))
+    fan = span0 * 2.0 ** np.arange(60)
 
-    def expand(g, start, direction, want):
-        # march until the predicate holds; g is monotone nonincreasing in c
-        c, step = start, span0
-        for _ in range(60):
-            val = g(c)
-            ok = val >= 0.0 if want == "nonneg" else (val > 0.0 if want == "pos" else (val < 0.0 if want == "neg" else val <= 0.0))
-            if ok:
-                return c
-            c += direction * step
-            step *= 2.0
-        return c
+    def reach(pts, want):
+        ok = want(criteria(np.stack((pts[:1], pts[:1]))))
+        if not ok.all():
+            ok = want(criteria(np.stack((pts, pts))))
+        return np.where(ok.any(axis=1), pts[np.argmax(ok, axis=1)], pts[-1])
 
-    def mono_crossing(g, target_sign):
-        # largest c with g(c) >= 0 when target_sign > 0, else smallest c with g(c) <= 0
-        if target_sign > 0:
-            a = expand(g, float(v[0]) - span0, -1.0, "nonneg")
-            b = expand(g, float(v[-1]) + span0, +1.0, "neg")
-        else:
-            a = expand(g, float(v[0]) - span0, -1.0, "pos")
-            b = expand(g, float(v[-1]) + span0, +1.0, "nonpos")
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            # a midpoint equal to an end is the last step that can move one;
-            # every later one repeats it
-            settled = m == a or m == b
-            gm = g(m)
-            if target_sign > 0:
-                if gm >= 0.0:
-                    a = m
-                else:
-                    b = m
-            else:
-                if gm <= 0.0:
-                    b = m
-                else:
-                    a = m
-            if settled:
-                break
-        return a if target_sign > 0 else b
+    lo_out, hi_in = reach(float(v[0]) - fan, lambda g: np.stack((g[0] > 0.0, g[1] >= 0.0)))
+    lo_in, hi_out = reach(float(v[-1]) + fan, lambda g: np.stack((g[0] <= 0.0, g[1] < 0.0)))
 
-    hi = mono_crossing(g_plus, +1)
-    lo = mono_crossing(g_minus, -1)
+    # lo is the last point from lo_in down at which E[e'_-] <= 0, hi the last
+    # from hi_in up at which E[e'_+] >= 0
+    crit = lambda cs: criteria(cs) * [[-1.0], [1.0]]
+    lo, hi = (float(c) for c in ksection_crossings(crit, [lo_in, hi_in], [lo_out, hi_out], k))
     if loss.kinks:
         candidates = np.unique((v[:, None] - np.asarray(loss.kinks)[None, :]).ravel())
         for i, c in enumerate((lo, hi)):
@@ -416,23 +412,50 @@ def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
     return StatInterval(lo, hi)
 
 
-def project_error(err: ErrorFn, x: DiscreteRv, tol: float = 1e-10) -> tuple[float, StatInterval]:
-    """D(X) = min_C E(X - C) together with the full argmin interval."""
+def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_interval: bool, what: str):
+    """min_C tilt * C + f(X - C) with its argmin interval, by the first route
+    f's data allows: the exact scan over shift breakpoints, the batched
+    K-section on ``shift_values``, the derivative crossing of a loss, and
+    golden section with ``flat_interval`` for anything else.
+
+    The flat set is recovered on the objective minus tilt * E[X], which for a
+    regret is the paired error's projection objective: both routes then
+    resolve the same sublevel set at the same threshold.
+    """
 
     def g(c):
-        return err.fn(x.shift(-c))
+        return tilt * c + f.fn(x.shift(-c))
 
-    interval = _pwl_shift_argmin(err, x, g, 0.0)
+    interval = _pwl_shift_argmin(f, x, g, tilt)
     if interval is not None:
         return g(interval.lo), interval
-    if err.loss is not None:
-        interval = _stat_from_derivatives(err.loss, x)
+    offset = tilt * x.mean()
+    if f.shift_values is not None:
+        at = f.shift_values(x)
+        gv = lambda cs: tilt * cs + at(cs)
+        try:
+            cstar, fstar = ksection_min(gv, float(x.values[0]), float(x.values[-1]), tol)
+        except ObjectiveInfiniteError as exc:
+            raise ObjectiveInfiniteError(f"{what} infinite on all shifts") from exc
+        if not want_interval:
+            return fstar, StatInterval.point(cstar)
+        return fstar, ksection_flat_interval(lambda cs: gv(cs) - offset, cstar, fstar - offset)
+    if f.loss is not None:
+        loss = f.loss if tilt == 0.0 else _affine_loss(f.loss, tilt=-tilt)
+        interval = _stat_from_derivatives(loss, x)
         return g(interval.midpoint), interval
     try:
         cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
     except ObjectiveInfiniteError as exc:
-        raise ObjectiveInfiniteError("error infinite on all shifts") from exc
-    return fstar, flat_interval(g, cstar, fstar)
+        raise ObjectiveInfiniteError(f"{what} infinite on all shifts") from exc
+    if not want_interval:
+        return fstar, StatInterval.point(cstar)
+    return fstar, flat_interval(lambda c: g(c) - offset, cstar, fstar - offset)
+
+
+def project_error(err: ErrorFn, x: DiscreteRv, tol: float = 1e-10) -> tuple[float, StatInterval]:
+    """D(X) = min_C E(X - C) together with the full argmin interval."""
+    return _shift_minimum(err, x, 0.0, tol, True, "error")
 
 
 def regret_to_risk(
@@ -443,28 +466,7 @@ def regret_to_risk(
     ``want_interval=False`` skips the flat-set recovery and returns a point
     interval at the located minimizer (cheaper when only the value matters).
     """
-
-    def g(c):
-        return c + v.fn(x.shift(-c))
-
-    interval = _pwl_shift_argmin(v, x, g, 1.0)
-    if interval is not None:
-        return g(interval.lo), interval
-    if v.loss is not None:
-        interval = _stat_from_derivatives(_affine_loss(v.loss, tilt=-1.0), x)
-        return g(interval.midpoint), interval
-    try:
-        cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
-    except ObjectiveInfiniteError as exc:
-        raise ObjectiveInfiniteError("regret objective infinite on all shifts") from exc
-    if not want_interval:
-        return fstar, StatInterval.point(cstar)
-    # recover the flat set on the mean-centered objective, which coincides
-    # with the paired error's projection objective: the two routes then
-    # resolve the same sublevel set at the same threshold
-    mean = x.mean()
-    interval = flat_interval(lambda c: g(c) - mean, cstar, fstar - mean)
-    return fstar, interval
+    return _shift_minimum(v, x, 1.0, tol, want_interval, "regret objective")
 
 
 # -- quadrangle bundle --------------------------------------------------------------
@@ -707,6 +709,11 @@ def scale_quadrangle(q: Quadrangle, lam: float, mode: str = "affine") -> Quadran
         err = None
         if q.error_fn is not None:
             base = q.error_fn
+
+            def shift_values(x):
+                at = base.shift_values(x)
+                return lambda cs: lam * at(cs)
+
             err = ErrorFn(
                 fn=lambda x: lam * base.fn(x),
                 flags=replace(base.flags, monotone=base.flags.monotone and lam <= 1.0),
@@ -716,7 +723,7 @@ def scale_quadrangle(q: Quadrangle, lam: float, mode: str = "affine") -> Quadran
                     tuple((lam * a, lam * b, lam * c) for a, b, c in base.moment_max.terms)
                 ),
                 shift_breakpoints=base.shift_breakpoints,
-                shift_values=None if base.shift_values is None else lambda x, cs: lam * base.shift_values(x, cs),
+                shift_values=None if base.shift_values is None else shift_values,
             )
         return complete_quadrangle(
             err,

@@ -25,6 +25,7 @@ __all__ = [
     "sample_rvs",
     "SortedSums",
     "map_chunks",
+    "chunk_rows",
 ]
 
 # Probability vectors further off than this from summing to one are rejected
@@ -276,10 +277,15 @@ class SortedSums:
         return self.lo_p[i], self.lo_s[i], self.hi_p[i], self.hi_s[i]
 
 
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` cells that fit in one batched temporary."""
+    return max(1, _CHUNK_CELLS // max(1, width))
+
+
 def map_chunks(fn: Callable[[np.ndarray], np.ndarray], cs: np.ndarray, width: int) -> np.ndarray:
     """fn over row chunks of ``cs``, for an fn whose widest temporary holds
     ``width`` cells per row of ``cs``."""
-    step = max(1, _CHUNK_CELLS // max(1, width))
+    step = chunk_rows(width)
     if cs.size <= step:
         return fn(cs)
     return np.concatenate([fn(cs[i : i + step]) for i in range(0, cs.size, step)])

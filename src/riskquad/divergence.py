@@ -28,7 +28,7 @@ from .constructions import (
     regret_to_risk,
 )
 from .dual import ascend_envelope
-from .solvers import LpProblem, bisect_root, flat_interval, minimize_scalar_convex, solve_lp
+from .solvers import LpProblem, bisect_root, flat_interval, ksection_crossings, minimize_scalar_convex, solve_lp
 
 __all__ = [
     "DivergenceFn",
@@ -336,7 +336,7 @@ def _envelope_sup_phi(
     """
     v, p = x.values, x.probs
     if x.is_constant():
-        return float(v[0]), np.ones_like(p)
+        return _envelope_constant(div, tau, float(v[0]), p, normalized)
 
     def q_of(lam: float, mu: float) -> np.ndarray:
         return _per_atom_argmax(div, (v - mu) / lam)
@@ -388,13 +388,41 @@ def _envelope_sup_phi(
     return float(np.dot(p, q * v)), q
 
 
+def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, normalized: bool) -> tuple[float, np.ndarray]:
+    """The envelope of X = c, where E[QX] = c E[Q].  On the density ball E[Q]
+    is 1.  Without it Q is the constant q* farthest from 1 with phi(q*) <= tau,
+    above 1 for c > 0 and below for c < 0; at c = 0 the value is 0."""
+    if normalized or c == 0.0:
+        return (c if normalized else 0.0), np.ones_like(p)
+    direction = 1.0 if c > 0.0 else -1.0
+    end = div.dom[1] if c > 0.0 else div.dom[0]
+
+    def room(q):
+        return tau - np.asarray(div.phi(np.ravel(q)), dtype=float).reshape(np.shape(q))
+
+    if math.isfinite(end) and room(end) >= 0.0:
+        qstar = float(end)
+    else:
+        # phi is +inf outside its domain, so a step lands beyond tau or there
+        step = 1.0
+        for _ in range(1023):
+            if not room(1.0 + direction * step) >= 0.0:
+                break
+            step *= 2.0
+        qstar = float(ksection_crossings(room, [1.0], [1.0 + direction * step])[0])
+    return c * qstar, np.full_like(p, qstar)
+
+
 def _envelope_sup_tv(tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
     """LP route for the polyhedral total-variation ball, kept for the ball
-    without the density constraint."""
+    without the density constraint.  The feasible set does not depend on X,
+    so the objective is divided by max|X| and the value multiplied back, which
+    keeps the LP's absolute pivot tolerances at the unit scale."""
     v, p = x.values, x.probs
     m = v.size
-    # variables [q_1..q_m, s_1..s_m]; max sum p_i q_i v_i
-    c = np.concatenate([-p * v, np.zeros(m)])
+    unit = float(np.max(np.abs(v))) or 1.0
+    # variables [q_1..q_m, s_1..s_m]; max sum p_i q_i v_i / unit
+    c = np.concatenate([-p * (v / unit), np.zeros(m)])
     a_ub = []
     b_ub = []
     for i in range(m):

@@ -8,7 +8,7 @@ piecewise-linear mean family, and the biased mean family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ from .constructions import (
     error_from_loss,
     error_from_moment_max,
     mean_center_error,
+    mean_center_regret,
     project_error,
     regret_to_risk,
 )
@@ -186,32 +187,58 @@ def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
     return _integral_cvar(segs, alpha, 1.0) / (1.0 - alpha)
 
 
-def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
-    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly.
+def _cvar2_shift_values(alpha: float):
+    """C -> cvar2 regret of X - C, (1/(1-alpha)) * integral of [CVaR_b(X) - C]_+
+    over (0, 1), at every C of an array.
 
-    CVaR_beta is continuous and nondecreasing in beta: the positive part of
-    the integrand starts at the unique root, solved on the first segment
-    where the (a_i - v_i b)/(1 - b) representation changes sign.
+    Built once per X from the tail segments, centred at a reference atom as
+    in ``SortedSums``: on segment i, where 1 - b runs from the mass m_i of the
+    atoms from i up to m_{i+1}, CVaR_b = ref + u_i + k_i / (1 - b), with
+    k_i = sum_{j>i} p_j (u_j - u_i) summed over the gaps, so it has no
+    cancellation.  CVaR_b is nondecreasing in b: one ``searchsorted`` over its
+    values at the segment starts finds the segment of the root b*, where
+    1 - b* = k_i / (C - ref - u_i), and the regret is the partial log-integral
+    from b* to the segment's end plus the suffix sum of the whole segments
+    above it.
     """
-    segs = _tail_segments(x)
-    lo, hi, v, a = segs
-    if x.mean() >= 0.0:
-        start = 0.0
-    elif v[-1] <= 0.0:  # ess sup <= 0: integrand never positive
-        return 0.0
-    else:
-        b_end = np.minimum(hi, 1.0 - 1e-15)
-        f_lo = (a - v * lo) / (1.0 - lo)
-        f_hi = (a - v * b_end) / (1.0 - b_end)
-        hit = np.nonzero((f_lo < 0.0) & (0.0 <= f_hi))[0]
-        if hit.size:
-            i = int(hit[0])
-            start = min(max(a[i] / v[i], lo[i]), hi[i]) if v[i] != 0.0 else lo[i]
-        else:
-            # no sign change located although ess sup > 0: the mean sits at
-            # zero within rounding and the integrand is nonnegative throughout
-            start = 0.0
-    return _integral_cvar(segs, float(start), 1.0) / (1.0 - alpha)
+    scale = 1.0 / (1.0 - alpha)
+
+    def shift_values(x: DiscreteRv):
+        v, p = x.values, x.probs
+        ref = float(v[v.size // 2])
+        u = v - ref
+        mass = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+        k = np.append(np.cumsum((np.diff(v) * mass[1:-1])[::-1])[::-1], 0.0)
+        start = u + k / mass[:-1]
+        # integral of CVaR_b - ref over each segment; the last is ess sup throughout
+        seg = p * u
+        seg[:-1] += k[:-1] * np.log1p(p[:-1] / mass[1:-1])
+        tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+        # segment j - 1 at index j, behind a segment of k = 0 at index 0 for C
+        # below the mean: k, u, and 1 - b at its start and end.  Where k = 0 the
+        # two ends are equal, so its part is 0
+        k_, u_ = np.append(0.0, k), np.append(0.0, u)
+        top = np.append(1.0, mass[:-1])
+        end = np.concatenate(([1.0], mass[1:-1], mass[-2:-1]))
+
+        def values(cs):
+            d = np.asarray(cs, dtype=float) - ref
+            # segments j.. lie above C; segment j - 1 holds the root
+            j = np.searchsorted(start, d, side="right")
+            kj, uj, tj, ej = k_[j], u_[j], top[j], end[j]
+            w = np.minimum(np.maximum(np.divide(kj, d - uj, out=tj.copy(), where=kj > 0.0), ej), tj)
+            part = (uj - d) * (w - ej) + kj * np.log(w / ej)
+            return scale * (part + tail[j] - d * mass[j])
+
+        return values
+
+    return shift_values
+
+
+def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
+    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly: the
+    shift kernel at C = 0."""
+    return float(_cvar2_shift_values(alpha)(x)(np.zeros(1))[0])
 
 
 # -- the alpha-set of the union family ----------------------------------------------------
@@ -327,11 +354,24 @@ def make_catalog_quadrangle(spec: CatalogSpec) -> Quadrangle:
     return _CONSTRUCTORS[spec.family](*(spec.params[k] for k in CATALOG_FAMILIES[spec.family]))
 
 
+def _l2_shift_values(lam: float):
+    """C -> lam * ||X - C||_2 = lam * sqrt(Var X + (E X - C)^2) at every C of
+    an array, the variance taken from values centred at a reference atom."""
+
+    def shift_values(x: DiscreteRv):
+        sums = SortedSums(x)
+        sd = np.sqrt(np.dot(x.probs, (sums.u - sums.mean_u) ** 2))
+        return lambda cs: lam * np.hypot(sd, sums.mean_u - (np.asarray(cs, dtype=float) - sums.ref))
+
+    return shift_values
+
+
 def _standard_mean(lam: float) -> Quadrangle:
     err = ErrorFn(
         fn=lambda x: lam * p_norm(x, 2.0),
         flags=Flags(positively_homogeneous=True, monotone=False, expectation_type=False),
         label=f"l2_error({lam:g})",
+        shift_values=_l2_shift_values(lam),
     )
     return complete_quadrangle(
         err, lambda x: StatInterval.point(x.mean()), f"standard_mean({lam:g})", deviation=lambda x: lam * x.std()
@@ -358,16 +398,13 @@ def _quantile(alpha: float) -> Quadrangle:
 
 
 def _cvar2(alpha: float) -> Quadrangle:
-    err = ErrorFn(
-        fn=lambda x: cvar2_regret(x, alpha) - x.mean(),
-        flags=Flags(True, True, False),
-        label=f"cvar2_error({alpha:g})",
-    )
     v_regret = RegretFn(
         fn=lambda x: cvar2_regret(x, alpha),
         flags=Flags(True, True, False),
         label=f"cvar2_regret({alpha:g})",
+        shift_values=_cvar2_shift_values(alpha),
     )
+    err = replace(mean_center_regret(v_regret), label=f"cvar2_error({alpha:g})")
     return complete_quadrangle(
         err,
         lambda x: StatInterval.point(cvar_direct(x, alpha)),
@@ -387,7 +424,7 @@ def _cvar_norm_shift_values(alpha: float):
     """C -> (1-alpha) CVaR_alpha(|X - C|) at every C of an array: each row of
     |X - C| sorted in decreasing order, its top 1 - alpha of mass summed."""
 
-    def shift_values(x: DiscreteRv, cs: np.ndarray) -> np.ndarray:
+    def shift_values(x: DiscreteRv):
         sums = SortedSums(x)
 
         def rows(c):
@@ -398,7 +435,7 @@ def _cvar_norm_shift_values(alpha: float):
             take = np.clip((1.0 - alpha) - (np.cumsum(p, axis=1) - p), 0.0, p)
             return np.sum(take * z, axis=1)
 
-        return map_chunks(rows, np.asarray(cs, dtype=float), x.n_atoms)
+        return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), x.n_atoms)
 
     return shift_values
 

@@ -1,13 +1,15 @@
 """Self-contained convex optimization primitives.
 
-Scalar golden-section minimization with auto-bracketing, exact argmin
-intervals for piecewise-linear convex functions, projected subgradient
-descent, a deterministic compass-search polish, the multistart routine that
-chains the two (``minimize_multistart``, with a forward-difference gradient
-when none is given), and a two-phase tableau simplex LP solver: numpy rank-1
-pivots, free variables kept in one column, a start basis of slacks with free
-columns crashed into the artificials' rows, Dantzig pricing in phase 1 (Bland's
-rule through runs of degenerate pivots) and Bland's rule in phase 2.
+Scalar golden-section minimization with auto-bracketing, a batched K-section
+search for convex functions given on arrays (argmin, flat set and monotone
+crossings, K points per call), exact argmin intervals for piecewise-linear
+convex functions, projected subgradient descent, a deterministic
+compass-search polish, the multistart routine that chains the two
+(``minimize_multistart``, with a forward-difference gradient when none is
+given), and a two-phase tableau simplex LP solver: numpy rank-1 pivots, free
+variables kept in one column, a start basis of slacks with free columns
+crashed into the artificials' rows, Dantzig pricing in phase 1 (Bland's rule
+through runs of degenerate pivots) and Bland's rule in phase 2.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ __all__ = [
     "UnboundedObjectiveError",
     "ObjectiveInfiniteError",
     "minimize_scalar_convex",
+    "flat_interval",
+    "ksection_min",
+    "ksection_flat_interval",
+    "ksection_crossings",
     "argmin_interval_pwl",
     "pwl_grid",
     "pwl_argmin_interval",
@@ -206,6 +212,8 @@ def flat_interval(fn, cstar: float, fstar: float) -> StatInterval:
             outer = cstar + direction * step
         for _ in range(100):
             mid = 0.5 * (inner + outer)
+            if mid == inner or mid == outer:
+                break  # adjacent floats: every later step would leave inner as it is
             if fn(mid) <= thresh:
                 inner = mid
             else:
@@ -213,6 +221,142 @@ def flat_interval(fn, cstar: float, fstar: float) -> StatInterval:
         return inner
 
     return StatInterval(crossing(-1), crossing(+1))
+
+
+# -- batched K-section -----------------------------------------------------------
+
+# points per bracket in each round of the batched search
+KSECTION = 64
+# outward fan of ``ksection_min``: steps of 4^j bracket widths, j < this
+_FAN_STEPS = 41
+# the closest a round's points come to a predicted root or vertex, as a
+# fraction of the even step
+_NEAR_FLOOR = 1e-9
+
+
+def _round_fractions(k: int):
+    """Where a round puts its k points in a bracket, as fractions of it.
+
+    Returns (even, near, blind): ``even`` splits the bracket evenly with about
+    half the points; ``near`` holds the offsets of the other half, in pairs
+    around a predicted point at distances spread geometrically between one
+    even step and ``_NEAR_FLOOR`` of it (a lone pair sits midway, at the
+    square root); ``blind`` takes their place, between the even points, when
+    there is no prediction.
+    """
+    pairs = (k - k // 2) // 2
+    n_even = k - 2 * pairs
+    even = np.arange(1, n_even + 1) / (n_even + 1.0)
+    near = _NEAR_FLOOR ** ((np.arange(pairs) + 0.5) / max(pairs, 1)) / (n_even + 1.0)
+    blind = (np.arange(2 * pairs) % n_even + 0.5) / (n_even + 1.0)
+    return even, np.concatenate((-near, near)), blind
+
+
+def ksection_crossings(crit, inner, outer, k: int = KSECTION) -> np.ndarray:
+    """For each bracket i, the last point on the way from ``inner[i]`` to
+    ``outer[i]`` at which ``crit`` is >= 0, narrowed until the bracket ends are
+    adjacent floats.
+
+    ``crit`` maps an (n, k) array of points, row i inside bracket i, to their
+    values in one call.  It must be >= 0 at ``inner[i]``, < 0 at ``outer[i]``
+    and change sign once along each row; a bracket with ``inner == outer`` is
+    returned as it is.  Each round places its points by ``_round_fractions``,
+    predicting the root of the line through the bracket ends' values, so a
+    criterion close to linear there is settled in a few rounds.
+    """
+    inner = np.array(inner, dtype=float)
+    outer = np.array(outer, dtype=float)
+    n = inner.size
+    rows = np.arange(n)
+    even, near, blind = _round_fractions(k)
+    even = np.tile(even, (n, 1))
+    # values at the bracket ends, unknown until a round has evaluated them
+    v_in, v_out = np.full(n, np.nan), np.full(n, np.nan)
+    ends = np.ones((n, 1), dtype=bool), np.zeros((n, 1), dtype=bool)
+    # each round keeps two distinct consecutive points, so it narrows every
+    # open bracket; the cap only guards a criterion that changes sign twice
+    for _ in range(4096):
+        mid = 0.5 * (inner + outer)
+        if np.all((mid == inner) | (mid == outer)):
+            break
+        drop = v_in - v_out
+        known = np.isfinite(drop)
+        root = np.divide(v_in, drop, out=np.zeros(n), where=known)
+        window = np.where(known[:, None], np.minimum(np.maximum(root[:, None] + near, 0.0), 1.0), blind)
+        frac = np.sort(np.concatenate((even, window), axis=1))
+        pts = inner[:, None] + (outer - inner)[:, None] * frac
+        vals = np.asarray(crit(pts), dtype=float)
+        ok = np.concatenate((ends[0], vals >= 0.0, ends[1]), axis=1)
+        first = np.argmin(ok, axis=1)
+        full = np.concatenate((inner[:, None], pts, outer[:, None]), axis=1)
+        full_v = np.concatenate((v_in[:, None], vals, v_out[:, None]), axis=1)
+        inner, outer = full[rows, first - 1], full[rows, first]
+        v_in, v_out = full_v[rows, first - 1], full_v[rows, first]
+    return inner
+
+
+def _vertex(xs: np.ndarray, fs: np.ndarray) -> float:
+    """Vertex of the parabola through three points, or the middle one when
+    they are collinear or not all finite."""
+    (x0, x1, x2), (f0, f1, f2) = xs.tolist(), fs.tolist()
+    p, q = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
+    den = p - q
+    if den == 0.0 or not math.isfinite(den):
+        return x1
+    return x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / den
+
+
+def ksection_min(fv, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Minimum of a convex function given on arrays, ``fv(cs)`` -> values.
+
+    The first call evaluates a fan: K/2 points across [lo, hi] and steps of
+    4^j times its width outward on both sides.  Each later call evaluates K
+    points, placed by ``_round_fractions`` around the vertex of the parabola
+    through the best point and its two neighbours, in the bracket between
+    those neighbours, until that bracket is within
+    ``minimize_scalar_convex``'s tolerance tol * (1 + |a| + |b|).  Returns
+    (argmin, min).
+    """
+    width = hi - lo or max(1.0, abs(lo))
+    out = width * 4.0 ** np.arange(_FAN_STEPS)
+    across = np.linspace(lo, hi, KSECTION // 2) if hi > lo else np.array([lo])
+    pts = np.concatenate(((lo - out)[::-1], across, hi + out))
+    vals = fv(pts)
+    i = int(np.argmin(vals))
+    if not math.isfinite(vals[i]):
+        raise ObjectiveInfiniteError("objective is infinite at every probed point")
+    if (i == 0 and vals[0] < vals[1]) or (i == pts.size - 1 and vals[-1] < vals[-2]):
+        raise UnboundedObjectiveError("objective still descending at the end of the fan")
+    even, near, blind = _round_fractions(KSECTION)
+    while True:
+        a, b = float(pts[max(i - 1, 0)]), float(pts[min(i + 1, pts.size - 1)])
+        if not ((b - a) > tol * (1.0 + abs(a) + abs(b)) and (b - a) > 1e-300):
+            return float(pts[i]), float(vals[i])
+        if 0 < i < pts.size - 1:
+            vertex = min(max(_vertex(pts[i - 1 : i + 2], vals[i - 1 : i + 2]), a), b)
+            window = np.minimum(np.maximum((vertex - a) / (b - a) + near, 0.0), 1.0)
+        else:
+            window = blind
+        pts = a + (b - a) * np.sort(np.concatenate(([0.0], even, window, [1.0])))
+        vals = fv(pts)
+        i = int(np.argmin(vals))
+
+
+def ksection_flat_interval(fv, cstar: float, fstar: float) -> StatInterval:
+    """``flat_interval`` of a convex function given on arrays: the same
+    threshold and outward steps, one call for the steps of both sides, then
+    both crossings narrowed together by ``ksection_crossings``."""
+    thresh = fstar + _REL_FLAT * (1.0 + abs(fstar))
+    step = max(1e-9, 1e-9 * abs(cstar))
+    steps = step * 2.0 ** np.arange(max(1, int(math.log2(_MAX_SPAN / step)) + 1))
+    fan = cstar + np.outer([-1.0, 1.0], steps)
+    ok = fv(fan.ravel()).reshape(fan.shape) <= thresh
+    # the first step out of the set on each side; past the last step, that step
+    first = np.where(ok.all(axis=1), steps.size, np.argmin(ok, axis=1))
+    last_in = np.where(first > 0, fan[[0, 1], np.maximum(first - 1, 0)], cstar)
+    outer = np.where(first < steps.size, fan[[0, 1], np.minimum(first, steps.size - 1)], last_in)
+    lo, hi = ksection_crossings(lambda pts: thresh - fv(pts.ravel()).reshape(pts.shape), last_in, outer)
+    return StatInterval(float(lo), float(hi))
 
 
 def pwl_grid(breakpoints) -> np.ndarray:

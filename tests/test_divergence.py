@@ -167,6 +167,45 @@ def test_tv_envelope_matches_the_lp_and_is_homogeneous(case, s):
     assert np.array_equal(q_s, q)
 
 
+@given(_ball_cases(), st.sampled_from([1e-6, 1e-3, 1e3, 1e6]), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tv_lp_is_homogeneous_with_and_without_the_density_constraint(case, s, normalized):
+    # the LP's feasible set does not depend on X, so R(sX) = s R(X) at every scale
+    x, tau = case
+    tau = min(tau, 1.99)
+    scale = 1.0 + float(np.max(np.abs(x.values)))
+    val, _ = _envelope_sup_tv(tau, x, normalized)
+    val_s, _ = _envelope_sup_tv(tau, x.scale(s), normalized)
+    assert abs(val_s - s * val) <= 1e-12 * s * scale
+
+
+@pytest.mark.parametrize(
+    "name, tau, c, q_star",
+    [
+        ("kl", 1.0, 1.0, math.e),
+        ("kl", 1.0, -1.0, 0.0),
+        ("kl", 1.0, 0.0, None),
+        ("pearson", 0.5, 2.0, 1.0 + math.sqrt(0.5)),
+        ("pearson", 0.5, -2.0, 1.0 - math.sqrt(0.5)),
+        ("tv", 0.5, 2.0, 1.5),
+        ("tv", 0.5, -2.0, 0.5),
+        ("tv", 3.0, -2.0, 0.0),
+    ],
+)
+def test_envelope_of_a_constant_without_the_density_constraint(name, tau, c, q_star):
+    # E[QX] = c E[Q]: the constant density farthest from 1 within the budget,
+    # above 1 for c > 0, below for c < 0; the limit of X = {c, c + 1e-9}
+    div = make_divergence(name)
+    j = StochasticDivergenceJ.from_phi(div, normalized=False)
+    val, q = family_eval_envelope(j, tau, DiscreteRv.constant(c))
+    want = 0.0 if q_star is None else c * q_star
+    assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert divergence_value(div, q, np.ones(1)) <= tau * (1.0 + 1e-12)
+    assert float(q[0] * c) == pytest.approx(val, rel=1e-15, abs=1e-15)
+    near, _ = family_eval_envelope(j, tau, DiscreteRv([c, c + 1e-9]))
+    assert abs(val - near) <= 1e-7
+
+
 @pytest.mark.parametrize("top", [0.26421099378398505, 0.3, 1.0, 0.123456789])
 @pytest.mark.parametrize("name, tau", [("kl", 1.0), ("pearson", 10.0**0.6875), ("tv", 1.0)])
 def test_envelope_density_feasible_at_near_tied_top_atoms(name, tau, top):

@@ -1,9 +1,11 @@
 """One-pass array scans against the per-point paths they replace.
 
-The per-breakpoint ``argmin_interval_pwl`` route, the per-segment cvar2 loops
-and the per-atom expectile loop are kept here as oracles.
+The per-breakpoint ``argmin_interval_pwl`` route, the per-segment cvar2 loops,
+the per-atom expectile loop and the golden-section search with
+``flat_interval`` are kept here as oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from riskquad.constructions import (
     regret_to_risk,
     scale_quadrangle,
 )
-from riskquad.core import DiscreteRv
+from riskquad.core import DiscreteRv, p_norm
 from riskquad.measures import (
     CatalogSpec,
     _tail_segments,
@@ -27,7 +29,7 @@ from riskquad.measures import (
     expectile_value,
     make_catalog_quadrangle,
 )
-from riskquad.solvers import argmin_interval_pwl
+from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex
 
 from helpers import random_rvs
 
@@ -214,3 +216,114 @@ def test_prefix_sum_expectile_matches_the_atom_loop(case, q):
     x, _ = case
     spread = float(x.values[-1] - x.values[0])
     assert expectile_value(x, q) == pytest.approx(loop_expectile(x, q), rel=0.0, abs=1e-12 * max(spread, 1e-300))
+
+
+# -- batched shift searches ------------------------------------------------------------------
+
+
+def golden_oracle(f, x, tilt):
+    """min_C tilt * C + f(X - C) by golden section on the scalar functional, and
+    its flat set by ``flat_interval`` on the objective minus tilt * E[X]."""
+
+    def g(c):
+        return tilt * c + f.fn(x.shift(-c))
+
+    cstar, fstar = minimize_scalar_convex(g, tol=1e-10, hint=x.mean())
+    offset = tilt * x.mean()
+    return fstar, flat_interval(lambda c: g(c) - offset, cstar, fstar - offset)
+
+
+@st.composite
+def wide_rvs(draw):
+    """1 to 1000 atoms at scales 1e-9..1e9, offsets up to 1e6 scales, masses down to 1e-12."""
+    n = draw(st.sampled_from([1, 1, 2, 3, 5, 8, 13, 40, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-1.0, 1.0, n)
+    if draw(st.booleans()):
+        z = np.round(z * 8.0) / 8.0
+    raw = rng.choice([1e-12, 1e-6, 0.3, 1.0, 2.5], n)
+    scale = draw(st.sampled_from(SCALES))
+    offset = scale * draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, -1e6, 1e6]))
+    return DiscreteRv(offset + scale * z, raw / raw.sum())
+
+
+SMOOTH = [
+    ("cvar2", {"alpha": 0.5}),
+    ("cvar2", {"alpha": 0.9}),
+    ("standard_mean", {"lam": 1.0}),
+    ("standard_mean", {"lam": 2.5}),
+    ("expectile_mse", {"q": 0.75}),
+]
+
+
+@given(wide_rvs())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_batched_shift_search_matches_the_golden_oracle(x):
+    m = max(1.0, float(np.max(np.abs(x.values))))
+    for family, params in SMOOTH:
+        q = make_catalog_quadrangle(CatalogSpec(family, params))
+        for name, f, tilt in forms(q):
+            value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
+            want_value, want_interval = golden_oracle(f, x, tilt)
+            where = (family, params, name, x.n_atoms)
+            # expectile_mse is quadratic in X: its values scale with m^2, not m
+            size = max(m, abs(want_value)) if family == "expectile_mse" else m
+            assert abs(value - want_value) <= 1e-9 * size, where
+            if family == "expectile_mse":
+                # the derivative criterion pins the statistic inside the flat set
+                assert want_interval.lo - 1e-7 * m <= interval.lo <= interval.hi <= want_interval.hi + 1e-7 * m, where
+            else:
+                assert abs(interval.lo - want_interval.lo) <= 1e-7 * m, where
+                assert abs(interval.hi - want_interval.hi) <= 1e-7 * m, where
+
+
+def kernel_probes(x):
+    """Every atom, the mean, ess sup and points beyond both ends."""
+    spread = float(x.values[-1] - x.values[0]) or max(1.0, abs(float(x.values[0])))
+    return np.concatenate(
+        (x.values, [x.mean(), x.values[-1], x.values[-1] + spread, x.values[-1] + 1e3 * spread, x.values[0] - spread])
+    )
+
+
+@given(wide_rvs(), st.sampled_from([0.05, 0.5, 0.9]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_shift_kernels_match_the_scalar_functionals(x, alpha):
+    cvar2 = make_catalog_quadrangle(CatalogSpec("cvar2", {"alpha": alpha})).regret_fn
+    l2 = make_catalog_quadrangle(CatalogSpec("standard_mean", {"lam": 1.5})).error_fn
+    cs = kernel_probes(x)
+    got_cvar2 = cvar2.shift_values(x)(cs)
+    got_l2 = l2.shift_values(x)(cs)
+    spread = float(x.values[-1] - x.values[0])
+    for c, v2, vl in zip(cs, got_cvar2, got_l2):
+        # both are integrals of |X - C|-sized terms, so their rounding scales with it
+        size = spread + abs(c - float(x.values[x.n_atoms // 2]))
+        assert abs(v2 - cvar2_regret(x.shift(-c), alpha)) <= 1e-13 * x.n_atoms * size / (1.0 - alpha), c
+        assert abs(vl - 1.5 * p_norm(x.shift(-c), 2.0)) <= 1e-13 * x.n_atoms * size, c
+
+
+def test_batched_search_builds_the_kernel_once_per_search():
+    q = make_catalog_quadrangle(CatalogSpec("cvar2", {"alpha": 0.5}))
+    x = DiscreteRv([-1.0, 0.25, 0.5, 2.0, 7.0], [0.1, 0.2, 0.3, 0.25, 0.15])
+    built, calls = [], []
+
+    def counted(shift_values):
+        def build(x):
+            built.append(1)
+            at = shift_values(x)
+
+            def values(cs):
+                calls.append(np.size(cs))
+                return at(cs)
+
+            return values
+
+        return build
+
+    for f, run in ((q.error_fn, project_error), (q.regret_fn, regret_to_risk)):
+        built.clear()
+        calls.clear()
+        value, interval = run(dataclasses.replace(f, shift_values=counted(f.shift_values)), x)
+        assert (value, interval) == run(f, x)
+        assert len(built) == 1
+        # a fan and a few rounds for the argmin, then for both crossings at once
+        assert len(calls) <= 30, len(calls)

@@ -10,10 +10,15 @@ from riskquad.core import DiscreteRv, StatInterval
 from riskquad.solvers import (
     LpProblem,
     NonConvexError,
+    ObjectiveInfiniteError,
     UnboundedObjectiveError,
     argmin_interval_pwl,
     bisect_root,
     compass_search,
+    flat_interval,
+    ksection_crossings,
+    ksection_flat_interval,
+    ksection_min,
     minimize_multistart,
     minimize_scalar_convex,
     minimize_subgradient,
@@ -484,3 +489,125 @@ def test_bisect_root_stops_at_adjacent_floats():
     bisect_root(g, 0.0, 1.0, iters=200)
     # the bracket [0, 1] reaches adjacent floats near 1/3 after 54 halvings
     assert len(evals) <= 2 + 55
+
+
+# -- flat sets and the batched K-section ---------------------------------------------
+
+
+def _flat_interval_100_steps(fn, cstar, fstar):
+    """``flat_interval`` with every one of its 100 bisection steps run."""
+    thresh = fstar + 1e-9 * (1.0 + abs(fstar))
+
+    def crossing(direction):
+        step = max(1e-9, 1e-9 * abs(cstar))
+        inner = cstar
+        outer = cstar + direction * step
+        while fn(outer) <= thresh:
+            inner = outer
+            step *= 2.0
+            if step > 1e12:
+                return inner
+            outer = cstar + direction * step
+        for _ in range(100):
+            mid = 0.5 * (inner + outer)
+            if fn(mid) <= thresh:
+                inner = mid
+            else:
+                outer = mid
+        return inner
+
+    return StatInterval(crossing(-1), crossing(+1))
+
+
+def _flat_shape(shape, centre, half, curv):
+    """Convex test functions with a flat bottom of half-width ``half`` at ``centre``."""
+    if shape == "quadratic":
+        return lambda c: curv * np.maximum(np.abs(c - centre) - half, 0.0) ** 2
+    if shape == "vee":
+        return lambda c: curv * np.maximum(np.abs(c - centre) - half, 0.0)
+    return lambda c: curv * np.maximum(c - centre - half, 0.0) + 1e-3 * curv * np.maximum(centre - half - c, 0.0)
+
+
+@given(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e8]),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+    st.sampled_from(["quadratic", "vee", "skewed"]),
+    st.floats(-1.0, 1.0),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_flat_interval_early_stop_is_bit_identical(centre, half, curv, shape, frac):
+    # once mid rounds to inner or outer every later step leaves inner as it is
+    f = _flat_shape(shape, centre, half, curv)
+    fn = lambda c: float(f(c))  # noqa: E731
+    cstar = centre + frac * half
+    assert flat_interval(fn, cstar, fn(cstar)) == _flat_interval_100_steps(fn, cstar, fn(cstar))
+
+
+@given(
+    st.floats(1.0, 1e6),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e8]),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+    st.sampled_from(["quadratic", "vee", "skewed"]),
+    st.floats(-1.0, 1.0),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ksection_flat_interval_reaches_the_floats_bisection_reaches(size, sign, half, curv, shape, frac):
+    # both crossings of a function monotone on each side of its flat set are
+    # unique floats; away from 0 flat_interval's bisection reaches them too
+    f = _flat_shape(shape, sign * size, half, curv)
+    cstar = sign * size + frac * half
+    fstar = float(f(cstar))
+    want = flat_interval(lambda c: float(f(c)), cstar, fstar)
+    # 100 halvings of a bracket up to 2e12 wide reach adjacent floats above 1e-2
+    assume(min(abs(want.lo), abs(want.hi)) > 1e-2)
+    assert ksection_flat_interval(f, cstar, fstar) == want
+
+
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.floats(0.0, 1.0), st.sampled_from([2, 3, 64]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ksection_crossings_stop_at_the_last_float(a, b, frac, k):
+    root = a + frac * (b - a) if abs(b - a) < 1e300 else a
+    # pred holds at a and fails at b
+    assume(min(a, b) <= root <= max(a, b) and root != b)
+    calls = []
+
+    def crit(pts):
+        calls.append(pts.shape)
+        return np.where(pts <= root if a < b else pts >= root, 1.0, -1.0)
+
+    got = ksection_crossings(crit, [a], [b], k)
+    # the last float from a toward b at which pred holds: the root itself
+    assert got[0] == root
+    # every round gains log2(k + 1) bits on a bracket of at most 2^2100 ulps
+    assert len(calls) <= 2 + 2100 / math.log2(k + 1) + 2
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi, argmin",
+    [
+        (lambda c: (c - 3.0) ** 2, 0.0, 1.0, (3.0, 3.0)),
+        (lambda c: np.abs(c + 1e6), -2.0, 5.0, (-1e6, -1e6)),
+        (lambda c: np.hypot(1e-9, c - 2e-9), 0.0, 3e-9, (2e-9, 2e-9)),
+        (lambda c: np.maximum(np.abs(c - 0.5) - 0.25, 0.0), 0.0, 1.0, (0.25, 0.75)),
+        (lambda c: np.exp(np.minimum(c, 700.0)) - 2.0 * c, -1.0, 1.0, (math.log(2.0), math.log(2.0))),
+    ],
+)
+def test_ksection_min_stops_at_the_golden_section_tolerance(fn, lo, hi, argmin):
+    c, v = ksection_min(fn, lo, hi)
+    # the last bracket is within 1e-10 (1 + |a| + |b|) and holds a minimizer,
+    # up to the sqrt(eps) relative spread of the points that round to the
+    # minimum of a smooth objective
+    slack = 1e-10 * (1.0 + 2.0 * abs(c))
+    blur = math.sqrt(np.finfo(float).eps) * (1.0 + abs(c))
+    assert argmin[0] - slack - blur <= c <= argmin[1] + slack + blur
+    # every objective here has slope at most 1 that close to its minimizers
+    assert v <= float(fn(np.array([argmin[0]]))[0]) + slack
+
+
+def test_ksection_min_reports_unbounded_and_infinite_objectives():
+    with pytest.raises(UnboundedObjectiveError):
+        ksection_min(lambda c: -c, 0.0, 1.0)
+    with pytest.raises(ObjectiveInfiniteError):
+        ksection_min(lambda c: np.full(np.shape(c), np.inf), 0.0, 1.0)
