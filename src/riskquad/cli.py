@@ -296,12 +296,8 @@ def _dispatch(cfg: RunConfig) -> int:
 
     if cfg.command == "portfolio":
         scen, probs = ingest_scenarios_csv(cfg.input_path)
-        spec = cfg.spec or {"family": "quantile", "params": {"alpha": 0.8}}
-        if spec.get("family") == "quantile":
-            w, v = portfolio_optimize(None, scen, probs=probs, target_mean=cfg.target_mean, cvar_alpha=spec["params"]["alpha"])
-        else:
-            q = build_quadrangle(spec)
-            w, v = portfolio_optimize(q, scen, probs=probs, target_mean=cfg.target_mean, steps=cfg.max_iter, seed=cfg.seed)
+        q = build_quadrangle(cfg.spec or {"family": "quantile", "params": {"alpha": 0.8}})
+        w, v = portfolio_optimize(q, scen, probs=probs, target_mean=cfg.target_mean, steps=cfg.max_iter, seed=cfg.seed)
         _emit(cfg, {"weights": [fmt12(c) for c in w], "risk": fmt12(v)})
         return EXIT_OK
 

@@ -44,6 +44,8 @@ __all__ = [
     "SubregularityError",
     "error_from_loss",
     "error_from_moment_max",
+    "lp_encodable",
+    "minimize_affine",
     "project_error",
     "regret_to_risk",
     "mean_center_error",
@@ -312,6 +314,83 @@ def _mean_centered(f: Functional, sign: float) -> Functional:
         shift_breakpoints=f.shift_breakpoints,
         shift_values=None if sv is None else shift_values,
     )
+
+
+# -- decisions: min c.theta + sum_k w_k F_k(b_k - A_k theta) as one LP ---------------------
+
+
+def lp_encodable(f: Functional) -> bool:
+    """Whether f carries the data ``minimize_affine`` compiles: affine loss pieces or a moment-max form."""
+    return (f.loss is not None and f.loss.piecewise_linear) or f.moment_max is not None
+
+
+def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.ndarray, float, bool]:
+    """min cost.theta + sum_k w_k F_k(b_k - A_k theta) over bounds and equality
+    rows on theta, as one LP.
+
+    ``terms`` holds (F_k, A_k, b_k, p_k, w_k): Z = b_k - A_k theta has atoms of
+    probabilities p_k, and each F_k is compiled from its data.  A loss with
+    affine pieces (s, b) gives E[t] with t_i >= s Z_i + b per atom and piece,
+    t free.  A moment-max form gives u_i >= Z_i, u >= 0, so that E[u] = E[Z_+]
+    at the optimum, and M >= a E[Z] + b E[u] + c per term; a single term goes
+    straight into the objective.  The LP's columns are theta and then each
+    term's auxiliaries.
+
+    Returns theta, the optimal value and whether an alternate optimum moves
+    theta (any of its columns in ``degenerate_columns``).
+    """
+    c_theta = np.asarray(cost, dtype=float)
+    n = c_theta.size
+    const = 0.0
+    blocks = []  # per term: rows on theta, rows on its auxiliaries, rhs, their costs and bounds
+    for f, a, b, p, w in terms:
+        a, b, p = np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float), np.asarray(p, dtype=float)
+        m = b.size
+        if f.loss is not None and f.loss.piecewise_linear:
+            s, k = (np.array(col) for col in zip(*f.loss.pieces))
+            # t_i >= s (b_i - A_i theta) + k for each atom i and piece (s, k), atom by atom
+            rows = (-s[None, :, None] * a[:, None, :]).reshape(-1, n)
+            aux, rhs = np.repeat(-np.eye(m), s.size, axis=0), -(k + s * b[:, None]).ravel()
+            aux_cost, aux_bounds = w * p, [(None, None)] * m
+        else:
+            ta, tb, tc = (np.array(col) for col in zip(*f.moment_max.terms))
+            pa, pb = p @ a, float(np.dot(p, b))
+            # u_i >= b_i - A_i theta
+            rows, aux, rhs = -a, -np.eye(m), -b
+            aux_cost, aux_bounds = w * tb[0] * p, [(0.0, None)] * m
+            if ta.size == 1:
+                c_theta = c_theta - w * ta[0] * pa
+                const += w * (ta[0] * pb + tc[0])
+            else:
+                # M >= a E[Z] + b E[u] + c for each term (a, b, c), M the last auxiliary
+                rows = np.vstack((rows, -ta[:, None] * pa))
+                aux = np.block([[aux, np.zeros((m, 1))], [tb[:, None] * p, -np.ones((ta.size, 1))]])
+                rhs = np.concatenate((rhs, -ta * pb - tc))
+                aux_cost, aux_bounds = np.append(np.zeros(m), w), aux_bounds + [(None, None)]
+        blocks.append((rows, aux, rhs, aux_cost, aux_bounds))
+    n_aux = sum(blk[1].shape[1] for blk in blocks)
+    a_ub = np.zeros((sum(blk[0].shape[0] for blk in blocks), n + n_aux))
+    r, col = 0, n
+    for rows, aux, _, _, _ in blocks:
+        a_ub[r : r + rows.shape[0], :n] = rows
+        a_ub[r : r + rows.shape[0], col : col + aux.shape[1]] = aux
+        r, col = r + rows.shape[0], col + aux.shape[1]
+    if a_eq is not None:
+        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+        a_eq = np.hstack((a_eq, np.zeros((a_eq.shape[0], n_aux))))
+    sol = solve_lp(
+        LpProblem(
+            c=np.concatenate([c_theta] + [blk[3] for blk in blocks]),
+            a_eq=a_eq,
+            b_eq=b_eq,
+            a_ub=a_ub,
+            b_ub=np.concatenate([blk[2] for blk in blocks]),
+            bounds=list(bounds or [(None, None)] * n) + [bd for blk in blocks for bd in blk[4]],
+        )
+    )
+    if sol.status != "optimal":
+        raise RuntimeError(f"decision LP {sol.status}")
+    return sol.x[:n], float(sol.objective) + const, any(j < n for j in sol.degenerate_columns)
 
 
 # -- statistic machinery -----------------------------------------------------------
@@ -591,9 +670,11 @@ def _mixed_error_value(errors: Sequence[ErrorFn], weights: np.ndarray, x: Discre
     r = len(errors)
     if r == 1:
         return errors[0].fn(x)
-    all_pl = all(e.loss is not None and e.loss.piecewise_linear for e in errors)
-    if all_pl:
-        return _mixed_error_lp(errors, weights, x)
+    if all(lp_encodable(e) for e in errors):
+        # theta = (C_1, ..., C_r), one term per component on the atoms of X - C_k
+        v, p = x.values, x.probs
+        terms = [(e, np.eye(r)[np.full(v.size, k)], v, p, wk) for k, (e, wk) in enumerate(zip(errors, weights))]
+        return minimize_affine(terms, np.zeros(r), a_eq=weights[None, :], b_eq=np.zeros(1))[1]
     if r == 2:
         w1, w2 = weights
 
@@ -615,42 +696,6 @@ def _mixed_error_value(errors: Sequence[ErrorFn], weights: np.ndarray, x: Discre
 
     _, fs, _ = minimize_multistart(obj, [np.zeros(r - 1)], steps=3000, tol=1e-10, polish_step=0.5, polish_tol=1e-11)
     return fs
-
-
-def _mixed_error_lp(errors: Sequence[ErrorFn], weights: np.ndarray, x: DiscreteRv) -> float:
-    """Exact LP for mixtures of expectation-type piecewise-linear errors."""
-    r = len(errors)
-    v, p = x.values, x.probs
-    m = v.size
-    # variables: C_1..C_r (free), then t_{k,i} (free, epigraph of the loss)
-    n_var = r + r * m
-    c_obj = np.zeros(n_var)
-    rows_ub, rhs_ub = [], []
-    for k, e in enumerate(errors):
-        for i in range(m):
-            tcol = r + k * m + i
-            c_obj[tcol] = weights[k] * p[i]
-            for s, b in e.loss.pieces:
-                row = np.zeros(n_var)
-                # t >= s*(v_i - C_k) + b  ->  -t - s*C_k <= -b - s*v_i
-                row[tcol] = -1.0
-                row[k] = -s
-                rows_ub.append(row)
-                rhs_ub.append(-(b + s * v[i]))
-    a_eq = np.zeros((1, n_var))
-    a_eq[0, :r] = weights
-    sol = solve_lp(
-        LpProblem(
-            c=c_obj,
-            a_eq=a_eq,
-            b_eq=np.zeros(1),
-            a_ub=np.asarray(rows_ub),
-            b_ub=np.asarray(rhs_ub),
-        )
-    )
-    if sol.status != "optimal":
-        raise RuntimeError(f"mixed-error LP came back {sol.status}")
-    return float(sol.objective)
 
 
 def mix_quadrangles(quartets: Sequence[Quadrangle], weights) -> Quadrangle:

@@ -385,7 +385,7 @@ def _quantile(alpha: float) -> Quadrangle:
         fn=lambda x: scale * x.mean_pos(),
         flags=Flags(True, True, True),
         label=f"scaled_partial_moment({alpha:g})",
-        loss=ScalarLoss.from_pieces([(scale, 0.0), (0.0, 0.0)]),
+        moment_max=MomentMaxSpec(((0.0, scale, 0.0),)),
     )
     return complete_quadrangle(
         err,

@@ -1,9 +1,9 @@
 """Generalized linear regression: minimizing quadrangle errors of residuals.
 
-Expectation-type piecewise-linear errors and moment-max errors go through an
-exact LP; smooth errors run a multi-start subgradient descent with a compass
-polish.  The fitted residual statistic certifies the tracking property
-0 in S(residual).
+Errors with LP data (affine loss pieces or a moment-max form) go through one
+exact LP, ``minimize_affine``; other errors run a multi-start subgradient
+descent with a compass polish.  The fitted residual statistic certifies the
+tracking property 0 in S(residual).
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiscreteRv, StatInterval, cvar_direct
-from .constructions import ErrorFn, Quadrangle, project_error
+from .constructions import ErrorFn, Quadrangle, lp_encodable, minimize_affine, project_error
 from .measures import CATALOG_FAMILIES, CatalogSpec, make_catalog_quadrangle
-from .solvers import LpProblem, minimize_multistart, solve_lp
+from .solvers import minimize_multistart
 
 __all__ = [
     "Dataset",
@@ -94,69 +94,6 @@ def _residual_rv(data: Dataset, intercept: float, coefs: np.ndarray) -> Discrete
     return DiscreteRv(z, data.weights)
 
 
-def _fit_lp_pieces(err: ErrorFn, data: Dataset) -> tuple[np.ndarray, float, bool]:
-    """LP for expectation-type piecewise-linear losses: epigraph per residual."""
-    pieces = err.loss.pieces
-    n, d = data.n_obs, data.n_features
-    nv = 1 + d + n  # intercept, coefficients, epigraph vars
-    c = np.zeros(nv)
-    c[1 + d :] = data.weights
-    rows, rhs = [], []
-    for i in range(n):
-        xi = data.features[i]
-        for s, b in pieces:
-            # t_i >= s * (y_i - c0 - xi.c) + b
-            row = np.zeros(nv)
-            row[0] = -s
-            row[1 : 1 + d] = -s * xi
-            row[1 + d + i] = -1.0
-            rows.append(row)
-            rhs.append(-(b + s * data.target[i]))
-    sol = solve_lp(LpProblem(c=c, a_ub=np.asarray(rows), b_ub=np.asarray(rhs)))
-    if sol.status != "optimal":
-        raise RuntimeError(f"regression LP {sol.status}")
-    beta = sol.x[: 1 + d]
-    nonunique = any(j <= d for j in sol.degenerate_columns)
-    return beta, float(sol.objective), nonunique
-
-
-def _fit_lp_moment_max(err: ErrorFn, data: Dataset) -> tuple[np.ndarray, float, bool]:
-    """LP for max-of-moments errors: u_i models (residual)_+, m the max."""
-    terms = err.moment_max.terms
-    n, d = data.n_obs, data.n_features
-    nv = 1 + d + n + 1  # intercept, coefs, u_i, m
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    w = data.weights
-    ybar = float(np.dot(w, data.target))
-    xbar = w @ data.features
-    rows, rhs = [], []
-    for i in range(n):
-        # u_i >= y_i - c0 - x_i.c   ->   -u_i - c0 - x_i.c <= -y_i
-        row = np.zeros(nv)
-        row[0] = -1.0
-        row[1 : 1 + d] = -data.features[i]
-        row[1 + d + i] = -1.0
-        rows.append(row)
-        rhs.append(-data.target[i])
-    for a, b, cc in terms:
-        # m >= a * E[Z] + b * E[U] + cc, with E[Z] = ybar - c0 - xbar.c
-        row = np.zeros(nv)
-        row[0] = -a
-        row[1 : 1 + d] = -a * xbar
-        row[1 + d : 1 + d + n] = b * w
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(-a * ybar - cc)
-    bounds = [(None, None)] * (1 + d) + [(0.0, None)] * n + [(None, None)]
-    sol = solve_lp(LpProblem(c=c, a_ub=np.asarray(rows), b_ub=np.asarray(rhs), bounds=bounds))
-    if sol.status != "optimal":
-        raise RuntimeError(f"regression LP {sol.status}")
-    beta = sol.x[: 1 + d]
-    nonunique = any(j <= d for j in sol.degenerate_columns)
-    return beta, float(sol.objective), nonunique
-
-
 def _fit_numeric(err: ErrorFn, data: Dataset, seed: int, steps: int) -> tuple[np.ndarray, float]:
     rng = np.random.default_rng(seed)
     n, d = data.n_obs, data.n_features
@@ -179,10 +116,11 @@ def fit_linear(
 ) -> FitResult:
     """Minimize err(Y - c0 - X.c) over intercept and coefficients."""
     nonunique = False
-    if err.loss is not None and err.loss.piecewise_linear:
-        beta, objective, nonunique = _fit_lp_pieces(err, data)
-    elif err.moment_max is not None:
-        beta, objective, nonunique = _fit_lp_moment_max(err, data)
+    if lp_encodable(err):
+        # theta = (intercept, slopes), the residuals y - [1, X] theta
+        design = np.hstack([np.ones((data.n_obs, 1)), data.features])
+        term = (err, design, data.target, data.weights, 1.0)
+        beta, objective, nonunique = minimize_affine([term], np.zeros(design.shape[1]))
     else:
         beta, objective = _fit_numeric(err, data, seed, steps)
     resid = _residual_rv(data, beta[0], beta[1:])

@@ -16,9 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DiscreteRv
-from .constructions import RegretFn, Flags
+from .constructions import Flags, RegretFn, lp_encodable, minimize_affine
 from .divergence import DivergenceFn, StochasticDivergenceJ, family_eval_envelope
 from .dual import Envelope
+from .measures import CatalogSpec, make_catalog_quadrangle
 from .solvers import LpProblem, bisect_root, compass_search, minimize_multistart, minimize_scalar_convex, solve_lp
 
 __all__ = [
@@ -49,14 +50,7 @@ class DroProblem:
 
     def __init__(self, scenarios, phi, tau, probs=None, target_mean=None):
         s = np.atleast_2d(np.asarray(scenarios, dtype=float))
-        m = s.shape[0]
-        if probs is None:
-            p = np.full(m, 1.0 / m)
-        else:
-            p = np.asarray(probs, dtype=float).ravel()
-            if p.size != m:
-                raise ValueError("probs length mismatch")
-            p = p / p.sum()
+        p = _scenario_probs(probs, s.shape[0])
         if tau <= 0:
             raise ValueError("tau must be positive")
         object.__setattr__(self, "scenarios", s)
@@ -64,6 +58,22 @@ class DroProblem:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "tau", float(tau))
         object.__setattr__(self, "target_mean", target_mean)
+
+
+def _scenario_probs(probs, m: int) -> np.ndarray:
+    """The scenarios' probabilities scaled to sum 1, equal when None; a wrong
+    length, a negative or non-finite entry or a zero sum is rejected."""
+    if probs is None:
+        return np.full(m, 1.0 / m)
+    p = np.asarray(probs, dtype=float).ravel()
+    if p.size != m:
+        raise ValueError(f"{p.size} probabilities for {m} scenarios")
+    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        raise ValueError("scenario probabilities must be finite and nonnegative")
+    total = float(p.sum())
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"scenario probabilities sum to {total}")
+    return p / total
 
 
 @dataclass
@@ -488,21 +498,37 @@ def portfolio_optimize(
     steps: int = 3000,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """min over the simplex of risk(-w.X) via the shifted-regret form.
+    """min over the simplex (and the mean row, given ``target_mean``) of the
+    risk of the portfolio loss -S w.
 
-    ``risk`` is a Quadrangle or a bare risk functional; tail-average risks
-    route to an exact LP when cvar_alpha is given.
+    ``risk`` is a Quadrangle or a bare risk functional, and ``cvar_alpha``
+    stands for the quantile(alpha) quadrangle.  When the quadrangle's regret
+    V carries LP data, the risk is its Rockafellar-Uryasev form
+    min_C {C + V(-S w - C)}, solved over (w, C) as one exact LP; anything
+    else runs a multistart projected descent on the risk itself.
     """
     s = np.atleast_2d(np.asarray(returns, dtype=float))
     m, n_assets = s.shape
-    p = np.full(m, 1.0 / m) if probs is None else np.asarray(probs, dtype=float) / np.sum(probs)
+    p = _scenario_probs(probs, m)
     means = p @ s
     if target_mean is not None:
         lo, hi = float(means.min()), float(means.max())
         if not lo - 1e-12 <= target_mean <= hi + 1e-12:
             raise ValueError(f"target mean {target_mean} outside achievable [{lo}, {hi}]")
     if cvar_alpha is not None:
-        return _portfolio_cvar_lp(s, p, cvar_alpha, means, target_mean)
+        risk = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": cvar_alpha}))
+    regret = getattr(risk, "regret_fn", None)
+    if regret is not None and lp_encodable(regret):
+        # theta = (w, C), the regret's argument -S w - C
+        a_eq = [np.append(np.ones(n_assets), 0.0)] + ([] if target_mean is None else [np.append(means, 0.0)])
+        theta, value, _ = minimize_affine(
+            [(regret, np.hstack((s, np.ones((m, 1)))), np.zeros(m), p, 1.0)],
+            np.append(np.zeros(n_assets), 1.0),
+            bounds=[(0.0, None)] * n_assets + [(None, None)],
+            a_eq=a_eq,
+            b_eq=[1.0] + ([] if target_mean is None else [target_mean]),
+        )
+        return theta[:n_assets], value
 
     risk_fn = risk.risk if hasattr(risk, "risk") else risk
     rng = np.random.default_rng(seed)
@@ -519,42 +545,3 @@ def portfolio_optimize(
     return minimize_multistart(
         obj, [project(w0) for w0 in w0s], project=project, steps=steps, tol=1e-11, polish_step=0.2, polish_tol=1e-12
     )[:2]
-
-
-def _portfolio_cvar_lp(s, p, alpha, means, target_mean):
-    m, n_assets = s.shape
-    inv = 1.0 / (1.0 - alpha)
-    # variables: w (n), C, u (m)
-    nv = n_assets + 1 + m
-    c = np.zeros(nv)
-    c[n_assets] = 1.0
-    c[n_assets + 1 :] = inv * p
-    rows, rhs = [], []
-    for i in range(m):
-        # u_i >= -s_i.w - C
-        row = np.zeros(nv)
-        row[:n_assets] = -s[i]
-        row[n_assets] = -1.0
-        row[n_assets + 1 + i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    a_eq = [np.concatenate([np.ones(n_assets), np.zeros(1 + m)])]
-    b_eq = [1.0]
-    if target_mean is not None:
-        a_eq.append(np.concatenate([means, np.zeros(1 + m)]))
-        b_eq.append(target_mean)
-    bounds = [(0.0, None)] * n_assets + [(None, None)] + [(0.0, None)] * m
-    sol = solve_lp(
-        LpProblem(
-            c=c,
-            a_eq=np.asarray(a_eq),
-            b_eq=np.asarray(b_eq),
-            a_ub=np.asarray(rows),
-            b_ub=np.asarray(rhs),
-            bounds=bounds,
-        )
-    )
-    if sol.status != "optimal":
-        raise RuntimeError(f"portfolio LP {sol.status}")
-    w = sol.x[:n_assets]
-    return w, float(sol.objective)

@@ -13,3 +13,20 @@ def random_rvs(rng, n, **kw):
 
 def interval_gap(a, b):
     return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+
+
+# the catalog families whose error and regret carry LP data (affine loss pieces or a moment-max form)
+LP_FAMILIES = [
+    ("quantile", {"alpha": 0.2}),
+    ("quantile", {"alpha": 0.5}),
+    ("quantile", {"alpha": 0.85}),
+    ("qsau", {"eps": 0.3}),
+    ("mean_pl", {}),
+    ("expectile_pl", {"K": 0.5}),
+    ("biased_mean", {"x": 0.4}),
+]
+
+
+def within(a, b, rel=1e-12):
+    """|a - b| <= rel * (1 + |b|)."""
+    return abs(a - b) <= rel * (1.0 + abs(b))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from riskquad.cli import RunConfig, fmt12, ingest_rv_csv, main, run_command
-from riskquad.core import InvalidDistribution
+from riskquad.core import DiscreteRv, InvalidDistribution
+from riskquad.measures import CatalogSpec, make_catalog_quadrangle
 
 
 @pytest.fixture
@@ -126,6 +127,31 @@ def test_portfolio_command(scen_csv, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert sum(payload["weights"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_portfolio_command_mean_pl_is_exact(scen_csv, capsys):
+    # mean_pl's regret carries LP data, so the portfolio is one exact LP
+    from test_robust import _grid_portfolio
+
+    code = main(["portfolio", "--family", "mean_pl", "--input", scen_csv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    w = np.array(payload["weights"])
+    scen = np.loadtxt(scen_csv, delimiter=",", skiprows=1)
+    q = make_catalog_quadrangle(CatalogSpec("mean_pl", {}))
+    risk = payload["risk"]
+    # numbers print at 12 significant digits
+    assert risk == pytest.approx(q.risk(DiscreteRv(-(scen @ w))), rel=1e-11, abs=1e-12)
+    assert risk <= _grid_portfolio(scen, q.risk) + 1e-12 * (1.0 + abs(risk))
+
+
+@pytest.mark.parametrize("probs", [(0.6, 0.6, -0.2), (0.0, 0.0, 0.0)], ids=["negative", "zero-sum"])
+def test_portfolio_rejects_bad_prob_column(tmp_path, capsys, probs):
+    path = tmp_path / "scen.csv"
+    rows = [(0.05, -0.02), (-0.03, 0.04), (0.11, 0.02)]
+    path.write_text("a1,a2,prob\n" + "".join(f"{a},{b},{p}\n" for (a, b), p in zip(rows, probs)))
+    assert main(["portfolio", "--input", str(path), "--format", "json"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_dro_command(scen_csv, capsys):

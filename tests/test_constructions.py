@@ -191,13 +191,13 @@ def test_mix_generic_path_agrees_with_lp():
     # golden-section two-component path vs the LP path on PL components
     q1 = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.3}))
     q2 = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.8}))
-    from riskquad.constructions import _mixed_error_value, _mixed_error_lp
+    from riskquad.constructions import _mixed_error_value
 
     rng = np.random.default_rng(4)
     w = np.array([0.4, 0.6])
     errs = [q1.error_fn, q2.error_fn]
     for x in random_rvs(rng, 6, max_atoms=5):
-        lp = _mixed_error_lp(errs, w, x)
+        lp = _mixed_error_value(errs, w, x)
         # strip the loss so the generic 1-D route is taken
         bare = [ErrorFn(fn=e.fn, flags=e.flags) for e in errs]
         gen = _mixed_error_value(bare, w, x)
@@ -213,6 +213,26 @@ def test_mix_three_components():
     assert mixed.risk(x) == pytest.approx(want, abs=1e-12)
     r_route, _ = regret_to_risk(RegretFn(fn=mixed.regret), x)
     assert r_route == pytest.approx(want, abs=1e-6)
+
+
+def test_mixing_identity_three_components():
+    # min_C E_mix(X - C) = sum_k w_k D_k(X): the projection's golden section
+    # runs on the mixed error, one exact LP per evaluation
+    qs = [
+        make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.3})),
+        make_catalog_quadrangle(CatalogSpec("mean_pl", {})),
+        make_catalog_quadrangle(CatalogSpec("expectile_pl", {"K": 0.5})),
+    ]
+    w = np.array([0.2, 0.3, 0.5])
+    mix = mix_quadrangles(qs, w)
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(3):
+            k = int(rng.integers(1, 7))
+            x = DiscreteRv(scale * rng.uniform(-3.0, 3.0, size=k), rng.dirichlet(np.ones(k)))
+            want = sum(wk * q.deviation(x) for wk, q in zip(w, qs))
+            got, _ = project_error(mix.error_fn, x)
+            assert abs(got - want) <= 1e-8 * (1.0 + abs(want)), (scale, x.values)
 
 
 # -- scaling ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riskquad.core import DiscreteRv, cvar_direct
-from riskquad.constructions import project_error
+from riskquad.constructions import ErrorFn, project_error
 from riskquad.measures import CatalogSpec, alpha_set, expectile_value, make_catalog_quadrangle, qsau_statistic_union
 from riskquad.regression import (
     Dataset,
@@ -15,7 +15,7 @@ from riskquad.regression import (
     track_statistic,
 )
 
-from helpers import random_rv
+from helpers import LP_FAMILIES, random_rv, within
 
 
 def _random_dataset(rng, n=8, d=2, noise=0.4):
@@ -163,6 +163,19 @@ def test_fit_linear_finite_across_catalog():
             fit = fit_linear(q.error_fn, data)
             assert np.all(np.isfinite(fit.coefficients)) and math.isfinite(fit.intercept)
             assert math.isfinite(fit.objective)
+
+
+@pytest.mark.parametrize("i", range(len(LP_FAMILIES)))
+def test_fit_linear_lp_at_least_as_good_as_descent(i):
+    # the same error stripped of its LP data takes the multistart descent, the oracle
+    family, params = LP_FAMILIES[i]
+    err = make_catalog_quadrangle(CatalogSpec(family, params)).error_fn
+    n, d = ((5, 1), (8, 2))[i % 2]
+    data = _random_dataset(np.random.default_rng(40 + i), n=n, d=d)
+    fit = fit_linear(err, data)
+    descent = fit_linear(ErrorFn(fn=err.fn, flags=err.flags), data, steps=500)
+    assert fit.objective <= descent.objective + 1e-12 * (1.0 + abs(descent.objective))
+    assert within(err.fn(fit.residual_rv), fit.objective)
 
 
 def test_translation_shifts_only_intercept():

@@ -27,7 +27,7 @@ from riskquad.robust import (
     portfolio_optimize,
 )
 
-from helpers import random_rv
+from helpers import LP_FAMILIES, random_rv, within
 
 
 def _cvar_spec(alpha, probs, epsilon, kernel="quadratic"):
@@ -363,14 +363,15 @@ def test_portfolio_identical_assets():
     assert w.sum() == pytest.approx(1.0)
 
 
-def _grid_cvar_portfolio(scen, alpha, step=0.01):
-    """0.01-step weight grid with one local refinement pass (the objective is
+def _grid_portfolio(scen, risk, step=0.01):
+    """min over two-asset weights of risk(-S w): a 0.01-step weight grid with
+    one local refinement pass (for a piecewise-linear risk the objective is
     piecewise linear in w, so the coarse grid alone resolves only to
     slope * step)."""
 
     def value(w1):
         ww = np.array([w1, 1.0 - w1])
-        return cvar_direct(DiscreteRv(-(scen @ ww), None), alpha)
+        return risk(DiscreteRv(-(scen @ ww), None))
 
     grid = np.arange(0.0, 1.0 + step / 2, step)
     vals = [value(w1) for w1 in grid]
@@ -379,6 +380,10 @@ def _grid_cvar_portfolio(scen, alpha, step=0.01):
     hi = min(grid[i] + step, 1.0)
     fine = np.linspace(lo, hi, 4001)
     return min(min(vals), min(value(w1) for w1 in fine))
+
+
+def _grid_cvar_portfolio(scen, alpha, step=0.01):
+    return _grid_portfolio(scen, lambda x: cvar_direct(x, alpha), step)
 
 
 def test_portfolio_cvar_lp_vs_weight_grid():
@@ -399,8 +404,44 @@ def test_portfolio_generic_quartet_route():
     rng = np.random.default_rng(8)
     scen = rng.uniform(-1.0, 1.0, size=(3, 2))
     w_lp, v_lp = portfolio_optimize(None, scen, cvar_alpha=0.5)
-    w_gen, v_gen = portfolio_optimize(q, scen, steps=2500)
+    w_gen, v_gen = portfolio_optimize(q.risk, scen, steps=2500)
     assert v_gen == pytest.approx(v_lp, abs=1e-4)
+
+
+@pytest.mark.parametrize("i", range(len(LP_FAMILIES)))
+def test_portfolio_lp_at_least_as_good_as_descent(i):
+    # a quadrangle whose regret carries LP data solves one LP; its bare risk
+    # takes the multistart descent, the oracle
+    q = make_catalog_quadrangle(CatalogSpec(*LP_FAMILIES[i]))
+    rng = np.random.default_rng(60 + i)
+    m, k = ((3, 2), (6, 3))[i % 2]
+    scen = rng.uniform(-1.0, 1.0, size=(m, k))
+    probs = rng.dirichlet(np.ones(m))
+    w, v = portfolio_optimize(q, scen, probs=probs)
+    _, v_descent = portfolio_optimize(q.risk, scen, probs=probs, steps=300)
+    assert v <= v_descent + 1e-12 * (1.0 + abs(v_descent))
+    assert within(q.risk(DiscreteRv(-(scen @ w), probs)), v)
+    assert np.all(w >= 0.0) and within(w.sum(), 1.0)
+    # a mean target halfway between the extreme asset means: the row holds
+    # and the minimum cannot fall
+    means = probs @ scen
+    target = 0.5 * (means.min() + means.max())
+    w_t, v_t = portfolio_optimize(q, scen, probs=probs, target_mean=target)
+    assert within(float(means @ w_t), target) and v_t >= v - 1e-12 * (1.0 + abs(v))
+    assert within(q.risk(DiscreteRv(-(scen @ w_t), probs)), v_t)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [[0.5, 0.5], [0.6, 0.6, -0.2], [0.0, 0.0, 0.0], [0.5, math.nan, 0.5], [0.5, math.inf, 0.5]],
+    ids=["length", "negative", "zero-sum", "nan", "inf"],
+)
+def test_bad_scenario_probabilities_rejected(probs):
+    scen = np.array([[0.1, -0.05], [0.02, 0.08], [-0.04, 0.03]])
+    with pytest.raises(ValueError):
+        portfolio_optimize(None, scen, probs=probs, cvar_alpha=0.5)
+    with pytest.raises(ValueError):
+        DroProblem(scen, make_divergence("kl"), 0.3, probs=probs)
 
 
 def test_portfolio_mean_constraint():
