@@ -75,9 +75,8 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
     body = rows[1:] if has_header else rows
     if has_header and "prob" in header:
         vi, pi = header.index("value"), header.index("prob")
-        cols = 2
     else:
-        vi, pi, cols = 0, None, 1
+        vi, pi = 0, None
     if not body:
         raise InvalidDistribution(f"{path}: no data rows")
     for lineno, row in enumerate(body, start=2 if has_header else 1):

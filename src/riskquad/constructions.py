@@ -848,7 +848,6 @@ def _validate_loss_block(loss: ScalarLoss) -> None:
     pos_side = vals[(grid > 0) & finite]
     if not (np.any(neg_side > 1e-12) and np.any(pos_side > 1e-12)):
         raise SubregularityError("loss property failed: e vanishes on a whole half-line")
-    g = grid[finite]
     v = vals[finite]
     mids = 0.5 * (v[:-2] + v[2:])
     if np.any(v[1:-1] > mids + 1e-7 * (1.0 + np.abs(mids))):

@@ -28,7 +28,7 @@ from .constructions import (
     regret_to_risk,
 )
 from .dual import ascend_envelope
-from .solvers import LpProblem, bisect_root, flat_interval, ksection_crossings, minimize_scalar_convex, solve_lp
+from .solvers import bisect_root, ksection_crossings, minimize_scalar_convex
 
 __all__ = [
     "DivergenceFn",
@@ -413,45 +413,6 @@ def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, n
     return c * qstar, np.full_like(p, qstar)
 
 
-def _envelope_sup_tv(tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
-    """LP route for the polyhedral total-variation ball, kept for the ball
-    without the density constraint.  The feasible set does not depend on X,
-    so the objective is divided by max|X| and the value multiplied back, which
-    keeps the LP's absolute pivot tolerances at the unit scale."""
-    v, p = x.values, x.probs
-    m = v.size
-    unit = float(np.max(np.abs(v))) or 1.0
-    # variables [q_1..q_m, s_1..s_m]; max sum p_i q_i v_i / unit
-    c = np.concatenate([-p * (v / unit), np.zeros(m)])
-    a_ub = []
-    b_ub = []
-    for i in range(m):
-        row = np.zeros(2 * m)
-        row[i], row[m + i] = 1.0, -1.0
-        a_ub.append(row.copy())  # q_i - s_i <= 1
-        b_ub.append(1.0)
-        row = np.zeros(2 * m)
-        row[i], row[m + i] = -1.0, -1.0
-        a_ub.append(row)  # -q_i - s_i <= -1
-        b_ub.append(-1.0)
-    row = np.zeros(2 * m)
-    row[m:] = p
-    a_ub.append(row)
-    b_ub.append(tau)
-    a_eq = None
-    b_eq = None
-    if normalized:
-        a_eq = np.zeros((1, 2 * m))
-        a_eq[0, :m] = p
-        b_eq = np.ones(1)
-    bounds = [(0.0, None)] * m + [(0.0, None)] * m
-    sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=np.asarray(a_ub), b_ub=np.asarray(b_ub), bounds=bounds))
-    if sol.status != "optimal":
-        raise RuntimeError(f"tv envelope LP {sol.status}")
-    q = sol.x[:m]
-    return float(np.dot(p, q * v)), q
-
-
 def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
     """The kl density ball: EVaR, inf_l l * (tau + ln E e^{X/l}) by ``_kl_risk``,
     and the exponential tilt Q = e^{X/l*} / E e^{X/l*} at its multiplier."""
@@ -464,21 +425,20 @@ def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool)
     return val, w / float(np.dot(x.probs, w))
 
 
-def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
-    """The Pearson density ball in its shifted form min_c c + sqrt((1 + tau) E(X - c)_+^2),
-    and the density Q = (X - c*)_+ / E(X - c*)_+, which is
-    sqrt(1 + tau) (X - c*)_+ / ||(X - c*)_+||_2 at the minimizer c*.
+def _pearson_shift(x: DiscreteRv, a: float) -> tuple[float, float]:
+    """The minimizer c* of c + sqrt(a E(X - c)_+^2), a = 1 + beta, and the minimum.
 
-    The shifted objective is C^1 in c, and on the segment where the atoms
-    above c are a fixed tail its stationarity condition is a quadratic in c.
-    The tail is found by bisection over the atoms on the sign of the slope.
+    The objective is C^1 in c, and on the segment where the atoms above c are
+    a fixed tail its stationarity condition is a quadratic in c.  The tail is
+    found by bisection over the atoms on the sign of the slope.  When
+    a P(X = ess sup X) >= 1 the slope is not positive below ess sup X, which
+    is then c* and the minimum.
     """
-    if not normalized:
-        return _envelope_sup_phi(div, tau, x, normalized)
     v, p = x.values, x.probs
-    a = 1.0 + tau
+    if a * float(p[-1]) >= 1.0:
+        return float(v[-1]), float(v[-1])
     # the slope 1 - sqrt(a) E(X-c)_+ / ||(X-c)_+||_2 is negative as c -> -inf and
-    # positive just below ess sup X, where the point mass is infeasible (a p_top < 1)
+    # positive just below ess sup X
     lo, hi = 0, v.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -493,7 +453,18 @@ def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: 
     var = float(np.dot(pt, (vt - m) ** 2))
     c = m - math.sqrt(var / (s0 * (a * s0 - 1.0)))
     r = np.maximum(v - c, 0.0)
-    value = c + math.sqrt(a) * math.sqrt(float(np.dot(p, r * r)))
+    return c, c + math.sqrt(a) * math.sqrt(float(np.dot(p, r * r)))
+
+
+def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
+    """The Pearson density ball in its shifted form min_c c + sqrt((1 + tau) E(X - c)_+^2)
+    by ``_pearson_shift``, and the density Q = (X - c*)_+ / E(X - c*)_+, which is
+    sqrt(1 + tau) (X - c*)_+ / ||(X - c*)_+||_2 at the minimizer c*."""
+    if not normalized:
+        return _envelope_sup_phi(div, tau, x, normalized)
+    v, p = x.values, x.probs
+    c, value = _pearson_shift(x, 1.0 + tau)
+    r = np.maximum(v - c, 0.0)
     # below c* the slope is negative, sqrt(a) E r >= ||r||_2, so the density
     # r / E r lies in the ball.  Where the top atoms nearly tie, c* and r carry
     # rounding of their own size; c then steps down until the density is
@@ -511,14 +482,20 @@ def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: 
 
 
 def _envelope_tv(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
-    """The total-variation density ball: mass beta = tau/2 moves from the bottom
-    of X onto ess sup X, for beta * ess sup + (1 - beta) * CVaR_beta."""
-    if not normalized:
-        return _envelope_sup_tv(tau, x, normalized)
+    """The total-variation balls.  On the density ball mass beta = tau/2 moves
+    from the bottom of X onto ess sup X, for beta * ess sup + (1 - beta) * CVaR_beta.
+    Without the density constraint the budget first lowers atoms toward Q = 0,
+    from the bottom up while -x_i > max(ess sup X, 0), each by at most its
+    mass; what is left raises ess sup X when it is positive."""
     v, p = x.values, x.probs
-    beta = 0.5 * tau  # below 1 - P(ess sup) once the point mass is ruled out
-    q = np.clip(np.cumsum(p) - beta, 0.0, p) / p
-    q[-1] += beta / p[-1]
+    if normalized:
+        budget = rise = 0.5 * tau  # below 1 - P(ess sup) once the point mass is ruled out
+        lowered = np.ones(v.size, dtype=bool)
+    else:
+        budget, lowered = tau, -v > max(float(v[-1]), 0.0)
+        rise = max(tau - float(p[lowered].sum()), 0.0) if v[-1] > 0.0 else 0.0
+    q = np.where(lowered, np.clip(np.cumsum(p) - budget, 0.0, p) / p, 1.0)
+    q[-1] += rise / p[-1]
     return float(np.dot(p * q, v)), q
 
 
@@ -646,7 +623,7 @@ def _tv_forms(div: DivergenceFn, beta: float) -> dict:
         raise ValueError("total-variation budget must lie in (0, 2)")
 
     def risk(x):
-        lo, hi = ess_bounds(x)
+        hi = ess_bounds(x)[1]
         return 0.5 * beta * hi + (1.0 - 0.5 * beta) * cvar_direct(x, beta / 2.0)
 
     def statistic(x):
@@ -675,19 +652,17 @@ def _pearson_forms(div: DivergenceFn, beta: float) -> dict:
     def vreg(x):
         return math.sqrt(coef * x.moment(lambda t: np.maximum(t, 0.0) ** 2))
 
-    def risk_stat(x):
-        def g(c):
-            return c + vreg(x.shift(-c))
-
-        cstar, val = minimize_scalar_convex(g, tol=1e-12, hint=x.mean())
-        return val, flat_interval(lambda c: g(c) - x.mean(), cstar, val - x.mean())
+    def statistic(x):
+        c, _ = _pearson_shift(x, coef)
+        # at (1 + beta) P(ess sup) = 1 the objective is flat between the top two atoms
+        return StatInterval(float(x.values[-2]) if coef * float(x.probs[-1]) == 1.0 else c, c)
 
     v_regret = RegretFn(fn=vreg, flags=Flags(True, True, False))
     return {
         "err": mean_center_regret(v_regret),
         "regret_fn": v_regret,
-        "risk": lambda x: risk_stat(x)[0],
-        "statistic": lambda x: risk_stat(x)[1],
+        "risk": lambda x: _pearson_shift(x, coef)[1],
+        "statistic": statistic,
     }
 
 

@@ -270,7 +270,7 @@ def conjugate_eval(
 
     val1, arg1 = solve_in(box)
     if float(np.max(np.abs(arg1))) >= box * (1.0 - 1e-6):
-        val2, arg2 = solve_in(4.0 * box)
+        val2, _ = solve_in(4.0 * box)
         if val2 > val1 + 1e-6 * (1.0 + abs(val1)):
             return math.inf
         return val2

@@ -275,7 +275,6 @@ def alpha_set(x: DiscreteRv, eps: float) -> list[StatInterval]:
     if not 0.0 <= eps < bound:
         raise ValueError(f"eps must satisfy 0 <= eps < {bound} for this r.v.")
     bps = _alpha_breakpoints(x)
-    cells: list[tuple[float, float, bool]] = []
     # candidate points: breakpoints and midpoints of the cells between them
     edges = list(bps) + [1.0]
     qualifying = []

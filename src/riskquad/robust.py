@@ -95,21 +95,40 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
-def _project_simplex_mean(w, means, mu, iters=200):
-    """Dykstra alternation between the simplex and the mean hyperplane."""
-    a = means
-    an = float(np.dot(a, a)) or 1.0
-    x = w.copy()
-    p_inc = np.zeros_like(x)
-    q_inc = np.zeros_like(x)
-    for _ in range(iters):
-        y = _project_simplex(x + p_inc)
-        p_inc = x + p_inc - y
-        x2 = y + q_inc
-        x2 = x2 - (float(np.dot(a, x2)) - mu) * a / an
-        q_inc = y + q_inc - x2
-        x = x2
-    return _project_simplex(x)
+def _project_simplex_mean(w, means, mu):
+    """Euclidean projection onto the simplex and the mean row means . x = mu.
+
+    By the KKT conditions it is the simplex projection x(b) of w - b means at
+    the b where the row holds.  means . x(b) does not increase in b (its
+    slope is -|S| Var_S(means) over the support S), so b is bisected in a
+    bracket that doubles outward.  mu is clipped into [min, max] of the
+    means; at either end the row holds only on the face of the assets whose
+    mean is mu.
+    """
+    lo_m, hi_m = float(means.min()), float(means.max())
+    mu = min(max(mu, lo_m), hi_m)
+    if mu in (lo_m, hi_m):
+        x, face = np.zeros_like(w), means == mu
+        x[face] = _project_simplex(w[face])
+        return x
+
+    def x_of(b):
+        # shifted so its top entry is 0: the projection is shift-invariant, and
+        # an entry far above 1 would otherwise swamp the unit sum
+        z = w - b * means
+        return _project_simplex(z - z.max())
+
+    def excess(b):
+        return float(np.dot(means, x_of(b))) - mu
+
+    lo, hi = -1.0, 1.0
+    for _ in range(1000):
+        if excess(lo) >= 0.0 >= excess(hi):
+            return x_of(bisect_root(excess, lo, hi, iters=200))
+        lo, hi = 2.0 * lo, 2.0 * hi
+    # no |b| below 2^1000 reaches the row: the means still in the support lie
+    # within (max w - min w) 2^-1000 of mu
+    return x_of(hi if excess(hi) > 0.0 else lo)
 
 
 # the cutting planes stop once upper - lower <= _GAP_REL * (1 + |upper|)
@@ -133,7 +152,7 @@ def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None)
     each).  ``seed`` is unused, the solve being deterministic.
     """
     s, pr = p.scenarios, p.probs
-    m, n_assets = s.shape
+    n_assets = s.shape[1]
     means = pr @ s
     if p.target_mean is not None:
         lo, hi = float(means.min()), float(means.max())
@@ -246,12 +265,12 @@ def _inf_convolution(outer: Callable[[DiscreteRv], float], kernel, epsilon, x: D
     def obj(yvec):
         return _convolution_value(outer, kernel, epsilon, x, yvec)
 
-    best_y, best = np.zeros(m), obj(np.zeros(m))
+    best = obj(np.zeros(m))
     for trial in range(max(starts, 1)):
         y0 = np.zeros(m) if trial == 0 else rng.normal(scale=0.3 * span, size=m)
-        ys, fs = compass_search(obj, y0, step=0.5 * span, tol=1e-12, diagonals=True)
+        _, fs = compass_search(obj, y0, step=0.5 * span, tol=1e-12, diagonals=True)
         if fs < best - 1e-14 * (1.0 + abs(best)):
-            best, best_y = fs, ys
+            best = fs
     return best
 
 
@@ -451,7 +470,7 @@ def epi_regret_divroot(
                 return math.inf
             return -(qi * v[i] - val / epsilon)
 
-        qi_star, fneg = minimize_scalar_convex(neg, tol=1e-13, bracket=(float(lo[i]), float(hi[i])))
+        _, fneg = minimize_scalar_convex(neg, tol=1e-13, bracket=(float(lo[i]), float(hi[i])))
         total += p[i] * (-fneg)
     return total
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskquad.core import DiscreteRv, cvar_direct, ess_bounds, expectation
+from riskquad.core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, expectation
 from riskquad.constructions import RegretFn, project_error, regret_to_risk
+from riskquad.checks import run_quadrangle_checks
 from riskquad.divergence import (
     StochasticDivergenceJ,
-    _envelope_sup_tv,
     _kl_risk,
     classify_divergence,
     cvar_indicator_regret,
@@ -24,6 +24,7 @@ from riskquad.divergence import (
     verify_conjugate,
 )
 from riskquad.measures import CatalogSpec, expectile_value, make_catalog_quadrangle
+from riskquad.solvers import LpProblem, solve_lp
 
 from helpers import random_rv, random_rvs
 
@@ -151,6 +152,27 @@ def test_closed_envelope_routes_match_the_parametric_route(name, case):
     _check_worst_case(div, tau, x, val, q, tol)
 
 
+def _envelope_sup_tv(tau, x, normalized):
+    """LP oracle for the polyhedral total-variation ball, over (q, s) with
+    s_i >= |q_i - 1|, E[s] <= tau and q >= 0 (and E[Q] = 1 on the density
+    ball).  The feasible set does not depend on X, so the objective is divided
+    by max|X| and the value multiplied back, which keeps the LP's absolute
+    pivot tolerances at the unit scale."""
+    v, p = x.values, x.probs
+    m = v.size
+    unit = float(np.max(np.abs(v))) or 1.0
+    eye = np.eye(m)
+    a_ub = np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, -eye]), np.append(np.zeros(m), p)])
+    b_ub = np.concatenate([np.ones(m), -np.ones(m), [tau]])
+    a_eq = np.append(p, np.zeros(m))[None, :] if normalized else None
+    b_eq = np.ones(1) if normalized else None
+    c = np.concatenate([-p * (v / unit), np.zeros(m)])
+    sol = solve_lp(LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=[(0.0, None)] * (2 * m)))
+    assert sol.status == "optimal"
+    q = sol.x[:m]
+    return float(np.dot(p, q * v)), q
+
+
 @given(_ball_cases(), st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tv_envelope_matches_the_lp_and_is_homogeneous(case, s):
@@ -170,13 +192,42 @@ def test_tv_envelope_matches_the_lp_and_is_homogeneous(case, s):
 @given(_ball_cases(), st.sampled_from([1e-6, 1e-3, 1e3, 1e6]), st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tv_lp_is_homogeneous_with_and_without_the_density_constraint(case, s, normalized):
-    # the LP's feasible set does not depend on X, so R(sX) = s R(X) at every scale
+    # the closed route of both balls: the LP's value at unit scale, and
+    # R(sX) = s R(X) with the same density at every scale
     x, tau = case
     tau = min(tau, 1.99)
     scale = 1.0 + float(np.max(np.abs(x.values)))
-    val, _ = _envelope_sup_tv(tau, x, normalized)
-    val_s, _ = _envelope_sup_tv(tau, x.scale(s), normalized)
+    j = StochasticDivergenceJ.from_phi(make_divergence("tv"), normalized=normalized)
+    val, q = family_eval_envelope(j, tau, x)
+    assert abs(val - _envelope_sup_tv(tau, x, normalized)[0]) <= 1e-12 * scale
+    val_s, q_s = family_eval_envelope(j, tau, x.scale(s))
     assert abs(val_s - s * val) <= 1e-12 * s * scale
+    assert np.array_equal(q_s, q)
+
+
+@st.composite
+def _tv_free_cases(draw):
+    """Up to 12 atoms at least 0.01 apart (one atom: a constant), offset by
+    up to 1e3, and a radius in [1e-3, 10]."""
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    offset = draw(st.sampled_from([0.0, 2.0, -2.0, -10.0, 1e3, -1e3])) + draw(st.floats(-1.0, 1.0))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    tau = 10.0 ** draw(st.floats(-3.0, 1.0))
+    return DiscreteRv(offset + np.concatenate(([0.0], np.cumsum(gaps))), weights / weights.sum()), tau
+
+
+@given(_tv_free_cases())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_tv_ball_without_the_density_constraint_matches_the_lp(case):
+    x, tau = case
+    tv = make_divergence("tv")
+    val, q = family_eval_envelope(StochasticDivergenceJ.from_phi(tv, normalized=False), tau, x)
+    scale = 1.0 + float(np.max(np.abs(x.values)))
+    assert abs(val - _envelope_sup_tv(tau, x, False)[0]) <= 1e-12 * scale
+    assert np.all(q >= 0.0)
+    assert divergence_value(tv, q, x.probs) <= tau * (1.0 + 1e-12)
+    assert abs(float(np.dot(x.probs, q * x.values)) - val) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
@@ -398,6 +449,44 @@ def test_pearson_quadrangle_fast_vs_generic():
         assert q.risk(x) == pytest.approx(gen.risk(x), abs=1e-6)
 
 
+@st.composite
+def _pearson_cases(draw):
+    """Up to 9 atoms at scales 1e-3 to 1e3 and a budget in [0.1, 30]."""
+    n = draw(st.integers(1, 9))
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    scale = 10.0 ** draw(st.sampled_from([-3.0, 0.0, 3.0]))
+    beta = 10.0 ** draw(st.floats(-1.0, math.log10(30.0)))
+    return DiscreteRv(scale * values, weights / weights.sum()), beta
+
+
+@given(_pearson_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pearson_closed_statistic_and_risk(case):
+    # the statistic is the point c*, inside the flat set that golden section
+    # finds for the quadrangle's own regret; the risk is the density ball's envelope
+    x, beta = case
+    pearson = make_divergence("pearson")
+    q = make_divergence_quadrangle(pearson, beta)
+    stat, risk = q.statistic(x), q.risk(x)
+    scale = 1.0 + float(np.max(np.abs(x.values)))
+    golden_risk, golden_stat = regret_to_risk(q.regret_fn, x)
+    if (1.0 + beta) * float(x.probs[-1]) != 1.0:
+        assert stat.lo == stat.hi
+    assert golden_stat.lo <= stat.lo and stat.hi <= golden_stat.hi
+    assert risk <= golden_risk + 1e-12 * scale and golden_risk - risk <= 1e-9 * scale
+    envelope, _ = family_eval_envelope(StochasticDivergenceJ.from_phi(pearson, normalized=True), beta, x)
+    assert risk == pytest.approx(envelope, rel=1e-15, abs=1e-15 * scale)
+
+
+@pytest.mark.parametrize("x", [DiscreteRv([0.0, 1.0], [0.5, 0.5]), DiscreteRv([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5])])
+def test_pearson_statistic_at_the_tie(x):
+    # (1 + beta) P(ess sup) = 1: the objective is flat from the next atom down to ess sup
+    q = make_divergence_quadrangle(make_divergence("pearson"), 1.0)
+    assert q.statistic(x) == StatInterval(0.0, 1.0)
+    assert q.risk(x) == 1.0
+
+
 def test_divergence_quadrangle_mean_centering():
     rng = np.random.default_rng(7)
     for name, kw in (("kl", {}), ("tv", {}), ("pearson", {}), ("extended_pearson", {}), ("gen_extended_pearson", {"q": 0.7})):
@@ -407,6 +496,16 @@ def test_divergence_quadrangle_mean_centering():
             m = x.mean()
             assert q.risk(x) - q.deviation(x) == pytest.approx(m, abs=1e-9)
             assert q.regret(x) - q.error(x) == pytest.approx(m, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, level, beta",
+    [("kl", None, 0.5), ("tv", None, 0.8), ("pearson", None, 0.8), ("extended_pearson", None, 0.8), ("gen_extended_pearson", 0.7, 0.8)],
+)
+def test_divergence_quadrangle_invariant_suite(name, level, beta):
+    q = make_divergence_quadrangle(make_divergence(name, q=level), beta)
+    failures = [r for r in run_quadrangle_checks(q, rng=np.random.default_rng(17), n_rvs=10) if not r.passed]
+    assert not failures, failures
 
 
 def test_beta_validation():

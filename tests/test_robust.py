@@ -14,6 +14,8 @@ from riskquad.solvers import solve_lp
 from riskquad.robust import (
     DroProblem,
     _inf_convolution,
+    _project_simplex,
+    _project_simplex_mean,
     EpiSpec,
     dro_envelope_value,
     dro_solve,
@@ -442,6 +444,56 @@ def test_bad_scenario_probabilities_rejected(probs):
         portfolio_optimize(None, scen, probs=probs, cvar_alpha=0.5)
     with pytest.raises(ValueError):
         DroProblem(scen, make_divergence("kl"), 0.3, probs=probs)
+
+
+@given(
+    st.integers(2, 8).flatmap(lambda n: st.tuples(*[st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)] * 2)),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1e-12, 1.0 + 1e-12])),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_simplex_mean_projection_is_exact(wm, frac):
+    w, means = np.array(wm[0]), np.array(wm[1])
+    lo, hi = float(means.min()), float(means.max())
+    t = lo + frac * (hi - lo)
+    x = _project_simplex_mean(w, means, t)
+    assert np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= 1e-12
+    t_in = min(max(t, lo), hi)
+    assert abs(float(means @ x) - t_in) <= 1e-12 * (1.0 + abs(t))
+    # the KKT form x = simplex projection of w - b means: on the support w - x
+    # is affine in the means, off it w lies below that line (checked where the
+    # support's means spread enough to fit the line well)
+    support = x > 0.0
+    scale = 1e-10 * (1.0 + float(np.max(np.abs(w))))
+    if np.ptp(means[support]) > 0.1:
+        b, theta = np.polyfit(means[support], (w - x)[support], 1)
+        assert np.max(np.abs(theta + b * means[support] - (w - x)[support])) <= scale
+        assert np.all(w[~support] <= theta + b * means[~support] + scale)
+        assert np.max(np.abs(_project_simplex(w - b * means) - x)) <= scale
+    # optimality: (w - x).(y - x) <= 0 at every vertex y of the feasible set,
+    # a single asset at the target mean or a pair straddling it
+    vertices = [np.eye(w.size)[i] for i in range(w.size) if means[i] == t_in]
+    for i, j in itertools.permutations(range(w.size), 2):
+        if means[i] < t_in < means[j]:
+            y = np.zeros(w.size)
+            y[i], y[j] = (means[j] - t_in) / (means[j] - means[i]), (t_in - means[i]) / (means[j] - means[i])
+            vertices.append(y)
+    assert all(float((w - x) @ (y - x)) <= scale for y in vertices)
+
+
+def test_bare_callable_portfolio_keeps_its_mean_row():
+    # the projected descent for a risk without LP data: its weights meet the
+    # mean row, and so cannot beat the LP of the same problem
+    for seed in (70, 71):
+        rng = np.random.default_rng(seed)
+        scen = rng.uniform(-1.0, 1.0, size=(6, 3))
+        probs = rng.dirichlet(np.ones(6))
+        means = probs @ scen
+        target = 0.5 * (means.min() + means.max())
+        w, v = portfolio_optimize(lambda x: cvar_direct(x, 0.5), scen, probs=probs, target_mean=target, steps=300)
+        _, v_lp = portfolio_optimize(None, scen, probs=probs, target_mean=target, cvar_alpha=0.5)
+        assert np.all(w >= 0.0) and within(w.sum(), 1.0)
+        assert within(float(means @ w), target)
+        assert v >= v_lp - 1e-12 * (1.0 + abs(v_lp))
 
 
 def test_portfolio_mean_constraint():
