@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -154,6 +155,8 @@ def build_quadrangle(spec: dict) -> Quadrangle:
         return make_catalog_quadrangle(CatalogSpec(spec["family"], dict(spec.get("params", {}))))
     if "phi" in spec:
         params = dict(spec.get("params", {}))
+        if "beta" not in params:
+            raise ValueError(f"phi {spec['phi']!r} takes param 'beta', got {sorted(params)}")
         beta = params.pop("beta")
         div = make_divergence(spec["phi"], **params)
         return make_divergence_quadrangle(div, beta)
@@ -380,7 +383,7 @@ def _dispatch(cfg: RunConfig) -> int:
     raise ValueError(f"unknown command {cfg.command!r}")
 
 
-def _parse_spec(args) -> Optional[dict]:
+def _parse_spec(args, params: dict) -> Optional[dict]:
     spec = None
     if args.spec:
         if args.spec.strip().startswith("{"):
@@ -388,60 +391,69 @@ def _parse_spec(args) -> Optional[dict]:
         else:
             with open(args.spec) as fh:
                 spec = json.load(fh)
-    inline = {}
-    for key in ("alpha", "q", "eps", "beta", "lam", "K", "x"):
-        val = getattr(args, key if key != "K" else "big_k", None)
-        if val is not None:
-            inline[key] = val
+    inline = {k: v for k, v in params.items() if k != "tau"}
     if inline and spec is None:
         if args.phi:
             spec = {"phi": args.phi, "params": inline}
         elif args.family:
             spec = {"family": args.family, "params": inline}
     elif spec is None and (args.family or args.phi):
-        spec = {"family": args.family} if args.family else {"phi": args.phi}
-        spec.setdefault("params", {})
+        spec = {"family": args.family, "params": {}} if args.family else {"phi": args.phi, "params": {}}
     if spec is not None and args.tau is not None:
         spec["tau"] = args.tau
     return spec
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="riskquad", description=__doc__)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation error: exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process (each add_argument costs a help formatter); no
+    action keeps state from one parse to the next."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", dest="input_path")
+    common.add_argument("--spec", help="JSON spec or path to one")
+    common.add_argument("--family", choices=sorted(CATALOG_FAMILIES))
+    common.add_argument("--phi", choices=PHI_REGISTRY)
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--q", type=float)
+    common.add_argument("--eps", type=float)
+    common.add_argument("--beta", type=float)
+    common.add_argument("--lam", type=float)
+    common.add_argument("--K", dest="big_k", type=float)
+    common.add_argument("--x", type=float)
+    common.add_argument("--tau", type=float)
+    common.add_argument("--taus", help="comma-separated tau grid")
+    common.add_argument("--epsilons", help="comma-separated epsilon grid")
+    common.add_argument("--model", choices=NAMED_MODELS)
+    common.add_argument("--target")
+    common.add_argument("--target-mean", dest="target_mean", type=float)
+    common.add_argument("--max-iter", dest="max_iter", type=int, default=4000)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", dest="output_format", choices=("table", "json"), default="table")
+    common.add_argument("--output", dest="output_path")
+    parser = _Parser(prog="riskquad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("eval", "statistic", "envelope", "family", "regress", "portfolio", "dro", "epi", "check"):
-        p = sub.add_parser(name)
-        p.add_argument("--input", dest="input_path")
-        p.add_argument("--spec", help="JSON spec or path to one")
-        p.add_argument("--family", choices=sorted(CATALOG_FAMILIES))
-        p.add_argument("--phi", choices=PHI_REGISTRY)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--q", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--lam", type=float)
-        p.add_argument("--K", dest="big_k", type=float)
-        p.add_argument("--x", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--taus", help="comma-separated tau grid")
-        p.add_argument("--epsilons", help="comma-separated epsilon grid")
-        p.add_argument("--model", choices=NAMED_MODELS)
-        p.add_argument("--target")
-        p.add_argument("--target-mean", dest="target_mean", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=4000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="output_format", choices=("table", "json"), default="table")
-        p.add_argument("--output", dest="output_path")
-    args = parser.parse_args(argv)
+        sub.add_parser(name, parents=[common])
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     params = {}
-    for key, attr in (("alpha", "alpha"), ("q", "q"), ("eps", "eps"), ("beta", "beta"), ("K", "big_k"), ("x", "x"), ("tau", "tau")):
-        val = getattr(args, attr, None)
+    for key in ("alpha", "q", "eps", "beta", "lam", "K", "x", "tau"):
+        val = getattr(args, "big_k" if key == "K" else key)
         if val is not None:
             params[key] = val
     cfg = RunConfig(
         command=args.command,
         input_path=args.input_path,
-        spec=_parse_spec(args),
+        spec=_parse_spec(args, params),
         params=params,
         max_iter=args.max_iter,
         seed=args.seed,

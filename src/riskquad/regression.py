@@ -177,7 +177,7 @@ def named_quadrangle(model: str, **params) -> Quadrangle:
     if model not in NAMED_MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {NAMED_MODELS}")
     family = _MODEL_FAMILY.get(model, model)
-    return make_catalog_quadrangle(CatalogSpec(family, {k: params[k] for k in CATALOG_FAMILIES[family]}))
+    return make_catalog_quadrangle(CatalogSpec(family, {k: v for k, v in params.items() if k in CATALOG_FAMILIES[family]}))
 
 
 def fit_named(model: str, data: Dataset, seed: int = 0, **params) -> FitResult:

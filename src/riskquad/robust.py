@@ -88,6 +88,7 @@ class DroSolution:
 def _project_simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1}."""
     n = w.size
+    w = w - w.max()  # shift-invariant; an entry far above 1 would otherwise swamp the unit sum
     u = np.sort(w)[::-1]
     css = np.cumsum(u)
     rho = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0][-1]
@@ -113,10 +114,7 @@ def _project_simplex_mean(w, means, mu):
         return x
 
     def x_of(b):
-        # shifted so its top entry is 0: the projection is shift-invariant, and
-        # an entry far above 1 would otherwise swamp the unit sum
-        z = w - b * means
-        return _project_simplex(z - z.max())
+        return _project_simplex(w - b * means)
 
     def excess(b):
         return float(np.dot(means, x_of(b))) - mu

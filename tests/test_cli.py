@@ -1,11 +1,15 @@
+import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from riskquad.cli import RunConfig, fmt12, ingest_rv_csv, main, run_command
+import riskquad
+from riskquad.cli import RunConfig, _parser, fmt12, ingest_rv_csv, main, run_command
 from riskquad.core import DiscreteRv, InvalidDistribution
 from riskquad.measures import CatalogSpec, make_catalog_quadrangle
 
@@ -228,3 +232,74 @@ def test_console_entry_point(u5_csv):
     )
     assert proc.returncode == 0
     assert "4.5" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--family", "nosuch"], ["eval", "--alpha", "abc"], []],
+    ids=["bad-choice", "bad-float", "no-command"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: riskquad")
+    assert ": error: " in err[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["regress", "--model", "quantile"], "error: family 'quantile' takes params ['alpha'], got []"),
+        (["eval", "--phi", "kl"], "error: phi 'kl' takes param 'beta', got []"),
+    ],
+    ids=["regress-alpha", "phi-beta"],
+)
+def test_missing_parameter_is_named(data_csv, capsys, argv, message):
+    assert main(argv + ["--input", data_csv]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+# `riskquad [<command>] --help` as printed before the parser was cached; the key "" is no command
+HELP = json.loads((pathlib.Path(__file__).parent / "fixtures" / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    # the fixture was printed at 80 columns; help wraps to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(([command] if command else []) + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+def test_repeated_calls_match_fresh_processes(u5_csv, capsys):
+    # one cached parser serves every call: nothing of one call leaks into the next
+    runs = [
+        ["eval", "--family", "qsau", "--eps", "0.4", "--input", u5_csv, "--format", "json", "--seed", "3"],
+        ["eval", "--family", "quantile", "--alpha", "0.6", "--input", u5_csv],
+        ["envelope", "--family", "quantile", "--alpha", "0.5", "--input", u5_csv, "--format", "json", "--seed", "3"],
+        ["envelope", "--family", "quantile", "--alpha", "0.5", "--input", u5_csv],
+    ]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    src = os.path.dirname(os.path.dirname(riskquad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, (code, out) in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "riskquad.cli"] + argv, capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_parser_actions_keep_no_state():
+    # a parser reused across calls must not accumulate into, or hand out, a shared mutable default
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [_parser(), *sub.choices.values()]
+    assert len(parsers) == 10
+    for parser in parsers:
+        for action in parser._actions:
+            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction, argparse._CountAction))
+            assert action.default is None or isinstance(action.default, (str, int, float, bool, tuple))

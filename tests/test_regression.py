@@ -10,6 +10,7 @@ from riskquad.regression import (
     Dataset,
     fit_linear,
     fit_named,
+    named_quadrangle,
     nu_svc,
     regression_equivalence_check,
     track_statistic,
@@ -291,3 +292,11 @@ def test_nu_svc_alpha_zero_matches_mean_loss():
 def test_nu_svc_rejects_bad_labels():
     with pytest.raises(ValueError):
         nu_svc(0.5, Dataset(np.zeros((2, 1)), np.array([0.0, 1.0])))
+
+
+def test_named_quadrangle_names_a_missing_parameter():
+    with pytest.raises(ValueError, match=r"family 'quantile' takes params \['alpha'\], got \[\]"):
+        named_quadrangle("quantile")
+    with pytest.raises(ValueError, match=r"family 'qsau' takes params \['eps'\], got \[\]"):
+        named_quadrangle("svr", alpha=0.5)
+    assert named_quadrangle("quantile", alpha=0.3, eps=1.0).label == named_quadrangle("quantile", alpha=0.3).label

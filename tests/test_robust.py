@@ -480,6 +480,39 @@ def test_simplex_mean_projection_is_exact(wm, frac):
     assert all(float((w - x) @ (y - x)) <= scale for y in vertices)
 
 
+def _project_simplex_unshifted(w):
+    # the projection before it shifted its input by max(w): the sweep's oracle
+    n = w.size
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0][-1]
+    return np.maximum(w - (css[rho] - 1.0) / float(rho + 1), 0.0)
+
+
+def test_simplex_projection_of_an_entry_far_above_the_rest():
+    # unshifted, u_1 * 1 > css_1 - 1 rounds to false here and no index qualifies
+    with pytest.raises(IndexError):
+        _project_simplex_unshifted(np.array([2.0**54, 0.0, 0.0]))
+    assert _project_simplex(np.array([2.0**54, 0.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
+    assert _project_simplex(np.array([0.0, -1e300, 1e300])).tolist() == [0.0, 0.0, 1.0]
+
+
+def test_simplex_projection_at_large_offsets():
+    rng = np.random.default_rng(91)
+    eps = np.finfo(float).eps
+    for offset in (0.0, 1.0, -1.0, 1e3, -1e3, 1e6, -1e6, 1e9, -1e9, 1e12, -1e12, 1e15, -1e15):
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            w = offset + rng.uniform(-3.0, 3.0, n) * rng.choice([1e-3, 1.0, 10.0])
+            x = _project_simplex(w)
+            assert np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= 1e-12
+            # w - offset is exact (Sterbenz), so shift invariance holds bit for bit
+            assert np.array_equal(x, _project_simplex(w - offset))
+            old = _project_simplex_unshifted(w)
+            if np.all(np.isfinite(old)):
+                assert np.max(np.abs(x - old)) <= 2.0 * n * eps * (1.0 + float(np.max(np.abs(w))))
+
+
 def test_bare_callable_portfolio_keeps_its_mean_row():
     # the projected descent for a risk without LP data: its weights meet the
     # mean row, and so cannot beat the LP of the same problem
