@@ -134,13 +134,15 @@ def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [r for r in reader if r and any(c.strip() for c in r)]
-    header = [c.strip().lower() for c in rows[0]]
     try:
         float(rows[0][0])
         body, pcol = rows, None
-    except ValueError:
+    except (ValueError, IndexError):
+        header = [c.strip().lower() for c in rows[0]] if rows else []
         body = rows[1:]
         pcol = header.index("prob") if "prob" in header else None
+    if not body:
+        raise ValueError(f"{path}: need at least one data row")
     mat = np.asarray([[float(c) for c in r] for r in body])
     if pcol is None:
         return mat, None
@@ -445,6 +447,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    if args.family and args.phi:
+        _parser().error("argument --phi: not allowed with argument --family")
     params = {}
     for key in ("alpha", "q", "eps", "beta", "lam", "K", "x", "tau"):
         val = getattr(args, "big_k" if key == "K" else key)

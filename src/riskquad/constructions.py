@@ -21,12 +21,12 @@ from .solvers import (
     KSECTION,
     LpProblem,
     ObjectiveInfiniteError,
+    UnboundedObjectiveError,
     argmin_interval_pwl,
     flat_interval,
     ksection_crossings,
     ksection_flat_interval,
     ksection_min,
-    minimize_multistart,
     minimize_scalar_convex,
     pwl_argmin_interval,
     pwl_grid,
@@ -194,9 +194,6 @@ class MomentMaxSpec:
         t = x.mean_pos()
         return max(a * m + b * t + c for a, b, c in self.terms)
 
-    def shifted(self, delta_a: float) -> "MomentMaxSpec":
-        return MomentMaxSpec(tuple((a + delta_a, b, c) for a, b, c in self.terms))
-
     def shift_values(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
         """C -> value(X - C) for each C of an array, from suffix sums over the sorted
         atoms: E[(X - C)_+] is the first moment minus C times the mass above C."""
@@ -289,28 +286,30 @@ def error_from_moment_max(spec: MomentMaxSpec, flags: Flags, label: str = "") ->
 
 def mean_center_error(err: ErrorFn) -> RegretFn:
     """V(X) = E(X) + E[X]."""
-    return _mean_centered(err, 1.0)
+    return _affine_functional(err, tilt=1.0)
 
 
 def mean_center_regret(v: RegretFn) -> ErrorFn:
     """E(X) = V(X) - E[X]."""
-    return _mean_centered(v, -1.0)
+    return _affine_functional(v, tilt=-1.0)
 
 
-def _mean_centered(f: Functional, sign: float) -> Functional:
-    """f(X) + sign * E[X], with the structure of f carried over."""
+def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, flags: Optional[Flags] = None) -> Functional:
+    """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over."""
     sv = f.shift_values
 
     def shift_values(x):
         at, mean = sv(x), x.mean()
-        return lambda cs: at(cs) + sign * (mean - cs)
+        return lambda cs: scale * at(cs) + tilt * (mean - cs)
 
     return Functional(
-        fn=lambda x: f.fn(x) + sign * x.mean(),
-        flags=f.flags,
+        fn=lambda x: scale * f.fn(x) + tilt * x.mean(),
+        flags=flags or f.flags,
         label=f.label,
-        loss=None if f.loss is None else _affine_loss(f.loss, tilt=sign),
-        moment_max=None if f.moment_max is None else f.moment_max.shifted(sign),
+        loss=None if f.loss is None else _affine_loss(f.loss, scale, tilt),
+        moment_max=None if f.moment_max is None else MomentMaxSpec(
+            tuple((scale * a + tilt, scale * b, scale * c) for a, b, c in f.moment_max.terms)
+        ),
         shift_breakpoints=f.shift_breakpoints,
         shift_values=None if sv is None else shift_values,
     )
@@ -467,7 +466,9 @@ def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
         ok = want(criteria(np.stack((pts[:1], pts[:1]))))
         if not ok.all():
             ok = want(criteria(np.stack((pts, pts))))
-        return np.where(ok.any(axis=1), pts[np.argmax(ok, axis=1)], pts[-1])
+        if not ok.any(axis=1).all():
+            raise UnboundedObjectiveError("objective still descending at the end of the fan")
+        return pts[np.argmax(ok, axis=1)]
 
     lo_out, hi_in = reach(float(v[0]) - fan, lambda g: np.stack((g[0] > 0.0, g[1] >= 0.0)))
     lo_in, hi_out = reach(float(v[-1]) + fan, lambda g: np.stack((g[0] <= 0.0, g[1] < 0.0)))
@@ -495,7 +496,8 @@ def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_i
     """min_C tilt * C + f(X - C) with its argmin interval, by the first route
     f's data allows: the exact scan over shift breakpoints, the batched
     K-section on ``shift_values``, the derivative crossing of a loss, and
-    golden section with ``flat_interval`` for anything else.
+    golden section with ``flat_interval`` for anything else.  Each route
+    raises UnboundedObjectiveError when the objective has no minimum.
 
     The flat set is recovered on the objective minus tilt * E[X], which for a
     regret is the paired error's projection objective: both routes then
@@ -666,7 +668,13 @@ def quadrangle_from_error(
 
 
 def _mixed_error_value(errors: Sequence[ErrorFn], weights: np.ndarray, x: DiscreteRv) -> float:
-    """min { sum_k w_k E_k(X - C_k) : sum_k w_k C_k = 0 }."""
+    """min { sum_k w_k E_k(X - C_k) : sum_k w_k C_k = 0 }.
+
+    One LP when every component carries LP data.  Otherwise the dual in the
+    multiplier mu of the constraint, max_mu sum_k w_k phi_k(mu) with
+    phi_k(mu) = min_C mu C + E_k(X - C): concave, finite at mu = 0 where
+    phi_k(0) = D_k(X), and -inf wherever some phi_k is unbounded below.
+    """
     r = len(errors)
     if r == 1:
         return errors[0].fn(x)
@@ -675,27 +683,14 @@ def _mixed_error_value(errors: Sequence[ErrorFn], weights: np.ndarray, x: Discre
         v, p = x.values, x.probs
         terms = [(e, np.eye(r)[np.full(v.size, k)], v, p, wk) for k, (e, wk) in enumerate(zip(errors, weights))]
         return minimize_affine(terms, np.zeros(r), a_eq=weights[None, :], b_eq=np.zeros(1))[1]
-    if r == 2:
-        w1, w2 = weights
 
-        def g(c1):
-            c2 = -w1 * c1 / w2
-            return w1 * errors[0].fn(x.shift(-c1)) + w2 * errors[1].fn(x.shift(-c2))
+    def neg_dual(mu):
+        try:
+            return -sum(wk * _shift_minimum(e, x, mu, 1e-11, False, "error")[0] for e, wk in zip(errors, weights))
+        except UnboundedObjectiveError:
+            return math.inf
 
-        _, fstar = minimize_scalar_convex(g, tol=1e-11, hint=0.0)
-        return fstar
-
-    # general case: eliminate the last shift and run subgradient + polish
-    def unpack(cs):
-        c_last = -float(np.dot(weights[:-1], cs)) / weights[-1]
-        return np.concatenate([cs, [c_last]])
-
-    def obj(cs):
-        full = unpack(cs)
-        return float(sum(w * e.fn(x.shift(-c)) for w, e, c in zip(weights, errors, full)))
-
-    _, fs, _ = minimize_multistart(obj, [np.zeros(r - 1)], steps=3000, tol=1e-10, polish_step=0.5, polish_tol=1e-11)
-    return fs
+    return -minimize_scalar_convex(neg_dual, tol=1e-11, hint=0.0)[1]
 
 
 def mix_quadrangles(quartets: Sequence[Quadrangle], weights) -> Quadrangle:
@@ -753,23 +748,8 @@ def scale_quadrangle(q: Quadrangle, lam: float, mode: str = "affine") -> Quadran
     if mode == "affine":
         err = None
         if q.error_fn is not None:
-            base = q.error_fn
-
-            def shift_values(x):
-                at = base.shift_values(x)
-                return lambda cs: lam * at(cs)
-
-            err = ErrorFn(
-                fn=lambda x: lam * base.fn(x),
-                flags=replace(base.flags, monotone=base.flags.monotone and lam <= 1.0),
-                label=base.label,
-                loss=None if base.loss is None else _affine_loss(base.loss, scale=lam),
-                moment_max=None if base.moment_max is None else MomentMaxSpec(
-                    tuple((lam * a, lam * b, lam * c) for a, b, c in base.moment_max.terms)
-                ),
-                shift_breakpoints=base.shift_breakpoints,
-                shift_values=None if base.shift_values is None else shift_values,
-            )
+            flags = q.error_fn.flags
+            err = _affine_functional(q.error_fn, scale=lam, flags=replace(flags, monotone=flags.monotone and lam <= 1.0))
         return complete_quadrangle(
             err,
             q.statistic,

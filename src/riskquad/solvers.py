@@ -394,16 +394,20 @@ def pwl_argmin_interval(pts: np.ndarray, vals: np.ndarray) -> StatInterval:
 
     A segment counts as flat when its slope is within the relative slope
     tolerance plus the evaluation noise over that segment's own width; raises
-    NonConvexError when the slopes decrease by more than that noise.
+    NonConvexError when the slopes decrease by more than that noise, and
+    UnboundedObjectiveError when a sentinel segment still descends outward
+    by more than it.
     """
     if not np.all(np.isfinite(vals)):
         raise ValueError("piecewise-linear objective must be finite at breakpoints")
     gaps = np.diff(pts)
     slopes = np.diff(vals) / gaps
-    f_noise = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    s_tol = _SLOPE_TOL_REL * (1.0 + float(np.max(np.abs(slopes)))) + f_noise / gaps
+    s_noise = 1e-12 * (1.0 + float(np.max(np.abs(vals)))) / gaps
+    s_tol = _SLOPE_TOL_REL * (1.0 + float(np.max(np.abs(slopes)))) + s_noise
     if np.any(np.diff(slopes) < -10.0 * np.maximum(s_tol[:-1], s_tol[1:])):
         raise NonConvexError("slope sequence is decreasing; function is not convex")
+    if slopes[0] > s_noise[0] or slopes[-1] < -s_noise[-1]:
+        raise UnboundedObjectiveError("objective still descending beyond the outer breakpoints")
     neg = np.nonzero(slopes < -s_tol)[0]
     pos = np.nonzero(slopes > s_tol)[0]
     lo = pts[neg[-1] + 1] if neg.size else pts[0]

@@ -158,6 +158,15 @@ def test_portfolio_rejects_bad_prob_column(tmp_path, capsys, probs):
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["portfolio", "dro"])
+@pytest.mark.parametrize("text", ["", "a1,a2\n"], ids=["empty", "header-only"])
+def test_scenarios_without_a_data_row_exit_1(tmp_path, capsys, command, text):
+    path = tmp_path / "scen.csv"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: need at least one data row"
+
+
 def test_dro_command(scen_csv, capsys):
     code = main(["dro", "--phi", "kl", "--tau", "0.3", "--input", scen_csv, "--max-iter", "600", "--format", "json"])
     assert code == 0
@@ -246,6 +255,16 @@ def test_usage_errors_exit_1(capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: riskquad")
     assert ": error: " in err[-1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--alpha", "0.5"]], ids=["no-parameter", "alpha"])
+def test_family_with_phi_is_a_usage_error(u5_csv, capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--family", "quantile", "--phi", "kl", "--input", u5_csv] + extra)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: riskquad")
+    assert err[-1] == "riskquad: error: argument --phi: not allowed with argument --family"
 
 
 @pytest.mark.parametrize(

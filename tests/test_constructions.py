@@ -188,20 +188,113 @@ def test_mix_regret_route_agrees():
 
 
 def test_mix_generic_path_agrees_with_lp():
-    # golden-section two-component path vs the LP path on PL components
-    q1 = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.3}))
-    q2 = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.8}))
+    # the dual over the constraint's multiplier vs the LP, on quantile
+    # components stripped of their LP data, with two and three components
     from riskquad.constructions import _mixed_error_value
 
     rng = np.random.default_rng(4)
-    w = np.array([0.4, 0.6])
-    errs = [q1.error_fn, q2.error_fn]
-    for x in random_rvs(rng, 6, max_atoms=5):
-        lp = _mixed_error_value(errs, w, x)
-        # strip the loss so the generic 1-D route is taken
+    for alphas, w in (((0.3, 0.8), [0.4, 0.6]), ((0.2, 0.5, 0.8), [0.3, 0.3, 0.4])):
+        errs = [make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": a})).error_fn for a in alphas]
+        # bare errors: no loss, so the dual's inner minima run golden section
         bare = [ErrorFn(fn=e.fn, flags=e.flags) for e in errs]
-        gen = _mixed_error_value(bare, w, x)
-        assert gen == pytest.approx(lp, abs=1e-8)
+        w = np.array(w)
+        for x in random_rvs(rng, 6, max_atoms=5):
+            lp = _mixed_error_value(errs, w, x)
+            gen = _mixed_error_value(bare, w, x)
+            assert gen == pytest.approx(lp, abs=1e-8)
+
+
+def _smooth_mix():
+    """quantile(0.3), expectile_mse(0.75) and mean_pl at weights (.2, .3, .5):
+    the exact scan, the derivative crossing and the exact scan again."""
+    qs = [
+        make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.3})),
+        make_catalog_quadrangle(CatalogSpec("expectile_mse", {"q": 0.75})),
+        make_catalog_quadrangle(CatalogSpec("mean_pl", {})),
+    ]
+    return qs, np.array([0.2, 0.3, 0.5])
+
+
+def _smooth_mix_oracle(x, w, alpha=0.3, q=0.75):
+    """The mixed error of ``_smooth_mix`` by SLSQP on the epigraph QP of the
+    problem reduced to C_1, C_2 (C_3 = -(w_1 C_1 + w_2 C_2) / w_3).
+
+    Variables z = (C_1, C_2, t, u, M) with n atoms each in t and u:
+    t_i >= the quantile loss at x_i - C_1 piece by piece, u_i >= (x_i - C_3)_+
+    and M >= max(E[u] - E[X - C_3], E[u]), mean_pl's error.
+    """
+    from scipy.optimize import minimize
+
+    v, p = x.values, x.probs
+    n = v.size
+    s = alpha / (1.0 - alpha)
+    w1, w2, w3 = w
+    t, u = slice(2, 2 + n), slice(2 + n, 2 + 2 * n)
+
+    def expectile(z):
+        d = v - z[1]
+        return p @ (q * np.maximum(d, 0.0) ** 2 + (1.0 - q) * np.maximum(-d, 0.0) ** 2)
+
+    def objective(z):
+        return w1 * p @ z[t] + w2 * expectile(z) + w3 * z[-1]
+
+    def gradient(z):
+        d = v - z[1]
+        g = np.zeros_like(z)
+        g[1] = w2 * p @ (-2.0 * q * np.maximum(d, 0.0) + 2.0 * (1.0 - q) * np.maximum(-d, 0.0))
+        g[t], g[-1] = w1 * p, w3
+        return g
+
+    def rows(z):
+        c1, c3 = z[0], -(w1 * z[0] + w2 * z[1]) / w3
+        eu = p @ z[u]
+        return np.concatenate((z[t] - s * (v - c1), z[t] + (v - c1), z[u] - (v - c3), z[u], [z[-1] - eu + p @ v - c3, z[-1] - eu]))
+
+    def rows_jac(z):
+        jac = np.zeros((4 * n + 2, z.size))
+        i = np.arange(n)
+        jac[i, 2 + i], jac[i, 0] = 1.0, s
+        jac[n + i, 2 + i], jac[n + i, 0] = 1.0, -1.0
+        jac[2 * n + i, 2 + n + i], jac[2 * n + i, 0], jac[2 * n + i, 1] = 1.0, -w1 / w3, -w2 / w3
+        jac[3 * n + i, 2 + n + i] = 1.0
+        jac[4 * n, -1], jac[4 * n, u], jac[4 * n, 0], jac[4 * n, 1] = 1.0, -p, w1 / w3, w2 / w3
+        jac[4 * n + 1, -1], jac[4 * n + 1, u] = 1.0, -p
+        return jac
+
+    z0 = np.concatenate(([0.0, 0.0], np.maximum(s * v, -v), np.maximum(v, 0.0), [np.abs(v).max()]))
+    res = minimize(
+        objective, z0, jac=gradient, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": rows, "jac": rows_jac}], options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [DiscreteRv([-1.0, 2.0], [0.4, 0.6]), DiscreteRv(np.random.default_rng(1).standard_normal(8))],
+    ids=["two-atoms", "eight-normal-atoms"],
+)
+def test_mixed_error_by_the_dual_matches_the_qp_oracle(x):
+    # no component but expectile_mse lacks LP data, so the error is the dual;
+    # on two atoms its multiplier sits at 3/7, the edge of quantile(0.3)'s domain
+    qs, w = _smooth_mix()
+    got = mix_quadrangles(qs, w).error(x)
+    want = _smooth_mix_oracle(x, w)
+    assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_mixing_identity_smooth_components():
+    # E_mix(X - C) = sum_k w_k D_k(X) at C = sum_k w_k S_k(X), and E_mix rises on both sides
+    qs, w = _smooth_mix()
+    mix = mix_quadrangles(qs, w)
+    for x in (DiscreteRv([-1.0, 2.0], [0.4, 0.6]), DiscreteRv(np.random.default_rng(1).standard_normal(8))):
+        want = sum(wk * q.deviation(x) for wk, q in zip(w, qs))
+        cstar = mix.statistic(x).midpoint
+        at = mix.error(x.shift(-cstar))
+        assert abs(at - want) <= 1e-9 * (1.0 + abs(want))
+        for delta in (-1e-3, 1e-3):
+            assert mix.error(x.shift(-cstar - delta)) > at
 
 
 def test_mix_three_components():
@@ -559,3 +652,32 @@ def test_derivative_bisection_stops_at_adjacent_floats_with_the_same_endpoints()
             assert _stat_from_derivatives(fast, x) == _stat_from_derivatives_200_steps(loss, x)
             # bisection settles in about 60 halvings per endpoint, not 200
             assert len(calls) < 2 * (60 + 80), len(calls)
+
+
+def test_shift_minimum_raises_where_the_tilted_objective_is_unbounded():
+    # min_C tilt * C + E(X - C) has a minimum only for tilts within the slopes of E(X - C) at -inf and +inf
+    from riskquad.constructions import _shift_minimum
+    from riskquad.solvers import UnboundedObjectiveError
+
+    x = DiscreteRv([-1.0, 0.5, 2.0], [0.3, 0.3, 0.4])
+    # quantile(0.5) has loss |z| with affine pieces: the exact scan, bounded for tilts in [-1, 1]
+    scanned = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
+    # sqrt(1 + z^2) - 1 with slopes tending to -1 and 1 and no pieces: the derivative crossing
+    def fn(z):
+        return np.hypot(1.0, z) - 1.0
+
+    def d(z):
+        return np.asarray(z, dtype=float) / np.hypot(1.0, z)
+
+    smooth = error_from_loss(ScalarLoss(fn=fn, d_left=d, d_right=d))
+    for err in (scanned, smooth):
+        for tilt in (-1.5, 1.5):
+            with pytest.raises(UnboundedObjectiveError):
+                _shift_minimum(err, x, tilt, 1e-11, False, "error")
+        # inside, both routes agree with golden section on a copy that carries no structure
+        bare = ErrorFn(fn=err.fn, flags=err.flags)
+        for tilt in (-0.5, 0.0, 0.5):
+            got = _shift_minimum(err, x, tilt, 1e-11, False, "error")[0]
+            assert got == pytest.approx(_shift_minimum(bare, x, tilt, 1e-11, False, "error")[0], abs=1e-9)
+    # at the edge of its range the scanned objective is flat out to -inf: a minimum, not an unbounded one
+    assert _shift_minimum(scanned, x, 1.0, 1e-11, False, "error")[0] == pytest.approx(x.mean(), abs=1e-12)

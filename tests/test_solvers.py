@@ -80,6 +80,15 @@ def test_pwl_single_kink():
     assert argmin_interval_pwl(lambda c: abs(c - 5.0), [5.0]) == StatInterval(5, 5)
 
 
+def test_pwl_rejects_an_outer_segment_that_still_descends():
+    with pytest.raises(UnboundedObjectiveError):
+        argmin_interval_pwl(lambda c: max(c, 2.0 * c), [0.0])
+    with pytest.raises(UnboundedObjectiveError):
+        argmin_interval_pwl(lambda c: max(-c, -2.0 * c), [0.0])
+    # flat out to either side is bounded
+    assert argmin_interval_pwl(lambda c: max(c, 0.0), [0.0]).hi == 0.0
+
+
 def test_pwl_rejects_nonconvex():
     with pytest.raises(NonConvexError):
         argmin_interval_pwl(lambda c: -abs(c), [-1.0, 0.0, 1.0])
