@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteRv, InvalidDistribution, ess_bounds, expectation
+from .core import DiscreteRv, InvalidDistribution, cvar_direct, ess_bounds, expectation
 from .checks import run_quadrangle_checks
 from .constructions import Quadrangle
 from .divergence import (
@@ -197,7 +197,7 @@ def run_command(cfg: RunConfig) -> int:
     """Dispatch a command; returns the process exit code."""
     try:
         return _dispatch(cfg)
-    except (InvalidDistribution, ValueError, KeyError, FileNotFoundError) as exc:
+    except (InvalidDistribution, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as exc:
@@ -327,10 +327,7 @@ def _dispatch(cfg: RunConfig) -> int:
         x = ingest_rv_csv(cfg.input_path)
         alpha = cfg.params.get("alpha", 0.5)
         kern, kconj, kscalar = kernel_quadratic_regret()
-        from .core import cvar_direct
-
         inv = 1.0 / (1.0 - alpha)
-        spec = None
         rows = []
         for eps in cfg.epsilons or (0.25, 0.5, 1.0, 2.0):
             spec = EpiSpec(
@@ -355,8 +352,6 @@ def _dispatch(cfg: RunConfig) -> int:
         return EXIT_OK if worst <= 1e-4 else EXIT_SOLVER
 
     if cfg.command == "check":
-        rng = np.random.default_rng(cfg.seed)
-        specs: list[CatalogSpec]
         if cfg.spec:
             specs = [CatalogSpec(cfg.spec["family"], dict(cfg.spec.get("params", {})))]
         else:
@@ -393,6 +388,8 @@ def _parse_spec(args, params: dict) -> Optional[dict]:
         else:
             with open(args.spec) as fh:
                 spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"spec must be a JSON object, got {spec!r}")
     inline = {k: v for k, v in params.items() if k != "tau"}
     if inline and spec is None:
         if args.phi:
@@ -454,21 +451,25 @@ def main(argv: Optional[list[str]] = None) -> int:
         val = getattr(args, "big_k" if key == "K" else key)
         if val is not None:
             params[key] = val
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input_path,
-        spec=_parse_spec(args, params),
-        params=params,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        taus=[float(t) for t in args.taus.split(",")] if args.taus else None,
-        epsilons=[float(e) for e in args.epsilons.split(",")] if args.epsilons else None,
-        model=args.model,
-        target=args.target,
-        target_mean=args.target_mean,
-    )
+    try:
+        cfg = RunConfig(
+            command=args.command,
+            input_path=args.input_path,
+            spec=_parse_spec(args, params),
+            params=params,
+            max_iter=args.max_iter,
+            seed=args.seed,
+            output_format=args.output_format,
+            output_path=args.output_path,
+            taus=[float(t) for t in args.taus.split(",")] if args.taus else None,
+            epsilons=[float(e) for e in args.epsilons.split(",")] if args.epsilons else None,
+            model=args.model,
+            target=args.target,
+            target_mean=args.target_mean,
+        )
+    except (ValueError, OSError) as exc:  # a bad JSON spec, a spec path that is missing or a directory, a bad grid
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return run_command(cfg)
 
 

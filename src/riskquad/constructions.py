@@ -410,12 +410,14 @@ def _shift_breakpoints(f, x: DiscreteRv) -> Optional[np.ndarray]:
     return None
 
 
-def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float) -> Optional[StatInterval]:
-    """Exact argmin interval of g(C) = tilt * C + f(X - C) over f's shift
-    breakpoints, or None when f is not known to be piecewise linear.
+def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float) -> Optional[tuple[float, StatInterval]]:
+    """Exact minimum and argmin interval of g(C) = tilt * C + f(X - C) over
+    f's shift breakpoints, or None when f is not known to be piecewise linear.
 
     The values at the breakpoints come in one pass from the evaluator that
-    f's structure gives; without one, g is called at each breakpoint.
+    f's structure gives; without one, g is called at each breakpoint.  The
+    minimum is g at the least candidate in the interval, bisected as g is
+    convex: the interval may take in segments flat only to a tolerance.
     """
     bps = _shift_breakpoints(f, x)
     if bps is None:
@@ -427,9 +429,16 @@ def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float
     elif f.loss is not None and f.loss.piecewise_linear:
         scan = f.loss.shift_values
     else:
-        return argmin_interval_pwl(g, bps)
+        scan = None
     pts = pwl_grid(bps)
-    return pwl_argmin_interval(pts, scan(x)(pts) + tilt * pts)
+    interval = pwl_argmin_interval(pts, np.array([g(c) for c in pts]) if scan is None else scan(x)(pts) + tilt * pts)
+    inside = pts[(pts >= interval.lo) & (pts <= interval.hi)].tolist()
+    at = lru_cache(maxsize=None)(g)
+    a, b = 0, len(inside) - 1
+    while a < b:
+        mid = (a + b) // 2
+        a, b = (a, mid) if at(inside[mid]) <= at(inside[mid + 1]) else (mid + 1, b)
+    return at(inside[a]), interval
 
 
 def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
@@ -507,9 +516,9 @@ def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_i
     def g(c):
         return tilt * c + f.fn(x.shift(-c))
 
-    interval = _pwl_shift_argmin(f, x, g, tilt)
-    if interval is not None:
-        return g(interval.lo), interval
+    scanned = _pwl_shift_argmin(f, x, g, tilt)
+    if scanned is not None:
+        return scanned
     offset = tilt * x.mean()
     if f.shift_values is not None:
         at = f.shift_values(x)

@@ -150,7 +150,7 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             kind="extended",
             label="extended_pearson",
             conj_grad=lambda z: np.asarray(z, dtype=float) / 2.0 + 1.0,
-            closed_forms=_extended_pearson_forms,
+            closed_forms=lambda div, beta: _quadratic_forms(0.5, 2.0 * beta),
         )
     if name == "gen_extended_pearson":
         if q is None or not 0.0 < q < 1.0:
@@ -177,7 +177,7 @@ def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
             label=f"gen_extended_pearson({q:g})",
             conj_grad=conj_grad,
             q=q,
-            closed_forms=_gen_extended_pearson_forms,
+            closed_forms=lambda div, beta: _quadratic_forms(div.q, beta),
         )
     raise ValueError(f"unknown divergence {name!r}")
 
@@ -264,35 +264,37 @@ def divergence_value(j, q, probs) -> float:
 # -- perspective route ---------------------------------------------------------
 
 
-def perspective_inf(h: Callable[[float], float], tau: float) -> tuple[float, float]:
-    """inf_{l > 0} l * (tau + h(l)) by golden section in log l on [1e-8, 1e8].
+def perspective_inf(h: Callable[[float], float], tau: float, x: DiscreteRv) -> tuple[float, float]:
+    """inf_{l > 0} l * (tau + h(l)) by golden section in log l on unit * [1e-8, 1e8].
 
-    ``h(l)`` is the parent term at multiplier l, such as E[phi*(X / l)]; l is
-    infeasible where it is not finite.  A minimum at the lower bracket edge is
-    reported with its limit value: the recession l * h(l), without the
-    vanishing l * tau contribution.  Returns the infimum and its l.
+    ``h(l)`` is the parent term at X / l, such as E[phi*(X / l)]; l is
+    infeasible where it is not finite.  The unit is max|X| (1 when X = 0), so
+    the search at sX is the search at X, scaled.  A minimum at the lower
+    bracket edge is reported with its limit value: the recession l * h(l),
+    without the vanishing l * tau contribution.  Returns the infimum and its l.
     """
+    unit = float(np.max(np.abs(x.values))) or 1.0
 
     def g(t):
-        lam = math.exp(t)
+        lam = unit * math.exp(t)
         s = h(lam)
         return lam * (tau + s) if math.isfinite(s) else math.inf
 
     t_star, val = minimize_scalar_convex(g, tol=1e-12, bracket=(_LOG_LO, _LOG_HI))
     if t_star - _LOG_LO < 1e-3 * (_LOG_HI - _LOG_LO):
-        lam_edge = math.exp(_LOG_LO)
+        lam_edge = unit * math.exp(_LOG_LO)
         s = h(lam_edge)
         if math.isfinite(s):
             val = min(val, lam_edge * s)
             t_star = _LOG_LO
-    return val, math.exp(t_star)
+    return val, unit * math.exp(t_star)
 
 
 def family_eval_perspective(parent: Callable[[DiscreteRv], float], tau: float, x: DiscreteRv) -> float:
     """inf_{l > 0} l * (parent(X / l) + tau), by ``perspective_inf``."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return perspective_inf(lambda lam: parent(x.scale(1.0 / lam)), tau)[0]
+    return perspective_inf(lambda lam: parent(x.scale(1.0 / lam)), tau, x)[0]
 
 
 # -- envelope route -------------------------------------------------------------
@@ -545,7 +547,7 @@ def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
 
     def fn(x: DiscreteRv) -> float:
         v, p = x.values, x.probs
-        return perspective_inf(lambda lam: float(np.dot(p, div.phi_conj(v / lam))), beta)[0]
+        return perspective_inf(lambda lam: float(np.dot(p, div.phi_conj(v / lam))), beta, x)[0]
 
     return RegretFn(fn=fn, flags=Flags(True, div.kind == "divergence", False), label=f"{div.label}_regret({beta:g})")
 
@@ -585,19 +587,19 @@ def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
     return vmax + lam * (beta + math.log(float(np.dot(p, np.exp(u / lam))))), lam
 
 
-def make_divergence_quadrangle(div: DivergenceFn, beta: float, fast: bool = True) -> Quadrangle:
+def make_divergence_quadrangle(div: DivergenceFn, beta: float) -> Quadrangle:
     """The quadrangle generated by a divergence function at budget beta.
 
-    Named divergences take their closed forms (``div.closed_forms``); the
-    generic path evaluates the regret by a one-dimensional search in the
-    perspective multiplier and projects the rest.
+    The regret is the phi-regret, by ``perspective_inf``, and the error its
+    mean-centred form; ``div.closed_forms`` replace members by exact routes,
+    and without them the risk and statistic come from projecting the regret.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     v_regret = _phi_regret(div, beta)
     forms = {"err": mean_center_regret(v_regret), "regret_fn": v_regret}
     label = f"{div.label}_quadrangle({beta:g})"
-    if fast and div.closed_forms is not None:
+    if div.closed_forms is not None:
         forms.update(div.closed_forms(div, beta))
     else:
         forms["risk"] = lambda x: regret_to_risk(v_regret, x)[0]
@@ -637,47 +639,34 @@ def _tv_forms(div: DivergenceFn, beta: float) -> dict:
     return {"risk": risk, "statistic": statistic}
 
 
-def _extended_pearson_forms(div: DivergenceFn, beta: float) -> dict:
-    rt = math.sqrt(beta)
-    return {
-        "deviation": lambda x: rt * x.std(),
-        "error": lambda x: rt * math.sqrt(max(x.moment(lambda t: t * t), 0.0)),
-        "statistic": lambda x: StatInterval.point(x.mean()),
-    }
-
-
 def _pearson_forms(div: DivergenceFn, beta: float) -> dict:
-    coef = beta + 1.0
+    """The risk min_c c + sqrt((1 + beta) E(X - c)_+^2) and its statistic.
 
-    def vreg(x):
-        return math.sqrt(coef * x.moment(lambda t: np.maximum(t, 0.0) ** 2))
+    The phi-regret's dual inf over (mu, l) is this shifted form at
+    c = mu - 2 l, so the statistic, the multiplier mu of E[Q] = 1, is
+    m(c) = c + E(X - c)_+ at the optimal shifts; m is nondecreasing.
+    """
+    coef = beta + 1.0
 
     def statistic(x):
         c, _ = _pearson_shift(x, coef)
-        # at (1 + beta) P(ess sup) = 1 the objective is flat between the top two atoms
-        return StatInterval(float(x.values[-2]) if coef * float(x.probs[-1]) == 1.0 else c, c)
+        # at (1 + beta) P(ess sup) = 1 every shift from the next atom up to ess sup X is optimal
+        lo = float(x.values[-2]) if coef * float(x.probs[-1]) == 1.0 else c
+        m = lambda t: t + float(np.dot(x.probs, np.maximum(x.values - t, 0.0)))
+        return StatInterval(m(lo), m(c))
 
-    v_regret = RegretFn(fn=vreg, flags=Flags(True, True, False))
-    return {
-        "err": mean_center_regret(v_regret),
-        "regret_fn": v_regret,
-        "risk": lambda x: _pearson_shift(x, coef)[1],
-        "statistic": statistic,
-    }
+    return {"risk": lambda x: _pearson_shift(x, coef)[1], "statistic": statistic}
 
 
-def _gen_extended_pearson_forms(div: DivergenceFn, beta: float) -> dict:
+def _quadratic_forms(q: float, beta: float) -> dict:
+    """The quadrangle of phi(x) = (x - 1)^2 / q above 1 and (x - 1)^2 / (1 - q)
+    below: the error sqrt(beta E[q X_+^2 + (1 - q) X_-^2]) and the q-expectile
+    as its statistic.  gen_extended_pearson is this phi; extended_pearson's
+    phi is half of it at q = 1/2, so its ball at beta is this one's at 2 beta."""
     from .measures import expectile_value
 
-    q = div.q
-
     def error(x):
-        return math.sqrt(
-            beta
-            * x.moment(
-                lambda t: q * np.maximum(t, 0.0) ** 2 + (1.0 - q) * np.maximum(-t, 0.0) ** 2
-            )
-        )
+        return math.sqrt(beta * x.moment(lambda t: q * np.maximum(t, 0.0) ** 2 + (1.0 - q) * np.maximum(-t, 0.0) ** 2))
 
     err = ErrorFn(fn=error, flags=Flags(True, False, False))
     return {

@@ -1,6 +1,9 @@
 """Shared sampling helpers for the test suite."""
 
+import dataclasses
+
 from riskquad.core import sample_rvs
+from riskquad.divergence import make_divergence_quadrangle
 
 
 def random_rv(rng, max_atoms=8, span=3.0, offset=0.0):
@@ -30,3 +33,9 @@ LP_FAMILIES = [
 def within(a, b, rel=1e-12):
     """|a - b| <= rel * (1 + |b|)."""
     return abs(a - b) <= rel * (1.0 + abs(b))
+
+
+def generic_divergence_quadrangle(div, beta):
+    """The quadrangle of ``div`` at ``beta`` without its closed forms: the
+    phi-regret projected by golden section, the oracle for the closed routes."""
+    return make_divergence_quadrangle(dataclasses.replace(div, closed_forms=None), beta)

@@ -322,3 +322,56 @@ def test_parser_actions_keep_no_state():
         for action in parser._actions:
             assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction, argparse._CountAction))
             assert action.default is None or isinstance(action.default, (str, int, float, bool, tuple))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--spec", "{bad", "--input", "u5.csv"],
+        ["eval", "--spec", "missing.json", "--input", "u5.csv"],
+        ["eval", "--spec", ".", "--input", "u5.csv"],
+        ["eval", "--spec", "number.json", "--input", "u5.csv"],
+        ["family", "--taus", "1,a", "--input", "u5.csv"],
+        ["eval", "--family", "mean_pl", "--input", "."],
+    ],
+    ids=["bad-json", "missing-path", "directory", "not-an-object", "bad-grid", "input-directory"],
+)
+def test_unreadable_spec_grid_or_input_exits_1(u5_csv, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "number.json").write_text("5\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("phi, beta", [("kl", "0.5"), ("tv", "0.8")])
+def test_divergence_eval_is_positively_homogeneous(tmp_path, capsys, phi, beta):
+    # X = {-1, 0.5, 2, 3} w.p. (.1, .4, .3, .2), scaled by s: every member reads s times its unit value
+    def members(s):
+        path = tmp_path / f"x{s:g}.csv"
+        path.write_text("value,prob\n" + "".join(f"{s * v!r},{p}\n" for v, p in [(-1.0, 0.1), (0.5, 0.4), (2.0, 0.3), (3.0, 0.2)]))
+        assert main(["eval", "--phi", phi, "--beta", beta, "--input", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        lo, hi = payload["statistic"]
+        return [payload[k] for k in ("risk", "deviation", "regret", "error")] + [lo, hi]
+
+    unit = members(1.0)
+    for s in (1e6, 1e-9):
+        for got, want in zip(members(s), unit):
+            assert abs(got / s - want) <= 1e-11 * (1.0 + abs(want)), (s, got, want)
+
+
+# printed before pearson's regret became the phi-regret, which left its risk, deviation and balls as they were
+PEARSON = json.loads((pathlib.Path(__file__).parent / "fixtures" / "pearson_cli.json").read_text())
+
+
+def test_pearson_risk_and_balls_are_unchanged(tmp_path, scen_csv, capsys):
+    rv = tmp_path / "rv.csv"
+    rv.write_text(PEARSON["rv_csv"])
+    assert main(["eval", "--phi", "pearson", "--beta", "0.5", "--input", str(rv), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {k: payload[k] for k in ("risk", "deviation")} == PEARSON["eval --phi pearson --beta 0.5"]
+    assert main(["dro", "--phi", "pearson", "--tau", "0.5", "--input", scen_csv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == PEARSON["dro --phi pearson --tau 0.5"]
+    assert main(["family", "--phi", "pearson", "--taus", "0.1,1,10", "--input", str(rv), "--format", "json"]) == 0
+    assert capsys.readouterr().out == PEARSON["family --phi pearson --taus 0.1,1,10"]

@@ -681,3 +681,17 @@ def test_shift_minimum_raises_where_the_tilted_objective_is_unbounded():
             assert got == pytest.approx(_shift_minimum(bare, x, tilt, 1e-11, False, "error")[0], abs=1e-9)
     # at the edge of its range the scanned objective is flat out to -inf: a minimum, not an unbounded one
     assert _shift_minimum(scanned, x, 1.0, 1e-11, False, "error")[0] == pytest.approx(x.mean(), abs=1e-12)
+
+
+def test_exact_scan_reports_the_smallest_scanned_value():
+    # g(C) = tilt C + E|X - C| on X = {0, 1, 2}: its slope on (0, 1) is -5e-10, flat to the scan's
+    # slope tolerance, so the argmin interval is [0, 1]; the minimum is g(1), 5e-10 below g(0)
+    from riskquad.constructions import _shift_minimum
+
+    x = DiscreteRv.uniform([0.0, 1.0, 2.0])
+    tilt = 1.0 / 3.0 - 5e-10
+    err = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
+    value, interval = _shift_minimum(err, x, tilt, 1e-11, True, "error")
+    assert interval == StatInterval(0.0, 1.0)
+    assert value == pytest.approx(tilt + 2.0 / 3.0, abs=1e-15)
+    assert value == pytest.approx(min(tilt * c + err.fn(x.shift(-c)) for c in (0.0, 1.0, 2.0)), abs=1e-15)

@@ -12,6 +12,7 @@ from riskquad.checks import run_quadrangle_checks
 from riskquad.divergence import (
     StochasticDivergenceJ,
     _kl_risk,
+    _pearson_shift,
     classify_divergence,
     cvar_indicator_regret,
     cvar_indicator_regret_family,
@@ -26,7 +27,7 @@ from riskquad.divergence import (
 from riskquad.measures import CatalogSpec, expectile_value, make_catalog_quadrangle
 from riskquad.solvers import LpProblem, solve_lp
 
-from helpers import random_rv, random_rvs
+from helpers import generic_divergence_quadrangle, random_rv, random_rvs
 
 U5 = DiscreteRv.uniform([1, 2, 3, 4, 5])
 SYM = DiscreteRv([-1, 1], [0.5, 0.5])
@@ -345,7 +346,7 @@ def test_extended_pearson_quadrangle():
     rng = np.random.default_rng(3)
     for x in random_rvs(rng, 6):
         assert q.risk(x) == pytest.approx(x.mean() + x.std(), abs=1e-12)
-    gen = make_divergence_quadrangle(make_divergence("extended_pearson"), 1.0, fast=False)
+    gen = generic_divergence_quadrangle(make_divergence("extended_pearson"), 1.0)
     for x in random_rvs(rng, 4):
         assert gen.risk(x) == pytest.approx(q.risk(x), abs=1e-7)
         assert gen.regret(x) == pytest.approx(q.regret(x), abs=1e-9)
@@ -355,7 +356,7 @@ def test_tv_quadrangle_closed_form_and_generic():
     beta = 0.8
     q = make_divergence_quadrangle(make_divergence("tv"), beta)
     assert q.risk(U5) == pytest.approx(4.4, abs=1e-9)
-    gen = make_divergence_quadrangle(make_divergence("tv"), beta, fast=False)
+    gen = generic_divergence_quadrangle(make_divergence("tv"), beta)
     rng = np.random.default_rng(4)
     for x in random_rvs(rng, 5):
         assert gen.risk(x) == pytest.approx(q.risk(x), abs=1e-6)
@@ -369,7 +370,7 @@ def test_tv_quadrangle_closed_form_and_generic():
 def test_kl_quadrangle_stationarity():
     beta = 0.5
     q = make_divergence_quadrangle(make_divergence("kl"), beta)
-    gen = make_divergence_quadrangle(make_divergence("kl"), beta, fast=False)
+    gen = generic_divergence_quadrangle(make_divergence("kl"), beta)
     from riskquad.divergence import _kl_risk
 
     rng = np.random.default_rng(5)
@@ -389,7 +390,7 @@ def test_lambda_edge_limit_agrees_across_routes(x):
     # at kl, beta = 2 the infimum over lambda is the lambda -> 0 limit
     kl = make_divergence("kl")
     beta = 2.0
-    generic = make_divergence_quadrangle(kl, beta, fast=False).regret(x)
+    generic = generic_divergence_quadrangle(kl, beta).regret(x)
     persp = family_eval_perspective(lambda y: float(np.dot(y.probs, kl.phi_conj(y.values))), beta, x)
     assert generic == persp
 
@@ -412,7 +413,7 @@ def test_gep_quadrangle_statistic_expectile_beta_free():
     assert max(stats) - min(stats) <= 1e-6
     assert stats[0] == pytest.approx(want, abs=1e-9)
     # generic route agrees
-    gen = make_divergence_quadrangle(make_divergence("gen_extended_pearson", q=q_level), 1.0, fast=False)
+    gen = generic_divergence_quadrangle(make_divergence("gen_extended_pearson", q=q_level), 1.0)
     assert gen.risk(U5) == pytest.approx(
         make_divergence_quadrangle(make_divergence("gen_extended_pearson", q=q_level), 1.0).risk(U5), abs=1e-6
     )
@@ -420,10 +421,10 @@ def test_gep_quadrangle_statistic_expectile_beta_free():
     skew = DiscreteRv([0.0, 1.0, 3.0, 7.0], [0.1, 0.2, 0.3, 0.4])
     for q_level in (0.3, 0.7):
         div = make_divergence("gen_extended_pearson", q=q_level)
-        fast, gen = make_divergence_quadrangle(div, 1.0), make_divergence_quadrangle(div, 1.0, fast=False)
-        assert fast.statistic(skew).midpoint == pytest.approx(expectile_value(skew, q_level), abs=1e-9)
+        closed, gen = make_divergence_quadrangle(div, 1.0), generic_divergence_quadrangle(div, 1.0)
+        assert closed.statistic(skew).midpoint == pytest.approx(expectile_value(skew, q_level), abs=1e-9)
         assert gen.statistic(skew).midpoint == pytest.approx(expectile_value(skew, q_level), abs=1e-6)
-        assert gen.risk(skew) == pytest.approx(fast.risk(skew), abs=1e-6)
+        assert gen.risk(skew) == pytest.approx(closed.risk(skew), abs=1e-6)
 
 
 def test_closed_forms_ride_on_the_divergence_not_its_label():
@@ -441,12 +442,78 @@ def test_gep_level_is_kept_at_full_precision():
         assert abs(qg.statistic(x).midpoint - expectile_value(x, q_level)) <= 1e-12
 
 
+def _assert_routes_agree(closed, gen, x):
+    """Closed members against the generic oracle: regret and error to 1e-9 max|X|,
+    risk and deviation to 1e-6 max|X|, the closed statistic inside the generic
+    flat set widened by 1e-6 max|X|."""
+    top = float(np.max(np.abs(x.values)))
+    for member in ("regret", "error"):
+        assert abs(getattr(closed, member)(x) - getattr(gen, member)(x)) <= 1e-9 * top, member
+    risk, flat = regret_to_risk(gen.regret_fn, x)
+    assert abs(closed.risk(x) - risk) <= 1e-6 * top
+    assert abs(closed.deviation(x) - (risk - x.mean())) <= 1e-6 * top
+    stat = closed.statistic(x)
+    assert flat.lo - 1e-6 * top <= stat.lo and stat.hi <= flat.hi + 1e-6 * top, (stat, flat)
+
+
 def test_pearson_quadrangle_fast_vs_generic():
-    q = make_divergence_quadrangle(make_divergence("pearson"), 1.0)
-    gen = make_divergence_quadrangle(make_divergence("pearson"), 1.0, fast=False)
+    pearson = make_divergence("pearson")
+    q = make_divergence_quadrangle(pearson, 1.0)
+    gen = generic_divergence_quadrangle(pearson, 1.0)
     rng = np.random.default_rng(6)
     for x in random_rvs(rng, 4):
-        assert q.risk(x) == pytest.approx(gen.risk(x), abs=1e-6)
+        _assert_routes_agree(q, gen, x)
+
+
+def test_pearson_quadrangle_on_a_symmetric_pair():
+    # V(X) = E X + sqrt(beta E X^2) where X >= -2 l*, so R(X) = min_C C + V(X - C) is
+    # E X + sqrt(beta (Var X + (E X - C)^2)) at its minimizer, the point C = E X
+    pearson = make_divergence("pearson")
+    q = make_divergence_quadrangle(pearson, 0.5)
+    gen = generic_divergence_quadrangle(pearson, 0.5)
+    for member in ("regret", "error"):
+        assert getattr(q, member)(SYM) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert abs(getattr(q, member)(SYM) - getattr(gen, member)(SYM)) <= 1e-9
+    stat = q.statistic(SYM)
+    assert abs(stat.lo) <= 1e-12 and abs(stat.hi) <= 1e-12
+
+
+PHIS = [("kl", None), ("tv", None), ("pearson", None), ("extended_pearson", None), ("gen_extended_pearson", 0.7)]
+MEMBERS = ("risk", "deviation", "regret", "error")
+
+
+def _quadrangle_draws(rng, n):
+    """n random r.v.s of 1 to 8 atoms on [-3, 3], each with a budget in [0.1, 1.6]."""
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(1, 9))
+        out.append((DiscreteRv(rng.uniform(-3.0, 3.0, k), rng.dirichlet(np.ones(k))), float(rng.uniform(0.1, 1.6))))
+    return out
+
+
+@pytest.mark.parametrize("name, level", PHIS)
+def test_divergence_quadrangles_are_positively_homogeneous(name, level):
+    div = make_divergence(name, q=level)
+    for x, beta in _quadrangle_draws(np.random.default_rng(21), 8):
+        q = make_divergence_quadrangle(div, beta)
+        unit = {member: getattr(q, member)(x) for member in MEMBERS}
+        stat, top = q.statistic(x), float(np.max(np.abs(x.values)))
+        for k in (-12, -9, -6, -3, 3, 6, 9, 12):
+            s = 10.0**k
+            y = x.scale(s)
+            for member, want in unit.items():
+                assert abs(getattr(q, member)(y) / s - want) <= 1e-12 * (1.0 + abs(want)), (member, s)
+            got = q.statistic(y)
+            assert max(abs(got.lo / s - stat.lo), abs(got.hi / s - stat.hi)) <= 1e-12 * (1.0 + top), s
+
+
+@pytest.mark.parametrize("name, level", PHIS)
+def test_closed_routes_agree_with_the_generic_oracle(name, level):
+    div = make_divergence(name, q=level)
+    for x, beta in _quadrangle_draws(np.random.default_rng(22), 4):
+        closed, gen = make_divergence_quadrangle(div, beta), generic_divergence_quadrangle(div, beta)
+        for s in (1e-3, 1.0, 1e3):
+            _assert_routes_agree(closed, gen, x.scale(s))
 
 
 @st.composite
@@ -463,28 +530,43 @@ def _pearson_cases(draw):
 @given(_pearson_cases())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_pearson_closed_statistic_and_risk(case):
-    # the statistic is the point c*, inside the flat set that golden section
-    # finds for the quadrangle's own regret; the risk is the density ball's envelope
+    # the shift c* is a point, inside the flat set that golden section finds for the
+    # shifted form's regret sqrt((1 + beta) E X_+^2), which generates the same risk; the
+    # statistic m(c*) = c* + E(X - c*)_+ lies in the phi-regret's flat set, and the risk
+    # is the density ball's envelope
     x, beta = case
     pearson = make_divergence("pearson")
     q = make_divergence_quadrangle(pearson, beta)
     stat, risk = q.statistic(x), q.risk(x)
     scale = 1.0 + float(np.max(np.abs(x.values)))
-    golden_risk, golden_stat = regret_to_risk(q.regret_fn, x)
-    if (1.0 + beta) * float(x.probs[-1]) != 1.0:
+    shifted = RegretFn(fn=lambda y: math.sqrt((1.0 + beta) * y.moment(lambda t: np.maximum(t, 0.0) ** 2)), flags=q.flags)
+    golden_risk, golden_shift = regret_to_risk(shifted, x)
+    c_star = _pearson_shift(x, 1.0 + beta)[0]
+    tie = (1.0 + beta) * float(x.probs[-1]) == 1.0
+    shifts = StatInterval(float(x.values[-2]) if tie else c_star, c_star)
+    if not tie:
         assert stat.lo == stat.hi
-    assert golden_stat.lo <= stat.lo and stat.hi <= golden_stat.hi
+    assert golden_shift.lo <= shifts.lo and shifts.hi <= golden_shift.hi
+    m = lambda c: c + float(np.dot(x.probs, np.maximum(x.values - c, 0.0)))
+    assert stat == StatInterval(m(shifts.lo), m(shifts.hi))
     assert risk <= golden_risk + 1e-12 * scale and golden_risk - risk <= 1e-9 * scale
+    _, flat = regret_to_risk(q.regret_fn, x)
+    top = float(np.max(np.abs(x.values)))
+    assert flat.lo - 1e-6 * top <= stat.lo and stat.hi <= flat.hi + 1e-6 * top
     envelope, _ = family_eval_envelope(StochasticDivergenceJ.from_phi(pearson, normalized=True), beta, x)
     assert risk == pytest.approx(envelope, rel=1e-15, abs=1e-15 * scale)
 
 
 @pytest.mark.parametrize("x", [DiscreteRv([0.0, 1.0], [0.5, 0.5]), DiscreteRv([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5])])
 def test_pearson_statistic_at_the_tie(x):
-    # (1 + beta) P(ess sup) = 1: the objective is flat from the next atom down to ess sup
-    q = make_divergence_quadrangle(make_divergence("pearson"), 1.0)
-    assert q.statistic(x) == StatInterval(0.0, 1.0)
+    # (1 + beta) P(ess sup) = 1: every shift c from the next atom, 0, up to ess sup is optimal,
+    # and the multiplier m(c) = c + E(X - c)_+ maps them onto [0.5, 1]
+    pearson = make_divergence("pearson")
+    q = make_divergence_quadrangle(pearson, 1.0)
+    assert q.statistic(x) == StatInterval(0.5, 1.0)
     assert q.risk(x) == 1.0
+    flat = generic_divergence_quadrangle(pearson, 1.0).statistic(x)
+    assert abs(flat.lo - 0.5) <= 1e-3 and abs(flat.hi - 1.0) <= 1e-6
 
 
 def test_divergence_quadrangle_mean_centering():

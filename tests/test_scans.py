@@ -29,7 +29,7 @@ from riskquad.measures import (
     expectile_value,
     make_catalog_quadrangle,
 )
-from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex
+from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex, pwl_grid
 
 from helpers import random_rvs
 
@@ -37,13 +37,14 @@ from helpers import random_rvs
 
 
 def per_point_argmin(f, x, tilt):
-    """min_C tilt * C + f(X - C) and its interval, evaluating f at each breakpoint."""
+    """min_C tilt * C + f(X - C) and its interval, evaluating f at each breakpoint;
+    the minimum is the least value at the candidates inside the interval."""
 
     def g(c):
         return tilt * c + f.fn(x.shift(-c))
 
     interval = argmin_interval_pwl(g, _shift_breakpoints(f, x))
-    return g(interval.lo), interval
+    return min(g(c) for c in pwl_grid(_shift_breakpoints(f, x)) if interval.lo <= c <= interval.hi), interval
 
 
 def loop_tail_segments(x):
