@@ -230,23 +230,20 @@ def _dispatch(cfg: RunConfig) -> int:
         return EXIT_OK
 
     if cfg.command == "envelope":
-        x = ingest_rv_csv(cfg.input_path)
         spec = cfg.spec or {}
-        fam = spec.get("family")
-        params = spec.get("params", {})
-        p = x.probs
-        if fam == "quantile":
-            env = cvar_envelope(params["alpha"], p)
-            q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": params["alpha"]}))
-        elif fam == "mean_pl":
-            env = mean_abs_risk_envelope(p)
-            q = make_catalog_quadrangle(CatalogSpec("mean_pl", {}))
-        elif fam == "expectile_pl":
-            k = params["K"]
-            env = expectile_envelope(_expectile_q_from_k(k), p)
-            q = make_catalog_quadrangle(CatalogSpec("expectile_pl", {"K": k}))
-        else:
+        if spec.get("family") not in ("quantile", "mean_pl", "expectile_pl"):
             raise ValueError("envelope report supports families quantile, mean_pl, expectile_pl")
+        # the spec validates the family's parameters before any envelope is built
+        cat = CatalogSpec(spec["family"], spec.get("params", {}))
+        q = make_catalog_quadrangle(cat)
+        x = ingest_rv_csv(cfg.input_path)
+        p = x.probs
+        if cat.family == "quantile":
+            env = cvar_envelope(cat.params["alpha"], p)
+        elif cat.family == "mean_pl":
+            env = mean_abs_risk_envelope(p)
+        else:
+            env = expectile_envelope(_expectile_q_from_k(cat.params["K"]), p)
         rng = np.random.default_rng(cfg.seed)
         rep = dual_axiom_check(env, rng=rng)
         sup, _ = envelope_sup(env, x.values)
@@ -326,6 +323,7 @@ def _dispatch(cfg: RunConfig) -> int:
     if cfg.command == "epi":
         x = ingest_rv_csv(cfg.input_path)
         alpha = cfg.params.get("alpha", 0.5)
+        envelope = cvar_envelope(alpha, x.probs)
         kern, kconj, kscalar = kernel_quadratic_regret()
         inv = 1.0 / (1.0 - alpha)
         rows = []
@@ -335,7 +333,7 @@ def _dispatch(cfg: RunConfig) -> int:
                 kernel=kern,
                 epsilon=eps,
                 base_regret=lambda y: inv * y.mean_pos(),
-                base_envelope=cvar_envelope(alpha, x.probs),
+                base_envelope=envelope,
                 kernel_conj=kconj,
                 kernel_conj_scalar=kscalar,
             )

@@ -25,8 +25,6 @@ from .solvers import (
     argmin_interval_pwl,
     flat_interval,
     ksection_crossings,
-    ksection_flat_interval,
-    ksection_min,
     minimize_scalar_convex,
     pwl_argmin_interval,
     pwl_grid,
@@ -125,6 +123,26 @@ class ScalarLoss:
             return (moment - d[:, None] * mass) @ s_band + mass @ b_band
 
         return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), kinks.size + 1)
+
+    def shift_slopes(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
+        """C -> the left and right slopes of C -> E[e(X - C)] for each C of an
+        array, -E[e'_+(X - C)] and -E[e'_-(X - C)], as two rows.
+
+        Each expectation is summed as ``np.dot`` sums one, so the slopes are
+        those of the scalar criterion; a loss with one derivative takes it once.
+        """
+        v, p = x.values, x.probs
+
+        def mean_d(d, cs):
+            rows = lambda c: np.matmul(d(v[None, :] - c[:, None])[:, None, :], p[:, None])[:, 0, 0]
+            return map_chunks(rows, cs, v.size)
+
+        def slopes(cs):
+            cs = np.asarray(cs, dtype=float)
+            right = -mean_d(self.d_left, cs)
+            return np.stack((right if self.d_right is self.d_left else -mean_d(self.d_right, cs), right))
+
+        return slopes
 
     @staticmethod
     def from_pieces(pieces: Sequence[tuple[float, float]], label: str = "") -> "ScalarLoss":
@@ -241,11 +259,13 @@ class Functional:
     """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
 
     ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
-    that the projections exploit when it is known.  ``shift_values(x)``, for
-    a functional with neither a piecewise-linear loss nor a moment-max form,
-    returns the array evaluator C -> f(X - C), built once per X: one call
-    gives every C of an array, and the values are convex in C.  The other
-    two forms supply their own.
+    that the projections exploit when it is known.  Two array evaluators are
+    built once per X, and one call of either gives every C of an array:
+    ``shift_values(x)``, C -> f(X - C), is the exact scan's data for a
+    functional with shift breakpoints but neither a piecewise-linear loss nor
+    a moment-max form, which supply their own; ``shift_slopes(x)`` gives the
+    rows of left and right slopes of the convex C -> f(X - C), nondecreasing
+    in C, for a smooth functional.
     """
 
     fn: Callable[[DiscreteRv], float]
@@ -255,6 +275,7 @@ class Functional:
     moment_max: Optional[MomentMaxSpec] = None
     shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
     shift_values: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
+    shift_slopes: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
 
     def __call__(self, x: DiscreteRv) -> float:
         return self.fn(x)
@@ -271,6 +292,7 @@ def error_from_loss(loss: ScalarLoss, flags: Flags | None = None, label: str = "
         flags=replace(flags, expectation_type=True),
         label=label or loss.label,
         loss=loss,
+        shift_slopes=loss.shift_slopes,
     )
 
 
@@ -296,11 +318,15 @@ def mean_center_regret(v: RegretFn) -> ErrorFn:
 
 def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, flags: Optional[Flags] = None) -> Functional:
     """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over."""
-    sv = f.shift_values
+    sv, ss = f.shift_values, f.shift_slopes
 
     def shift_values(x):
         at, mean = sv(x), x.mean()
         return lambda cs: scale * at(cs) + tilt * (mean - cs)
+
+    def shift_slopes(x):
+        at = ss(x)
+        return lambda cs: scale * at(cs) - tilt
 
     return Functional(
         fn=lambda x: scale * f.fn(x) + tilt * x.mean(),
@@ -312,6 +338,7 @@ def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, fla
         ),
         shift_breakpoints=f.shift_breakpoints,
         shift_values=None if sv is None else shift_values,
+        shift_slopes=None if ss is None else shift_slopes,
     )
 
 
@@ -441,61 +468,56 @@ def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float
     return at(inside[a]), interval
 
 
-def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
-    """Statistic from the one-sided derivative criterion.
+def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = None) -> StatInterval:
+    """Statistic from the one-sided slope criterion.
 
-    {C : E[e'_-(X-C)] <= 0 <= E[e'_+(X-C)]}; both expectations are
-    nonincreasing in C, so each endpoint is a monotone crossing, and the two
-    are narrowed together by ``ksection_crossings`` on blocks of shifts by
-    atoms.  Each row's expectation is summed as ``np.dot`` sums one, so the
-    crossings are those of the scalar criterion.
+    ``slopes(cs)`` gives the rows of left and right slopes s_-, s_+ of a
+    convex objective at every C of an array.  Its argmin set is
+    {C : s_-(C) <= 0 <= s_+(C)} = [lo, hi], with lo the least C at which
+    s_+ >= 0 and hi the greatest at which s_- <= 0.  One call brackets both
+    among up to K atoms; where that does not, a second adds a fan of steps
+    of 4^j spreads beyond the ends.  A bracket end at which the slope jumps
+    across 0 (s_- < 0 <= s_+ for lo, s_- <= 0 < s_+ for hi) is the crossing
+    itself; the others are narrowed together by ``ksection_crossings``.
+
+    Slopes that come from a ``loss`` cost O(n) a point, so they take as few
+    points a row as fill a batched temporary; others take K.  Crossings
+    within 1e-8 relative of a shift X - kink by one of the loss's kinks are
+    snapped to it.
     """
-    v, p = x.values, x.probs
-    # a loss with one derivative evaluates both crossings' points in one block
-    one = loss.d_left is loss.d_right
-    k = min(KSECTION, max(4, chunk_rows(v.size) // 2))
+    v = x.values
+    k = KSECTION if loss is None else min(KSECTION, max(4, chunk_rows(v.size) // 2))
+    width = float(v[-1] - v[0]) or max(1.0, abs(float(v[0])))
+    fan = width * 4.0 ** np.arange(48)
+    atoms = v[np.unique(np.linspace(0.0, v.size - 1, min(v.size, k)).round().astype(int))]
+    for pts in (atoms, np.concatenate(((v[0] - fan)[::-1], atoms, v[-1] + fan))):
+        left, right = slopes(pts)
+        i = int(np.argmax(right >= 0.0))
+        j = pts.size - 1 - int(np.argmax(left[::-1] <= 0.0))
+        # lo lies in (pts[i - 1], pts[i]] and hi in [pts[j], pts[j + 1])
+        if right[i] >= 0.0 and (i > 0 or left[i] < 0.0) and left[j] <= 0.0 and (j < pts.size - 1 or right[j] > 0.0):
+            break
+    else:
+        raise UnboundedObjectiveError("objective still descending at the end of the fan")
+    lo_out = i if left[i] < 0.0 else i - 1
+    hi_out = j if right[j] > 0.0 else j + 1
 
-    def mean_d(d, cs):
-        # E[d(X - C)] for each C of the 1-d array cs
-        rows = lambda c: np.matmul(d(v[None, :] - c[:, None])[:, None, :], p[:, None])[:, 0, 0]
-        return map_chunks(rows, cs, v.size)
+    def crit(cs):
+        # s_+ along lo's row and -s_- along hi's, from one call
+        s = slopes(cs.ravel())
+        return np.stack((s[1, : cs.shape[1]], -s[0, cs.shape[1] :]))
 
-    def criteria(cs):
-        # rows E[e'_-(X - C)] and E[e'_+(X - C)] at the rows of the (2, n) array cs
-        if one:
-            return mean_d(loss.d_left, cs.ravel()).reshape(cs.shape)
-        return np.stack((mean_d(loss.d_left, cs[0]), mean_d(loss.d_right, cs[1])))
-
-    # march out from the support by steps that double until each criterion has
-    # the sign its bracket end needs
-    span0 = max(1.0, float(v[-1] - v[0]))
-    fan = span0 * 2.0 ** np.arange(60)
-
-    def reach(pts, want):
-        ok = want(criteria(np.stack((pts[:1], pts[:1]))))
-        if not ok.all():
-            ok = want(criteria(np.stack((pts, pts))))
-        if not ok.any(axis=1).all():
-            raise UnboundedObjectiveError("objective still descending at the end of the fan")
-        return pts[np.argmax(ok, axis=1)]
-
-    lo_out, hi_in = reach(float(v[0]) - fan, lambda g: np.stack((g[0] > 0.0, g[1] >= 0.0)))
-    lo_in, hi_out = reach(float(v[-1]) + fan, lambda g: np.stack((g[0] <= 0.0, g[1] < 0.0)))
-
-    # lo is the last point from lo_in down at which E[e'_-] <= 0, hi the last
-    # from hi_in up at which E[e'_+] >= 0
-    crit = lambda cs: criteria(cs) * [[-1.0], [1.0]]
-    lo, hi = (float(c) for c in ksection_crossings(crit, [lo_in, hi_in], [lo_out, hi_out], k))
-    if loss.kinks:
+    # the criterion at each end as a limit from inside its bracket
+    ends = ([left[i], -right[j]], [right[lo_out], -left[hi_out]])
+    lo, hi = (float(c) for c in ksection_crossings(crit, pts[[i, j]], pts[[lo_out, hi_out]], k, ends))
+    if loss is not None and loss.kinks:
         candidates = np.unique((v[:, None] - np.asarray(loss.kinks)[None, :]).ravel())
-        for i, c in enumerate((lo, hi)):
+
+        def snap(c):
             near = candidates[np.abs(candidates - c) <= 1e-8 * (1.0 + abs(c))]
-            if near.size:
-                snapped = float(near[np.argmin(np.abs(near - c))])
-                if i == 0:
-                    lo = snapped
-                else:
-                    hi = snapped
+            return float(near[np.argmin(np.abs(near - c))]) if near.size else c
+
+        lo, hi = snap(lo), snap(hi)
     if hi < lo:
         lo = hi = 0.5 * (lo + hi)
     return StatInterval(lo, hi)
@@ -503,14 +525,14 @@ def _stat_from_derivatives(loss: ScalarLoss, x: DiscreteRv) -> StatInterval:
 
 def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_interval: bool, what: str):
     """min_C tilt * C + f(X - C) with its argmin interval, by the first route
-    f's data allows: the exact scan over shift breakpoints, the batched
-    K-section on ``shift_values``, the derivative crossing of a loss, and
-    golden section with ``flat_interval`` for anything else.  Each route
-    raises UnboundedObjectiveError when the objective has no minimum.
+    f's data allows: the exact scan over shift breakpoints, the crossing of
+    ``shift_slopes`` with the value taken at its midpoint, and golden section
+    with ``flat_interval`` for anything else.  Each route raises
+    UnboundedObjectiveError when the objective has no minimum.
 
-    The flat set is recovered on the objective minus tilt * E[X], which for a
-    regret is the paired error's projection objective: both routes then
-    resolve the same sublevel set at the same threshold.
+    Golden section recovers the flat set on the objective minus
+    tilt * E[X], which for a regret is the paired error's projection
+    objective: both then resolve the same sublevel set at the same threshold.
     """
 
     def g(c):
@@ -519,20 +541,9 @@ def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_i
     scanned = _pwl_shift_argmin(f, x, g, tilt)
     if scanned is not None:
         return scanned
-    offset = tilt * x.mean()
-    if f.shift_values is not None:
-        at = f.shift_values(x)
-        gv = lambda cs: tilt * cs + at(cs)
-        try:
-            cstar, fstar = ksection_min(gv, float(x.values[0]), float(x.values[-1]), tol)
-        except ObjectiveInfiniteError as exc:
-            raise ObjectiveInfiniteError(f"{what} infinite on all shifts") from exc
-        if not want_interval:
-            return fstar, StatInterval.point(cstar)
-        return fstar, ksection_flat_interval(lambda cs: gv(cs) - offset, cstar, fstar - offset)
-    if f.loss is not None:
-        loss = f.loss if tilt == 0.0 else _affine_loss(f.loss, tilt=-tilt)
-        interval = _stat_from_derivatives(loss, x)
+    if f.shift_slopes is not None:
+        at = f.shift_slopes(x)
+        interval = _stat_from_derivatives(lambda cs: at(cs) + tilt, x, f.loss)
         return g(interval.midpoint), interval
     try:
         cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
@@ -540,6 +551,7 @@ def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_i
         raise ObjectiveInfiniteError(f"{what} infinite on all shifts") from exc
     if not want_interval:
         return fstar, StatInterval.point(cstar)
+    offset = tilt * x.mean()
     return fstar, flat_interval(lambda c: g(c) - offset, cstar, fstar - offset)
 
 

@@ -269,9 +269,11 @@ def perspective_inf(h: Callable[[float], float], tau: float, x: DiscreteRv) -> t
 
     ``h(l)`` is the parent term at X / l, such as E[phi*(X / l)]; l is
     infeasible where it is not finite.  The unit is max|X| (1 when X = 0), so
-    the search at sX is the search at X, scaled.  A minimum at the lower
-    bracket edge is reported with its limit value: the recession l * h(l),
-    without the vanishing l * tau contribution.  Returns the infimum and its l.
+    the search at sX is the search at X, scaled.  Where the minimum sits at
+    the lower bracket edge, the infimum may be the limit l -> 0: l is halved
+    below it, up to 64 times, while the objective falls and h stays finite,
+    so the value reported is always one the objective attains.  Returns the
+    infimum and its l.
     """
     unit = float(np.max(np.abs(x.values))) or 1.0
 
@@ -281,13 +283,14 @@ def perspective_inf(h: Callable[[float], float], tau: float, x: DiscreteRv) -> t
         return lam * (tau + s) if math.isfinite(s) else math.inf
 
     t_star, val = minimize_scalar_convex(g, tol=1e-12, bracket=(_LOG_LO, _LOG_HI))
+    lam = unit * math.exp(t_star)
     if t_star - _LOG_LO < 1e-3 * (_LOG_HI - _LOG_LO):
-        lam_edge = unit * math.exp(_LOG_LO)
-        s = h(lam_edge)
-        if math.isfinite(s):
-            val = min(val, lam_edge * s)
-            t_star = _LOG_LO
-    return val, unit * math.exp(t_star)
+        for _ in range(64):
+            s = h(0.5 * lam)
+            if not (math.isfinite(s) and 0.5 * lam * (tau + s) < val):
+                break
+            lam, val = 0.5 * lam, 0.5 * lam * (tau + s)
+    return val, lam
 
 
 def family_eval_perspective(parent: Callable[[DiscreteRv], float], tau: float, x: DiscreteRv) -> float:

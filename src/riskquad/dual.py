@@ -81,6 +81,8 @@ class Envelope:
 
 def cvar_envelope(alpha: float, probs) -> Envelope:
     """{Q : 0 <= Q <= 1/(1-alpha), E[Q] = 1}."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"cvar level alpha must lie in [0,1), got {alpha}")
     p = np.asarray(probs, dtype=float)
     m = p.size
     return Envelope(

@@ -187,58 +187,81 @@ def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
     return _integral_cvar(segs, alpha, 1.0) / (1.0 - alpha)
 
 
-def _cvar2_shift_values(alpha: float):
-    """C -> cvar2 regret of X - C, (1/(1-alpha)) * integral of [CVaR_b(X) - C]_+
-    over (0, 1), at every C of an array.
+def _cvar2_segments(x: DiscreteRv):
+    """The tail segments of X centred at a reference atom, as in ``SortedSums``.
 
-    Built once per X from the tail segments, centred at a reference atom as
-    in ``SortedSums``: on segment i, where 1 - b runs from the mass m_i of the
-    atoms from i up to m_{i+1}, CVaR_b = ref + u_i + k_i / (1 - b), with
+    On segment i, where 1 - b runs from the mass m_i of the atoms from i up
+    to m_{i+1}, CVaR_b = ref + u_i + k_i / (1 - b), with
     k_i = sum_{j>i} p_j (u_j - u_i) summed over the gaps, so it has no
-    cancellation.  CVaR_b is nondecreasing in b: one ``searchsorted`` over its
-    values at the segment starts finds the segment of the root b*, where
-    1 - b* = k_i / (C - ref - u_i), and the regret is the partial log-integral
-    from b* to the segment's end plus the suffix sum of the whole segments
-    above it.
+    cancellation.  CVaR_b is nondecreasing in b, and ``start`` holds its
+    values, less ref, at the segment starts.  Returns (ref, u, mass, k,
+    start), with mass[n] = 0 and k = 0 on the last segment, where CVaR_b is
+    ess sup throughout.
     """
-    scale = 1.0 / (1.0 - alpha)
-
-    def shift_values(x: DiscreteRv):
-        v, p = x.values, x.probs
-        ref = float(v[v.size // 2])
-        u = v - ref
-        mass = np.append(np.cumsum(p[::-1])[::-1], 0.0)
-        k = np.append(np.cumsum((np.diff(v) * mass[1:-1])[::-1])[::-1], 0.0)
-        start = u + k / mass[:-1]
-        # integral of CVaR_b - ref over each segment; the last is ess sup throughout
-        seg = p * u
-        seg[:-1] += k[:-1] * np.log1p(p[:-1] / mass[1:-1])
-        tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
-        # segment j - 1 at index j, behind a segment of k = 0 at index 0 for C
-        # below the mean: k, u, and 1 - b at its start and end.  Where k = 0 the
-        # two ends are equal, so its part is 0
-        k_, u_ = np.append(0.0, k), np.append(0.0, u)
-        top = np.append(1.0, mass[:-1])
-        end = np.concatenate(([1.0], mass[1:-1], mass[-2:-1]))
-
-        def values(cs):
-            d = np.asarray(cs, dtype=float) - ref
-            # segments j.. lie above C; segment j - 1 holds the root
-            j = np.searchsorted(start, d, side="right")
-            kj, uj, tj, ej = k_[j], u_[j], top[j], end[j]
-            w = np.minimum(np.maximum(np.divide(kj, d - uj, out=tj.copy(), where=kj > 0.0), ej), tj)
-            part = (uj - d) * (w - ej) + kj * np.log(w / ej)
-            return scale * (part + tail[j] - d * mass[j])
-
-        return values
-
-    return shift_values
+    v, p = x.values, x.probs
+    ref = float(v[v.size // 2])
+    u = v - ref
+    mass = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+    k = np.append(np.cumsum((np.diff(v) * mass[1:-1])[::-1])[::-1], 0.0)
+    return ref, u, mass, k, u + k / mass[:-1]
 
 
 def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
-    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly: the
-    shift kernel at C = 0."""
-    return float(_cvar2_shift_values(alpha)(x)(np.zeros(1))[0])
+    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly.
+
+    The segment that holds the root b* of CVaR_b = 0 is found by one
+    ``searchsorted`` over the segment starts; there 1 - b* = k_i / (-ref - u_i),
+    and the regret is the partial log-integral from b* to the segment's end
+    plus the integrals of the whole segments above it.
+    """
+    ref, u, mass, k, start = _cvar2_segments(x)
+    p = x.probs
+    # integral of CVaR_b - ref over each segment; the last is ess sup throughout
+    seg = p * u
+    seg[:-1] += k[:-1] * np.log1p(p[:-1] / mass[1:-1])
+    tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+    # segments j.. lie above C = 0, and segment j - 1 holds the root when 0 < j < n
+    d = -ref
+    j = int(np.searchsorted(start, d, side="right"))
+    part = 0.0
+    if 0 < j < x.n_atoms:
+        i = j - 1
+        w = min(max(k[i] / (d - u[i]), mass[j]), mass[i]) if d > u[i] else mass[i]
+        part = (u[i] - d) * (w - mass[j]) + k[i] * np.log(w / mass[j])
+    return float((part + tail[j] - d * mass[j]) / (1.0 - alpha))
+
+
+def _cvar2_shift_slopes(alpha: float):
+    """C -> the left and right slopes of C -> cvar2 regret of X - C at every C
+    of an array: -|{b : CVaR_b(X) >= C}| / (1 - alpha) and
+    -|{b : CVaR_b(X) > C}| / (1 - alpha).
+
+    Built once per X from ``_cvar2_segments``.  Each set is (b*, 1), and
+    ``searchsorted`` over the segment starts, with ties counted above for >=
+    and below for >, finds the segment of its end b*: 1 - b* = k_i / (C - ref
+    - u_i) there, clipped to the segment.  Below the first start the set is
+    all of (0, 1); past the last it is empty.
+    """
+    scale = 1.0 / (1.0 - alpha)
+
+    def shift_slopes(x: DiscreteRv):
+        ref, u, mass, k, start = _cvar2_segments(x)
+        # segment j - 1 at index j, between 1 - b = 1 below the mean at index 0
+        # and 1 - b = 0 past ess sup at index n: k, u, and 1 - b at its start and end
+        k_, u_ = np.append(0.0, k), np.append(0.0, u)
+        top = np.concatenate(([1.0], mass[:-2], [0.0]))
+        end = np.append(1.0, mass[1:])
+
+        def slopes(cs):
+            d = np.asarray(cs, dtype=float) - ref
+            j = np.stack((np.searchsorted(start, d, side="left"), np.searchsorted(start, d, side="right")))
+            kj, uj, tj = k_[j], u_[j], top[j]
+            w = np.divide(kj, d - uj, out=tj.copy(), where=d > uj)
+            return -scale * np.minimum(np.maximum(w, end[j]), tj)
+
+        return slopes
+
+    return shift_slopes
 
 
 # -- the alpha-set of the union family ----------------------------------------------------
@@ -353,16 +376,26 @@ def make_catalog_quadrangle(spec: CatalogSpec) -> Quadrangle:
     return _CONSTRUCTORS[spec.family](*(spec.params[k] for k in CATALOG_FAMILIES[spec.family]))
 
 
-def _l2_shift_values(lam: float):
-    """C -> lam * ||X - C||_2 = lam * sqrt(Var X + (E X - C)^2) at every C of
-    an array, the variance taken from values centred at a reference atom."""
+def _l2_shift_slopes(lam: float):
+    """C -> the left and right slopes of C -> lam * ||X - C||_2 =
+    lam * sqrt(Var X + (E X - C)^2) at every C of an array:
+    lam (C - E X) / sqrt(Var X + (E X - C)^2), and -lam and lam at the kink of
+    a constant X.  The variance is taken from values centred at a reference
+    atom."""
 
-    def shift_values(x: DiscreteRv):
+    def shift_slopes(x: DiscreteRv):
         sums = SortedSums(x)
         sd = np.sqrt(np.dot(x.probs, (sums.u - sums.mean_u) ** 2))
-        return lambda cs: lam * np.hypot(sd, sums.mean_u - (np.asarray(cs, dtype=float) - sums.ref))
 
-    return shift_values
+        def slopes(cs):
+            gap = np.asarray(cs, dtype=float) - sums.ref - sums.mean_u
+            norm = np.hypot(sd, gap)
+            right = lam * np.divide(gap, norm, out=np.ones_like(norm), where=norm > 0.0)
+            return np.stack((np.where(norm > 0.0, right, -lam), right))
+
+        return slopes
+
+    return shift_slopes
 
 
 def _standard_mean(lam: float) -> Quadrangle:
@@ -370,7 +403,7 @@ def _standard_mean(lam: float) -> Quadrangle:
         fn=lambda x: lam * p_norm(x, 2.0),
         flags=Flags(positively_homogeneous=True, monotone=False, expectation_type=False),
         label=f"l2_error({lam:g})",
-        shift_values=_l2_shift_values(lam),
+        shift_slopes=_l2_shift_slopes(lam),
     )
     return complete_quadrangle(
         err, lambda x: StatInterval.point(x.mean()), f"standard_mean({lam:g})", deviation=lambda x: lam * x.std()
@@ -401,7 +434,7 @@ def _cvar2(alpha: float) -> Quadrangle:
         fn=lambda x: cvar2_regret(x, alpha),
         flags=Flags(True, True, False),
         label=f"cvar2_regret({alpha:g})",
-        shift_values=_cvar2_shift_values(alpha),
+        shift_slopes=_cvar2_shift_slopes(alpha),
     )
     err = replace(mean_center_regret(v_regret), label=f"cvar2_error({alpha:g})")
     return complete_quadrangle(

@@ -1,8 +1,8 @@
 """Self-contained convex optimization primitives.
 
 Scalar golden-section minimization with auto-bracketing, a batched K-section
-search for convex functions given on arrays (argmin, flat set and monotone
-crossings, K points per call), exact argmin intervals for piecewise-linear
+search for monotone crossings of criteria given on arrays (K points per
+bracket and call), exact argmin intervals for piecewise-linear
 convex functions, projected subgradient descent, a deterministic
 compass-search polish, the multistart routine that chains the two
 (``minimize_multistart``, with a forward-difference gradient when none is
@@ -32,8 +32,6 @@ __all__ = [
     "ObjectiveInfiniteError",
     "minimize_scalar_convex",
     "flat_interval",
-    "ksection_min",
-    "ksection_flat_interval",
     "ksection_crossings",
     "argmin_interval_pwl",
     "pwl_grid",
@@ -227,10 +225,8 @@ def flat_interval(fn, cstar: float, fstar: float) -> StatInterval:
 
 # points per bracket in each round of the batched search
 KSECTION = 64
-# outward fan of ``ksection_min``: steps of 4^j bracket widths, j < this
-_FAN_STEPS = 41
-# the closest a round's points come to a predicted root or vertex, as a
-# fraction of the even step
+# the closest a round's points come to a predicted root, as a fraction of
+# the even step
 _NEAR_FLOOR = 1e-9
 
 
@@ -252,7 +248,7 @@ def _round_fractions(k: int):
     return even, np.concatenate((-near, near)), blind
 
 
-def ksection_crossings(crit, inner, outer, k: int = KSECTION) -> np.ndarray:
+def ksection_crossings(crit, inner, outer, k: int = KSECTION, ends=None) -> np.ndarray:
     """For each bracket i, the last point on the way from ``inner[i]`` to
     ``outer[i]`` at which ``crit`` is >= 0, narrowed until the bracket ends are
     adjacent floats.
@@ -262,7 +258,10 @@ def ksection_crossings(crit, inner, outer, k: int = KSECTION) -> np.ndarray:
     and change sign once along each row; a bracket with ``inner == outer`` is
     returned as it is.  Each round places its points by ``_round_fractions``,
     predicting the root of the line through the bracket ends' values, so a
-    criterion close to linear there is settled in a few rounds.
+    criterion close to linear there is settled in a few rounds.  ``ends``
+    holds crit's values at ``inner`` and ``outer``, or its limits there from
+    inside the bracket, when the caller has them, so the first round
+    predicts too.
     """
     inner = np.array(inner, dtype=float)
     outer = np.array(outer, dtype=float)
@@ -271,7 +270,7 @@ def ksection_crossings(crit, inner, outer, k: int = KSECTION) -> np.ndarray:
     even, near, blind = _round_fractions(k)
     even = np.tile(even, (n, 1))
     # values at the bracket ends, unknown until a round has evaluated them
-    v_in, v_out = np.full(n, np.nan), np.full(n, np.nan)
+    v_in, v_out = (np.full(n, np.nan),) * 2 if ends is None else (np.array(e, dtype=float) for e in ends)
     ends = np.ones((n, 1), dtype=bool), np.zeros((n, 1), dtype=bool)
     # each round keeps two distinct consecutive points, so it narrows every
     # open bracket; the cap only guards a criterion that changes sign twice
@@ -280,7 +279,7 @@ def ksection_crossings(crit, inner, outer, k: int = KSECTION) -> np.ndarray:
         if np.all((mid == inner) | (mid == outer)):
             break
         drop = v_in - v_out
-        known = np.isfinite(drop)
+        known = drop > 0.0
         root = np.divide(v_in, drop, out=np.zeros(n), where=known)
         window = np.where(known[:, None], np.minimum(np.maximum(root[:, None] + near, 0.0), 1.0), blind)
         frac = np.sort(np.concatenate((even, window), axis=1))
@@ -293,70 +292,6 @@ def ksection_crossings(crit, inner, outer, k: int = KSECTION) -> np.ndarray:
         inner, outer = full[rows, first - 1], full[rows, first]
         v_in, v_out = full_v[rows, first - 1], full_v[rows, first]
     return inner
-
-
-def _vertex(xs: np.ndarray, fs: np.ndarray) -> float:
-    """Vertex of the parabola through three points, or the middle one when
-    they are collinear or not all finite."""
-    (x0, x1, x2), (f0, f1, f2) = xs.tolist(), fs.tolist()
-    p, q = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
-    den = p - q
-    if den == 0.0 or not math.isfinite(den):
-        return x1
-    return x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / den
-
-
-def ksection_min(fv, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Minimum of a convex function given on arrays, ``fv(cs)`` -> values.
-
-    The first call evaluates a fan: K/2 points across [lo, hi] and steps of
-    4^j times its width outward on both sides.  Each later call evaluates K
-    points, placed by ``_round_fractions`` around the vertex of the parabola
-    through the best point and its two neighbours, in the bracket between
-    those neighbours, until that bracket is within
-    ``minimize_scalar_convex``'s tolerance tol * (1 + |a| + |b|).  Returns
-    (argmin, min).
-    """
-    width = hi - lo or max(1.0, abs(lo))
-    out = width * 4.0 ** np.arange(_FAN_STEPS)
-    across = np.linspace(lo, hi, KSECTION // 2) if hi > lo else np.array([lo])
-    pts = np.concatenate(((lo - out)[::-1], across, hi + out))
-    vals = fv(pts)
-    i = int(np.argmin(vals))
-    if not math.isfinite(vals[i]):
-        raise ObjectiveInfiniteError("objective is infinite at every probed point")
-    if (i == 0 and vals[0] < vals[1]) or (i == pts.size - 1 and vals[-1] < vals[-2]):
-        raise UnboundedObjectiveError("objective still descending at the end of the fan")
-    even, near, blind = _round_fractions(KSECTION)
-    while True:
-        a, b = float(pts[max(i - 1, 0)]), float(pts[min(i + 1, pts.size - 1)])
-        if not ((b - a) > tol * (1.0 + abs(a) + abs(b)) and (b - a) > 1e-300):
-            return float(pts[i]), float(vals[i])
-        if 0 < i < pts.size - 1:
-            vertex = min(max(_vertex(pts[i - 1 : i + 2], vals[i - 1 : i + 2]), a), b)
-            window = np.minimum(np.maximum((vertex - a) / (b - a) + near, 0.0), 1.0)
-        else:
-            window = blind
-        pts = a + (b - a) * np.sort(np.concatenate(([0.0], even, window, [1.0])))
-        vals = fv(pts)
-        i = int(np.argmin(vals))
-
-
-def ksection_flat_interval(fv, cstar: float, fstar: float) -> StatInterval:
-    """``flat_interval`` of a convex function given on arrays: the same
-    threshold and outward steps, one call for the steps of both sides, then
-    both crossings narrowed together by ``ksection_crossings``."""
-    thresh = fstar + _REL_FLAT * (1.0 + abs(fstar))
-    step = max(1e-9, 1e-9 * abs(cstar))
-    steps = step * 2.0 ** np.arange(max(1, int(math.log2(_MAX_SPAN / step)) + 1))
-    fan = cstar + np.outer([-1.0, 1.0], steps)
-    ok = fv(fan.ravel()).reshape(fan.shape) <= thresh
-    # the first step out of the set on each side; past the last step, that step
-    first = np.where(ok.all(axis=1), steps.size, np.argmin(ok, axis=1))
-    last_in = np.where(first > 0, fan[[0, 1], np.maximum(first - 1, 0)], cstar)
-    outer = np.where(first < steps.size, fan[[0, 1], np.minimum(first, steps.size - 1)], last_in)
-    lo, hi = ksection_crossings(lambda pts: thresh - fv(pts.ravel()).reshape(pts.shape), last_in, outer)
-    return StatInterval(float(lo), float(hi))
 
 
 def pwl_grid(breakpoints) -> np.ndarray:

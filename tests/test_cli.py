@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -278,6 +279,25 @@ def test_family_with_phi_is_a_usage_error(u5_csv, capsys, extra):
 def test_missing_parameter_is_named(data_csv, capsys, argv, message):
     assert main(argv + ["--input", data_csv]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["envelope", "--family", "quantile", "--alpha", "1"], "alpha"),
+        (["epi", "--alpha", "1"], "alpha"),
+        (["epi", "--alpha", "-0.5"], "alpha"),
+        (["envelope", "--family", "quantile"], "alpha"),
+        (["envelope", "--family", "expectile_pl"], "K"),
+    ],
+    ids=["envelope-alpha-1", "epi-alpha-1", "epi-alpha-negative", "envelope-no-alpha", "envelope-no-K"],
+)
+def test_bad_or_missing_parameter_exits_1_naming_it(u5_csv, capsys, argv, name):
+    # exit 2 is kept for a solve that does not converge
+    assert main(argv + ["--input", u5_csv]) == 1
+    err = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("# read")]
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert re.search(rf"\b{name}\b", err[0]), err
 
 
 # `riskquad [<command>] --help` as printed before the parser was cached; the key "" is no command

@@ -649,7 +649,7 @@ def test_derivative_bisection_stops_at_adjacent_floats_with_the_same_endpoints()
         fast = dataclasses.replace(loss, d_left=counted(loss.d_left), d_right=counted(loss.d_right))
         for x in rvs:
             calls.clear()
-            assert _stat_from_derivatives(fast, x) == _stat_from_derivatives_200_steps(loss, x)
+            assert _stat_from_derivatives(fast.shift_slopes(x), x, fast) == _stat_from_derivatives_200_steps(loss, x)
             # bisection settles in about 60 halvings per endpoint, not 200
             assert len(calls) < 2 * (60 + 80), len(calls)
 

@@ -387,12 +387,17 @@ def test_kl_quadrangle_stationarity():
 
 @pytest.mark.parametrize("x", [DiscreteRv.constant(-1.0), DiscreteRv([-3.0, -1.0], [0.5, 0.5])])
 def test_lambda_edge_limit_agrees_across_routes(x):
-    # at kl, beta = 2 the infimum over lambda is the lambda -> 0 limit
+    # at kl, beta = 2 and X <= 0 the infimum over lambda is the lambda -> 0 limit, 0, and every
+    # value of the objective is above it
     kl = make_divergence("kl")
     beta = 2.0
-    generic = generic_divergence_quadrangle(kl, beta).regret(x)
-    persp = family_eval_perspective(lambda y: float(np.dot(y.probs, kl.phi_conj(y.values))), beta, x)
-    assert generic == persp
+    for scale in (1.0, 1e6):
+        xs = x.scale(scale)
+        generic = generic_divergence_quadrangle(kl, beta).regret(xs)
+        persp = family_eval_perspective(lambda y: float(np.dot(y.probs, kl.phi_conj(y.values))), beta, xs)
+        assert generic == persp
+        assert make_divergence_quadrangle(kl, beta).regret(xs) == generic
+        assert 0.0 <= generic <= 1e-15 * float(np.max(np.abs(xs.values))), (scale, generic)
 
 
 def test_kl_quadrangle_limits():

@@ -1,8 +1,8 @@
 """One-pass array scans against the per-point paths they replace.
 
 The per-breakpoint ``argmin_interval_pwl`` route, the per-segment cvar2 loops,
-the per-atom expectile loop and the golden-section search with
-``flat_interval`` are kept here as oracles.
+the per-atom expectile loop, the golden-section search with ``flat_interval``
+and difference quotients of the scalar functionals are kept here as oracles.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from riskquad.constructions import (
     regret_to_risk,
     scale_quadrangle,
 )
-from riskquad.core import DiscreteRv, p_norm
+from riskquad.core import DiscreteRv, StatInterval
 from riskquad.measures import (
     CatalogSpec,
     _tail_segments,
@@ -224,14 +224,19 @@ def test_prefix_sum_expectile_matches_the_atom_loop(case, q):
 
 def golden_oracle(f, x, tilt):
     """min_C tilt * C + f(X - C) by golden section on the scalar functional, and
-    its flat set by ``flat_interval`` on the objective minus tilt * E[X]."""
-
-    def g(c):
-        return tilt * c + f.fn(x.shift(-c))
-
-    cstar, fstar = minimize_scalar_convex(g, tol=1e-10, hint=x.mean())
+    its flat set by ``flat_interval`` on the objective minus tilt * E[X].  Both
+    search the shift t = C - ref from a middle atom, so their tolerances scale
+    with the spread of X, not with its offset."""
+    ref = float(x.values[x.n_atoms // 2])
     offset = tilt * x.mean()
-    return fstar, flat_interval(lambda c: g(c) - offset, cstar, fstar - offset)
+
+    def h(t):
+        c = ref + t
+        return tilt * c + f.fn(x.shift(-c)) - offset
+
+    tstar, hstar = minimize_scalar_convex(h, tol=1e-10, hint=x.mean() - ref)
+    flat = flat_interval(h, tstar, hstar)
+    return hstar + offset, StatInterval(ref + flat.lo, ref + flat.hi)
 
 
 @st.composite
@@ -263,6 +268,7 @@ def test_batched_shift_search_matches_the_golden_oracle(x):
     m = max(1.0, float(np.max(np.abs(x.values))))
     for family, params in SMOOTH:
         q = make_catalog_quadrangle(CatalogSpec(family, params))
+        stat = q.statistic(x)
         for name, f, tilt in forms(q):
             value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
             want_value, want_interval = golden_oracle(f, x, tilt)
@@ -270,12 +276,9 @@ def test_batched_shift_search_matches_the_golden_oracle(x):
             # expectile_mse is quadratic in X: its values scale with m^2, not m
             size = max(m, abs(want_value)) if family == "expectile_mse" else m
             assert abs(value - want_value) <= 1e-9 * size, where
-            if family == "expectile_mse":
-                # the derivative criterion pins the statistic inside the flat set
-                assert want_interval.lo - 1e-7 * m <= interval.lo <= interval.hi <= want_interval.hi + 1e-7 * m, where
-            else:
-                assert abs(interval.lo - want_interval.lo) <= 1e-7 * m, where
-                assert abs(interval.hi - want_interval.hi) <= 1e-7 * m, where
+            # the slope crossing pins the statistic inside the flat set, at the family's point statistic
+            assert want_interval.lo - 1e-7 * m <= interval.lo <= interval.hi <= want_interval.hi + 1e-7 * m, where
+            assert abs(interval.lo - stat.lo) <= 1e-12 * m and abs(interval.hi - stat.hi) <= 1e-12 * m, where
 
 
 def kernel_probes(x):
@@ -289,17 +292,25 @@ def kernel_probes(x):
 @given(wide_rvs(), st.sampled_from([0.05, 0.5, 0.9]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_shift_kernels_match_the_scalar_functionals(x, alpha):
+    # C -> f(X - C) is convex, so with h > 0 its difference quotients bracket the one-sided slopes:
+    # s_+(C - h) <= (f(C) - f(C - h)) / h <= s_-(C) <= s_+(C) <= (f(C + h) - f(C)) / h <= s_-(C + h)
     cvar2 = make_catalog_quadrangle(CatalogSpec("cvar2", {"alpha": alpha})).regret_fn
     l2 = make_catalog_quadrangle(CatalogSpec("standard_mean", {"lam": 1.5})).error_fn
-    cs = kernel_probes(x)
-    got_cvar2 = cvar2.shift_values(x)(cs)
-    got_l2 = l2.shift_values(x)(cs)
     spread = float(x.values[-1] - x.values[0])
-    for c, v2, vl in zip(cs, got_cvar2, got_l2):
-        # both are integrals of |X - C|-sized terms, so their rounding scales with it
-        size = spread + abs(c - float(x.values[x.n_atoms // 2]))
-        assert abs(v2 - cvar2_regret(x.shift(-c), alpha)) <= 1e-13 * x.n_atoms * size / (1.0 - alpha), c
-        assert abs(vl - 1.5 * p_norm(x.shift(-c), 2.0)) <= 1e-13 * x.n_atoms * size, c
+    for f, steep in ((cvar2, 1.0 / (1.0 - alpha)), (l2, 1.5)):
+        slopes = f.shift_slopes(x)
+        for c in kernel_probes(x):
+            # f's rounding scales with |X - C|, as in test_vectorised_cvar2_matches_the_segment_loops
+            size = spread + abs(c - float(x.values[x.n_atoms // 2])) or max(1.0, abs(c))
+            for rel in (1e-2, 1e-4):
+                below, above = c - rel * size, c + rel * size
+                cs = np.array([below, c, above])
+                left, right = slopes(cs)
+                vals = [f.fn(x.shift(-t)) for t in cs]
+                back, ahead = (vals[1] - vals[0]) / (c - below), (vals[2] - vals[1]) / (above - c)
+                noise = 1e-12 * x.n_atoms * steep / rel
+                chain = [right[0], back, left[1], right[1], ahead, left[2]]
+                assert all(a <= b + noise for a, b in zip(chain, chain[1:])), (f.label, c, rel, chain)
 
 
 def test_batched_search_builds_the_kernel_once_per_search():
@@ -307,24 +318,24 @@ def test_batched_search_builds_the_kernel_once_per_search():
     x = DiscreteRv([-1.0, 0.25, 0.5, 2.0, 7.0], [0.1, 0.2, 0.3, 0.25, 0.15])
     built, calls = [], []
 
-    def counted(shift_values):
+    def counted(shift_slopes):
         def build(x):
             built.append(1)
-            at = shift_values(x)
+            at = shift_slopes(x)
 
-            def values(cs):
+            def slopes(cs):
                 calls.append(np.size(cs))
                 return at(cs)
 
-            return values
+            return slopes
 
         return build
 
     for f, run in ((q.error_fn, project_error), (q.regret_fn, regret_to_risk)):
         built.clear()
         calls.clear()
-        value, interval = run(dataclasses.replace(f, shift_values=counted(f.shift_values)), x)
+        value, interval = run(dataclasses.replace(f, shift_slopes=counted(f.shift_slopes)), x)
         assert (value, interval) == run(f, x)
         assert len(built) == 1
-        # a fan and a few rounds for the argmin, then for both crossings at once
-        assert len(calls) <= 30, len(calls)
+        # one call brackets both crossings among the atoms, and each round narrows both at once
+        assert len(calls) <= 12, len(calls)

@@ -10,15 +10,12 @@ from riskquad.core import DiscreteRv, StatInterval
 from riskquad.solvers import (
     LpProblem,
     NonConvexError,
-    ObjectiveInfiniteError,
     UnboundedObjectiveError,
     argmin_interval_pwl,
     bisect_root,
     compass_search,
     flat_interval,
     ksection_crossings,
-    ksection_flat_interval,
-    ksection_min,
     minimize_multistart,
     minimize_scalar_convex,
     minimize_subgradient,
@@ -500,7 +497,7 @@ def test_bisect_root_stops_at_adjacent_floats():
     assert len(evals) <= 2 + 55
 
 
-# -- flat sets and the batched K-section ---------------------------------------------
+# -- flat sets and batched crossings ---------------------------------------------
 
 
 def _flat_interval_100_steps(fn, cstar, fstar):
@@ -553,27 +550,6 @@ def test_flat_interval_early_stop_is_bit_identical(centre, half, curv, shape, fr
     assert flat_interval(fn, cstar, fn(cstar)) == _flat_interval_100_steps(fn, cstar, fn(cstar))
 
 
-@given(
-    st.floats(1.0, 1e6),
-    st.sampled_from([-1.0, 1.0]),
-    st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e8]),
-    st.sampled_from([1e-6, 1.0, 1e6]),
-    st.sampled_from(["quadratic", "vee", "skewed"]),
-    st.floats(-1.0, 1.0),
-)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_ksection_flat_interval_reaches_the_floats_bisection_reaches(size, sign, half, curv, shape, frac):
-    # both crossings of a function monotone on each side of its flat set are
-    # unique floats; away from 0 flat_interval's bisection reaches them too
-    f = _flat_shape(shape, sign * size, half, curv)
-    cstar = sign * size + frac * half
-    fstar = float(f(cstar))
-    want = flat_interval(lambda c: float(f(c)), cstar, fstar)
-    # 100 halvings of a bracket up to 2e12 wide reach adjacent floats above 1e-2
-    assume(min(abs(want.lo), abs(want.hi)) > 1e-2)
-    assert ksection_flat_interval(f, cstar, fstar) == want
-
-
 @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.floats(0.0, 1.0), st.sampled_from([2, 3, 64]))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_ksection_crossings_stop_at_the_last_float(a, b, frac, k):
@@ -593,30 +569,3 @@ def test_ksection_crossings_stop_at_the_last_float(a, b, frac, k):
     assert len(calls) <= 2 + 2100 / math.log2(k + 1) + 2
 
 
-@pytest.mark.parametrize(
-    "fn, lo, hi, argmin",
-    [
-        (lambda c: (c - 3.0) ** 2, 0.0, 1.0, (3.0, 3.0)),
-        (lambda c: np.abs(c + 1e6), -2.0, 5.0, (-1e6, -1e6)),
-        (lambda c: np.hypot(1e-9, c - 2e-9), 0.0, 3e-9, (2e-9, 2e-9)),
-        (lambda c: np.maximum(np.abs(c - 0.5) - 0.25, 0.0), 0.0, 1.0, (0.25, 0.75)),
-        (lambda c: np.exp(np.minimum(c, 700.0)) - 2.0 * c, -1.0, 1.0, (math.log(2.0), math.log(2.0))),
-    ],
-)
-def test_ksection_min_stops_at_the_golden_section_tolerance(fn, lo, hi, argmin):
-    c, v = ksection_min(fn, lo, hi)
-    # the last bracket is within 1e-10 (1 + |a| + |b|) and holds a minimizer,
-    # up to the sqrt(eps) relative spread of the points that round to the
-    # minimum of a smooth objective
-    slack = 1e-10 * (1.0 + 2.0 * abs(c))
-    blur = math.sqrt(np.finfo(float).eps) * (1.0 + abs(c))
-    assert argmin[0] - slack - blur <= c <= argmin[1] + slack + blur
-    # every objective here has slope at most 1 that close to its minimizers
-    assert v <= float(fn(np.array([argmin[0]]))[0]) + slack
-
-
-def test_ksection_min_reports_unbounded_and_infinite_objectives():
-    with pytest.raises(UnboundedObjectiveError):
-        ksection_min(lambda c: -c, 0.0, 1.0)
-    with pytest.raises(ObjectiveInfiniteError):
-        ksection_min(lambda c: np.full(np.shape(c), np.inf), 0.0, 1.0)
