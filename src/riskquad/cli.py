@@ -324,7 +324,7 @@ def _dispatch(cfg: RunConfig) -> int:
         x = ingest_rv_csv(cfg.input_path)
         alpha = cfg.params.get("alpha", 0.5)
         envelope = cvar_envelope(alpha, x.probs)
-        kern, kconj, kscalar = kernel_quadratic_regret()
+        kern, kconj = kernel_quadratic_regret()
         inv = 1.0 / (1.0 - alpha)
         rows = []
         for eps in cfg.epsilons or (0.25, 0.5, 1.0, 2.0):
@@ -335,7 +335,6 @@ def _dispatch(cfg: RunConfig) -> int:
                 base_regret=lambda y: inv * y.mean_pos(),
                 base_envelope=envelope,
                 kernel_conj=kconj,
-                kernel_conj_scalar=kscalar,
             )
             vp = epi_risk_primal(spec, x)
             vd = epi_risk_dual(spec, x)

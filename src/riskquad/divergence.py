@@ -28,7 +28,7 @@ from .constructions import (
     regret_to_risk,
 )
 from .dual import ascend_envelope
-from .solvers import bisect_root, ksection_crossings, minimize_scalar_convex
+from .solvers import bisect_root, ksection_crossings, minimize_scalar_convex, widen_root
 
 __all__ = [
     "DivergenceFn",
@@ -310,22 +310,29 @@ def _density_point_mass(x: DiscreteRv) -> np.ndarray:
     return q
 
 
-def _per_atom_argmax(div: DivergenceFn, z: np.ndarray) -> np.ndarray:
-    """argmax_q (q z - phi(q)) per atom, via conj_grad or a golden scan."""
-    if div.conj_grad is not None:
-        q = np.asarray(div.conj_grad(z), dtype=float)
-        lo, hi = div.dom
-        return np.clip(q, lo if math.isfinite(lo) else -1e12, hi if math.isfinite(hi) else 1e12)
-    out = np.empty_like(z)
-    lo = div.dom[0] if math.isfinite(div.dom[0]) else -1e6
-    hi = div.dom[1] if math.isfinite(div.dom[1]) else 1e6
-    for i, zi in enumerate(z):
-        def h(qv, zi=zi):
-            val = float(np.asarray(div.phi(np.array([qv])))[0])
-            return -(qv * zi - val)
+def _per_atom_argmax(div: DivergenceFn, z: np.ndarray, lo=-math.inf, hi=math.inf) -> np.ndarray:
+    """argmax_q (q z_i - phi(q)) over [lo_i, hi_i] and dom phi, per atom.
 
-        qi, _ = minimize_scalar_convex(h, tol=1e-11, bracket=(lo, hi))
-        out[i] = qi
+    The unconstrained argmax (phi*)'(z_i) clipped to the interval, where phi
+    carries ``conj_grad``; a golden-section search per atom otherwise, over
+    the interval where its ends are finite and from q = 1 outward where not.
+    An object that carries only ``phi`` is taken as phi on the real line.
+    """
+    dom = getattr(div, "dom", (-math.inf, math.inf))
+    lo = np.maximum(lo, dom[0]) * np.ones_like(z)
+    hi = np.minimum(hi, dom[1]) * np.ones_like(z)
+    conj_grad = getattr(div, "conj_grad", None)
+    if conj_grad is not None:
+        return np.clip(np.asarray(conj_grad(z), dtype=float), lo, hi)
+    out = np.empty_like(z)
+    for i, (zi, a, b) in enumerate(zip(z, lo, hi)):
+        def h(qv, zi=zi, a=a, b=b):
+            if not a <= qv <= b:
+                return math.inf
+            return float(np.asarray(div.phi(np.array([qv])))[0]) - qv * zi
+
+        finite = math.isfinite(a) and math.isfinite(b)
+        out[i], _ = minimize_scalar_convex(h, tol=1e-13, bracket=(a, b) if finite else None, hint=min(max(1.0, a), b))
     return out
 
 
@@ -334,62 +341,39 @@ def _envelope_sup_phi(
 ) -> tuple[float, np.ndarray]:
     """sup{ E[QX] : E[phi(Q)] <= tau (, E[Q] = 1) } with the maximizing density.
 
-    Worst-case densities have the parametric form q_i = (phi*)'((x_i - mu)/l);
-    mu is fixed by the density constraint (bisection) and l by the divergence
-    budget (bisection), both monotone.  On the density ball the point mass on
-    ess sup X must have been ruled out (``family_eval_envelope`` does so).
+    Worst-case densities have the parametric form q_i = (phi*)'((x_i - mu)/l).
+    The multiplier mu of E[Q] = 1 is the root of the mass in mu, among the
+    atoms, and l that of the divergence budget, in log l from the spread of
+    X - mu (the atoms' spread on the density ball, max|X| off it, where
+    mu = 0); both are monotone, so ``widen_root`` finds them, and X and sX
+    take the same steps.  As l -> 0 the density runs to the limit that
+    maximizes E[QX] over dom phi; on the density ball that is the point mass
+    on ess sup X, which must have been ruled out (``family_eval_envelope``
+    does so), and off it, where the limit is finite and in the ball, it is
+    the worst case.
     """
     v, p = x.values, x.probs
     if x.is_constant():
         return _envelope_constant(div, tau, float(v[0]), p, normalized)
+    if not normalized:
+        q = np.where(v > 0.0, div.dom[1], np.where(v < 0.0, div.dom[0], 1.0))
+        if np.all(np.isfinite(q)) and divergence_value(div, q, p) <= tau:
+            return float(np.dot(p, q * v)), q
+    unit = float(v[-1] - v[0]) if normalized else float(np.max(np.abs(v)))
 
-    def q_of(lam: float, mu: float) -> np.ndarray:
-        return _per_atom_argmax(div, (v - mu) / lam)
+    def q_of(t: float, mu: float) -> np.ndarray:
+        return _per_atom_argmax(div, (v - mu) / (unit * 2.0**t))
 
-    def solve_mu(lam: float) -> float:
+    def solve_mu(t: float) -> float:
         if not normalized:
             return 0.0
+        return widen_root(lambda mu: float(np.dot(p, q_of(t, mu))) - 1.0, float(v[0]), float(v[-1]))
 
-        def mass(mu):
-            return float(np.dot(p, q_of(lam, mu))) - 1.0
+    def budget(t: float) -> float:
+        return divergence_value(div, q_of(t, solve_mu(t)), p) - tau
 
-        lo, hi = float(v[0]) - 1.0, float(v[-1]) + 1.0
-        span = float(v[-1] - v[0]) + 1.0
-        for _ in range(200):
-            if mass(lo) > 0:
-                break
-            lo -= span
-            span *= 2.0
-        span = float(v[-1] - v[0]) + 1.0
-        for _ in range(200):
-            if mass(hi) < 0:
-                break
-            hi += span
-            span *= 2.0
-        return bisect_root(mass, lo, hi, iters=200)
-
-    def budget(lam: float) -> float:
-        mu = solve_mu(lam)
-        return divergence_value(div, q_of(lam, mu), p) - tau
-
-    lam_lo, lam_hi = 1e-9, 1.0
-    for _ in range(120):
-        if budget(lam_hi) < 0:
-            break
-        lam_hi *= 2.0
-    for _ in range(120):
-        if budget(lam_lo) > 0:
-            break
-        lam_lo = max(lam_lo / 4.0, 1e-14)
-        if lam_lo <= 1e-14:
-            break
-    if budget(lam_lo) <= 0:
-        # even tiny smoothing stays within budget: effectively unconstrained
-        lam_star = lam_lo
-    else:
-        lam_star = bisect_root(budget, lam_lo, lam_hi, iters=200)
-    mu = solve_mu(lam_star)
-    q = q_of(lam_star, mu)
+    t = widen_root(budget, -1.0, 1.0)
+    q = q_of(t, solve_mu(t))
     return float(np.dot(p, q * v)), q
 
 

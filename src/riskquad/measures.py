@@ -154,39 +154,6 @@ def _expectile_q_from_k(k: float) -> float:
 # -- second-order CVaR integrals --------------------------------------------------------
 
 
-def _tail_segments(x: DiscreteRv):
-    """Per CDF-segment coefficients of CVaR_b = (A_i - v_i b)/(1-b) on (pi_{i-1}, pi_i).
-
-    Returns the arrays (lo, hi, v, A).  On the last segment CVaR_b is
-    identically ess sup, so its log coefficient A_i - v_i is pinned to zero
-    exactly.
-    """
-    v, p = x.values, x.probs
-    cum = np.cumsum(p)
-    tail_sum = np.cumsum((p * v)[::-1])[::-1]
-    hi = np.append(cum[:-1], 1.0)
-    lo = np.concatenate(([0.0], hi[:-1]))
-    a = np.append(v[:-1] * cum[:-1] + tail_sum[1:], v[-1])
-    return lo, hi, v, a
-
-
-def _integral_cvar(segs, a: float, b: float) -> float:
-    """Integral of CVaR_beta over [a, b] in closed form per segment."""
-    lo, hi, v, ai = segs
-    s, t = np.maximum(a, lo), np.minimum(b, hi)
-    on = t > s
-    coef = ai - v  # log coefficient; exactly zero on the last segment
-    logs = on & (coef != 0.0)
-    total = float(np.dot(coef[logs], np.log(1.0 - s[logs]) - np.log(1.0 - t[logs])))
-    return total + float(np.dot(v[on], t[on] - s[on]))
-
-
-def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
-    """(1/(1-alpha)) * integral of CVaR_beta over (alpha, 1), exactly."""
-    segs = _tail_segments(x)
-    return _integral_cvar(segs, alpha, 1.0) / (1.0 - alpha)
-
-
 def _cvar2_segments(x: DiscreteRv):
     """The tail segments of X centred at a reference atom, as in ``SortedSums``.
 
@@ -206,6 +173,31 @@ def _cvar2_segments(x: DiscreteRv):
     return ref, u, mass, k, u + k / mass[:-1]
 
 
+def _cvar2_whole(x: DiscreteRv, u, mass, k, j: int) -> float:
+    """The integral of CVaR_b - ref over the whole segments j.., from
+    ``_cvar2_segments``: p_i u_i + k_i log(m_i / m_{i+1}) on segment i, and
+    p_i u_i on the last, where CVaR_b is ess sup throughout."""
+    p = x.probs
+    return float(np.dot(p[j:], u[j:]) + np.dot(k[j:-1], np.log1p(p[j:-1] / mass[j + 1 : -1])))
+
+
+def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
+    """(1/(1-alpha)) * integral of CVaR_beta over (alpha, 1), exactly.
+
+    With w = 1 - alpha, the integral is ref w plus the whole segments j..
+    above alpha (m_j <= w) and the part of segment j - 1 from 1 - b = m_j
+    up to w.
+    """
+    ref, u, mass, k, _ = _cvar2_segments(x)
+    w = 1.0 - alpha
+    j = int(np.count_nonzero(mass > w))
+    part = 0.0
+    if j > 0:
+        i = j - 1
+        part = u[i] * (w - mass[j]) + (k[i] * np.log(w / mass[j]) if j < x.n_atoms else 0.0)
+    return float(ref + (part + _cvar2_whole(x, u, mass, k, j)) / w)
+
+
 def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
     """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly.
 
@@ -215,11 +207,6 @@ def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
     plus the integrals of the whole segments above it.
     """
     ref, u, mass, k, start = _cvar2_segments(x)
-    p = x.probs
-    # integral of CVaR_b - ref over each segment; the last is ess sup throughout
-    seg = p * u
-    seg[:-1] += k[:-1] * np.log1p(p[:-1] / mass[1:-1])
-    tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
     # segments j.. lie above C = 0, and segment j - 1 holds the root when 0 < j < n
     d = -ref
     j = int(np.searchsorted(start, d, side="right"))
@@ -228,7 +215,7 @@ def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
         i = j - 1
         w = min(max(k[i] / (d - u[i]), mass[j]), mass[i]) if d > u[i] else mass[i]
         part = (u[i] - d) * (w - mass[j]) + k[i] * np.log(w / mass[j])
-    return float((part + tail[j] - d * mass[j]) / (1.0 - alpha))
+    return float((part + _cvar2_whole(x, u, mass, k, j) - d * mass[j]) / (1.0 - alpha))
 
 
 def _cvar2_shift_slopes(alpha: float):

@@ -17,10 +17,10 @@ import numpy as np
 
 from .core import DiscreteRv
 from .constructions import Flags, RegretFn, lp_encodable, minimize_affine
-from .divergence import DivergenceFn, StochasticDivergenceJ, family_eval_envelope
+from .divergence import DivergenceFn, StochasticDivergenceJ, _per_atom_argmax, divergence_value, family_eval_envelope
 from .dual import Envelope
 from .measures import CatalogSpec, make_catalog_quadrangle
-from .solvers import LpProblem, bisect_root, compass_search, minimize_multistart, minimize_scalar_convex, solve_lp
+from .solvers import LpProblem, bisect_root, compass_search, minimize_multistart, solve_lp, widen_root
 
 __all__ = [
     "DroProblem",
@@ -234,8 +234,7 @@ class EpiSpec:
     epsilon: float
     base_regret: Optional[Callable[[DiscreteRv], float]] = None
     base_envelope: Optional[Envelope] = None
-    kernel_conj: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    kernel_conj_scalar: Optional[Callable[[float], float]] = None
+    kernel_conj: Optional[DivergenceFn | Callable[[np.ndarray, np.ndarray], float]] = None
     label: str = ""
 
     def __post_init__(self):
@@ -277,7 +276,7 @@ def _waterfill_applies(spec: EpiSpec) -> bool:
     env = spec.base_envelope
     return (
         env is not None
-        and spec.kernel_conj_scalar is not None
+        and isinstance(spec.kernel_conj, DivergenceFn)
         and env.polyhedral
         and env.a_ub is None
         and env.a_eq is not None
@@ -289,9 +288,9 @@ def epi_risk_primal(spec: EpiSpec, x: DiscreteRv, starts: int = 3, seed: int = 0
     """inf_Y R(X - Y) + kernel(eps Y)/eps.
 
     Where the exact waterfill dual applies, the primal is evaluated at
-    Y* = g'(Q*)/eps, the optimality condition Y* in d(kernel*/eps)(Q*) at the
-    dual optimum Q*, with g' a central difference of the separable conjugate
-    g (which must be finite a step beyond the envelope's box).
+    Y* = phi'(Q*)/eps, the optimality condition Y* in d(kernel*/eps)(Q*) at
+    the dual optimum Q*, with phi' a central difference of the kernel
+    conjugate phi (which must be finite a step beyond the envelope's box).
     Any Y gives an upper bound, so by weak duality this value minus the dual
     bounds the error of both.  Otherwise a compass search over Y does the
     work (``starts`` and ``seed`` serve its restarts).
@@ -299,7 +298,9 @@ def epi_risk_primal(spec: EpiSpec, x: DiscreteRv, starts: int = 3, seed: int = 0
     if not _waterfill_applies(spec):
         return _inf_convolution(spec.base_risk, spec.kernel, spec.epsilon, x, starts, seed)
     _, q = _epi_dual_waterfill(spec, x)
-    y = np.array([_conj_slope(spec.kernel_conj_scalar, qi) for qi in q]) / spec.epsilon
+    phi = spec.kernel_conj.phi
+    h = _DIFF_STEP * (1.0 + np.abs(q))
+    y = (phi(q + h) - phi(q - h)) / (2.0 * h) / spec.epsilon
     return _convolution_value(spec.base_risk, spec.kernel, spec.epsilon, x, y)
 
 
@@ -318,7 +319,7 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
     """sup_{Q in dom R*} E[QX] - kernel*(Q)/eps for positively homogeneous
     base risks (R* vanishes on its domain, the base envelope)."""
     env = spec.base_envelope
-    if env is None or (spec.kernel_conj is None and spec.kernel_conj_scalar is None):
+    if env is None or spec.kernel_conj is None:
         raise ValueError("dual evaluation needs the base envelope and kernel conjugate")
     if _waterfill_applies(spec):
         return _epi_dual_waterfill(spec, x)[0]
@@ -327,46 +328,29 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
     inv_eps = 1.0 / spec.epsilon
     center = env.center.astype(float)
 
-    def obj(q):
-        pen = spec.kernel_conj(q, p)
-        if not math.isfinite(pen):
-            return -math.inf
-        return float(np.dot(p, q * vals)) - inv_eps * pen
+    def penalty(q):
+        return divergence_value(spec.kernel_conj, q, p)
 
     def neg(q):
-        return -obj(q)
+        pen = penalty(q)
+        return -(float(np.dot(p, q * vals)) - inv_eps * pen) if math.isfinite(pen) else math.inf
+
+    def clip(q):
+        return np.clip(q, env.lb if env.lb is not None else -np.inf, env.ub if env.ub is not None else np.inf)
 
     def project(q):
-        q = q.copy()
-        if env.lb is not None:
-            q = np.maximum(q, env.lb)
-        if env.ub is not None:
-            q = np.minimum(q, env.ub)
+        q = clip(q)
         if env.a_eq is not None and env.a_eq.shape[0] == 1:
-            # box + single hyperplane: water-filling by bisection
+            # box + single hyperplane: the shift along the row that restores it;
+            # a density is unitless, so its bracket starts at unit width
             a, b = env.a_eq[0], float(env.b_eq[0])
-            lo_s, hi_s = -1e6, 1e6
-
-            def mass(shift):
-                qq = q + shift * a
-                if env.lb is not None:
-                    qq = np.maximum(qq, env.lb)
-                if env.ub is not None:
-                    qq = np.minimum(qq, env.ub)
-                return float(np.dot(a, qq)) - b
-
-            root = bisect_root(mass, lo_s, hi_s, iters=120)
-            q = q + root * a
-            if env.lb is not None:
-                q = np.maximum(q, env.lb)
-            if env.ub is not None:
-                q = np.minimum(q, env.ub)
+            q = clip(q + widen_root(lambda shift: b - float(np.dot(a, clip(q + shift * a))), -1.0, 1.0) * a)
         # restore kernel-domain feasibility toward the center
-        if not math.isfinite(spec.kernel_conj(q, p)):
+        if not math.isfinite(penalty(q)):
             lo_t, hi_t = 0.0, 1.0
             for _ in range(60):
                 mid = 0.5 * (lo_t + hi_t)
-                if math.isfinite(spec.kernel_conj(center + mid * (q - center), p)):
+                if math.isfinite(penalty(center + mid * (q - center))):
                     lo_t = mid
                 else:
                     hi_t = mid
@@ -380,70 +364,37 @@ def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0
 
 
 def _epi_dual_waterfill(spec: EpiSpec, x: DiscreteRv) -> tuple[float, np.ndarray]:
-    """Exact dual over a box-plus-hyperplane envelope with separable penalty,
-    and its optimal density.
+    """Exact dual over a box-plus-hyperplane envelope with separable penalty
+    E[phi(Q)], and its optimal density.
 
-    Per atom, q_i(mu) maximizes q (x_i - mu) - g(q)/eps over the box slice,
-    by bisection on the slope condition g'(q) = eps (x_i - mu); the
-    hyperplane multiplier mu is fixed by bisection on the total mass, which
-    is monotone in mu.  The density's residual mass is then put on the atoms
-    inside the box, so the value is that of a feasible density: a lower
-    bound on the epi-regularized risk.
+    Per atom, q_i(mu) maximizes q (x_i - mu) - phi(q)/eps over the box slice,
+    by ``_per_atom_argmax`` at z = eps (x_i - mu); the hyperplane multiplier mu
+    is the root of the total mass, which does not increase in mu, found by
+    ``widen_root`` from the atoms.  The density's residual mass is then put
+    on the atoms inside the box, so the value is that of a feasible density:
+    a lower bound on the epi-regularized risk.
     """
-    env = spec.base_envelope
-    g = spec.kernel_conj_scalar
-    inv_eps = 1.0 / spec.epsilon
+    env, div = spec.base_envelope, spec.kernel_conj
     v, p = x.values, x.probs
-    m = v.size
-    lb = env.lb if env.lb is not None else np.full(m, -1e9)
-    ub = env.ub if env.ub is not None else np.full(m, 1e9)
+    lb = env.lb if env.lb is not None else -math.inf
+    ub = env.ub if env.ub is not None else math.inf
     a, b = env.a_eq[0], float(env.b_eq[0])
 
     def q_of(mu: float) -> np.ndarray:
-        out = np.empty(m)
-        for i in range(m):
-            z = spec.epsilon * (v[i] - mu)
-            lo_i, hi_i = float(lb[i]), float(ub[i])
-            if _conj_slope(g, lo_i) >= z:
-                out[i] = lo_i
-            elif _conj_slope(g, hi_i) <= z:
-                out[i] = hi_i
-            else:
-                out[i] = bisect_root(lambda qv: z - _conj_slope(g, qv), lo_i, hi_i, iters=200)
-        return out
+        return _per_atom_argmax(div, spec.epsilon * (v - mu), lb, ub)
 
-    def mass(mu: float) -> float:
-        return float(np.dot(a, q_of(mu))) - b
-
-    lo, hi = float(v[0]) - 1.0, float(v[-1]) + 1.0
-    span = float(v[-1] - v[0]) + 1.0
-    for _ in range(100):
-        if mass(lo) >= 0:
-            break
-        lo -= span
-        span *= 2.0
-    span = float(v[-1] - v[0]) + 1.0
-    for _ in range(100):
-        if mass(hi) <= 0:
-            break
-        hi += span
-        span *= 2.0
-    q = q_of(bisect_root(mass, lo, hi, iters=200))
+    # a constant X widens from its own magnitude
+    unit = float(v[-1] - v[0]) or abs(float(v[0])) or 1.0
+    q = q_of(widen_root(lambda mu: float(np.dot(a, q_of(mu))) - b, float(v[0]) - unit, float(v[-1]) + unit))
     inside = (q > lb) & (q < ub)
     if inside.any():
         q[inside] += (b - float(np.dot(a, q))) / float(a[inside].sum())
-    return float(np.dot(p, q * v)) - inv_eps * float(np.dot(p, np.array([g(qi) for qi in q]))), q
+    return float(np.dot(p, q * v)) - divergence_value(div, q, p) / spec.epsilon, q
 
 
 # central-difference step of the kernel conjugate's derivative, about the cube
 # root of the double epsilon: truncation and rounding error balance there
 _DIFF_STEP = 2.0**-17
-
-
-def _conj_slope(g: Callable[[float], float], q: float) -> float:
-    """g'(q) by a central difference."""
-    h = _DIFF_STEP * (1.0 + abs(q))
-    return (g(q + h) - g(q - h)) / (2.0 * h)
 
 
 def epi_regret_divroot(
@@ -456,37 +407,30 @@ def epi_regret_divroot(
 
     dom V* of a coherent regret like the tail-average regret is a per-atom
     box, so the supremum splits into independent one-dimensional concave
-    maximizations.
+    maximizations, each solved by ``_per_atom_argmax`` at z = eps x_i.  Atom
+    i takes entry i of the box.
     """
-    lo, hi = base_box
     v, p = x.values, x.probs
-    total = 0.0
-    for i in range(v.size):
-        def neg(qi):
-            val = float(np.asarray(kernel_phi.phi(np.array([qi])))[0])
-            if not math.isfinite(val):
-                return math.inf
-            return -(qi * v[i] - val / epsilon)
-
-        _, fneg = minimize_scalar_convex(neg, tol=1e-13, bracket=(float(lo[i]), float(hi[i])))
-        total += p[i] * (-fneg)
-    return total
+    q = _per_atom_argmax(kernel_phi, epsilon * v, *(np.asarray(end, dtype=float)[: v.size] for end in base_box))
+    return float(np.dot(p, q * v)) - float(np.dot(p, np.asarray(kernel_phi.phi(q), dtype=float))) / epsilon
 
 
-def kernel_quadratic_regret() -> tuple[Callable, Callable, Callable]:
-    """V(Y) = E[Y + Y^2]; conjugate V*(Q) = E[(Q-1)^2]/4, separable."""
+def kernel_quadratic_regret() -> tuple[Callable, DivergenceFn]:
+    """V(Y) = E[Y + Y^2] = E[phi*(Y)], whose conjugate V*(Q) = E[phi(Q)] is
+    separable: phi(q) = (q - 1)^2/4 on the real line, phi*(z) = z + z^2."""
 
     def kernel(y: DiscreteRv) -> float:
         return y.moment(lambda v: v + v * v)
 
-    def conj(q, p):
-        q = np.asarray(q, dtype=float)
-        return float(np.dot(p, (q - 1.0) ** 2)) / 4.0
-
-    def conj_scalar(qv: float) -> float:
-        return (qv - 1.0) ** 2 / 4.0
-
-    return kernel, conj, conj_scalar
+    conj = DivergenceFn(
+        phi=lambda q: (np.asarray(q, dtype=float) - 1.0) ** 2 / 4.0,
+        phi_conj=lambda z: np.asarray(z, dtype=float) + np.asarray(z, dtype=float) ** 2,
+        dom=(-math.inf, math.inf),
+        kind="extended",
+        label="quadratic_regret",
+        conj_grad=lambda z: 1.0 + 2.0 * np.asarray(z, dtype=float),
+    )
+    return kernel, conj
 
 
 def kernel_l2_regret(lam: float = 1.0) -> tuple[Callable, Callable]:

@@ -1,6 +1,7 @@
 """Self-contained convex optimization primitives.
 
-Scalar golden-section minimization with auto-bracketing, a batched K-section
+Scalar golden-section minimization with auto-bracketing, bisection for the
+root of a monotone function in a bracket widened outward, a batched K-section
 search for monotone crossings of criteria given on arrays (K points per
 bracket and call), exact argmin intervals for piecewise-linear
 convex functions, projected subgradient descent, a deterministic
@@ -41,6 +42,7 @@ __all__ = [
     "minimize_multistart",
     "solve_lp",
     "bisect_root",
+    "widen_root",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -384,6 +386,24 @@ def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:
         else:
             lo, glo = mid, gm
     return 0.5 * (lo + hi)
+
+
+def widen_root(g, lo: float, hi: float, iters: int = 200) -> float:
+    """Root of a nonincreasing scalar function, by ``bisect_root`` once the
+    bracket lo < hi is widened outward, each step twice the last and the
+    first its width, until g(lo) >= 0 >= g(hi).  Raises ValueError where an
+    end overflows before g changes sign."""
+    step = hi - lo
+    while g(lo) < 0.0:
+        lo, step = lo - step, 2.0 * step
+        if not math.isfinite(lo):
+            raise ValueError("root not bracketed")
+    step = hi - lo
+    while g(hi) > 0.0:
+        hi, step = hi + step, 2.0 * step
+        if not math.isfinite(hi):
+            raise ValueError("root not bracketed")
+    return bisect_root(g, lo, hi, iters=iters)
 
 
 # -- projected subgradient ----------------------------------------------------

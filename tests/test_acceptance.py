@@ -370,7 +370,7 @@ def test_10_svr_union():
 
 def test_11_epi_regularization():
     rng = np.random.default_rng(111)
-    kern, kconj, kscalar = kernel_quadratic_regret()
+    kern, kconj = kernel_quadratic_regret()
 
     def spec_for(x, eps):
         return EpiSpec(
@@ -380,7 +380,6 @@ def test_11_epi_regularization():
             base_regret=lambda y: 2.0 * y.mean_pos(),
             base_envelope=cvar_envelope(0.5, x.probs),
             kernel_conj=kconj,
-            kernel_conj_scalar=kscalar,
         )
 
     consts_exact = all(

@@ -12,6 +12,7 @@ from riskquad.checks import run_quadrangle_checks
 from riskquad.divergence import (
     StochasticDivergenceJ,
     _kl_risk,
+    _per_atom_argmax,
     _pearson_shift,
     classify_divergence,
     cvar_indicator_regret,
@@ -25,6 +26,7 @@ from riskquad.divergence import (
     verify_conjugate,
 )
 from riskquad.measures import CatalogSpec, expectile_value, make_catalog_quadrangle
+from riskquad.robust import kernel_quadratic_regret
 from riskquad.solvers import LpProblem, solve_lp
 
 from helpers import generic_divergence_quadrangle, random_rv, random_rvs
@@ -153,6 +155,71 @@ def test_closed_envelope_routes_match_the_parametric_route(name, case):
     _check_worst_case(div, tau, x, val, q, tol)
 
 
+# the parametric route: extended_pearson, gen_extended_pearson(0.3) and kl
+# (whose route takes the ball without the density row), and kl and pearson
+# with their closed routes stripped
+_PARAMETRIC_BALLS = [
+    ("extended_pearson", None, False, True),
+    ("extended_pearson", None, False, False),
+    ("gen_extended_pearson", 0.3, False, True),
+    ("gen_extended_pearson", 0.3, False, False),
+    ("kl", None, False, False),
+    ("kl", None, True, True),
+    ("kl", None, True, False),
+    ("pearson", None, True, True),
+    ("pearson", None, True, False),
+]
+
+
+@pytest.mark.parametrize("name, level, strip, normalized", _PARAMETRIC_BALLS)
+def test_parametric_envelope_is_positively_homogeneous(name, level, strip, normalized):
+    # sup E[QX] over the ball at sX is s times that at X, from s = 1e-15 to
+    # 1e15: the multipliers are searched in units of the atoms' spread
+    div = make_divergence(name, q=level)
+    if strip:
+        div = dataclasses.replace(div, envelope_route=None)
+    j = StochasticDivergenceJ.from_phi(div, normalized=normalized)
+    rng = np.random.default_rng(6)
+    for offset in (0.0, 50.0):
+        x = DiscreteRv(offset + rng.normal(size=6), rng.dirichlet(np.ones(6)))
+        want, _ = family_eval_envelope(j, 0.5, x)
+        tol = 1e-11 * (1.0 + float(np.max(np.abs(x.values))))
+        for k in range(-15, 16, 3):
+            s = 10.0**k
+            got, q = family_eval_envelope(j, 0.5, x.scale(s))
+            assert abs(got - s * want) <= tol * s, (offset, k)
+            assert divergence_value(div, q, x.probs) <= 0.5 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "div",
+    [
+        make_divergence("kl"),
+        make_divergence("pearson"),
+        make_divergence("extended_pearson"),
+        make_divergence("gen_extended_pearson", q=0.3),
+        kernel_quadratic_regret()[1],
+    ],
+    ids=lambda div: div.label,
+)
+def test_per_atom_argmax_matches_the_golden_oracle(div):
+    # the closed argmax, (phi*)'(z) clipped to the box and dom phi, against
+    # golden section on the same phi, for |z| from 1e-6 to 1e6 on boxes that
+    # bind and boxes that do not
+    oracle = dataclasses.replace(div, conj_grad=None)
+    mags = np.logspace(-6.0, 6.0, 13)
+    z = np.concatenate((-mags[::-1], mags))
+    for lo, hi in ((-math.inf, math.inf), (0.25, 4.0), (-math.inf, 2.0), (0.5, math.inf)):
+        q = _per_atom_argmax(div, z, lo, hi)
+        assert np.all((q >= max(lo, div.dom[0])) & (q <= min(hi, div.dom[1])))
+        # the oracle's bracket grows from q = 1 by steps up to 2^60
+        reach = np.abs(q) <= 1e12
+        want = q[reach] * z[reach] - div.phi(q[reach])
+        q_gold = _per_atom_argmax(oracle, z[reach], lo, hi)
+        got = q_gold * z[reach] - div.phi(q_gold)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (lo, hi)
+
+
 def _envelope_sup_tv(tau, x, normalized):
     """LP oracle for the polyhedral total-variation ball, over (q, s) with
     s_i >= |q_i - 1|, E[s] <= tau and q >= 0 (and E[Q] = 1 on the density
@@ -256,6 +323,20 @@ def test_envelope_of_a_constant_without_the_density_constraint(name, tau, c, q_s
     assert float(q[0] * c) == pytest.approx(val, rel=1e-15, abs=1e-15)
     near, _ = family_eval_envelope(j, tau, DiscreteRv([c, c + 1e-9]))
     assert abs(val - near) <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["kl", "pearson"])
+def test_ball_without_the_density_constraint_at_a_nonpositive_x(name):
+    # X <= 0: as l -> 0 every Q_i below 0 runs to 0, and where P(X < 0) phi(0)
+    # is within the budget that limit is the worst case, of value 0; just
+    # inside that budget the parametric route approaches it from below
+    x = DiscreteRv([-2.0, -1.0, 0.0], [0.2, 0.3, 0.5])
+    j = StochasticDivergenceJ.from_phi(make_divergence(name), normalized=False)
+    val, q = family_eval_envelope(j, 0.5, x)
+    assert val == 0.0 and np.array_equal(q, [0.0, 0.0, 1.0])
+    near, q_near = family_eval_envelope(j, 0.5 * (1.0 - 1e-9), x)
+    assert -1e-6 <= near < 0.0
+    assert divergence_value(make_divergence(name), q_near, x.probs) <= 0.5 * (1.0 - 1e-9) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("top", [0.26421099378398505, 0.3, 1.0, 0.123456789])

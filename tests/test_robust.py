@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -33,11 +34,7 @@ from helpers import LP_FAMILIES, random_rv, within
 
 
 def _cvar_spec(alpha, probs, epsilon, kernel="quadratic"):
-    if kernel == "quadratic":
-        kern, kconj, kscalar = kernel_quadratic_regret()
-    else:
-        kern, kconj = kernel_l2_regret()
-        kscalar = None
+    kern, kconj = kernel_quadratic_regret() if kernel == "quadratic" else kernel_l2_regret()
     inv = 1.0 / (1.0 - alpha)
     return EpiSpec(
         base_risk=lambda y: cvar_direct(y, alpha),
@@ -46,7 +43,6 @@ def _cvar_spec(alpha, probs, epsilon, kernel="quadratic"):
         base_regret=lambda y: inv * y.mean_pos(),
         base_envelope=cvar_envelope(alpha, probs),
         kernel_conj=kconj,
-        kernel_conj_scalar=kscalar,
     )
 
 
@@ -78,18 +74,21 @@ def test_epi_primal_dual_and_grid_2atoms():
     vp = epi_risk_primal(spec, x)
     vd = epi_risk_dual(spec, x)
     assert abs(vp - vd) <= 1e-6
-    # grid oracle over Y: coarse scan plus one local refinement
-    kern, _, _ = kernel_quadratic_regret()
+    # grid oracle over Y: coarse scan plus one local refinement, on numpy
+    # grids; CVaR_0.5 of two equally likely atoms is the larger
+    kern, _ = kernel_quadratic_regret()
 
     def val_at(y1, y2):
-        y = np.array([y1, y2])
-        return cvar_direct(DiscreteRv(x.values - y, p), 0.5) + kern(DiscreteRv(y, p))
+        return np.maximum(x.values[0] - y1, x.values[1] - y2) + 0.5 * (y1 + y1 * y1 + y2 + y2 * y2)
 
-    grid = np.linspace(-3, 3, 121)
-    coarse = [(val_at(a, b), a, b) for a in grid for b in grid]
-    best, a0, b0 = min(coarse)
-    fine = np.linspace(-0.1, 0.1, 81)
-    best = min(best, min(val_at(a0 + da, b0 + db) for da in fine for db in fine))
+    y = np.array([0.3, -0.2])
+    assert val_at(*y) == pytest.approx(cvar_direct(DiscreteRv(x.values - y, p), 0.5) + kern(DiscreteRv(y, p)), abs=1e-15)
+    a, b = np.meshgrid(np.linspace(-3, 3, 121), np.linspace(-3, 3, 121), indexing="ij")
+    coarse = val_at(a, b)
+    i = np.argmin(coarse)
+    best, a0, b0 = coarse.flat[i], a.flat[i], b.flat[i]
+    da, db = np.meshgrid(np.linspace(-0.1, 0.1, 81), np.linspace(-0.1, 0.1, 81), indexing="ij")
+    best = min(best, float(np.min(val_at(a0 + da, b0 + db))))
     assert vp <= best + 1e-9
     assert vp >= best - 1e-4
 
@@ -111,13 +110,31 @@ def test_epi_primal_dual_3atoms():
 @settings(max_examples=10, deadline=None, derandomize=True)
 def test_epi_recovered_primal_is_bracketed(k, eps, draw):
     # weak duality below (to the rounding of the two evaluations), the
-    # compass-search primal above
+    # compass-search primal above; both routes are translation equivariant,
+    # R(X + c) = R(X) + c, at offsets up to 1e6
     rng = np.random.default_rng(draw)
     x = DiscreteRv(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k)))
     spec = _cvar_spec(0.5, x.probs, eps)
     vp = epi_risk_primal(spec, x)
-    assert epi_risk_dual(spec, x) <= vp + 1e-15 * (1.0 + abs(vp))
+    vd = epi_risk_dual(spec, x)
+    assert vd <= vp + 1e-15 * (1.0 + abs(vp))
     assert vp <= _inf_convolution(spec.base_risk, spec.kernel, eps, x, 3, 0) + 1e-9
+    for c in (1e3, -1e3, 1e6, -1e6):
+        y = x.shift(c)
+        assert abs(epi_risk_dual(spec, y) - c - vd) <= 1e-13 * (1.0 + abs(c))
+        assert abs(epi_risk_primal(spec, y) - c - vp) <= 1e-13 * (1.0 + abs(c))
+
+
+def test_epi_waterfill_matches_its_golden_oracle():
+    # the waterfill through golden section per atom, on the kernel conjugate
+    # without its closed argmax, against the closed route
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 5):
+        x = DiscreteRv(rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k)))
+        spec = _cvar_spec(0.5, x.probs, float(rng.uniform(0.3, 2.0)))
+        oracle = dataclasses.replace(spec, kernel_conj=dataclasses.replace(spec.kernel_conj, conj_grad=None))
+        assert epi_risk_dual(oracle, x) == pytest.approx(epi_risk_dual(spec, x), abs=1e-9)
+        assert epi_risk_primal(oracle, x) == pytest.approx(epi_risk_primal(spec, x), abs=1e-9)
 
 
 def test_epi_dual_l2_kernel_matches_primal():
@@ -187,14 +204,11 @@ def test_epi_divroot_per_atom():
     x = DiscreteRv([-1.0, 1.0], p)
     box = (np.zeros(2), np.full(2, 2.0))
     val = epi_regret_divroot(box, kl, 1.0, x)
-    # 2-d grid oracle
-    best = -math.inf
+    # 2-d grid oracle, on a numpy grid
     qs = np.linspace(1e-9, 2.0, 2001)
-    phi = lambda t: t * math.log(t) - t + 1.0
-    for q1 in qs:
-        for q2 in qs:
-            pen = 0.5 * (phi(q1) + phi(q2))
-            best = max(best, 0.5 * (-q1 + q2) - pen)
+    q1, q2 = np.meshgrid(qs, qs, indexing="ij")
+    phi = lambda t: t * np.log(t) - t + 1.0
+    best = float(np.max(0.5 * (-q1 + q2) - 0.5 * (phi(q1) + phi(q2))))
     assert val == pytest.approx(best, abs=1e-6)
     assert epi_regret_divroot(box, kl, 1.0, DiscreteRv.constant(0.0)) == pytest.approx(0.0, abs=1e-10)
 

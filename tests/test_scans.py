@@ -23,7 +23,6 @@ from riskquad.constructions import (
 from riskquad.core import DiscreteRv, StatInterval
 from riskquad.measures import (
     CatalogSpec,
-    _tail_segments,
     cvar2_regret,
     cvar2_risk,
     expectile_value,
@@ -198,8 +197,6 @@ def test_vectorised_cvar2_matches_the_segment_loops():
     rvs = random_rvs(rng, 30, max_atoms=12) + random_rvs(rng, 10, max_atoms=400, span=1e3, offset=-50.0)
     rvs += [DiscreteRv.constant(-2.0), DiscreteRv.constant(0.0), DiscreteRv([-5.0, 1e-3], [0.999, 0.001])]
     for x in rvs:
-        lo, hi, v, a = _tail_segments(x)
-        assert [tuple(s) for s in zip(lo, hi, v, a)] == loop_tail_segments(x)
         for alpha in (0.1, 0.5, 0.9):
             tol = 1e-13 * x.n_atoms * max(1.0, float(np.max(np.abs(x.values))))
             assert cvar2_risk(x, alpha) == pytest.approx(

@@ -22,6 +22,7 @@ from riskquad.solvers import (
     pwl_argmin_interval,
     pwl_grid,
     solve_lp,
+    widen_root,
 )
 from riskquad.constructions import error_from_loss, project_error, Flags
 from riskquad.measures import CatalogSpec, koenker_bassett_loss, make_catalog_quadrangle, vapnik_loss
@@ -495,6 +496,23 @@ def test_bisect_root_stops_at_adjacent_floats():
     bisect_root(g, 0.0, 1.0, iters=200)
     # the bracket [0, 1] reaches adjacent floats near 1/3 after 54 halvings
     assert len(evals) <= 2 + 55
+
+
+@pytest.mark.parametrize("root", [-1e9, -3.0, 0.25, 7.0, 1e12])
+def test_widen_root_reaches_a_root_outside_its_bracket(root):
+    # the root of a decreasing line, inside or far outside the start bracket
+    # [0, 1] on either side, narrowed to adjacent floats
+    got = widen_root(lambda t: root - t, 0.0, 1.0)
+    assert abs(got - root) <= math.ulp(root)
+
+
+def test_widen_root_crosses_flat_stretches_and_rejects_no_root():
+    # g is flat above -40 and changes sign there; a g that never changes
+    # sign raises once the bracket overflows
+    got = widen_root(lambda t: -1.0 if t > -40.0 else -40.0 - t, 0.0, 1.0)
+    assert abs(got + 40.0) <= math.ulp(40.0)
+    with pytest.raises(ValueError, match="root not bracketed"):
+        widen_root(lambda t: -1.0, 0.0, 1.0)
 
 
 # -- flat sets and batched crossings ---------------------------------------------
