@@ -62,7 +62,8 @@ class DivergenceFn:
     ``closed_forms(div, beta)`` gives the quadrangle members for
     ``complete_quadrangle`` and ``envelope_route(div, tau, x, normalized)``
     the worst-case expectation with its density (``family_eval_envelope``
-    has already ruled out the point mass on ess sup X).
+    has already ruled out ``_envelope_limit``, on the density ball the point
+    mass on ess sup X where dom phi is [0, inf)).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -303,11 +304,36 @@ def family_eval_perspective(parent: Callable[[DiscreteRv], float], tau: float, x
 # -- envelope route -------------------------------------------------------------
 
 
-def _density_point_mass(x: DiscreteRv) -> np.ndarray:
-    """The density putting all mass on the top atom, ess sup X."""
-    q = np.zeros_like(x.probs)
-    q[-1] = 1.0 / float(x.probs[-1])
-    return q
+def _envelope_limit(div: DivergenceFn, x: DiscreteRv, normalized: bool) -> Optional[np.ndarray]:
+    """The density that maximizes E[QX] over dom phi (and E[Q] = 1), with no
+    budget, or None where that supremum is unbounded.  It is the l -> 0 limit
+    of the parametric worst case, and the worst case itself when it lies in
+    the ball.  Off the density ball it is the end of dom phi on the side of
+    each atom's sign; on it the atoms start at the lower end and the top atoms
+    are filled to the upper end with the unit mass (the point mass on ess sup
+    X where phi is finite on [0, inf)), or, where dom phi has no lower end,
+    the bottom atom gives up what the others take at the upper end.
+    """
+    v, p = x.values, x.probs
+    lo, hi = div.dom
+    if not normalized:
+        if (v[-1] > 0.0 and hi == math.inf) or (v[0] < 0.0 and lo == -math.inf):
+            return None
+        return np.where(v > 0.0, hi, np.where(v < 0.0, lo, 1.0))
+    if math.isfinite(lo):
+        q, left = np.full_like(p, lo), 1.0 - lo
+        for i in range(p.size - 1, -1, -1):
+            take = min(left, (hi - lo) * float(p[i]))
+            q[i] = min(lo + take / float(p[i]), hi)
+            left -= take
+            if left <= 0.0:
+                break
+        return q
+    if math.isfinite(hi):
+        q = np.full_like(p, hi)
+        q[0] += (1.0 - hi) / p[0]
+        return q
+    return None
 
 
 def _per_atom_argmax(div: DivergenceFn, z: np.ndarray, lo=-math.inf, hi=math.inf) -> np.ndarray:
@@ -316,15 +342,12 @@ def _per_atom_argmax(div: DivergenceFn, z: np.ndarray, lo=-math.inf, hi=math.inf
     The unconstrained argmax (phi*)'(z_i) clipped to the interval, where phi
     carries ``conj_grad``; a golden-section search per atom otherwise, over
     the interval where its ends are finite and from q = 1 outward where not.
-    An object that carries only ``phi`` is taken as phi on the real line.
     """
-    dom = getattr(div, "dom", (-math.inf, math.inf))
-    lo = np.maximum(lo, dom[0]) * np.ones_like(z)
-    hi = np.minimum(hi, dom[1]) * np.ones_like(z)
-    conj_grad = getattr(div, "conj_grad", None)
-    if conj_grad is not None:
-        return np.clip(np.asarray(conj_grad(z), dtype=float), lo, hi)
+    lo, hi = np.maximum(lo, div.dom[0]), np.minimum(hi, div.dom[1])
+    if div.conj_grad is not None:
+        return np.asarray(div.conj_grad(z), dtype=float).clip(lo, hi)
     out = np.empty_like(z)
+    lo, hi, _ = np.broadcast_arrays(lo, hi, z)
     for i, (zi, a, b) in enumerate(zip(z, lo, hi)):
         def h(qv, zi=zi, a=a, b=b):
             if not a <= qv <= b:
@@ -346,19 +369,13 @@ def _envelope_sup_phi(
     atoms, and l that of the divergence budget, in log l from the spread of
     X - mu (the atoms' spread on the density ball, max|X| off it, where
     mu = 0); both are monotone, so ``widen_root`` finds them, and X and sX
-    take the same steps.  As l -> 0 the density runs to the limit that
-    maximizes E[QX] over dom phi; on the density ball that is the point mass
-    on ess sup X, which must have been ruled out (``family_eval_envelope``
-    does so), and off it, where the limit is finite and in the ball, it is
-    the worst case.
+    take the same steps.  As l -> 0 the density runs to ``_envelope_limit``,
+    which ``family_eval_envelope`` has ruled out of the ball, so the budget
+    turns positive on the way.
     """
     v, p = x.values, x.probs
     if x.is_constant():
         return _envelope_constant(div, tau, float(v[0]), p, normalized)
-    if not normalized:
-        q = np.where(v > 0.0, div.dom[1], np.where(v < 0.0, div.dom[0], 1.0))
-        if np.all(np.isfinite(q)) and divergence_value(div, q, p) <= tau:
-            return float(np.dot(p, q * v)), q
     unit = float(v[-1] - v[0]) if normalized else float(np.max(np.abs(v)))
 
     def q_of(t: float, mu: float) -> np.ndarray:
@@ -380,25 +397,22 @@ def _envelope_sup_phi(
 def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, normalized: bool) -> tuple[float, np.ndarray]:
     """The envelope of X = c, where E[QX] = c E[Q].  On the density ball E[Q]
     is 1.  Without it Q is the constant q* farthest from 1 with phi(q*) <= tau,
-    above 1 for c > 0 and below for c < 0; at c = 0 the value is 0."""
+    above 1 for c > 0 and below for c < 0, short of the end of dom phi, which
+    ``_envelope_limit`` has ruled out; at c = 0 the value is 0."""
     if normalized or c == 0.0:
         return (c if normalized else 0.0), np.ones_like(p)
     direction = 1.0 if c > 0.0 else -1.0
-    end = div.dom[1] if c > 0.0 else div.dom[0]
 
     def room(q):
         return tau - np.asarray(div.phi(np.ravel(q)), dtype=float).reshape(np.shape(q))
 
-    if math.isfinite(end) and room(end) >= 0.0:
-        qstar = float(end)
-    else:
-        # phi is +inf outside its domain, so a step lands beyond tau or there
-        step = 1.0
-        for _ in range(1023):
-            if not room(1.0 + direction * step) >= 0.0:
-                break
-            step *= 2.0
-        qstar = float(ksection_crossings(room, [1.0], [1.0 + direction * step])[0])
+    # phi is +inf outside its domain, so a step lands beyond tau or there
+    step = 1.0
+    for _ in range(1023):
+        if not room(1.0 + direction * step) >= 0.0:
+            break
+        step *= 2.0
+    qstar = float(ksection_crossings(room, [1.0], [1.0 + direction * step])[0])
     return c * qstar, np.full_like(p, qstar)
 
 
@@ -409,7 +423,7 @@ def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool)
         return _envelope_sup_phi(div, tau, x, normalized)
     val, lam = _kl_risk(x, tau)
     if lam == 0.0:
-        return val, _density_point_mass(x)
+        return val, _envelope_limit(div, x, normalized)
     w = np.exp((x.values - x.values[-1]) / lam)
     return val, w / float(np.dot(x.probs, w))
 
@@ -491,11 +505,12 @@ def _envelope_tv(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool)
 def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) -> tuple[float, np.ndarray]:
     """sup{ E[QX] : J(Q) <= tau } over densities, with the maximizing density.
 
-    On a phi-generated density ball the point mass on ess sup X comes first:
-    when it lies in the ball it is the worst case.  Otherwise phi-generated
-    balls take their divergence's ``envelope_route`` (closed forms for kl,
-    pearson and tv) or the per-atom parametric maximizer; other J fall back to
-    a projected ascent with budget bisection toward the center.
+    On a phi-generated ball the maximizer of E[QX] over dom phi with no
+    budget, ``_envelope_limit``, comes first: when it lies in the ball it is
+    the worst case.  Otherwise phi-generated balls take their divergence's
+    ``envelope_route`` (closed forms for kl, pearson and tv) or the per-atom
+    parametric maximizer; other J fall back to a projected ascent with budget
+    bisection toward the center.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -503,10 +518,9 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
     div = j.phi
     if div is None:
         return _envelope_sup_generic(j, tau, x, normalized)
-    if normalized:
-        q_top = _density_point_mass(x)
-        if divergence_value(div, q_top, x.probs) <= tau:
-            return float(x.values[-1]), q_top
+    q = _envelope_limit(div, x, normalized)
+    if q is not None and divergence_value(div, q, x.probs) <= tau:
+        return float(np.dot(x.probs, q * x.values)), q
     return (div.envelope_route or _envelope_sup_phi)(div, tau, x, normalized)
 
 

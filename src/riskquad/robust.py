@@ -224,9 +224,10 @@ class EpiSpec:
     """Epi-regularization data: base risk (with its regret when available),
     a kernel regret, and the smoothing weight epsilon > 0.
 
-    kernel_conj_scalar, when present, declares the kernel conjugate separable:
-    kernel*(Q) = E[g(Q)] with g the scalar function; this unlocks an exact
-    per-atom dual solve over box-plus-hyperplane envelopes.
+    kernel_conj is the kernel's conjugate, chosen by its type: a DivergenceFn
+    phi declares it separable, kernel*(Q) = E[phi(Q)], which unlocks an exact
+    per-atom dual solve over box-plus-hyperplane envelopes; a callable (q, p)
+    is a conjugate that is not separable, taken by the multistart dual.
     """
 
     base_risk: Callable[[DiscreteRv], float]

@@ -367,7 +367,11 @@ def argmin_interval_pwl(f, breakpoints) -> StatInterval:
 
 def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:
     """Root of a scalar function with g(lo), g(hi) of opposite sign (or zero)."""
-    glo, ghi = g(lo), g(hi)
+    return _bisect_bracket(g, lo, g(lo), hi, g(hi), iters)
+
+
+def _bisect_bracket(g, lo: float, glo: float, hi: float, ghi: float, iters: int) -> float:
+    """``bisect_root`` with the values at both ends already known."""
     if glo == 0.0:
         return lo
     if ghi == 0.0:
@@ -388,22 +392,28 @@ def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:
     return 0.5 * (lo + hi)
 
 
-def widen_root(g, lo: float, hi: float, iters: int = 200) -> float:
-    """Root of a nonincreasing scalar function, by ``bisect_root`` once the
-    bracket lo < hi is widened outward, each step twice the last and the
-    first its width, until g(lo) >= 0 >= g(hi).  Raises ValueError where an
-    end overflows before g changes sign."""
+def widen_root(g, lo: float, hi: float) -> float:
+    """Root of a nonincreasing scalar function, by bisection once the bracket
+    lo < hi is widened outward, each step twice the last and the first its
+    width, until g(lo) >= 0 >= g(hi).  The end passed over becomes the other
+    end, so no value is computed twice.  Raises ValueError where an end
+    overflows before g changes sign."""
     step = hi - lo
-    while g(lo) < 0.0:
-        lo, step = lo - step, 2.0 * step
-        if not math.isfinite(lo):
-            raise ValueError("root not bracketed")
-    step = hi - lo
-    while g(hi) > 0.0:
-        hi, step = hi + step, 2.0 * step
-        if not math.isfinite(hi):
-            raise ValueError("root not bracketed")
-    return bisect_root(g, lo, hi, iters=iters)
+    glo = g(lo)
+    if glo < 0.0:
+        while glo < 0.0:
+            hi, ghi, lo, step = lo, glo, lo - step, 2.0 * step
+            if not math.isfinite(lo):
+                raise ValueError("root not bracketed")
+            glo = g(lo)
+    else:
+        ghi = g(hi)
+        while ghi > 0.0:
+            lo, glo, hi, step = hi, ghi, hi + step, 2.0 * step
+            if not math.isfinite(hi):
+                raise ValueError("root not bracketed")
+            ghi = g(hi)
+    return _bisect_bracket(g, lo, glo, hi, ghi, 200)
 
 
 # -- projected subgradient ----------------------------------------------------

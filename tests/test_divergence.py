@@ -10,6 +10,7 @@ from riskquad.core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, exp
 from riskquad.constructions import RegretFn, project_error, regret_to_risk
 from riskquad.checks import run_quadrangle_checks
 from riskquad.divergence import (
+    DivergenceFn,
     StochasticDivergenceJ,
     _kl_risk,
     _per_atom_argmax,
@@ -189,6 +190,60 @@ def test_parametric_envelope_is_positively_homogeneous(name, level, strip, norma
             got, q = family_eval_envelope(j, 0.5, x.scale(s))
             assert abs(got - s * want) <= tol * s, (offset, k)
             assert divergence_value(div, q, x.probs) <= 0.5 * (1.0 + 1e-9)
+
+
+def test_envelope_takes_the_budget_free_maximizer_where_it_lies_in_the_ball():
+    # pearson's phi cut to dom [0, 3]: with a budget no density in the box can
+    # spend, the worst case is the LP maximizer of E[QX] over the box (and
+    # E[Q] = 1), top atoms at 3 and the rest at 0, at every scale; with a tight
+    # one the worst case stays inside the box and is the extended_pearson one,
+    # E[X] + sqrt(tau Var X)
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t >= 0.0) & (t <= 3.0), (t - 1.0) ** 2, np.inf)
+
+    def phi_conj(z):
+        t = np.clip(1.0 + np.asarray(z, dtype=float) / 2.0, 0.0, 3.0)
+        return t * z - (t - 1.0) ** 2
+
+    box = DivergenceFn(
+        phi=phi,
+        phi_conj=phi_conj,
+        dom=(0.0, 3.0),
+        kind="divergence",
+        label="box_pearson",
+        conj_grad=lambda z: 1.0 + np.asarray(z, dtype=float) / 2.0,
+    )
+    rng = np.random.default_rng(11)
+    x = DiscreteRv(rng.normal(size=6), rng.dirichlet(np.ones(6)))
+    v, p = x.values, x.probs
+    for normalized in (True, False):
+        j = StochasticDivergenceJ.from_phi(box, normalized=normalized)
+        lp = solve_lp(
+            LpProblem(
+                c=-p * v,
+                a_eq=p[None, :] if normalized else None,
+                b_eq=np.ones(1) if normalized else None,
+                bounds=[(0.0, 3.0)] * v.size,
+            )
+        )
+        assert lp.status == "optimal"
+        for k in (-15, 0, 15):
+            s = 10.0**k
+            val, q = family_eval_envelope(j, 10.0, x.scale(s))
+            assert abs(val - s * -lp.objective) <= 1e-12 * s * (1.0 + np.max(np.abs(v)))
+            assert divergence_value(box, q, p) <= 10.0
+    j = StochasticDivergenceJ.from_phi(box, normalized=True)
+    want = x.mean() + math.sqrt(0.05 * x.variance())
+    val, q = family_eval_envelope(j, 0.05, x)
+    assert np.all((q > 0.0) & (q < 3.0))
+    assert abs(val - want) <= 1e-11 * (1.0 + np.max(np.abs(v)))
+    # extended_pearson has no budget-free maximizer, so the point mass on ess
+    # sup X is no worst case even where it lies in the ball
+    ext = StochasticDivergenceJ.from_phi(make_divergence("extended_pearson"), normalized=True)
+    ind = DiscreteRv([0.0, 1.0], [0.75, 0.25])
+    val, _ = family_eval_envelope(ext, 10.0, ind)
+    assert val == pytest.approx(0.25 + math.sqrt(10.0 * 0.1875), rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -214,16 +214,15 @@ def test_epi_divroot_per_atom():
 
 
 def test_epi_divroot_degenerate_penalty_recovers_base():
-    # a zero penalty on the domain recovers the base regret support value
-    zero_phi = make_divergence("kl")
-
-    class ZeroDiv:
-        phi = staticmethod(lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-
+    # a zero penalty on the domain recovers the base regret support value; on
+    # the [0, 2] box kl's domain [0, inf) is the zero penalty's
+    zero_phi = dataclasses.replace(
+        make_divergence("kl"), phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)), conj_grad=None
+    )
     p = np.array([0.5, 0.5])
     x = DiscreteRv([-1.0, 1.0], p)
     box = (np.zeros(2), np.full(2, 2.0))
-    val = epi_regret_divroot(box, ZeroDiv(), 1.0, x)
+    val = epi_regret_divroot(box, zero_phi, 1.0, x)
     assert val == pytest.approx(2.0 * x.mean_pos(), abs=1e-9)
 
 
