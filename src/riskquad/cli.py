@@ -309,7 +309,7 @@ def _dispatch(cfg: RunConfig) -> int:
         params = {k: v for k, v in spec.get("params", {}).items() if k not in ("tau",)}
         tau = spec.get("tau", cfg.params.get("tau", 1.0))
         div = make_divergence(phi_name, **params)
-        sol = dro_solve(DroProblem(scen, div, tau, probs=probs, target_mean=cfg.target_mean), steps=cfg.max_iter, seed=cfg.seed)
+        sol = dro_solve(DroProblem(scen, div, tau, probs=probs, target_mean=cfg.target_mean), steps=cfg.max_iter)
         code = EXIT_OK if sol.route_gap <= 1e-4 else EXIT_SOLVER
         _emit(cfg, {
             "weights": [fmt12(c) for c in sol.weights],
@@ -325,14 +325,12 @@ def _dispatch(cfg: RunConfig) -> int:
         alpha = cfg.params.get("alpha", 0.5)
         envelope = cvar_envelope(alpha, x.probs)
         kern, kconj = kernel_quadratic_regret()
-        inv = 1.0 / (1.0 - alpha)
         rows = []
         for eps in cfg.epsilons or (0.25, 0.5, 1.0, 2.0):
             spec = EpiSpec(
                 base_risk=lambda y: cvar_direct(y, alpha),
                 kernel=kern,
                 epsilon=eps,
-                base_regret=lambda y: inv * y.mean_pos(),
                 base_envelope=envelope,
                 kernel_conj=kconj,
             )

@@ -251,15 +251,13 @@ class StochasticDivergenceJ:
 
 
 def divergence_value(j, q, probs) -> float:
-    """J(Q) for a StochasticDivergenceJ, DivergenceFn, or raw callable."""
+    """J(Q) for a StochasticDivergenceJ or a DivergenceFn, E[phi(Q)]."""
     q = np.asarray(q, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if isinstance(j, StochasticDivergenceJ):
         return j.fn(q, probs)
-    if isinstance(j, DivergenceFn):
-        vals = np.asarray(j.phi(q), dtype=float)
-        return math.inf if np.any(np.isinf(vals)) else float(np.dot(probs, vals))
-    return float(j(q, probs))
+    vals = np.asarray(j.phi(q), dtype=float)
+    return math.inf if np.any(np.isinf(vals)) else float(np.dot(probs, vals))
 
 
 # -- perspective route ---------------------------------------------------------
@@ -304,34 +302,40 @@ def family_eval_perspective(parent: Callable[[DiscreteRv], float], tau: float, x
 # -- envelope route -------------------------------------------------------------
 
 
-def _envelope_limit(div: DivergenceFn, x: DiscreteRv, normalized: bool) -> Optional[np.ndarray]:
-    """The density that maximizes E[QX] over dom phi (and E[Q] = 1), with no
-    budget, or None where that supremum is unbounded.  It is the l -> 0 limit
-    of the parametric worst case, and the worst case itself when it lies in
-    the ball.  Off the density ball it is the end of dom phi on the side of
-    each atom's sign; on it the atoms start at the lower end and the top atoms
-    are filled to the upper end with the unit mass (the point mass on ess sup
-    X where phi is finite on [0, inf)), or, where dom phi has no lower end,
-    the bottom atom gives up what the others take at the upper end.
+def _envelope_limit(div: DivergenceFn, x: DiscreteRv, lo=None, hi=None, row=None) -> Optional[np.ndarray]:
+    """The density that maximizes E[QX] over the box [lo, hi] (dom phi by
+    default; a box given is already cut by it) and the row a.q = b (a a
+    positive multiple of the probabilities, as in the density row E[Q] = 1),
+    with no budget.  It is the l -> 0 limit of the parametric worst case,
+    and the worst case itself when it lies in the ball.  Without the row
+    each atom takes the end on the side of its sign (Q = 1, clipped, at 0).
+    With it the atoms start at their lower ends and the top atoms are filled
+    to their upper ends until the row holds (the point mass on ess sup X
+    where phi is finite on [0, inf)), or, where the bottom atom has no lower
+    end, the others sit at their upper ends and the bottom atom gives up the
+    excess.  None where the supremum is unbounded, or where the box's ends
+    are infinite on both sides and neither fill applies.
     """
-    v, p = x.values, x.probs
-    lo, hi = div.dom
-    if not normalized:
-        if (v[-1] > 0.0 and hi == math.inf) or (v[0] < 0.0 and lo == -math.inf):
-            return None
-        return np.where(v > 0.0, hi, np.where(v < 0.0, lo, 1.0))
-    if math.isfinite(lo):
-        q, left = np.full_like(p, lo), 1.0 - lo
-        for i in range(p.size - 1, -1, -1):
-            take = min(left, (hi - lo) * float(p[i]))
-            q[i] = min(lo + take / float(p[i]), hi)
+    v = x.values
+    lo, hi = div.dom[0] if lo is None else lo, div.dom[1] if hi is None else hi
+    if row is None:
+        q = np.where(v > 0.0, hi, np.where(v < 0.0, lo, np.clip(1.0, lo, hi)))
+        return q if np.isfinite(q).all() else None
+    # the fill touches the top atoms one at a time: Python floats are cheaper there
+    a, b = row[0].tolist(), row[1]
+    lo, hi = ([e] * v.size if isinstance(e, float) else e.tolist() for e in (lo, hi))
+    if all(map(math.isfinite, lo)):
+        q, left = lo[:], b - sum(ai * li for ai, li in zip(a, lo))
+        for i in range(v.size - 1, -1, -1):
+            take = min(left, (hi[i] - lo[i]) * a[i])
+            q[i] = min(lo[i] + take / a[i], hi[i])
             left -= take
             if left <= 0.0:
                 break
-        return q
-    if math.isfinite(hi):
-        q = np.full_like(p, hi)
-        q[0] += (1.0 - hi) / p[0]
+        return np.array(q)
+    if all(map(math.isfinite, hi)) and lo[0] == -math.inf:
+        q = np.array(hi)
+        q[0] += (b - float(np.dot(row[0], q))) / a[0]
         return q
     return None
 
@@ -360,47 +364,76 @@ def _per_atom_argmax(div: DivergenceFn, z: np.ndarray, lo=-math.inf, hi=math.inf
 
 
 def _envelope_sup_phi(
-    div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool
-) -> tuple[float, np.ndarray]:
-    """sup{ E[QX] : E[phi(Q)] <= tau (, E[Q] = 1) } with the maximizing density.
+    div: DivergenceFn, x: DiscreteRv, lo=-math.inf, hi=math.inf, row=None, tau=None, epsilon=None
+) -> tuple[float, np.ndarray, float, float]:
+    """sup E[QX] - kernel*(Q) over the box [lo, hi], dom phi and the row
+    a.q = b, when given (a a positive multiple of the probabilities, as in
+    the density row E[Q] = 1), with the maximizing density and the
+    multipliers l and mu of its per-atom form.
 
-    Worst-case densities have the parametric form q_i = (phi*)'((x_i - mu)/l).
-    The multiplier mu of E[Q] = 1 is the root of the mass in mu, among the
-    atoms, and l that of the divergence budget, in log l from the spread of
-    X - mu (the atoms' spread on the density ball, max|X| off it, where
-    mu = 0); both are monotone, so ``widen_root`` finds them, and X and sX
-    take the same steps.  As l -> 0 the density runs to ``_envelope_limit``,
-    which ``family_eval_envelope`` has ruled out of the ball, so the budget
-    turns positive on the way.
+    In ball mode, where ``tau`` is given, kernel* is the indicator of
+    E[phi(Q)] <= tau and the value is E[QX]; in penalty mode it is
+    E[phi(Q)]/``epsilon`` and the value E[QX] - E[phi(Q)]/eps.  Either way q_i is ``_per_atom_argmax`` at
+    z_i = (x_i - mu)/l over the box.  mu is the root of the row's mass
+    a.q - b, which does not increase in mu, among the atoms (0 without the
+    row).  l is 1/eps in penalty mode; in ball mode it is the root of the
+    divergence budget, in log l from the spread of X - mu (the atoms' spread
+    with the row, max|X| without).  ``widen_root`` finds both, and X and sX
+    take the same steps.  A ball first tries ``_envelope_limit``, the l -> 0
+    end, and returns it with l = 0 where it lies in the ball; otherwise the
+    budget turns positive on the way to it.  In penalty mode the residual
+    row mass is put on the atoms inside the box, so the value is that of a
+    feasible density.
     """
     v, p = x.values, x.probs
-    if x.is_constant():
-        return _envelope_constant(div, tau, float(v[0]), p, normalized)
-    unit = float(v[-1] - v[0]) if normalized else float(np.max(np.abs(v)))
+    lo, hi = np.maximum(lo, div.dom[0]), np.minimum(hi, div.dom[1])
+    if tau is not None:
+        q = _envelope_limit(div, x, lo, hi, row)
+        if q is not None and divergence_value(div, q, p) <= tau:
+            return float(np.dot(p, q * v)), q, 0.0, 0.0
+        if x.is_constant():
+            return (*_envelope_constant(div, tau, float(v[0]), p, row), 0.0, 0.0)
+    # a constant X, in penalty mode, brackets mu from its own magnitude
+    pad = 0.0 if v[-1] > v[0] else abs(float(v[0])) or 1.0
 
-    def q_of(t: float, mu: float) -> np.ndarray:
-        return _per_atom_argmax(div, (v - mu) / (unit * 2.0**t))
+    def q_of(l: float, mu: float) -> np.ndarray:
+        return _per_atom_argmax(div, (v - mu) / l, lo, hi)
 
-    def solve_mu(t: float) -> float:
-        if not normalized:
+    def solve_mu(l: float) -> float:
+        if row is None:
             return 0.0
-        return widen_root(lambda mu: float(np.dot(p, q_of(t, mu))) - 1.0, float(v[0]), float(v[-1]))
+        return widen_root(lambda mu: float(np.dot(row[0], q_of(l, mu))) - row[1], float(v[0]) - pad, float(v[-1]) + pad)
 
-    def budget(t: float) -> float:
-        return divergence_value(div, q_of(t, solve_mu(t)), p) - tau
+    if tau is None:
+        l = 1.0 / epsilon
+    else:
+        unit = float(v[-1] - v[0]) if row is not None else float(np.max(np.abs(v)))
 
-    t = widen_root(budget, -1.0, 1.0)
-    q = q_of(t, solve_mu(t))
-    return float(np.dot(p, q * v)), q
+        def budget(t: float) -> float:
+            return divergence_value(div, q_of(unit * 2.0**t, solve_mu(unit * 2.0**t)), p) - tau
+
+        l = unit * 2.0 ** widen_root(budget, -1.0, 1.0)
+    mu = solve_mu(l)
+    q = q_of(l, mu)
+    if tau is not None:
+        return float(np.dot(p, q * v)), q, l, mu
+    inside = (q > lo) & (q < hi)
+    if row is not None and inside.any():
+        q[inside] += (row[1] - float(np.dot(row[0], q))) / float(row[0][inside].sum())
+    return float(np.dot(p, q * v)) - l * divergence_value(div, q, p), q, l, mu
 
 
-def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, normalized: bool) -> tuple[float, np.ndarray]:
-    """The envelope of X = c, where E[QX] = c E[Q].  On the density ball E[Q]
-    is 1.  Without it Q is the constant q* farthest from 1 with phi(q*) <= tau,
-    above 1 for c > 0 and below for c < 0, short of the end of dom phi, which
+def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, row) -> tuple[float, np.ndarray]:
+    """The envelope of X = c, where E[QX] = c E[Q].  With the row Q is the
+    constant that satisfies it (1 on the density row).  Without it Q is the
+    constant q* farthest from 1 with phi(q*) <= tau, above 1 for c > 0 and
+    below for c < 0, short of the end of the box and dom phi, which
     ``_envelope_limit`` has ruled out; at c = 0 the value is 0."""
-    if normalized or c == 0.0:
-        return (c if normalized else 0.0), np.ones_like(p)
+    if row is not None:
+        q = np.full_like(p, row[1] / float(np.sum(row[0])))
+        return c * float(np.dot(p, q)), q
+    if c == 0.0:
+        return 0.0, np.ones_like(p)
     direction = 1.0 if c > 0.0 else -1.0
 
     def room(q):
@@ -420,10 +453,10 @@ def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool)
     """The kl density ball: EVaR, inf_l l * (tau + ln E e^{X/l}) by ``_kl_risk``,
     and the exponential tilt Q = e^{X/l*} / E e^{X/l*} at its multiplier."""
     if not normalized:
-        return _envelope_sup_phi(div, tau, x, normalized)
+        return _envelope_sup_phi(div, x, tau=tau)[:2]
     val, lam = _kl_risk(x, tau)
     if lam == 0.0:
-        return val, _envelope_limit(div, x, normalized)
+        return val, _envelope_limit(div, x, row=(x.probs, 1.0))
     w = np.exp((x.values - x.values[-1]) / lam)
     return val, w / float(np.dot(x.probs, w))
 
@@ -464,7 +497,7 @@ def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: 
     by ``_pearson_shift``, and the density Q = (X - c*)_+ / E(X - c*)_+, which is
     sqrt(1 + tau) (X - c*)_+ / ||(X - c*)_+||_2 at the minimizer c*."""
     if not normalized:
-        return _envelope_sup_phi(div, tau, x, normalized)
+        return _envelope_sup_phi(div, x, tau=tau)[:2]
     v, p = x.values, x.probs
     c, value = _pearson_shift(x, 1.0 + tau)
     r = np.maximum(v - c, 0.0)
@@ -508,9 +541,10 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
     On a phi-generated ball the maximizer of E[QX] over dom phi with no
     budget, ``_envelope_limit``, comes first: when it lies in the ball it is
     the worst case.  Otherwise phi-generated balls take their divergence's
-    ``envelope_route`` (closed forms for kl, pearson and tv) or the per-atom
-    parametric maximizer; other J fall back to a projected ascent with budget
-    bisection toward the center.
+    ``envelope_route`` (closed forms for kl, pearson and tv); a phi without
+    one goes straight to the per-atom parametric maximizer
+    ``_envelope_sup_phi``, which tries the limit itself.  Other J fall back
+    to a projected ascent with budget bisection toward the center.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -518,10 +552,13 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
     div = j.phi
     if div is None:
         return _envelope_sup_generic(j, tau, x, normalized)
-    q = _envelope_limit(div, x, normalized)
+    row = (x.probs, 1.0) if normalized else None
+    if div.envelope_route is None:
+        return _envelope_sup_phi(div, x, row=row, tau=tau)[:2]
+    q = _envelope_limit(div, x, row=row)
     if q is not None and divergence_value(div, q, x.probs) <= tau:
         return float(np.dot(x.probs, q * x.values)), q
-    return (div.envelope_route or _envelope_sup_phi)(div, tau, x, normalized)
+    return div.envelope_route(div, tau, x, normalized)
 
 
 def _envelope_sup_generic(j, tau, x, normalized) -> tuple[float, np.ndarray]:

@@ -3,8 +3,9 @@ epi-regularization of risk/regret functionals by infimal convolution.
 
 The DRO solve minimizes the worst-case expectation over the ball by
 cutting planes on its envelope route, whose worst-case densities give the
-cuts; epi-regularized risks are recovered from the exact dual where the
-kernel conjugate is separable.
+cuts.  Every epi problem is one separable dual over the base envelope's box
+(and row): a penalty E[phi(Q)]/eps or a phi-ball E[phi(Q)] <= tau, solved
+by the per-atom maximizer of the divergence balls.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 
 from .core import DiscreteRv
 from .constructions import Flags, RegretFn, lp_encodable, minimize_affine
-from .divergence import DivergenceFn, StochasticDivergenceJ, _per_atom_argmax, divergence_value, family_eval_envelope
+from .divergence import DivergenceFn, StochasticDivergenceJ, _envelope_sup_phi, family_eval_envelope, make_divergence
 from .dual import Envelope
 from .measures import CatalogSpec, make_catalog_quadrangle
-from .solvers import LpProblem, bisect_root, compass_search, minimize_multistart, solve_lp, widen_root
+from .solvers import LpProblem, bisect_root, minimize_multistart, solve_lp
 
 __all__ = [
     "DroProblem",
@@ -133,7 +134,7 @@ def _project_simplex_mean(w, means, mu):
 _GAP_REL = 1e-12
 
 
-def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None) -> DroSolution:
+def dro_solve(p: DroProblem, steps: int = 2500, should_stop=None) -> DroSolution:
     """min over the feasible simplex of G(w) = sup_Q E_Q[l_w], the worst-case
     expected portfolio loss l_w = -S w over the divergence ball, by Kelley's
     cutting planes.
@@ -147,7 +148,7 @@ def dro_solve(p: DroProblem, steps: int = 2500, seed: int = 0, should_stop=None)
     when the gap closes, when the master returns a w already evaluated (its
     pivot tolerance hides cuts that differ by less, so no round could add
     one), or after ``steps`` rounds (one evaluation and one master LP
-    each).  ``seed`` is unused, the solve being deterministic.
+    each).  The solve is deterministic.
     """
     s, pr = p.scenarios, p.probs
     n_assets = s.shape[1]
@@ -221,21 +222,21 @@ def dro_envelope_value(p: DroProblem, w) -> float:
 
 @dataclass(frozen=True)
 class EpiSpec:
-    """Epi-regularization data: base risk (with its regret when available),
-    a kernel regret, and the smoothing weight epsilon > 0.
+    """Epi-regularization data: the base risk with its envelope, a kernel
+    regret with its conjugate, and the smoothing weight epsilon > 0.
 
-    kernel_conj is the kernel's conjugate, chosen by its type: a DivergenceFn
-    phi declares it separable, kernel*(Q) = E[phi(Q)], which unlocks an exact
-    per-atom dual solve over box-plus-hyperplane envelopes; a callable (q, p)
-    is a conjugate that is not separable, taken by the multistart dual.
+    The base envelope is a box plus one row (``cvar_envelope``); dropping the
+    row leaves the box, the envelope of the base regret V(X) = sup over the
+    box of E[QX] (for CVaR, E[X_+]/(1 - alpha)).  kernel_conj is chosen by
+    its type: a DivergenceFn phi means kernel*(Q) = E[phi(Q)], a pair
+    (phi, tau) that kernel* is the indicator of E[phi(Q)] <= tau.
     """
 
     base_risk: Callable[[DiscreteRv], float]
     kernel: Callable[[DiscreteRv], float]
     epsilon: float
-    base_regret: Optional[Callable[[DiscreteRv], float]] = None
     base_envelope: Optional[Envelope] = None
-    kernel_conj: Optional[DivergenceFn | Callable[[np.ndarray, np.ndarray], float]] = None
+    kernel_conj: Optional[DivergenceFn | tuple[DivergenceFn, float]] = None
     label: str = ""
 
     def __post_init__(self):
@@ -248,149 +249,59 @@ def _convolution_value(outer: Callable[[DiscreteRv], float], kernel, epsilon, x:
     return outer(DiscreteRv(x.values - y, x.probs)) + kernel(DiscreteRv(epsilon * y, x.probs)) / epsilon
 
 
-def _inf_convolution(outer: Callable[[DiscreteRv], float], kernel, epsilon, x: DiscreteRv, starts, seed) -> float:
-    """inf_Y outer(X - Y) + kernel(eps Y)/eps over atom-dimensional Y.
+def _epi_data(spec: EpiSpec, n: int):
+    """phi and tau of the kernel conjugate (tau None for a penalty), the
+    base envelope's box on n atoms cut by dom phi (atom i takes entry i),
+    and its row: the data of ``_envelope_sup_phi``."""
+    env, conj = spec.base_envelope, spec.kernel_conj
+    box_row = env is not None and env.polyhedral and env.a_ub is None and env.a_eq is not None and env.a_eq.shape[0] == 1
+    conj_ok = isinstance(conj, (DivergenceFn, tuple))
+    missing = [name for name, ok in (("a box-plus-row base envelope", box_row), ("a kernel conjugate", conj_ok)) if not ok]
+    if missing:
+        raise ValueError("epi evaluation needs " + " and ".join(missing))
+    phi, tau = conj if isinstance(conj, tuple) else (conj, None)
+    lo = np.maximum(-math.inf if env.lb is None else env.lb[:n], phi.dom[0])
+    hi = np.minimum(math.inf if env.ub is None else env.ub[:n], phi.dom[1])
+    return phi, tau, lo, hi, (env.a_eq[0], float(env.b_eq[0]))
 
-    Convex in Y; a deterministic compass descent from Y = 0 (where the value
-    upper-bounds outer(X)) does the work, with optional restarts to escape
-    nonsmooth coordinate traps.
+
+def epi_risk_primal(spec: EpiSpec, x: DiscreteRv) -> float:
+    """inf_Y R(X - Y) + kernel(eps Y)/eps, evaluated at the Y* recovered from
+    the dual optimum Q*: Y* = l phi'(Q*), the optimality condition of the
+    per-atom maximizer, with l = 1/eps for a penalty and the budget's
+    multiplier for a ball (0 where the base's own maximizer lies in it).
+    Inside the box and dom phi that condition reads Y*_i = x_i - mu exactly;
+    on clipped atoms phi' is a central difference, so phi must be finite a
+    step beyond the box.  Any Y gives an upper bound, so by weak duality this
+    value minus the dual bounds the error of both.
     """
-    vals = x.values
-    m = vals.size
-    rng = np.random.default_rng(seed)
-    span = max(1.0, float(vals[-1] - vals[0]))
-
-    def obj(yvec):
-        return _convolution_value(outer, kernel, epsilon, x, yvec)
-
-    best = obj(np.zeros(m))
-    for trial in range(max(starts, 1)):
-        y0 = np.zeros(m) if trial == 0 else rng.normal(scale=0.3 * span, size=m)
-        _, fs = compass_search(obj, y0, step=0.5 * span, tol=1e-12, diagonals=True)
-        if fs < best - 1e-14 * (1.0 + abs(best)):
-            best = fs
-    return best
-
-
-def _waterfill_applies(spec: EpiSpec) -> bool:
-    """A separable kernel conjugate over a box-plus-hyperplane base envelope."""
-    env = spec.base_envelope
-    return (
-        env is not None
-        and isinstance(spec.kernel_conj, DivergenceFn)
-        and env.polyhedral
-        and env.a_ub is None
-        and env.a_eq is not None
-        and env.a_eq.shape[0] == 1
-    )
-
-
-def epi_risk_primal(spec: EpiSpec, x: DiscreteRv, starts: int = 3, seed: int = 0) -> float:
-    """inf_Y R(X - Y) + kernel(eps Y)/eps.
-
-    Where the exact waterfill dual applies, the primal is evaluated at
-    Y* = phi'(Q*)/eps, the optimality condition Y* in d(kernel*/eps)(Q*) at
-    the dual optimum Q*, with phi' a central difference of the kernel
-    conjugate phi (which must be finite a step beyond the envelope's box).
-    Any Y gives an upper bound, so by weak duality this value minus the dual
-    bounds the error of both.  Otherwise a compass search over Y does the
-    work (``starts`` and ``seed`` serve its restarts).
-    """
-    if not _waterfill_applies(spec):
-        return _inf_convolution(spec.base_risk, spec.kernel, spec.epsilon, x, starts, seed)
-    _, q = _epi_dual_waterfill(spec, x)
-    phi = spec.kernel_conj.phi
+    phi, tau, lo, hi, row = _epi_data(spec, x.values.size)
+    _, q, l, mu = _envelope_sup_phi(phi, x, lo, hi, row, tau=tau, epsilon=spec.epsilon)
     h = _DIFF_STEP * (1.0 + np.abs(q))
-    y = (phi(q + h) - phi(q - h)) / (2.0 * h) / spec.epsilon
+    y = l * (phi.phi(q + h) - phi.phi(q - h)) / (2.0 * h)
+    if l > 0.0:
+        inside = (q > lo) & (q < hi)
+        y[inside] = x.values[inside] - mu
     return _convolution_value(spec.base_risk, spec.kernel, spec.epsilon, x, y)
 
 
-def epi_regret(spec: EpiSpec, x: DiscreteRv, starts: int = 1, seed: int = 0) -> float:
-    """inf_Y V(X - Y) + kernel(eps Y)/eps for the base regret V."""
-    if spec.base_regret is None:
-        raise ValueError("spec carries no base regret")
-    return _inf_convolution(spec.base_regret, spec.kernel, spec.epsilon, x, starts, seed)
+def epi_regret(spec: EpiSpec, x: DiscreteRv) -> float:
+    """inf_Y V(X - Y) + kernel(eps Y)/eps for the base regret V, the support
+    function of the base envelope's box, by its dual over the box."""
+    phi, tau, lo, hi, _ = _epi_data(spec, x.values.size)
+    return _envelope_sup_phi(phi, x, lo, hi, tau=tau, epsilon=spec.epsilon)[0]
 
 
-def epi_regret_fn(spec: EpiSpec, starts: int = 1, seed: int = 0) -> RegretFn:
-    return RegretFn(fn=lambda x: epi_regret(spec, x, starts=starts, seed=seed), flags=Flags(False, False, False))
+def epi_regret_fn(spec: EpiSpec) -> RegretFn:
+    return RegretFn(fn=lambda x: epi_regret(spec, x), flags=Flags(False, False, False))
 
 
-def epi_risk_dual(spec: EpiSpec, x: DiscreteRv, steps: int = 4000, seed: int = 0) -> float:
-    """sup_{Q in dom R*} E[QX] - kernel*(Q)/eps for positively homogeneous
-    base risks (R* vanishes on its domain, the base envelope)."""
-    env = spec.base_envelope
-    if env is None or spec.kernel_conj is None:
-        raise ValueError("dual evaluation needs the base envelope and kernel conjugate")
-    if _waterfill_applies(spec):
-        return _epi_dual_waterfill(spec, x)[0]
-    p = x.probs
-    vals = x.values
-    inv_eps = 1.0 / spec.epsilon
-    center = env.center.astype(float)
-
-    def penalty(q):
-        return divergence_value(spec.kernel_conj, q, p)
-
-    def neg(q):
-        pen = penalty(q)
-        return -(float(np.dot(p, q * vals)) - inv_eps * pen) if math.isfinite(pen) else math.inf
-
-    def clip(q):
-        return np.clip(q, env.lb if env.lb is not None else -np.inf, env.ub if env.ub is not None else np.inf)
-
-    def project(q):
-        q = clip(q)
-        if env.a_eq is not None and env.a_eq.shape[0] == 1:
-            # box + single hyperplane: the shift along the row that restores it;
-            # a density is unitless, so its bracket starts at unit width
-            a, b = env.a_eq[0], float(env.b_eq[0])
-            q = clip(q + widen_root(lambda shift: b - float(np.dot(a, clip(q + shift * a))), -1.0, 1.0) * a)
-        # restore kernel-domain feasibility toward the center
-        if not math.isfinite(penalty(q)):
-            lo_t, hi_t = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo_t + hi_t)
-                if math.isfinite(penalty(center + mid * (q - center))):
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            q = center + lo_t * (q - center)
-        return q
-
-    _, fs, res = minimize_multistart(
-        neg, [center.copy()], project=project, steps=steps, tol=1e-13, polish_step=0.3, polish_tol=1e-13
-    )
-    return -min(fs, res.value)
-
-
-def _epi_dual_waterfill(spec: EpiSpec, x: DiscreteRv) -> tuple[float, np.ndarray]:
-    """Exact dual over a box-plus-hyperplane envelope with separable penalty
-    E[phi(Q)], and its optimal density.
-
-    Per atom, q_i(mu) maximizes q (x_i - mu) - phi(q)/eps over the box slice,
-    by ``_per_atom_argmax`` at z = eps (x_i - mu); the hyperplane multiplier mu
-    is the root of the total mass, which does not increase in mu, found by
-    ``widen_root`` from the atoms.  The density's residual mass is then put
-    on the atoms inside the box, so the value is that of a feasible density:
-    a lower bound on the epi-regularized risk.
-    """
-    env, div = spec.base_envelope, spec.kernel_conj
-    v, p = x.values, x.probs
-    lb = env.lb if env.lb is not None else -math.inf
-    ub = env.ub if env.ub is not None else math.inf
-    a, b = env.a_eq[0], float(env.b_eq[0])
-
-    def q_of(mu: float) -> np.ndarray:
-        return _per_atom_argmax(div, spec.epsilon * (v - mu), lb, ub)
-
-    # a constant X widens from its own magnitude
-    unit = float(v[-1] - v[0]) or abs(float(v[0])) or 1.0
-    q = q_of(widen_root(lambda mu: float(np.dot(a, q_of(mu))) - b, float(v[0]) - unit, float(v[-1]) + unit))
-    inside = (q > lb) & (q < ub)
-    if inside.any():
-        q[inside] += (b - float(np.dot(a, q))) / float(a[inside].sum())
-    return float(np.dot(p, q * v)) - divergence_value(div, q, p) / spec.epsilon, q
+def epi_risk_dual(spec: EpiSpec, x: DiscreteRv) -> float:
+    """sup_{Q in the base envelope} E[QX] - kernel*(Q)/eps for positively
+    homogeneous base risks (R* vanishes on its domain, the base envelope).
+    For a ball kernel* is an indicator, which 1/eps leaves as it is."""
+    phi, tau, lo, hi, row = _epi_data(spec, x.values.size)
+    return _envelope_sup_phi(phi, x, lo, hi, row, tau=tau, epsilon=spec.epsilon)[0]
 
 
 # central-difference step of the kernel conjugate's derivative, about the cube
@@ -408,12 +319,11 @@ def epi_regret_divroot(
 
     dom V* of a coherent regret like the tail-average regret is a per-atom
     box, so the supremum splits into independent one-dimensional concave
-    maximizations, each solved by ``_per_atom_argmax`` at z = eps x_i.  Atom
+    maximizations: ``_envelope_sup_phi`` in penalty mode with no row.  Atom
     i takes entry i of the box.
     """
-    v, p = x.values, x.probs
-    q = _per_atom_argmax(kernel_phi, epsilon * v, *(np.asarray(end, dtype=float)[: v.size] for end in base_box))
-    return float(np.dot(p, q * v)) - float(np.dot(p, np.asarray(kernel_phi.phi(q), dtype=float))) / epsilon
+    lo, hi = (np.asarray(end, dtype=float)[: x.values.size] for end in base_box)
+    return _envelope_sup_phi(kernel_phi, x, lo, hi, epsilon=epsilon)[0]
 
 
 def kernel_quadratic_regret() -> tuple[Callable, DivergenceFn]:
@@ -434,18 +344,14 @@ def kernel_quadratic_regret() -> tuple[Callable, DivergenceFn]:
     return kernel, conj
 
 
-def kernel_l2_regret(lam: float = 1.0) -> tuple[Callable, Callable]:
-    """V(Y) = E[Y] + lam ||Y||_2; conjugate is the indicator of the ball
-    ||Q - 1||_2 <= lam."""
+def kernel_l2_regret(lam: float = 1.0) -> tuple[Callable, tuple[DivergenceFn, float]]:
+    """V(Y) = E[Y] + lam ||Y||_2, whose conjugate is the indicator of the ball
+    E(Q - 1)^2 <= lam^2: the Pearson ball (extended_pearson, budget lam^2)."""
 
     def kernel(y: DiscreteRv) -> float:
         return y.mean() + lam * math.sqrt(max(y.moment(lambda v: v * v), 0.0))
 
-    def conj(q, p):
-        q = np.asarray(q, dtype=float)
-        return 0.0 if float(np.dot(p, (q - 1.0) ** 2)) <= lam * lam + 1e-12 else math.inf
-
-    return kernel, conj
+    return kernel, (make_divergence("extended_pearson"), lam * lam)
 
 
 # -- portfolio front end ----------------------------------------------------------

@@ -376,7 +376,8 @@ def _bisect_bracket(g, lo: float, glo: float, hi: float, ghi: float, iters: int)
         return lo
     if ghi == 0.0:
         return hi
-    if glo * ghi > 0:
+    # signs compared directly: a product of two values below 1e-162 underflows to 0
+    if (glo < 0.0) == (ghi < 0.0):
         raise ValueError("root not bracketed")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -385,7 +386,7 @@ def _bisect_bracket(g, lo: float, glo: float, hi: float, ghi: float, iters: int)
         gm = g(mid)
         if gm == 0.0:
             return mid
-        if glo * gm < 0:
+        if (glo < 0.0) != (gm < 0.0):
             hi, ghi = mid, gm
         else:
             lo, glo = mid, gm

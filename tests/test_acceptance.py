@@ -377,7 +377,6 @@ def test_11_epi_regularization():
             base_risk=lambda y: cvar_direct(y, 0.5),
             kernel=kern,
             epsilon=eps,
-            base_regret=lambda y: 2.0 * y.mean_pos(),
             base_envelope=cvar_envelope(0.5, x.probs),
             kernel_conj=kconj,
         )
@@ -403,15 +402,26 @@ def test_11_epi_regularization():
         r_route, _ = regret_to_risk(epi_regret_fn(spec), x, want_interval=False)
         worst_identity = max(worst_identity, abs(r_route - vp))
         if k == 2:
-            # grid oracle over Y
-            def val_at(y):
-                return cvar_direct(DiscreteRv(x.values - y, x.probs), 0.5) + kern(DiscreteRv(eps * y, x.probs)) / eps
+            # grid oracle over Y, on numpy grids: CVaR_0.5 of two atoms puts
+            # weight min(p, 0.5)/0.5 on the larger and the rest on the smaller
+            (x1, x2), (p1, p2) = x.values, x.probs
 
-            grid = np.linspace(-3, 3, 121)
-            coarse = [(val_at(np.array([a, b])), a, b) for a in grid for b in grid]
-            best, a0, b0 = min(coarse)
-            fine = np.linspace(-0.08, 0.08, 65)
-            best = min(best, min(val_at(np.array([a0 + da, b0 + db])) for da in fine for db in fine))
+            def val_at(y1, y2):
+                w1, w2 = x1 - y1, x2 - y2
+                top = np.minimum(np.where(w1 >= w2, p1, p2), 0.5) / 0.5
+                cvar = top * np.maximum(w1, w2) + (1.0 - top) * np.minimum(w1, w2)
+                return cvar + p1 * (y1 + eps * y1 * y1) + p2 * (y2 + eps * y2 * y2)
+
+            y = np.array([0.3, -0.2])
+            assert val_at(*y) == pytest.approx(
+                cvar_direct(DiscreteRv(x.values - y, x.probs), 0.5) + kern(DiscreteRv(eps * y, x.probs)) / eps, abs=1e-15
+            )
+            a, b = np.meshgrid(np.linspace(-3, 3, 121), np.linspace(-3, 3, 121), indexing="ij")
+            coarse = val_at(a, b)
+            i = np.argmin(coarse)
+            best, a0, b0 = coarse.flat[i], a.flat[i], b.flat[i]
+            da, db = np.meshgrid(np.linspace(-0.08, 0.08, 65), np.linspace(-0.08, 0.08, 65), indexing="ij")
+            best = min(best, float(np.min(val_at(a0 + da, b0 + db))))
             grid_ok &= abs(vp - best) <= 1e-4
     _report(
         11,

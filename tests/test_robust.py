@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from riskquad.core import DiscreteRv, cvar_direct, expectation
 from riskquad.constructions import regret_to_risk
-from riskquad.divergence import _kl_risk, make_divergence
+from riskquad.divergence import DivergenceFn, _kl_risk, make_divergence
 from riskquad.dual import cvar_envelope
 from riskquad.measures import CatalogSpec, make_catalog_quadrangle
 from riskquad.solvers import solve_lp
 from riskquad.robust import (
     DroProblem,
-    _inf_convolution,
     _project_simplex,
     _project_simplex_mean,
     EpiSpec,
@@ -30,17 +29,15 @@ from riskquad.robust import (
     portfolio_optimize,
 )
 
-from helpers import LP_FAMILIES, random_rv, within
+from helpers import LP_FAMILIES, epi_l2_slsqp, inf_convolution, random_rv, within
 
 
-def _cvar_spec(alpha, probs, epsilon, kernel="quadratic"):
-    kern, kconj = kernel_quadratic_regret() if kernel == "quadratic" else kernel_l2_regret()
-    inv = 1.0 / (1.0 - alpha)
+def _cvar_spec(alpha, probs, epsilon, kernel="quadratic", lam=1.0):
+    kern, kconj = kernel_quadratic_regret() if kernel == "quadratic" else kernel_l2_regret(lam)
     return EpiSpec(
         base_risk=lambda y: cvar_direct(y, alpha),
         kernel=kern,
         epsilon=epsilon,
-        base_regret=lambda y: inv * y.mean_pos(),
         base_envelope=cvar_envelope(alpha, probs),
         kernel_conj=kconj,
     )
@@ -118,7 +115,7 @@ def test_epi_recovered_primal_is_bracketed(k, eps, draw):
     vp = epi_risk_primal(spec, x)
     vd = epi_risk_dual(spec, x)
     assert vd <= vp + 1e-15 * (1.0 + abs(vp))
-    assert vp <= _inf_convolution(spec.base_risk, spec.kernel, eps, x, 3, 0) + 1e-9
+    assert vp <= inf_convolution(spec.base_risk, spec.kernel, eps, x, 3, 0) + 1e-9
     for c in (1e3, -1e3, 1e6, -1e6):
         y = x.shift(c)
         assert abs(epi_risk_dual(spec, y) - c - vd) <= 1e-13 * (1.0 + abs(c))
@@ -144,6 +141,49 @@ def test_epi_dual_l2_kernel_matches_primal():
     vp = epi_risk_primal(spec, x)
     vd = epi_risk_dual(spec, x)
     assert abs(vp - vd) <= 1e-4
+
+
+def _l2_cases():
+    # (alpha, lam, values, probs), drawn in order from one generator
+    rng = np.random.default_rng(3)
+    cases = ((8, 0.5, 0.5), (12, 0.8, 0.7), (12, 0.5, 3.0))
+    return [(alpha, lam, rng.normal(size=m), rng.dirichlet(np.ones(m))) for m, alpha, lam in cases]
+
+
+@pytest.mark.parametrize("alpha, lam, v, p", _l2_cases(), ids=["8-atoms", "12-atoms", "12-atoms-cvar-in-ball"])
+def test_epi_l2_kernel_matches_the_slsqp_oracle(alpha, lam, v, p):
+    # the L2 kernel's conjugate is the Pearson ball E(Q - 1)^2 <= lam^2, so its
+    # epi dual is that ball cut by the CVaR box and row; at lam = 3 the CVaR
+    # density lies inside the ball and the value is CVaR itself
+    x = DiscreteRv(v, p)
+    spec = _cvar_spec(alpha, x.probs, 1.0, kernel="l2", lam=lam)
+    vd = epi_risk_dual(spec, x)
+    vp = epi_risk_primal(spec, x)
+    assert within(vd, epi_l2_slsqp(x.values, x.probs, alpha, lam))
+    assert -1e-15 * (1.0 + abs(vd)) <= vp - vd <= 1e-12 * (1.0 + abs(vd))
+
+
+@pytest.mark.parametrize("kernel", ["quadratic", "l2"])
+def test_epi_regret_matches_the_compass_oracle(kernel):
+    # the epi-regularized CVaR regret E[X_+]/(1 - alpha) as the dual over the
+    # box [0, 1/(1 - alpha)], against compass search on the infimal convolution;
+    # lam is the L2 kernel's radius and the quadratic kernel's epsilon
+    for seed, m, lam in itertools.product(range(6), (2, 3), (0.3, 1.0, 3.0)):
+        rng = np.random.default_rng(seed)
+        x = DiscreteRv(rng.normal(size=m), rng.dirichlet(np.ones(m)))
+        eps = lam if kernel == "quadratic" else 1.0
+        spec = _cvar_spec(0.5, x.probs, eps, kernel=kernel, lam=lam)
+        oracle = inf_convolution(lambda y: 2.0 * y.mean_pos(), spec.kernel, eps, x)
+        assert -1e-12 <= oracle - epi_regret(spec, x) <= 1e-9
+
+
+def test_epi_spec_without_envelope_or_conjugate_is_rejected():
+    x = DiscreteRv([-1.0, 1.0])
+    bare = EpiSpec(base_risk=lambda y: cvar_direct(y, 0.5), kernel=kernel_quadratic_regret()[0], epsilon=1.0)
+    with pytest.raises(ValueError, match="box-plus-row base envelope and a kernel conjugate"):
+        epi_risk_dual(bare, x)
+    with pytest.raises(ValueError, match="kernel conjugate"):
+        epi_regret(dataclasses.replace(bare, base_envelope=cvar_envelope(0.5, x.probs)), x)
 
 
 def test_epi_eps_limit_recovers_mean():
@@ -184,6 +224,15 @@ def test_epi_regret_zero_and_self_convolution_bound():
     p = np.array([0.5, 0.5])
     spec = _cvar_spec(0.5, p, 1.0)
     assert epi_regret(spec, DiscreteRv.constant(0.0)) == pytest.approx(0.0, abs=1e-12)
+    # the kernel is the base regret itself, whose conjugate is the indicator
+    # of the box [0, 2]: the zero penalty on that domain
+    zero_on_box = DivergenceFn(
+        phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        phi_conj=lambda z: 2.0 * np.maximum(np.asarray(z, dtype=float), 0.0),
+        dom=(0.0, 2.0),
+        kind="divergence",
+        label="zero_on_box",
+    )
     rng = np.random.default_rng(3)
     for _ in range(4):
         x = random_rv(rng, max_atoms=2)
@@ -193,7 +242,8 @@ def test_epi_regret_zero_and_self_convolution_bound():
             base_risk=lambda y: cvar_direct(y, 0.5),
             kernel=kern,
             epsilon=1.0,
-            base_regret=lambda y: 2.0 * y.mean_pos(),
+            base_envelope=cvar_envelope(0.5, p),
+            kernel_conj=zero_on_box,
         )
         assert epi_regret(self_spec, x) <= base + 1e-9
 
@@ -457,6 +507,15 @@ def test_bad_scenario_probabilities_rejected(probs):
         portfolio_optimize(None, scen, probs=probs, cvar_alpha=0.5)
     with pytest.raises(ValueError):
         DroProblem(scen, make_divergence("kl"), 0.3, probs=probs)
+
+
+def test_simplex_mean_projection_at_a_tiny_mean_spread():
+    # the row's excess is of order 1e-181, so its bisection compares signs of
+    # values whose products underflow; the projection of 0 is then the point of
+    # the row nearest the centroid, (1/4, 1/4, 1/2)
+    means = np.array([0.0, 0.0, 3.9607638001401375e-181])
+    x = _project_simplex_mean(np.zeros(3), means, 0.5 * means[2])
+    assert np.max(np.abs(x - [0.25, 0.25, 0.5])) <= 1e-12
 
 
 @given(

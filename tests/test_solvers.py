@@ -453,7 +453,7 @@ def _bisect_fixed_count(g, lo, hi, iters):
         gm = g(mid)
         if gm == 0.0:
             return mid
-        if glo * gm < 0:
+        if (glo < 0.0) != (gm < 0.0):
             hi, ghi = mid, gm
         else:
             lo, glo = mid, gm
@@ -496,6 +496,13 @@ def test_bisect_root_stops_at_adjacent_floats():
     bisect_root(g, 0.0, 1.0, iters=200)
     # the bracket [0, 1] reaches adjacent floats near 1/3 after 54 halvings
     assert len(evals) <= 2 + 55
+
+
+def test_root_finders_keep_signs_when_values_underflow_in_a_product():
+    # g of order 1e-200: g(lo) * g(mid) underflows to -0.0, which must not
+    # read as "same sign"
+    assert abs(bisect_root(lambda b: 1e-200 * (0.3 - b), -1.0, 1.0) - 0.3) <= math.ulp(0.3)
+    assert abs(widen_root(lambda t: 1e-200 * (7.0 - t), 0.0, 1.0) - 7.0) <= math.ulp(7.0)
 
 
 @pytest.mark.parametrize("root", [-1e9, -3.0, 0.25, 7.0, 1e12])
