@@ -283,7 +283,7 @@ def _dispatch(cfg: RunConfig) -> int:
         data = ingest_dataset_csv(cfg.input_path, cfg.target)
         model = cfg.model or "quantile"
         quartet = named_quadrangle(model, **cfg.params)
-        fit = fit_linear(quartet.error_fn, data, seed=cfg.seed)
+        fit = fit_linear(quartet.error_fn, data)
         _emit(cfg, {
             "model": model,
             "intercept": fmt12(fit.intercept),
@@ -292,13 +292,14 @@ def _dispatch(cfg: RunConfig) -> int:
             "residual_statistic": _interval_payload(fit.statistic_of_residual),
             "tracking": bool(track_statistic(fit, quartet)),
             "nonunique": fit.nonunique,
+            "gap": fmt12(fit.gap),
         })
-        return EXIT_OK
+        return EXIT_OK if fit.gap <= 1e-4 else EXIT_SOLVER
 
     if cfg.command == "portfolio":
         scen, probs = ingest_scenarios_csv(cfg.input_path)
         q = build_quadrangle(cfg.spec or {"family": "quantile", "params": {"alpha": 0.8}})
-        w, v = portfolio_optimize(q, scen, probs=probs, target_mean=cfg.target_mean, steps=cfg.max_iter, seed=cfg.seed)
+        w, v = portfolio_optimize(q, scen, probs=probs, target_mean=cfg.target_mean, steps=cfg.max_iter)
         _emit(cfg, {"weights": [fmt12(c) for c in w], "risk": fmt12(v)})
         return EXIT_OK
 

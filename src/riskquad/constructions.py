@@ -44,6 +44,7 @@ __all__ = [
     "error_from_moment_max",
     "lp_encodable",
     "minimize_affine",
+    "affine_cut_oracle",
     "project_error",
     "regret_to_risk",
     "mean_center_error",
@@ -212,6 +213,12 @@ class MomentMaxSpec:
         t = x.mean_pos()
         return max(a * m + b * t + c for a, b, c in self.terms)
 
+    def subgradient(self, x: DiscreteRv) -> np.ndarray:
+        """a + b 1{X > 0} for an active term (a, b, c): E[Y_+] >= E[Y 1{X > 0}]."""
+        m, t = x.mean(), x.mean_pos()
+        a, b, _ = max(self.terms, key=lambda term: term[0] * m + term[1] * t + term[2])
+        return a + b * (x.values > 0.0)
+
     def shift_values(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
         """C -> value(X - C) for each C of an array, from suffix sums over the sorted
         atoms: E[(X - C)_+] is the first moment minus C times the mass above C."""
@@ -265,7 +272,10 @@ class Functional:
     functional with shift breakpoints but neither a piecewise-linear loss nor
     a moment-max form, which supply their own; ``shift_slopes(x)`` gives the
     rows of left and right slopes of the convex C -> f(X - C), nondecreasing
-    in C, for a smooth functional.
+    in C, for a smooth functional.  ``subgradient(x)`` is a density g on the
+    atoms of X with f(Y) >= f(X) + E[(Y - X) g] for every Y on them.
+    ``square_weights`` (w_-, w_+) makes f a nondecreasing function of
+    E[w_- Z_-^2 + w_+ Z_+^2], minimized over an affine family by least squares.
     """
 
     fn: Callable[[DiscreteRv], float]
@@ -276,6 +286,8 @@ class Functional:
     shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
     shift_values: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
     shift_slopes: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
+    subgradient: Optional[Callable[[DiscreteRv], np.ndarray]] = None
+    square_weights: Optional[tuple[float, float]] = None
 
     def __call__(self, x: DiscreteRv) -> float:
         return self.fn(x)
@@ -293,6 +305,7 @@ def error_from_loss(loss: ScalarLoss, flags: Flags | None = None, label: str = "
         label=label or loss.label,
         loss=loss,
         shift_slopes=loss.shift_slopes,
+        subgradient=lambda x: loss.d_right(x.values),
     )
 
 
@@ -303,6 +316,7 @@ def error_from_moment_max(spec: MomentMaxSpec, flags: Flags, label: str = "") ->
         label=label,
         moment_max=spec,
         shift_breakpoints=spec.shift_breakpoints,
+        subgradient=spec.subgradient,
     )
 
 
@@ -318,7 +332,7 @@ def mean_center_regret(v: RegretFn) -> ErrorFn:
 
 def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, flags: Optional[Flags] = None) -> Functional:
     """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over."""
-    sv, ss = f.shift_values, f.shift_slopes
+    sv, ss, sg = f.shift_values, f.shift_slopes, f.subgradient
 
     def shift_values(x):
         at, mean = sv(x), x.mean()
@@ -339,6 +353,8 @@ def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, fla
         shift_breakpoints=f.shift_breakpoints,
         shift_values=None if sv is None else shift_values,
         shift_slopes=None if ss is None else shift_slopes,
+        subgradient=None if sg is None else lambda x: scale * sg(x) + tilt,
+        square_weights=f.square_weights if tilt == 0.0 else None,
     )
 
 
@@ -417,6 +433,23 @@ def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.
     if sol.status != "optimal":
         raise RuntimeError(f"decision LP {sol.status}")
     return sol.x[:n], float(sol.objective) + const, any(j < n for j in sol.degenerate_columns)
+
+
+def affine_cut_oracle(f: Functional, a, b, p, cost):
+    """theta -> (cost.theta + f(Z), slope, intercept) for Z = b - A theta on
+    atoms of probabilities p: the ``cutting_planes`` oracle of f's
+    subgradient.  Raises ValueError where f carries none."""
+    if f.subgradient is None:
+        raise ValueError(f"a decision on {f.label or 'this functional'} needs LP data, square weights or a subgradient, and it has none")
+
+    def oracle(theta):
+        z = b - a @ theta
+        rv = DiscreteRv(z, p)
+        value = float(cost @ theta) + f.fn(rv)
+        slope = cost - a.T @ (p * f.subgradient(rv)[rv.atom_index(z)])
+        return value, slope, value - float(slope @ theta)
+
+    return oracle
 
 
 # -- statistic machinery -----------------------------------------------------------

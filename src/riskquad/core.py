@@ -123,6 +123,11 @@ class DiscreteRv:
     def is_constant(self, tol: float = 0.0) -> bool:
         return self.values[-1] - self.values[0] <= tol
 
+    def atom_index(self, values) -> np.ndarray:
+        """The atom that each of ``values``, those this r.v. was built from, was
+        merged into; a value of zero probability, dropped, takes its neighbour's."""
+        return np.minimum(np.searchsorted(self.values, values), self.values.size - 1)
+
     def __repr__(self) -> str:
         inner = ", ".join(f"({v:g},{p:g})" for v, p in self.atoms)
         return f"DiscreteRv[{inner}]"

@@ -28,7 +28,7 @@ from .constructions import (
     regret_to_risk,
 )
 from .dual import ascend_envelope
-from .solvers import bisect_root, ksection_crossings, minimize_scalar_convex, widen_root
+from .solvers import bisect_root, minimize_scalar_convex, widen_root
 
 __all__ = [
     "DivergenceFn",
@@ -435,17 +435,9 @@ def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, r
     if c == 0.0:
         return 0.0, np.ones_like(p)
     direction = 1.0 if c > 0.0 else -1.0
-
-    def room(q):
-        return tau - np.asarray(div.phi(np.ravel(q)), dtype=float).reshape(np.shape(q))
-
-    # phi is +inf outside its domain, so a step lands beyond tau or there
-    step = 1.0
-    for _ in range(1023):
-        if not room(1.0 + direction * step) >= 0.0:
-            break
-        step *= 2.0
-    qstar = float(ksection_crossings(room, [1.0], [1.0 + direction * step])[0])
+    # the room tau - phi does not increase away from 1; phi is +inf outside
+    # its domain, so the room turns negative there or beyond tau
+    qstar = 1.0 + direction * widen_root(lambda t: tau - float(div.phi(np.array([1.0 + direction * t]))[0]), 0.0, 1.0)
     return c * qstar, np.full_like(p, qstar)
 
 
@@ -581,13 +573,21 @@ def _envelope_sup_generic(j, tau, x, normalized) -> tuple[float, np.ndarray]:
 
 
 def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
-    """V(X) = inf_{l>0} l * (beta + E[phi*(X/l)])."""
+    """V(X) = inf_{l>0} l * (beta + E[phi*(X/l)]), with the subgradient
+    (phi*)'(X/l*) where phi carries ``conj_grad``: the worst-case density of
+    its dual, the ball E phi(Q) <= beta, whose multiplier l* the envelope
+    route finds as the root of the budget."""
 
     def fn(x: DiscreteRv) -> float:
         v, p = x.values, x.probs
         return perspective_inf(lambda lam: float(np.dot(p, div.phi_conj(v / lam))), beta, x)[0]
 
-    return RegretFn(fn=fn, flags=Flags(True, div.kind == "divergence", False), label=f"{div.label}_regret({beta:g})")
+    return RegretFn(
+        fn=fn,
+        flags=Flags(True, div.kind == "divergence", False),
+        label=f"{div.label}_regret({beta:g})",
+        subgradient=None if div.conj_grad is None else lambda x: _envelope_sup_phi(div, x, tau=beta)[1],
+    )
 
 
 def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
@@ -706,7 +706,7 @@ def _quadratic_forms(q: float, beta: float) -> dict:
     def error(x):
         return math.sqrt(beta * x.moment(lambda t: q * np.maximum(t, 0.0) ** 2 + (1.0 - q) * np.maximum(-t, 0.0) ** 2))
 
-    err = ErrorFn(fn=error, flags=Flags(True, False, False))
+    err = ErrorFn(fn=error, flags=Flags(True, False, False), square_weights=(1.0 - q, q))
     return {
         "err": err,
         "regret_fn": mean_center_error(err),
@@ -804,31 +804,12 @@ def cvar_indicator_regret_family(tau: float) -> RegretFn:
 
     def fn(x: DiscreteRv) -> float:
         v, p = x.values, x.probs
-        mean = x.mean()
-        scale = 1.0 + float(np.max(np.abs(v)))
-        if mean > 1e-12 * scale:
-            return math.inf  # g(l) = E[X+l]_+ - l tends to E[X] > 0: infeasible
-        if float(v[-1]) <= 0.0:
-            return 0.0  # g(0) = E[X]_+ = 0 already feasible
-
-        def g(lam):
-            return float(np.dot(p, np.maximum(v + lam, 0.0))) - lam
-
-        tol = 1e-13 * scale
-        hi = 1.0
-        for _ in range(80):
-            if g(hi) <= tol:
-                break
-            hi *= 2.0
-        if g(hi) > tol:
-            return math.inf
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) <= tol:
-                hi = mid
-            else:
-                lo = mid
-        return tau * hi
+        tol = 1e-13 * (1.0 + float(np.max(np.abs(v))))
+        if x.mean() > tol:
+            return math.inf  # E[X+l]_+ - l >= E[X] > tol for every l: infeasible
+        # the least l with E[X + l]_+ - l <= tol: the left side does not
+        # increase in l and reads E[X] once l passes -ess inf X
+        g = lambda lam: float(np.dot(p, np.maximum(v + lam, 0.0))) - lam - tol
+        return tau * (0.0 if g(0.0) <= 0.0 else widen_root(g, 0.0, 1.0))
 
     return RegretFn(fn=fn, flags=Flags(True, True, False), label=f"cvar_indicator_family({tau:g})")

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DiscreteRv
-from .solvers import LpProblem, minimize_multistart, solve_lp
+from .solvers import LpProblem, compass_search, solve_lp
 
 __all__ = [
     "Envelope",
@@ -110,17 +110,17 @@ def mean_envelope(probs) -> Envelope:
     )
 
 
+def _pair_rows(m: int, a: float, b: float) -> np.ndarray:
+    """One row a e_i + b e_j for each ordered pair i != j, i major."""
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    return a * np.eye(m)[i] + b * np.eye(m)[j]
+
+
 def mean_abs_risk_envelope(probs) -> Envelope:
     """{Q : E[Q] = 1, Q_i - Q_j <= 1}, the dual set of E[X - EX]_+ + E[X]."""
     p = np.asarray(probs, dtype=float)
     m = p.size
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                r = np.zeros(m)
-                r[i], r[j] = 1.0, -1.0
-                rows.append(r)
+    rows = _pair_rows(m, 1.0, -1.0)
     return Envelope(
         kind="risk",
         probs=p,
@@ -139,14 +139,7 @@ def expectile_envelope(q_level: float, probs) -> Envelope:
         raise ValueError("expectile envelope requires q in (1/2, 1)")
     p = np.asarray(probs, dtype=float)
     m = p.size
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                r = np.zeros(m)
-                r[i] = 1.0 - q_level
-                r[j] = -q_level
-                rows.append(r)
+    rows = _pair_rows(m, 1.0 - q_level, -q_level)
     return Envelope(
         kind="risk",
         probs=p,
@@ -227,23 +220,15 @@ def ascend_envelope(p, x, center, member, iters: int, pull_iters: int, prepare=N
     return best, best_q
 
 
-def conjugate_eval(
-    f: Callable[[DiscreteRv], float],
-    q,
-    probs,
-    box: float = 50.0,
-    steps: int = 3000,
-    starts: int = 3,
-    seed: int = 0,
-) -> float:
+def conjugate_eval(f: Callable[[DiscreteRv], float], q, probs, box: float = 50.0) -> float:
     """sup_X (E[XQ] - f(X)) over value vectors in [-box, box]^m.
 
-    Concave maximization by projected subgradient ascent with a compass
-    polish; growth at the box edge under box inflation reports +inf.
+    Concave maximization by compass search from X = 0, the one
+    derivative-free route, for a bare callable; growth along a constant or
+    coordinate ray, or at the box edge under box inflation, reports +inf.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(probs, dtype=float)
-    rng = np.random.default_rng(seed)
 
     def value(vals):
         return float(np.dot(p, q * vals)) - f(DiscreteRv(vals, p))
@@ -258,17 +243,8 @@ def conjugate_eval(
             return math.inf
 
     def solve_in(b):
-        def neg(vals):
-            return -value(vals)
-
-        def project(vals):
-            return np.clip(vals, -b, b)
-
-        x0s = [np.zeros(q.size) if s == 0 else rng.uniform(-b / 4, b / 4, q.size) for s in range(starts)]
-        best_v, best, _ = minimize_multistart(
-            neg, x0s, project=project, steps=steps, tol=1e-12, polish_step=b / 8.0, polish_tol=1e-11, diagonals=True
-        )
-        return -best, best_v
+        arg, neg = compass_search(lambda vals: -value(vals), np.zeros(m), step=b / 8.0, project=lambda vals: np.clip(vals, -b, b), tol=1e-11, diagonals=True)
+        return -neg, arg
 
     val1, arg1 = solve_in(box)
     if float(np.max(np.abs(arg1))) >= box * (1.0 - 1e-6):
@@ -307,7 +283,7 @@ def envelope_extract(
         return known
 
     def member(q):
-        return conjugate_eval(f, q, p, box=20.0, steps=1200, starts=2) <= 1e-8
+        return conjugate_eval(f, q, p, box=20.0) <= 1e-8
 
     return Envelope(kind=kind, probs=p, label=label or "oracle", member=member)
 

@@ -198,24 +198,46 @@ def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
     return float(ref + (part + _cvar2_whole(x, u, mass, k, j)) / w)
 
 
-def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
-    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly.
-
-    The segment that holds the root b* of CVaR_b = 0 is found by one
-    ``searchsorted`` over the segment starts; there 1 - b* = k_i / (-ref - u_i),
-    and the regret is the partial log-integral from b* to the segment's end
-    plus the integrals of the whole segments above it.
-    """
+def _cvar2_root(x: DiscreteRv):
+    """``_cvar2_segments`` with d = -ref, the index j of the first segment
+    wholly above C = 0, by one ``searchsorted`` over the segment starts, and
+    w = 1 - b* for the root b* of CVaR_b = 0: k_i / (-ref - u_i) on the
+    segment j - 1 that holds it when 0 < j < n, 1 and 0 at the ends."""
     ref, u, mass, k, start = _cvar2_segments(x)
-    # segments j.. lie above C = 0, and segment j - 1 holds the root when 0 < j < n
     d = -ref
     j = int(np.searchsorted(start, d, side="right"))
-    part = 0.0
+    w = mass[j]
     if 0 < j < x.n_atoms:
         i = j - 1
         w = min(max(k[i] / (d - u[i]), mass[j]), mass[i]) if d > u[i] else mass[i]
+    return d, u, mass, k, j, w
+
+
+def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
+    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly: the
+    partial log-integral from b* (``_cvar2_root``) to its segment's end plus
+    the integrals of the whole segments above it."""
+    d, u, mass, k, j, w = _cvar2_root(x)
+    part = 0.0
+    if 0 < j < x.n_atoms:
+        i = j - 1
         part = (u[i] - d) * (w - mass[j]) + k[i] * np.log(w / mass[j])
     return float((part + _cvar2_whole(x, u, mass, k, j) - d * mass[j]) / (1.0 - alpha))
+
+
+def _cvar2_regret_subgradient(x: DiscreteRv, alpha: float) -> np.ndarray:
+    """(1/(1-alpha)) * the integral of CVaR_b's tail density over the b where
+    CVaR_b(X) > 0, (b*, 1), as rank weights over p: atom i, on the CDF
+    segment (a_i, c_i], weighs G(c_i) - G(max(a_i, b*)), with G(t) =
+    t log(1 - b*) + (1 - t) log(1 - t) + t.  In the tail mass s = 1 - t that
+    is h(s) = s (log(s / (1 - b*)) - 1), up to a constant, at the tail
+    masses clipped to 1 - b*."""
+    *_, mass, _, _, w = _cvar2_root(x)
+    if w == 0.0:
+        return np.zeros(x.n_atoms)
+    s = np.minimum(mass, w)
+    h = s * (np.log(np.where(s > 0.0, s / w, 1.0)) - 1.0)
+    return (h[1:] - h[:-1]) / (x.probs * (1.0 - alpha))
 
 
 def _cvar2_shift_slopes(alpha: float):
@@ -391,6 +413,9 @@ def _standard_mean(lam: float) -> Quadrangle:
         flags=Flags(positively_homogeneous=True, monotone=False, expectation_type=False),
         label=f"l2_error({lam:g})",
         shift_slopes=_l2_shift_slopes(lam),
+        # lam X / ||X||_2 (Cauchy-Schwarz), and 0 at X = 0
+        subgradient=lambda x: lam * x.values / (p_norm(x, 2.0) or 1.0),
+        square_weights=(1.0, 1.0),
     )
     return complete_quadrangle(
         err, lambda x: StatInterval.point(x.mean()), f"standard_mean({lam:g})", deviation=lambda x: lam * x.std()
@@ -399,13 +424,8 @@ def _standard_mean(lam: float) -> Quadrangle:
 
 def _quantile(alpha: float) -> Quadrangle:
     err = error_from_loss(koenker_bassett_loss(alpha), Flags(True, True, True))
-    scale = 1.0 / (1.0 - alpha)
-    v_regret = RegretFn(
-        fn=lambda x: scale * x.mean_pos(),
-        flags=Flags(True, True, True),
-        label=f"scaled_partial_moment({alpha:g})",
-        moment_max=MomentMaxSpec(((0.0, scale, 0.0),)),
-    )
+    spec = MomentMaxSpec(((0.0, 1.0 / (1.0 - alpha), 0.0),))
+    v_regret = error_from_moment_max(spec, Flags(True, True, True), label=f"scaled_partial_moment({alpha:g})")
     return complete_quadrangle(
         err,
         lambda x: quantile_interval(x, alpha),
@@ -422,6 +442,7 @@ def _cvar2(alpha: float) -> Quadrangle:
         flags=Flags(True, True, False),
         label=f"cvar2_regret({alpha:g})",
         shift_slopes=_cvar2_shift_slopes(alpha),
+        subgradient=lambda x: _cvar2_regret_subgradient(x, alpha),
     )
     err = replace(mean_center_regret(v_regret), label=f"cvar2_error({alpha:g})")
     return complete_quadrangle(
@@ -459,6 +480,15 @@ def _cvar_norm_shift_values(alpha: float):
     return shift_values
 
 
+def _cvar_norm_subgradient(x: DiscreteRv, alpha: float) -> np.ndarray:
+    """sign(X) times the top 1 - alpha of mass of |X| as a density, the atoms
+    of one |x| sharing their level's take in proportion to their mass."""
+    _, level = np.unique(-np.abs(x.values), return_inverse=True)
+    mass = np.bincount(level, weights=x.probs)
+    take = np.clip((1.0 - alpha) - (np.cumsum(mass) - mass), 0.0, mass)
+    return np.sign(x.values) * (take / mass)[level]
+
+
 def _qsa(alpha: float) -> Quadrangle:
     err = ErrorFn(
         fn=lambda x: (1.0 - alpha) * cvar_direct(x.abs(), alpha),
@@ -466,6 +496,7 @@ def _qsa(alpha: float) -> Quadrangle:
         label=f"cvar_norm({alpha:g})",
         shift_breakpoints=_qsa_breakpoints,
         shift_values=_cvar_norm_shift_values(alpha),
+        subgradient=lambda x: _cvar_norm_subgradient(x, alpha),
     )
     a_lo = (1.0 - alpha) / 2.0
     a_hi = (1.0 + alpha) / 2.0
@@ -502,7 +533,7 @@ def qsau_printed_risk(x: DiscreteRv, eps: float, alpha: float) -> float:
 
 
 def _expectile_mse(q: float) -> Quadrangle:
-    err = error_from_loss(asymmetric_mse_loss(q), Flags(False, False, True))
+    err = replace(error_from_loss(asymmetric_mse_loss(q), Flags(False, False, True)), square_weights=(1.0 - q, q))
 
     def deviation(x):
         e = expectile_value(x, q)

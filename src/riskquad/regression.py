@@ -1,9 +1,12 @@
 """Generalized linear regression: minimizing quadrangle errors of residuals.
 
-Errors with LP data (affine loss pieces or a moment-max form) go through one
-exact LP, ``minimize_affine``; other errors run a multi-start subgradient
-descent with a compass polish.  The fitted residual statistic certifies the
-tracking property 0 in S(residual).
+Each error takes the first route its data allows: one exact LP
+(``minimize_affine``) for affine loss pieces or a moment-max form, least
+squares with the residual signs' weights for ``square_weights`` (the L2
+error and the asymmetric MSE), and otherwise Kelley's cutting planes on its
+subgradient (``cutting_planes``), whose certified gap the fit carries.  The
+fitted residual statistic certifies the tracking property 0 in S(residual).
+Soft-margin classification runs the same cutting planes.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiscreteRv, StatInterval, cvar_direct
-from .constructions import ErrorFn, Quadrangle, lp_encodable, minimize_affine, project_error
+from .constructions import ErrorFn, Flags, MomentMaxSpec, Quadrangle, affine_cut_oracle, error_from_moment_max, lp_encodable
+from .constructions import minimize_affine, project_error
 from .measures import CATALOG_FAMILIES, CatalogSpec, make_catalog_quadrangle
-from .solvers import minimize_multistart
+from .solvers import cutting_planes
 
 __all__ = [
     "Dataset",
@@ -83,6 +87,8 @@ class FitResult:
     residual_rv: DiscreteRv
     statistic_of_residual: StatInterval
     nonunique: bool = False
+    # the certified gap of the objective: 0 on the exact routes
+    gap: float = 0.0
 
     def predict(self, features) -> np.ndarray:
         f = np.atleast_2d(np.asarray(features, dtype=float))
@@ -94,64 +100,79 @@ def _residual_rv(data: Dataset, intercept: float, coefs: np.ndarray) -> Discrete
     return DiscreteRv(z, data.weights)
 
 
-def _fit_numeric(err: ErrorFn, data: Dataset, seed: int, steps: int) -> tuple[np.ndarray, float]:
-    rng = np.random.default_rng(seed)
-    n, d = data.n_obs, data.n_features
+def _sign_weighted_least_squares(weights, design: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """argmin over theta of E[w_- Z_-^2 + w_+ Z_+^2], Z = y - D theta: least
+    squares with each residual weighted by its sign's weight, repeated until
+    the signs repeat (Newey & Powell 1987).  A residual within 1e-12 max|y| of
+    0 keeps its sign, as its weight moves the fit by rounding only."""
+    w_neg, w_pos = weights
+    noise = 1e-12 * float(np.max(np.abs(y)))
+    up = np.ones(y.size, dtype=bool)
+    for _ in range(100):
+        root = np.sqrt(p * np.where(up, w_pos, w_neg))
+        theta = np.linalg.lstsq(design * root[:, None], y * root, rcond=None)[0]
+        z = y - design @ theta
+        signs = np.where(np.abs(z) <= noise, up, z > 0.0)
+        if np.array_equal(signs, up):
+            return theta
+        up = signs
+    raise RuntimeError("sign-weighted least squares: the residual signs did not settle in 100 solves")
 
-    def obj(beta):
-        return err.fn(_residual_rv(data, beta[0], beta[1:]))
 
-    # least-squares start plus perturbations
-    design = np.hstack([np.ones((n, 1)), data.features])
-    ls, *_ = np.linalg.lstsq(design, data.target, rcond=None)
-    starts = [ls.copy(), np.zeros(1 + d)] + [ls + rng.normal(scale=0.5, size=1 + d) for _ in range(3)]
-    return minimize_multistart(obj, starts, steps=steps, tol=1e-12, polish_step=0.5, polish_tol=1e-12)[:2]
+def _fit_planes(err: ErrorFn, design: np.ndarray, y: np.ndarray, p: np.ndarray, steps: int):
+    """min err(y - D theta) by ``cutting_planes`` in coordinates v of the
+    design's column space, D theta = D theta_ls + scale U v, U orthonormal
+    and scale max|y - D theta_ls| (max|y| on a perfect fit), so v and the
+    cuts are unitless; the box around the least-squares fit v = 0 widens
+    while the optimum lies on its face.  Returns theta, value and gap."""
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    r = int(np.count_nonzero(sv > sv[0] * max(design.shape) * np.finfo(float).eps))
+    u, basis = u[:, :r], vt[:r].T / sv[:r]
+    resid = y - u @ (u.T @ y)
+    scale = float(np.max(np.abs(resid))) or float(np.max(np.abs(y))) or 1.0
+    # |v| <= (||y - D theta_ls||_2 + ||Z*||_2) / scale, about 2 sqrt(n) for Z* like the residual
+    width = 4.0 * np.sqrt(y.size)
+    oracle = affine_cut_oracle(err, scale * u, resid, p, np.zeros(r))
+    res = cutting_planes(oracle, np.zeros(r), [(-width, width)] * r, rounds=steps, scale=scale, widen=range(r))
+    return basis @ (u.T @ y + scale * res.x), res.value, res.gap
 
 
-def fit_linear(
-    err: ErrorFn,
-    data: Dataset,
-    seed: int = 0,
-    steps: int = 4000,
-) -> FitResult:
-    """Minimize err(Y - c0 - X.c) over intercept and coefficients."""
-    nonunique = False
+def fit_linear(err: ErrorFn, data: Dataset, steps: int = 500) -> FitResult:
+    """Minimize err(Y - c0 - X.c) over intercept and coefficients, by the
+    first route err's data allows: one exact LP, sign-weighted least
+    squares, or cutting planes (at most ``steps`` rounds) on its
+    subgradient.  Raises ValueError where err carries none of these."""
+    nonunique, gap = False, 0.0
+    # theta = (intercept, slopes), the residuals y - [1, X] theta
+    design = np.hstack([np.ones((data.n_obs, 1)), data.features])
     if lp_encodable(err):
-        # theta = (intercept, slopes), the residuals y - [1, X] theta
-        design = np.hstack([np.ones((data.n_obs, 1)), data.features])
-        term = (err, design, data.target, data.weights, 1.0)
-        beta, objective, nonunique = minimize_affine([term], np.zeros(design.shape[1]))
+        beta, objective, nonunique = minimize_affine([(err, design, data.target, data.weights, 1.0)], np.zeros(design.shape[1]))
+    elif err.square_weights is not None:
+        beta, objective = _sign_weighted_least_squares(err.square_weights, design, data.target, data.weights), None
     else:
-        beta, objective = _fit_numeric(err, data, seed, steps)
+        beta, objective, gap = _fit_planes(err, design, data.target, data.weights, steps)
     resid = _residual_rv(data, beta[0], beta[1:])
     _, stat = project_error(err, resid)
     return FitResult(
         intercept=float(beta[0]),
         coefficients=np.asarray(beta[1:], dtype=float),
-        objective=float(objective),
+        objective=float(err.fn(resid) if objective is None else objective),
         residual_rv=resid,
         statistic_of_residual=stat,
         nonunique=nonunique,
+        gap=gap,
     )
 
 
-def regression_equivalence_check(err: ErrorFn, data: Dataset, seed: int = 0) -> dict:
-    """Compare unconstrained error minimization with the constrained
-    deviation form (deviation minimized over slopes, intercept shifted so
-    zero enters the residual statistic)."""
-    fit = fit_linear(err, data, seed=seed)
-
-    def dev_obj(coefs):
-        z = data.target - data.features @ coefs
-        return project_error(err, DiscreteRv(z, data.weights))[0]
-
-    start = fit.coefficients.copy()
-    coefs, dval, _ = minimize_multistart(dev_obj, [start], steps=1500, tol=1e-12, polish_step=0.25, polish_tol=1e-12)
-    z = data.target - data.features @ coefs
-    resid0 = DiscreteRv(z, data.weights)
-    _, stat = project_error(err, resid0)
-    intercept = stat.midpoint
-    shifted = resid0.shift(-intercept)
+def regression_equivalence_check(err: ErrorFn, data: Dataset) -> dict:
+    """Compare unconstrained error minimization with the deviation form
+    (regression theorem) at the fitted slopes: the deviation of the residual
+    Y - X.c, and the error once the intercept, the midpoint of its
+    statistic, puts zero in the statistic."""
+    fit = fit_linear(err, data)
+    resid0 = DiscreteRv(data.target - data.features @ fit.coefficients, data.weights)
+    dval, stat = project_error(err, resid0)
+    shifted = resid0.shift(-stat.midpoint)
     constrained_error = err.fn(shifted)
     _, shifted_stat = project_error(err, shifted)
     return {
@@ -180,60 +201,46 @@ def named_quadrangle(model: str, **params) -> Quadrangle:
     return make_catalog_quadrangle(CatalogSpec(family, {k: v for k, v in params.items() if k in CATALOG_FAMILIES[family]}))
 
 
-def fit_named(model: str, data: Dataset, seed: int = 0, **params) -> FitResult:
+def fit_named(model: str, data: Dataset, **params) -> FitResult:
     """Regression with the error of the named estimator's quadrangle."""
-    return fit_linear(named_quadrangle(model, **params).error_fn, data, seed=seed)
+    return fit_linear(named_quadrangle(model, **params).error_fn, data)
 
 
-def nu_svc(alpha: float, data: Dataset, seed: int = 0, steps: int = 6000) -> tuple[np.ndarray, float, float]:
+def nu_svc(alpha: float, data: Dataset, steps: int = 500) -> tuple[np.ndarray, float, float]:
     """Soft-margin classification: minimize the alpha-tail average of the
     margin loss -y (w.x + w0) over the unit ball in w.
 
-    Returns (direction, intercept, objective), the objective being the exact
-    tail average at the returned decision.
+    ``cutting_planes`` (at most ``steps`` rounds) run its Rockafellar-Uryasev
+    form C + E[(loss - C)_+]/(1 - alpha) over theta = (w, w0, C) with
+    ||w|| <= 1 as tangent cuts (Takeda & Sugiyama 2008); the form is
+    positively homogeneous, so each round evaluates theta scaled into the
+    ball.  Returns (direction, intercept, objective), the exact tail average
+    at the returned decision; raises RuntimeError when the rounds end with a
+    gap above 1e-4 (1 + |value|).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     y = data.target
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("targets must be -1/+1")
-    f = data.features
-    w = data.weights
-    d = data.n_features
-    rng = np.random.default_rng(seed)
-    inv = 1.0 / (1.0 - alpha)
+    f, d = data.features, data.n_features
+    regret = error_from_moment_max(MomentMaxSpec(((0.0, 1.0 / (1.0 - alpha), 0.0),)), Flags())
+    # loss - C = -(A theta), A = [y X, y, 1]
+    a = np.hstack((y[:, None] * f, y[:, None], np.ones((y.size, 1))))
+    oracle = affine_cut_oracle(regret, a, np.zeros(y.size), data.weights, np.append(np.zeros(d + 1), 1.0))
 
-    def losses(theta):
-        wb, w0 = theta[:d], theta[d]
-        return -y * (f @ wb + w0)
+    def into_ball(theta):
+        return theta / max(1.0, float(np.linalg.norm(theta[:d])))
 
-    def obj(theta):
-        c = theta[d + 1]
-        ell = losses(theta)
-        return c + inv * float(np.dot(w, np.maximum(ell - c, 0.0)))
-
-    def grad(theta):
-        c = theta[d + 1]
-        ell = losses(theta)
-        active = (ell - c) > 0
-        g = np.zeros_like(theta)
-        aw = w * active
-        # d ell_i / d wb = -y_i x_i ; d ell_i / d w0 = -y_i
-        g[:d] = inv * ((-y * aw) @ f)
-        g[d] = inv * float(np.dot(aw, -y))
-        g[d + 1] = 1.0 - inv * float(aw.sum())
-        return g
-
-    def project(theta):
+    def ball(theta):
         nb = float(np.linalg.norm(theta[:d]))
-        if nb > 1.0:
-            theta = theta.copy()
-            theta[:d] /= nb
-        return theta
+        return nb - 1.0, np.append(theta[:d] / max(nb, 1.0), [0.0, 0.0])
 
-    starts = [np.zeros(d + 2) if s == 0 else np.concatenate([rng.normal(size=d) * 0.5, [0.0, 0.0]]) for s in range(3)]
-    best_theta, _, _ = minimize_multistart(obj, starts, grad, project, steps=steps, tol=1e-12, polish_step=0.25, polish_tol=1e-12)
-    wb, w0 = best_theta[:d], float(best_theta[d])
-    margin_rv = DiscreteRv(-y * (f @ wb + w0), w)
-    objective = cvar_direct(margin_rv, alpha)
-    return wb, w0, objective
+    span = 1.0 + float(np.max(np.linalg.norm(f, axis=1)))
+    bounds = [(-1.0, 1.0)] * d + [(-2.0 * span, 2.0 * span)] * 2
+    res = cutting_planes(lambda theta: oracle(into_ball(theta)), np.zeros(d + 2), bounds, rounds=steps, scale=span, constraint=ball, widen=(d, d + 1))
+    if res.gap > 1e-4 * (1.0 + abs(res.value)):
+        raise RuntimeError(f"nu-SVC cutting planes ended at gap {res.gap:.3g}")
+    theta = into_ball(res.x)
+    wb, w0 = theta[:d], float(theta[d])
+    return wb, w0, cvar_direct(DiscreteRv(-y * (f @ wb + w0), data.weights), alpha)

@@ -5,9 +5,10 @@ root of a monotone function in a bracket widened outward, a batched K-section
 search for monotone crossings of criteria given on arrays (K points per
 bracket and call), exact argmin intervals for piecewise-linear
 convex functions, projected subgradient descent, a deterministic
-compass-search polish, the multistart routine that chains the two
-(``minimize_multistart``, with a forward-difference gradient when none is
-given), and a two-phase tableau simplex LP solver: numpy rank-1 pivots, free
+compass search (the derivative-free route of ``conjugate_eval``), Kelley's
+cutting planes (``cutting_planes``, the one driver of the convex decisions
+without an exact route: it certifies its value by a gap), and a two-phase
+tableau simplex LP solver: numpy rank-1 pivots, free
 variables kept in one column, a start basis of slacks with free columns
 crashed into the artificials' rows, Dantzig pricing in phase 1 (Bland's rule
 through runs of degenerate pivots) and Bland's rule in phase 2.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +40,8 @@ __all__ = [
     "pwl_argmin_interval",
     "minimize_subgradient",
     "compass_search",
-    "minimize_multistart",
+    "CuttingPlaneResult",
+    "cutting_planes",
     "solve_lp",
     "bisect_root",
     "widen_root",
@@ -437,7 +439,6 @@ def minimize_subgradient(
     steps: int = 50_000,
     tol: float = 1e-9,
     initial_step: Optional[float] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> SubgradientResult:
     """Projected subgradient descent with diminishing steps a/sqrt(k).
 
@@ -454,8 +455,6 @@ def minimize_subgradient(
     gap = math.inf
     k = 0
     for k in range(1, steps + 1):
-        if should_stop is not None and should_stop():
-            break
         g = np.asarray(subgrad(x), dtype=float)
         gn = float(np.linalg.norm(g))
         if gn <= 1e-15:
@@ -524,51 +523,75 @@ def _unit(n: int, i: int) -> np.ndarray:
     return e
 
 
-def _forward_difference(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Forward-difference gradient of step 1e-6; a non-finite value or probe contributes 0."""
-    h = 1e-6
-    g = np.zeros_like(x)
-    f0 = f(x)
-    if not math.isfinite(f0):
-        return g
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        f1 = f(x + step)
-        g[i] = (f1 - f0) / h if math.isfinite(f1) else 0.0
-    return g
+# -- Kelley's cutting planes ---------------------------------------------------------
+
+# the rounds stop once upper - lower <= _GAP_REL * (1 + |upper|)
+_GAP_REL = 1e-12
 
 
-def minimize_multistart(
-    f: Callable[[np.ndarray], float],
-    starts: Iterable,
-    subgrad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    steps: int = 50_000,
-    tol: float = 1e-9,
-    polish_step: float = 0.25,
-    polish_tol: float = 1e-12,
-    max_iter: int = 20_000,
-    diagonals: bool = False,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> tuple[np.ndarray, float, SubgradientResult]:
-    """Projected subgradient descent, then a compass polish, from each start.
+@dataclass
+class CuttingPlaneResult:
+    x: np.ndarray
+    value: float
+    gap: float
+    rounds: int
 
-    The first strictly best polished point wins.  Without ``subgrad`` the
-    gradient is a forward difference of step 1e-6.  Returns the winning
-    point, its value, and the descent result it was polished from.
+
+def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500, scale: float = 1.0, constraint=None, widen=()) -> CuttingPlaneResult:
+    """min f(x) over the box ``bounds`` and the rows a_eq x = b_eq by Kelley's
+    (1960) cutting planes.  ``oracle(x)`` returns f(x) and the slope g and
+    intercept c of a cut, f(y) >= g.y + c, exact at x.  The LP master min t
+    s.t. t >= every cut, in units of ``scale`` so its tolerances are
+    unitless, gives a lower bound and the next x; the best evaluated value
+    is the upper bound, and ``gap``, upper - lower, certifies it.  x0 is a
+    candidate only where it meets the rows.  ``constraint(x)`` gives h(x) and
+    a subgradient of a convex h, whose tangent row joins the master where
+    h(x) > 0 (the oracle then reports a value that a feasible point derived
+    from x attains).  The rounds stop when the gap closes, when the master
+    returns an x already evaluated (its pivot tolerance hides cuts that
+    differ by less), or after ``rounds`` rounds.  A stop with the best x on a
+    face of the box in a coordinate of ``widen`` widens the box there
+    fourfold, cuts kept, unless the last widening did not lower the value.
     """
-    if subgrad is None:
-        subgrad = lambda x: _forward_difference(f, x)
-    descent_project = project if project is not None else (lambda z: z)
-    best = None
-    for x0 in starts:
-        res = minimize_subgradient(f, subgrad, descent_project, x0, steps=steps, tol=tol, should_stop=should_stop)
-        x, fx = compass_search(f, res.x, step=polish_step, project=project, tol=polish_tol, max_iter=max_iter, diagonals=diagonals)
-        # a NaN value never blocks a later start
-        if best is None or fx < best[1] or math.isnan(best[1]):
-            best = (x, fx, res)
-    return best
+    n = np.size(x0)
+    bounds = list(bounds) + [(None, None)]
+    if a_eq is not None:
+        a_eq, b_eq = np.atleast_2d(a_eq), np.asarray(b_eq, dtype=float)
+    a_eq_lp = None if a_eq is None else np.hstack((a_eq, np.zeros((a_eq.shape[0], 1))))
+    rows, rhs = [], []
+    upper, lower, widened_at = math.inf, -math.inf, math.inf
+    x_best = None
+    evaluated = set()
+    x = np.asarray(x0, dtype=float)
+    candidate = a_eq is None or bool(np.all(np.abs(a_eq @ x - b_eq) <= 1e-12 * (1.0 + np.abs(b_eq))))
+    for k in range(1, max(rounds, 1) + 1):
+        evaluated.add(x.tobytes())
+        value, g, c = oracle(x)
+        if candidate and value < upper:
+            upper, x_best = value, x
+        rows.append(np.append(g / scale, -1.0))
+        rhs.append((0.0 - c) / scale)
+        h, gh = (0.0, None) if constraint is None else constraint(x)
+        if h > 0.0:
+            rows.append(np.append(gh, 0.0))
+            rhs.append(float(gh @ x) - h)
+        sol = solve_lp(LpProblem(np.append(np.zeros(n), 1.0), a_eq_lp, b_eq, np.asarray(rows), np.asarray(rhs), bounds))
+        if sol.status != "optimal":
+            raise RuntimeError(f"cutting-plane master LP {sol.status}")
+        lower = max(lower, sol.objective * scale)
+        x, candidate = sol.x[:n], True
+        if x_best is None or not (upper - lower <= _GAP_REL * (1.0 + abs(upper)) or x.tobytes() in evaluated):
+            continue
+        face = [i for i in widen if min(x_best[i] - bounds[i][0], bounds[i][1] - x_best[i]) <= 1e-9 * (bounds[i][1] - bounds[i][0])]
+        if not face or upper >= widened_at - _GAP_REL * (1.0 + abs(upper)):
+            break
+        for i in face:
+            lo, hi = bounds[i]
+            bounds[i] = (lo - 1.5 * (hi - lo), hi + 1.5 * (hi - lo))
+        lower, widened_at = -math.inf, upper
+    if x_best is None:
+        raise RuntimeError("cutting planes stopped before a feasible evaluation")
+    return CuttingPlaneResult(x_best, upper, max(upper - lower, 0.0), k)
 
 
 # -- two-phase tableau simplex LP ---------------------------------------------

@@ -82,3 +82,82 @@ def epi_l2_slsqp(v, p, alpha, lam):
     )
     assert res.success, res.message
     return -res.fun
+
+
+# -- LP oracles (HiGHS through scipy) for the decisions -------------------------------
+
+
+def _highs(c, a_ub, b_ub, bounds, a_eq=None, b_eq=None):
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs-ds")
+    assert res.status == 0, res.message
+    return res.x
+
+
+def _pad(a_eq, width):
+    return None if a_eq is None else np.hstack((np.atleast_2d(a_eq), np.zeros((np.atleast_2d(a_eq).shape[0], width))))
+
+
+def highs_affine(f, a, b, p, cost, bounds=None, a_eq=None, b_eq=None):
+    """argmin over theta of cost.theta + E_p f(b - A theta) for an f with
+    affine loss pieces or a moment-max form, as an LP written here from that
+    data and solved by HiGHS: the oracle of ``minimize_affine``."""
+    a, b, p, cost = (np.asarray(v, dtype=float) for v in (a, b, p, cost))
+    m, n = a.shape
+    bounds = list(bounds or [(None, None)] * n)
+    if f.loss is not None and f.loss.pieces is not None:
+        # t_i >= s (b_i - A_i theta) + k for every piece (s, k)
+        rows = [np.concatenate((-s * a[i], -np.eye(m)[i])) for i in range(m) for s, _ in f.loss.pieces]
+        rhs = [-s * b[i] - k for i in range(m) for s, k in f.loss.pieces]
+        c = np.concatenate((cost, p))
+        bounds += [(None, None)] * m
+    else:
+        # u_i >= b_i - A_i theta, u >= 0, M >= a E[Z] + b E[u] + c for every term
+        rows = [np.concatenate((-a[i], -np.eye(m)[i], [0.0])) for i in range(m)]
+        rhs = list(-b)
+        for ta, tb, tc in f.moment_max.terms:
+            rows.append(np.concatenate((-ta * (p @ a), tb * p, [-1.0])))
+            rhs.append(-ta * float(p @ b) - tc)
+        c = np.concatenate((cost, np.zeros(m), [1.0]))
+        bounds += [(0.0, None)] * m + [(None, None)]
+    return _highs(c, np.array(rows), np.array(rhs), bounds, _pad(a_eq, c.size - n), b_eq)[:n]
+
+
+def cvar_rank_weights(n, beta):
+    """CVaR_beta of n equiprobable atoms as weights on their ascending order statistics."""
+    top = np.arange(1, n + 1) / n
+    return np.maximum(top - np.maximum(top - 1.0 / n, beta), 0.0) / (1.0 - beta)
+
+
+def cvar2_rank_weights(n, alpha):
+    """The second-order CVaR, (1/(1-alpha)) int_alpha^1 CVaR_b db, of n
+    equiprobable atoms as weights on their ascending order statistics:
+    (G(c_i) - G(max(a_i, alpha)))/(1 - alpha) on the CDF segment (a_i, c_i],
+    G(t) = t log(1 - alpha) + (1 - t) log(1 - t) + t."""
+    def g(t):
+        s = 1.0 - t
+        return t * np.log(1.0 - alpha) + np.where(s > 0.0, s * np.log(np.where(s > 0.0, s, 1.0)), 0.0) + t
+
+    top = np.arange(1, n + 1) / n
+    return np.where(top > alpha, g(top) - g(np.maximum(top - 1.0 / n, alpha)), 0.0) / (1.0 - alpha)
+
+
+def spectral_lp(a, b, weights, cost, bounds=None, a_eq=None, b_eq=None):
+    """argmin over theta of cost.theta + sum_i w_i Z_(i), Z = b - A theta on
+    equiprobable atoms and w nondecreasing weights on its ascending order
+    statistics, by HiGHS: sum_i w_i Z_(i) = sum_k (w_k - w_{k-1}) S_k, with
+    S_k, the sum of the n - k + 1 largest Z_i, = min_C (n - k + 1) C +
+    sum_i (Z_i - C)_+."""
+    from scipy import sparse
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m, n = a.shape
+    steps = np.diff(np.concatenate(([0.0], weights)))
+    ks = np.flatnonzero(steps > 0.0)
+    nk = ks.size
+    # u_ki >= b_i - A_i theta - C_k
+    a_ub = sparse.hstack((sparse.csr_matrix(np.tile(-a, (nk, 1))), -sparse.kron(sparse.eye(nk), np.ones((m, 1))), -sparse.eye(nk * m))).tocsr()
+    c = np.concatenate((cost, steps[ks] * (m - ks), np.repeat(steps[ks], m)))
+    bounds = list(bounds or [(None, None)] * n) + [(None, None)] * nk + [(0.0, None)] * (nk * m)
+    return _highs(c, a_ub, np.tile(-b, nk), bounds, _pad(a_eq, c.size - n), b_eq)[:n]

@@ -150,6 +150,30 @@ def test_portfolio_command_mean_pl_is_exact(scen_csv, capsys):
     assert risk <= _grid_portfolio(scen, q.risk) + 1e-12 * (1.0 + abs(risk))
 
 
+def test_regress_reports_its_gap_and_exits_2_above_1e_4(data_csv, capsys, monkeypatch):
+    import dataclasses
+
+    import riskquad.cli as cli
+
+    # expectile_mse is least squares: exact, gap 0
+    assert main(["regress", "--model", "expectile_mse", "--q", "0.75", "--input", data_csv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["gap"] == 0.0
+    # a fit whose rounds ended above the bound still prints its report
+    fit_linear = cli.fit_linear
+    monkeypatch.setattr(cli, "fit_linear", lambda err, data: dataclasses.replace(fit_linear(err, data), gap=2e-4))
+    assert main(["regress", "--model", "quantile", "--alpha", "0.5", "--input", data_csv, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["gap"] == 2e-4
+
+
+def test_portfolio_cutting_planes_exit_2_when_their_rounds_run_out(scen_csv, capsys):
+    # cvar2 has no LP data: the cutting planes certify it, and one round cannot
+    args = ["portfolio", "--family", "cvar2", "--alpha", "0.5", "--input", scen_csv, "--format", "json"]
+    assert main(args) == 0
+    assert sum(json.loads(capsys.readouterr().out)["weights"]) == pytest.approx(1.0, abs=1e-9)
+    assert main(args + ["--max-iter", "1"]) == 2
+    assert "gap" in capsys.readouterr().err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("probs", [(0.6, 0.6, -0.2), (0.0, 0.0, 0.0)], ids=["negative", "zero-sum"])
 def test_portfolio_rejects_bad_prob_column(tmp_path, capsys, probs):
     path = tmp_path / "scen.csv"

@@ -32,7 +32,7 @@ from riskquad.measures import (
     vapnik_loss,
 )
 
-from helpers import interval_gap, random_rvs
+from helpers import interval_gap, random_rv, random_rvs
 
 SYM = DiscreteRv([-1, 1], [0.5, 0.5])
 U5 = DiscreteRv.uniform([1, 2, 3, 4, 5])
@@ -695,3 +695,51 @@ def test_exact_scan_reports_the_smallest_scanned_value():
     assert interval == StatInterval(0.0, 1.0)
     assert value == pytest.approx(tilt + 2.0 / 3.0, abs=1e-15)
     assert value == pytest.approx(min(tilt * c + err.fn(x.shift(-c)) for c in (0.0, 1.0, 2.0)), abs=1e-15)
+
+
+# -- subgradients -----------------------------------------------------------------------
+
+
+def _subgradient_cases():
+    from riskquad.constructions import mean_center_error, scale_quadrangle
+    from riskquad.divergence import make_divergence, make_divergence_quadrangle
+    from riskquad.measures import asymmetric_mse_loss
+
+    cat = lambda family, **params: make_catalog_quadrangle(CatalogSpec(family, params))
+    return {
+        "koenker_bassett_loss": cat("quantile", alpha=0.3).error_fn,
+        "asymmetric_mse_loss": cat("expectile_mse", q=0.7).error_fn,
+        "mean_centred_loss": mean_center_error(error_from_loss(asymmetric_mse_loss(0.4))),
+        "affine_scaled": scale_quadrangle(cat("cvar2", alpha=0.6), 2.5).error_fn,
+        "l2_error": cat("standard_mean", lam=1.5).error_fn,
+        "cvar2_regret": cat("cvar2", alpha=0.5).regret_fn,
+        "cvar2_error": cat("cvar2", alpha=0.8).error_fn,
+        "cvar_norm": cat("qsa", alpha=0.4).error_fn,
+        "moment_max": cat("expectile_pl", K=0.5).error_fn,
+        "quantile_regret": cat("quantile", alpha=0.7).regret_fn,
+        "kl_regret": make_divergence_quadrangle(make_divergence("kl"), 0.5).regret_fn,
+        "pearson_regret": make_divergence_quadrangle(make_divergence("pearson"), 0.8).regret_fn,
+    }
+
+
+@pytest.mark.parametrize("name", list(_subgradient_cases()))
+def test_subgradients_satisfy_the_subgradient_inequality(name):
+    # f(Y) >= f(X) + E[(Y - X) g] for Y on the atoms of X, at scales 1e-9, 1
+    # and 1e9, to rounding
+    f = _subgradient_cases()[name]
+    rel = 1e-12
+    rng = np.random.default_rng(17)
+    for scale in (1e-9, 1.0, 1e9):
+        for _ in range(12):
+            x = random_rv(rng, max_atoms=7, span=3.0).scale(scale)
+            g = np.asarray(f.subgradient(x), dtype=float)
+            assert g.shape == x.values.shape and np.all(np.isfinite(g))
+            fx = f.fn(x)
+            for _ in range(4):
+                y = x.values + scale * rng.normal(size=x.values.size) * rng.choice([1e-3, 1.0, 3.0])
+                fy = f.fn(DiscreteRv(y, x.probs))
+                step = np.dot(x.probs, (y - x.values) * g)
+                assert fy >= fx + step - rel * (abs(fx) + abs(fy) + np.dot(x.probs, np.abs((y - x.values) * g)))
+            if f.flags.positively_homogeneous:
+                # Euler: a homogeneous f is its subgradient's expectation at X
+                assert abs(fx - np.dot(x.probs, x.values * g)) <= rel * (abs(fx) + np.dot(x.probs, np.abs(x.values * g)))

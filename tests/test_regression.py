@@ -16,7 +16,7 @@ from riskquad.regression import (
     track_statistic,
 )
 
-from helpers import LP_FAMILIES, random_rv, within
+from helpers import LP_FAMILIES, cvar2_rank_weights, cvar_rank_weights, highs_affine, random_rv, spectral_lp, within
 
 
 def _random_dataset(rng, n=8, d=2, noise=0.4):
@@ -146,6 +146,74 @@ def test_svr_optimum_in_symmetric_quantile_union():
         assert any(u.contains(fit.intercept, tol=1e-7) for u in union)
 
 
+def _spectral_fit_oracle(family, alpha, data):
+    """The least deviation R(Z) - E[Z] over the slopes, for the cvar2 and qsa
+    risks at equal weights, by their spectral LP (HiGHS): by the regression
+    theorem, the least error over intercept and slopes.  Returns the
+    quadrangle's deviation at the LP's slopes."""
+    n = data.n_obs
+    if family == "cvar2":
+        weights = cvar2_rank_weights(n, alpha)
+    else:
+        weights = 0.5 * ((1.0 + alpha) * cvar_rank_weights(n, (1.0 - alpha) / 2.0) + (1.0 - alpha) * cvar_rank_weights(n, (1.0 + alpha) / 2.0))
+    design = np.hstack([np.ones((n, 1)), data.features])
+    theta = spectral_lp(design, data.target, weights, design.mean(axis=0))
+    q = make_catalog_quadrangle(CatalogSpec(family, {"alpha": alpha}))
+    return q.deviation(DiscreteRv(data.target - design @ theta))
+
+
+def _assert_certified(fit, v_oracle):
+    assert 0.0 <= fit.gap <= 1e-12 * (1.0 + abs(fit.objective))
+    assert abs(fit.objective - v_oracle) <= fit.gap + 1e-12 * (1.0 + abs(fit.objective))
+
+
+def _normal_draw(seed, n, d):
+    # X, beta and the noise standard normal, drawn in that order
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    beta = rng.standard_normal(d)
+    return Dataset(X, X @ beta + rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("family", ["cvar2", "qsa"])
+@pytest.mark.parametrize("seed,n,d", [(0, 7, 2), (1, 50, 3)])
+def test_cutting_plane_fits_match_the_spectral_lp(family, seed, n, d):
+    data = _normal_draw(seed, n, d)
+    q = make_catalog_quadrangle(CatalogSpec(family, {"alpha": 0.5}))
+    fit = fit_linear(q.error_fn, data)
+    _assert_certified(fit, _spectral_fit_oracle(family, 0.5, data))
+    assert within(q.error(fit.residual_rv), fit.objective)
+    if (family, seed) == ("cvar2", 0):
+        assert fit.objective == pytest.approx(0.8758833331, abs=1e-10)
+
+
+def test_least_squares_routes_are_exact():
+    # standard_mean: the normal equations; expectile_mse: least squares weighted
+    # by the signs of an optimal residual, which are its own fixed point
+    for seed in range(4):
+        data = _normal_draw(10 + seed, 30, 3)
+        design = np.hstack([np.ones((30, 1)), data.features])
+        w = data.weights
+        beta = np.linalg.solve(design.T @ (design * w[:, None]), design.T @ (w * data.target))
+        fit = fit_named("expectile_mse", data, q=0.5)
+        assert np.max(np.abs(np.append(fit.intercept, fit.coefficients) - beta)) <= 1e-12 * (1.0 + np.max(np.abs(beta)))
+        for lam in (1.0, 3.0):
+            l2 = make_catalog_quadrangle(CatalogSpec("standard_mean", {"lam": lam}))
+            fit = fit_linear(l2.error_fn, data)
+            assert np.max(np.abs(np.append(fit.intercept, fit.coefficients) - beta)) <= 1e-12 * (1.0 + np.max(np.abs(beta)))
+            assert fit.gap == 0.0
+        for q_level in (0.2, 0.8):
+            fit = fit_named("expectile_mse", data, q=q_level)
+            z = fit.residual_rv
+            resid = data.target - design @ np.append(fit.intercept, fit.coefficients)
+            ww = w * np.where(resid > 0.0, q_level, 1.0 - q_level)
+            again = np.linalg.solve(design.T @ (design * ww[:, None]), design.T @ (ww * data.target))
+            assert np.max(np.abs(again - np.append(fit.intercept, fit.coefficients))) <= 1e-12 * (1.0 + np.max(np.abs(again)))
+            # the gradient of E[q Z_+^2 + (1-q) Z_-^2] vanishes
+            assert np.max(np.abs(design.T @ (ww * resid))) <= 1e-12 * (1.0 + np.max(np.abs(data.target)))
+            assert fit.gap == 0.0 and within(fit.objective, z.moment(lambda t: q_level * np.maximum(t, 0.0) ** 2 + (1 - q_level) * np.minimum(t, 0.0) ** 2))
+
+
 def test_fit_linear_finite_across_catalog():
     rng = np.random.default_rng(4)
     specs = [
@@ -156,6 +224,8 @@ def test_fit_linear_finite_across_catalog():
         CatalogSpec("biased_mean", {"x": 0.4}),
         CatalogSpec("expectile_mse", {"q": 0.7}),
         CatalogSpec("standard_mean", {"lam": 1.0}),
+        CatalogSpec("cvar2", {"alpha": 0.5}),
+        CatalogSpec("qsa", {"alpha": 0.5}),
     ]
     for spec in specs:
         q = make_catalog_quadrangle(spec)
@@ -164,19 +234,31 @@ def test_fit_linear_finite_across_catalog():
             fit = fit_linear(q.error_fn, data)
             assert np.all(np.isfinite(fit.coefficients)) and math.isfinite(fit.intercept)
             assert math.isfinite(fit.objective)
+            if spec.family in ("cvar2", "qsa"):
+                # the cutting planes' value is certified against the exact spectral LP
+                _assert_certified(fit, _spectral_fit_oracle(spec.family, 0.5, data))
 
 
 @pytest.mark.parametrize("i", range(len(LP_FAMILIES)))
 def test_fit_linear_lp_at_least_as_good_as_descent(i):
-    # the same error stripped of its LP data takes the multistart descent, the oracle
+    # a HiGHS LP written from the error's own LP data is the oracle; the same
+    # error stripped of that data keeps its subgradient and takes the cutting
+    # planes, certified against the LP
     family, params = LP_FAMILIES[i]
     err = make_catalog_quadrangle(CatalogSpec(family, params)).error_fn
     n, d = ((5, 1), (8, 2))[i % 2]
     data = _random_dataset(np.random.default_rng(40 + i), n=n, d=d)
     fit = fit_linear(err, data)
-    descent = fit_linear(ErrorFn(fn=err.fn, flags=err.flags), data, steps=500)
-    assert fit.objective <= descent.objective + 1e-12 * (1.0 + abs(descent.objective))
+    design = np.hstack([np.ones((n, 1)), data.features])
+    theta = highs_affine(err, design, data.target, data.weights, np.zeros(d + 1))
+    v_oracle = err.fn(DiscreteRv(data.target - design @ theta, data.weights))
+    assert fit.objective <= v_oracle + 1e-12 * (1.0 + abs(v_oracle))
     assert within(err.fn(fit.residual_rv), fit.objective)
+    planes = fit_linear(ErrorFn(fn=err.fn, flags=err.flags, subgradient=err.subgradient), data)
+    assert planes.gap <= 1e-12 * (1.0 + abs(planes.objective))
+    assert abs(planes.objective - fit.objective) <= planes.gap + 1e-12 * (1.0 + abs(fit.objective))
+    with pytest.raises(ValueError, match="needs LP data, square weights or a subgradient"):
+        fit_linear(ErrorFn(fn=err.fn, flags=err.flags), data)
 
 
 def test_translation_shifts_only_intercept():

@@ -14,8 +14,6 @@ from riskquad.measures import CatalogSpec, make_catalog_quadrangle
 from riskquad.solvers import solve_lp
 from riskquad.robust import (
     DroProblem,
-    _project_simplex,
-    _project_simplex_mean,
     EpiSpec,
     dro_envelope_value,
     dro_solve,
@@ -29,7 +27,10 @@ from riskquad.robust import (
     portfolio_optimize,
 )
 
-from helpers import LP_FAMILIES, epi_l2_slsqp, inf_convolution, random_rv, within
+import riskquad.robust as robust
+from riskquad.divergence import make_divergence_quadrangle
+
+from helpers import LP_FAMILIES, cvar2_rank_weights, cvar_rank_weights, epi_l2_slsqp, highs_affine, inf_convolution, random_rv, spectral_lp, within
 
 
 def _cvar_spec(alpha, probs, epsilon, kernel="quadratic", lam=1.0):
@@ -196,17 +197,36 @@ def test_epi_eps_limit_recovers_mean():
 
 
 def test_epi_risk_midpoint_convexity():
-    # convexity of the epi-regularized risk on a shared atom grid
+    # convexity of the epi-regularized risk on a shared atom grid; each
+    # r.v. sorts its atoms, so each takes the envelope of its own probabilities
     rng = np.random.default_rng(11)
     p = np.array([0.4, 0.6])
-    spec = _cvar_spec(0.5, p, 0.8)
+
+    def primal(v):
+        x = DiscreteRv(v, p)
+        return epi_risk_primal(_cvar_spec(0.5, x.probs, 0.8), x)
+
     for _ in range(4):
         a = rng.uniform(-2, 2, 2)
         b = rng.uniform(-2, 2, 2)
-        va = epi_risk_primal(spec, DiscreteRv(a, p))
-        vb = epi_risk_primal(spec, DiscreteRv(b, p))
-        vm = epi_risk_primal(spec, DiscreteRv(0.5 * (a + b), p))
-        assert vm <= 0.5 * (va + vb) + 1e-7
+        assert primal(0.5 * (a + b)) <= 0.5 * (primal(a) + primal(b)) + 1e-7
+
+
+def test_epi_envelope_must_follow_the_sorted_atoms():
+    # X lists 1 before -1, but its atoms sort to (-1, 1) with probabilities
+    # (0.6, 0.4): an envelope built on (0.4, 0.6) would pair each atom with
+    # the other's mass, giving dual 0.4236 and primal 0.4264 where 0.3917 is right
+    x = DiscreteRv([1.0, -1.0], [0.4, 0.6])
+    spec = _cvar_spec(0.5, np.array([0.4, 0.6]), 0.8)
+    for fn in (epi_risk_dual, epi_risk_primal, epi_regret):
+        with pytest.raises(ValueError, match="positive multiple of the probabilities"):
+            fn(spec, x)
+    right = _cvar_spec(0.5, x.probs, 0.8)
+    assert epi_risk_dual(right, x) == pytest.approx(0.3917, abs=1e-4)
+    assert abs(epi_risk_primal(right, x) - epi_risk_dual(right, x)) <= 1e-12
+    # a positive multiple of the probabilities is the same row
+    scaled = dataclasses.replace(right, base_envelope=dataclasses.replace(right.base_envelope, a_eq=2.0 * right.base_envelope.a_eq, b_eq=2.0 * right.base_envelope.b_eq))
+    assert epi_risk_dual(scaled, x) == pytest.approx(epi_risk_dual(right, x), abs=1e-12)
 
 
 def test_epi_regret_identity():
@@ -221,8 +241,7 @@ def test_epi_regret_identity():
 
 
 def test_epi_regret_zero_and_self_convolution_bound():
-    p = np.array([0.5, 0.5])
-    spec = _cvar_spec(0.5, p, 1.0)
+    spec = _cvar_spec(0.5, np.ones(1), 1.0)
     assert epi_regret(spec, DiscreteRv.constant(0.0)) == pytest.approx(0.0, abs=1e-12)
     # the kernel is the base regret itself, whose conjugate is the indicator
     # of the box [0, 2]: the zero penalty on that domain
@@ -242,7 +261,7 @@ def test_epi_regret_zero_and_self_convolution_bound():
             base_risk=lambda y: cvar_direct(y, 0.5),
             kernel=kern,
             epsilon=1.0,
-            base_envelope=cvar_envelope(0.5, p),
+            base_envelope=cvar_envelope(0.5, x.probs),
             kernel_conj=zero_on_box,
         )
         assert epi_regret(self_spec, x) <= base + 1e-9
@@ -360,7 +379,7 @@ def test_dro_certificate_brackets_the_weight_grid(m, phi, log_tau, draw):
 def test_dro_stops_when_the_master_repeats_a_decision(monkeypatch):
     # at this optimum two losses tie; the master LP's pivot tolerance hides the
     # last few 1e-12 of the cut there, and it returns the same weights again
-    import riskquad.robust as robust
+    import riskquad.solvers as solvers
 
     solves = []
 
@@ -368,7 +387,7 @@ def test_dro_stops_when_the_master_repeats_a_decision(monkeypatch):
         solves.append(problem)
         return solve_lp(problem)
 
-    monkeypatch.setattr(robust, "solve_lp", counting)
+    monkeypatch.setattr(solvers, "solve_lp", counting)
     scen = np.random.default_rng(431).uniform(-1.0, 1.5, size=(4, 2))
     sol = dro_solve(DroProblem(scen, make_divergence("kl"), 1.0))
     assert len(solves) <= 10
@@ -464,27 +483,58 @@ def test_portfolio_cvar_lp_vs_weight_grid():
             assert v <= cvar_direct(DiscreteRv(-(scen @ ww), None), 0.5) + 1e-9
 
 
-def test_portfolio_generic_quartet_route():
+@pytest.fixture
+def planes(monkeypatch):
+    """The results of the cutting planes that ``portfolio_optimize`` runs."""
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(robust_cutting_planes(*args, **kwargs))
+        return runs[-1]
+
+    robust_cutting_planes = robust.cutting_planes
+    monkeypatch.setattr(robust, "cutting_planes", recording)
+    return runs
+
+
+def _strip_lp_data(q):
+    """The quadrangle with its regret's LP data dropped, its subgradient kept."""
+    return dataclasses.replace(q, regret_fn=dataclasses.replace(q.regret_fn, loss=None, moment_max=None))
+
+
+def test_portfolio_generic_quartet_route(planes):
+    # the quantile quadrangle without LP data runs the cutting planes on its
+    # regret's subgradient; the LP route and a HiGHS oracle pin the optimum
     q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5}))
     rng = np.random.default_rng(8)
     scen = rng.uniform(-1.0, 1.0, size=(3, 2))
     w_lp, v_lp = portfolio_optimize(None, scen, cvar_alpha=0.5)
-    w_gen, v_gen = portfolio_optimize(q.risk, scen, steps=2500)
-    assert v_gen == pytest.approx(v_lp, abs=1e-4)
+    w_gen, v_gen = portfolio_optimize(_strip_lp_data(q), scen)
+    (res,) = planes
+    assert abs(v_gen - v_lp) <= res.gap + 1e-12 * (1.0 + abs(v_lp))
+    theta = spectral_lp(scen, np.zeros(3), cvar_rank_weights(3, 0.5), np.zeros(2), [(0.0, None)] * 2, np.ones((1, 2)), [1.0])
+    v_or = q.risk(DiscreteRv(-(scen @ theta), None))
+    assert abs(v_gen - v_or) <= res.gap + 1e-12 * (1.0 + abs(v_or))
 
 
 @pytest.mark.parametrize("i", range(len(LP_FAMILIES)))
 def test_portfolio_lp_at_least_as_good_as_descent(i):
-    # a quadrangle whose regret carries LP data solves one LP; its bare risk
-    # takes the multistart descent, the oracle
+    # a quadrangle whose regret carries LP data solves one LP; a HiGHS LP
+    # written from the same data is the oracle
     q = make_catalog_quadrangle(CatalogSpec(*LP_FAMILIES[i]))
     rng = np.random.default_rng(60 + i)
     m, k = ((3, 2), (6, 3))[i % 2]
     scen = rng.uniform(-1.0, 1.0, size=(m, k))
     probs = rng.dirichlet(np.ones(m))
+    a, cost = np.hstack((scen, np.ones((m, 1)))), np.append(np.zeros(k), 1.0)
+    bounds = [(0.0, None)] * k + [(None, None)]
+
+    def oracle(a_eq, b_eq):
+        theta = highs_affine(q.regret_fn, a, np.zeros(m), probs, cost, bounds, a_eq, b_eq)
+        return q.risk(DiscreteRv(-(scen @ theta[:k]), probs))
+
     w, v = portfolio_optimize(q, scen, probs=probs)
-    _, v_descent = portfolio_optimize(q.risk, scen, probs=probs, steps=300)
-    assert v <= v_descent + 1e-12 * (1.0 + abs(v_descent))
+    assert v <= oracle(np.append(np.ones(k), 0.0)[None, :], [1.0]) + 1e-12 * (1.0 + abs(v))
     assert within(q.risk(DiscreteRv(-(scen @ w), probs)), v)
     assert np.all(w >= 0.0) and within(w.sum(), 1.0)
     # a mean target halfway between the extreme asset means: the row holds
@@ -494,6 +544,67 @@ def test_portfolio_lp_at_least_as_good_as_descent(i):
     w_t, v_t = portfolio_optimize(q, scen, probs=probs, target_mean=target)
     assert within(float(means @ w_t), target) and v_t >= v - 1e-12 * (1.0 + abs(v))
     assert within(q.risk(DiscreteRv(-(scen @ w_t), probs)), v_t)
+    rows = np.array([np.append(np.ones(k), 0.0), np.append(means, 0.0)])
+    assert v_t <= oracle(rows, [1.0, target]) + 1e-12 * (1.0 + abs(v_t))
+
+
+def _slsqp_portfolio(fun, scen, extra, target=None):
+    """min fun(w, extra) over the simplex (and the mean row) by SLSQP (scipy)."""
+    from scipy.optimize import minimize
+
+    k = scen.shape[1]
+    cons = [{"type": "eq", "fun": lambda z: z[:k].sum() - 1.0}]
+    if target is not None:
+        cons.append({"type": "eq", "fun": lambda z: scen.mean(axis=0) @ z[:k] - target})
+    res = minimize(lambda z: fun(z[:k], z[k:]), np.append(np.full(k, 1.0 / k), extra[0]), method="SLSQP",
+                   bounds=[(0.0, 1.0)] * k + extra[1], constraints=cons, options={"ftol": 1e-15, "maxiter": 2000})
+    return res.x[:k]
+
+
+@pytest.mark.parametrize("family", ["cvar2", "qsa", "standard_mean", "expectile_mse", "kl"])
+def test_portfolio_cutting_planes_match_the_oracles(family, planes):
+    # cvar2 and qsa are spectral risks, LPs at equal probabilities (HiGHS);
+    # the smooth risks take SLSQP over the weights and their one multiplier
+    rng = np.random.default_rng(21)
+    scen = rng.normal(0.01, 0.05, size=(12, 3))
+    means = scen.mean(axis=0)
+    if family == "kl":
+        q = make_divergence_quadrangle(make_divergence("kl"), 0.5)
+    else:
+        q = make_catalog_quadrangle(CatalogSpec(family, {"standard_mean": {"lam": 1.0}, "expectile_mse": {"q": 0.7}}.get(family, {"alpha": 0.5})))
+    for target in (None, 0.5 * (means.min() + means.max())):
+        planes.clear()
+        w, v = portfolio_optimize(q, scen, target_mean=target)
+        (res,) = planes
+        assert res.gap <= 1e-4 * (1.0 + abs(v)) and within(q.risk(DiscreteRv(-(scen @ w), None)), v, 1e-9)
+        assert np.all(w >= 0.0) and within(w.sum(), 1.0)
+        if target is not None:
+            assert within(float(means @ w), target)
+        rows = [np.ones(3)] + ([] if target is None else [means])
+        if family in ("cvar2", "qsa"):
+            weights = cvar2_rank_weights(12, 0.5) if family == "cvar2" else 0.75 * cvar_rank_weights(12, 0.25) + 0.25 * cvar_rank_weights(12, 0.75)
+            w_or = spectral_lp(scen, np.zeros(12), weights, np.zeros(3), [(0.0, None)] * 3, np.array(rows), [1.0] + ([] if target is None else [target]))
+            tol = 1e-12
+        elif family == "standard_mean":
+            w_or = _slsqp_portfolio(lambda w, _: float(np.mean(-(scen @ w)) + np.std(scen @ w)), scen, (np.zeros(0), []), target)
+            tol = 1e-7
+        elif family == "expectile_mse":
+            def fun(w, c):
+                z = -(scen @ w) - c[0]
+                return float(c[0] + np.mean(z + 0.7 * np.maximum(z, 0.0) ** 2 + 0.3 * np.minimum(z, 0.0) ** 2))
+            w_or = _slsqp_portfolio(fun, scen, (np.zeros(1), [(None, None)]), target)
+            tol = 1e-7
+        else:
+            def fun(w, lam):
+                z = -(scen @ w)
+                top = z.max()
+                return float(top + lam[0] * (0.5 + np.log(np.mean(np.exp((z - top) / lam[0])))))
+            w_or = _slsqp_portfolio(fun, scen, (np.full(1, 0.05), [(1e-6, None)]), target)
+            tol = 1e-7
+        v_or = q.risk(DiscreteRv(-(scen @ w_or), None))
+        # the certificate holds: the optimum lies in [v - gap, v], at or below the oracle's value
+        assert v - res.gap <= v_or + 1e-12 * (1.0 + abs(v_or))
+        assert v <= v_or + res.gap + tol * (1.0 + abs(v_or))
 
 
 @pytest.mark.parametrize(
@@ -509,96 +620,28 @@ def test_bad_scenario_probabilities_rejected(probs):
         DroProblem(scen, make_divergence("kl"), 0.3, probs=probs)
 
 
-def test_simplex_mean_projection_at_a_tiny_mean_spread():
-    # the row's excess is of order 1e-181, so its bisection compares signs of
-    # values whose products underflow; the projection of 0 is then the point of
-    # the row nearest the centroid, (1/4, 1/4, 1/2)
-    means = np.array([0.0, 0.0, 3.9607638001401375e-181])
-    x = _project_simplex_mean(np.zeros(3), means, 0.5 * means[2])
-    assert np.max(np.abs(x - [0.25, 0.25, 0.5])) <= 1e-12
-
-
-@given(
-    st.integers(2, 8).flatmap(lambda n: st.tuples(*[st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)] * 2)),
-    st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1e-12, 1.0 + 1e-12])),
-)
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_simplex_mean_projection_is_exact(wm, frac):
-    w, means = np.array(wm[0]), np.array(wm[1])
-    lo, hi = float(means.min()), float(means.max())
-    t = lo + frac * (hi - lo)
-    x = _project_simplex_mean(w, means, t)
-    assert np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= 1e-12
-    t_in = min(max(t, lo), hi)
-    assert abs(float(means @ x) - t_in) <= 1e-12 * (1.0 + abs(t))
-    # the KKT form x = simplex projection of w - b means: on the support w - x
-    # is affine in the means, off it w lies below that line (checked where the
-    # support's means spread enough to fit the line well)
-    support = x > 0.0
-    scale = 1e-10 * (1.0 + float(np.max(np.abs(w))))
-    if np.ptp(means[support]) > 0.1:
-        b, theta = np.polyfit(means[support], (w - x)[support], 1)
-        assert np.max(np.abs(theta + b * means[support] - (w - x)[support])) <= scale
-        assert np.all(w[~support] <= theta + b * means[~support] + scale)
-        assert np.max(np.abs(_project_simplex(w - b * means) - x)) <= scale
-    # optimality: (w - x).(y - x) <= 0 at every vertex y of the feasible set,
-    # a single asset at the target mean or a pair straddling it
-    vertices = [np.eye(w.size)[i] for i in range(w.size) if means[i] == t_in]
-    for i, j in itertools.permutations(range(w.size), 2):
-        if means[i] < t_in < means[j]:
-            y = np.zeros(w.size)
-            y[i], y[j] = (means[j] - t_in) / (means[j] - means[i]), (t_in - means[i]) / (means[j] - means[i])
-            vertices.append(y)
-    assert all(float((w - x) @ (y - x)) <= scale for y in vertices)
-
-
-def _project_simplex_unshifted(w):
-    # the projection before it shifted its input by max(w): the sweep's oracle
-    n = w.size
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0][-1]
-    return np.maximum(w - (css[rho] - 1.0) / float(rho + 1), 0.0)
-
-
-def test_simplex_projection_of_an_entry_far_above_the_rest():
-    # unshifted, u_1 * 1 > css_1 - 1 rounds to false here and no index qualifies
-    with pytest.raises(IndexError):
-        _project_simplex_unshifted(np.array([2.0**54, 0.0, 0.0]))
-    assert _project_simplex(np.array([2.0**54, 0.0, 0.0])).tolist() == [1.0, 0.0, 0.0]
-    assert _project_simplex(np.array([0.0, -1e300, 1e300])).tolist() == [0.0, 0.0, 1.0]
-
-
-def test_simplex_projection_at_large_offsets():
-    rng = np.random.default_rng(91)
-    eps = np.finfo(float).eps
-    for offset in (0.0, 1.0, -1.0, 1e3, -1e3, 1e6, -1e6, 1e9, -1e9, 1e12, -1e12, 1e15, -1e15):
-        for _ in range(60):
-            n = int(rng.integers(1, 9))
-            w = offset + rng.uniform(-3.0, 3.0, n) * rng.choice([1e-3, 1.0, 10.0])
-            x = _project_simplex(w)
-            assert np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= 1e-12
-            # w - offset is exact (Sterbenz), so shift invariance holds bit for bit
-            assert np.array_equal(x, _project_simplex(w - offset))
-            old = _project_simplex_unshifted(w)
-            if np.all(np.isfinite(old)):
-                assert np.max(np.abs(x - old)) <= 2.0 * n * eps * (1.0 + float(np.max(np.abs(w))))
-
-
 def test_bare_callable_portfolio_keeps_its_mean_row():
-    # the projected descent for a risk without LP data: its weights meet the
-    # mean row, and so cannot beat the LP of the same problem
+    # the cutting planes keep the simplex and the mean row as rows of their
+    # master, so their weights meet the row and cannot beat the LP of the same
+    # problem; a bare risk callable carries no regret to decide by
+    q = _strip_lp_data(make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})))
     for seed in (70, 71):
         rng = np.random.default_rng(seed)
         scen = rng.uniform(-1.0, 1.0, size=(6, 3))
         probs = rng.dirichlet(np.ones(6))
         means = probs @ scen
         target = 0.5 * (means.min() + means.max())
-        w, v = portfolio_optimize(lambda x: cvar_direct(x, 0.5), scen, probs=probs, target_mean=target, steps=300)
+        w, v = portfolio_optimize(q, scen, probs=probs, target_mean=target)
         _, v_lp = portfolio_optimize(None, scen, probs=probs, target_mean=target, cvar_alpha=0.5)
         assert np.all(w >= 0.0) and within(w.sum(), 1.0)
         assert within(float(means @ w), target)
         assert v >= v_lp - 1e-12 * (1.0 + abs(v_lp))
+        with pytest.raises(ValueError, match="bare risk callable"):
+            portfolio_optimize(lambda x: cvar_direct(x, 0.5), scen, probs=probs, target_mean=target)
+    # a quadrangle whose regret has neither LP data nor a subgradient is named
+    tv = make_divergence_quadrangle(make_divergence("tv"), 0.5)
+    with pytest.raises(ValueError, match="needs LP data, square weights or a subgradient"):
+        portfolio_optimize(tv, scen)
 
 
 def test_portfolio_mean_constraint():

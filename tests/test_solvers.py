@@ -14,9 +14,9 @@ from riskquad.solvers import (
     argmin_interval_pwl,
     bisect_root,
     compass_search,
+    cutting_planes,
     flat_interval,
     ksection_crossings,
-    minimize_multistart,
     minimize_scalar_convex,
     minimize_subgradient,
     pwl_argmin_interval,
@@ -168,47 +168,67 @@ def test_compass_polish():
     assert abs(x[0] - 1) < 1e-9 and abs(x[1] + 2) < 1e-9
 
 
-def test_multistart_keeps_first_tied_start_and_the_strictly_best():
-    def basins(lift):
-        return lambda z: min((z[0] - 2.0) ** 2 + lift, (z[0] + 2.0) ** 2)
-
-    # both starts sit at a global minimum already; the earlier one is kept
-    x, v, _ = minimize_multistart(basins(0.0), [np.array([2.0]), np.array([-2.0])], steps=200)
-    assert (x[0], v) == (2.0, 0.0)
-    x, v, res = minimize_multistart(basins(1.0), [np.array([2.5]), np.array([-1.5])], steps=200)
-    assert x[0] == pytest.approx(-2.0, abs=1e-6) and v < 1e-10
-    assert v <= res.value
+# -- cutting planes -------------------------------------------------------------
 
 
-def test_forward_difference_reads_zero_on_nonfinite_probes():
-    from riskquad.solvers import _forward_difference
+def _max_affine(slopes, icpts):
+    """x -> max_k (slopes_k . x + icpts_k) as a cutting-plane oracle."""
 
-    def f(z):
-        return float(z[0] ** 2 + z[1]) if z[0] <= 1.0 else math.inf
+    def oracle(x):
+        k = int(np.argmax(slopes @ x + icpts))
+        return float(slopes[k] @ x + icpts[k]), slopes[k], float(icpts[k])
 
-    g = _forward_difference(f, np.array([1.0, 0.5]))
-    assert g[0] == 0.0 and g[1] == pytest.approx(1.0, abs=1e-6)
-    assert np.all(_forward_difference(lambda z: math.inf, np.zeros(2)) == 0.0)
+    return oracle
 
 
-def test_multistart_calls_module_level_solvers_once_per_start(monkeypatch):
-    # perfbench's tracer counts descents and polishes by patching these names
-    import riskquad.solvers as solvers
+def test_cutting_planes_certify_a_polyhedral_minimum_on_the_simplex():
+    # max of affine pieces over the simplex is one LP: min t, t >= s_k.x + b_k
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        slopes, icpts = rng.normal(size=(6, 4)), rng.normal(size=6)
+        res = cutting_planes(_max_affine(slopes, icpts), np.full(4, 0.25), [(0.0, None)] * 4, np.ones((1, 4)), [1.0])
+        a_ub = np.hstack((slopes, -np.ones((6, 1))))
+        ref = linprog(np.append(np.zeros(4), 1.0), A_ub=a_ub, b_ub=-icpts, A_eq=np.append(np.ones(4), 0.0)[None, :], b_eq=[1.0],
+                      bounds=[(0, None)] * 4 + [(None, None)], method="highs-ds")
+        assert 0.0 <= res.gap <= 1e-12 * (1.0 + abs(res.value)) and 1 <= res.rounds <= 50
+        assert abs(res.value - ref.fun) <= res.gap + 1e-9
+        assert np.all(res.x >= 0.0) and abs(res.x.sum() - 1.0) <= 1e-12
 
-    calls = {"subgrad": 0, "compass": 0}
 
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+def test_cutting_planes_widen_the_box_while_the_optimum_is_on_its_face():
+    oracle = _max_affine(np.array([[1.0], [-1.0]]), np.array([-10.0, 10.0]))  # |x - 10|
+    res = cutting_planes(oracle, np.zeros(1), [(-1.0, 1.0)], widen=(0,))
+    assert res.x[0] == pytest.approx(10.0, abs=1e-9) and res.value <= 1e-9
+    # without widening the box binds: the minimum over it is |1 - 10|
+    assert cutting_planes(oracle, np.zeros(1), [(-1.0, 1.0)]).value == pytest.approx(9.0)
+    # a flat direction stops the widening once it no longer lowers the value
+    flat = _max_affine(np.array([[1.0], [0.0]]), np.array([0.0, 0.0]))  # max(x, 0)
+    res = cutting_planes(flat, np.zeros(1), [(-1.0, 1.0)], widen=(0,))
+    assert res.value == 0.0 and res.gap == 0.0
 
-        return wrapper
 
-    monkeypatch.setattr(solvers, "minimize_subgradient", counting("subgrad", solvers.minimize_subgradient))
-    monkeypatch.setattr(solvers, "compass_search", counting("compass", solvers.compass_search))
-    starts = [np.full(2, s) for s in (-1.0, 0.0, 2.0)]
-    solvers.minimize_multistart(lambda z: float(z @ z), starts, steps=50)
-    assert calls == {"subgrad": 3, "compass": 3}
+def test_cutting_planes_take_a_convex_constraint_as_tangent_cuts():
+    # min c.x over the unit disk, each point evaluated at its radial scaling
+    # into the disk, where the linear objective is attained: value -||c||
+    c = np.array([0.6, -0.8]) * 2.0
+
+    def oracle(x):
+        y = x / max(1.0, float(np.linalg.norm(x)))
+        return float(c @ y), c, 0.0
+
+    def disk(x):
+        nx = float(np.linalg.norm(x))
+        return nx - 1.0, x / max(nx, 1.0)
+
+    res = cutting_planes(oracle, np.zeros(2), [(-1.0, 1.0)] * 2, constraint=disk)
+    assert res.value == pytest.approx(-2.0, abs=1e-6) and res.value - res.gap <= -2.0 + 1e-12
+
+
+def test_cutting_planes_take_a_start_off_the_rows_as_no_candidate():
+    # the start meets the simplex row but not x_1 = 0.9, so its lower value is no candidate
+    oracle = _max_affine(np.array([[1.0, 0.0]]), np.array([0.0]))
+    res = cutting_planes(oracle, np.full(2, 0.5), [(0.0, None)] * 2, np.array([[1.0, 1.0], [1.0, 0.0]]), [1.0, 0.9])
+    assert res.value == pytest.approx(0.9) and res.x[0] == pytest.approx(0.9)
 
 
 # -- LP ------------------------------------------------------------------------
