@@ -132,9 +132,11 @@ def _fit_planes(err: ErrorFn, design: np.ndarray, y: np.ndarray, p: np.ndarray, 
     scale = float(np.max(np.abs(resid))) or float(np.max(np.abs(y))) or 1.0
     # |v| <= (||y - D theta_ls||_2 + ||Z*||_2) / scale, about 2 sqrt(n) for Z* like the residual
     width = 4.0 * np.sqrt(y.size)
-    oracle = affine_cut_oracle(err, scale * u, resid, p, np.zeros(r))
-    res = cutting_planes(oracle, np.zeros(r), [(-width, width)] * r, rounds=steps, scale=scale, widen=range(r))
-    return basis @ (u.T @ y + scale * res.x), res.value, res.gap
+    # a positively homogeneous error runs on Z / scale, its value scaled back
+    unit = scale if err.flags.positively_homogeneous else 1.0
+    oracle = affine_cut_oracle(err, (scale / unit) * u, resid / unit, p, np.zeros(r))
+    res = cutting_planes(oracle, np.zeros(r), [(-width, width)] * r, rounds=steps, scale=scale / unit, widen=range(r))
+    return basis @ (u.T @ y + scale * res.x), unit * res.value, unit * res.gap
 
 
 def fit_linear(err: ErrorFn, data: Dataset, steps: int = 500) -> FitResult:
@@ -208,15 +210,15 @@ def fit_named(model: str, data: Dataset, **params) -> FitResult:
 
 def nu_svc(alpha: float, data: Dataset, steps: int = 500) -> tuple[np.ndarray, float, float]:
     """Soft-margin classification: minimize the alpha-tail average of the
-    margin loss -y (w.x + w0) over the unit ball in w.
-
-    ``cutting_planes`` (at most ``steps`` rounds) run its Rockafellar-Uryasev
-    form C + E[(loss - C)_+]/(1 - alpha) over theta = (w, w0, C) with
-    ||w|| <= 1 as tangent cuts (Takeda & Sugiyama 2008); the form is
-    positively homogeneous, so each round evaluates theta scaled into the
-    ball.  Returns (direction, intercept, objective), the exact tail average
-    at the returned decision; raises RuntimeError when the rounds end with a
-    gap above 1e-4 (1 + |value|).
+    margin loss -y (w.x + w0) over the unit ball in w, by ``cutting_planes``
+    (at most ``steps`` rounds) on its Rockafellar-Uryasev form
+    C + E[(loss - C)_+]/(1 - alpha) over theta = (w, w0, C), with ||w|| <= 1
+    as tangent cuts (Takeda & Sugiyama 2008).  The form is positively
+    homogeneous in theta, so each round evaluates theta scaled into the
+    ball, and in (X, w0, C), so the rounds run on X / max||x_i||.  Returns
+    (direction, intercept, objective), the exact tail average at the
+    returned decision; raises RuntimeError when the rounds end with a gap
+    above 1e-4 (1 + |value|).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -225,8 +227,9 @@ def nu_svc(alpha: float, data: Dataset, steps: int = 500) -> tuple[np.ndarray, f
         raise ValueError("targets must be -1/+1")
     f, d = data.features, data.n_features
     regret = error_from_moment_max(MomentMaxSpec(((0.0, 1.0 / (1.0 - alpha), 0.0),)), Flags())
-    # loss - C = -(A theta), A = [y X, y, 1]
-    a = np.hstack((y[:, None] * f, y[:, None], np.ones((y.size, 1))))
+    # loss - C = -(A theta), A = [y X / span, y, 1], w0 and C in units of span
+    span = float(np.max(np.linalg.norm(f, axis=1))) or 1.0
+    a = np.hstack((y[:, None] * f / span, y[:, None], np.ones((y.size, 1))))
     oracle = affine_cut_oracle(regret, a, np.zeros(y.size), data.weights, np.append(np.zeros(d + 1), 1.0))
 
     def into_ball(theta):
@@ -236,11 +239,10 @@ def nu_svc(alpha: float, data: Dataset, steps: int = 500) -> tuple[np.ndarray, f
         nb = float(np.linalg.norm(theta[:d]))
         return nb - 1.0, np.append(theta[:d] / max(nb, 1.0), [0.0, 0.0])
 
-    span = 1.0 + float(np.max(np.linalg.norm(f, axis=1)))
-    bounds = [(-1.0, 1.0)] * d + [(-2.0 * span, 2.0 * span)] * 2
-    res = cutting_planes(lambda theta: oracle(into_ball(theta)), np.zeros(d + 2), bounds, rounds=steps, scale=span, constraint=ball, widen=(d, d + 1))
+    bounds = [(-1.0, 1.0)] * d + [(-2.0, 2.0)] * 2
+    res = cutting_planes(lambda theta: oracle(into_ball(theta)), np.zeros(d + 2), bounds, rounds=steps, constraint=ball, widen=(d, d + 1))
     if res.gap > 1e-4 * (1.0 + abs(res.value)):
-        raise RuntimeError(f"nu-SVC cutting planes ended at gap {res.gap:.3g}")
+        raise RuntimeError(f"nu-SVC cutting planes ended at gap {span * res.gap:.3g}")
     theta = into_ball(res.x)
-    wb, w0 = theta[:d], float(theta[d])
+    wb, w0 = theta[:d], span * float(theta[d])
     return wb, w0, cvar_direct(DiscreteRv(-y * (f @ wb + w0), data.weights), alpha)

@@ -175,9 +175,8 @@ def _epi_data(spec: EpiSpec, x: DiscreteRv):
     missing = [name for name, ok in (("a box-plus-row base envelope", box_row), ("a kernel conjugate", conj_ok)) if not ok]
     if missing:
         raise ValueError("epi evaluation needs " + " and ".join(missing))
-    a, p = env.a_eq[0], x.probs
-    k = float(np.dot(a, p) / np.dot(p, p)) if a.size == p.size else 0.0
-    if not (k > 0.0 and np.allclose(a, k * p, rtol=1e-12, atol=0.0)):
+    ratio = env.a_eq[0] / x.probs if env.a_eq.shape[1] == x.n_atoms else np.zeros(1)
+    if not (ratio.min() > 0.0 and np.ptp(ratio) <= 1e-12 * ratio.max()):
         raise ValueError("the base envelope's row must be a positive multiple of the probabilities of X's sorted atoms")
     phi, tau = conj if isinstance(conj, tuple) else (conj, None)
     lo = np.maximum(-math.inf if env.lb is None else env.lb, phi.dom[0])
@@ -312,9 +311,11 @@ def portfolio_optimize(
     if lp_encodable(regret):
         theta, value, _ = minimize_affine([(regret, a, np.zeros(m), p, 1.0)], cost, bounds + [(None, None)], a_eq, b_eq)
         return theta[:n_assets], value
-    oracle = affine_cut_oracle(regret, a, np.zeros(m), p, cost)
+    # a positively homogeneous regret runs on S / max|s|, its value scaled back
+    unit = scale if regret.flags.positively_homogeneous else 1.0
+    oracle = affine_cut_oracle(regret, np.hstack((s / unit, np.ones((m, 1)))), np.zeros(m), p, cost)
     x0 = np.append(np.full(n_assets, 1.0 / n_assets), 0.0)
-    res = cutting_planes(oracle, x0, bounds + [(-scale, scale)], a_eq, b_eq, steps, scale, widen=(n_assets,))
+    res = cutting_planes(oracle, x0, bounds + [(-scale / unit, scale / unit)], a_eq, b_eq, steps, scale / unit, widen=(n_assets,))
     if res.gap > 1e-4 * (1.0 + abs(res.value)):
-        raise RuntimeError(f"portfolio cutting planes ended at gap {res.gap:.3g}")
-    return res.x[:n_assets], res.value
+        raise RuntimeError(f"portfolio cutting planes ended at gap {unit * res.gap:.3g}")
+    return res.x[:n_assets], unit * res.value

@@ -555,9 +555,7 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
     """
     n = np.size(x0)
     bounds = list(bounds) + [(None, None)]
-    if a_eq is not None:
-        a_eq, b_eq = np.atleast_2d(a_eq), np.asarray(b_eq, dtype=float)
-    a_eq_lp = None if a_eq is None else np.hstack((a_eq, np.zeros((a_eq.shape[0], 1))))
+    a_eq_lp = None if a_eq is None else np.hstack((a_eq, np.zeros((len(a_eq), 1))))
     rows, rhs = [], []
     upper, lower, widened_at = math.inf, -math.inf, math.inf
     x_best = None

@@ -162,8 +162,15 @@ def _spectral_fit_oracle(family, alpha, data):
     return q.deviation(DiscreteRv(data.target - design @ theta))
 
 
-def _assert_certified(fit, v_oracle):
-    assert 0.0 <= fit.gap <= 1e-12 * (1.0 + abs(fit.objective))
+def _ls_unit(data):
+    """max |Y - least-squares fit|: the unit of a homogeneous error's cutting planes."""
+    design = np.hstack([np.ones((data.n_obs, 1)), data.features])
+    return float(np.max(np.abs(data.target - design @ np.linalg.lstsq(design, data.target, rcond=None)[0])))
+
+
+def _assert_certified(fit, v_oracle, data):
+    # the rounds close the gap to 1e-12 (1 + |value|) in units of the residual's scale
+    assert 0.0 <= fit.gap <= 1e-12 * (_ls_unit(data) + abs(fit.objective))
     assert abs(fit.objective - v_oracle) <= fit.gap + 1e-12 * (1.0 + abs(fit.objective))
 
 
@@ -181,8 +188,14 @@ def test_cutting_plane_fits_match_the_spectral_lp(family, seed, n, d):
     data = _normal_draw(seed, n, d)
     q = make_catalog_quadrangle(CatalogSpec(family, {"alpha": 0.5}))
     fit = fit_linear(q.error_fn, data)
-    _assert_certified(fit, _spectral_fit_oracle(family, 0.5, data))
+    v_oracle = _spectral_fit_oracle(family, 0.5, data)
+    _assert_certified(fit, v_oracle, data)
     assert within(q.error(fit.residual_rv), fit.objective)
+    # the error is positively homogeneous, so the fit of s Y is s times the fit, to the same relative gap
+    for s in (1e-9, 1e9):
+        scaled = fit_linear(q.error_fn, Dataset(data.features, s * data.target))
+        assert abs(scaled.objective / s - v_oracle) <= scaled.gap / s + 1e-12 * (1.0 + abs(v_oracle))
+        assert scaled.gap / s <= 1e-12 * (_ls_unit(data) + abs(v_oracle))
     if (family, seed) == ("cvar2", 0):
         assert fit.objective == pytest.approx(0.8758833331, abs=1e-10)
 
@@ -236,7 +249,7 @@ def test_fit_linear_finite_across_catalog():
             assert math.isfinite(fit.objective)
             if spec.family in ("cvar2", "qsa"):
                 # the cutting planes' value is certified against the exact spectral LP
-                _assert_certified(fit, _spectral_fit_oracle(spec.family, 0.5, data))
+                _assert_certified(fit, _spectral_fit_oracle(spec.family, 0.5, data), data)
 
 
 @pytest.mark.parametrize("i", range(len(LP_FAMILIES)))

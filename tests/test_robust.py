@@ -605,6 +605,11 @@ def test_portfolio_cutting_planes_match_the_oracles(family, planes):
         # the certificate holds: the optimum lies in [v - gap, v], at or below the oracle's value
         assert v - res.gap <= v_or + 1e-12 * (1.0 + abs(v_or))
         assert v <= v_or + res.gap + tol * (1.0 + abs(v_or))
+        if q.regret_fn.flags.positively_homogeneous:
+            # the same decision at 1e-9 and 1e9 times the returns
+            for s in (1e-9, 1e9):
+                w_s, v_s = portfolio_optimize(q, s * scen, target_mean=None if target is None else s * target)
+                assert np.max(np.abs(w_s - w)) <= 1e-6 and abs(v_s / s - v) <= 1e-9 * abs(v)
 
 
 @pytest.mark.parametrize(
