@@ -6,7 +6,7 @@ search for monotone crossings of criteria given on arrays (K points per
 bracket and call), exact argmin intervals for piecewise-linear
 convex functions, projected subgradient descent, a deterministic
 compass search (the derivative-free route of ``conjugate_eval``), Kelley's
-cutting planes (``cutting_planes``, the one driver of the convex decisions
+cutting planes (``cutting_planes``, the one solver of the convex decisions
 without an exact route: it certifies its value by a gap), and a two-phase
 tableau simplex LP solver: numpy rank-1 pivots, free
 variables kept in one column, a start basis of slacks with free columns
