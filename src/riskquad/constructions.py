@@ -9,6 +9,7 @@ intervals provably equal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -28,6 +29,7 @@ from .solvers import (
     minimize_scalar_convex,
     pwl_argmin_interval,
     pwl_grid,
+    pwl_slope_argmin,
     solve_lp,
 )
 
@@ -156,21 +158,17 @@ class ScalarLoss:
             z = np.asarray(z, dtype=float)
             return np.max(np.multiply.outer(z, slopes) + icpts, axis=-1)
 
-        def d_right(z):
-            z = np.asarray(z, dtype=float)
-            vals = np.multiply.outer(z, slopes) + icpts
-            best = np.max(vals, axis=-1, keepdims=True)
-            active = vals >= best - 1e-12 * (1.0 + np.abs(best))
-            s = np.broadcast_to(slopes, vals.shape)
-            return np.max(np.where(active, s, -np.inf), axis=-1)
+        def one_sided(pick, fill):
+            # the largest or least slope among the pieces active at each z
+            def d(z):
+                vals = np.multiply.outer(np.asarray(z, dtype=float), slopes) + icpts
+                best = np.max(vals, axis=-1, keepdims=True)
+                active = vals >= best - 1e-12 * (1.0 + np.abs(best))
+                return pick(np.where(active, np.broadcast_to(slopes, vals.shape), fill), axis=-1)
 
-        def d_left(z):
-            z = np.asarray(z, dtype=float)
-            vals = np.multiply.outer(z, slopes) + icpts
-            best = np.max(vals, axis=-1, keepdims=True)
-            active = vals >= best - 1e-12 * (1.0 + np.abs(best))
-            s = np.broadcast_to(slopes, vals.shape)
-            return np.min(np.where(active, s, np.inf), axis=-1)
+            return d
+
+        d_right, d_left = one_sided(np.max, -np.inf), one_sided(np.min, np.inf)
 
         kinks = []
         for (s1, b1), (s2, b2) in zip(ps[:-1], ps[1:]):
@@ -247,14 +245,12 @@ class MomentMaxSpec:
         tail_s = np.concatenate((np.cumsum((p * v)[::-1])[::-1], [0.0]))
         lines = [(a * mean + b * tail_s + c, -(a + b * tail_p)) for a, b, c in self.terms]
         pts = [v]
-        for j in range(len(lines)):
-            for k in range(j + 1, len(lines)):
-                (i1, s1), (i2, s2) = lines[j], lines[k]
-                ok = np.abs(s1 - s2) > 1e-14
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cstar = (i2 - i1) / (s1 - s2)
-                ok &= (lo - 1e-12 <= cstar) & (cstar <= hi + 1e-12) & np.isfinite(cstar)
-                pts.append(cstar[ok])
+        for (i1, s1), (i2, s2) in itertools.combinations(lines, 2):
+            ok = np.abs(s1 - s2) > 1e-14
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cstar = (i2 - i1) / (s1 - s2)
+            ok &= (lo - 1e-12 <= cstar) & (cstar <= hi + 1e-12) & np.isfinite(cstar)
+            pts.append(cstar[ok])
         return np.unique(np.concatenate(pts))
 
 
@@ -266,13 +262,13 @@ class Functional:
     """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
 
     ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
-    that the projections exploit when it is known.  Two array evaluators are
-    built once per X, and one call of either gives every C of an array:
-    ``shift_values(x)``, C -> f(X - C), is the exact scan's data for a
-    functional with shift breakpoints but neither a piecewise-linear loss nor
-    a moment-max form, which supply their own; ``shift_slopes(x)`` gives the
-    rows of left and right slopes of the convex C -> f(X - C), nondecreasing
-    in C, for a smooth functional.  ``subgradient(x)`` is a density g on the
+    that the projections exploit when it is known.  ``shift_slopes(x)``,
+    built once per X, gives in one call the rows of left and right slopes of
+    the convex C -> f(X - C), nondecreasing in C, at every C of an array: a
+    smooth functional's slope crossing, and, with shift breakpoints but
+    neither a piecewise-linear loss nor a moment-max form (which give the
+    exact scan its values), the slopes of the segments between the
+    breakpoints.  ``subgradient(x)`` is a density g on the
     atoms of X with f(Y) >= f(X) + E[(Y - X) g] for every Y on them.
     ``square_weights`` (w_-, w_+) makes f a nondecreasing function of
     E[w_- Z_-^2 + w_+ Z_+^2], minimized over an affine family by least squares.
@@ -284,7 +280,6 @@ class Functional:
     loss: Optional[ScalarLoss] = None
     moment_max: Optional[MomentMaxSpec] = None
     shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
-    shift_values: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
     shift_slopes: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
     subgradient: Optional[Callable[[DiscreteRv], np.ndarray]] = None
     square_weights: Optional[tuple[float, float]] = None
@@ -332,11 +327,7 @@ def mean_center_regret(v: RegretFn) -> ErrorFn:
 
 def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, flags: Optional[Flags] = None) -> Functional:
     """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over."""
-    sv, ss, sg = f.shift_values, f.shift_slopes, f.subgradient
-
-    def shift_values(x):
-        at, mean = sv(x), x.mean()
-        return lambda cs: scale * at(cs) + tilt * (mean - cs)
+    ss, sg = f.shift_slopes, f.subgradient
 
     def shift_slopes(x):
         at = ss(x)
@@ -351,7 +342,6 @@ def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, fla
             tuple((scale * a + tilt, scale * b, scale * c) for a, b, c in f.moment_max.terms)
         ),
         shift_breakpoints=f.shift_breakpoints,
-        shift_values=None if sv is None else shift_values,
         shift_slopes=None if ss is None else shift_slopes,
         subgradient=None if sg is None else lambda x: scale * sg(x) + tilt,
         square_weights=f.square_weights if tilt == 0.0 else None,
@@ -474,25 +464,25 @@ def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float
     """Exact minimum and argmin interval of g(C) = tilt * C + f(X - C) over
     f's shift breakpoints, or None when f is not known to be piecewise linear.
 
-    The values at the breakpoints come in one pass from the evaluator that
-    f's structure gives; without one, g is called at each breakpoint.  The
-    minimum is g at the least candidate in the interval, bisected as g is
-    convex: the interval may take in segments flat only to a tolerance.
+    Affine loss pieces or a moment-max form give the values at the
+    breakpoints in one pass; without either, ``shift_slopes`` gives the slope
+    of each segment between them (``pwl_slope_argmin``), and without that, g
+    is called at each breakpoint.  The minimum is g at the least candidate in
+    the interval, bisected as g is convex: the interval may take in segments
+    flat only to a tolerance.
     """
     bps = _shift_breakpoints(f, x)
     if bps is None:
         return None
-    if f.shift_values is not None:
-        scan = f.shift_values
-    elif f.moment_max is not None:
-        scan = f.moment_max.shift_values
-    elif f.loss is not None and f.loss.piecewise_linear:
-        scan = f.loss.shift_values
+    scan = (f.moment_max or f.loss).shift_values if lp_encodable(f) else None
+    if scan is None and f.shift_slopes is not None:
+        pts, slopes = np.unique(bps), f.shift_slopes(x)
+        i, j = pwl_slope_argmin(lambda cs: slopes(cs) + tilt, pts)
+        interval, inside = StatInterval(float(pts[i]), float(pts[j])), pts[i : j + 1].tolist()
     else:
-        scan = None
-    pts = pwl_grid(bps)
-    interval = pwl_argmin_interval(pts, np.array([g(c) for c in pts]) if scan is None else scan(x)(pts) + tilt * pts)
-    inside = pts[(pts >= interval.lo) & (pts <= interval.hi)].tolist()
+        pts = pwl_grid(bps)
+        interval = pwl_argmin_interval(pts, np.array([g(c) for c in pts]) if scan is None else scan(x)(pts) + tilt * pts)
+        inside = pts[(pts >= interval.lo) & (pts <= interval.hi)].tolist()
     at = lru_cache(maxsize=None)(g)
     a, b = 0, len(inside) - 1
     while a < b:
@@ -558,9 +548,10 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
 
 def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_interval: bool, what: str):
     """min_C tilt * C + f(X - C) with its argmin interval, by the first route
-    f's data allows: the exact scan over shift breakpoints, the crossing of
-    ``shift_slopes`` with the value taken at its midpoint, and golden section
-    with ``flat_interval`` for anything else.  Each route raises
+    f's data allows: the exact scan over shift breakpoints (by values or by
+    segment slopes, ``_pwl_shift_argmin``), the crossing of ``shift_slopes``
+    with the value taken at its midpoint, and golden section with
+    ``flat_interval`` for anything else.  Each route raises
     UnboundedObjectiveError when the objective has no minimum.
 
     Golden section recovers the flat set on the objective minus

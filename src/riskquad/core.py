@@ -39,8 +39,8 @@ _CDF_ULPS_PER_ATOM = 4.0
 _CDF_EPS_MAX = 1e-12
 
 # cells of one batched temporary (rows x columns) in ``map_chunks``, 32 KB:
-# 16 K cells made the 100-atom qsa scans no faster and raised the peak memory
-# of the process running them by 0.5 MB.
+# 16 K cells made the 100-atom row-sort scans of qsa (a test oracle since)
+# no faster and raised the peak memory of the process running them by 0.5 MB.
 _CHUNK_CELLS = 4096
 
 
@@ -203,6 +203,11 @@ def p_norm(x: DiscreteRv, p: float) -> float:
     return float(np.dot(x.probs, a**p) ** (1.0 / p))
 
 
+def cdf_tol(n_atoms: int) -> float:
+    """The tolerance of a comparison of masses summed over ``n_atoms`` atoms."""
+    return min(_CDF_EPS_MAX, _CDF_ULPS_PER_ATOM * n_atoms * np.finfo(float).eps)
+
+
 def quantile_interval(x: DiscreteRv, alpha: float) -> "StatInterval":
     """The alpha-quantile interval [q^-_alpha, q^+_alpha] via one CDF scan.
 
@@ -212,7 +217,7 @@ def quantile_interval(x: DiscreteRv, alpha: float) -> "StatInterval":
         raise ValueError(f"quantile level must be in (0,1), got {alpha}")
     cum = np.cumsum(x.probs)
     m = cum.size
-    tol = min(_CDF_EPS_MAX, _CDF_ULPS_PER_ATOM * m * np.finfo(float).eps)
+    tol = cdf_tol(m)
     i_lo = int(np.searchsorted(cum, alpha - tol, side="left"))
     i_hi = int(np.searchsorted(cum, alpha + tol, side="right"))
     i_lo = min(i_lo, m - 1)

@@ -236,14 +236,9 @@ class StochasticDivergenceJ:
         """J(Q) = E[phi(Q)], optionally restricted to the density set E[Q] = 1."""
 
         def fn(q, probs):
-            q = np.asarray(q, dtype=float)
-            probs = np.asarray(probs, dtype=float)
             if normalized and abs(float(np.dot(probs, q)) - 1.0) > 1e-9:
                 return math.inf
-            vals = np.asarray(div.phi(q), dtype=float)
-            if np.any(np.isinf(vals)):
-                return math.inf
-            return float(np.dot(probs, vals))
+            return divergence_value(div, q, probs)
 
         kind = "stochastic_divergence" if normalized else "divergence_root"
         label = f"E[{div.label}(Q)]" + ("|density" if normalized else "")
@@ -573,20 +568,25 @@ def _envelope_sup_generic(j, tau, x, normalized) -> tuple[float, np.ndarray]:
 
 
 def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
-    """V(X) = inf_{l>0} l * (beta + E[phi*(X/l)]), with the subgradient
-    (phi*)'(X/l*) where phi carries ``conj_grad``: the worst-case density of
-    its dual, the ball E phi(Q) <= beta, whose multiplier l* the envelope
-    route finds as the root of the budget."""
+    """V(X) = inf_{l>0} l * (beta + E[phi*(X/l)]), with the subgradient the
+    worst-case density of its dual, the ball E phi(Q) <= beta: (phi*)'(X/l*)
+    where phi carries ``conj_grad``, with l* the root of the budget, and the
+    divergence's own envelope route on the ball otherwise (tv, whose (phi*)'
+    is set-valued)."""
 
     def fn(x: DiscreteRv) -> float:
         v, p = x.values, x.probs
         return perspective_inf(lambda lam: float(np.dot(p, div.phi_conj(v / lam))), beta, x)[0]
 
+    if div.conj_grad is not None:
+        subgradient = lambda x: _envelope_sup_phi(div, x, tau=beta)[1]
+    else:
+        subgradient = None if div.envelope_route is None else lambda x: div.envelope_route(div, beta, x, False)[1]
     return RegretFn(
         fn=fn,
         flags=Flags(True, div.kind == "divergence", False),
         label=f"{div.label}_regret({beta:g})",
-        subgradient=None if div.conj_grad is None else lambda x: _envelope_sup_phi(div, x, tau=beta)[1],
+        subgradient=subgradient,
     )
 
 

@@ -299,19 +299,12 @@ class DualReport:
 
 
 def _sample_envelope_points(env: Envelope, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    pts = []
     if env.sampler is not None:
-        for _ in range(n):
-            pts.append(env.sampler(rng))
-        return pts
-    if env.polyhedral:
-        m = env.probs.size
-        for _ in range(n):
-            direction = rng.normal(size=m)
-            _, q = envelope_sup_direction(env, direction)
-            if q is not None:
-                pts.append(q)
-    return pts
+        return [env.sampler(rng) for _ in range(n)]
+    if not env.polyhedral:
+        return []
+    qs = [envelope_sup_direction(env, rng.normal(size=env.probs.size))[1] for _ in range(n)]
+    return [q for q in qs if q is not None]
 
 
 def envelope_sup_direction(env: Envelope, direction) -> tuple[float, Optional[np.ndarray]]:
@@ -319,12 +312,7 @@ def envelope_sup_direction(env: Envelope, direction) -> tuple[float, Optional[np
     d = np.asarray(direction, dtype=float)
     if not env.polyhedral:
         raise ValueError("direction maximization needs a polyhedral envelope")
-    m = d.size
-    bounds = []
-    for i in range(m):
-        lo = env.lb[i] if env.lb is not None else None
-        hi = env.ub[i] if env.ub is not None else None
-        bounds.append((lo, hi))
+    bounds = [(None if env.lb is None else env.lb[i], None if env.ub is None else env.ub[i]) for i in range(d.size)]
     sol = solve_lp(LpProblem(c=-d, a_eq=env.a_eq, b_eq=env.b_eq, a_ub=env.a_ub, b_ub=env.b_ub, bounds=bounds))
     if sol.status != "optimal":
         return math.nan, None

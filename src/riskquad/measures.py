@@ -9,11 +9,10 @@ piecewise-linear mean family, and the biased mean family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteRv, SortedSums, StatInterval, cvar_direct, ess_bounds, map_chunks, p_norm, quantile_interval
+from .core import DiscreteRv, SortedSums, StatInterval, cdf_tol, cvar_direct, ess_bounds, p_norm, quantile_interval
 from .constructions import (
     ErrorFn,
     Flags,
@@ -278,22 +277,15 @@ def _cvar2_shift_slopes(alpha: float):
 
 def _half_spread_interval(x: DiscreteRv, alpha: float) -> StatInterval:
     """The set (1/2)(q_{(1+alpha)/2}(X) - q_{(1-alpha)/2}(X)) as an interval."""
-    if alpha == 0.0:
-        q = quantile_interval(x, 0.5)
-        return StatInterval(0.5 * (q.lo - q.hi), 0.5 * (q.hi - q.lo))
     qh = quantile_interval(x, (1.0 + alpha) / 2.0)
     ql = quantile_interval(x, (1.0 - alpha) / 2.0)
     return StatInterval(0.5 * (qh.lo - ql.hi), 0.5 * (qh.hi - ql.lo))
 
 
 def _alpha_breakpoints(x: DiscreteRv) -> np.ndarray:
-    cum = np.cumsum(x.probs)[:-1]
-    pts = [0.0]
-    for c in cum:
-        for a in (2.0 * c - 1.0, 1.0 - 2.0 * c):
-            if 0.0 < a < 1.0:
-                pts.append(float(a))
-    return np.unique(np.asarray(pts))
+    # the levels alpha at which (1 - alpha)/2 or (1 + alpha)/2 is a cumulative mass
+    a = np.abs(2.0 * np.cumsum(x.probs)[:-1] - 1.0)
+    return np.unique(np.concatenate(([0.0], a[(a > 0.0) & (a < 1.0)])))
 
 
 def alpha_set(x: DiscreteRv, eps: float) -> list[StatInterval]:
@@ -344,19 +336,12 @@ def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
     bps = _alpha_breakpoints(x)
     out: list[list[float]] = []
 
-    def mid_interval(a: float) -> Optional[StatInterval]:
-        qh = quantile_interval(x, (1.0 + a) / 2.0) if a > 0 else quantile_interval(x, 0.5)
-        ql = quantile_interval(x, (1.0 - a) / 2.0) if a > 0 else qh
+    def push(a: float):
+        qh, ql = quantile_interval(x, (1.0 + a) / 2.0), quantile_interval(x, (1.0 - a) / 2.0)
         lo = max(ql.lo + eps, qh.lo - eps)
         hi = min(ql.hi + eps, qh.hi - eps)
-        if lo > hi + 1e-12:
-            return None
-        return StatInterval(lo, max(lo, hi))
-
-    def push(iv: Optional[StatInterval]):
-        if iv is None:
-            return
-        out.append([iv.lo, iv.hi])
+        if lo <= hi + 1e-12:
+            out.append([lo, max(lo, hi)])
 
     for cell in cells:
         probe = {cell.lo, cell.hi}
@@ -364,9 +349,9 @@ def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
         probe.update(float(b) for b in inside)
         ordered = sorted(probe)
         for a, b in zip(ordered, ordered[1:] + [None]):
-            push(mid_interval(a))
+            push(a)
             if b is not None:
-                push(mid_interval(0.5 * (a + b)))
+                push(0.5 * (a + b))
     merged = sorted((lo, hi) for lo, hi in out)
     final: list[list[float]] = []
     for lo, hi in merged:
@@ -455,29 +440,44 @@ def _cvar2(alpha: float) -> Quadrangle:
 
 
 def _qsa_breakpoints(x: DiscreteRv) -> np.ndarray:
+    """The atoms and their pairwise midpoints, 0.5 * (x_i + x_j) for i <= j."""
     v = x.values
-    mids = 0.5 * (v[:, None] + v[None, :])
-    return np.unique(np.concatenate([v, mids.ravel()]))
+    i, j = np.triu_indices(v.size)
+    return np.unique(0.5 * (v[i] + v[j]))
 
 
-def _cvar_norm_shift_values(alpha: float):
-    """C -> (1-alpha) CVaR_alpha(|X - C|) at every C of an array: each row of
-    |X - C| sorted in decreasing order, its top 1 - alpha of mass summed."""
+def _cvar_norm_shift_slopes(alpha: float):
+    """C -> the left and right slopes of C -> (1 - alpha) CVaR_alpha(|X - C|)
+    at every C of an array: the mass of the top 1 - alpha of |X - C| taken
+    below C minus that taken above, 0 within the CDF tolerance.
 
-    def shift_values(x: DiscreteRv):
-        sums = SortedSums(x)
+    That top is the bottom s and the top m - s of the mass, m = 1 - alpha,
+    where the window [q(s), q(s + alpha)] of the quantile function is centred
+    on C.  The levels at which either end steps to its next atom split [0, m]
+    into pieces, each with a pair of atoms whose midpoint, the float of
+    ``_qsa_breakpoints``, grows along them: s starts the first piece whose
+    midpoint is above C (at least C for the left slope), one searchsorted.
+    """
+    m = 1.0 - alpha
 
-        def rows(c):
-            z = np.abs(sums.u[None, :] - (c - sums.ref)[:, None])
-            order = np.argsort(-z, axis=1)
-            z = np.take_along_axis(z, order, axis=1)
-            p = x.probs[order]
-            take = np.clip((1.0 - alpha) - (np.cumsum(p, axis=1) - p), 0.0, p)
-            return np.sum(take * z, axis=1)
+    def shift_slopes(x: DiscreteRv):
+        v, cum = x.values, np.cumsum(x.probs)[:-1]
+        levels = np.concatenate((cum, cum - alpha))
+        order = np.argsort(levels, kind="stable")
+        i = np.concatenate(([0], np.cumsum(order < cum.size)))
+        mids = 0.5 * (v[i] + v[np.arange(order.size + 1) - i])
+        starts = np.concatenate(([0.0], np.clip(levels[order], 0.0, m), [m]))
+        tol = cdf_tol(x.n_atoms)
 
-        return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), x.n_atoms)
+        def slopes(cs):
+            cs = np.asarray(cs, dtype=float)
+            below = starts[np.stack((np.searchsorted(mids, cs, "left"), np.searchsorted(mids, cs, "right")))]
+            gap = below - (m - below)
+            return np.where(np.abs(gap) <= tol, 0.0, gap)
 
-    return shift_values
+        return slopes
+
+    return shift_slopes
 
 
 def _cvar_norm_subgradient(x: DiscreteRv, alpha: float) -> np.ndarray:
@@ -495,21 +495,20 @@ def _qsa(alpha: float) -> Quadrangle:
         flags=Flags(True, True, False),
         label=f"cvar_norm({alpha:g})",
         shift_breakpoints=_qsa_breakpoints,
-        shift_values=_cvar_norm_shift_values(alpha),
+        shift_slopes=_cvar_norm_shift_slopes(alpha),
         subgradient=lambda x: _cvar_norm_subgradient(x, alpha),
     )
-    a_lo = (1.0 - alpha) / 2.0
-    a_hi = (1.0 + alpha) / 2.0
-
-    def risk(x):
-        return 0.5 * ((1.0 + alpha) * cvar_direct(x, a_lo) + (1.0 - alpha) * cvar_direct(x, a_hi))
+    a_lo, a_hi = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
 
     def statistic(x):
-        ql = quantile_interval(x, a_lo)
-        qh = quantile_interval(x, a_hi)
-        return StatInterval.weighted_sum([ql, qh], [0.5, 0.5])
+        return StatInterval.weighted_sum([quantile_interval(x, a_lo), quantile_interval(x, a_hi)], [0.5, 0.5])
 
-    return complete_quadrangle(err, statistic, f"qsa({alpha:g})", risk=risk)
+    return complete_quadrangle(err, statistic, f"qsa({alpha:g})", risk=lambda x: _qsa_risk(x, alpha))
+
+
+def _qsa_risk(x: DiscreteRv, alpha: float) -> float:
+    """The average of CVaR at (1 - alpha)/2 and (1 + alpha)/2, weighted by 1 + alpha and 1 - alpha."""
+    return 0.5 * ((1.0 + alpha) * cvar_direct(x, (1.0 - alpha) / 2.0) + (1.0 - alpha) * cvar_direct(x, (1.0 + alpha) / 2.0))
 
 
 def _qsau(eps: float) -> Quadrangle:
@@ -527,9 +526,7 @@ def _qsau(eps: float) -> Quadrangle:
 
 def qsau_printed_risk(x: DiscreteRv, eps: float, alpha: float) -> float:
     """The closed-form risk at a level alpha drawn from the alpha-set."""
-    a_lo = (1.0 - alpha) / 2.0
-    a_hi = (1.0 + alpha) / 2.0
-    return 0.5 * ((1.0 + alpha) * cvar_direct(x, a_lo) + (1.0 - alpha) * cvar_direct(x, a_hi)) - (1.0 - alpha) * eps
+    return _qsa_risk(x, alpha) - (1.0 - alpha) * eps
 
 
 def _expectile_mse(q: float) -> Quadrangle:

@@ -38,6 +38,7 @@ __all__ = [
     "argmin_interval_pwl",
     "pwl_grid",
     "pwl_argmin_interval",
+    "pwl_slope_argmin",
     "minimize_subgradient",
     "compass_search",
     "CuttingPlaneResult",
@@ -99,26 +100,19 @@ def _find_finite(fn, hint: float = 0.0):
 def _auto_bracket(fn, hint: float = 0.0):
     """Expand from a finite seed until the function increases on both sides."""
     c0, f0 = _find_finite(fn, hint)
-    lo, hi = c0 - 1.0, c0 + 1.0
-    flo, fhi = fn(lo), fn(hi)
-    step = 1.0
-    # expand left while still descending
-    while flo < f0 and math.isfinite(flo):
-        step *= 2.0
-        if step > _BRACKET_CAP:
-            raise UnboundedObjectiveError("objective unbounded below (left)")
-        c0, f0 = lo, flo
-        lo = lo - step
-        flo = fn(lo)
-    step = 1.0
-    while fhi < f0 and math.isfinite(fhi):
-        step *= 2.0
-        if step > _BRACKET_CAP:
-            raise UnboundedObjectiveError("objective unbounded below (right)")
-        c0, f0 = hi, fhi
-        hi = hi + step
-        fhi = fn(hi)
-    return lo, hi
+    ends = []
+    for direction in (-1.0, 1.0):
+        end, step = c0 + direction, 1.0
+        fend = fn(end)
+        # expand while still descending below the least value seen
+        while fend < f0 and math.isfinite(fend):
+            step *= 2.0
+            if step > _BRACKET_CAP:
+                raise UnboundedObjectiveError(f"objective unbounded below ({'left' if direction < 0 else 'right'})")
+            f0, end = fend, end + direction * step
+            fend = fn(end)
+        ends.append(end)
+    return ends[0], ends[1]
 
 
 def _shrink_to_domain(fn, lo, hi):
@@ -126,25 +120,17 @@ def _shrink_to_domain(fn, lo, hi):
     if math.isfinite(fn(lo)) and math.isfinite(fn(hi)):
         return lo, hi
     c_f, _ = _find_finite(fn, 0.5 * (lo + hi) if math.isfinite(lo + hi) else 0.0)
-    if not math.isfinite(fn(lo)):
-        a, b = lo, c_f
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if math.isfinite(fn(m)):
-                b = m
-            else:
-                a = m
-        lo = b
-    if not math.isfinite(fn(hi)):
-        a, b = c_f, hi
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if math.isfinite(fn(m)):
-                a = m
-            else:
-                b = m
-        hi = a
-    return lo, hi
+    ends = []
+    for end in (lo, hi):
+        # bisect between the finite point (inside) and the end (outside)
+        inside, outside = c_f, end
+        if not math.isfinite(fn(end)):
+            for _ in range(80):
+                m = 0.5 * (inside + outside)
+                inside, outside = (m, outside) if math.isfinite(fn(m)) else (inside, m)
+            end = inside
+        ends.append(end)
+    return ends[0], ends[1]
 
 
 def minimize_scalar_convex(
@@ -354,6 +340,39 @@ def pwl_argmin_interval(pts: np.ndarray, vals: np.ndarray) -> StatInterval:
     if hi < lo:
         hi = lo
     return StatInterval(float(lo), float(hi))
+
+
+def pwl_slope_argmin(slopes, pts: np.ndarray) -> tuple[int, int]:
+    """The argmin interval [pts[i], pts[j]] of a convex function affine between
+    the sorted candidates ``pts`` and beyond them, from the rows of left and
+    right slopes that ``slopes(cs)`` gives at each C of an array.
+
+    Segment s runs from pts[s - 1] to pts[s], segments 0 and pts.size out to
+    -inf and inf.  Its slope is read at its midpoint: the right slope, or the
+    left one at its upper end where the midpoint rounds to that.  A K-section
+    finds the first segment with slope >= 0 and the first with slope > 0
+    together, so the ends are candidates, not narrowed floats.  Raises
+    UnboundedObjectiveError when an outer segment descends outward.
+    """
+    n, rows = pts.size, np.arange(2)
+
+    def seg(s):
+        a, b = pts[np.maximum(s - 1, 0)], pts[np.minimum(s, n - 1)]
+        mid = 0.5 * (a + b)
+        left, right = slopes(mid)
+        return np.where((mid < b) | (s == n), right, left)
+
+    # the first segment of each predicate lies in [lo, hi], n + 1 for none
+    lo, hi = np.zeros(2, dtype=int), np.full(2, n + 1)
+    while np.any(lo < hi):
+        idx = np.minimum(lo[:, None] + (hi - lo)[:, None] * np.arange(KSECTION) // KSECTION, n)
+        s = seg(idx.ravel()).reshape(2, KSECTION)
+        short = np.sum(np.stack((s[0] < 0.0, s[1] <= 0.0)), axis=1)  # the probes before each first
+        lo = np.where(short > 0, idx[rows, short - 1] + 1, lo)
+        hi = np.where(short < KSECTION, idx[rows, np.minimum(short, KSECTION - 1)], hi)
+    if lo[0] > n or lo[1] == 0:
+        raise UnboundedObjectiveError("objective still descending beyond the outer candidates")
+    return max(int(lo[0]) - 1, 0), min(int(lo[1]) - 1, n - 1)
 
 
 def argmin_interval_pwl(f, breakpoints) -> StatInterval:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from riskquad.core import DiscreteRv, sample_rvs
+from riskquad.core import DiscreteRv, SortedSums, map_chunks, sample_rvs
 from riskquad.divergence import make_divergence_quadrangle
 from riskquad.solvers import compass_search
 
@@ -31,6 +31,23 @@ LP_FAMILIES = [
     ("expectile_pl", {"K": 0.5}),
     ("biased_mean", {"x": 0.4}),
 ]
+
+
+def cvar_norm_shift_values(x, alpha):
+    """C -> (1 - alpha) CVaR_alpha(|X - C|) at every C of an array: each row of
+    |X - C| sorted in decreasing order, its top 1 - alpha of mass summed.  The
+    row-sort scan that the qsa projections ran before their segment slopes."""
+    sums = SortedSums(x)
+
+    def rows(c):
+        z = np.abs(sums.u[None, :] - (c - sums.ref)[:, None])
+        order = np.argsort(-z, axis=1)
+        z = np.take_along_axis(z, order, axis=1)
+        p = x.probs[order]
+        take = np.clip((1.0 - alpha) - (np.cumsum(p, axis=1) - p), 0.0, p)
+        return np.sum(take * z, axis=1)
+
+    return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), x.n_atoms)
 
 
 def within(a, b, rel=1e-12):

@@ -719,6 +719,7 @@ def _subgradient_cases():
         "quantile_regret": cat("quantile", alpha=0.7).regret_fn,
         "kl_regret": make_divergence_quadrangle(make_divergence("kl"), 0.5).regret_fn,
         "pearson_regret": make_divergence_quadrangle(make_divergence("pearson"), 0.8).regret_fn,
+        "tv_regret": make_divergence_quadrangle(make_divergence("tv"), 0.7).regret_fn,
     }
 
 

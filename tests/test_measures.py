@@ -168,6 +168,18 @@ def test_qsa_error_is_scaled_cvar_norm_and_risk_identity():
         assert r_route == pytest.approx(want, abs=1e-6)
 
 
+def test_qsa_projection_of_two_close_atoms_is_their_midpoint():
+    # at scale 1e-9 the sloped segment between the atoms once read as flat
+    # through an absolute noise floor, and the interval took half the spread
+    q = make_catalog_quadrangle(CatalogSpec("qsa", {"alpha": 0.5}))
+    x = DiscreteRv([-8.579444853899652e-10, -8.367871545558106e-10], [2.0 / 7.0, 5.0 / 7.0])
+    for scale in (1.0, 1e9, 1e18):
+        y = x.scale(scale)
+        stat = q.statistic(y)
+        assert stat == StatInterval.point(0.5 * (y.values[0] + y.values[1]))
+        assert project_error(q.error_fn, y)[1] == stat and regret_to_risk(q.regret_fn, y)[1] == stat, scale
+
+
 # -- the alpha-set ------------------------------------------------------------------
 
 

@@ -561,15 +561,15 @@ def _slsqp_portfolio(fun, scen, extra, target=None):
     return res.x[:k]
 
 
-@pytest.mark.parametrize("family", ["cvar2", "qsa", "standard_mean", "expectile_mse", "kl"])
+@pytest.mark.parametrize("family", ["cvar2", "qsa", "tv", "standard_mean", "expectile_mse", "kl"])
 def test_portfolio_cutting_planes_match_the_oracles(family, planes):
-    # cvar2 and qsa are spectral risks, LPs at equal probabilities (HiGHS);
+    # cvar2, qsa and tv are spectral risks, LPs at equal probabilities (HiGHS);
     # the smooth risks take SLSQP over the weights and their one multiplier
     rng = np.random.default_rng(21)
     scen = rng.normal(0.01, 0.05, size=(12, 3))
     means = scen.mean(axis=0)
-    if family == "kl":
-        q = make_divergence_quadrangle(make_divergence("kl"), 0.5)
+    if family in ("kl", "tv"):
+        q = make_divergence_quadrangle(make_divergence(family), 0.5)
     else:
         q = make_catalog_quadrangle(CatalogSpec(family, {"standard_mean": {"lam": 1.0}, "expectile_mse": {"q": 0.7}}.get(family, {"alpha": 0.5})))
     for target in (None, 0.5 * (means.min() + means.max())):
@@ -581,8 +581,13 @@ def test_portfolio_cutting_planes_match_the_oracles(family, planes):
         if target is not None:
             assert within(float(means @ w), target)
         rows = [np.ones(3)] + ([] if target is None else [means])
-        if family in ("cvar2", "qsa"):
-            weights = cvar2_rank_weights(12, 0.5) if family == "cvar2" else 0.75 * cvar_rank_weights(12, 0.25) + 0.25 * cvar_rank_weights(12, 0.75)
+        if family in ("cvar2", "qsa", "tv"):
+            weights = {
+                "cvar2": cvar2_rank_weights(12, 0.5),
+                "qsa": 0.75 * cvar_rank_weights(12, 0.25) + 0.25 * cvar_rank_weights(12, 0.75),
+                # beta ess sup + (1 - beta) CVaR_beta at beta = 0.25
+                "tv": 0.25 * cvar_rank_weights(12, 11.0 / 12.0) + 0.75 * cvar_rank_weights(12, 0.25),
+            }[family]
             w_or = spectral_lp(scen, np.zeros(12), weights, np.zeros(3), [(0.0, None)] * 3, np.array(rows), [1.0] + ([] if target is None else [target]))
             tol = 1e-12
         elif family == "standard_mean":
@@ -625,7 +630,7 @@ def test_bad_scenario_probabilities_rejected(probs):
         DroProblem(scen, make_divergence("kl"), 0.3, probs=probs)
 
 
-def test_bare_callable_portfolio_keeps_its_mean_row():
+def test_bare_callable_portfolio_keeps_its_mean_row(planes):
     # the cutting planes keep the simplex and the mean row as rows of their
     # master, so their weights meet the row and cannot beat the LP of the same
     # problem; a bare risk callable carries no regret to decide by
@@ -643,10 +648,12 @@ def test_bare_callable_portfolio_keeps_its_mean_row():
         assert v >= v_lp - 1e-12 * (1.0 + abs(v_lp))
         with pytest.raises(ValueError, match="bare risk callable"):
             portfolio_optimize(lambda x: cvar_direct(x, 0.5), scen, probs=probs, target_mean=target)
-    # a quadrangle whose regret has neither LP data nor a subgradient is named
+    # tv's regret decides by its envelope density, certified by the planes
     tv = make_divergence_quadrangle(make_divergence("tv"), 0.5)
-    with pytest.raises(ValueError, match="needs LP data, square weights or a subgradient"):
-        portfolio_optimize(tv, scen)
+    planes.clear()
+    w, v = portfolio_optimize(tv, scen)
+    (res,) = planes
+    assert res.gap <= 1e-4 * (1.0 + abs(v)) and within(tv.risk(DiscreteRv(-(scen @ w), None)), v, 1e-9)
 
 
 def test_portfolio_mean_constraint():

@@ -1,12 +1,14 @@
 """One-pass array scans against the per-point paths they replace.
 
-The per-breakpoint ``argmin_interval_pwl`` route, the per-segment cvar2 loops,
-the per-atom expectile loop, the golden-section search with ``flat_interval``
-and difference quotients of the scalar functionals are kept here as oracles.
+The per-breakpoint ``argmin_interval_pwl`` route, qsa's segment slopes in
+exact arithmetic and its row-sort scan, the per-segment cvar2 loops, the
+per-atom expectile loop, the golden-section search with ``flat_interval`` and
+difference quotients of the scalar functionals are kept here as oracles.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from riskquad.constructions import (
     regret_to_risk,
     scale_quadrangle,
 )
-from riskquad.core import DiscreteRv, StatInterval
+from riskquad.core import DiscreteRv, StatInterval, cdf_tol
 from riskquad.measures import (
     CatalogSpec,
     cvar2_regret,
@@ -28,9 +30,9 @@ from riskquad.measures import (
     expectile_value,
     make_catalog_quadrangle,
 )
-from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex, pwl_grid
+from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex, pwl_argmin_interval, pwl_grid
 
-from helpers import random_rvs
+from helpers import cvar_norm_shift_values, random_rvs
 
 # -- oracles ---------------------------------------------------------------------------
 
@@ -43,7 +45,45 @@ def per_point_argmin(f, x, tilt):
         return tilt * c + f.fn(x.shift(-c))
 
     interval = argmin_interval_pwl(g, _shift_breakpoints(f, x))
-    return min(g(c) for c in pwl_grid(_shift_breakpoints(f, x)) if interval.lo <= c <= interval.hi), interval
+    return least_inside(f, x, tilt, pwl_grid(_shift_breakpoints(f, x)), interval), interval
+
+
+def least_inside(f, x, tilt, pts, interval):
+    """The least tilt * C + f(X - C) over the candidates pts in the interval."""
+    return min(tilt * c + f.fn(x.shift(-c)) for c in pts if interval.lo <= c <= interval.hi)
+
+
+def exact_cvar_norm_interval(x, alpha):
+    """The argmin interval of C -> (1 - alpha) CVaR_alpha(|X - C|) over its
+    float candidates, the atoms and their pairwise midpoints, in exact
+    arithmetic.  Each segment's slope is the mass of the top 1 - alpha of
+    |X - C| taken below C minus that taken above, summed in Fractions at the
+    segment's midpoint; a slope within the route's mass tolerance counts as 0."""
+    v, p = [Fraction(a) for a in x.values], [Fraction(b) for b in x.probs]
+    pts = [Fraction(c) for c in np.unique(0.5 * (x.values[:, None] + x.values[None, :]))]
+    tol = Fraction(cdf_tol(x.n_atoms))
+
+    def slope(c):
+        left, gap = 1 - Fraction(alpha), Fraction(0)
+        for i in sorted(range(len(v)), key=lambda i: -abs(v[i] - c)):
+            take = min(p[i], left)
+            left -= take
+            gap += take if v[i] < c else -take
+        return 0 if abs(gap) <= tol else gap
+
+    segs = [slope(c) for c in [pts[0] - 1] + [(a + b) / 2 for a, b in zip(pts, pts[1:])] + [pts[-1] + 1]]
+    lo = next(k for k, sk in enumerate(segs) if sk >= 0)
+    hi = next(k for k, sk in enumerate(segs) if sk > 0)
+    return StatInterval(float(pts[max(lo - 1, 0)]), float(pts[min(hi - 1, len(pts) - 1)]))
+
+
+def row_sort_argmin(f, x, tilt, alpha):
+    """``per_point_argmin`` of a qsa error (tilt 0) or regret (tilt 1) with its
+    values from the row-sort scan of |X - C| over the merged candidates."""
+    pts = pwl_grid(_shift_breakpoints(f, x))
+    vals = cvar_norm_shift_values(x, alpha)(pts) + tilt * (x.mean() - pts) + tilt * pts
+    interval = pwl_argmin_interval(pts, vals)
+    return least_inside(f, x, tilt, pts, interval), interval
 
 
 def loop_tail_segments(x):
@@ -164,12 +204,18 @@ def forms(q):
 @given(shifted_rvs())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_array_scans_match_the_per_point_oracle(case):
+    # qsa takes the exact oracle: the per-point scan merges near candidates
+    # and reads slopes through a noise floor, wrong at scale 1e-9
     x, scale = case
     for family, params in pwl_families(scale):
         q = make_catalog_quadrangle(CatalogSpec(family, params))
+        exact = exact_cvar_norm_interval(x, params["alpha"]) if family == "qsa" else None
         for name, f, tilt in forms(q):
             value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
-            want_value, want_interval = per_point_argmin(f, x, tilt)
+            if exact is None:
+                want_value, want_interval = per_point_argmin(f, x, tilt)
+            else:
+                want_value, want_interval = least_inside(f, x, tilt, np.unique(_shift_breakpoints(f, x)), exact), exact
             assert interval == want_interval, (family, params, name)
             assert value == want_value, (family, params, name)
 
@@ -181,12 +227,31 @@ def test_large_scans_match_the_per_point_oracle():
             vals = scale * (rng.uniform(-3.0, 3.0) + np.round(rng.standard_normal(n) * 64) / 64)
             x = DiscreteRv(vals, rng.dirichlet(np.ones(n)))
             for family, params in pwl_families(scale):
-                if family == "qsa" and n > 60:
-                    continue
                 q = make_catalog_quadrangle(CatalogSpec(family, params))
                 for name, f, tilt in forms(q)[:2]:
                     value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
-                    assert (value, interval) == per_point_argmin(f, x, tilt), (family, params, name, n)
+                    if family == "qsa":
+                        want = row_sort_argmin(f, x, tilt, params["alpha"])
+                    else:
+                        want = per_point_argmin(f, x, tilt)
+                    assert (value, interval) == want, (family, params, name, n)
+
+
+def test_qsa_projections_at_1000_atoms_are_the_quantile_statistic():
+    # the quadrangle theorem: the argmin of the CVaR norm of X - C is half the
+    # sum of the (1 - alpha)/2 and (1 + alpha)/2 quantile intervals
+    rng = np.random.default_rng(7)
+    q = make_catalog_quadrangle(CatalogSpec("qsa", {"alpha": 0.5}))
+    for scale in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+        for grid in (False, True):
+            z = rng.standard_normal(1000)
+            vals = scale * (rng.uniform(-3.0, 3.0) + (np.round(z * 64) / 64 if grid else z))
+            x = DiscreteRv(vals, rng.dirichlet(np.ones(1000)) if grid else None)
+            m = float(np.max(np.abs(x.values)))
+            for f, tilt, closed in ((q.error_fn, 0.0, q.deviation(x)), (q.regret_fn, 1.0, q.risk(x))):
+                value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
+                assert interval == q.statistic(x), (scale, grid, tilt)
+                assert abs(value - closed) <= 1e-12 * m, (scale, grid, tilt)
 
 
 # -- cvar2 and expectiles --------------------------------------------------------------------
