@@ -356,73 +356,129 @@ def lp_encodable(f: Functional) -> bool:
     return (f.loss is not None and f.loss.piecewise_linear) or f.moment_max is not None
 
 
+def _hinge_forms(f: Functional) -> list:
+    """f(Z) = max_k [a_k E[Z] + c_k + sum_j h_kj E[(Z - kappa_kj)_+]], h_kj > 0,
+    as the forms (a_k, c_k, ((h_kj, kappa_kj), ...)).  A loss is one form: the
+    upper envelope of its pieces, s_1 z + b_1 + sum_j (s_j - s_{j-1})(z -
+    kappa_j)_+ over its kinks kappa_j.  A moment-max form gives a form per
+    term (a, b, c), its b Z_+ a hinge at 0."""
+    if f.loss is None:
+        return [(a, c, ((b, 0.0),) if b > 0.0 else ()) for a, b, c in f.moment_max.terms]
+    kink = lambda lower, upper: (lower[1] - upper[1]) / (upper[0] - lower[0])
+    hull = []
+    # by slope, so of two parallel pieces the higher comes last and replaces the lower
+    for piece in sorted(f.loss.pieces):
+        while hull and (hull[-1][0] == piece[0] or len(hull) > 1 and kink(hull[-1], piece) <= kink(hull[-2], hull[-1])):
+            hull.pop()
+        hull.append(piece)
+    return [(*hull[0], tuple((hi[0] - lo[0], kink(lo, hi)) for lo, hi in zip(hull, hull[1:])))]
+
+
 def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.ndarray, float, bool]:
     """min cost.theta + sum_k w_k F_k(b_k - A_k theta) over bounds and equality
     rows on theta, as one LP.
 
     ``terms`` holds (F_k, A_k, b_k, p_k, w_k): Z = b_k - A_k theta has atoms of
-    probabilities p_k, and each F_k is compiled from its data.  A loss with
-    affine pieces (s, b) gives E[t] with t_i >= s Z_i + b per atom and piece,
-    t free.  A moment-max form gives u_i >= Z_i, u >= 0, so that E[u] = E[Z_+]
-    at the optimum, and M >= a E[Z] + b E[u] + c per term; a single term goes
-    straight into the objective.  The LP's columns are theta and then each
-    term's auxiliaries.
+    probabilities p_k, and each F_k is compiled from its hinge forms
+    (``_hinge_forms``).  When every F_k is one form (a loss, or a moment-max
+    form of one term) the LP is solved in its dual (``_affine_dual``), one row
+    per theta coordinate; otherwise as the epigraph LP (``_affine_primal``).
 
-    Returns theta, the optimal value and whether an alternate optimum moves
-    theta (any of its columns in ``degenerate_columns``).
+    Returns theta, the objective at theta and whether an alternate optimum
+    moves theta.
     """
     c_theta = np.asarray(cost, dtype=float)
     n = c_theta.size
-    const = 0.0
-    blocks = []  # per term: rows on theta, rows on its auxiliaries, rhs, their costs and bounds
-    for f, a, b, p, w in terms:
-        a, b, p = np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float), np.asarray(p, dtype=float)
-        m = b.size
-        if f.loss is not None and f.loss.piecewise_linear:
-            s, k = (np.array(col) for col in zip(*f.loss.pieces))
-            # t_i >= s (b_i - A_i theta) + k for each atom i and piece (s, k), atom by atom
-            rows = (-s[None, :, None] * a[:, None, :]).reshape(-1, n)
-            aux, rhs = np.repeat(-np.eye(m), s.size, axis=0), -(k + s * b[:, None]).ravel()
-            aux_cost, aux_bounds = w * p, [(None, None)] * m
-        else:
-            ta, tb, tc = (np.array(col) for col in zip(*f.moment_max.terms))
-            pa, pb = p @ a, float(np.dot(p, b))
-            # u_i >= b_i - A_i theta
-            rows, aux, rhs = -a, -np.eye(m), -b
-            aux_cost, aux_bounds = w * tb[0] * p, [(0.0, None)] * m
-            if ta.size == 1:
-                c_theta = c_theta - w * ta[0] * pa
-                const += w * (ta[0] * pb + tc[0])
-            else:
-                # M >= a E[Z] + b E[u] + c for each term (a, b, c), M the last auxiliary
-                rows = np.vstack((rows, -ta[:, None] * pa))
-                aux = np.block([[aux, np.zeros((m, 1))], [tb[:, None] * p, -np.ones((ta.size, 1))]])
-                rhs = np.concatenate((rhs, -ta * pb - tc))
-                aux_cost, aux_bounds = np.append(np.zeros(m), w), aux_bounds + [(None, None)]
-        blocks.append((rows, aux, rhs, aux_cost, aux_bounds))
-    n_aux = sum(blk[1].shape[1] for blk in blocks)
-    a_ub = np.zeros((sum(blk[0].shape[0] for blk in blocks), n + n_aux))
-    r, col = 0, n
-    for rows, aux, _, _, _ in blocks:
-        a_ub[r : r + rows.shape[0], :n] = rows
-        a_ub[r : r + rows.shape[0], col : col + aux.shape[1]] = aux
-        r, col = r + rows.shape[0], col + aux.shape[1]
+    compiled = [
+        (_hinge_forms(f), np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float), np.asarray(p, dtype=float), w)
+        for f, a, b, p, w in terms
+    ]
+    bounds = list(bounds or [(None, None)] * n)
+    a_eq = None if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    route = _affine_dual if all(len(forms) == 1 for forms, *_ in compiled) else _affine_primal
+    theta, nonunique = route(compiled, c_theta, bounds, a_eq, b_eq)
+    value = float(c_theta @ theta)
+    for forms, a, b, p, w in compiled:
+        z = b - a @ theta
+        value += w * max(ak * (p @ z) + ck + sum(h * (p @ np.maximum(z - kappa, 0.0)) for h, kappa in hinges) for ak, ck, hinges in forms)
+    return theta, value, nonunique
+
+
+def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, bool]:
+    """The decision LP of one-form terms in its boxed dual (Koenker & d'Orey
+    1987): h (Z_i - kappa)_+ = max {u (Z_i - kappa) : 0 <= u <= h}, so with
+    y = -theta the LP is max sum u_i (b_i - kappa) + lo.l - hi.g + b_eq.mu
+    over a column u_i in [0, w p_i h] per atom and hinge (row coefficients
+    A_i), a column l >= 0 (g >= 0) per finite lower (upper) bound on theta and
+    a free column mu per equality row, subject to one row per coordinate of
+    theta: sum u_i A_i + l - g + a_eq^T mu = cost - sum_k w_k a_k p_k^T A_k.
+    The LP runs in theta - theta0, theta0 the least-squares fit of the
+    atoms, so each u starts at the bound that Z's sign at theta0 favours.
+    theta is theta0 minus the rows' multipliers, unique unless an alternate
+    dual optimum moves them."""
+    n = c_theta.size
+    root = [np.sqrt(w * p) for _, _, _, p, w in compiled]
+    design = np.vstack([r[:, None] * a for r, (_, a, *_) in zip(root, compiled)])
+    theta0 = np.linalg.lstsq(design, np.concatenate([r * b for r, (_, _, b, *_) in zip(root, compiled)]), rcond=None)[0]
+    rhs = c_theta.copy()
+    cols, col_cost, col_bounds = [], [], []
+    for ((ak, _, hinges),), a, b, p, w in compiled:
+        rhs -= w * ak * (p @ a)
+        for h, kappa in hinges:
+            cols.append(a)
+            col_cost.append(kappa - b + a @ theta0)
+            col_bounds.extend((0.0, ub) for ub in w * h * p)
+    lo, hi = (np.array([np.nan if bd[k] is None else bd[k] for bd in bounds], dtype=float) - theta0 for k in (0, 1))
+    for side, sign in ((lo, 1.0), (hi, -1.0)):
+        at = np.flatnonzero(np.isfinite(side))
+        cols.append(sign * np.eye(n)[at])
+        col_cost.append(-sign * side[at])
+        col_bounds.extend([(0.0, None)] * at.size)
     if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        a_eq = np.hstack((a_eq, np.zeros((a_eq.shape[0], n_aux))))
-    sol = solve_lp(
-        LpProblem(
-            c=np.concatenate([c_theta] + [blk[3] for blk in blocks]),
-            a_eq=a_eq,
-            b_eq=b_eq,
-            a_ub=a_ub,
-            b_ub=np.concatenate([blk[2] for blk in blocks]),
-            bounds=list(bounds or [(None, None)] * n) + [bd for blk in blocks for bd in blk[4]],
-        )
-    )
+        cols.append(a_eq)
+        col_cost.append(a_eq @ theta0 - np.asarray(b_eq, dtype=float))
+        col_bounds.extend([(None, None)] * a_eq.shape[0])
+    # costs in units of the largest, so that the pricing tolerance is relative to them
+    col_cost = np.concatenate(col_cost)
+    unit = float(np.max(np.abs(col_cost), initial=0.0)) or 1.0
+    sol = solve_lp(LpProblem(c=col_cost / unit, a_eq=np.vstack(cols).T, b_eq=rhs, bounds=col_bounds))
+    if sol.status != "optimal":
+        # an infeasible dual means an unbounded decision, and an unbounded dual an infeasible one
+        raise RuntimeError(f"decision LP {'unbounded' if sol.status == 'infeasible' else 'infeasible'}")
+    return theta0 - unit * sol.duals, bool(sol.degenerate_rows)
+
+
+def _affine_primal(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, bool]:
+    """The decision LP as an epigraph: per term, v_i >= Z_i - kappa, v >= 0
+    for each atom and distinct hinge kink, and M >= a E[Z] + c + sum h E[v]
+    for each form (a, c, hinges), M costing w.  The columns are theta, then
+    each term's v blocks and M."""
+    n = c_theta.size
+    kinks = [sorted({kappa for *_, hinges in forms for _, kappa in hinges}) for forms, *_ in compiled]
+    width = n + sum(len(kk) * b.size + 1 for kk, (_, _, b, *_) in zip(kinks, compiled))
+    blocks, b_ub, cost, aux_bounds = [], [], [c_theta], []
+    col = n
+    for kk, (forms, a, b, p, w) in zip(kinks, compiled):
+        v = len(kk) * b.size
+        block = np.zeros((v + len(forms), width))
+        block[:v, :n] = np.tile(-a, (len(kk), 1))
+        block[:v, col : col + v] = -np.eye(v)
+        block[v:, col + v] = -1.0
+        for r, (ak, _, hinges) in enumerate(forms):
+            block[v + r, :n] = -ak * (p @ a)
+            for h, kappa in hinges:
+                at = col + kk.index(kappa) * b.size
+                block[v + r, at : at + b.size] = h * p
+        blocks.append(block)
+        b_ub.append(np.concatenate([kappa - b for kappa in kk] + [[-ak * (p @ b) - ck for ak, ck, _ in forms]]))
+        cost.append(np.append(np.zeros(v), w))
+        aux_bounds += [(0.0, None)] * v + [(None, None)]
+        col += v + 1
+    a_eq = None if a_eq is None else np.hstack((a_eq, np.zeros((a_eq.shape[0], width - n))))
+    sol = solve_lp(LpProblem(np.concatenate(cost), a_eq, b_eq, np.vstack(blocks), np.concatenate(b_ub), bounds + aux_bounds))
     if sol.status != "optimal":
         raise RuntimeError(f"decision LP {sol.status}")
-    return sol.x[:n], float(sol.objective) + const, any(j < n for j in sol.degenerate_columns)
+    return sol.x[:n], any(j < n for j in sol.degenerate_columns)
 
 
 def affine_cut_oracle(f: Functional, a, b, p, cost):

@@ -304,16 +304,16 @@ def portfolio_optimize(
     regret = getattr(risk, "regret_fn", None)
     if regret is None:
         raise ValueError("a portfolio needs a quadrangle whose regret carries LP data or a subgradient, not a bare risk callable")
-    # theta = (w, C), the regret's argument -S w - C
-    a, cost = np.hstack((s, np.ones((m, 1)))), np.append(np.zeros(n_assets), 1.0)
+    # theta = (w, C), the regret's argument -S w - C; a positively homogeneous
+    # regret runs on S / max|s|, its value scaled back
+    unit = scale if regret.flags.positively_homogeneous else 1.0
+    a, cost = np.hstack((s / unit, np.ones((m, 1)))), np.append(np.zeros(n_assets), 1.0)
     a_eq = np.hstack((a_eq, np.zeros((b_eq.size, 1))))
     bounds = [(0.0, None)] * n_assets
     if lp_encodable(regret):
         theta, value, _ = minimize_affine([(regret, a, np.zeros(m), p, 1.0)], cost, bounds + [(None, None)], a_eq, b_eq)
-        return theta[:n_assets], value
-    # a positively homogeneous regret runs on S / max|s|, its value scaled back
-    unit = scale if regret.flags.positively_homogeneous else 1.0
-    oracle = affine_cut_oracle(regret, np.hstack((s / unit, np.ones((m, 1)))), np.zeros(m), p, cost)
+        return theta[:n_assets], unit * value
+    oracle = affine_cut_oracle(regret, a, np.zeros(m), p, cost)
     x0 = np.append(np.full(n_assets, 1.0 / n_assets), 0.0)
     res = cutting_planes(oracle, x0, bounds + [(-scale / unit, scale / unit)], a_eq, b_eq, steps, scale / unit, widen=(n_assets,))
     if res.gap > 1e-4 * (1.0 + abs(res.value)):

@@ -8,10 +8,11 @@ convex functions, projected subgradient descent, a deterministic
 compass search (the derivative-free route of ``conjugate_eval``), Kelley's
 cutting planes (``cutting_planes``, the one solver of the convex decisions
 without an exact route: it certifies its value by a gap), and a two-phase
-tableau simplex LP solver: numpy rank-1 pivots, free
-variables kept in one column, a start basis of slacks with free columns
-crashed into the artificials' rows, Dantzig pricing in phase 1 (Bland's rule
-through runs of degenerate pivots) and Bland's rule in phase 2.
+bounded-variable tableau simplex LP solver: numpy rank-1 pivots, two-sided
+bounds kept on their columns (a column reaching its own bound flips without
+a pivot), free variables kept in one column, a start basis of slacks with
+free columns crashed into the artificials' rows, Dantzig pricing (Bland's
+rule through runs of stalled steps) and the rows' multipliers.
 """
 
 from __future__ import annotations
@@ -611,7 +612,7 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
     return CuttingPlaneResult(x_best, upper, max(upper - lower, 0.0), k)
 
 
-# -- two-phase tableau simplex LP ---------------------------------------------
+# -- two-phase bounded-variable tableau simplex LP ------------------------------
 
 
 @dataclass
@@ -635,110 +636,180 @@ class LpSolution:
     x: Optional[np.ndarray]
     objective: Optional[float]
     # original variables that an alternate optimum moves: those a nonbasic
-    # column (slack included) of zero reduced cost and positive or unbounded
-    # step changes, and that column itself when it is an original variable
+    # column (slack included, at either bound) of zero reduced cost and
+    # positive or unbounded step changes, and that column itself when it is
+    # an original variable
     degenerate_columns: tuple[int, ...] = ()
-    # tableau pivots of the crash, both phases and the artificials' drive-out
+    # tableau pivots of the crash, both phases and the artificials' drive-out;
+    # a bound flip is no pivot
     pivots: int = 0
+    # the rows' multipliers y, equality rows first, from B^T y = c_B on the
+    # final basis: c - A^T y are the reduced costs, and y_r = d obj / d b_r
+    # (<= 0 on a <= row); 0 on a redundant row
+    duals: Optional[np.ndarray] = None
+    # rows whose multiplier an alternate dual optimum moves: the row-wise
+    # mirror of ``degenerate_columns`` (a basic column at a bound whose row
+    # admits a positive dual step past every nonbasic column of zero reduced
+    # cost), and every redundant row
+    degenerate_rows: tuple[int, ...] = ()
 
 
 _PIV_TOL = 1e-9
-_MAX_PIVOTS = 50_000
-# phase 1 prices by Dantzig's rule, and by Bland's once this many pivots in a
-# row have lowered its objective by no more than _STALL_REL of it
+_MAX_STEPS = 50_000  # pivots and bound flips
+# the simplex prices by Dantzig's rule, and by Bland's once this many steps in
+# a row have lowered its objective by no more than _STALL_REL of it
 _STALL_RUN = 50
 _STALL_REL = 1e-12
 
 
 class _Tableau:
-    """Dense column-major tableau: m constraint rows, then the phase-2 and the
+    """Dense row-major tableau: m constraint rows, then the phase-2 and the
     phase-1 cost rows (reduced costs; their last entry is minus the
     objective). ``basis`` holds each row's basic column, -1 for a row still
-    held by its artificial, whose unit column is not stored. Free columns
-    enter in either direction and never leave."""
+    held by its artificial. The first k columns are priced: the problem's,
+    then the <= rows' slacks; after them each equality row's unit column,
+    never priced, which with the slacks' carries B^-1 and the multipliers.
+    Column j ranges over [0, ub[j]] and a nonbasic column sits at 0: one at
+    its upper bound is stored reflected (``flipped``, x = ub - x'). Free
+    columns enter in either direction and never leave."""
 
-    def __init__(self, t: np.ndarray, basis: np.ndarray, free: np.ndarray):
-        self.t, self.basis, self.free = t, basis, free
-        self.row_free = np.zeros(basis.size, dtype=bool)
-        self.pivots = 0
+    def __init__(self, t: np.ndarray, basis: np.ndarray, free: np.ndarray, ub: np.ndarray, flipped: np.ndarray):
+        self.t, self.basis, self.free, self.flipped = t, basis, free, flipped
+        self.k = free.size
+        # ub's last entry, after the priced columns', bounds an artificial, which basis -1 indexes
+        self.ub = ub
+        self.boxed = bool((ub < math.inf).any())
+        # per row: whether its basic column is bounded below, and its upper bound
+        self.bounded, self.ub_b = np.ones(basis.size, dtype=bool), self.ub[basis]
+        self.rows = np.arange(basis.size)  # each row's index among the problem's rows
+        self.pivots = self.steps = 0
 
     @property
     def m(self) -> int:
         return self.basis.size
+
+    def _steps_done(self, steps: int) -> None:
+        rhs = self.t[: self.m, -1]
+        # the ratio test keeps bounded basics in [0, ub]; clear their round-off
+        if self.boxed:
+            np.minimum(rhs, self.ub_b, out=rhs)
+        np.maximum(rhs, 0.0, out=rhs, where=self.bounded)
+        self.steps += steps
+        if self.steps > _MAX_STEPS:
+            raise RuntimeError("simplex iteration cap exceeded")
 
     def pivot(self, r: int, q: int) -> None:
         t = self.t
         row = t[r] / t[r, q]
         col = t[:, q].copy()
         col[r] = 0.0
-        # the rank-1 update touches only the pivot row's nonzero columns
-        nz = np.flatnonzero(row)
-        t[:, nz] -= np.outer(col, row[nz])
+        np.subtract(t, np.outer(col, row), out=t)
         t[r] = row
         t[:, q] = 0.0
         t[r, q] = 1.0
         self.basis[r] = q
-        self.row_free[r] = self.free[q]
-        rhs = t[: self.m, -1]
-        # the ratio test keeps bounded basics >= 0; clear their round-off
-        np.maximum(rhs, 0.0, out=rhs, where=~self.row_free)
+        self.bounded[r] = not self.free[q]
+        self.ub_b[r] = self.ub[q]
         self.pivots += 1
-        if self.pivots > _MAX_PIVOTS:
-            raise RuntimeError("simplex iteration cap exceeded")
+        self._steps_done(1)
+
+    def flip(self, cols: np.ndarray) -> None:
+        """Move nonbasic columns to their other bounds, reflecting them."""
+        t = self.t
+        t[:, -1] -= t[:, cols] @ self.ub[cols]
+        t[:, cols] *= -1.0
+        self.flipped[cols] = ~self.flipped[cols]
+        self._steps_done(cols.size)
+
+    def flip_run(self, score: np.ndarray) -> np.ndarray:
+        """The columns Dantzig's rule flips in a row, from the entering one,
+        which flips: a flip leaves every reduced cost but its own as it is,
+        so they come in order of score while each reaches its own bound
+        before a basic reaches one of its bounds."""
+        m, t = self.m, self.t
+        order = (score > _PIV_TOL).nonzero()[0]
+        order = order[np.argsort(-score[order], kind="stable")]
+        order = order[: np.argmin(np.append(np.isfinite(self.ub[order]), False))]
+        col = t[:m, order]
+        step = col * self.ub[order]
+        rhs = t[:m, -1, None] - np.cumsum(step, axis=1) + step  # before each flip
+        room = np.where(col > 0.0, rhs, self.ub_b[:, None] - rhs)
+        live = (col > _PIV_TOL) & self.bounded[:, None] | (col < -_PIV_TOL)
+        fits = np.all(~live | (np.abs(step) <= room), axis=0)
+        return order[: max(int(np.argmin(np.append(fits, False))), 1)]
+
+    def reflect_row(self, r: int) -> None:
+        """Reflect row r's basic column, which then leaves at 0 where it
+        reaches its upper bound."""
+        j, t = self.basis[r], self.t
+        t[r, :-1] *= -1.0
+        t[r, j] = 1.0
+        t[r, -1] = self.ub[j] - t[r, -1]
+        self.flipped[j] = ~self.flipped[j]
 
     def crash(self) -> None:
         """Pivot each free column into a row held by an artificial when the
         pivot leaves every bounded basic >= 0."""
         m, t = self.m, self.t
-        for j in np.flatnonzero(self.free):
+        for j in self.free.nonzero()[0]:
             col = t[:m, j]
-            cand = np.flatnonzero((self.basis < 0) & (np.abs(col) > _PIV_TOL))
+            cand = ((self.basis < 0) & (np.abs(col) > _PIV_TOL)).nonzero()[0]
             if cand.size == 0:
                 continue
-            bounded = ~self.row_free
+            bounded = self.bounded
             rhs = t[:m, -1]
             up = bounded & (col > _PIV_TOL)
             down = bounded & (col < -_PIV_TOL)
             hi = np.min(rhs[up] / col[up]) if up.any() else math.inf
             lo = np.max(rhs[down] / col[down]) if down.any() else -math.inf
             theta = rhs[cand] / col[cand]
-            ok = np.flatnonzero((theta >= lo) & (theta <= hi))
+            ok = ((theta >= lo) & (theta <= hi)).nonzero()[0]
             if ok.size:
                 self.pivot(int(cand[ok[0]]), int(j))
 
-    def run(self, phase1: bool) -> str:
-        """Simplex on the last row's costs. Phase 2 prices by Bland's rule
-        (smallest index enters, ties leave by the smallest basic index).
-        Phase 1 prices by Dantzig's rule, ties leaving by the largest pivot
-        element, and by Bland's during a run of stalled pivots; the first
-        pivot that makes progress returns it to Dantzig's."""
-        m, t = self.m, self.t
-        stalled = 0 if phase1 else _STALL_RUN
+    def run(self) -> str:
+        """Simplex on the last row's costs. The entering column moves until a
+        bounded basic reaches 0 or its upper bound, or it reaches its own
+        upper bound first, which flips it without a pivot. Both phases price
+        by Dantzig's rule, ties leaving by the largest pivot element, and by
+        Bland's (smallest index enters, ties leave by the smallest basic
+        index) during a run of stalled steps; the first step that makes
+        progress returns it to Dantzig's."""
+        m, t, k = self.m, self.t, self.k
+        free = self.free if self.free.any() else None
+        stalled = 0
         while True:
             bland = stalled >= _STALL_RUN
-            z = t[-1, :-1]
-            score = np.where(self.free, np.abs(z), -z)
-            cand = np.flatnonzero(score > _PIV_TOL)
-            if cand.size == 0:
+            z = t[-1, :k]
+            score = -z if free is None else np.where(free, np.abs(z), -z)
+            q = int((score > _PIV_TOL).argmax() if bland else score.argmax())
+            if score[q] <= _PIV_TOL:
                 return "optimal"
-            q = int(cand[0] if bland else cand[np.argmax(score[cand])])
             col = t[:m, q] if z[q] < 0.0 else -t[:m, q]
-            rows = np.flatnonzero((col > _PIV_TOL) & ~self.row_free)
-            if rows.size == 0:
-                return "unbounded"
-            ratios = t[rows, -1] / col[rows]
-            step = ratios.min()
-            tied = rows[ratios == step]
-            if bland:
-                # artificials rank after every column
-                keys = np.where(self.basis[tied] < 0, t.shape[1] + tied, self.basis[tied])
-                r = tied[np.argmin(keys)]
-            else:
-                r = tied[np.argmax(col[tied])]
+            rhs = t[:m, -1]
+            # a bounded basic falls to 0 where col > 0 and rises to its upper bound where col < 0
+            down = col > _PIV_TOL
+            live = down & self.bounded | (col < -_PIV_TOL) if self.boxed else down & self.bounded
+            ratios = np.divide(np.where(down, rhs, self.ub_b - rhs), np.abs(col), out=np.full(m, math.inf), where=live)
+            step = ratios.min(initial=math.inf)
             before = -t[-1, -1]
-            self.pivot(int(r), q)
-            if phase1:
-                stalled = stalled + 1 if before + t[-1, -1] <= _STALL_REL * (1.0 + before) else 0
+            if self.ub[q] <= step:
+                if self.ub[q] == math.inf:
+                    return "unbounded"
+                self.flip(np.array([q]) if bland else self.flip_run(score))
+            else:
+                tied = (ratios == step).nonzero()[0]
+                if tied.size == 1:
+                    r = int(tied[0])
+                elif bland:
+                    # artificials rank after every column
+                    r = int(tied[np.where(self.basis[tied] < 0, t.shape[1] + tied, self.basis[tied]).argmin()])
+                else:
+                    r = int(tied[np.abs(col[tied]).argmax()])
+                if not down[r]:
+                    self.reflect_row(r)
+                self.pivot(r, q)
+            stalled = stalled + 1 if before + t[-1, -1] <= _STALL_REL * (1.0 + before) else 0
 
     def drive_out_artificials(self) -> None:
         """Pivot each artificial left at zero level out of the basis, and drop
@@ -746,41 +817,58 @@ class _Tableau:
         keep = np.ones(self.m, dtype=bool)
         for r in np.flatnonzero(self.basis < 0):
             self.t[r, -1] = 0.0
-            entries = np.abs(self.t[r, :-1])
+            entries = np.abs(self.t[r, : self.k])
             q = int(np.argmax(entries))
             if entries[q] > _PIV_TOL:
                 self.pivot(int(r), q)
             else:
                 keep[r] = False
         if not keep.all():
-            self.t = np.asfortranarray(self.t[np.concatenate((keep, [True, True]))])
-            self.basis = self.basis[keep]
-            self.row_free = self.row_free[keep]
+            self.t = self.t[np.concatenate((keep, [True, True]))]
+            self.basis, self.bounded, self.ub_b, self.rows = self.basis[keep], self.bounded[keep], self.ub_b[keep], self.rows[keep]
 
-    def alternate_optima(self, n: int) -> tuple[int, ...]:
-        """Original variables moved by a nonbasic column of zero reduced cost
-        whose ratio test allows a positive (or unbounded) step."""
+    def alternates(self, n: int) -> tuple[tuple[int, ...], np.ndarray]:
+        """The optimum's alternates, from the nonbasic columns of zero reduced
+        cost: the original variables moved by such a column whose ratio test
+        allows a positive (or unbounded) step, and the rows whose basic column
+        sits at a bound and can leave there by a positive dual step, its
+        reduced cost turning positive (at 0) or negative (at the upper bound)
+        while every such column keeps its sign, a free one staying at 0."""
         m, t = self.m, self.t
-        nonbasic = np.ones(t.shape[1] - 1, dtype=bool)
+        nonbasic = np.ones(self.k, dtype=bool)
         nonbasic[self.basis] = False
-        cand = np.flatnonzero(nonbasic & (np.abs(t[-1, :-1]) <= _PIV_TOL))
-        block = (~self.row_free & (t[:m, -1] <= _PIV_TOL))[:, None]
-        sub = t[:m, cand]
-        up = ~np.any(block & (sub > _PIV_TOL), axis=0)
-        down = self.free[cand] & ~np.any(block & (sub < -_PIV_TOL), axis=0)
-        alt = cand[up | down]
+        cand = (nonbasic & (np.abs(t[-1, : self.k]) <= _PIV_TOL)).nonzero()[0]
+        rhs = t[:m, -1]
+        at_lo = self.bounded & (rhs <= _PIV_TOL)
+        at_hi = self.ub_b - rhs <= _PIV_TOL
+        if cand.size == 0:
+            return (), (at_lo | at_hi).nonzero()[0]
+        sub, free = t[:m, cand], self.free[cand]
+        pos, neg = sub > _PIV_TOL, sub < -_PIV_TOL
+        # a column's step moves row i's basic by -t[i, j]; a dual step on row r adds
+        # t[r, j] times it to column j's reduced cost at 0, and subtracts it at the upper bound
+        up_blocked = np.any(at_lo[:, None] & pos | at_hi[:, None] & neg, axis=0)
+        down_blocked = np.any(at_lo[:, None] & neg | at_hi[:, None] & pos, axis=0)
+        alt = cand[(self.ub[cand] > 0.0) & ~up_blocked | free & ~down_blocked]
         moved = self.basis[np.any(np.abs(t[:m, alt]) > _PIV_TOL, axis=1)]
-        return tuple(sorted({int(j) for j in np.concatenate((alt, moved)) if j < n}))
+        columns = tuple(sorted({int(j) for j in np.concatenate((alt, moved)) if j < n}))
+        lo_blocked = np.any(neg | free & pos, axis=1)
+        hi_blocked = np.any(pos | free & neg, axis=1)
+        return columns, (at_lo & ~lo_blocked | at_hi & ~hi_blocked).nonzero()[0]
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Two-phase dense tableau simplex; statuses are faithful.
+    """Two-phase dense tableau simplex with bounded variables; statuses are
+    faithful.
 
-    A variable with a finite bound is shifted (or reflected) to be >= 0 and
-    a finite upper bound on top of a lower one becomes a row; a free variable
-    keeps one column. A <= row with rhs >= 0 starts on its slack, every other
-    row on an artificial, and free columns are crashed into the artificials'
-    rows before phase 1.
+    A variable with a finite bound is shifted (or reflected) to range over
+    [0, ub], and a finite upper bound on top of a lower one stays on its
+    column: the ratio test stops the entering column there by a bound flip,
+    and a column starts at the bound its cost favours.  A free variable keeps
+    one column.  A <= row with rhs >= 0 starts on its slack, every other row
+    on an artificial, and free columns are crashed into the artificials' rows
+    before phase 1.  The multipliers are minus the reduced costs of the
+    rows' unit columns.
     """
     c = np.asarray(p.c, dtype=float)
     n = c.size
@@ -793,44 +881,65 @@ def solve_lp(p: LpProblem) -> LpSolution:
         raise ValueError("bounds length mismatch")
     lo = np.array([-math.inf if b[0] is None else float(b[0]) for b in bounds])
     hi = np.array([math.inf if b[1] is None else float(b[1]) for b in bounds])
-    if np.any(lo > hi):
+    if (lo > hi).any():
         return LpSolution("infeasible", None, None)
 
-    # x = shift + sign * x' with x' >= 0, except free columns
+    # x = shift + sign * x' with 0 <= x' <= ub, except free columns
     has_lo = np.isfinite(lo)
     flip = ~has_lo & np.isfinite(hi)
     sign = np.where(flip, -1.0, 1.0)
     shift = np.where(has_lo, lo, np.where(flip, hi, 0.0))
-    boxed = np.flatnonzero(has_lo & np.isfinite(hi))
-    a = np.vstack((a_eq, a_ub, np.eye(n)[boxed])) * sign
-    b = np.concatenate((b_eq - a_eq @ shift, b_ub - a_ub @ shift, hi[boxed] - lo[boxed]))
-
-    n_eq, m = b_eq.size, b.size
-    n_slack = m - n_eq
-    t = np.zeros((m + 2, n + n_slack + 1), order="F")
-    t[:m, :n] = a
-    t[np.arange(n_eq, m), n + np.arange(n_slack)] = 1.0
+    n_eq, n_slack = b_eq.size, b_ub.size
+    m = n_eq + n_slack
+    # the bounds of the priced columns (after the problem's, the slacks'), then an artificial's
+    ub = np.full(n + n_slack + 1, math.inf)
+    ub[:n] = np.where(has_lo, hi - lo, math.inf)
+    t = np.zeros((m + 2, n + m + 1))
+    a = t[:m, :n]
+    a[:n_eq], a[n_eq:] = a_eq, a_ub
+    b = np.concatenate((b_eq, b_ub)) - a @ shift
+    a *= sign
+    cost = sign * c
+    # a boxed column starts at its upper bound, reflected, where its cost is negative
+    flipped = np.zeros(n + n_slack, dtype=bool)
+    flipped[:n] = (cost < 0.0) & (ub[:n] < math.inf)
+    if flipped.any():
+        up = flipped[:n]
+        b -= a[:, up] @ ub[:n][up]
+        a[:, up] *= -1.0
+        cost[up] *= -1.0
+    # row r's unit column: its slack, or after the slacks an equality row's
+    unit = n + np.concatenate((n_slack + np.arange(n_eq), np.arange(n_slack)))
+    t[np.arange(m), unit] = 1.0
     t[:m, -1] = b
     negative = b < 0.0
     t[:m][negative] *= -1.0
     artificial = negative | (np.arange(m) < n_eq)
     basis = np.where(artificial, -1, n + np.arange(m) - n_eq)
-    t[m, :n] = sign * c
+    t[m, :n] = cost
     t[m + 1] = -t[:m][artificial].sum(axis=0)
-    free = np.concatenate((~has_lo & ~flip, np.zeros(n_slack, dtype=bool)))
-    tab = _Tableau(t, basis, free)
+    free = np.zeros(n + n_slack, dtype=bool)
+    free[:n] = ~has_lo & ~flip
+    tab = _Tableau(t, basis, free, ub, flipped)
 
     tab.crash()
-    if np.any(tab.basis < 0):
-        tab.run(phase1=True)
+    if (tab.basis < 0).any():
+        tab.run()
         if tab.t[: tab.m, -1][tab.basis < 0].sum() > 1e-7:
             return LpSolution("infeasible", None, None, pivots=tab.pivots)
         tab.drive_out_artificials()
     tab.t = tab.t[:-1]
-    if tab.run(phase1=False) == "unbounded":
+    if tab.run() == "unbounded":
         return LpSolution("unbounded", None, None, pivots=tab.pivots)
 
-    x_std = np.zeros(tab.t.shape[1] - 1)
-    x_std[tab.basis] = tab.t[: tab.m, -1]
-    x = shift + sign * x_std[:n]
-    return LpSolution("optimal", x, float(np.dot(c, x)), tab.alternate_optima(n), tab.pivots)
+    x_t = np.zeros(n)
+    own = tab.basis < n
+    x_t[tab.basis[own]] = tab.t[: tab.m, -1][own]
+    x = shift + sign * np.where(tab.flipped[:n], ub[:n] - x_t, x_t)
+    columns, steps = tab.alternates(n)
+    moved = np.ones(m, dtype=bool)
+    moved[tab.rows] = False  # the redundant rows
+    if steps.size:
+        # the dual step on row r moves y along B^-T e_r, row r of B^-1
+        moved |= (np.abs(tab.t[steps][:, unit]) > _PIV_TOL).any(axis=0)
+    return LpSolution("optimal", x, float(c @ x), columns, tab.pivots, -tab.t[-1, unit], tuple(moved.nonzero()[0].tolist()))

@@ -6,7 +6,7 @@ import numpy as np
 
 from riskquad.core import DiscreteRv, SortedSums, map_chunks, sample_rvs
 from riskquad.divergence import make_divergence_quadrangle
-from riskquad.solvers import compass_search
+from riskquad.solvers import LpProblem, compass_search, solve_lp
 
 
 def random_rv(rng, max_atoms=8, span=3.0, offset=0.0):
@@ -139,6 +139,53 @@ def highs_affine(f, a, b, p, cost, bounds=None, a_eq=None, b_eq=None):
         c = np.concatenate((cost, np.zeros(m), [1.0]))
         bounds += [(0.0, None)] * m + [(None, None)]
     return _highs(c, np.array(rows), np.array(rhs), bounds, _pad(a_eq, c.size - n), b_eq)[:n]
+
+
+def primal_affine(terms, cost, bounds=None, a_eq=None, b_eq=None):
+    """min cost.theta + sum_k w_k F_k(b_k - A_k theta) as the epigraph LP,
+    solved by ``solve_lp``: t_i >= s Z_i + k for each atom and affine loss
+    piece (s, k), t free; for a moment-max form u_i >= Z_i, u >= 0 and
+    M >= a E[Z] + b E[u] + c for each term: the oracle of
+    ``minimize_affine``'s boxed dual and epigraph.  Returns theta, the LP's
+    value and whether an alternate optimum moves theta."""
+    c_theta = np.asarray(cost, dtype=float)
+    n = c_theta.size
+    blocks = []  # per term: rows on theta, rows on its auxiliaries, rhs, their costs and bounds
+    for f, a, b, p, w in terms:
+        a, b, p = np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float), np.asarray(p, dtype=float)
+        m = b.size
+        if f.loss is not None and f.loss.piecewise_linear:
+            s, k = (np.array(col) for col in zip(*f.loss.pieces))
+            rows = (-s[None, :, None] * a[:, None, :]).reshape(-1, n)
+            aux, rhs = np.repeat(-np.eye(m), s.size, axis=0), -(k + s * b[:, None]).ravel()
+            aux_cost, aux_bounds = w * p, [(None, None)] * m
+        else:
+            ta, tb, tc = (np.array(col) for col in zip(*f.moment_max.terms))
+            pa, pb = p @ a, float(np.dot(p, b))
+            rows = np.vstack((-a, -ta[:, None] * pa))
+            aux = np.block([[-np.eye(m), np.zeros((m, 1))], [tb[:, None] * p, -np.ones((ta.size, 1))]])
+            rhs = np.concatenate((-b, -ta * pb - tc))
+            aux_cost, aux_bounds = np.append(np.zeros(m), w), [(0.0, None)] * m + [(None, None)]
+        blocks.append((rows, aux, rhs, aux_cost, aux_bounds))
+    n_aux = sum(blk[1].shape[1] for blk in blocks)
+    a_ub = np.zeros((sum(blk[0].shape[0] for blk in blocks), n + n_aux))
+    r, col = 0, n
+    for rows, aux, _, _, _ in blocks:
+        a_ub[r : r + rows.shape[0], :n] = rows
+        a_ub[r : r + rows.shape[0], col : col + aux.shape[1]] = aux
+        r, col = r + rows.shape[0], col + aux.shape[1]
+    sol = solve_lp(
+        LpProblem(
+            c=np.concatenate([c_theta] + [blk[3] for blk in blocks]),
+            a_eq=_pad(a_eq, n_aux),
+            b_eq=b_eq,
+            a_ub=a_ub,
+            b_ub=np.concatenate([blk[2] for blk in blocks]),
+            bounds=list(bounds or [(None, None)] * n) + [bd for blk in blocks for bd in blk[4]],
+        )
+    )
+    assert sol.status == "optimal", sol.status
+    return sol.x[:n], float(sol.objective), any(j < n for j in sol.degenerate_columns)
 
 
 def cvar_rank_weights(n, beta):

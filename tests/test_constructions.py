@@ -17,6 +17,7 @@ from riskquad.constructions import (
     expectation_quadrangle,
     mean_center_error,
     mean_center_regret,
+    minimize_affine,
     mix_quadrangles,
     project_error,
     quadrangle_from_error,
@@ -32,7 +33,7 @@ from riskquad.measures import (
     vapnik_loss,
 )
 
-from helpers import interval_gap, random_rv, random_rvs
+from helpers import interval_gap, primal_affine, random_rv, random_rvs
 
 SYM = DiscreteRv([-1, 1], [0.5, 0.5])
 U5 = DiscreteRv.uniform([1, 2, 3, 4, 5])
@@ -744,3 +745,68 @@ def test_subgradients_satisfy_the_subgradient_inequality(name):
             if f.flags.positively_homogeneous:
                 # Euler: a homogeneous f is its subgradient's expectation at X
                 assert abs(fx - np.dot(x.probs, x.values * g)) <= rel * (abs(fx) + np.dot(x.probs, np.abs(x.values * g)))
+
+
+# -- decisions: the boxed dual against the primal epigraph ---------------------------------
+
+
+def _fit_terms(model, params, n, rng, weights=False):
+    err = make_catalog_quadrangle(CatalogSpec(model, params)).error_fn
+    x = rng.standard_normal((n, 3))
+    y = 1.0 + x @ rng.uniform(-2.0, 2.0, 3) + rng.standard_t(3, n)
+    p = rng.dirichlet(np.ones(n)) if weights else np.full(n, 1.0 / n)
+    return [(err, np.hstack((np.ones((n, 1)), x)), y, p, 1.0)], np.zeros(4), None, None, None
+
+
+def _portfolio_terms(alpha, m, k, rng, mean_row):
+    # min_(w, C) C + V(-S w - C) over the simplex, V the quantile(alpha) regret
+    regret = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": alpha})).regret_fn
+    s = 0.05 + 0.12 * rng.standard_normal((m, k))
+    a_eq = [np.append(np.ones(k), 0.0)] + ([np.append(s.mean(axis=0), 0.0)] if mean_row else [])
+    b_eq = [1.0] + ([float(np.median(s.mean(axis=0)))] if mean_row else [])
+    terms = [(regret, np.hstack((s, np.ones((m, 1)))), np.zeros(m), np.full(m, 1.0 / m), 1.0)]
+    return terms, np.append(np.zeros(k), 1.0), [(0.0, None)] * k + [(None, None)], np.array(a_eq), np.array(b_eq)
+
+
+def _mix_terms(specs, w, n, rng):
+    # the mixed error's LP over the shifts C_k, sum_k w_k C_k = 0
+    x = DiscreteRv(rng.standard_normal(n))
+    errs = [make_catalog_quadrangle(CatalogSpec(*spec)).error_fn for spec in specs]
+    r = len(errs)
+    terms = [(e, np.eye(r)[np.full(n, k)], x.values, x.probs, wk) for k, (e, wk) in enumerate(zip(errs, w))]
+    return terms, np.zeros(r), None, np.array([w]), np.zeros(1)
+
+
+def _decision_cases():
+    rng = np.random.default_rng(19)
+    cases = []
+    for alpha in (0.1, 0.5, 0.9):
+        for n in (7, 50, 200):
+            cases.append((f"quantile-{alpha}-{n}", _fit_terms("quantile", {"alpha": alpha}, n, rng, weights=n == 50)))
+    for n in (12, 200):
+        cases.append((f"qsau-{n}", _fit_terms("qsau", {"eps": 0.3}, n, rng)))
+    # thick optimal sets: a tube around a perfect line, the median of an even count
+    x = rng.uniform(-2.0, 2.0, 8)
+    svr = make_catalog_quadrangle(CatalogSpec("qsau", {"eps": 0.2})).error_fn
+    cases.append(("qsau-perfect-line", ([(svr, np.column_stack((np.ones(8), x)), 1.0 + 2.0 * x, np.full(8, 0.125), 1.0)], np.zeros(2), None, None, None)))
+    median = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
+    cases.append(("median-of-six", ([(median, np.ones((6, 1)), rng.standard_normal(6), np.full(6, 1.0 / 6.0), 1.0)], np.zeros(1), None, None, None)))
+    for alpha, m, k, mean_row in ((0.8, 40, 4, False), (0.95, 120, 6, True), (0.5, 60, 3, True)):
+        cases.append((f"portfolio-{alpha}-{m}x{k}", _portfolio_terms(alpha, m, k, rng, mean_row)))
+    cases.append(("mix-quantiles", _mix_terms([("quantile", {"alpha": 0.3}), ("quantile", {"alpha": 0.8})], [0.4, 0.6], 9, rng)))
+    cases.append(("mix-qsau", _mix_terms([("quantile", {"alpha": 0.2}), ("qsau", {"eps": 0.4})], [0.5, 0.5], 11, rng)))
+    cases.append(("mix-mean_pl", _mix_terms([("quantile", {"alpha": 0.3}), ("mean_pl", {})], [0.3, 0.7], 10, rng)))
+    return cases
+
+
+@pytest.mark.parametrize("case", [c for _, c in _decision_cases()], ids=[name for name, _ in _decision_cases()])
+def test_decisions_match_the_primal_epigraph_oracle(case):
+    # the boxed dual (one-form terms) and the epigraph (mix-mean_pl) against
+    # the primal loss-piece compile solved by the same simplex
+    terms, cost, bounds, a_eq, b_eq = case
+    theta, value, nonunique = minimize_affine(terms, cost, bounds, a_eq, b_eq)
+    want_theta, want, want_nonunique = primal_affine(terms, cost, bounds, a_eq, b_eq)
+    assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
+    assert nonunique == want_nonunique
+    if not nonunique:
+        assert np.allclose(theta, want_theta, rtol=1e-12, atol=1e-12)

@@ -267,6 +267,13 @@ def test_fit_linear_lp_at_least_as_good_as_descent(i):
     v_oracle = err.fn(DiscreteRv(data.target - design @ theta, data.weights))
     assert fit.objective <= v_oracle + 1e-12 * (1.0 + abs(v_oracle))
     assert within(err.fn(fit.residual_rv), fit.objective)
+    if err.flags.positively_homogeneous:
+        # the same fit at 1e-9 and 1e9 times the target
+        for s in (1e-9, 1e9):
+            scaled = fit_linear(err, Dataset(data.features, s * data.target, data.weights))
+            beta = np.append(scaled.intercept, scaled.coefficients) / s
+            assert np.allclose(beta, np.append(fit.intercept, fit.coefficients), rtol=1e-9, atol=1e-9)
+            assert abs(scaled.objective / s - fit.objective) <= 1e-12 * (1.0 + abs(fit.objective))
     planes = fit_linear(ErrorFn(fn=err.fn, flags=err.flags, subgradient=err.subgradient), data)
     assert planes.gap <= 1e-12 * (1.0 + abs(planes.objective))
     assert abs(planes.objective - fit.objective) <= planes.gap + 1e-12 * (1.0 + abs(fit.objective))

@@ -543,6 +543,11 @@ def test_portfolio_lp_at_least_as_good_as_descent(i):
     target = 0.5 * (means.min() + means.max())
     w_t, v_t = portfolio_optimize(q, scen, probs=probs, target_mean=target)
     assert within(float(means @ w_t), target) and v_t >= v - 1e-12 * (1.0 + abs(v))
+    if q.flags.positively_homogeneous:
+        # the same decision at 1e-9 and 1e9 times the returns
+        for s in (1e-9, 1e9):
+            w_s, v_s = portfolio_optimize(q, s * scen, probs=probs)
+            assert np.max(np.abs(w_s - w)) <= 1e-9 and abs(v_s / s - v) <= 1e-12 * (1.0 + abs(v))
     assert within(q.risk(DiscreteRv(-(scen @ w_t), probs)), v_t)
     rows = np.array([np.append(np.ones(k), 0.0), np.append(means, 0.0)])
     assert v_t <= oracle(rows, [1.0, target]) + 1e-12 * (1.0 + abs(v_t))

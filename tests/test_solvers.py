@@ -415,6 +415,84 @@ def test_lp_matches_highs_on_degenerate_cvar_lps():
     assert _assert_matches_highs(_cvar_lp(rng, 20, 4, 0.9, target=1.0)) == "infeasible"
 
 
+def _boxed_lp(rng, n, m_eq, m_ub):
+    """A random LP whose columns all carry two-sided bounds around a point
+    inside them, some fixed (l = u), with costs of either sign so that
+    optima sit at upper bounds, and rows through that point."""
+    x0 = rng.uniform(-2, 2, n)
+    lo, hi = x0 - rng.uniform(0, 2, n), x0 + rng.uniform(0, 2, n)
+    fixed = rng.random(n) < 0.15
+    lo[fixed] = hi[fixed] = x0[fixed]
+    a_eq = rng.uniform(-1, 1, (m_eq, n)) if m_eq else None
+    a_ub = rng.uniform(-1, 1, (m_ub, n)) if m_ub else None
+    b_eq = a_eq @ x0 if m_eq else None
+    b_ub = a_ub @ x0 + rng.uniform(0, 1, m_ub) * (rng.random(m_ub) < 0.6) if m_ub else None
+    return LpProblem(c=rng.uniform(-1, 1, n), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=list(zip(lo, hi)))
+
+
+def test_lp_matches_highs_on_boxed_columns():
+    rng = np.random.default_rng(19)
+    seen, at_upper = set(), 0
+    for trial in range(150):
+        n = int(rng.integers(1, 9))
+        p = _boxed_lp(rng, n, int(rng.integers(0, min(3, n) + 1)), int(rng.integers(0, 6)))
+        if trial % 10 == 7:
+            # the box of column 0 moved past every point the rows allow
+            lo, hi = p.bounds[0]
+            shift = (hi - lo) + 4.0 * np.sum(np.abs([b for bd in p.bounds for b in bd]))
+            p.bounds[0] = (lo + shift, hi + shift)
+            if p.a_eq is None:
+                p.a_eq, p.b_eq = np.eye(n)[:1], np.array([lo])
+        seen.add(_assert_matches_highs(p))
+        sol = solve_lp(p)
+        if sol.status == "optimal":
+            at_upper += sum(hi > lo and xj == hi for xj, (lo, hi) in zip(sol.x, p.bounds))
+    assert seen == {"optimal", "infeasible"}
+    assert at_upper > 100
+
+
+def _highs_marginals(res):
+    return np.concatenate([m.marginals for m in (res.eqlin, res.ineqlin) if m is not None and len(m.marginals)] or [np.zeros(0)])
+
+
+def test_lp_duals_match_highs_marginals():
+    # where no alternate dual optimum exists the multipliers are unique, and
+    # both solvers must report them; elsewhere ours must still price every
+    # column: c - A^T y is >= 0 at a lower bound and <= 0 at an upper one
+    rng = np.random.default_rng(23)
+    compared = 0
+    for trial in range(240):
+        family = trial % 4
+        n = int(rng.integers(2, 8))
+        if family == 0:
+            p = _random_lp(rng, n, int(rng.integers(0, min(3, n))), int(rng.integers(0, 4)))
+        elif family == 1:
+            p = _mixed_lp(rng, n, int(rng.integers(0, min(3, n) + 1)), int(rng.integers(0, 7)))
+        elif family == 2:
+            p = _boxed_lp(rng, n, int(rng.integers(0, min(3, n) + 1)), int(rng.integers(0, 6)))
+        else:
+            p = _cvar_lp(rng, int(rng.integers(8, 40)), int(rng.integers(2, 5)), 0.8)
+        ours, ref = solve_lp(p), _scipy_solve(p)
+        if ours.status != "optimal":
+            continue
+        rows = [a for a in (p.a_eq, p.a_ub) if a is not None]
+        a = np.vstack(rows) if rows else np.zeros((0, p.c.size))
+        assert ours.duals.shape == (a.shape[0],)
+        if not ours.degenerate_rows:
+            compared += 1
+            want = _highs_marginals(ref)
+            assert np.allclose(ours.duals, want, rtol=1e-7, atol=1e-7)
+        if p.a_ub is not None:
+            assert np.all(ours.duals[a.shape[0] - p.a_ub.shape[0] :] <= 1e-9)
+        d = p.c - a.T @ ours.duals
+        for dj, xj, (lo, hi) in zip(d, ours.x, p.bounds):
+            lo = -math.inf if lo is None else lo
+            hi = math.inf if hi is None else hi
+            assert dj >= -1e-7 or xj >= hi - 1e-9
+            assert dj <= 1e-7 or xj <= lo + 1e-9
+    assert compared > 150
+
+
 def test_lp_counts_pivots_and_keeps_degenerate_cvar_short():
     assert solve_lp(LpProblem(c=np.array([1.0]), bounds=[(0, None)])).pivots == 0
     sol = solve_lp(_cvar_lp(np.random.default_rng(1), 200, 10, 0.9))
@@ -434,6 +512,14 @@ def test_lp_reports_alternate_optima_through_any_nonbasic_column():
     # a unique optimum reports none
     sol = solve_lp(LpProblem(c=np.array([1.0, 2.0]), a_ub=-np.eye(2), b_ub=-np.ones(2)))
     assert sol.x.tolist() == [1.0, 1.0] and sol.degenerate_columns == ()
+    # min -x0 - x1 s.t. x0 + x1 <= 1.5 in the unit box: one column ends
+    # nonbasic at its upper bound with zero reduced cost, and lowering it
+    # raises the other along the optimal edge
+    sol = solve_lp(LpProblem(c=-np.ones(2), a_ub=np.ones((1, 2)), b_ub=[1.5], bounds=[(0, 1)] * 2))
+    assert sol.objective == -1.5 and 1.0 in sol.x.tolist() and set(sol.degenerate_columns) == {0, 1}
+    # a fixed column (l = u) cannot move, so the optimum is unique
+    sol = solve_lp(LpProblem(c=np.array([0.0, 1.0]), a_ub=np.ones((1, 2)), b_ub=[1.5], bounds=[(1, 1), (0, 1)]))
+    assert sol.x.tolist() == [1.0, 0.0] and sol.degenerate_columns == ()
 
 
 def test_subgradient_matches_lp():
