@@ -657,7 +657,7 @@ class LpSolution:
 _PIV_TOL = 1e-9
 _MAX_STEPS = 50_000  # pivots and bound flips
 # the simplex prices by Dantzig's rule, and by Bland's once this many steps in
-# a row have lowered its objective by no more than _STALL_REL of it
+# a row have lowered its objective by no more than _STALL_REL of its magnitude
 _STALL_RUN = 50
 _STALL_REL = 1e-12
 
@@ -688,13 +688,13 @@ class _Tableau:
     def m(self) -> int:
         return self.basis.size
 
-    def _steps_done(self, steps: int) -> None:
+    def _step_done(self) -> None:
         rhs = self.t[: self.m, -1]
         # the ratio test keeps bounded basics in [0, ub]; clear their round-off
         if self.boxed:
             np.minimum(rhs, self.ub_b, out=rhs)
         np.maximum(rhs, 0.0, out=rhs, where=self.bounded)
-        self.steps += steps
+        self.steps += 1
         if self.steps > _MAX_STEPS:
             raise RuntimeError("simplex iteration cap exceeded")
 
@@ -711,32 +711,15 @@ class _Tableau:
         self.bounded[r] = not self.free[q]
         self.ub_b[r] = self.ub[q]
         self.pivots += 1
-        self._steps_done(1)
+        self._step_done()
 
-    def flip(self, cols: np.ndarray) -> None:
-        """Move nonbasic columns to their other bounds, reflecting them."""
+    def flip(self, q: int) -> None:
+        """Move nonbasic column q to its other bound, reflecting it."""
         t = self.t
-        t[:, -1] -= t[:, cols] @ self.ub[cols]
-        t[:, cols] *= -1.0
-        self.flipped[cols] = ~self.flipped[cols]
-        self._steps_done(cols.size)
-
-    def flip_run(self, score: np.ndarray) -> np.ndarray:
-        """The columns Dantzig's rule flips in a row, from the entering one,
-        which flips: a flip leaves every reduced cost but its own as it is,
-        so they come in order of score while each reaches its own bound
-        before a basic reaches one of its bounds."""
-        m, t = self.m, self.t
-        order = (score > _PIV_TOL).nonzero()[0]
-        order = order[np.argsort(-score[order], kind="stable")]
-        order = order[: np.argmin(np.append(np.isfinite(self.ub[order]), False))]
-        col = t[:m, order]
-        step = col * self.ub[order]
-        rhs = t[:m, -1, None] - np.cumsum(step, axis=1) + step  # before each flip
-        room = np.where(col > 0.0, rhs, self.ub_b[:, None] - rhs)
-        live = (col > _PIV_TOL) & self.bounded[:, None] | (col < -_PIV_TOL)
-        fits = np.all(~live | (np.abs(step) <= room), axis=0)
-        return order[: max(int(np.argmin(np.append(fits, False))), 1)]
+        t[:, -1] -= t[:, q] * self.ub[q]
+        t[:, q] *= -1.0
+        self.flipped[q] = not self.flipped[q]
+        self._step_done()
 
     def reflect_row(self, r: int) -> None:
         """Reflect row r's basic column, which then leaves at 0 where it
@@ -796,7 +779,7 @@ class _Tableau:
             if self.ub[q] <= step:
                 if self.ub[q] == math.inf:
                     return "unbounded"
-                self.flip(np.array([q]) if bland else self.flip_run(score))
+                self.flip(q)
             else:
                 tied = (ratios == step).nonzero()[0]
                 if tied.size == 1:
@@ -809,7 +792,7 @@ class _Tableau:
                 if not down[r]:
                     self.reflect_row(r)
                 self.pivot(r, q)
-            stalled = stalled + 1 if before + t[-1, -1] <= _STALL_REL * (1.0 + before) else 0
+            stalled = stalled + 1 if before + t[-1, -1] <= _STALL_REL * (1.0 + abs(before)) else 0
 
     def drive_out_artificials(self) -> None:
         """Pivot each artificial left at zero level out of the basis, and drop

@@ -501,6 +501,19 @@ def test_lp_counts_pivots_and_keeps_degenerate_cvar_short():
     assert 0 < sol.pivots <= 1000
 
 
+def test_lp_leaves_a_dantzig_cycle_below_a_negative_objective():
+    # Beale's (1955) cycle, its second row scaled by 0.1 so that Dantzig's
+    # rule with ties to the largest pivot element cycles on it, after a column
+    # in its own row has taken the phase-2 objective to -2: the stalled run
+    # must be measured against the objective's magnitude for Bland's rule to
+    # start
+    c = np.array([-0.75, 20.0, -0.5, 6.0, -2.0])
+    a_ub = np.array([[0.25, -8.0, -1.0, 9.0, 0.0], [0.05, -1.2, -0.05, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
+    p = LpProblem(c=c, a_ub=a_ub, b_ub=np.array([0.0, 0.0, 1.0, 1.0]), bounds=[(0, None)] * 5)
+    assert _assert_matches_highs(p) == "optimal"
+    assert solve_lp(p).pivots <= 200
+
+
 def test_lp_reports_alternate_optima_through_any_nonbasic_column():
     # min x0 s.t. x0 + x1 <= 1, x >= 0: x1 anywhere in [0, 1] is optimal
     sol = solve_lp(LpProblem(c=np.array([1.0, 0.0]), a_ub=np.array([[1.0, 1.0]]), b_ub=[1.0], bounds=[(0, None)] * 2))
