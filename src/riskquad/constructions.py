@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DiscreteRv, SortedSums, StatInterval, chunk_rows, map_chunks, sample_rvs
+from .core import DiscreteRv, SortedSums, StatInterval, cdf_tol, chunk_rows, map_chunks, sample_rvs
 from .solvers import (
     KSECTION,
     LpProblem,
@@ -27,8 +27,6 @@ from .solvers import (
     flat_interval,
     ksection_crossings,
     minimize_scalar_convex,
-    pwl_argmin_interval,
-    pwl_grid,
     pwl_slope_argmin,
     solve_lp,
 )
@@ -85,7 +83,7 @@ class ScalarLoss:
     """Pointwise loss e with one-sided derivatives; v(x) = x + e(x) is its regret twin.
 
     ``pieces`` (slope, intercept) is set when e is the max of finitely many
-    affine pieces, which unlocks exact breakpoint scans and LP encodings.
+    affine pieces, which unlocks exact slope scans and LP encodings.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -98,34 +96,6 @@ class ScalarLoss:
     @property
     def piecewise_linear(self) -> bool:
         return self.pieces is not None
-
-    def shift_values(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
-        """C -> E[e(X - C)] for each C of an array, from prefix sums over the sorted atoms.
-
-        Between consecutive kinks e is one affine piece, so the expectation is
-        sum_j s_j (S_j - C P_j) + b_j P_j over the bands of atoms with X - C
-        between kinks j-1 and j (P_j their mass, S_j their first moment).
-        """
-        kinks = np.asarray(self.kinks, dtype=float)
-        slopes, icpts = (np.array(col) for col in zip(*self.pieces))
-        # the piece active in each band, read off at a point inside it
-        probes = np.zeros(1)
-        if kinks.size:
-            probes = np.concatenate(([kinks[0] - 1.0], 0.5 * (kinks[:-1] + kinks[1:]), [kinks[-1] + 1.0]))
-        active = np.argmax(np.multiply.outer(probes, slopes) + icpts, axis=1)
-        s_band, b_band = slopes[active], icpts[active]
-        sums = SortedSums(x)
-
-        def rows(c):
-            d = c - sums.ref
-            if not kinks.size:
-                return s_band[0] * (sums.mean_u - d) + b_band[0]
-            lo_p, lo_s, hi_p, hi_s = sums.split(d[:, None] + kinks[None, :])
-            mass = np.concatenate((lo_p[:, :1], np.diff(lo_p, axis=1), hi_p[:, -1:]), axis=1)
-            moment = np.concatenate((lo_s[:, :1], np.diff(lo_s, axis=1), hi_s[:, -1:]), axis=1)
-            return (moment - d[:, None] * mass) @ s_band + mass @ b_band
-
-        return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), kinks.size + 1)
 
     def shift_slopes(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
         """C -> the left and right slopes of C -> E[e(X - C)] for each C of an
@@ -196,7 +166,7 @@ class MomentMaxSpec:
     """Functionals of the form max_j (a_j E[Z] + b_j E[Z_+] + c_j), b_j >= 0.
 
     Piecewise linear in constant shifts of Z, hence LP-encodable and amenable
-    to exact breakpoint scans.
+    to exact slope scans.
     """
 
     terms: tuple[tuple[float, float, float], ...]
@@ -217,40 +187,23 @@ class MomentMaxSpec:
         a, b, _ = max(self.terms, key=lambda term: term[0] * m + term[1] * t + term[2])
         return a + b * (x.values > 0.0)
 
-    def shift_values(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
-        """C -> value(X - C) for each C of an array, from suffix sums over the sorted
-        atoms: E[(X - C)_+] is the first moment minus C times the mass above C."""
-        sums = SortedSums(x)
-        a, b, k = (np.array(col)[:, None] for col in zip(*self.terms))
-
-        def rows(c):
-            d = c - sums.ref
-            _, _, hi_p, hi_s = sums.split(d, side="right")
-            return np.max(a * (sums.mean_u - d) + b * (hi_s - d * hi_p) + k, axis=0)
-
-        return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), len(self.terms))
-
-    def shift_breakpoints(self, x: DiscreteRv) -> np.ndarray:
-        """Kinks of C -> value(X - C): atom values plus branch crossings.
-
-        On the segment between consecutive atoms (and beyond the extreme ones)
-        branch j is the line icpt_j + slope_j C; a crossing of two branches
+    def shift_breakpoints(self, x: DiscreteRv, sums: SortedSums) -> np.ndarray:
+        """Kinks of C -> value(X - C), sorted and distinct: the atoms and the
+        terms' crossings.  Between consecutive atoms term j is the line
+        a_j (E[X] - C) + c_j + b_j (S - C P) in C, P and S the mass and first
+        moment above, centred (``sums``, the ``SortedSums`` of X); a crossing
         is kept when it falls inside its segment.
         """
-        v, p = x.values, x.probs
-        mean = x.mean()
-        lo = np.concatenate(([-np.inf], v))
-        hi = np.concatenate((v, [np.inf]))
-        tail_p = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
-        tail_s = np.concatenate((np.cumsum((p * v)[::-1])[::-1], [0.0]))
-        lines = [(a * mean + b * tail_s + c, -(a + b * tail_p)) for a, b, c in self.terms]
+        v = x.values
+        lo, hi = np.append(-np.inf, v), np.append(v, np.inf)
         pts = [v]
-        for (i1, s1), (i2, s2) in itertools.combinations(lines, 2):
-            ok = np.abs(s1 - s2) > 1e-14
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cstar = (i2 - i1) / (s1 - s2)
-            ok &= (lo - 1e-12 <= cstar) & (cstar <= hi + 1e-12) & np.isfinite(cstar)
-            pts.append(cstar[ok])
+        for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(self.terms, 2):
+            # the terms' difference, (da + db P) (ref + d - C) with d where it vanishes
+            slope = (a1 - a2) + (b1 - b2) * sums.hi_p
+            ok = np.abs(slope) > 1e-14
+            d = np.divide((a1 - a2) * sums.mean_u + (c1 - c2) + (b1 - b2) * sums.hi_s, slope, out=np.zeros_like(slope), where=ok)
+            cstar = sums.ref + d
+            pts.append(cstar[ok & (lo <= cstar) & (cstar <= hi)])
         return np.unique(np.concatenate(pts))
 
 
@@ -262,13 +215,13 @@ class Functional:
     """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
 
     ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
-    that the projections exploit when it is known.  ``shift_slopes(x)``,
-    built once per X, gives in one call the rows of left and right slopes of
-    the convex C -> f(X - C), nondecreasing in C, at every C of an array: a
-    smooth functional's slope crossing, and, with shift breakpoints but
-    neither a piecewise-linear loss nor a moment-max form (which give the
-    exact scan its values), the slopes of the segments between the
-    breakpoints.  ``subgradient(x)`` is a density g on the
+    that the projections exploit when it is known; affine loss pieces and a
+    moment-max form give both the shift breakpoints and the slopes
+    (``_hinge_forms``).  Without them, ``shift_slopes(x)``, built once per X,
+    gives in one call the rows of left and right slopes of the convex
+    C -> f(X - C), nondecreasing in C, at every C of an array: a smooth
+    functional's slope crossing, and, with shift breakpoints, the slopes of
+    the segments between them.  ``subgradient(x)`` is a density g on the
     atoms of X with f(Y) >= f(X) + E[(Y - X) g] for every Y on them.
     ``square_weights`` (w_-, w_+) makes f a nondecreasing function of
     E[w_- Z_-^2 + w_+ Z_+^2], minimized over an affine family by least squares.
@@ -299,7 +252,7 @@ def error_from_loss(loss: ScalarLoss, flags: Flags | None = None, label: str = "
         flags=replace(flags, expectation_type=True),
         label=label or loss.label,
         loss=loss,
-        shift_slopes=loss.shift_slopes,
+        shift_slopes=None if loss.piecewise_linear else loss.shift_slopes,
         subgradient=lambda x: loss.d_right(x.values),
     )
 
@@ -501,44 +454,87 @@ def affine_cut_oracle(f: Functional, a, b, p, cost):
 # -- statistic machinery -----------------------------------------------------------
 
 
-def _shift_breakpoints(f, x: DiscreteRv) -> Optional[np.ndarray]:
-    if f.shift_breakpoints is not None:
-        return np.asarray(f.shift_breakpoints(x), dtype=float)
-    if f.moment_max is not None:
-        return f.moment_max.shift_breakpoints(x)
-    if f.loss is not None and f.loss.piecewise_linear:
-        v = x.values
-        if f.loss.kinks:
-            pts = (v[:, None] - np.asarray(f.loss.kinks)[None, :]).ravel()
-        else:
-            pts = v
-        return np.unique(pts)
-    return None
+def _shift_scan(f, x: DiscreteRv, tilt: float):
+    """The kinks of C -> f(X - C), sorted and distinct, and cs -> the rows of
+    left and right slopes of C -> tilt * C + f(X - C) at every C of an array;
+    either is None where f carries none.
 
-
-def _pwl_shift_argmin(f, x: DiscreteRv, g: Callable[[float], float], tilt: float) -> Optional[tuple[float, StatInterval]]:
-    """Exact minimum and argmin interval of g(C) = tilt * C + f(X - C) over
-    f's shift breakpoints, or None when f is not known to be piecewise linear.
-
-    Affine loss pieces or a moment-max form give the values at the
-    breakpoints in one pass; without either, ``shift_slopes`` gives the slope
-    of each segment between them (``pwl_slope_argmin``), and without that, g
-    is called at each breakpoint.  The minimum is g at the least candidate in
-    the interval, bisected as g is convex: the interval may take in segments
-    flat only to a tolerance.
+    Hinge forms give both from one ``SortedSums``: a loss's kinks are each
+    atom less each of its hinge kinks, and the tilt enters the forms' mean
+    coefficients (``_form_slopes``), so that a slope rounds to 0 against the
+    tilt too.
     """
-    bps = _shift_breakpoints(f, x)
-    if bps is None:
-        return None
-    scan = (f.moment_max or f.loss).shift_values if lp_encodable(f) else None
-    if scan is None and f.shift_slopes is not None:
-        pts, slopes = np.unique(bps), f.shift_slopes(x)
-        i, j = pwl_slope_argmin(lambda cs: slopes(cs) + tilt, pts)
-        interval, inside = StatInterval(float(pts[i]), float(pts[j])), pts[i : j + 1].tolist()
+    if lp_encodable(f):
+        sums, forms = SortedSums(x), _hinge_forms(f)
+        if f.moment_max is not None:
+            bps = f.moment_max.shift_breakpoints(x, sums)
+        else:
+            ((_, _, hinges),) = forms
+            bps = np.unique(np.subtract.outer(x.values, [k for _, k in hinges])) if hinges else x.values
+        return bps, _form_slopes([(a - tilt, c, hinges) for a, c, hinges in forms], sums)
+    bps = None if f.shift_breakpoints is None else np.unique(np.asarray(f.shift_breakpoints(x), dtype=float))
+    if f.shift_slopes is None:
+        return bps, None
+    at = f.shift_slopes(x)
+    return bps, lambda cs: at(cs) + tilt
+
+
+def _form_slopes(forms, sums: SortedSums):
+    """cs -> the rows of left and right slopes of C -> max_k F_k(X - C) at
+    every C of an array, for the hinge forms F_k of ``_hinge_forms``.
+
+    F_k's right slope is -a_k - sum_j h_kj P(X > C + kappa_kj) and its left
+    slope the same with P(X >= ...), each mass read by ``searchsorted`` from
+    the suffix sums of ``sums``; a slope within ``cdf_tol`` of
+    |a_k| + sum_j h_kj reads 0.  Of forms tied for the max, to ``cdf_tol`` of
+    the largest magnitude of their values' parts, the left slope is the least
+    and the right slope the greatest.
+    """
+    a, c = (np.array([[form[i]] for form in forms]) for i in (0, 1))
+    kinks = sorted({kj for *_, hs in forms for _, kj in hs})
+    # weight[k, i]: the coefficient of the hinge at kinks[i] in form k
+    weight = np.array([[sum(hj for hj, kj in hs if kj == kink) for kink in kinks] for *_, hs in forms])
+    kappa = np.array(kinks)[:, None]
+    tol = cdf_tol(sums.u.size)
+    zero = tol * (np.abs(a) + weight.sum(axis=1, keepdims=True))
+
+    def slopes(cs):
+        d = np.asarray(cs, dtype=float) - sums.ref
+        t = d + kappa
+        # the masses at or above, and above, each C + kappa_i; then rows of forms, columns of points
+        at = np.empty((2,) + t.shape, dtype=np.intp)
+        at[0], at[1] = np.searchsorted(sums.u, t, "left"), np.searchsorted(sums.u, t, "right")
+        mass = sums.hi_p[at]
+        s = -a - weight @ mass
+        s[np.abs(s) <= zero] = 0.0
+        if a.size == 1:
+            return s[:, 0]
+        # each form's value and the magnitudes of its parts: a_k E[Z], c_k and E[(Z - kappa_i)_+]
+        mean, part = a * (sums.mean_u - d), sums.hi_s[at[1]] - t * mass[1]
+        vals = mean + c + weight @ part
+        size = np.abs(mean) + np.abs(c) + weight @ np.abs(part)
+        active = vals >= vals.max(axis=0) - tol * size.max(axis=0)
+        # the least left slope as minus the greatest of the negated
+        out = np.where(active, s * np.array([[[-1.0]], [[1.0]]]), -np.inf).max(axis=1)
+        out[0] = -out[0]
+        return out
+
+    return slopes
+
+
+def _pwl_shift_argmin(g: Callable[[float], float], pts: np.ndarray, slopes) -> tuple[float, StatInterval]:
+    """Exact minimum and argmin interval of a convex g(C) affine between the
+    sorted shift breakpoints ``pts`` and beyond them: the interval from the
+    segments' ``slopes`` (``pwl_slope_argmin``), or from g at each breakpoint
+    where they are None (``argmin_interval_pwl``), and the minimum g at the
+    least candidate in it, bisected as g is convex.
+    """
+    if slopes is None:
+        interval = argmin_interval_pwl(g, pts)
     else:
-        pts = pwl_grid(bps)
-        interval = pwl_argmin_interval(pts, np.array([g(c) for c in pts]) if scan is None else scan(x)(pts) + tilt * pts)
-        inside = pts[(pts >= interval.lo) & (pts <= interval.hi)].tolist()
+        i, j = pwl_slope_argmin(slopes, pts)
+        interval = StatInterval(float(pts[i]), float(pts[j]))
+    inside = pts[(pts >= interval.lo) & (pts <= interval.hi)].tolist()
     at = lru_cache(maxsize=None)(g)
     a, b = 0, len(inside) - 1
     while a < b:
@@ -560,9 +556,7 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
     itself; the others are narrowed together by ``ksection_crossings``.
 
     Slopes that come from a ``loss`` cost O(n) a point, so they take as few
-    points a row as fill a batched temporary; others take K.  Crossings
-    within 1e-8 relative of a shift X - kink by one of the loss's kinks are
-    snapped to it.
+    points a row as fill a batched temporary; others take K.
     """
     v = x.values
     k = KSECTION if loss is None else min(KSECTION, max(4, chunk_rows(v.size) // 2))
@@ -589,14 +583,6 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
     # the criterion at each end as a limit from inside its bracket
     ends = ([left[i], -right[j]], [right[lo_out], -left[hi_out]])
     lo, hi = (float(c) for c in ksection_crossings(crit, pts[[i, j]], pts[[lo_out, hi_out]], k, ends))
-    if loss is not None and loss.kinks:
-        candidates = np.unique((v[:, None] - np.asarray(loss.kinks)[None, :]).ravel())
-
-        def snap(c):
-            near = candidates[np.abs(candidates - c) <= 1e-8 * (1.0 + abs(c))]
-            return float(near[np.argmin(np.abs(near - c))]) if near.size else c
-
-        lo, hi = snap(lo), snap(hi)
     if hi < lo:
         lo = hi = 0.5 * (lo + hi)
     return StatInterval(lo, hi)
@@ -604,11 +590,12 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
 
 def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_interval: bool, what: str):
     """min_C tilt * C + f(X - C) with its argmin interval, by the first route
-    f's data allows: the exact scan over shift breakpoints (by values or by
-    segment slopes, ``_pwl_shift_argmin``), the crossing of ``shift_slopes``
-    with the value taken at its midpoint, and golden section with
-    ``flat_interval`` for anything else.  Each route raises
-    UnboundedObjectiveError when the objective has no minimum.
+    f's data allows: the exact scan over shift breakpoints (by the slopes of
+    the segments between them, or by values where f carries no slopes,
+    ``_pwl_shift_argmin``), the crossing of the slopes with the value taken
+    at its midpoint, and golden section with ``flat_interval`` for anything
+    else.  Each route raises UnboundedObjectiveError when the objective has
+    no minimum.
 
     Golden section recovers the flat set on the objective minus
     tilt * E[X], which for a regret is the paired error's projection
@@ -618,12 +605,11 @@ def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_i
     def g(c):
         return tilt * c + f.fn(x.shift(-c))
 
-    scanned = _pwl_shift_argmin(f, x, g, tilt)
-    if scanned is not None:
-        return scanned
-    if f.shift_slopes is not None:
-        at = f.shift_slopes(x)
-        interval = _stat_from_derivatives(lambda cs: at(cs) + tilt, x, f.loss)
+    bps, slopes = _shift_scan(f, x, tilt)
+    if bps is not None:
+        return _pwl_shift_argmin(g, bps, slopes)
+    if slopes is not None:
+        interval = _stat_from_derivatives(slopes, x, f.loss)
         return g(interval.midpoint), interval
     try:
         cstar, fstar = minimize_scalar_convex(g, tol=tol, hint=x.mean())
@@ -895,18 +881,11 @@ def revert_quadrangles(q1: Quadrangle, q2: Quadrangle) -> Quadrangle:
         def g(c):
             return 0.5 * (q1.error(x.shift(c)) + q2.error(x.neg().shift(c)))
 
-        bps = None
-        if q1.error_fn is not None and q2.error_fn is not None:
-            # kinks of c -> E1(x + c) sit at the negated shift breakpoints
-            b1 = _shift_breakpoints(q1.error_fn, x)
-            b2 = _shift_breakpoints(q2.error_fn, x.neg())
-            if b1 is not None and b2 is not None:
-                bps = np.unique(np.concatenate([-b1, -b2]))
-        if bps is not None:
-            interval = argmin_interval_pwl(g, bps)
-            return g(interval.lo)
-        _, fstar = minimize_scalar_convex(g, tol=1e-11, hint=0.0)
-        return fstar
+        # kinks of c -> E1(x + c) sit at the negated shift breakpoints
+        bps = [None if q.error_fn is None else _shift_scan(q.error_fn, y, 0.0)[0] for q, y in ((q1, x), (q2, x.neg()))]
+        if all(b is not None for b in bps):
+            return g(argmin_interval_pwl(g, -np.concatenate(bps)).lo)
+        return minimize_scalar_convex(g, tol=1e-11, hint=0.0)[1]
 
     ph = q1.flags.positively_homogeneous and q2.flags.positively_homogeneous
     err = ErrorFn(fn=error, flags=Flags(ph, False, False))

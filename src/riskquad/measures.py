@@ -440,10 +440,11 @@ def _cvar2(alpha: float) -> Quadrangle:
 
 
 def _qsa_breakpoints(x: DiscreteRv) -> np.ndarray:
-    """The atoms and their pairwise midpoints, 0.5 * (x_i + x_j) for i <= j."""
+    """The atoms and their pairwise midpoints, 0.5 * (x_i + x_j) for i <= j,
+    unsorted."""
     v = x.values
     i, j = np.triu_indices(v.size)
-    return np.unique(0.5 * (v[i] + v[j]))
+    return 0.5 * (v[i] + v[j])
 
 
 def _cvar_norm_shift_slopes(alpha: float):

@@ -318,24 +318,26 @@ def pwl_argmin_interval(pts: np.ndarray, vals: np.ndarray) -> StatInterval:
     from its values ``vals`` at the sorted candidates ``pts`` (``pwl_grid``),
     between which it is affine.
 
-    A segment counts as flat when its slope is within the relative slope
-    tolerance plus the evaluation noise over that segment's own width; raises
-    NonConvexError when the slopes decrease by more than that noise, and
-    UnboundedObjectiveError when a sentinel segment still descends outward
-    by more than it.
+    A segment counts as flat when its rise is within the relative slope
+    tolerance times its width plus the evaluation noise, never divided by a
+    width, which overflows for a subnormal gap; raises NonConvexError when
+    the slopes decrease by more than that, and UnboundedObjectiveError when a
+    sentinel segment still descends outward by more than the noise.
     """
     if not np.all(np.isfinite(vals)):
         raise ValueError("piecewise-linear objective must be finite at breakpoints")
-    gaps = np.diff(pts)
-    slopes = np.diff(vals) / gaps
-    s_noise = 1e-12 * (1.0 + float(np.max(np.abs(vals)))) / gaps
-    s_tol = _SLOPE_TOL_REL * (1.0 + float(np.max(np.abs(slopes)))) + s_noise
-    if np.any(np.diff(slopes) < -10.0 * np.maximum(s_tol[:-1], s_tol[1:])):
+    gaps, rises = np.diff(pts), np.diff(vals)
+    noise = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
+    steep = float(np.max(np.abs(rises) / gaps))
+    tol = _SLOPE_TOL_REL * (1.0 + steep) * gaps + noise
+    # slopes r_i / g_i decreasing by more than 10 tolerances, cross-multiplied by g_i g_{i+1}
+    drop = rises[1:] * gaps[:-1] - rises[:-1] * gaps[1:]
+    if np.any(drop < -10.0 * np.maximum(tol[:-1] * gaps[1:], tol[1:] * gaps[:-1])):
         raise NonConvexError("slope sequence is decreasing; function is not convex")
-    if slopes[0] > s_noise[0] or slopes[-1] < -s_noise[-1]:
+    if rises[0] > noise or rises[-1] < -noise:
         raise UnboundedObjectiveError("objective still descending beyond the outer breakpoints")
-    neg = np.nonzero(slopes < -s_tol)[0]
-    pos = np.nonzero(slopes > s_tol)[0]
+    neg = np.nonzero(rises < -tol)[0]
+    pos = np.nonzero(rises > tol)[0]
     lo = pts[neg[-1] + 1] if neg.size else pts[0]
     hi = pts[pos[0]] if pos.size else pts[-1]
     if hi < lo:
@@ -349,31 +351,40 @@ def pwl_slope_argmin(slopes, pts: np.ndarray) -> tuple[int, int]:
     right slopes that ``slopes(cs)`` gives at each C of an array.
 
     Segment s runs from pts[s - 1] to pts[s], segments 0 and pts.size out to
-    -inf and inf.  Its slope is read at its midpoint: the right slope, or the
-    left one at its upper end where the midpoint rounds to that.  A K-section
-    finds the first segment with slope >= 0 and the first with slope > 0
-    together, so the ends are candidates, not narrowed floats.  Raises
-    UnboundedObjectiveError when an outer segment descends outward.
+    -inf and inf.  Its slope is read at its midpoint, the outer ones' half a
+    spread of the candidates (or of max(1, |pts[0]|)) out, clear of a kink
+    that rounding leaves just outside: the right slope, or the left one at
+    its upper end where the midpoint rounds to that.  A K-section finds the first
+    segment with slope >= 0 and the first with slope > 0 together, at most K
+    probes each a round, so the ends are candidates, not narrowed floats.
+    Raises UnboundedObjectiveError when an outer segment descends outward.
     """
-    n, rows = pts.size, np.arange(2)
+    n = pts.size
+    width = float(pts[-1] - pts[0]) or max(1.0, abs(float(pts[0])))
+    ends = np.concatenate(([pts[0] - width], pts, [pts[-1] + width]))
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    inside = mids < ends[1:]
 
     def seg(s):
-        a, b = pts[np.maximum(s - 1, 0)], pts[np.minimum(s, n - 1)]
-        mid = 0.5 * (a + b)
-        left, right = slopes(mid)
-        return np.where((mid < b) | (s == n), right, left)
+        left, right = slopes(mids[s])
+        return np.where(inside[s], right, left)
 
-    # the first segment of each predicate lies in [lo, hi], n + 1 for none
-    lo, hi = np.zeros(2, dtype=int), np.full(2, n + 1)
-    while np.any(lo < hi):
-        idx = np.minimum(lo[:, None] + (hi - lo)[:, None] * np.arange(KSECTION) // KSECTION, n)
-        s = seg(idx.ravel()).reshape(2, KSECTION)
-        short = np.sum(np.stack((s[0] < 0.0, s[1] <= 0.0)), axis=1)  # the probes before each first
-        lo = np.where(short > 0, idx[rows, short - 1] + 1, lo)
-        hi = np.where(short < KSECTION, idx[rows, np.minimum(short, KSECTION - 1)], hi)
+    # the first segment with slope >= 0 lies in [lo[0], hi[0]] and the first with slope > 0 in [lo[1], hi[1]], n + 1 for none
+    lo, hi = [0, 0], [n + 1, n + 1]
+    while lo != hi:
+        k = min(KSECTION, max(hi[0] - lo[0], hi[1] - lo[1]))
+        idx = [np.minimum(a + (b - a) * np.arange(k) // k, n) for a, b in zip(lo, hi)]
+        # one call for both, with one row while both brackets are one, as at the start
+        s = seg(idx[0])[None, :] if (lo[0], hi[0]) == (lo[1], hi[1]) else seg(np.concatenate(idx)).reshape(2, k)
+        for p, fails in enumerate((s[0] < 0.0, s[-1] <= 0.0)):
+            short = int(np.count_nonzero(fails))  # the probes before the first
+            if short:
+                lo[p] = int(idx[p][short - 1]) + 1
+            if short < k:
+                hi[p] = int(idx[p][short])
     if lo[0] > n or lo[1] == 0:
         raise UnboundedObjectiveError("objective still descending beyond the outer candidates")
-    return max(int(lo[0]) - 1, 0), min(int(lo[1]) - 1, n - 1)
+    return max(lo[0] - 1, 0), min(lo[1] - 1, n - 1)
 
 
 def argmin_interval_pwl(f, breakpoints) -> StatInterval:

@@ -1,28 +1,31 @@
 """One-pass array scans against the per-point paths they replace.
 
-The per-breakpoint ``argmin_interval_pwl`` route, qsa's segment slopes in
-exact arithmetic and its row-sort scan, the per-segment cvar2 loops, the
+The per-breakpoint ``argmin_interval_pwl`` route, the hinge forms' and qsa's
+segment slopes in exact arithmetic, qsa's row-sort scan, the per-segment cvar2 loops, the
 per-atom expectile loop, the golden-section search with ``flat_interval`` and
 difference quotients of the scalar functionals are kept here as oracles.
 """
 
+import bisect
 import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riskquad.constructions import (
-    _shift_breakpoints,
+    RegretFn,
+    _hinge_forms,
+    _shift_scan,
     mean_center_error,
     mean_center_regret,
     project_error,
     regret_to_risk,
     scale_quadrangle,
 )
-from riskquad.core import DiscreteRv, StatInterval, cdf_tol
+from riskquad.core import DiscreteRv, StatInterval, cdf_tol, cvar_direct
 from riskquad.measures import (
     CatalogSpec,
     cvar2_regret,
@@ -35,6 +38,10 @@ from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar
 from helpers import cvar_norm_shift_values, random_rvs
 
 # -- oracles ---------------------------------------------------------------------------
+
+
+def _shift_breakpoints(f, x):
+    return _shift_scan(f, x, 0.0)[0]
 
 
 def per_point_argmin(f, x, tilt):
@@ -75,6 +82,59 @@ def exact_cvar_norm_interval(x, alpha):
     lo = next(k for k, sk in enumerate(segs) if sk >= 0)
     hi = next(k for k, sk in enumerate(segs) if sk > 0)
     return StatInterval(float(pts[max(lo - 1, 0)]), float(pts[min(hi - 1, len(pts) - 1)]))
+
+
+def exact_form_interval(f, x, tilt):
+    """The argmin interval of C -> tilt * C + f(X - C) over its float
+    candidates, the shift breakpoints, from f's hinge forms in exact
+    arithmetic.  Each segment's slope is read where the route reads it: the
+    right slope at its float midpoint, the left one at its upper end where
+    that midpoint rounds to it, the outer segments out to half a spread of
+    the candidates beyond them.  Form k's right slope is
+    tilt - a_k - sum_j h_kj P(X > C + kappa_kj) and its left slope the same
+    with P(X >= ...), from suffix sums of the masses in Fractions; the atoms
+    above are found as the route finds them, X - ref against the float
+    C - ref + kappa_kj for a middle atom ref.  A slope within the route's
+    mass tolerance of |a_k - tilt| + sum_j h_kj counts as 0.  Of the forms
+    within that tolerance of the greatest exact value, relative to the
+    largest magnitude of the values' parts, the right slope is the greatest
+    and the left the least: the candidates' crossings of two forms are
+    floats, not the crossings."""
+    v, p = [Fraction(a) for a in x.values], [Fraction(b) for b in x.probs]
+    mass, moment = [Fraction(0)], [Fraction(0)]
+    for vi, pi in zip(reversed(v), reversed(p)):
+        mass.insert(0, mass[0] + pi)
+        moment.insert(0, moment[0] + pi * vi)
+    tol, t = Fraction(cdf_tol(x.n_atoms)), Fraction(tilt)
+    ref = float(x.values[x.n_atoms // 2])
+    u = [Fraction(a) for a in x.values - ref]
+
+    def form(c, right, a, k, hinges):
+        # the value of F(Z) - tilt * E[Z] for Z = X - C, the magnitude of its parts, and its slope
+        mean = (Fraction(a) - t) * (moment[0] - Fraction(c) * mass[0])
+        value, size, slope = mean + Fraction(k), abs(mean) + abs(Fraction(k)), t - Fraction(a)
+        for h, kappa in hinges:
+            at = Fraction(c - ref + kappa)
+            i = bisect.bisect_left(u, at)
+            part = moment[i] - (Fraction(c) + Fraction(kappa)) * mass[i]
+            value, size = value + Fraction(h) * part, size + Fraction(h) * part
+            slope -= Fraction(h) * mass[bisect.bisect_right(u, at) if right else i]
+        zero = tol * (abs(Fraction(a) - t) + sum(Fraction(h) for h, _ in hinges))
+        return value, size, 0 if abs(slope) <= zero else slope
+
+    def slope(c, right):
+        vals = [form(float(c), right, *fk) for fk in _hinge_forms(f)]
+        top = max(value for value, *_ in vals) - tol * max(size for _, size, _ in vals)
+        return (max if right else min)(s for value, _, s in vals if value >= top)
+
+    pts = np.unique(_shift_breakpoints(f, x))
+    width = float(pts[-1] - pts[0]) or max(1.0, abs(float(pts[0])))
+    ends = np.concatenate(([pts[0] - width], pts, [pts[-1] + width]))
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    segs = [slope(m, True) if m < b else slope(b, False) for m, b in zip(mids, ends[1:])]
+    lo = next(k for k, sk in enumerate(segs) if sk >= 0)
+    hi = next(k for k, sk in enumerate(segs) if sk > 0)
+    return StatInterval(float(pts[max(lo - 1, 0)]), float(pts[min(hi - 1, pts.size - 1)]))
 
 
 def row_sort_argmin(f, x, tilt, alpha):
@@ -202,22 +262,23 @@ def forms(q):
 
 
 @given(shifted_rvs())
+# mean_pl's affine error has its argmin at the point 1.25e-11; a value floor reads [0, 1.25e-11]
+@example((DiscreteRv([0.0, 6.25e-11], [0.8, 0.2]), 1e-9))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_array_scans_match_the_per_point_oracle(case):
-    # qsa takes the exact oracle: the per-point scan merges near candidates
-    # and reads slopes through a noise floor, wrong at scale 1e-9
+    # every family takes an exact oracle: the per-point scan merges near
+    # candidates and reads slopes through a noise floor, wrong at scale 1e-9
     x, scale = case
     for family, params in pwl_families(scale):
         q = make_catalog_quadrangle(CatalogSpec(family, params))
-        exact = exact_cvar_norm_interval(x, params["alpha"]) if family == "qsa" else None
         for name, f, tilt in forms(q):
             value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
-            if exact is None:
-                want_value, want_interval = per_point_argmin(f, x, tilt)
-            else:
-                want_value, want_interval = least_inside(f, x, tilt, np.unique(_shift_breakpoints(f, x)), exact), exact
-            assert interval == want_interval, (family, params, name)
-            assert value == want_value, (family, params, name)
+            exact = exact_cvar_norm_interval(x, params["alpha"]) if family == "qsa" else exact_form_interval(f, x, tilt)
+            assert interval == exact, (family, params, name)
+            assert value == least_inside(f, x, tilt, np.unique(_shift_breakpoints(f, x)), exact), (family, params, name)
+    # a functional with shift breakpoints but no slopes is scanned by its values
+    f = RegretFn(fn=lambda y: 2.0 * y.mean_pos(), shift_breakpoints=lambda y: y.values)
+    assert regret_to_risk(f, x) == per_point_argmin(f, x, 1.0)
 
 
 def test_large_scans_match_the_per_point_oracle():
@@ -252,6 +313,56 @@ def test_qsa_projections_at_1000_atoms_are_the_quantile_statistic():
                 value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
                 assert interval == q.statistic(x), (scale, grid, tilt)
                 assert abs(value - closed) <= 1e-12 * m, (scale, grid, tilt)
+
+
+# -- piecewise-linear projections across scales ---------------------------------------------
+
+SCALED_FAMILIES = [
+    ("quantile", {"alpha": 0.3}),
+    ("quantile", {"alpha": 0.5}),
+    ("quantile", {"alpha": 0.85}),
+    ("qsau", {"eps": 0.0}),
+    ("qsau", {"eps": 0.25}),
+    ("expectile_pl", {"K": 0.5}),
+    ("mean_pl", {}),
+    ("biased_mean", {"x": 0.5}),
+    ("biased_mean", {"x": -0.5}),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-12, 1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("family, params", SCALED_FAMILIES, ids=[f + "".join(f"{v:g}" for v in p.values()) for f, p in SCALED_FAMILIES])
+def test_piecewise_linear_projections_scale_with_x(family, params, scale):
+    # X = s {1, ..., 8, 9.5}; a value floor of 1e-12 (1 + max|vals|) had quantile(0.5) at [1s, 8s] for s = 1e-12
+    def routes(s):
+        # offsets in the parameters scale with X
+        q = make_catalog_quadrangle(CatalogSpec(family, {k: s * v if k in ("eps", "x") else v for k, v in params.items()}))
+        x = DiscreteRv.uniform(s * np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.5]))
+        return q, x, [project_error(q.error_fn, x), regret_to_risk(q.regret_fn, x)]
+
+    _, _, at_unit = routes(1.0)
+    q, x, got = routes(scale)
+    top = 9.5 * scale
+    for (value, interval), (unit_value, unit_interval) in zip(got, at_unit):
+        assert abs(value / scale - unit_value) <= 1e-12 * abs(unit_value)
+        # qsau's statistic is its projection's argmin: it has no closed form to compare with
+        want = unit_interval.scale(scale) if family == "qsau" else q.statistic(x)
+        assert abs(interval.lo - want.lo) <= 1e-12 * top and abs(interval.hi - want.hi) <= 1e-12 * top, (interval, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_spread_projections():
+    # X = {0, 5e-324}: the median interval is all of [0, 5e-324]
+    x = DiscreteRv([0.0, 5e-324], [0.5, 0.5])
+    q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5}))
+    assert project_error(q.error_fn, x)[1] == StatInterval(0.0, 5e-324)
+    assert regret_to_risk(q.regret_fn, x)[1] == StatInterval(0.0, 5e-324)
+    # a regret with breakpoints but no slopes is scanned by its values, whose
+    # noise floor, divided by the subnormal gaps, had overflowed
+    f = RegretFn(fn=lambda y: 2.0 * y.mean_pos(), shift_breakpoints=lambda y: y.values)
+    value, interval = regret_to_risk(f, x)
+    assert abs(value - cvar_direct(x, 0.5)) <= 5e-324
+    assert interval.lo <= 0.0 and interval.hi >= 5e-324
 
 
 # -- cvar2 and expectiles --------------------------------------------------------------------
