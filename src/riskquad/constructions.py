@@ -139,12 +139,20 @@ class ScalarLoss:
             return d
 
         d_right, d_left = one_sided(np.max, -np.inf), one_sided(np.min, np.inf)
+        return ScalarLoss(fn, d_left, d_right, tuple(_upper_hull(ps)[1]), tuple(ps), label)
 
-        kinks = []
-        for (s1, b1), (s2, b2) in zip(ps[:-1], ps[1:]):
-            if s2 - s1 > 1e-15:
-                kinks.append((b1 - b2) / (s2 - s1))
-        return ScalarLoss(fn, d_left, d_right, tuple(sorted(set(kinks))), tuple(ps), label)
+
+def _upper_hull(pieces) -> tuple[list, list]:
+    """The affine pieces (slope, intercept) on the upper envelope of ``pieces``,
+    by slope, and the kinks where each meets the next."""
+    kink = lambda lower, upper: (lower[1] - upper[1]) / (upper[0] - lower[0])
+    hull = []
+    # by slope, so of two parallel pieces the higher comes last and replaces the lower
+    for piece in sorted(pieces):
+        while hull and (hull[-1][0] == piece[0] or len(hull) > 1 and kink(hull[-1], piece) <= kink(hull[-2], hull[-1])):
+            hull.pop()
+        hull.append(piece)
+    return hull, [kink(lo, hi) for lo, hi in zip(hull, hull[1:])]
 
 
 def _affine_loss(loss: ScalarLoss, scale: float = 1.0, tilt: float = 0.0) -> ScalarLoss:
@@ -187,14 +195,15 @@ class MomentMaxSpec:
         a, b, _ = max(self.terms, key=lambda term: term[0] * m + term[1] * t + term[2])
         return a + b * (x.values > 0.0)
 
-    def shift_breakpoints(self, x: DiscreteRv, sums: SortedSums) -> np.ndarray:
+    def shift_breakpoints(self, x: DiscreteRv, sums: Optional[SortedSums] = None) -> np.ndarray:
         """Kinks of C -> value(X - C), sorted and distinct: the atoms and the
         terms' crossings.  Between consecutive atoms term j is the line
         a_j (E[X] - C) + c_j + b_j (S - C P) in C, P and S the mass and first
-        moment above, centred (``sums``, the ``SortedSums`` of X); a crossing
-        is kept when it falls inside its segment.
+        moment above, centred (``sums``, the ``SortedSums`` of X, built here
+        when not given); a crossing is kept when it falls inside its segment.
         """
         v = x.values
+        sums = SortedSums(x) if sums is None else sums
         lo, hi = np.append(-np.inf, v), np.append(v, np.inf)
         pts = [v]
         for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(self.terms, 2):
@@ -317,14 +326,10 @@ def _hinge_forms(f: Functional) -> list:
     term (a, b, c), its b Z_+ a hinge at 0."""
     if f.loss is None:
         return [(a, c, ((b, 0.0),) if b > 0.0 else ()) for a, b, c in f.moment_max.terms]
-    kink = lambda lower, upper: (lower[1] - upper[1]) / (upper[0] - lower[0])
-    hull = []
-    # by slope, so of two parallel pieces the higher comes last and replaces the lower
-    for piece in sorted(f.loss.pieces):
-        while hull and (hull[-1][0] == piece[0] or len(hull) > 1 and kink(hull[-1], piece) <= kink(hull[-2], hull[-1])):
-            hull.pop()
-        hull.append(piece)
-    return [(*hull[0], tuple((hi[0] - lo[0], kink(lo, hi)) for lo, hi in zip(hull, hull[1:])))]
+    hull, kinks = _upper_hull(f.loss.pieces)
+    # the loss's own kinks where they are the hull's: ``_affine_loss`` keeps them exact
+    kinks = f.loss.kinks if len(f.loss.kinks) == len(kinks) else kinks
+    return [(*hull[0], tuple((hi[0] - lo[0], kappa) for lo, hi, kappa in zip(hull, hull[1:], kinks)))]
 
 
 def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.ndarray, float, bool]:

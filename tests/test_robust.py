@@ -502,6 +502,17 @@ def _strip_lp_data(q):
     return dataclasses.replace(q, regret_fn=dataclasses.replace(q.regret_fn, loss=None, moment_max=None))
 
 
+def test_regret_without_lp_data_keeps_its_breakpoints():
+    # the quantile regret without its moment-max form is scanned by its values
+    # at the same breakpoints, and the slope route of the full regret agrees
+    q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5}))
+    stripped = _strip_lp_data(q).regret_fn
+    for x in (DiscreteRv([1.0, 2.0, 3.0, 4.0], None), DiscreteRv([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3])):
+        value, interval = regret_to_risk(stripped, x)
+        assert (value, interval) == regret_to_risk(q.regret_fn, x)
+        assert interval == q.statistic(x) and within(value, q.risk(x))
+
+
 def test_portfolio_generic_quartet_route(planes):
     # the quantile quadrangle without LP data runs the cutting planes on its
     # regret's subgradient; the LP route and a HiGHS oracle pin the optimum

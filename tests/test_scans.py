@@ -1,13 +1,13 @@
 """One-pass array scans against the per-point paths they replace.
 
-The per-breakpoint ``argmin_interval_pwl`` route, the hinge forms' and qsa's
-segment slopes in exact arithmetic, qsa's row-sort scan, the per-segment cvar2 loops, the
+The per-breakpoint ``argmin_interval_pwl`` route, the loss pieces', moment-max
+terms' and qsa's segment slopes in exact arithmetic, qsa's row-sort scan, the per-segment cvar2 loops, the
 per-atom expectile loop, the golden-section search with ``flat_interval`` and
 difference quotients of the scalar functionals are kept here as oracles.
 """
 
-import bisect
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from riskquad.constructions import (
     RegretFn,
-    _hinge_forms,
     _shift_scan,
     mean_center_error,
     mean_center_regret,
@@ -51,8 +50,9 @@ def per_point_argmin(f, x, tilt):
     def g(c):
         return tilt * c + f.fn(x.shift(-c))
 
-    interval = argmin_interval_pwl(g, _shift_breakpoints(f, x))
-    return least_inside(f, x, tilt, pwl_grid(_shift_breakpoints(f, x)), interval), interval
+    pts = _shift_breakpoints(f, x)
+    interval = argmin_interval_pwl(g, pts)
+    return least_inside(f, x, tilt, pts, interval), interval
 
 
 def least_inside(f, x, tilt, pts, interval):
@@ -84,57 +84,69 @@ def exact_cvar_norm_interval(x, alpha):
     return StatInterval(float(pts[max(lo - 1, 0)]), float(pts[min(hi - 1, len(pts) - 1)]))
 
 
-def exact_form_interval(f, x, tilt):
-    """The argmin interval of C -> tilt * C + f(X - C) over its float
-    candidates, the shift breakpoints, from f's hinge forms in exact
-    arithmetic.  Each segment's slope is read where the route reads it: the
-    right slope at its float midpoint, the left one at its upper end where
-    that midpoint rounds to it, the outer segments out to half a spread of
-    the candidates beyond them.  Form k's right slope is
-    tilt - a_k - sum_j h_kj P(X > C + kappa_kj) and its left slope the same
-    with P(X >= ...), from suffix sums of the masses in Fractions; the atoms
-    above are found as the route finds them, X - ref against the float
-    C - ref + kappa_kj for a middle atom ref.  A slope within the route's
-    mass tolerance of |a_k - tilt| + sum_j h_kj counts as 0.  Of the forms
-    within that tolerance of the greatest exact value, relative to the
-    largest magnitude of the values' parts, the right slope is the greatest
-    and the left the least: the candidates' crossings of two forms are
-    floats, not the crossings."""
+def exact_piecewise_interval(f, x, tilt):
+    """The argmin interval of C -> tilt * C + f(X - C) in exact arithmetic,
+    from f's loss pieces or moment-max terms, its ends rounded to floats.
+
+    The candidates hold every kink: each atom less each crossing of two
+    pieces of the loss, or the atoms and each crossing of two terms between
+    neighbouring atoms, in Fractions.  Each segment between candidates takes
+    the slope at its midpoint, and each outer segment a candidate spread
+    beyond its end.  A loss e(z) = max_k (s_k z + b_k) gives the slope
+    tilt - E[e'(X - C)], e' the least slope among the pieces at their max; a
+    term (a, b, c) of a moment-max form gives tilt - a - b P(X > C), and the
+    form the greatest such slope among the terms at their max.  A slope
+    within the route's mass tolerance of its coefficients, |s_1 - tilt| +
+    s_K - s_1 for a loss and |a - tilt| + b for a term, counts as 0."""
     v, p = [Fraction(a) for a in x.values], [Fraction(b) for b in x.probs]
-    mass, moment = [Fraction(0)], [Fraction(0)]
-    for vi, pi in zip(reversed(v), reversed(p)):
-        mass.insert(0, mass[0] + pi)
-        moment.insert(0, moment[0] + pi * vi)
     tol, t = Fraction(cdf_tol(x.n_atoms)), Fraction(tilt)
-    ref = float(x.values[x.n_atoms // 2])
-    u = [Fraction(a) for a in x.values - ref]
+    if f.loss is not None:
+        pieces = [(Fraction(sk), Fraction(bk)) for sk, bk in f.loss.pieces]
+        lo_s, hi_s = min(sk for sk, _ in pieces), max(sk for sk, _ in pieces)
+        zero = tol * (abs(lo_s - t) + hi_s - lo_s)
 
-    def form(c, right, a, k, hinges):
-        # the value of F(Z) - tilt * E[Z] for Z = X - C, the magnitude of its parts, and its slope
-        mean = (Fraction(a) - t) * (moment[0] - Fraction(c) * mass[0])
-        value, size, slope = mean + Fraction(k), abs(mean) + abs(Fraction(k)), t - Fraction(a)
-        for h, kappa in hinges:
-            at = Fraction(c - ref + kappa)
-            i = bisect.bisect_left(u, at)
-            part = moment[i] - (Fraction(c) + Fraction(kappa)) * mass[i]
-            value, size = value + Fraction(h) * part, size + Fraction(h) * part
-            slope -= Fraction(h) * mass[bisect.bisect_right(u, at) if right else i]
-        zero = tol * (abs(Fraction(a) - t) + sum(Fraction(h) for h, _ in hinges))
-        return value, size, 0 if abs(slope) <= zero else slope
+        def least_active(z):
+            top = max(sk * z + bk for sk, bk in pieces)
+            return min(sk for sk, bk in pieces if sk * z + bk == top)
 
-    def slope(c, right):
-        vals = [form(float(c), right, *fk) for fk in _hinge_forms(f)]
-        top = max(value for value, *_ in vals) - tol * max(size for _, size, _ in vals)
-        return (max if right else min)(s for value, _, s in vals if value >= top)
+        def slope(c):
+            s = t - sum(pi * least_active(vi - c) for vi, pi in zip(v, p))
+            return 0 if abs(s) <= zero else s
 
-    pts = np.unique(_shift_breakpoints(f, x))
-    width = float(pts[-1] - pts[0]) or max(1.0, abs(float(pts[0])))
-    ends = np.concatenate(([pts[0] - width], pts, [pts[-1] + width]))
-    mids = 0.5 * (ends[:-1] + ends[1:])
-    segs = [slope(m, True) if m < b else slope(b, False) for m, b in zip(mids, ends[1:])]
+        kinks = {(b1 - b2) / (s2 - s1) for (s1, b1), (s2, b2) in itertools.combinations(pieces, 2) if s1 != s2}
+        cand = {vi - kappa for vi in v for kappa in kinks} or set(v)
+    else:
+        terms = [tuple(Fraction(w) for w in term) for term in f.moment_max.terms]
+        mean = sum(pi * vi for vi, pi in zip(v, p))
+
+        def slope(c):
+            above = [(vi, pi) for vi, pi in zip(v, p) if vi > c]
+            mass, moment = sum(pi for _, pi in above), sum(pi * vi for vi, pi in above)
+            best = None
+            for a, b, k in terms:
+                value = a * (mean - c) + b * (moment - c * mass) + k
+                s = t - a - b * mass
+                s = 0 if abs(s) <= tol * (abs(a - t) + b) else s
+                if best is None or value > best[0] or value == best[0] and s > best[1]:
+                    best = (value, s)
+            return best[1]
+
+        cand = set(v)
+        for i in range(len(v) + 1):
+            # between v[i - 1] and v[i] the atoms above C are v[i:], so each term is affine in C
+            mass, moment = sum(p[i:]), sum(pi * vi for vi, pi in zip(v[i:], p[i:]))
+            for (a1, b1, k1), (a2, b2, k2) in itertools.combinations(terms, 2):
+                den = (a1 - a2) + (b1 - b2) * mass
+                if den != 0:
+                    c = ((a1 - a2) * mean + (b1 - b2) * moment + (k1 - k2)) / den
+                    if (i == 0 or v[i - 1] <= c) and (i == len(v) or c <= v[i]):
+                        cand.add(c)
+    cand = sorted(cand)
+    width = cand[-1] - cand[0] or max(1, abs(cand[0]))
+    segs = [slope(m) for m in [cand[0] - width] + [(a + b) / 2 for a, b in zip(cand, cand[1:])] + [cand[-1] + width]]
     lo = next(k for k, sk in enumerate(segs) if sk >= 0)
     hi = next(k for k, sk in enumerate(segs) if sk > 0)
-    return StatInterval(float(pts[max(lo - 1, 0)]), float(pts[min(hi - 1, pts.size - 1)]))
+    return StatInterval(float(cand[max(lo - 1, 0)]), float(cand[min(hi - 1, len(cand) - 1)]))
 
 
 def row_sort_argmin(f, x, tilt, alpha):
@@ -273,9 +285,14 @@ def test_array_scans_match_the_per_point_oracle(case):
         q = make_catalog_quadrangle(CatalogSpec(family, params))
         for name, f, tilt in forms(q):
             value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
-            exact = exact_cvar_norm_interval(x, params["alpha"]) if family == "qsa" else exact_form_interval(f, x, tilt)
-            assert interval == exact, (family, params, name)
-            assert value == least_inside(f, x, tilt, np.unique(_shift_breakpoints(f, x)), exact), (family, params, name)
+            if family == "qsa":
+                assert interval == exact_cvar_norm_interval(x, params["alpha"]), (family, params, name)
+            else:
+                # the route's candidates are floats, each kink rounded once or twice
+                exact, near = exact_piecewise_interval(f, x, tilt), 4 * np.spacing(float(np.max(np.abs(x.values))))
+                for got, want in ((interval.lo, exact.lo), (interval.hi, exact.hi)):
+                    assert abs(got - want) <= max(near, 4 * np.spacing(abs(want))), (family, params, name, got, want)
+            assert value == least_inside(f, x, tilt, _shift_breakpoints(f, x), interval), (family, params, name)
     # a functional with shift breakpoints but no slopes is scanned by its values
     f = RegretFn(fn=lambda y: 2.0 * y.mean_pos(), shift_breakpoints=lambda y: y.values)
     assert regret_to_risk(f, x) == per_point_argmin(f, x, 1.0)
@@ -348,6 +365,14 @@ def test_piecewise_linear_projections_scale_with_x(family, params, scale):
         # qsau's statistic is its projection's argmin: it has no closed form to compare with
         want = unit_interval.scale(scale) if family == "qsau" else q.statistic(x)
         assert abs(interval.lo - want.lo) <= 1e-12 * top and abs(interval.hi - want.hi) <= 1e-12 * top, (interval, want)
+
+
+def test_transformed_losses_keep_their_kinks_exact():
+    # the breakpoints of a scaled loss are the atoms less the base loss's kinks, exactly:
+    # kinks recomputed from the scaled pieces had put lo at -249999990.00000006
+    q = scale_quadrangle(make_catalog_quadrangle(CatalogSpec("qsau", {"eps": 2.5e8})), 0.4)
+    x = DiscreteRv([0.0, 10.0], [1.0 - 3.3e-13, 3.3e-13])
+    assert regret_to_risk(q.regret_fn, x)[1].lo == 10.0 - 2.5e8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
