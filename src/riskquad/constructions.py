@@ -310,7 +310,7 @@ def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, fla
     )
 
 
-# -- decisions: min c.theta + sum_k w_k F_k(b_k - A_k theta) as one LP ---------------------
+# -- decisions: min c.theta + sum_k w_k F_k(b_k - A_k theta) in the envelope dual ----------
 
 
 def lp_encodable(f: Functional) -> bool:
@@ -334,13 +334,16 @@ def _hinge_forms(f: Functional) -> list:
 
 def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.ndarray, float, bool]:
     """min cost.theta + sum_k w_k F_k(b_k - A_k theta) over bounds and equality
-    rows on theta, as one LP.
+    rows on theta, exactly.
 
     ``terms`` holds (F_k, A_k, b_k, p_k, w_k): Z = b_k - A_k theta has atoms of
     probabilities p_k, and each F_k is compiled from its hinge forms
-    (``_hinge_forms``).  When every F_k is one form (a loss, or a moment-max
-    form of one term) the LP is solved in its dual (``_affine_dual``), one row
-    per theta coordinate; otherwise as the epigraph LP (``_affine_primal``).
+    (``_hinge_forms``).  When the forms of every F_k share one hinge vector
+    (losses, quantile, mean_pl, biased_mean), or a lone F_k has two forms of
+    which one has no hinge (expectile_pl), the program is solved in its
+    boxed dual (``_affine_dual``), with one row per theta coordinate and per
+    term of several forms.  Any other shape, such as expectile_pl next to
+    other terms, runs the epigraph LP (``_affine_primal``).
 
     Returns theta, the objective at theta and whether an alternate optimum
     moves theta.
@@ -353,7 +356,10 @@ def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.
     ]
     bounds = list(bounds or [(None, None)] * n)
     a_eq = None if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
-    route = _affine_dual if all(len(forms) == 1 for forms, *_ in compiled) else _affine_primal
+    hinge_sets = [{hinges for *_, hinges in forms} for forms, *_ in compiled]
+    shared = all(len(hs) == 1 for hs in hinge_sets)
+    lone_pair = len(compiled) == 1 and len(compiled[0][0]) == 2 and () in hinge_sets[0]
+    route = _affine_dual if shared or lone_pair else _affine_primal
     theta, nonunique = route(compiled, c_theta, bounds, a_eq, b_eq)
     value = float(c_theta @ theta)
     for forms, a, b, p, w in compiled:
@@ -362,48 +368,115 @@ def minimize_affine(terms, cost, bounds=None, a_eq=None, b_eq=None) -> tuple[np.
     return theta, value, nonunique
 
 
+# Dinkelbach rounds before ``_affine_dual`` gives up
+_DINKELBACH_ROUNDS = 100
+
+
 def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, bool]:
-    """The decision LP of one-form terms in its boxed dual (Koenker & d'Orey
-    1987): h (Z_i - kappa)_+ = max {u (Z_i - kappa) : 0 <= u <= h}, so with
-    y = -theta the LP is max sum u_i (b_i - kappa) + lo.l - hi.g + b_eq.mu
-    over a column u_i in [0, w p_i h] per atom and hinge (row coefficients
-    A_i), a column l >= 0 (g >= 0) per finite lower (upper) bound on theta and
+    """The decision program in its boxed dual, max {E[Qb] : Q in the
+    envelope, E[QA] = cost} (Koenker & d'Orey 1987 for one form):
+    h (Z_i - kappa)_+ = max {u (Z_i - kappa) : 0 <= u <= h}, and a max over
+    forms is the max over weights m_k >= 0 summing to 1.  So with y = -theta
+    the LP is max sum u_i (b_i - kappa) + sum m_k (a_k p.b + c_k) + lo.l -
+    hi.g + b_eq.mu over a column u_i in [0, w p_i h] per atom and shared
+    hinge (row coefficients A_i), a column m_k >= 0 per form of a term of
+    several (coefficients a_k p^T A, on a row of its own that sums them to
+    w), a column l >= 0 (g >= 0) per finite lower (upper) bound on theta and
     a free column mu per equality row, subject to one row per coordinate of
-    theta: sum u_i A_i + l - g + a_eq^T mu = cost - sum_k w_k a_k p_k^T A_k.
-    The LP runs in theta - theta0, theta0 the least-squares fit of the
-    atoms, so each u starts at the bound that Z's sign at theta0 favours.
-    theta is theta0 minus the rows' multipliers, unique unless an alternate
-    dual optimum moves them."""
+    theta: sum u_i A_i + sum m_k a_k p^T A + l - g + a_eq^T mu = cost - sum
+    w a p^T A over one-form terms.  Each u runs in units of the term's mean
+    mass: so Dantzig's pricing weighs an atom's column against a form's
+    weight as the atom's share of it, and an atom of tiny mass keeps
+    entries above the pivot tolerance.  The LP runs in theta - theta0,
+    theta0 the least-squares fit of the atoms, so each u starts at the bound
+    that Z's sign at theta0 favours.  theta is theta0 minus the theta rows'
+    multipliers, unique unless an alternate dual optimum moves them.
+
+    A lone term w max(a_1 E[Z] + c_1, F_2(Z)), F_2 a form with hinges
+    (expectile_pl), has its hinge box scaled by F_2's weight lambda.  Divided
+    by lambda the box is fixed, and the program is linear-fractional in
+    mu = (1 - lambda)/lambda: max N / (1 + mu), mu a column of coefficients
+    w a_1 p^T A - cost.  Dinkelbach's (1967) iteration solves it as the same
+    LP with mu's gain less the last ratio rho, from rho the value at
+    lambda = 0 (the LP of mu = 1 and the bound and equality columns) where
+    that is finite, and from the ratio of the first LP's point otherwise,
+    until the LP's excess max N - rho (1 + mu) is at most 0.  rho, a lower
+    bound, is then the optimum, and the rows' multipliers an optimal theta:
+    each form's value there is at most rho.  At lambda = 0 the excess can
+    stay below 0, the ratio reaching rho only as mu grows without bound."""
     n = c_theta.size
     root = [np.sqrt(w * p) for _, _, _, p, w in compiled]
     design = np.vstack([r[:, None] * a for r, (_, a, *_) in zip(root, compiled)])
     theta0 = np.linalg.lstsq(design, np.concatenate([r * b for r, (_, _, b, *_) in zip(root, compiled)]), rcond=None)[0]
     rhs = c_theta.copy()
-    cols, col_cost, col_bounds = [], [], []
-    for ((ak, _, hinges),), a, b, p, w in compiled:
-        rhs -= w * ak * (p @ a)
-        for h, kappa in hinges:
-            cols.append(a)
-            col_cost.append(kappa - b + a @ theta0)
-            col_bounds.extend((0.0, ub) for ub in w * h * p)
+    # per column: its rows on theta, its gain in the dual objective and its bounds
+    cols, gain, col_bounds, sums, ratio = [], [], [], [], None
+    for forms, a, b, p, w in compiled:
+        r0, pa = b - a @ theta0, p @ a
+        if len({hinges for *_, hinges in forms}) > 1:
+            (a1, c1, _), (a2, c2, hinges) = sorted(forms, key=lambda form: len(form[2]))
+            ratio = (w * a1 * pa - c_theta, w * (a1 * (p @ r0) + c1), w * (a2 * (p @ r0) + c2))
+            forms = [(a2, c2, hinges)]
+        mass = p.mean()
+        for h, kappa in forms[0][2]:
+            cols.append(mass * a)
+            gain.append(mass * (r0 - kappa))
+            col_bounds.extend((0.0, ub) for ub in w * h * p / mass)
+        if len(forms) == 1:
+            rhs -= w * forms[0][0] * pa
+        else:
+            ak, ck = np.array([form[:2] for form in forms]).T
+            sums.append((sum(map(len, gain)), ak.size, w))
+            cols.append(np.outer(ak, pa))
+            gain.append(ak * (p @ r0) + ck)
+            col_bounds.extend([(0.0, None)] * ak.size)
+    n_fixed = sum(map(len, gain))
     lo, hi = (np.array([np.nan if bd[k] is None else bd[k] for bd in bounds], dtype=float) - theta0 for k in (0, 1))
     for side, sign in ((lo, 1.0), (hi, -1.0)):
         at = np.flatnonzero(np.isfinite(side))
         cols.append(sign * np.eye(n)[at])
-        col_cost.append(-sign * side[at])
+        gain.append(sign * side[at])
         col_bounds.extend([(0.0, None)] * at.size)
     if a_eq is not None:
         cols.append(a_eq)
-        col_cost.append(a_eq @ theta0 - np.asarray(b_eq, dtype=float))
+        gain.append(np.asarray(b_eq, dtype=float) - a_eq @ theta0)
         col_bounds.extend([(None, None)] * a_eq.shape[0])
-    # costs in units of the largest, so that the pricing tolerance is relative to them
-    col_cost = np.concatenate(col_cost)
-    unit = float(np.max(np.abs(col_cost), initial=0.0)) or 1.0
-    sol = solve_lp(LpProblem(c=col_cost / unit, a_eq=np.vstack(cols).T, b_eq=rhs, bounds=col_bounds))
+    a_lp = np.vstack(cols).T
+    for start, k, w in sums:
+        row = np.zeros(a_lp.shape[1])
+        row[start : start + k] = 1.0
+        a_lp, rhs = np.vstack((a_lp, row)), np.append(rhs, w)
+    # gains in units of the largest, so that the pricing tolerance is relative to them
+    gain = np.concatenate(gain)
+    unit = float(np.max(np.abs(gain), initial=abs(ratio[1]) if ratio else 0.0)) or 1.0
+    gain /= unit
+    if ratio is None:
+        sol = _dual_lp(gain, a_lp, rhs, col_bounds)
+    else:
+        coef, g1, g2 = ratio[0], ratio[1] / unit, ratio[2] / unit
+        at_zero = solve_lp(LpProblem(c=-np.append(g1, gain[n_fixed:]), a_eq=np.hstack((coef[:, None], a_lp[:, n_fixed:])), b_eq=np.zeros(n), bounds=[(1.0, 1.0)] + col_bounds[n_fixed:]))
+        if at_zero.status == "unbounded":
+            raise RuntimeError("decision LP infeasible")
+        # rho is a lower bound once it is the value at lambda = 0 or a ratio the LP attained
+        rho, bound = (-at_zero.objective, True) if at_zero.status == "optimal" else (0.0, False)
+        a_lp, col_bounds = np.hstack((a_lp, coef[:, None])), col_bounds + [(0.0, None)]
+        for _ in range(_DINKELBACH_ROUNDS):
+            sol = _dual_lp(np.append(gain, g1 - rho), a_lp, rhs, col_bounds)
+            excess = g2 - rho - sol.objective
+            if bound and excess <= 1e-14 * (1.0 + abs(rho)):
+                break
+            rho, bound = rho + excess / (1.0 + sol.x[-1]), True
+        else:
+            raise RuntimeError(f"Dinkelbach iteration unconverged after {_DINKELBACH_ROUNDS} LPs")
+    return theta0 - unit * sol.duals[:n], any(r < n for r in sol.degenerate_rows)
+
+
+def _dual_lp(gain, a_lp, rhs, col_bounds):
+    sol = solve_lp(LpProblem(c=-gain, a_eq=a_lp, b_eq=rhs, bounds=col_bounds))
     if sol.status != "optimal":
         # an infeasible dual means an unbounded decision, and an unbounded dual an infeasible one
         raise RuntimeError(f"decision LP {'unbounded' if sol.status == 'infeasible' else 'infeasible'}")
-    return theta0 - unit * sol.duals, bool(sol.degenerate_rows)
+    return sol
 
 
 def _affine_primal(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, bool]:

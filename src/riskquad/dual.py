@@ -37,8 +37,11 @@ class Envelope:
     """Dual set of density vectors Q, polyhedral or membership-oracle.
 
     Polyhedral data is expressed directly on the q coordinates (probability
-    weights are baked into the rows).  ``support`` optionally overrides the
-    support-function computation with a closed form.
+    weights are baked into the rows); ``contains`` reads it.  ``argmax(d)``,
+    where the set's own geometry gives it, returns the exact maximizer of
+    d.Q over the set with its value, from the order of r = d/p; without it
+    d.Q is maximized by ``solve_lp`` on the rows, or by ``ascend_envelope``
+    on a membership oracle.
     """
 
     kind: str  # "risk" | "regret" | "deviation" | "error"
@@ -51,8 +54,7 @@ class Envelope:
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
     member: Optional[Callable[[np.ndarray], bool]] = None
-    support: Optional[Callable[[np.ndarray], float]] = None
-    sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    argmax: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     @property
     def center(self) -> np.ndarray:
@@ -93,7 +95,40 @@ def cvar_envelope(alpha: float, probs) -> Envelope:
         b_eq=np.ones(1),
         lb=np.zeros(m),
         ub=np.full(m, 1.0 / (1.0 - alpha)),
+        argmax=lambda d: _cvar_argmax(d, p, 1.0 / (1.0 - alpha)),
     )
+
+
+def _by_ratio(direction, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d as floats, and the order of its atoms by r = d/p, largest first."""
+    d = np.asarray(direction, dtype=float)
+    return d, np.argsort(-(d / p), kind="stable")
+
+
+def _cvar_argmax(direction, p: np.ndarray, cap: float) -> tuple[float, np.ndarray]:
+    """The knapsack fill: Q = cap on the largest r until E[Q] reaches 1, one
+    atom split."""
+    d, order = _by_ratio(direction, p)
+    before = np.concatenate(([0.0], np.cumsum(cap * p[order])[:-1]))
+    q = np.empty_like(d)
+    q[order] = np.clip((1.0 - before) / p[order], 0.0, cap)
+    return float(d @ q), q
+
+
+def _two_level_argmax(direction, p: np.ndarray, level) -> tuple[float, np.ndarray]:
+    """The best of the vertices Q_k, k = 0..m, on which the k atoms of
+    largest r, of mass C_k, take the high value and the rest the low one,
+    the pair ``level(C_k)``.  Over a set whose densities differ by at most a
+    bound (mean_abs) or a ratio (expectile), a linear objective is
+    maximized at such a vertex."""
+    d, order = _by_ratio(direction, p)
+    mass = np.concatenate(([0.0], np.cumsum(p[order])))
+    top = np.concatenate(([0.0], np.cumsum(d[order])))
+    low, high = level(mass)
+    k = int(np.argmax(low * d.sum() + (high - low) * top))
+    q = np.full_like(d, low[k])
+    q[order[:k]] = high[k]
+    return float(d @ q), q
 
 
 def mean_envelope(probs) -> Envelope:
@@ -130,6 +165,8 @@ def mean_abs_risk_envelope(probs) -> Envelope:
         a_ub=np.asarray(rows),
         b_ub=np.ones(len(rows)),
         lb=np.zeros(m),
+        # Q_k = (1 - C_k) + 1[top k]
+        argmax=lambda d: _two_level_argmax(d, p, lambda c: (1.0 - c, 2.0 - c)),
     )
 
 
@@ -140,6 +177,7 @@ def expectile_envelope(q_level: float, probs) -> Envelope:
     p = np.asarray(probs, dtype=float)
     m = p.size
     rows = _pair_rows(m, 1.0 - q_level, -q_level)
+    beta = q_level / (1.0 - q_level)
     return Envelope(
         kind="risk",
         probs=p,
@@ -149,6 +187,8 @@ def expectile_envelope(q_level: float, probs) -> Envelope:
         a_ub=np.asarray(rows),
         b_ub=np.zeros(len(rows)),
         lb=np.zeros(m),
+        # Q_k = t_k (1 + (beta - 1) 1[top k]), t_k = 1/(1 + (beta - 1) C_k)
+        argmax=lambda d: _two_level_argmax(d, p, lambda c: (1.0 / (1.0 + (beta - 1.0) * c), beta / (1.0 + (beta - 1.0) * c))),
     )
 
 
@@ -162,25 +202,20 @@ def stddev_deviation_envelope(lam: float, probs) -> Envelope:
             return False
         return float(np.dot(p, q * q)) <= lam * lam + 1e-9
 
-    def support(values):
-        x = DiscreteRv(values, p)
-        return lam * x.std()
+    def argmax(direction):
+        # Q = lam (r - E r)/sigma(r), r = d/p, centred on its first entry so a constant r gives 0
+        r = np.asarray(direction, dtype=float) / p
+        c = r - r[0] - float(np.dot(p, r - r[0]))
+        sigma = math.sqrt(float(np.dot(p, c * c)))
+        return lam * sigma, (lam / sigma) * c if sigma > 0.0 else np.zeros_like(r)
 
-    def sampler(rng):
-        z = rng.normal(size=p.size)
-        z = z - float(np.dot(p, z))
-        norm = math.sqrt(float(np.dot(p, z * z))) or 1.0
-        return z * (lam * rng.uniform(0.0, 1.0) / norm)
-
-    return Envelope(kind="deviation", probs=p, label=f"stddev({lam:g})", member=member, support=support, sampler=sampler)
+    return Envelope(kind="deviation", probs=p, label=f"stddev({lam:g})", member=member, argmax=argmax)
 
 
 def envelope_sup(env: Envelope, values) -> tuple[float, Optional[np.ndarray]]:
     """sup_{Q in env} E[XQ] with a maximizer when available."""
     x = np.asarray(values, dtype=float)
-    if env.support is not None:
-        return env.support(x), None
-    if env.polyhedral:
+    if env.argmax is not None or env.polyhedral:
         val, q = envelope_sup_direction(env, env.probs * x)
         if q is None:
             raise RuntimeError("envelope support LP not optimal")
@@ -299,16 +334,18 @@ class DualReport:
 
 
 def _sample_envelope_points(env: Envelope, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    if env.sampler is not None:
-        return [env.sampler(rng) for _ in range(n)]
-    if not env.polyhedral:
+    if env.argmax is None and not env.polyhedral:
         return []
     qs = [envelope_sup_direction(env, rng.normal(size=env.probs.size))[1] for _ in range(n)]
     return [q for q in qs if q is not None]
 
 
 def envelope_sup_direction(env: Envelope, direction) -> tuple[float, Optional[np.ndarray]]:
-    """Maximize an arbitrary linear objective (not probability weighted)."""
+    """Maximize an arbitrary linear objective (not probability weighted):
+    by the envelope's ``argmax`` where it has one, else by ``solve_lp`` on
+    its rows."""
+    if env.argmax is not None:
+        return env.argmax(direction)
     d = np.asarray(direction, dtype=float)
     if not env.polyhedral:
         raise ValueError("direction maximization needs a polyhedral envelope")

@@ -1,11 +1,13 @@
 """Generalized linear regression: minimizing quadrangle errors of residuals.
 
-Each error takes the first route its data allows: one exact LP
-(``minimize_affine``) for affine loss pieces or a moment-max form, least
-squares with the residual signs' weights for ``square_weights`` (the L2
-error and the asymmetric MSE), and otherwise Kelley's cutting planes on its
-subgradient (``cutting_planes``), whose certified gap the fit carries.  The
-fitted residual statistic certifies the tracking property 0 in S(residual).
+Each error takes the first route its data allows: the exact program in
+its boxed dual (``minimize_affine``: one LP, or a few rounds of it by
+Dinkelbach's iteration for expectile_pl) for affine loss pieces or a
+moment-max form, least squares with the residual signs' weights for
+``square_weights`` (the L2 error and the asymmetric MSE), and otherwise
+Kelley's cutting planes on its subgradient (``cutting_planes``), whose
+certified gap the fit carries.  The fitted residual statistic certifies the
+tracking property 0 in S(residual).
 Soft-margin classification runs the same cutting planes.
 """
 
@@ -141,7 +143,7 @@ def _fit_planes(err: ErrorFn, design: np.ndarray, y: np.ndarray, p: np.ndarray, 
 
 def fit_linear(err: ErrorFn, data: Dataset, steps: int = 500) -> FitResult:
     """Minimize err(Y - c0 - X.c) over intercept and coefficients, by the
-    first route err's data allows: one exact LP, sign-weighted least
+    first route err's data allows: the exact dual program, sign-weighted least
     squares, or cutting planes (at most ``steps`` rounds) on its
     subgradient.  Raises ValueError where err carries none of these."""
     nonunique, gap = False, 0.0

@@ -129,13 +129,6 @@ def dro_solve(p: DroProblem, steps: int = 2500) -> DroSolution:
     return DroSolution(res.x, res.value, densities[res.x.tobytes()], res.gap, res.gap > 1e-6)
 
 
-def dro_envelope_value(p: DroProblem, w) -> float:
-    """Envelope-route objective at a fixed decision."""
-    j = StochasticDivergenceJ.from_phi(p.phi, normalized=True)
-    val, _ = family_eval_envelope(j, p.tau, DiscreteRv(-(p.scenarios @ np.asarray(w)), p.probs))
-    return val
-
-
 # -- epi-regularization ------------------------------------------------------------
 
 

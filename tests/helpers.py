@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 
 from riskquad.core import DiscreteRv, SortedSums, map_chunks, sample_rvs
-from riskquad.divergence import make_divergence_quadrangle
+from riskquad.divergence import StochasticDivergenceJ, family_eval_envelope, make_divergence_quadrangle
 from riskquad.solvers import LpProblem, compass_search, solve_lp
 
 
@@ -116,38 +116,12 @@ def _pad(a_eq, width):
     return None if a_eq is None else np.hstack((np.atleast_2d(a_eq), np.zeros((np.atleast_2d(a_eq).shape[0], width))))
 
 
-def highs_affine(f, a, b, p, cost, bounds=None, a_eq=None, b_eq=None):
-    """argmin over theta of cost.theta + E_p f(b - A theta) for an f with
-    affine loss pieces or a moment-max form, as an LP written here from that
-    data and solved by HiGHS: the oracle of ``minimize_affine``."""
-    a, b, p, cost = (np.asarray(v, dtype=float) for v in (a, b, p, cost))
-    m, n = a.shape
-    bounds = list(bounds or [(None, None)] * n)
-    if f.loss is not None and f.loss.pieces is not None:
-        # t_i >= s (b_i - A_i theta) + k for every piece (s, k)
-        rows = [np.concatenate((-s * a[i], -np.eye(m)[i])) for i in range(m) for s, _ in f.loss.pieces]
-        rhs = [-s * b[i] - k for i in range(m) for s, k in f.loss.pieces]
-        c = np.concatenate((cost, p))
-        bounds += [(None, None)] * m
-    else:
-        # u_i >= b_i - A_i theta, u >= 0, M >= a E[Z] + b E[u] + c for every term
-        rows = [np.concatenate((-a[i], -np.eye(m)[i], [0.0])) for i in range(m)]
-        rhs = list(-b)
-        for ta, tb, tc in f.moment_max.terms:
-            rows.append(np.concatenate((-ta * (p @ a), tb * p, [-1.0])))
-            rhs.append(-ta * float(p @ b) - tc)
-        c = np.concatenate((cost, np.zeros(m), [1.0]))
-        bounds += [(0.0, None)] * m + [(None, None)]
-    return _highs(c, np.array(rows), np.array(rhs), bounds, _pad(a_eq, c.size - n), b_eq)[:n]
-
-
-def primal_affine(terms, cost, bounds=None, a_eq=None, b_eq=None):
+def _epigraph_lp(terms, cost, bounds=None, a_eq=None, b_eq=None):
     """min cost.theta + sum_k w_k F_k(b_k - A_k theta) as the epigraph LP,
-    solved by ``solve_lp``: t_i >= s Z_i + k for each atom and affine loss
-    piece (s, k), t free; for a moment-max form u_i >= Z_i, u >= 0 and
-    M >= a E[Z] + b E[u] + c for each term: the oracle of
-    ``minimize_affine``'s boxed dual and epigraph.  Returns theta, the LP's
-    value and whether an alternate optimum moves theta."""
+    written here from each F_k's own data: t_i >= s Z_i + k for each atom
+    and affine loss piece (s, k), t free; for a moment-max form u_i >= Z_i,
+    u >= 0 and M >= a E[Z] + b E[u] + c for each term.  theta is its first
+    len(cost) columns."""
     c_theta = np.asarray(cost, dtype=float)
     n = c_theta.size
     blocks = []  # per term: rows on theta, rows on its auxiliaries, rhs, their costs and bounds
@@ -174,16 +148,29 @@ def primal_affine(terms, cost, bounds=None, a_eq=None, b_eq=None):
         a_ub[r : r + rows.shape[0], :n] = rows
         a_ub[r : r + rows.shape[0], col : col + aux.shape[1]] = aux
         r, col = r + rows.shape[0], col + aux.shape[1]
-    sol = solve_lp(
-        LpProblem(
-            c=np.concatenate([c_theta] + [blk[3] for blk in blocks]),
-            a_eq=_pad(a_eq, n_aux),
-            b_eq=b_eq,
-            a_ub=a_ub,
-            b_ub=np.concatenate([blk[2] for blk in blocks]),
-            bounds=list(bounds or [(None, None)] * n) + [bd for blk in blocks for bd in blk[4]],
-        )
+    return LpProblem(
+        c=np.concatenate([c_theta] + [blk[3] for blk in blocks]),
+        a_eq=_pad(a_eq, n_aux),
+        b_eq=b_eq,
+        a_ub=a_ub,
+        b_ub=np.concatenate([blk[2] for blk in blocks]),
+        bounds=list(bounds or [(None, None)] * n) + [bd for blk in blocks for bd in blk[4]],
     )
+
+
+def highs_affine(terms, cost, bounds=None, a_eq=None, b_eq=None):
+    """argmin over theta of the epigraph LP (``_epigraph_lp``), solved by
+    HiGHS: the oracle of ``minimize_affine``."""
+    lp = _epigraph_lp(terms, cost, bounds, a_eq, b_eq)
+    return _highs(lp.c, lp.a_ub, lp.b_ub, lp.bounds, lp.a_eq, lp.b_eq)[: np.size(cost)]
+
+
+def primal_affine(terms, cost, bounds=None, a_eq=None, b_eq=None):
+    """The epigraph LP (``_epigraph_lp``) solved by ``solve_lp``: the oracle
+    of ``minimize_affine``'s boxed dual and epigraph.  Returns theta, the
+    LP's value and whether an alternate optimum moves theta."""
+    n = np.size(cost)
+    sol = solve_lp(_epigraph_lp(terms, cost, bounds, a_eq, b_eq))
     assert sol.status == "optimal", sol.status
     return sol.x[:n], float(sol.objective), any(j < n for j in sol.degenerate_columns)
 
@@ -225,3 +212,11 @@ def spectral_lp(a, b, weights, cost, bounds=None, a_eq=None, b_eq=None):
     c = np.concatenate((cost, steps[ks] * (m - ks), np.repeat(steps[ks], m)))
     bounds = list(bounds or [(None, None)] * n) + [(None, None)] * nk + [(0.0, None)] * (nk * m)
     return _highs(c, a_ub, np.tile(-b, nk), bounds, _pad(a_eq, c.size - n), b_eq)[:n]
+
+
+def dro_envelope_value(p, w):
+    """The DRO objective at a fixed decision w: the worst-case expected
+    portfolio loss over the ball of the ``DroProblem`` p, by its envelope route."""
+    j = StochasticDivergenceJ.from_phi(p.phi, normalized=True)
+    val, _ = family_eval_envelope(j, p.tau, DiscreteRv(-(p.scenarios @ np.asarray(w)), p.probs))
+    return val

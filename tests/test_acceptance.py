@@ -31,7 +31,6 @@ from riskquad.regression import Dataset, fit_named, regression_equivalence_check
 from riskquad.robust import (
     DroProblem,
     EpiSpec,
-    dro_envelope_value,
     dro_solve,
     epi_regret_fn,
     epi_risk_dual,
@@ -40,7 +39,7 @@ from riskquad.robust import (
     portfolio_optimize,
 )
 
-from helpers import random_rv, random_rvs
+from helpers import dro_envelope_value, random_rv, random_rvs
 
 
 def _report(number: int, description: str, passed: bool, detail: str = ""):

@@ -119,6 +119,20 @@ def test_envelope_command(u5_csv, capsys):
     assert all(v == "pass" for v in payload["axioms"].values())
 
 
+@pytest.mark.parametrize("family", [["--family", "quantile", "--alpha", "0.8"], ["--family", "mean_pl"], ["--family", "expectile_pl", "--K", "0.5"]], ids=["quantile", "mean_pl", "expectile_pl"])
+def test_envelope_command_on_fifty_atoms(family, tmp_path, capsys):
+    # the support by the envelope's vertex scan meets the primal risk, and
+    # every axiom passes, on a 50-atom r.v.
+    rng = np.random.default_rng(50)
+    path = tmp_path / "rv50.csv"
+    path.write_text("value,prob\n" + "".join(f"{v!r},{p!r}\n" for v, p in zip(rng.normal(size=50).tolist(), rng.dirichlet(np.ones(50)).tolist())))
+    code = main(["envelope", *family, "--input", str(path), "--format", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["support_gap"] <= 1e-12 * (1.0 + abs(payload["primal_risk"]))
+    assert payload["axioms"] and all(v == "pass" for v in payload["axioms"].values())
+
+
 def test_regress_command(data_csv, capsys):
     code = main(["regress", "--model", "quantile", "--alpha", "0.5", "--input", data_csv, "--format", "json"])
     assert code == 0

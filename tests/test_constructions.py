@@ -33,7 +33,7 @@ from riskquad.measures import (
     vapnik_loss,
 )
 
-from helpers import interval_gap, primal_affine, random_rv, random_rvs
+from helpers import highs_affine, interval_gap, primal_affine, random_rv, random_rvs
 
 SYM = DiscreteRv([-1, 1], [0.5, 0.5])
 U5 = DiscreteRv.uniform([1, 2, 3, 4, 5])
@@ -760,9 +760,9 @@ def _fit_terms(model, params, n, rng, weights=False):
     return [(err, np.hstack((np.ones((n, 1)), x)), y, p, 1.0)], np.zeros(4), None, None, None
 
 
-def _portfolio_terms(alpha, m, k, rng, mean_row):
-    # min_(w, C) C + V(-S w - C) over the simplex, V the quantile(alpha) regret
-    regret = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": alpha})).regret_fn
+def _portfolio_terms(spec, m, k, rng, mean_row):
+    # min_(w, C) C + V(-S w - C) over the simplex, V the regret of the catalog spec
+    regret = make_catalog_quadrangle(CatalogSpec(*spec)).regret_fn
     s = 0.05 + 0.12 * rng.standard_normal((m, k))
     a_eq = [np.append(np.ones(k), 0.0)] + ([np.append(s.mean(axis=0), 0.0)] if mean_row else [])
     b_eq = [1.0] + ([float(np.median(s.mean(axis=0)))] if mean_row else [])
@@ -794,21 +794,58 @@ def _decision_cases():
     median = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
     cases.append(("median-of-six", ([(median, np.ones((6, 1)), rng.standard_normal(6), np.full(6, 1.0 / 6.0), 1.0)], np.zeros(1), None, None, None)))
     for alpha, m, k, mean_row in ((0.8, 40, 4, False), (0.95, 120, 6, True), (0.5, 60, 3, True)):
-        cases.append((f"portfolio-{alpha}-{m}x{k}", _portfolio_terms(alpha, m, k, rng, mean_row)))
+        cases.append((f"portfolio-{alpha}-{m}x{k}", _portfolio_terms(("quantile", {"alpha": alpha}), m, k, rng, mean_row)))
     cases.append(("mix-quantiles", _mix_terms([("quantile", {"alpha": 0.3}), ("quantile", {"alpha": 0.8})], [0.4, 0.6], 9, rng)))
     cases.append(("mix-qsau", _mix_terms([("quantile", {"alpha": 0.2}), ("qsau", {"eps": 0.4})], [0.5, 0.5], 11, rng)))
     cases.append(("mix-mean_pl", _mix_terms([("quantile", {"alpha": 0.3}), ("mean_pl", {})], [0.3, 0.7], 10, rng)))
+    # the two-form moment-max errors: a shared hinge, and expectile_pl's Dinkelbach iteration
+    two_form = [("mean_pl", {})] + [("biased_mean", {"x": x0}) for x0 in (0.0, 0.5, -0.5)] + [("expectile_pl", {"K": k}) for k in (0.25, 0.5, 2.0)]
+    for model, params in two_form:
+        tag = "-".join([model] + [f"{v:g}" for v in params.values()])
+        for n in (7, 50, 200):
+            cases.append((f"{tag}-{n}", _fit_terms(model, params, n, rng, weights=n == 50)))
+        for m, k, mean_row in ((40, 4, False), (60, 3, True)):
+            cases.append((f"portfolio-{tag}-{m}x{k}{'-mean' if mean_row else ''}", _portfolio_terms((model, params), m, k, rng, mean_row)))
+    cases.append(("expectile_pl-0.5-1000", _fit_terms("expectile_pl", {"K": 0.5}, 1000, rng)))
+    # theta in a box, so the program at lambda = 0 (expectile_pl's -E[Z] form alone) is
+    # bounded: an optimum inside (0, 1), and at lambda = 0 when Z stays below 0
+    for offset in (-1.0, -10.0):
+        [(f, a, b, p, w)], cost, *_ = _fit_terms("expectile_pl", {"K": 0.5}, 30, rng)
+        cases.append((f"expectile_pl-boxed{offset:+g}", ([(f, a, b + offset, p, w)], cost, [(-0.5, 0.5)] * 4, None, None)))
+    # a thick optimal set: the first of two assets, both held, listed twice
+    for spec in (("expectile_pl", {"K": 0.5}), ("mean_pl", {})):
+        [(f, a, b, p, w)], cost, bounds, a_eq, b_eq = _portfolio_terms(spec, 30, 2, rng, False)
+        twice = ([(f, np.hstack((a[:, :1], a)), b, p, w)], np.append(0.0, cost), [(0.0, None)] + bounds, np.hstack((np.ones((1, 1)), a_eq)), b_eq)
+        cases.append((f"portfolio-{spec[0]}-asset-twice", twice))
+    # expectile_pl next to another term: the epigraph
+    cases.append(("mix-expectile_pl", _mix_terms([("expectile_pl", {"K": 0.5}), ("quantile", {"alpha": 0.3})], [0.6, 0.4], 10, rng)))
     return cases
+
+
+@pytest.mark.parametrize("tiny", [1e-12, 1e-10])
+def test_decision_weighs_an_atom_of_tiny_mass(tiny):
+    # the median of {0, 0.5, 1} with masses (1 - t)/2, t, (1 - t)/2 is 0.5,
+    # decided by the atom of mass t: its dual column must still pivot
+    median = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
+    p = np.array([0.5 - tiny / 2.0, tiny, 0.5 - tiny / 2.0])
+    theta, value, _ = minimize_affine([(median, np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), p, 1.0)], np.zeros(1))
+    assert theta[0] == 0.5
+    assert abs(value - (0.5 - tiny / 2.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("case", [c for _, c in _decision_cases()], ids=[name for name, _ in _decision_cases()])
 def test_decisions_match_the_primal_epigraph_oracle(case):
-    # the boxed dual (one-form terms) and the epigraph (mix-mean_pl) against
-    # the primal loss-piece compile solved by the same simplex
+    # the boxed dual (shared hinges) and its Dinkelbach iteration
+    # (expectile_pl) against the epigraph LP written from each term's own
+    # data, solved by the same simplex and by HiGHS
     terms, cost, bounds, a_eq, b_eq = case
     theta, value, nonunique = minimize_affine(terms, cost, bounds, a_eq, b_eq)
     want_theta, want, want_nonunique = primal_affine(terms, cost, bounds, a_eq, b_eq)
-    assert abs(value - want) <= 1e-12 * (1.0 + abs(want))
+    highs_theta = highs_affine(terms, cost, bounds, a_eq, b_eq)
+    highs = float(cost @ highs_theta) + sum(w * f.fn(DiscreteRv(b - a @ highs_theta, p)) for f, a, b, p, w in terms)
+    for v in (want, highs):
+        assert abs(value - v) <= 1e-12 * (1.0 + abs(v))
     assert nonunique == want_nonunique
     if not nonunique:
-        assert np.allclose(theta, want_theta, rtol=1e-12, atol=1e-12)
+        for t in (want_theta, highs_theta):
+            assert np.allclose(theta, t, rtol=1e-12, atol=1e-12)

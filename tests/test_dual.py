@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from riskquad.dual import (
     dual_axiom_check,
     envelope_extract,
     envelope_sup,
+    envelope_sup_direction,
     expectile_envelope,
     mean_abs_risk_envelope,
     mean_envelope,
@@ -75,6 +77,68 @@ def test_stddev_envelope_closed_form():
         env = stddev_deviation_envelope(1.3, x.probs)
         sup, _ = envelope_sup(env, x.values)
         assert sup == pytest.approx(1.3 * x.std(), abs=1e-12)
+
+
+def _argmax_cases(rng, tiny):
+    """(X, its masses, scale) over the input classes of the vertex scans:
+    random and rounded (tied) values, single atoms, scales 1e-9 to 1e9, some
+    at an offset ten times the scale; Dirichlet masses, floored at 1e-12
+    when ``tiny``."""
+    for trial in range(240):
+        m = 1 if trial % 12 == 0 else int(rng.integers(2, 9))
+        p = rng.dirichlet(np.full(m, 0.05 if tiny else 1.0))
+        if tiny:
+            p = np.maximum(p, 1e-12)
+            p /= p.sum()
+        s = 10.0 ** rng.uniform(-9.0, 9.0)
+        x = s * (rng.normal(size=m) + (10.0 * rng.normal() if trial % 5 == 0 else 0.0))
+        if trial % 3 == 0:
+            x = s * np.round(x / s)
+        yield x, p, s
+
+
+def _argmax_envelopes(rng, p, x):
+    """cvar at alpha 0, 0.5 and 0.99, mean_abs and an expectile envelope on
+    masses p, each with its primal risk of X."""
+    rv = DiscreteRv(x, p)
+    q_level = float(rng.uniform(0.51, 0.99))
+    mean_pl = make_catalog_quadrangle(CatalogSpec("mean_pl", {}))
+    envs = [(cvar_envelope(alpha, p), cvar_direct(rv, alpha)) for alpha in (0.0, 0.5, 0.99)]
+    return envs + [(mean_abs_risk_envelope(p), mean_pl.risk(rv)), (expectile_envelope(q_level, p), expectile_value(rv, q_level))]
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["dirichlet", "masses-to-1e-12"])
+def test_envelope_argmax_is_the_exact_maximizer(tiny):
+    # the vertex scans against the primal risk, and against solve_lp on the
+    # envelope's own rows with the direction at unit scale; their Q lies in
+    # the set and has E[Q] = 1.  Masses below solve_lp's pivot tolerance
+    # (1e-9) leave its atoms at their starting bound, so the LP is compared
+    # only on unfloored masses
+    rng = np.random.default_rng(29)
+    for x, p, s in _argmax_cases(rng, tiny):
+        d = p * x
+        for env, primal in _argmax_envelopes(rng, p, x):
+            v, q = env.argmax(d)
+            tol = 1e-12 * (s + abs(v))
+            assert abs(v - primal) <= tol, (env.label, v, primal)
+            assert abs(v - float(d @ q)) <= tol
+            assert env.contains(q) and abs(float(p @ q) - 1.0) <= 1e-12, env.label
+            if not tiny:
+                unit = float(np.max(np.abs(d))) or 1.0
+                lp, _ = envelope_sup_direction(dataclasses.replace(env, argmax=None), d / unit)
+                assert abs(v - unit * lp) <= tol, (env.label, v, unit * lp)
+
+
+def test_stddev_argmax_is_the_scaled_deviation():
+    # E[QX] = lam sigma(X), and Q lies in the ball
+    rng = np.random.default_rng(31)
+    for x, p, s in _argmax_cases(rng, False):
+        env = stddev_deviation_envelope(1.3, p)
+        v, q = env.argmax(p * x)
+        sigma = DiscreteRv(x, p).std()
+        assert abs(v - 1.3 * sigma) <= 1e-12 * (s + v)
+        assert abs(float(np.dot(p, q * x)) - v) <= 1e-12 * (s + v)
+        assert env.contains(q)
 
 
 # -- conjugates ----------------------------------------------------------------

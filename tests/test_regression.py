@@ -263,7 +263,7 @@ def test_fit_linear_lp_at_least_as_good_as_descent(i):
     data = _random_dataset(np.random.default_rng(40 + i), n=n, d=d)
     fit = fit_linear(err, data)
     design = np.hstack([np.ones((n, 1)), data.features])
-    theta = highs_affine(err, design, data.target, data.weights, np.zeros(d + 1))
+    theta = highs_affine([(err, design, data.target, data.weights, 1.0)], np.zeros(d + 1))
     v_oracle = err.fn(DiscreteRv(data.target - design @ theta, data.weights))
     assert fit.objective <= v_oracle + 1e-12 * (1.0 + abs(v_oracle))
     assert within(err.fn(fit.residual_rv), fit.objective)

@@ -15,7 +15,6 @@ from riskquad.solvers import solve_lp
 from riskquad.robust import (
     DroProblem,
     EpiSpec,
-    dro_envelope_value,
     dro_solve,
     epi_regret,
     epi_regret_divroot,
@@ -30,7 +29,7 @@ from riskquad.robust import (
 import riskquad.robust as robust
 from riskquad.divergence import make_divergence_quadrangle
 
-from helpers import LP_FAMILIES, cvar2_rank_weights, cvar_rank_weights, epi_l2_slsqp, highs_affine, inf_convolution, random_rv, spectral_lp, within
+from helpers import LP_FAMILIES, cvar2_rank_weights, cvar_rank_weights, dro_envelope_value, epi_l2_slsqp, highs_affine, inf_convolution, random_rv, spectral_lp, within
 
 
 def _cvar_spec(alpha, probs, epsilon, kernel="quadratic", lam=1.0):
@@ -541,7 +540,7 @@ def test_portfolio_lp_at_least_as_good_as_descent(i):
     bounds = [(0.0, None)] * k + [(None, None)]
 
     def oracle(a_eq, b_eq):
-        theta = highs_affine(q.regret_fn, a, np.zeros(m), probs, cost, bounds, a_eq, b_eq)
+        theta = highs_affine([(q.regret_fn, a, np.zeros(m), probs, 1.0)], cost, bounds, a_eq, b_eq)
         return q.risk(DiscreteRv(-(scen @ theta[:k]), probs))
 
     w, v = portfolio_optimize(q, scen, probs=probs)
