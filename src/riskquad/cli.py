@@ -62,13 +62,22 @@ class RunConfig:
     target_mean: Optional[float] = None
 
 
+def _as_matrix(rows, width: int = 0) -> Optional[np.ndarray]:
+    """The rows as one float matrix in one conversion, or None when they are
+    ragged, narrower than ``width`` or hold a cell that is not a number, for
+    the caller's per-row loop to name the line."""
+    try:
+        mat = np.array(rows, dtype=float)
+    except ValueError:
+        return None
+    return mat if mat.shape[1] >= width else None
+
+
 def ingest_rv_csv(path: str) -> DiscreteRv:
     """Read atoms from a CSV with header value,prob (or a single value column)."""
-    values: list[float] = []
-    probs: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+        rows = [r for r in reader if r and any(map(str.strip, r))]
     if not rows:
         raise InvalidDistribution(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0]]
@@ -80,29 +89,40 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
         vi, pi = 0, None
     if not body:
         raise InvalidDistribution(f"{path}: no data rows")
-    for lineno, row in enumerate(body, start=2 if has_header else 1):
-        try:
-            values.append(float(row[vi]))
-        except (ValueError, IndexError) as exc:
-            raise InvalidDistribution(f"{path}:{lineno}: bad value cell {row!r}") from exc
-        if pi is not None:
+    first = 2 if has_header else 1
+    mat = _as_matrix(body, 1 + max(vi, pi or 0))
+    if mat is None:
+        for lineno, row in enumerate(body, start=first):
             try:
-                p = float(row[pi])
+                float(row[vi])
             except (ValueError, IndexError) as exc:
-                raise InvalidDistribution(f"{path}:{lineno}: bad prob cell {row!r}") from exc
-            if p < 0:
-                raise InvalidDistribution(f"{path}:{lineno}: negative prob {p}")
-            probs.append(p)
+                raise InvalidDistribution(f"{path}:{lineno}: bad value cell {row!r}") from exc
+            if pi is not None:
+                try:
+                    p = float(row[pi])
+                except (ValueError, IndexError) as exc:
+                    raise InvalidDistribution(f"{path}:{lineno}: bad prob cell {row!r}") from exc
+                if p < 0:
+                    raise InvalidDistribution(f"{path}:{lineno}: negative prob {p}")
+        # ragged rows or a bad cell outside the value and prob columns
+        mat = np.array([[float(row[vi])] + ([] if pi is None else [float(row[pi])]) for row in body])
+        vi, pi = 0, None if pi is None else 1
+    values = mat[:, vi]
     if pi is None:
         rv = DiscreteRv(values)
         delta = 0.0
     else:
-        total = sum(probs)
+        probs = mat[:, pi]
+        negative = np.flatnonzero(probs < 0)
+        if negative.size:
+            raise InvalidDistribution(f"{path}:{first + negative[0]}: negative prob {float(probs[negative[0]])}")
+        # summed one by one in row order, so the rescaled masses keep the bits the per-row reading gave
+        total = sum(probs.tolist())
         delta = abs(total - 1.0)
         if delta > 1e-4:
             raise InvalidDistribution(f"{path}: probs sum to {total!r}")
         # CSV rounding tolerance is looser than the constructor's; rescale here
-        rv = DiscreteRv(values, [p / total for p in probs])
+        rv = DiscreteRv(values, probs / total)
     print(f"# read {len(values)} rows from {path} (normalization delta {delta:.3e})", file=sys.stderr)
     return rv
 
@@ -111,12 +131,17 @@ def ingest_dataset_csv(path: str, target: Optional[str] = None) -> Dataset:
     """CSV with a header row; the target column defaults to the last one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(c.strip() for c in r)]
+        rows = [r for r in reader if r and any(map(str.strip, r))]
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header and at least one data row")
     header = [c.strip() for c in rows[0]]
     tcol = header.index(target) if target else len(header) - 1
     wcol = header.index("weight") if "weight" in header else None
+    mat = _as_matrix(rows[1:], 1 + max(tcol, wcol or 0))
+    if mat is not None:
+        keep = [i for i in range(mat.shape[1]) if i not in (tcol, wcol)]
+        return Dataset(mat[:, keep], mat[:, tcol], mat[:, wcol] if wcol is not None else None)
+    # ragged rows or a cell that is not a number: row by row, naming the line
     feats, ys, ws = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         try:
@@ -133,7 +158,7 @@ def ingest_dataset_csv(path: str, target: Optional[str] = None) -> Dataset:
 def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(c.strip() for c in r)]
+        rows = [r for r in reader if r and any(map(str.strip, r))]
     try:
         float(rows[0][0])
         body, pcol = rows, None
@@ -143,7 +168,10 @@ def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
         pcol = header.index("prob") if "prob" in header else None
     if not body:
         raise ValueError(f"{path}: need at least one data row")
-    mat = np.asarray([[float(c) for c in r] for r in body])
+    mat = _as_matrix(body)
+    if mat is None:
+        # ragged rows or a cell that is not a number: the per-row reading raises as it did
+        mat = np.asarray([[float(c) for c in r] for r in body])
     if pcol is None:
         return mat, None
     probs = mat[:, pcol]

@@ -384,10 +384,10 @@ def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, boo
     w), a column l >= 0 (g >= 0) per finite lower (upper) bound on theta and
     a free column mu per equality row, subject to one row per coordinate of
     theta: sum u_i A_i + sum m_k a_k p^T A + l - g + a_eq^T mu = cost - sum
-    w a p^T A over one-form terms.  Each u runs in units of the term's mean
-    mass: so Dantzig's pricing weighs an atom's column against a form's
-    weight as the atom's share of it, and an atom of tiny mass keeps
-    entries above the pivot tolerance.  The LP runs in theta - theta0,
+    w a p^T A over one-form terms.  Each u runs in its own units,
+    coefficients A_i on [0, w h p_i]: the dual simplex's ratio test and bound
+    flips do not depend on a column's scale, and an atom of tiny mass keeps
+    entries clear of the pivot tolerance.  The LP runs in theta - theta0,
     theta0 the least-squares fit of the atoms, so each u starts at the bound
     that Z's sign at theta0 favours.  theta is theta0 minus the theta rows'
     multipliers, unique unless an alternate dual optimum moves them.
@@ -417,11 +417,10 @@ def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, boo
             (a1, c1, _), (a2, c2, hinges) = sorted(forms, key=lambda form: len(form[2]))
             ratio = (w * a1 * pa - c_theta, w * (a1 * (p @ r0) + c1), w * (a2 * (p @ r0) + c2))
             forms = [(a2, c2, hinges)]
-        mass = p.mean()
         for h, kappa in forms[0][2]:
-            cols.append(mass * a)
-            gain.append(mass * (r0 - kappa))
-            col_bounds.extend((0.0, ub) for ub in w * h * p / mass)
+            cols.append(a)
+            gain.append(r0 - kappa)
+            col_bounds.append(np.column_stack((np.zeros(p.size), w * h * p)))
         if len(forms) == 1:
             rhs -= w * forms[0][0] * pa
         else:
@@ -429,24 +428,24 @@ def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, boo
             sums.append((sum(map(len, gain)), ak.size, w))
             cols.append(np.outer(ak, pa))
             gain.append(ak * (p @ r0) + ck)
-            col_bounds.extend([(0.0, None)] * ak.size)
+            col_bounds.append(np.tile((0.0, math.inf), (ak.size, 1)))
     n_fixed = sum(map(len, gain))
-    lo, hi = (np.array([np.nan if bd[k] is None else bd[k] for bd in bounds], dtype=float) - theta0 for k in (0, 1))
-    for side, sign in ((lo, 1.0), (hi, -1.0)):
+    lo, hi = (np.array([np.nan if bd[k] is None else bd[k] for bd in bounds], dtype=float) for k in (0, 1))
+    for side, sign in ((lo - theta0, 1.0), (hi - theta0, -1.0)):
         at = np.flatnonzero(np.isfinite(side))
         cols.append(sign * np.eye(n)[at])
         gain.append(sign * side[at])
-        col_bounds.extend([(0.0, None)] * at.size)
+        col_bounds.append(np.tile((0.0, math.inf), (at.size, 1)))
     if a_eq is not None:
         cols.append(a_eq)
         gain.append(np.asarray(b_eq, dtype=float) - a_eq @ theta0)
-        col_bounds.extend([(None, None)] * a_eq.shape[0])
-    a_lp = np.vstack(cols).T
+        col_bounds.append(np.tile((-math.inf, math.inf), (a_eq.shape[0], 1)))
+    a_lp, col_bounds = np.vstack(cols).T, np.vstack(col_bounds)
     for start, k, w in sums:
         row = np.zeros(a_lp.shape[1])
         row[start : start + k] = 1.0
         a_lp, rhs = np.vstack((a_lp, row)), np.append(rhs, w)
-    # gains in units of the largest, so that the pricing tolerance is relative to them
+    # gains in units of the largest, so that the Dinkelbach stop, 1e-14 (1 + |rho|), is relative to them
     gain = np.concatenate(gain)
     unit = float(np.max(np.abs(gain), initial=abs(ratio[1]) if ratio else 0.0)) or 1.0
     gain /= unit
@@ -454,12 +453,12 @@ def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, boo
         sol = _dual_lp(gain, a_lp, rhs, col_bounds)
     else:
         coef, g1, g2 = ratio[0], ratio[1] / unit, ratio[2] / unit
-        at_zero = solve_lp(LpProblem(c=-np.append(g1, gain[n_fixed:]), a_eq=np.hstack((coef[:, None], a_lp[:, n_fixed:])), b_eq=np.zeros(n), bounds=[(1.0, 1.0)] + col_bounds[n_fixed:]))
+        at_zero = solve_lp(LpProblem(c=-np.append(g1, gain[n_fixed:]), a_eq=np.hstack((coef[:, None], a_lp[:, n_fixed:])), b_eq=np.zeros(n), bounds=np.vstack(([1.0, 1.0], col_bounds[n_fixed:]))))
         if at_zero.status == "unbounded":
             raise RuntimeError("decision LP infeasible")
         # rho is a lower bound once it is the value at lambda = 0 or a ratio the LP attained
         rho, bound = (-at_zero.objective, True) if at_zero.status == "optimal" else (0.0, False)
-        a_lp, col_bounds = np.hstack((a_lp, coef[:, None])), col_bounds + [(0.0, None)]
+        a_lp, col_bounds = np.hstack((a_lp, coef[:, None])), np.vstack((col_bounds, [0.0, math.inf]))
         for _ in range(_DINKELBACH_ROUNDS):
             sol = _dual_lp(np.append(gain, g1 - rho), a_lp, rhs, col_bounds)
             excess = g2 - rho - sol.objective
@@ -468,7 +467,8 @@ def _affine_dual(compiled, c_theta, bounds, a_eq, b_eq) -> tuple[np.ndarray, boo
             rho, bound = rho + excess / (1.0 + sol.x[-1]), True
         else:
             raise RuntimeError(f"Dinkelbach iteration unconverged after {_DINKELBACH_ROUNDS} LPs")
-    return theta0 - unit * sol.duals[:n], any(r < n for r in sol.degenerate_rows)
+    # the multipliers meet theta's bounds to rounding, which fmax and fmin clear (a nan bound is none)
+    return np.fmin(np.fmax(theta0 - unit * sol.duals[:n], lo), hi), any(r < n for r in sol.degenerate_rows)
 
 
 def _dual_lp(gain, a_lp, rhs, col_bounds):

@@ -7,12 +7,12 @@ bracket and call), exact argmin intervals for piecewise-linear
 convex functions, projected subgradient descent, a deterministic
 compass search (the derivative-free route of ``conjugate_eval``), Kelley's
 cutting planes (``cutting_planes``, the one solver of the convex decisions
-without an exact route: it certifies its value by a gap), and a two-phase
-bounded-variable tableau simplex LP solver: numpy rank-1 pivots, two-sided
-bounds kept on their columns (a column reaching its own bound flips without
-a pivot), free variables kept in one column, a start basis of slacks with
-free columns crashed into the artificials' rows, Dantzig pricing (Bland's
-rule through runs of stalled steps) and the rows' multipliers.
+without an exact route: it certifies its value by a gap), and a bounded
+dual simplex LP solver on a dense tableau: numpy rank-1 pivots, a start
+basis of the rows' unit columns with each boxed column at the bound its cost
+favours, a dual phase 1 on the same engine where a free or one-sided column
+is not dual feasible there, the bound-flipping ratio test (Bland's rule
+through runs of stalled steps) and the rows' multipliers.
 """
 
 from __future__ import annotations
@@ -574,12 +574,14 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
     intercept c of a cut, f(y) >= g.y + c, exact at x.  The LP master min t
     s.t. t >= every cut, in units of ``scale`` so its tolerances are
     unitless, gives a lower bound and the next x; the best evaluated value
-    is the upper bound, and ``gap``, upper - lower, certifies it.  x0 is a
+    is the upper bound, and ``gap``, upper - lower, certifies it.  The
+    master's value only rises as cuts join, so t is bounded below by the
+    last lower bound, which keeps the master's start dual feasible.  x0 is a
     candidate only where it meets the rows.  ``constraint(x)`` gives h(x) and
     a subgradient of a convex h, whose tangent row joins the master where
     h(x) > 0 (the oracle then reports a value that a feasible point derived
     from x attains).  The rounds stop when the gap closes, when the master
-    returns an x already evaluated (its pivot tolerance hides cuts that
+    returns an x already evaluated (its feasibility tolerance hides cuts that
     differ by less), or after ``rounds`` rounds.  A stop with the best x on a
     face of the box in a coordinate of ``widen`` widens the box there
     fourfold, cuts kept, unless the last widening did not lower the value.
@@ -604,6 +606,7 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
         if h > 0.0:
             rows.append(np.append(gh, 0.0))
             rhs.append(float(gh @ x) - h)
+        bounds[-1] = (lower / scale if lower > -math.inf else None, None)
         sol = solve_lp(LpProblem(np.append(np.zeros(n), 1.0), a_eq_lp, b_eq, np.asarray(rows), np.asarray(rhs), bounds))
         if sol.status != "optimal":
             raise RuntimeError(f"cutting-plane master LP {sol.status}")
@@ -623,14 +626,15 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
     return CuttingPlaneResult(x_best, upper, max(upper - lower, 0.0), k)
 
 
-# -- two-phase bounded-variable tableau simplex LP ------------------------------
+# -- bounded dual simplex LP ---------------------------------------------------
 
 
 @dataclass
 class LpProblem:
     """min c.x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  bounds lo <= x <= hi.
 
-    Bounds are pairs with None for unbounded ends; default is free.
+    Bounds are pairs, or the rows of an (n, 2) array, with None or an
+    infinity for unbounded ends; default is free.
     """
 
     c: np.ndarray
@@ -651,218 +655,324 @@ class LpSolution:
     # positive or unbounded step changes, and that column itself when it is
     # an original variable
     degenerate_columns: tuple[int, ...] = ()
-    # tableau pivots of the crash, both phases and the artificials' drive-out;
+    # tableau pivots of every run of the dual simplex (its phase 1 included);
     # a bound flip is no pivot
     pivots: int = 0
     # the rows' multipliers y, equality rows first, from B^T y = c_B on the
     # final basis: c - A^T y are the reduced costs, and y_r = d obj / d b_r
-    # (<= 0 on a <= row); 0 on a redundant row
+    # (<= 0 on a <= row)
     duals: Optional[np.ndarray] = None
     # rows whose multiplier an alternate dual optimum moves: the row-wise
     # mirror of ``degenerate_columns`` (a basic column at a bound whose row
     # admits a positive dual step past every nonbasic column of zero reduced
-    # cost), and every redundant row
+    # cost), which takes in a redundant row
     degenerate_rows: tuple[int, ...] = ()
+    # nonbasic columns moved to their other bound by the ratio test's passes
+    flips: int = 0
 
 
 _PIV_TOL = 1e-9
-_MAX_STEPS = 50_000  # pivots and bound flips
-# the simplex prices by Dantzig's rule, and by Bland's once this many steps in
-# a row have lowered its objective by no more than _STALL_REL of its magnitude
+# a basic is out of range once it passes a bound by _FEAS_REL of the
+# magnitudes that make up its value
+_FEAS_REL = 1e-13
+_MAX_PIVOTS = 50_000
+# the leaving row is the most infeasible one, and the basic of least index
+# once this many steps in a row have raised the objective by no more than
+# _STALL_REL of its magnitude
 _STALL_RUN = 50
 _STALL_REL = 1e-12
+# past 4 _PARTIAL candidates the ratio test sorts the _PARTIAL + 1 smallest
+# ratios first
+_PARTIAL = 16
 
 
 class _Tableau:
-    """Dense row-major tableau: m constraint rows, then the phase-2 and the
-    phase-1 cost rows (reduced costs; their last entry is minus the
-    objective). ``basis`` holds each row's basic column, -1 for a row still
-    held by its artificial. The first k columns are priced: the problem's,
-    then the <= rows' slacks; after them each equality row's unit column,
-    never priced, which with the slacks' carries B^-1 and the multipliers.
-    Column j ranges over [0, ub[j]] and a nonbasic column sits at 0: one at
-    its upper bound is stored reflected (``flipped``, x = ub - x'). Free
-    columns enter in either direction and never leave."""
+    """Dense row-major tableau of a bounded dual simplex on min c.x s.t.
+    [A I] x = b, lo <= x <= hi: m rows of B^-1 [A I], then the reduced costs
+    d.  The columns are the problem's, then each row's unit column: a <= row's
+    slack on [0, inf), an equality row's on [0, 0].  ``x`` holds every
+    column's value: a nonbasic one at a bound (a free one at 0), the basics at
+    B^-1 (b - N x_N), which the unit columns' block of the tableau carries.
+    ``side`` is +1 on a nonbasic column at its lower bound, -1 at its upper
+    one and 0 on a basic, fixed or free one.  The basis stays dual feasible:
+    d side >= 0, and d = 0 on a free nonbasic column; a basic outside its
+    range leaves."""
 
-    def __init__(self, t: np.ndarray, basis: np.ndarray, free: np.ndarray, ub: np.ndarray, flipped: np.ndarray):
-        self.t, self.basis, self.free, self.flipped = t, basis, free, flipped
-        self.k = free.size
-        # ub's last entry, after the priced columns', bounds an artificial, which basis -1 indexes
-        self.ub = ub
-        self.boxed = bool((ub < math.inf).any())
-        # per row: whether its basic column is bounded below, and its upper bound
-        self.bounded, self.ub_b = np.ones(basis.size, dtype=bool), self.ub[basis]
-        self.rows = np.arange(basis.size)  # each row's index among the problem's rows
-        self.pivots = self.steps = 0
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        m, n = a.shape
+        self.a, self.abs_a, self.b, self.lo, self.hi = a, np.abs(a), b, lo, hi
+        self.c = np.concatenate((c, np.zeros(m)))
+        self.cmax = float(np.abs(c).max(initial=0.0))
+        self.t = np.zeros((m + 1, n + m))
+        self.t[:m, :n] = a
+        self.t[np.arange(m), n + np.arange(m)] = 1.0
+        self.t[m] = self.c
+        self.basis = n + np.arange(m)
+        self.basic = np.zeros(n + m, dtype=bool)
+        self.basic[self.basis] = True
+        self.pivots = self.flips = 0
 
     @property
     def m(self) -> int:
         return self.basis.size
 
-    def _step_done(self) -> None:
-        rhs = self.t[: self.m, -1]
-        # the ratio test keeps bounded basics in [0, ub]; clear their round-off
-        if self.boxed:
-            np.minimum(rhs, self.ub_b, out=rhs)
-        np.maximum(rhs, 0.0, out=rhs, where=self.bounded)
-        self.steps += 1
-        if self.steps > _MAX_STEPS:
-            raise RuntimeError("simplex iteration cap exceeded")
+    def solve(self) -> str:
+        """Phase 2 from the slack basis where it is dual feasible; otherwise
+        the same engine first solves the auxiliary problem (Fourer 1994;
+        Koberstein & Suhl 2007) of b = 0 with free columns on [-1, 1],
+        one-sided ones on [0, 1] or [-1, 0] and boxed ones on [0, 0], whose
+        optimum is minus the least sum of dual infeasibilities, so 0 where a
+        dual feasible basis exists.  Where none does, a run with zero costs,
+        dual feasible at any basis, tells an unbounded problem from an
+        infeasible one."""
+        lo, hi, b = self.lo, self.hi, self.b
+        if self.dual_infeasible(lo, hi).any():
+            self.phase(np.where(np.isfinite(lo), 0.0, -1.0), np.where(np.isfinite(hi), 0.0, 1.0), np.zeros_like(b))
+            if self.dual_infeasible(lo, hi).any():
+                self.c[:] = self.t[-1] = self.cmax = 0.0
+                return "unbounded" if self.phase(lo, hi, b) == "optimal" else "infeasible"
+        return self.phase(lo, hi, b)
 
-    def pivot(self, r: int, q: int) -> None:
-        t = self.t
-        row = t[r] / t[r, q]
+    def dual_infeasible(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        d, tol = self.t[-1], _PIV_TOL * self.cmax
+        return ~self.basic & ((d < -tol) & (hi == math.inf) | (d > tol) & (lo == -math.inf))
+
+    def phase(self, lo: np.ndarray, hi: np.ndarray, b: np.ndarray) -> str:
+        """Dual simplex on the bounds lo, hi and right side b, from each
+        nonbasic column at the bound its reduced cost favours, until the
+        basics lie in their ranges ("optimal") or a row cannot be brought
+        into its range ("infeasible").  The basics are recomputed from B^-1
+        (``refine``) at the start and at the end, and the steps go on while
+        that leaves a basic out of range."""
+        self.lo, self.hi, self.b, self.abs_b, self.width = lo, hi, b, np.abs(b), hi - lo
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+        up = has_hi & (~has_lo | (self.t[-1] < 0.0))
+        self.x = np.where(up, hi, np.where(has_lo, lo, 0.0))
+        self.side = np.where(up, -1.0, np.where(has_lo, 1.0, 0.0))
+        self.side[self.basic | (lo == hi)] = 0.0
+        self.free = (~has_lo & ~has_hi & ~self.basic).nonzero()[0]
+        self.lo_b, self.hi_b = lo[self.basis], hi[self.basis]
+        self.refine()
+        for _ in range(3):
+            if self.iterate() == "infeasible":
+                return "infeasible"
+            self.refine()
+            if self.leaving(False) is None:
+                return "optimal"
+        raise RuntimeError("dual simplex basics drift out of range")
+
+    def residual(self) -> np.ndarray:
+        """b - N x_N, the right side of the basics' system."""
+        n = self.a.shape[1]
+        rest = np.where(self.basic, 0.0, self.x)
+        return self.b - self.a @ rest[:n] - rest[n:]
+
+    def refine(self) -> None:
+        """The basics recomputed from B^-1 (the unit columns' block of the
+        tableau), x_B = B^-1 (b - N x_N), then refined once by
+        x_B += B^-1 (b - [A I] x)."""
+        n, inv = self.a.shape[1], self.t[: self.m, self.a.shape[1] :]
+        self.x[self.basis] = inv @ self.residual()
+        self.x[self.basis] += inv @ (self.b - self.a @ self.x[:n] - self.x[n:])
+
+    def duals(self) -> np.ndarray:
+        """The multipliers y, from the reduced costs of the rows' unit
+        columns, refined once by B^T y = c_B, with the reduced costs
+        c - [A I]^T y they give."""
+        n = self.a.shape[1]
+        y = -self.t[-1, n:]
+        d = self.c - np.concatenate((self.a.T @ y, y))
+        y = y + self.t[: self.m, n:].T @ d[self.basis]
+        self.t[-1] = self.c - np.concatenate((self.a.T @ y, y))
+        return y
+
+    def leaving(self, bland: bool) -> Optional[tuple[int, bool, float]]:
+        """The leaving row, whether its basic lies below its lower bound
+        (else above its upper one) and by how much beyond the tolerance,
+        _FEAS_REL of the magnitude |B^-1| (|b| + |[A I]| |x|) of its value:
+        the farthest, or in Bland's rule the basic of least index, among
+        those beyond it; None when every basic is in range."""
+        beta = self.x[self.basis]
+        excess = np.maximum(self.lo_b - beta, beta - self.hi_b)
+        r = int(excess.argmax()) if excess.size else 0
+        if not excess.size or excess[r] <= 0.0:
+            return None
+        n = self.a.shape[1]
+        size = np.abs(self.x)
+        mag = self.abs_b + self.abs_a @ size[:n] + size[n:]
+        tol = _FEAS_REL * (np.abs(self.t[r, n:]) @ mag)
+        if bland or excess[r] <= tol:
+            rows = (excess > 0.0).nonzero()[0]
+            tols = _FEAS_REL * (np.abs(self.t[rows, n:]) @ mag)
+            out = excess[rows] > tols
+            if not out.any():
+                return None
+            rows, tols = rows[out], tols[out]
+            k = int(self.basis[rows].argmin() if bland else excess[rows].argmax())
+            r, tol = int(rows[k]), tols[k]
+        return r, bool(beta[r] < self.lo_b[r]), float(excess[r] - tol)
+
+    def iterate(self) -> str:
+        """Dual simplex steps with the bound-flipping ratio test (Maros
+        2003).  The leaving basic leaves at the bound it violates.  A free
+        nonbasic column with an entry in its row enters at once, the largest
+        entry first; otherwise the candidates, nonbasic columns whose reduced
+        cost the dual step drives toward the wrong sign, are taken in order
+        of the step |d_j / alpha_rj| at which they reach 0, and each boxed
+        one is passed, flipped to its other bound, while the leaving row's
+        infeasibility, less |alpha_rj| times the passed ranges, stays
+        positive; the candidate where it turns enters, ties to the largest
+        |alpha_rj|.  Through a run of stalled steps the leaving basic is the
+        one of least index and the first candidate, by least index among
+        ties, enters (Bland's rule)."""
+        t, x, side = self.t, self.x, self.side
+        stalled, objective = 0, float(self.c @ x)
+        while True:
+            bland = stalled >= _STALL_RUN
+            leave = self.leaving(bland)
+            if leave is None:
+                return "optimal"
+            r, below, need = leave
+            alpha = t[r]
+            q = -1
+            if self.free.size:
+                entries = np.abs(alpha[self.free])
+                if entries.max() > _PIV_TOL:
+                    q = int(self.free[entries.argmax()])
+            if q < 0:
+                # a candidate's move in its own direction (side) takes the leaving basic toward its bound
+                push = alpha * side
+                cand = (push < -_PIV_TOL if below else push > _PIV_TOL).nonzero()[0]
+                if cand.size == 0:
+                    return "infeasible"
+                size = np.abs(push[cand])
+                ratio = np.maximum(t[-1, cand] * side[cand], 0.0) / size
+                q = self.ratio_test(cand, size, ratio, need, bland)
+                if q < 0:
+                    return "infeasible"
+            self.pivot(r, q, self.lo_b[r] if below else self.hi_b[r])
+            before, objective = objective, float(self.c @ x)
+            stalled = stalled + 1 if objective - before <= _STALL_REL * (1.0 + abs(before)) else 0
+
+    def ratio_test(self, cand: np.ndarray, size: np.ndarray, ratio: np.ndarray, need: float, bland: bool) -> int:
+        """The entering column, after flipping the boxed candidates passed
+        before it; -1 when every candidate is passed with the infeasibility
+        ``need`` still positive.  Past 4 _PARTIAL candidates only the
+        _PARTIAL + 1 smallest ratios are sorted, and all of them only when
+        the turn lies beyond those."""
+        if bland:
+            return int(cand[(ratio <= ratio.min() * (1.0 + 1e-12)).nonzero()[0][0]])
+        partial = cand.size > 4 * _PARTIAL
+        if partial:
+            order = ratio.argpartition(_PARTIAL)[: _PARTIAL + 1]
+            order = order[ratio[order].argsort(kind="stable")]
+        else:
+            order = ratio.argsort(kind="stable")
+        k = int((size[order] * self.width[cand[order]]).cumsum().searchsorted(need))
+        if k == order.size and partial:
+            order = ratio.argsort(kind="stable")
+            k = int((size[order] * self.width[cand[order]]).cumsum().searchsorted(need))
+        if k == order.size:
+            return -1
+        if k:
+            self.flip(cand[order[:k]])
+        sorted_ratio = ratio[order]
+        tie = sorted_ratio[k] * (1.0 + 1e-12)
+        if k + 1 == order.size or sorted_ratio[k + 1] > tie:
+            return int(cand[order[k]])
+        ties = order[k : k + int(sorted_ratio[k:].searchsorted(tie, side="right"))]
+        return int(cand[ties[size[ties].argmax()]])
+
+    def flip(self, cols: np.ndarray) -> None:
+        """Move nonbasic boxed columns to their other bounds, in one update
+        of the basics."""
+        x, sides = self.x, self.side[cols]
+        to = np.where(sides > 0.0, self.hi[cols], self.lo[cols])
+        x[self.basis] -= self.t[: self.m, cols] @ (to - x[cols])
+        x[cols] = to
+        self.side[cols] = -sides
+        self.flips += cols.size
+
+    def pivot(self, r: int, q: int, target: float) -> None:
+        """Column q enters in row r, whose basic leaves at ``target``."""
+        t, x, basis = self.t, self.x, self.basis
         col = t[:, q].copy()
+        step = (x[basis[r]] - target) / col[r]
+        x[basis] -= step * col[:-1]
+        x[q] += step
+        out = basis[r]
+        x[out] = target
+        self.side[out] = 0.0 if self.lo[out] == self.hi[out] else (1.0 if target == self.lo[out] else -1.0)
+        self.side[q] = 0.0
+        if self.free.size and q in self.free:
+            self.free = self.free[self.free != q]
+        row = t[r] / col[r]
         col[r] = 0.0
-        np.subtract(t, np.outer(col, row), out=t)
+        cols = row.nonzero()[0] if col.size > 64 else None
+        if cols is not None and 8 * cols.size < row.size:
+            # a large tableau's rank-1 update, where the pivot row has few entries, only in their columns
+            rows = col.nonzero()[0]
+            t[np.ix_(rows, cols)] -= col[rows, None] * row[cols]
+        else:
+            # in blocks of rows, whose products stay in cache
+            for i in range(0, col.size, 32):
+                t[i : i + 32] -= col[i : i + 32, None] * row
         t[r] = row
         t[:, q] = 0.0
         t[r, q] = 1.0
-        self.basis[r] = q
-        self.bounded[r] = not self.free[q]
-        self.ub_b[r] = self.ub[q]
+        self.basic[out], self.basic[q] = False, True
+        basis[r] = q
+        self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
         self.pivots += 1
-        self._step_done()
+        if self.pivots > _MAX_PIVOTS:
+            raise RuntimeError("simplex iteration cap exceeded")
 
-    def flip(self, q: int) -> None:
-        """Move nonbasic column q to its other bound, reflecting it."""
-        t = self.t
-        t[:, -1] -= t[:, q] * self.ub[q]
-        t[:, q] *= -1.0
-        self.flipped[q] = not self.flipped[q]
-        self._step_done()
-
-    def reflect_row(self, r: int) -> None:
-        """Reflect row r's basic column, which then leaves at 0 where it
-        reaches its upper bound."""
-        j, t = self.basis[r], self.t
-        t[r, :-1] *= -1.0
-        t[r, j] = 1.0
-        t[r, -1] = self.ub[j] - t[r, -1]
-        self.flipped[j] = ~self.flipped[j]
-
-    def crash(self) -> None:
-        """Pivot each free column into a row held by an artificial when the
-        pivot leaves every bounded basic >= 0."""
-        m, t = self.m, self.t
-        for j in self.free.nonzero()[0]:
-            col = t[:m, j]
-            cand = ((self.basis < 0) & (np.abs(col) > _PIV_TOL)).nonzero()[0]
-            if cand.size == 0:
-                continue
-            bounded = self.bounded
-            rhs = t[:m, -1]
-            up = bounded & (col > _PIV_TOL)
-            down = bounded & (col < -_PIV_TOL)
-            hi = np.min(rhs[up] / col[up]) if up.any() else math.inf
-            lo = np.max(rhs[down] / col[down]) if down.any() else -math.inf
-            theta = rhs[cand] / col[cand]
-            ok = ((theta >= lo) & (theta <= hi)).nonzero()[0]
-            if ok.size:
-                self.pivot(int(cand[ok[0]]), int(j))
-
-    def run(self) -> str:
-        """Simplex on the last row's costs. The entering column moves until a
-        bounded basic reaches 0 or its upper bound, or it reaches its own
-        upper bound first, which flips it without a pivot. Both phases price
-        by Dantzig's rule, ties leaving by the largest pivot element, and by
-        Bland's (smallest index enters, ties leave by the smallest basic
-        index) during a run of stalled steps; the first step that makes
-        progress returns it to Dantzig's."""
-        m, t, k = self.m, self.t, self.k
-        free = self.free if self.free.any() else None
-        stalled = 0
-        while True:
-            bland = stalled >= _STALL_RUN
-            z = t[-1, :k]
-            score = -z if free is None else np.where(free, np.abs(z), -z)
-            q = int((score > _PIV_TOL).argmax() if bland else score.argmax())
-            if score[q] <= _PIV_TOL:
-                return "optimal"
-            col = t[:m, q] if z[q] < 0.0 else -t[:m, q]
-            rhs = t[:m, -1]
-            # a bounded basic falls to 0 where col > 0 and rises to its upper bound where col < 0
-            down = col > _PIV_TOL
-            live = down & self.bounded | (col < -_PIV_TOL) if self.boxed else down & self.bounded
-            ratios = np.divide(np.where(down, rhs, self.ub_b - rhs), np.abs(col), out=np.full(m, math.inf), where=live)
-            step = ratios.min(initial=math.inf)
-            before = -t[-1, -1]
-            if self.ub[q] <= step:
-                if self.ub[q] == math.inf:
-                    return "unbounded"
-                self.flip(q)
-            else:
-                tied = (ratios == step).nonzero()[0]
-                if tied.size == 1:
-                    r = int(tied[0])
-                elif bland:
-                    # artificials rank after every column
-                    r = int(tied[np.where(self.basis[tied] < 0, t.shape[1] + tied, self.basis[tied]).argmin()])
-                else:
-                    r = int(tied[np.abs(col[tied]).argmax()])
-                if not down[r]:
-                    self.reflect_row(r)
-                self.pivot(r, q)
-            stalled = stalled + 1 if before + t[-1, -1] <= _STALL_REL * (1.0 + abs(before)) else 0
-
-    def drive_out_artificials(self) -> None:
-        """Pivot each artificial left at zero level out of the basis, and drop
-        its row when no column can replace it (the row is redundant)."""
-        keep = np.ones(self.m, dtype=bool)
-        for r in np.flatnonzero(self.basis < 0):
-            self.t[r, -1] = 0.0
-            entries = np.abs(self.t[r, : self.k])
-            q = int(np.argmax(entries))
-            if entries[q] > _PIV_TOL:
-                self.pivot(int(r), q)
-            else:
-                keep[r] = False
-        if not keep.all():
-            self.t = self.t[np.concatenate((keep, [True, True]))]
-            self.basis, self.bounded, self.ub_b, self.rows = self.basis[keep], self.bounded[keep], self.ub_b[keep], self.rows[keep]
-
-    def alternates(self, n: int) -> tuple[tuple[int, ...], np.ndarray]:
-        """The optimum's alternates, from the nonbasic columns of zero reduced
-        cost: the original variables moved by such a column whose ratio test
-        allows a positive (or unbounded) step, and the rows whose basic column
-        sits at a bound and can leave there by a positive dual step, its
-        reduced cost turning positive (at 0) or negative (at the upper bound)
-        while every such column keeps its sign, a free one staying at 0."""
-        m, t = self.m, self.t
-        nonbasic = np.ones(self.k, dtype=bool)
-        nonbasic[self.basis] = False
-        cand = (nonbasic & (np.abs(t[-1, : self.k]) <= _PIV_TOL)).nonzero()[0]
-        rhs = t[:m, -1]
-        at_lo = self.bounded & (rhs <= _PIV_TOL)
-        at_hi = self.ub_b - rhs <= _PIV_TOL
+    def alternates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The optimum's alternates, from the nonbasic columns of zero
+        reduced cost (to _PIV_TOL of the largest cost) that are not fixed:
+        those whose move into their range, from the upper bound downward,
+        keeps every basic at a bound in its range, each with the basics it
+        moves; and the rows whose basic sits at a bound and can leave there
+        by a positive dual step, its reduced cost turning positive (at the
+        lower bound) or negative (at the upper one) while every such column
+        keeps its sign, a free one staying at 0.  A basic is at a bound
+        within _PIV_TOL of its range, or of 1 where that is wider, so a
+        column of a tiny box sits strictly inside it; a fixed basic is at
+        both."""
+        m, t, lo, hi = self.m, self.t, self.lo, self.hi
+        width = hi - lo
+        cand = (~self.basic & (width > 0.0) & (np.abs(t[-1]) <= _PIV_TOL * (self.cmax or 1.0))).nonzero()[0]
+        beta, span = self.x[self.basis], width[self.basis]
+        near = _PIV_TOL * np.minimum(span, 1.0)
+        at_lo = (beta - self.lo_b <= near) | (span == 0.0)
+        at_hi = (self.hi_b - beta <= near) | (span == 0.0)
         if cand.size == 0:
-            return (), (at_lo | at_hi).nonzero()[0]
-        sub, free = t[:m, cand], self.free[cand]
+            return cand, (at_lo | at_hi).nonzero()[0]
+        free = np.isinf(width[cand]) & (self.side[cand] == 0.0)
+        # a column's step in its own direction moves row i's basic by -sub[i]
+        sub = t[:m, cand] * np.where(self.side[cand] < 0.0, -1.0, 1.0)
         pos, neg = sub > _PIV_TOL, sub < -_PIV_TOL
-        # a column's step moves row i's basic by -t[i, j]; a dual step on row r adds
-        # t[r, j] times it to column j's reduced cost at 0, and subtracts it at the upper bound
-        up_blocked = np.any(at_lo[:, None] & pos | at_hi[:, None] & neg, axis=0)
-        down_blocked = np.any(at_lo[:, None] & neg | at_hi[:, None] & pos, axis=0)
-        alt = cand[(self.ub[cand] > 0.0) & ~up_blocked | free & ~down_blocked]
-        moved = self.basis[np.any(np.abs(t[:m, alt]) > _PIV_TOL, axis=1)]
-        columns = tuple(sorted({int(j) for j in np.concatenate((alt, moved)) if j < n}))
-        lo_blocked = np.any(neg | free & pos, axis=1)
-        hi_blocked = np.any(pos | free & neg, axis=1)
-        return columns, (at_lo & ~lo_blocked | at_hi & ~hi_blocked).nonzero()[0]
+        up_blocked = (at_lo[:, None] & pos | at_hi[:, None] & neg).any(axis=0)
+        down_blocked = (at_lo[:, None] & neg | at_hi[:, None] & pos).any(axis=0)
+        alt = cand[~up_blocked | free & ~down_blocked]
+        moved = self.basis[(np.abs(t[:m, alt]) > _PIV_TOL).any(axis=1)]
+        # a dual step on row r adds t[r, j] times it to column j's reduced
+        # cost at its lower bound, and subtracts it at its upper one
+        lo_blocked = (neg | free & pos).any(axis=1)
+        hi_blocked = (pos | free & neg).any(axis=1)
+        return np.concatenate((alt, moved)), (at_lo & ~lo_blocked | at_hi & ~hi_blocked).nonzero()[0]
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Two-phase dense tableau simplex with bounded variables; statuses are
-    faithful.
+    """Bounded dual simplex on a dense tableau; statuses are faithful.
 
-    A variable with a finite bound is shifted (or reflected) to range over
-    [0, ub], and a finite upper bound on top of a lower one stays on its
-    column: the ratio test stops the entering column there by a bound flip,
-    and a column starts at the bound its cost favours.  A free variable keeps
-    one column.  A <= row with rhs >= 0 starts on its slack, every other row
-    on an artificial, and free columns are crashed into the artificials' rows
-    before phase 1.  The multipliers are minus the reduced costs of the
-    rows' unit columns.
+    The start basis holds every row's unit column, a <= row's slack or an
+    equality row's unit column fixed at 0, with no artificials and no row
+    negated; each boxed column starts at the bound its cost favours, and a
+    free or one-sided column whose cost favours its open side sends the
+    problem through the dual phase 1 of ``_Tableau.solve``.  The basics and
+    the multipliers are recomputed on the final basis from B^-1, each refined
+    once by its residual.
     """
     c = np.asarray(p.c, dtype=float)
     n = c.size
@@ -870,70 +980,29 @@ def solve_lp(p: LpProblem) -> LpSolution:
     b_eq = np.asarray(p.b_eq, dtype=float).ravel() if p.b_eq is not None else np.zeros(0)
     a_ub = np.asarray(p.a_ub, dtype=float).reshape(-1, n) if p.a_ub is not None else np.zeros((0, n))
     b_ub = np.asarray(p.b_ub, dtype=float).ravel() if p.b_ub is not None else np.zeros(0)
-    bounds = list(p.bounds) if p.bounds is not None else [(None, None)] * n
+    # a None end reads as nan, which is no bound
+    bounds = np.array(p.bounds if p.bounds is not None else np.full((n, 2), np.nan), dtype=float).reshape(-1, 2)
     if len(bounds) != n:
         raise ValueError("bounds length mismatch")
-    lo = np.array([-math.inf if b[0] is None else float(b[0]) for b in bounds])
-    hi = np.array([math.inf if b[1] is None else float(b[1]) for b in bounds])
+    lo = np.where(np.isnan(bounds[:, 0]), -math.inf, bounds[:, 0])
+    hi = np.where(np.isnan(bounds[:, 1]), math.inf, bounds[:, 1])
     if (lo > hi).any():
         return LpSolution("infeasible", None, None)
-
-    # x = shift + sign * x' with 0 <= x' <= ub, except free columns
-    has_lo = np.isfinite(lo)
-    flip = ~has_lo & np.isfinite(hi)
-    sign = np.where(flip, -1.0, 1.0)
-    shift = np.where(has_lo, lo, np.where(flip, hi, 0.0))
-    n_eq, n_slack = b_eq.size, b_ub.size
-    m = n_eq + n_slack
-    # the bounds of the priced columns (after the problem's, the slacks'), then an artificial's
-    ub = np.full(n + n_slack + 1, math.inf)
-    ub[:n] = np.where(has_lo, hi - lo, math.inf)
-    t = np.zeros((m + 2, n + m + 1))
-    a = t[:m, :n]
-    a[:n_eq], a[n_eq:] = a_eq, a_ub
-    b = np.concatenate((b_eq, b_ub)) - a @ shift
-    a *= sign
-    cost = sign * c
-    # a boxed column starts at its upper bound, reflected, where its cost is negative
-    flipped = np.zeros(n + n_slack, dtype=bool)
-    flipped[:n] = (cost < 0.0) & (ub[:n] < math.inf)
-    if flipped.any():
-        up = flipped[:n]
-        b -= a[:, up] @ ub[:n][up]
-        a[:, up] *= -1.0
-        cost[up] *= -1.0
-    # row r's unit column: its slack, or after the slacks an equality row's
-    unit = n + np.concatenate((n_slack + np.arange(n_eq), np.arange(n_slack)))
-    t[np.arange(m), unit] = 1.0
-    t[:m, -1] = b
-    negative = b < 0.0
-    t[:m][negative] *= -1.0
-    artificial = negative | (np.arange(m) < n_eq)
-    basis = np.where(artificial, -1, n + np.arange(m) - n_eq)
-    t[m, :n] = cost
-    t[m + 1] = -t[:m][artificial].sum(axis=0)
-    free = np.zeros(n + n_slack, dtype=bool)
-    free[:n] = ~has_lo & ~flip
-    tab = _Tableau(t, basis, free, ub, flipped)
-
-    tab.crash()
-    if (tab.basis < 0).any():
-        tab.run()
-        if tab.t[: tab.m, -1][tab.basis < 0].sum() > 1e-7:
-            return LpSolution("infeasible", None, None, pivots=tab.pivots)
-        tab.drive_out_artificials()
-    tab.t = tab.t[:-1]
-    if tab.run() == "unbounded":
-        return LpSolution("unbounded", None, None, pivots=tab.pivots)
-
-    x_t = np.zeros(n)
-    own = tab.basis < n
-    x_t[tab.basis[own]] = tab.t[: tab.m, -1][own]
-    x = shift + sign * np.where(tab.flipped[:n], ub[:n] - x_t, x_t)
-    columns, steps = tab.alternates(n)
-    moved = np.ones(m, dtype=bool)
-    moved[tab.rows] = False  # the redundant rows
-    if steps.size:
-        # the dual step on row r moves y along B^-T e_r, row r of B^-1
-        moved |= (np.abs(tab.t[steps][:, unit]) > _PIV_TOL).any(axis=0)
-    return LpSolution("optimal", x, float(c @ x), columns, tab.pivots, -tab.t[-1, unit], tuple(moved.nonzero()[0].tolist()))
+    m = b_eq.size + b_ub.size
+    tab = _Tableau(
+        np.vstack((a_eq, a_ub)),
+        np.concatenate((b_eq, b_ub)),
+        c,
+        np.concatenate((lo, np.zeros(m))),
+        np.concatenate((hi, np.zeros(b_eq.size), np.full(b_ub.size, math.inf))),
+    )
+    status = tab.solve()
+    if status != "optimal":
+        return LpSolution(status, None, None, pivots=tab.pivots, flips=tab.flips)
+    x = np.clip(tab.x[:n], lo, hi)
+    duals = tab.duals()
+    alt, steps = tab.alternates()
+    columns = tuple(sorted({int(j) for j in alt if j < n}))
+    # the dual step on row r moves y along B^-T e_r, row r of B^-1
+    moved = (np.abs(tab.t[steps, n:]) > _PIV_TOL).any(axis=0)
+    return LpSolution("optimal", x, float(c @ x), columns, tab.pivots, duals, tuple(moved.nonzero()[0].tolist()), tab.flips)

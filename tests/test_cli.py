@@ -82,6 +82,42 @@ def test_ingest_diagnostics(tmp_path):
         ingest_rv_csv(str(empty))
 
 
+def test_ingest_reads_every_cell_as_float_does(tmp_path):
+    # the one-conversion reading against float() on each cell, bit for bit,
+    # with blank rows skipped, a weight column, a mass in a row of extra
+    # cells, and the per-row reading naming the line of a bad or short row
+    from riskquad.cli import ingest_dataset_csv, ingest_scenarios_csv
+
+    rng = np.random.default_rng(5)
+    draws = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-9, 9, (40, 1))
+    draws[:, 1] = 0.025
+    cells = [[repr(float(v)) for v in row] for row in draws]
+    rows = [",".join(r) for r in cells]
+    ds = tmp_path / "ds.csv"
+    ds.write_text("x1,weight,x2,y\n" + "\n".join(rows[:20]) + "\n,,\n" + "\n".join(rows[20:]) + "\n")
+    data = ingest_dataset_csv(str(ds))
+    want = np.array([[float(c) for c in r] for r in cells])
+    assert data.features.tobytes() == want[:, [0, 2]].copy().tobytes()
+    assert data.target.tobytes() == want[:, 3].tobytes() and np.asarray(data.weights).tobytes() == want[:, 1].tobytes()
+    scen = tmp_path / "scen.csv"
+    scen.write_text("\n".join(rows) + "\n")
+    mat, probs = ingest_scenarios_csv(str(scen))
+    assert mat.tobytes() == want.tobytes() and probs is None
+    rv = tmp_path / "rv.csv"
+    rv.write_text("name,value,prob\n" + "".join(f"a{i},{c[0]},0.025\n" for i, c in enumerate(cells)))
+    got = ingest_rv_csv(str(rv))
+    ref = DiscreteRv(want[:, 0], np.full(40, 0.025) / sum([0.025] * 40))
+    assert got.values.tobytes() == ref.values.tobytes() and got.probs.tobytes() == ref.probs.tobytes()
+    short = tmp_path / "short.csv"
+    for text, line in (("value,prob\n0,0.5\n1\n", 3), ("value,prob\n1\n2\n", 2)):
+        short.write_text(text)
+        with pytest.raises(InvalidDistribution, match=rf"short.csv:{line}: bad prob cell \['1'\]"):
+            ingest_rv_csv(str(short))
+    ds.write_text("x1,y\n0,1\n1,z\n")
+    with pytest.raises(ValueError, match="ds.csv:3: non-numeric cell"):
+        ingest_dataset_csv(str(ds))
+
+
 def test_eval_command(u5_csv, capsys):
     code = main(["eval", "--family", "quantile", "--alpha", "0.6", "--input", u5_csv, "--format", "json"])
     assert code == 0

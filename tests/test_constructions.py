@@ -825,12 +825,37 @@ def _decision_cases():
 @pytest.mark.parametrize("tiny", [1e-12, 1e-10])
 def test_decision_weighs_an_atom_of_tiny_mass(tiny):
     # the median of {0, 0.5, 1} with masses (1 - t)/2, t, (1 - t)/2 is 0.5,
-    # decided by the atom of mass t: its dual column must still pivot
+    # decided by the atom of mass t: its dual column must still pivot, and
+    # its box of width about 3t, inside which it ends, holds no alternate
     median = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
     p = np.array([0.5 - tiny / 2.0, tiny, 0.5 - tiny / 2.0])
-    theta, value, _ = minimize_affine([(median, np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), p, 1.0)], np.zeros(1))
-    assert theta[0] == 0.5
+    theta, value, nonunique = minimize_affine([(median, np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), p, 1.0)], np.zeros(1))
+    assert theta[0] == 0.5 and not nonunique
     assert abs(value - (0.5 - tiny / 2.0)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "model, params, budget",
+    [("quantile", {"alpha": 0.1}, 40), ("quantile", {"alpha": 0.5}, 40), ("quantile", {"alpha": 0.9}, 40), ("biased_mean", {"x": 0.0}, 30), ("mean_pl", {}, 30), ("expectile_pl", {"K": 0.5}, 100)],
+)
+def test_decision_lps_keep_within_a_pivot_budget(monkeypatch, model, params, budget):
+    # fits at n = 1000, d = 3 (the _fit_terms draw of seed 2): the bounded
+    # dual simplex passes the atoms' boxes by bound flips, so its pivots stay
+    # well below the two-phase primal's 1134, 83, 926, 57, 57 and 846 (over
+    # expectile_pl's Dinkelbach LPs) on these fits
+    from riskquad import constructions, solvers
+
+    pivots = []
+
+    def counting(problem):
+        sol = solvers.solve_lp(problem)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(constructions, "solve_lp", counting)
+    terms, cost, *_ = _fit_terms(model, params, 1000, np.random.default_rng(2))
+    minimize_affine(terms, cost)
+    assert 0 < sum(pivots) <= budget
 
 
 @pytest.mark.parametrize("case", [c for _, c in _decision_cases()], ids=[name for name, _ in _decision_cases()])

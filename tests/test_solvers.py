@@ -514,6 +514,67 @@ def test_lp_leaves_a_dantzig_cycle_below_a_negative_objective():
     assert solve_lp(p).pivots <= 200
 
 
+def _dual_start_lp(rng, n, m_eq, m_ub):
+    """An LP with an optimum whose slack start is not dual feasible: free
+    columns of nonzero cost and one-sided columns whose cost favours their
+    open side (c = A^T y + d, d of the sign each bound allows, y <= 0 on the
+    <= rows), rows through a point x0 (the <= rows' right sides negative
+    where a_i.x0 is), equality and <= rows mixed."""
+    x0 = rng.uniform(-2, 2, n)
+    kinds = np.arange(n) % 4
+    rng.shuffle(kinds)
+    lo, hi = x0 - rng.uniform(0, 2, n), x0 + rng.uniform(0, 2, n)
+    bounds = [[(lo[j], None), (None, hi[j]), (None, None), (lo[j], hi[j])][k] for j, k in enumerate(kinds)]
+    a_eq = rng.uniform(-1, 1, (m_eq, n))
+    a_ub = rng.uniform(-1, 1, (m_ub, n))
+    y = np.concatenate((rng.uniform(-1, 1, m_eq), -rng.uniform(0, 1, m_ub)))
+    d = rng.uniform(0, 1, n) * np.array([1.0, -1.0, 0.0, 0.0])[kinds] + rng.uniform(-1, 1, n) * (kinds == 3)
+    c = np.vstack((a_eq, a_ub)).T @ y + d
+    b_ub = a_ub @ x0 + rng.uniform(0, 1, m_ub) * (rng.random(m_ub) < 0.5)
+    return LpProblem(c=c, a_eq=a_eq if m_eq else None, b_eq=a_eq @ x0 if m_eq else None, a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None, bounds=bounds)
+
+
+def test_lp_corners_of_the_dual_start_match_highs():
+    # the dual phase 1 on free and open-sided columns of nonzero cost, <= rows
+    # with negative right sides, redundant rows, and problems infeasible,
+    # unbounded, or both: the status, the objective to 1e-12 (1 + |v|) and,
+    # where no alternate dual optimum exists, HiGHS's marginals
+    rng = np.random.default_rng(41)
+    seen, compared = [], 0
+    for trial in range(160):
+        n = int(rng.integers(2, 9))
+        m_eq = int(rng.integers(0, min(3, n) + 1))
+        p = _dual_start_lp(rng, n, m_eq, int(rng.integers(1, 7)))
+        case = trial % 8
+        if case == 1 and p.a_eq is not None:
+            # a redundant equality row, the sum of the others
+            p.a_eq, p.b_eq = np.vstack((p.a_eq, p.a_eq.sum(axis=0))), np.append(p.b_eq, p.b_eq.sum())
+        elif case == 2:
+            # a <= row repeated
+            p.a_ub, p.b_ub = np.vstack((p.a_ub, p.a_ub[:1])), np.append(p.b_ub, p.b_ub[:1])
+        elif case in (3, 5):
+            # a <= row and its negation pushed past it: nothing is feasible
+            p.a_ub, p.b_ub = np.vstack((p.a_ub, -p.a_ub[:1])), np.append(p.b_ub, -p.b_ub[:1] - 0.5)
+        if case in (4, 5):
+            # a free column of nonzero cost in no row: unbounded below where anything is feasible
+            p = LpProblem(np.append(p.c, 1.0), *(None if a is None else (np.hstack((a, np.zeros((len(a), 1)))) if a.ndim == 2 else a) for a in (p.a_eq, p.b_eq, p.a_ub, p.b_ub)), p.bounds + [(None, None)])
+        ours, ref = solve_lp(p), _scipy_solve(p)
+        want = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        seen.append((case, want))
+        assert ours.status == want, (trial, ours.status, want)
+        if want != "optimal":
+            continue
+        assert abs(ours.objective - ref.fun) <= 1e-12 * (1.0 + abs(ref.fun)), (trial, ours.objective, ref.fun)
+        if not ours.degenerate_rows:
+            compared += 1
+            assert np.allclose(ours.duals, _highs_marginals(ref), rtol=1e-9, atol=1e-9), trial
+    # every corner was reached: both phases' outcomes and each status
+    assert {w for c, w in seen if c in (0, 1, 2, 6, 7)} == {"optimal"}
+    assert {w for c, w in seen if c == 3} == {"infeasible"} and {w for c, w in seen if c == 5} == {"infeasible"}
+    assert {w for c, w in seen if c == 4} == {"unbounded"}
+    assert compared > 40
+
+
 def test_lp_reports_alternate_optima_through_any_nonbasic_column():
     # min x0 s.t. x0 + x1 <= 1, x >= 0: x1 anywhere in [0, 1] is optimal
     sol = solve_lp(LpProblem(c=np.array([1.0, 0.0]), a_ub=np.array([[1.0, 1.0]]), b_ub=[1.0], bounds=[(0, None)] * 2))
