@@ -660,7 +660,8 @@ class LpSolution:
     pivots: int = 0
     # the rows' multipliers y, equality rows first, from B^T y = c_B on the
     # final basis: c - A^T y are the reduced costs, and y_r = d obj / d b_r
-    # (<= 0 on a <= row)
+    # (<= 0 on a <= row); 0 on a redundant row, which of rows that depend
+    # linearly is the one whose unit column stays basic
     duals: Optional[np.ndarray] = None
     # rows whose multiplier an alternate dual optimum moves: the row-wise
     # mirror of ``degenerate_columns`` (a basic column at a bound whose row
@@ -786,6 +787,17 @@ class _Tableau:
         self.t[-1] = self.c - np.concatenate((self.a.T @ y, y))
         return y
 
+    def magnitude(self) -> np.ndarray:
+        """|b| + |[A I]| |x|, per row: the size of the terms whose sum is
+        the row's residual."""
+        n, size = self.a.shape[1], np.abs(self.x)
+        return self.abs_b + self.abs_a @ size[:n] + size[n:]
+
+    def rounding(self, rows, mag: np.ndarray):
+        """The rounding that the basics of ``rows`` carry from B^-1 (b - N
+        x_N): _FEAS_REL of |B^-1| ``mag``."""
+        return _FEAS_REL * (np.abs(self.t[rows, self.a.shape[1] :]) @ mag)
+
     def leaving(self, bland: bool) -> Optional[tuple[int, bool, float]]:
         """The leaving row, whether its basic lies below its lower bound
         (else above its upper one) and by how much beyond the tolerance,
@@ -797,13 +809,11 @@ class _Tableau:
         r = int(excess.argmax()) if excess.size else 0
         if not excess.size or excess[r] <= 0.0:
             return None
-        n = self.a.shape[1]
-        size = np.abs(self.x)
-        mag = self.abs_b + self.abs_a @ size[:n] + size[n:]
-        tol = _FEAS_REL * (np.abs(self.t[r, n:]) @ mag)
+        mag = self.magnitude()
+        tol = self.rounding(r, mag)
         if bland or excess[r] <= tol:
             rows = (excess > 0.0).nonzero()[0]
-            tols = _FEAS_REL * (np.abs(self.t[rows, n:]) @ mag)
+            tols = self.rounding(rows, mag)
             out = excess[rows] > tols
             if not out.any():
                 return None
@@ -908,15 +918,7 @@ class _Tableau:
             self.free = self.free[self.free != q]
         row = t[r] / col[r]
         col[r] = 0.0
-        cols = row.nonzero()[0] if col.size > 64 else None
-        if cols is not None and 8 * cols.size < row.size:
-            # a large tableau's rank-1 update, where the pivot row has few entries, only in their columns
-            rows = col.nonzero()[0]
-            t[np.ix_(rows, cols)] -= col[rows, None] * row[cols]
-        else:
-            # in blocks of rows, whose products stay in cache
-            for i in range(0, col.size, 32):
-                t[i : i + 32] -= col[i : i + 32, None] * row
+        t -= col[:, None] * row
         t[r] = row
         t[:, q] = 0.0
         t[r, q] = 1.0
@@ -936,14 +938,15 @@ class _Tableau:
         by a positive dual step, its reduced cost turning positive (at the
         lower bound) or negative (at the upper one) while every such column
         keeps its sign, a free one staying at 0.  A basic is at a bound
-        within _PIV_TOL of its range, or of 1 where that is wider, so a
-        column of a tiny box sits strictly inside it; a fixed basic is at
-        both."""
+        within _PIV_TOL of its range, or of 1 where that is wider, or within
+        the rounding of its value where that is more, so that a column of a
+        tiny box can sit strictly inside it and still read at a bound it
+        meets; a fixed basic is at both."""
         m, t, lo, hi = self.m, self.t, self.lo, self.hi
         width = hi - lo
         cand = (~self.basic & (width > 0.0) & (np.abs(t[-1]) <= _PIV_TOL * (self.cmax or 1.0))).nonzero()[0]
         beta, span = self.x[self.basis], width[self.basis]
-        near = _PIV_TOL * np.minimum(span, 1.0)
+        near = np.maximum(_PIV_TOL * np.minimum(span, 1.0), self.rounding(slice(0, m), self.magnitude()))
         at_lo = (beta - self.lo_b <= near) | (span == 0.0)
         at_hi = (self.hi_b - beta <= near) | (span == 0.0)
         if cand.size == 0:

@@ -834,6 +834,21 @@ def test_decision_weighs_an_atom_of_tiny_mass(tiny):
     assert abs(value - (0.5 - tiny / 2.0)) <= 1e-15
 
 
+@pytest.mark.parametrize("scale, tiny, mirror", [(0.1, 2.0**-40, False), (0.3, 2.0**-30, False), (0.7, 2.0**-40, True), (3.3, 2.0**-40, True)])
+def test_decision_reads_a_tiny_mass_atom_at_its_bound(scale, tiny, mirror):
+    # the median of {0, 0.5, 1, 100} with masses 1/2, t, 1/2 - t - s, s
+    # (exact in binary) is every point of [0, 0.5], as the mass at 0 is
+    # exactly 1/2; the dual's last step leaves the atom of mass t basic at an
+    # end of its box of width 2t, to the rounding of its value, about 1e-16,
+    # far more than 1e-9 of that width
+    median = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.5})).error_fn
+    sign = -1.0 if mirror else 1.0
+    p = np.array([0.5, tiny, 0.5 - tiny - 2.0**-6, 2.0**-6])
+    theta, _, nonunique = minimize_affine([(median, np.full((4, 1), scale), scale * sign * np.array([0.0, 0.5, 1.0, 100.0]), p, 1.0)], np.zeros(1))
+    assert nonunique
+    assert -1e-15 <= sign * theta[0] <= 0.5 + 1e-15
+
+
 @pytest.mark.parametrize(
     "model, params, budget",
     [("quantile", {"alpha": 0.1}, 40), ("quantile", {"alpha": 0.5}, 40), ("quantile", {"alpha": 0.9}, 40), ("biased_mean", {"x": 0.0}, 30), ("mean_pl", {}, 30), ("expectile_pl", {"K": 0.5}, 100)],

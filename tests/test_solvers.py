@@ -395,7 +395,7 @@ def test_lp_matches_highs_on_mixed_bounds_and_rows():
         n = int(rng.integers(1, 8))
         p = _mixed_lp(rng, n, int(rng.integers(0, min(3, n) + 1)), int(rng.integers(0, 7)))
         if trial % 10 == 4 and p.a_eq is not None:
-            # a redundant equality row: its artificial cannot be driven out
+            # a redundant equality row, twice the first: one of the two keeps its fixed unit column basic
             p.a_eq = np.vstack((p.a_eq, 2.0 * p.a_eq[:1]))
             p.b_eq = np.concatenate((p.b_eq, 2.0 * p.b_eq[:1]))
         if trial % 10 == 9 and p.a_ub is not None:
@@ -475,22 +475,31 @@ def test_lp_duals_match_highs_marginals():
         ours, ref = solve_lp(p), _scipy_solve(p)
         if ours.status != "optimal":
             continue
-        rows = [a for a in (p.a_eq, p.a_ub) if a is not None]
-        a = np.vstack(rows) if rows else np.zeros((0, p.c.size))
-        assert ours.duals.shape == (a.shape[0],)
         if not ours.degenerate_rows:
             compared += 1
             want = _highs_marginals(ref)
             assert np.allclose(ours.duals, want, rtol=1e-7, atol=1e-7)
-        if p.a_ub is not None:
-            assert np.all(ours.duals[a.shape[0] - p.a_ub.shape[0] :] <= 1e-9)
-        d = p.c - a.T @ ours.duals
-        for dj, xj, (lo, hi) in zip(d, ours.x, p.bounds):
-            lo = -math.inf if lo is None else lo
-            hi = math.inf if hi is None else hi
-            assert dj >= -1e-7 or xj >= hi - 1e-9
-            assert dj <= 1e-7 or xj <= lo + 1e-9
+        _assert_prices_every_column(p, ours)
     assert compared > 150
+
+
+def _assert_prices_every_column(p, sol):
+    """The multipliers are an optimal dual at sol.x: <= 0 on a <= row and 0
+    where it is slack, and c - A^T y >= 0 at a lower bound and <= 0 at an
+    upper one."""
+    rows = [a for a in (p.a_eq, p.a_ub) if a is not None]
+    a = np.vstack(rows) if rows else np.zeros((0, p.c.size))
+    assert sol.duals.shape == (a.shape[0],)
+    if p.a_ub is not None:
+        y_ub = sol.duals[a.shape[0] - p.a_ub.shape[0] :]
+        assert np.all(y_ub <= 1e-9)
+        assert np.all((y_ub >= -1e-9) | (p.a_ub @ sol.x >= p.b_ub - 1e-9))
+    d = p.c - a.T @ sol.duals
+    for dj, xj, (lo, hi) in zip(d, sol.x, p.bounds):
+        lo = -math.inf if lo is None else lo
+        hi = math.inf if hi is None else hi
+        assert dj >= -1e-7 or xj >= hi - 1e-9
+        assert dj <= 1e-7 or xj <= lo + 1e-9
 
 
 def test_lp_counts_pivots_and_keeps_degenerate_cvar_short():
@@ -540,13 +549,15 @@ def test_lp_corners_of_the_dual_start_match_highs():
     # unbounded, or both: the status, the objective to 1e-12 (1 + |v|) and,
     # where no alternate dual optimum exists, HiGHS's marginals
     rng = np.random.default_rng(41)
-    seen, compared = [], 0
+    seen, compared, redundant, no_extra_row = [], 0, 0, set()
     for trial in range(160):
         n = int(rng.integers(2, 9))
         m_eq = int(rng.integers(0, min(3, n) + 1))
         p = _dual_start_lp(rng, n, m_eq, int(rng.integers(1, 7)))
         case = trial % 8
-        if case == 1 and p.a_eq is not None:
+        if case == 1 and p.a_eq is None:
+            no_extra_row.add(trial)
+        elif case == 1:
             # a redundant equality row, the sum of the others
             p.a_eq, p.b_eq = np.vstack((p.a_eq, p.a_eq.sum(axis=0))), np.append(p.b_eq, p.b_eq.sum())
         elif case == 2:
@@ -568,11 +579,23 @@ def test_lp_corners_of_the_dual_start_match_highs():
         if not ours.degenerate_rows:
             compared += 1
             assert np.allclose(ours.duals, _highs_marginals(ref), rtol=1e-9, atol=1e-9), trial
+        if case in (1, 2) and trial not in no_extra_row:
+            # of rows that depend linearly, one keeps its unit column basic
+            # and its multiplier is 0 (an equality row of the sum's, or a
+            # copy of the repeated row); unless every one of them is 0, a dual
+            # step moves them all
+            n_eq = 0 if p.a_eq is None else len(p.a_eq)
+            dependent = list(range(n_eq)) if case == 1 else [n_eq, n_eq + len(p.a_ub) - 1]
+            zero = [ours.duals[i] == 0.0 for i in dependent]
+            assert any(zero), (trial, ours.duals)
+            assert all(zero) or set(dependent) <= set(ours.degenerate_rows), trial
+            redundant += 1
+        _assert_prices_every_column(p, ours)
     # every corner was reached: both phases' outcomes and each status
     assert {w for c, w in seen if c in (0, 1, 2, 6, 7)} == {"optimal"}
     assert {w for c, w in seen if c == 3} == {"infeasible"} and {w for c, w in seen if c == 5} == {"infeasible"}
     assert {w for c, w in seen if c == 4} == {"unbounded"}
-    assert compared > 40
+    assert compared > 40 and redundant > 30
 
 
 def test_lp_reports_alternate_optima_through_any_nonbasic_column():
