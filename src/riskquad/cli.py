@@ -4,6 +4,12 @@ invariant checker.
 
 Reports print numbers at 12 significant digits; JSON output is stable-keyed
 and round-trips bit-identically.
+
+The commands are one table, ``COMMANDS``, of runners keyed by name: each takes
+the parsed arguments and returns its report and exit code.  ``main`` parses
+the arguments, resolves the quadrangle spec, its parameters and the grids
+once, runs the command's runner and emits its report, mapping each exception
+to its exit code; the parser's subcommands are the table's keys.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,12 +33,12 @@ from .divergence import (
     make_divergence,
     make_divergence_quadrangle,
 )
-from .dual import cvar_envelope, dual_axiom_check, envelope_sup, expectile_envelope, mean_abs_risk_envelope
-from .measures import CATALOG_FAMILIES, CatalogSpec, _expectile_q_from_k, make_catalog_quadrangle
+from .dual import cvar_envelope, dual_axiom_check, envelope_sup
+from .measures import CATALOG, CatalogSpec, make_catalog_quadrangle
 from .regression import Dataset, NAMED_MODELS, fit_linear, named_quadrangle, track_statistic
 from .robust import DroProblem, EpiSpec, dro_solve, epi_risk_dual, epi_risk_primal, kernel_quadratic_regret, portfolio_optimize
 
-__all__ = ["main", "run_command", "RunConfig", "ingest_rv_csv", "fmt12"]
+__all__ = ["main", "COMMANDS", "ingest_rv_csv", "fmt12"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,23 +48,6 @@ EXIT_SOLVER = 2
 def fmt12(v: float) -> float:
     """Round-trip a float through 12 significant digits."""
     return float(f"{v:.12g}")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    spec: Optional[dict] = None
-    params: dict = field(default_factory=dict)
-    max_iter: int = 4000
-    seed: int = 0
-    output_format: str = "table"
-    output_path: Optional[str] = None
-    taus: Optional[list[float]] = None
-    epsilons: Optional[list[float]] = None
-    model: Optional[str] = None
-    target: Optional[str] = None
-    target_mean: Optional[float] = None
 
 
 def _as_matrix(rows, width: int = 0) -> Optional[np.ndarray]:
@@ -73,11 +61,15 @@ def _as_matrix(rows, width: int = 0) -> Optional[np.ndarray]:
     return mat if mat.shape[1] >= width else None
 
 
+def _read_rows(path: str) -> list[list[str]]:
+    """The CSV's rows that hold a cell that is not blank."""
+    with open(path, newline="") as fh:
+        return [r for r in csv.reader(fh) if any(map(str.strip, r))]
+
+
 def ingest_rv_csv(path: str) -> DiscreteRv:
     """Read atoms from a CSV with header value,prob (or a single value column)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(map(str.strip, r))]
+    rows = _read_rows(path)
     if not rows:
         raise InvalidDistribution(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0]]
@@ -129,9 +121,7 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
 
 def ingest_dataset_csv(path: str, target: Optional[str] = None) -> Dataset:
     """CSV with a header row; the target column defaults to the last one."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(map(str.strip, r))]
+    rows = _read_rows(path)
     if len(rows) < 2:
         raise ValueError(f"{path}: need a header and at least one data row")
     header = [c.strip() for c in rows[0]]
@@ -156,9 +146,7 @@ def ingest_dataset_csv(path: str, target: Optional[str] = None) -> Dataset:
 
 
 def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(map(str.strip, r))]
+    rows = _read_rows(path)
     try:
         float(rows[0][0])
         body, pcol = rows, None
@@ -184,17 +172,21 @@ def build_quadrangle(spec: dict) -> Quadrangle:
     if "family" in spec:
         return make_catalog_quadrangle(CatalogSpec(spec["family"], dict(spec.get("params", {}))))
     if "phi" in spec:
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
         if "beta" not in params:
             raise ValueError(f"phi {spec['phi']!r} takes param 'beta', got {sorted(params)}")
-        beta = params.pop("beta")
-        div = make_divergence(spec["phi"], **params)
-        return make_divergence_quadrangle(div, beta)
+        return make_divergence_quadrangle(_divergence(spec, "beta"), params["beta"])
     raise ValueError("spec must carry 'family' or 'phi'")
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    if cfg.output_format == "json":
+def _divergence(spec: dict, skip: str):
+    """The spec's named divergence, kl by default, built from its params other than ``skip``."""
+    params = {k: v for k, v in spec.get("params", {}).items() if k != skip}
+    return make_divergence(spec.get("phi", "kl"), **params)
+
+
+def _emit(args, payload: dict) -> None:
+    if args.output_format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         lines = []
@@ -210,8 +202,8 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
             else:
                 lines.append(f"{key:30s} {val}")
         text = "\n".join(lines)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+    if args.output_path:
+        with open(args.output_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -221,187 +213,160 @@ def _interval_payload(s) -> list[float]:
     return [fmt12(s.lo), fmt12(s.hi)]
 
 
-def run_command(cfg: RunConfig) -> int:
-    """Dispatch a command; returns the process exit code."""
-    try:
-        return _dispatch(cfg)
-    except (InvalidDistribution, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except RuntimeError as exc:
-        print(f"solver: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except Exception as exc:  # any other fault inside a solve: one line, no traceback
-        print(f"solver: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+def _sweep(args, rows: list[dict], fields) -> list:
+    """A sweep's rows as they are in JSON; in a table, one line per row of
+    ``label=value`` for each (label, format) of ``fields`` in the rows' key order."""
+    if args.output_format == "json":
+        return rows
+    return [" ".join(f"{label}={v:{spec}}" for (label, spec), v in zip(fields, row.values())) for row in rows]
 
 
-def _dispatch(cfg: RunConfig) -> int:
-    if cfg.command == "eval":
-        q = build_quadrangle(cfg.spec)
-        x = ingest_rv_csv(cfg.input_path)
-        s = q.statistic(x)
-        _emit(cfg, {
-            "label": q.label,
-            "risk": fmt12(q.risk(x)),
-            "deviation": fmt12(q.deviation(x)),
-            "regret": fmt12(q.regret(x)),
-            "error": fmt12(q.error(x)),
-            "statistic": _interval_payload(s),
-        })
-        return EXIT_OK
+def _eval(args):
+    q = build_quadrangle(args.spec)
+    x = ingest_rv_csv(args.input_path)
+    s = q.statistic(x)
+    return {
+        "label": q.label,
+        "risk": fmt12(q.risk(x)),
+        "deviation": fmt12(q.deviation(x)),
+        "regret": fmt12(q.regret(x)),
+        "error": fmt12(q.error(x)),
+        "statistic": _interval_payload(s),
+    }, EXIT_OK
 
-    if cfg.command == "statistic":
-        q = build_quadrangle(cfg.spec)
-        x = ingest_rv_csv(cfg.input_path)
-        _emit(cfg, {"label": q.label, "statistic": _interval_payload(q.statistic(x))})
-        return EXIT_OK
 
-    if cfg.command == "envelope":
-        spec = cfg.spec or {}
-        if spec.get("family") not in ("quantile", "mean_pl", "expectile_pl"):
-            raise ValueError("envelope report supports families quantile, mean_pl, expectile_pl")
-        # the spec validates the family's parameters before any envelope is built
-        cat = CatalogSpec(spec["family"], spec.get("params", {}))
-        q = make_catalog_quadrangle(cat)
-        x = ingest_rv_csv(cfg.input_path)
-        p = x.probs
-        if cat.family == "quantile":
-            env = cvar_envelope(cat.params["alpha"], p)
-        elif cat.family == "mean_pl":
-            env = mean_abs_risk_envelope(p)
-        else:
-            env = expectile_envelope(_expectile_q_from_k(cat.params["K"]), p)
-        rng = np.random.default_rng(cfg.seed)
-        rep = dual_axiom_check(env, rng=rng)
-        sup, _ = envelope_sup(env, x.values)
-        _emit(cfg, {
-            "label": env.label,
-            "support_value": fmt12(sup),
-            "primal_risk": fmt12(q.risk(x)),
-            "support_gap": fmt12(abs(sup - q.risk(x))),
-            "axioms": {k: ("pass" if v else "FAIL") for k, v in rep.clauses.items()},
-            "details": rep.details,
-        })
-        return EXIT_OK
+def _statistic(args):
+    q = build_quadrangle(args.spec)
+    x = ingest_rv_csv(args.input_path)
+    return {"label": q.label, "statistic": _interval_payload(q.statistic(x))}, EXIT_OK
 
-    if cfg.command == "family":
-        x = ingest_rv_csv(cfg.input_path)
-        spec = cfg.spec or {}
-        phi_name = spec.get("phi", "kl")
-        params = {k: v for k, v in spec.get("params", {}).items() if k != "beta"}
-        div = make_divergence(phi_name, **params)
-        j = StochasticDivergenceJ.from_phi(div, normalized=True)
-        taus = cfg.taus or list(np.geomspace(1e-6, 1e6, 13))
-        rows = []
-        for tau in taus:
-            val, _ = family_eval_envelope(j, tau, x)
-            rows.append({"tau": fmt12(tau), "value": fmt12(val)})
-        _emit(cfg, {
-            "phi": phi_name,
-            "mean": fmt12(expectation(x)),
-            "ess_sup": fmt12(ess_bounds(x)[1]),
-            "sweep": [f"tau={r['tau']:<16g} value={r['value']:.12g}" for r in rows]
-            if cfg.output_format == "table"
-            else rows,
-        })
-        return EXIT_OK
 
-    if cfg.command == "regress":
-        data = ingest_dataset_csv(cfg.input_path, cfg.target)
-        model = cfg.model or "quantile"
-        quartet = named_quadrangle(model, **cfg.params)
-        fit = fit_linear(quartet.error_fn, data)
-        _emit(cfg, {
-            "model": model,
-            "intercept": fmt12(fit.intercept),
-            "coefficients": [fmt12(c) for c in fit.coefficients],
-            "objective": fmt12(fit.objective),
-            "residual_statistic": _interval_payload(fit.statistic_of_residual),
-            "tracking": bool(track_statistic(fit, quartet)),
-            "nonunique": fit.nonunique,
-            "gap": fmt12(fit.gap),
-        })
-        return EXIT_OK if fit.gap <= 1e-4 else EXIT_SOLVER
+_ENVELOPE_FAMILIES = tuple(name for name, family in CATALOG.items() if family.envelope)
 
-    if cfg.command == "portfolio":
-        scen, probs = ingest_scenarios_csv(cfg.input_path)
-        q = build_quadrangle(cfg.spec or {"family": "quantile", "params": {"alpha": 0.8}})
-        w, v = portfolio_optimize(q, scen, probs=probs, target_mean=cfg.target_mean, steps=cfg.max_iter)
-        _emit(cfg, {"weights": [fmt12(c) for c in w], "risk": fmt12(v)})
-        return EXIT_OK
 
-    if cfg.command == "dro":
-        scen, probs = ingest_scenarios_csv(cfg.input_path)
-        spec = cfg.spec or {}
-        phi_name = spec.get("phi", "kl")
-        params = {k: v for k, v in spec.get("params", {}).items() if k not in ("tau",)}
-        tau = spec.get("tau", cfg.params.get("tau", 1.0))
-        div = make_divergence(phi_name, **params)
-        sol = dro_solve(DroProblem(scen, div, tau, probs=probs, target_mean=cfg.target_mean), steps=cfg.max_iter)
-        code = EXIT_OK if sol.route_gap <= 1e-4 else EXIT_SOLVER
-        _emit(cfg, {
-            "weights": [fmt12(c) for c in sol.weights],
-            "value": fmt12(sol.value),
-            "worst_case_density": [fmt12(c) for c in sol.worst_case_density],
-            "route_gap": fmt12(sol.route_gap),
-            "density_approximate": sol.density_approximate,
-        })
-        return code
+def _envelope(args):
+    spec = args.spec or {}
+    if spec.get("family") not in _ENVELOPE_FAMILIES:
+        raise ValueError(f"envelope report supports families {', '.join(_ENVELOPE_FAMILIES)}")
+    # the spec validates the family's parameters before any envelope is built
+    cat = CatalogSpec(spec["family"], spec.get("params", {}))
+    q = make_catalog_quadrangle(cat)
+    x = ingest_rv_csv(args.input_path)
+    env = CATALOG[cat.family].envelope(*cat.args, x.probs)
+    rep = dual_axiom_check(env, rng=np.random.default_rng(args.seed))
+    sup, _ = envelope_sup(env, x.values)
+    return {
+        "label": env.label,
+        "support_value": fmt12(sup),
+        "primal_risk": fmt12(q.risk(x)),
+        "support_gap": fmt12(abs(sup - q.risk(x))),
+        "axioms": {k: ("pass" if v else "FAIL") for k, v in rep.clauses.items()},
+        "details": rep.details,
+    }, EXIT_OK
 
-    if cfg.command == "epi":
-        x = ingest_rv_csv(cfg.input_path)
-        alpha = cfg.params.get("alpha", 0.5)
-        envelope = cvar_envelope(alpha, x.probs)
-        kern, kconj = kernel_quadratic_regret()
-        rows = []
-        for eps in cfg.epsilons or (0.25, 0.5, 1.0, 2.0):
-            spec = EpiSpec(
-                base_risk=lambda y: cvar_direct(y, alpha),
-                kernel=kern,
-                epsilon=eps,
-                base_envelope=envelope,
-                kernel_conj=kconj,
-            )
-            vp = epi_risk_primal(spec, x)
-            vd = epi_risk_dual(spec, x)
-            rows.append({"epsilon": fmt12(eps), "primal": fmt12(vp), "dual": fmt12(vd), "gap": fmt12(abs(vp - vd))})
-        worst = max(r["gap"] for r in rows)
-        _emit(cfg, {
-            "alpha": alpha,
-            "sweep": [f"eps={r['epsilon']:<10g} primal={r['primal']:.12g} dual={r['dual']:.12g} gap={r['gap']:.3g}" for r in rows]
-            if cfg.output_format == "table"
-            else rows,
-        })
-        return EXIT_OK if worst <= 1e-4 else EXIT_SOLVER
 
-    if cfg.command == "check":
-        if cfg.spec:
-            specs = [CatalogSpec(cfg.spec["family"], dict(cfg.spec.get("params", {})))]
-        else:
-            defaults = {
-                "standard_mean": {"lam": 1.0},
-                "quantile": {"alpha": 0.7},
-                "cvar2": {"alpha": 0.5},
-                "qsa": {"alpha": 0.5},
-                "qsau": {"eps": 0.25},
-                "expectile_mse": {"q": 0.75},
-                "expectile_pl": {"K": 0.5},
-                "mean_pl": {},
-                "biased_mean": {"x": 0.5},
-            }
-            specs = [CatalogSpec(f, p) for f, p in defaults.items()]
-        table = []
-        all_ok = True
-        for sp in specs:
-            q = make_catalog_quadrangle(sp)
-            for res in run_quadrangle_checks(q, rng=np.random.default_rng(cfg.seed), n_rvs=10):
-                all_ok &= res.passed
-                table.append(f"{sp.family:15s} {res.name:28s} {'pass' if res.passed else 'FAIL':5s} {res.detail}")
-        _emit(cfg, {"checks": table, "all_passed": all_ok})
-        return EXIT_OK if all_ok else EXIT_VALIDATION
+def _family(args):
+    x = ingest_rv_csv(args.input_path)
+    spec = args.spec or {}
+    j = StochasticDivergenceJ.from_phi(_divergence(spec, "beta"), normalized=True)
+    rows = []
+    for tau in args.taus or np.geomspace(1e-6, 1e6, 13):
+        val, _ = family_eval_envelope(j, tau, x)
+        rows.append({"tau": fmt12(tau), "value": fmt12(val)})
+    return {
+        "phi": spec.get("phi", "kl"),
+        "mean": fmt12(expectation(x)),
+        "ess_sup": fmt12(ess_bounds(x)[1]),
+        "sweep": _sweep(args, rows, (("tau", "<16g"), ("value", ".12g"))),
+    }, EXIT_OK
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+
+def _regress(args):
+    data = ingest_dataset_csv(args.input_path, args.target)
+    model = args.model or "quantile"
+    quartet = named_quadrangle(model, **args.params)
+    fit = fit_linear(quartet.error_fn, data)
+    return {
+        "model": model,
+        "intercept": fmt12(fit.intercept),
+        "coefficients": [fmt12(c) for c in fit.coefficients],
+        "objective": fmt12(fit.objective),
+        "residual_statistic": _interval_payload(fit.statistic_of_residual),
+        "tracking": bool(track_statistic(fit, quartet)),
+        "nonunique": fit.nonunique,
+        "gap": fmt12(fit.gap),
+    }, EXIT_OK if fit.gap <= 1e-4 else EXIT_SOLVER
+
+
+def _portfolio(args):
+    scen, probs = ingest_scenarios_csv(args.input_path)
+    q = build_quadrangle(args.spec or {"family": "quantile", "params": {"alpha": 0.8}})
+    w, v = portfolio_optimize(q, scen, probs=probs, target_mean=args.target_mean, steps=args.max_iter)
+    return {"weights": [fmt12(c) for c in w], "risk": fmt12(v)}, EXIT_OK
+
+
+def _dro(args):
+    scen, probs = ingest_scenarios_csv(args.input_path)
+    spec = args.spec or {}
+    tau = spec.get("tau", args.params.get("tau", 1.0))
+    sol = dro_solve(DroProblem(scen, _divergence(spec, "tau"), tau, probs=probs, target_mean=args.target_mean), steps=args.max_iter)
+    return {
+        "weights": [fmt12(c) for c in sol.weights],
+        "value": fmt12(sol.value),
+        "worst_case_density": [fmt12(c) for c in sol.worst_case_density],
+        "route_gap": fmt12(sol.route_gap),
+        "density_approximate": sol.density_approximate,
+    }, EXIT_OK if sol.route_gap <= 1e-4 else EXIT_SOLVER
+
+
+def _epi(args):
+    x = ingest_rv_csv(args.input_path)
+    alpha = args.params.get("alpha", 0.5)
+    envelope = cvar_envelope(alpha, x.probs)
+    kern, kconj = kernel_quadratic_regret()
+    rows = []
+    for eps in args.epsilons or (0.25, 0.5, 1.0, 2.0):
+        spec = EpiSpec(
+            base_risk=lambda y: cvar_direct(y, alpha),
+            kernel=kern,
+            epsilon=eps,
+            base_envelope=envelope,
+            kernel_conj=kconj,
+        )
+        vp = epi_risk_primal(spec, x)
+        vd = epi_risk_dual(spec, x)
+        rows.append({"epsilon": fmt12(eps), "primal": fmt12(vp), "dual": fmt12(vd), "gap": fmt12(abs(vp - vd))})
+    worst = max(r["gap"] for r in rows)
+    sweep = _sweep(args, rows, (("eps", "<10g"), ("primal", ".12g"), ("dual", ".12g"), ("gap", ".3g")))
+    return {"alpha": alpha, "sweep": sweep}, EXIT_OK if worst <= 1e-4 else EXIT_SOLVER
+
+
+def _check(args):
+    if args.spec:
+        specs = [CatalogSpec(args.spec["family"], dict(args.spec.get("params", {})))]
+    else:
+        specs = [CatalogSpec(name, dict(family.params)) for name, family in CATALOG.items()]
+    table = []
+    all_ok = True
+    for sp in specs:
+        q = make_catalog_quadrangle(sp)
+        for res in run_quadrangle_checks(q, rng=np.random.default_rng(args.seed), n_rvs=10):
+            all_ok &= res.passed
+            table.append(f"{sp.family:15s} {res.name:28s} {'pass' if res.passed else 'FAIL':5s} {res.detail}")
+    return {"checks": table, "all_passed": all_ok}, EXIT_OK if all_ok else EXIT_VALIDATION
+
+
+COMMANDS = {
+    "eval": _eval,
+    "statistic": _statistic,
+    "envelope": _envelope,
+    "family": _family,
+    "regress": _regress,
+    "portfolio": _portfolio,
+    "dro": _dro,
+    "epi": _epi,
+    "check": _check,
+}
 
 
 def _parse_spec(args, params: dict) -> Optional[dict]:
@@ -415,13 +380,8 @@ def _parse_spec(args, params: dict) -> Optional[dict]:
         if not isinstance(spec, dict):
             raise ValueError(f"spec must be a JSON object, got {spec!r}")
     inline = {k: v for k, v in params.items() if k != "tau"}
-    if inline and spec is None:
-        if args.phi:
-            spec = {"phi": args.phi, "params": inline}
-        elif args.family:
-            spec = {"family": args.family, "params": inline}
-    elif spec is None and (args.family or args.phi):
-        spec = {"family": args.family, "params": {}} if args.family else {"phi": args.phi, "params": {}}
+    if spec is None and (args.family or args.phi):
+        spec = {"phi": args.phi, "params": inline} if args.phi else {"family": args.family, "params": inline}
     if spec is not None and args.tau is not None:
         spec["tau"] = args.tau
     return spec
@@ -440,7 +400,7 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", dest="input_path")
     common.add_argument("--spec", help="JSON spec or path to one")
-    common.add_argument("--family", choices=sorted(CATALOG_FAMILIES))
+    common.add_argument("--family", choices=sorted(CATALOG))
     common.add_argument("--phi", choices=PHI_REGISTRY)
     common.add_argument("--alpha", type=float)
     common.add_argument("--q", type=float)
@@ -459,42 +419,42 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", dest="output_format", choices=("table", "json"), default="table")
     common.add_argument("--output", dest="output_path")
-    parser = _Parser(prog="riskquad", description=__doc__)
+    # the description is the docstring less its last paragraph, on the command table
+    parser = _Parser(prog="riskquad", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eval", "statistic", "envelope", "family", "regress", "portfolio", "dro", "epi", "check"):
+    for name in COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
+
+
+def _grid(text: Optional[str]) -> Optional[list[float]]:
+    return [float(t) for t in text.split(",")] if text else None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.family and args.phi:
         _parser().error("argument --phi: not allowed with argument --family")
-    params = {}
+    args.params = {}
     for key in ("alpha", "q", "eps", "beta", "lam", "K", "x", "tau"):
         val = getattr(args, "big_k" if key == "K" else key)
         if val is not None:
-            params[key] = val
+            args.params[key] = val
     try:
-        cfg = RunConfig(
-            command=args.command,
-            input_path=args.input_path,
-            spec=_parse_spec(args, params),
-            params=params,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            output_format=args.output_format,
-            output_path=args.output_path,
-            taus=[float(t) for t in args.taus.split(",")] if args.taus else None,
-            epsilons=[float(e) for e in args.epsilons.split(",")] if args.epsilons else None,
-            model=args.model,
-            target=args.target,
-            target_mean=args.target_mean,
-        )
-    except (ValueError, OSError) as exc:  # a bad JSON spec, a spec path that is missing or a directory, a bad grid
+        args.spec = _parse_spec(args, args.params)
+        args.taus, args.epsilons = _grid(args.taus), _grid(args.epsilons)
+        payload, code = COMMANDS[args.command](args)
+        _emit(args, payload)
+        return code
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return run_command(cfg)
+    except RuntimeError as exc:
+        print(f"solver: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except Exception as exc:  # any other fault inside a solve: one line, no traceback
+        print(f"solver: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -107,83 +107,88 @@ def _phi_conj_pearson(z):
     return np.where(z + 2.0 >= 0, (z + 2.0) ** 2 / 4.0 - 1.0, -1.0)
 
 
+def _gen_extended_pearson(q: Optional[float]) -> DivergenceFn:
+    if q is None or not 0.0 < q < 1.0:
+        raise ValueError("gen_extended_pearson requires q in (0,1)")
+
+    # weight q on the upside, so the regret is E[X] + sqrt(beta E[q X_+^2 + (1-q) X_-^2])
+    def phi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 1.0, (x - 1.0) ** 2 / q, (x - 1.0) ** 2 / (1.0 - q))
+
+    def phi_conj(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z > 0.0, q * z**2 / 4.0 + z, (1.0 - q) * z**2 / 4.0 + z)
+
+    def conj_grad(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z > 0.0, q * z / 2.0 + 1.0, (1.0 - q) * z / 2.0 + 1.0)
+
+    return DivergenceFn(
+        phi=phi,
+        phi_conj=phi_conj,
+        dom=(-math.inf, math.inf),
+        kind="extended",
+        label=f"gen_extended_pearson({q:g})",
+        conj_grad=conj_grad,
+        q=q,
+        closed_forms=lambda div, beta: _quadratic_forms(div.q, beta),
+    )
+
+
+# each named divergence function's builder, called with the level q (only gen_extended_pearson reads it)
+_DIVERGENCES = {
+    "kl": lambda q: DivergenceFn(
+        phi=_phi_kl,
+        phi_conj=lambda z: np.exp(np.minimum(np.asarray(z, dtype=float), 700.0)) - 1.0,
+        dom=(0.0, math.inf),
+        kind="divergence",
+        label="kl",
+        conj_grad=lambda z: np.exp(np.minimum(np.asarray(z, dtype=float), 700.0)),
+        closed_forms=_kl_forms,
+        envelope_route=_envelope_kl,
+    ),
+    "tv": lambda q: DivergenceFn(
+        phi=_phi_tv,
+        phi_conj=_phi_conj_tv,
+        dom=(0.0, math.inf),
+        kind="divergence",
+        label="tv",
+        conj_grad=None,  # subdifferential is set-valued
+        conj_dom=(-math.inf, 1.0),
+        closed_forms=_tv_forms,
+        envelope_route=_envelope_tv,
+    ),
+    "pearson": lambda q: DivergenceFn(
+        phi=_phi_pearson,
+        phi_conj=_phi_conj_pearson,
+        dom=(0.0, math.inf),
+        kind="divergence",
+        label="pearson",
+        conj_grad=lambda z: np.maximum((np.asarray(z, dtype=float) + 2.0) / 2.0, 0.0),
+        closed_forms=_pearson_forms,
+        envelope_route=_envelope_pearson,
+    ),
+    "extended_pearson": lambda q: DivergenceFn(
+        phi=lambda x: (np.asarray(x, dtype=float) - 1.0) ** 2,
+        phi_conj=lambda z: np.asarray(z, dtype=float) ** 2 / 4.0 + np.asarray(z, dtype=float),
+        dom=(-math.inf, math.inf),
+        kind="extended",
+        label="extended_pearson",
+        conj_grad=lambda z: np.asarray(z, dtype=float) / 2.0 + 1.0,
+        closed_forms=lambda div, beta: _quadratic_forms(0.5, 2.0 * beta),
+    ),
+    "gen_extended_pearson": _gen_extended_pearson,
+}
+
+PHI_REGISTRY = tuple(_DIVERGENCES)
+
+
 def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
     """Named divergence functions with verified conjugates."""
-    if name == "kl":
-        return DivergenceFn(
-            phi=_phi_kl,
-            phi_conj=lambda z: np.exp(np.minimum(np.asarray(z, dtype=float), 700.0)) - 1.0,
-            dom=(0.0, math.inf),
-            kind="divergence",
-            label="kl",
-            conj_grad=lambda z: np.exp(np.minimum(np.asarray(z, dtype=float), 700.0)),
-            closed_forms=_kl_forms,
-            envelope_route=_envelope_kl,
-        )
-    if name == "tv":
-        return DivergenceFn(
-            phi=_phi_tv,
-            phi_conj=_phi_conj_tv,
-            dom=(0.0, math.inf),
-            kind="divergence",
-            label="tv",
-            conj_grad=None,  # subdifferential is set-valued
-            conj_dom=(-math.inf, 1.0),
-            closed_forms=_tv_forms,
-            envelope_route=_envelope_tv,
-        )
-    if name == "pearson":
-        return DivergenceFn(
-            phi=_phi_pearson,
-            phi_conj=_phi_conj_pearson,
-            dom=(0.0, math.inf),
-            kind="divergence",
-            label="pearson",
-            conj_grad=lambda z: np.maximum((np.asarray(z, dtype=float) + 2.0) / 2.0, 0.0),
-            closed_forms=_pearson_forms,
-            envelope_route=_envelope_pearson,
-        )
-    if name == "extended_pearson":
-        return DivergenceFn(
-            phi=lambda x: (np.asarray(x, dtype=float) - 1.0) ** 2,
-            phi_conj=lambda z: np.asarray(z, dtype=float) ** 2 / 4.0 + np.asarray(z, dtype=float),
-            dom=(-math.inf, math.inf),
-            kind="extended",
-            label="extended_pearson",
-            conj_grad=lambda z: np.asarray(z, dtype=float) / 2.0 + 1.0,
-            closed_forms=lambda div, beta: _quadratic_forms(0.5, 2.0 * beta),
-        )
-    if name == "gen_extended_pearson":
-        if q is None or not 0.0 < q < 1.0:
-            raise ValueError("gen_extended_pearson requires q in (0,1)")
-
-        # weight q on the upside, so the regret is E[X] + sqrt(beta E[q X_+^2 + (1-q) X_-^2])
-        def phi(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x > 1.0, (x - 1.0) ** 2 / q, (x - 1.0) ** 2 / (1.0 - q))
-
-        def phi_conj(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z > 0.0, q * z**2 / 4.0 + z, (1.0 - q) * z**2 / 4.0 + z)
-
-        def conj_grad(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(z > 0.0, q * z / 2.0 + 1.0, (1.0 - q) * z / 2.0 + 1.0)
-
-        return DivergenceFn(
-            phi=phi,
-            phi_conj=phi_conj,
-            dom=(-math.inf, math.inf),
-            kind="extended",
-            label=f"gen_extended_pearson({q:g})",
-            conj_grad=conj_grad,
-            q=q,
-            closed_forms=lambda div, beta: _quadratic_forms(div.q, beta),
-        )
-    raise ValueError(f"unknown divergence {name!r}")
-
-
-PHI_REGISTRY = ("kl", "tv", "pearson", "extended_pearson", "gen_extended_pearson")
+    if name not in _DIVERGENCES:
+        raise ValueError(f"unknown divergence {name!r}")
+    return _DIVERGENCES[name](q)
 
 
 def verify_conjugate(div: DivergenceFn, z_grid=None, tol: float = 1e-8) -> float:

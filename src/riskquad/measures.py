@@ -9,6 +9,7 @@ piecewise-linear mean family, and the biased mean family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,8 +29,11 @@ from .constructions import (
     project_error,
     regret_to_risk,
 )
+from .dual import Envelope, cvar_envelope, expectile_envelope, mean_abs_risk_envelope
 
 __all__ = [
+    "CATALOG",
+    "CatalogFamily",
     "CatalogSpec",
     "make_catalog_quadrangle",
     "expectile_value",
@@ -44,47 +48,43 @@ __all__ = [
     "CATALOG_FAMILIES",
 ]
 
-CATALOG_FAMILIES = {
-    "standard_mean": ("lam",),
-    "quantile": ("alpha",),
-    "cvar2": ("alpha",),
-    "qsa": ("alpha",),
-    "qsau": ("eps",),
-    "expectile_mse": ("q",),
-    "expectile_pl": ("K",),
-    "mean_pl": (),
-    "biased_mean": ("x",),
+# a parameter's domain, where it has one: the test its value must pass, and the message when it fails
+_DOMAINS = {
+    "lam": (lambda v: v > 0.0, "lam must be positive"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "alpha must lie in (0,1)"),
+    "eps": (lambda v: v >= 0.0, "eps must be nonnegative"),
+    "q": (lambda v: 0.0 < v < 1.0, "q must lie in (0,1)"),
+    "K": (
+        lambda v: v > 0.0,
+        "K must be positive: the expectile changes character across q = 1/2, "
+        "and the piecewise-linear family is only exposed on the coherent side",
+    ),
 }
 
 
 @dataclass(frozen=True)
 class CatalogSpec:
-    """Family name plus its parameters; validated on construction."""
+    """Family name plus its parameters; validated on construction against the
+    family's entry in ``CATALOG`` and each parameter's domain."""
 
     family: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in CATALOG_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {sorted(CATALOG_FAMILIES)}")
-        wanted = set(CATALOG_FAMILIES[self.family])
+        if self.family not in CATALOG:
+            raise ValueError(f"unknown family {self.family!r}; choose from {sorted(CATALOG)}")
+        wanted = set(CATALOG[self.family].params)
         got = set(self.params)
         if got != wanted:
             raise ValueError(f"family {self.family!r} takes params {sorted(wanted)}, got {sorted(got)}")
-        p = self.params
-        if self.family == "standard_mean" and not p["lam"] > 0:
-            raise ValueError("lam must be positive")
-        if self.family in ("quantile", "cvar2", "qsa") and not 0.0 < p["alpha"] < 1.0:
-            raise ValueError("alpha must lie in (0,1)")
-        if self.family == "qsau" and not p["eps"] >= 0.0:
-            raise ValueError("eps must be nonnegative")
-        if self.family == "expectile_mse" and not 0.0 < p["q"] < 1.0:
-            raise ValueError("q must lie in (0,1)")
-        if self.family == "expectile_pl" and not p["K"] > 0.0:
-            raise ValueError(
-                "K must be positive: the expectile changes character across q = 1/2, "
-                "and the piecewise-linear family is only exposed on the coherent side"
-            )
+        for name, value in self.params.items():
+            if name in _DOMAINS and not _DOMAINS[name][0](value):
+                raise ValueError(_DOMAINS[name][1])
+
+    @property
+    def args(self) -> tuple:
+        """The parameters' values in the family's order."""
+        return tuple(self.params[k] for k in CATALOG[self.family].params)
 
 
 # -- scalar losses for the expectation-type families -------------------------------
@@ -367,7 +367,7 @@ def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
 
 def make_catalog_quadrangle(spec: CatalogSpec) -> Quadrangle:
     """Instantiate a catalog family with its printed closed forms."""
-    return _CONSTRUCTORS[spec.family](*(spec.params[k] for k in CATALOG_FAMILIES[spec.family]))
+    return CATALOG[spec.family].make(*spec.args)
 
 
 def _l2_shift_slopes(lam: float):
@@ -576,14 +576,28 @@ def _biased_mean(x0: float) -> Quadrangle:
     )
 
 
-_CONSTRUCTORS = {
-    "standard_mean": _standard_mean,
-    "quantile": _quantile,
-    "cvar2": _cvar2,
-    "qsa": _qsa,
-    "qsau": _qsau,
-    "expectile_mse": _expectile_mse,
-    "expectile_pl": _expectile_pl,
-    "mean_pl": _mean_pl,
-    "biased_mean": _biased_mean,
+@dataclass(frozen=True)
+class CatalogFamily:
+    """One family of the catalog: ``make(*params)`` builds its quadrangle,
+    ``params`` maps its parameters, in order, to the values ``riskquad check``
+    runs, and ``envelope(*params, probs)``, where the family has one, builds
+    its risk envelope on atoms of masses ``probs``."""
+
+    make: Callable[..., Quadrangle]
+    params: dict
+    envelope: Optional[Callable[..., Envelope]] = None
+
+
+CATALOG = {
+    "standard_mean": CatalogFamily(_standard_mean, {"lam": 1.0}),
+    "quantile": CatalogFamily(_quantile, {"alpha": 0.7}, cvar_envelope),
+    "cvar2": CatalogFamily(_cvar2, {"alpha": 0.5}),
+    "qsa": CatalogFamily(_qsa, {"alpha": 0.5}),
+    "qsau": CatalogFamily(_qsau, {"eps": 0.25}),
+    "expectile_mse": CatalogFamily(_expectile_mse, {"q": 0.75}),
+    "expectile_pl": CatalogFamily(_expectile_pl, {"K": 0.5}, lambda k, p: expectile_envelope(_expectile_q_from_k(k), p)),
+    "mean_pl": CatalogFamily(_mean_pl, {}, mean_abs_risk_envelope),
+    "biased_mean": CatalogFamily(_biased_mean, {"x": 0.5}),
 }
+
+CATALOG_FAMILIES = {name: tuple(family.params) for name, family in CATALOG.items()}

@@ -35,10 +35,17 @@ __all__ = [
     "NAMED_MODELS",
 ]
 
-NAMED_MODELS = ("quantile", "expectile_pl", "expectile_mse", "svr", "mean_pl", "biased_mean")
+# each named estimator's catalog family
+_MODEL_FAMILY = {
+    "quantile": "quantile",
+    "expectile_pl": "expectile_pl",
+    "expectile_mse": "expectile_mse",
+    "svr": "qsau",
+    "mean_pl": "mean_pl",
+    "biased_mean": "biased_mean",
+}
 
-# a named model's catalog family is its own name, except for these
-_MODEL_FAMILY = {"svr": "qsau"}
+NAMED_MODELS = tuple(_MODEL_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -199,9 +206,9 @@ def named_quadrangle(model: str, **params) -> Quadrangle:
     quantile(alpha), expectile_pl(K), expectile_mse(q), svr(eps) on the qsau
     family, mean_pl, biased_mean(x).
     """
-    if model not in NAMED_MODELS:
+    if model not in _MODEL_FAMILY:
         raise ValueError(f"unknown model {model!r}; choose from {NAMED_MODELS}")
-    family = _MODEL_FAMILY.get(model, model)
+    family = _MODEL_FAMILY[model]
     return make_catalog_quadrangle(CatalogSpec(family, {k: v for k, v in params.items() if k in CATALOG_FAMILIES[family]}))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import riskquad
-from riskquad.cli import RunConfig, _parser, fmt12, ingest_rv_csv, main, run_command
+from riskquad.cli import _parser, fmt12, ingest_rv_csv, main
 from riskquad.core import DiscreteRv, InvalidDistribution
 from riskquad.measures import CatalogSpec, make_catalog_quadrangle
 
