@@ -97,9 +97,10 @@ class ScalarLoss:
     def piecewise_linear(self) -> bool:
         return self.pieces is not None
 
-    def shift_slopes(self, x: DiscreteRv) -> Callable[[np.ndarray], np.ndarray]:
-        """C -> the left and right slopes of C -> E[e(X - C)] for each C of an
-        array, -E[e'_+(X - C)] and -E[e'_-(X - C)], as two rows.
+    def shift_slopes(self, x: DiscreteRv, tilt: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+        """C -> the left and right slopes of C -> tilt * C + E[e(X - C)] for
+        each C of an array, tilt - E[e'_+(X - C)] and tilt - E[e'_-(X - C)],
+        as two rows.
 
         Each expectation is summed as ``np.dot`` sums one, so the slopes are
         those of the scalar criterion; a loss with one derivative takes it once.
@@ -112,8 +113,8 @@ class ScalarLoss:
 
         def slopes(cs):
             cs = np.asarray(cs, dtype=float)
-            right = -mean_d(self.d_left, cs)
-            return np.stack((right if self.d_right is self.d_left else -mean_d(self.d_right, cs), right))
+            right = tilt - mean_d(self.d_left, cs)
+            return np.stack((right if self.d_right is self.d_left else tilt - mean_d(self.d_right, cs), right))
 
         return slopes
 
@@ -226,9 +227,10 @@ class Functional:
     ``loss``, ``moment_max`` and ``shift_breakpoints`` carry the structure
     that the projections exploit when it is known; affine loss pieces and a
     moment-max form give both the shift breakpoints and the slopes
-    (``_hinge_forms``).  Without them, ``shift_slopes(x)``, built once per X,
-    gives in one call the rows of left and right slopes of the convex
-    C -> f(X - C), nondecreasing in C, at every C of an array: a smooth
+    (``_hinge_forms``).  Without them, ``shift_slopes(x, tilt)``, built once
+    per X, gives in one call the rows of left and right slopes of the convex
+    C -> tilt * C + f(X - C), nondecreasing in C, at every C of an array, the
+    tilt added once so that a slope reads 0 where it cancels: a smooth
     functional's slope crossing, and, with shift breakpoints, the slopes of
     the segments between them.  ``subgradient(x)`` is a density g on the
     atoms of X with f(Y) >= f(X) + E[(Y - X) g] for every Y on them.
@@ -242,7 +244,7 @@ class Functional:
     loss: Optional[ScalarLoss] = None
     moment_max: Optional[MomentMaxSpec] = None
     shift_breakpoints: Optional[Callable[[DiscreteRv], np.ndarray]] = None
-    shift_slopes: Optional[Callable[[DiscreteRv], Callable[[np.ndarray], np.ndarray]]] = None
+    shift_slopes: Optional[Callable[..., Callable[[np.ndarray], np.ndarray]]] = None
     subgradient: Optional[Callable[[DiscreteRv], np.ndarray]] = None
     square_weights: Optional[tuple[float, float]] = None
 
@@ -288,12 +290,17 @@ def mean_center_regret(v: RegretFn) -> ErrorFn:
 
 
 def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, flags: Optional[Flags] = None) -> Functional:
-    """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over."""
+    """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over.
+
+    Its shift slopes at tilt t are scale times f's at (t - tilt) / scale, so
+    t - tilt is formed before it meets a slope: a mean-centred error's slopes
+    at the risk's tilt 1 are the error's own, with no 1 added and taken off.
+    """
     ss, sg = f.shift_slopes, f.subgradient
 
-    def shift_slopes(x):
-        at = ss(x)
-        return lambda cs: scale * at(cs) - tilt
+    def shift_slopes(x, t=0.0):
+        at = ss(x, (t - tilt) / scale)
+        return lambda cs: scale * at(cs)
 
     return Functional(
         fn=lambda x: scale * f.fn(x) + tilt * x.mean(),
@@ -551,10 +558,7 @@ def _shift_scan(f, x: DiscreteRv, tilt: float):
             bps = np.unique(np.subtract.outer(x.values, [k for _, k in hinges])) if hinges else x.values
         return bps, _form_slopes([(a - tilt, c, hinges) for a, c, hinges in forms], sums)
     bps = None if f.shift_breakpoints is None else np.unique(np.asarray(f.shift_breakpoints(x), dtype=float))
-    if f.shift_slopes is None:
-        return bps, None
-    at = f.shift_slopes(x)
-    return bps, lambda cs: at(cs) + tilt
+    return bps, None if f.shift_slopes is None else f.shift_slopes(x, tilt)
 
 
 def _form_slopes(forms, sums: SortedSums):

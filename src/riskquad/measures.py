@@ -240,9 +240,9 @@ def _cvar2_regret_subgradient(x: DiscreteRv, alpha: float) -> np.ndarray:
 
 
 def _cvar2_shift_slopes(alpha: float):
-    """C -> the left and right slopes of C -> cvar2 regret of X - C at every C
-    of an array: -|{b : CVaR_b(X) >= C}| / (1 - alpha) and
-    -|{b : CVaR_b(X) > C}| / (1 - alpha).
+    """C -> the left and right slopes of C -> tilt * C + cvar2 regret of X - C
+    at every C of an array: tilt - |{b : CVaR_b(X) >= C}| / (1 - alpha) and
+    tilt - |{b : CVaR_b(X) > C}| / (1 - alpha).
 
     Built once per X from ``_cvar2_segments``.  Each set is (b*, 1), and
     ``searchsorted`` over the segment starts, with ties counted above for >=
@@ -252,7 +252,7 @@ def _cvar2_shift_slopes(alpha: float):
     """
     scale = 1.0 / (1.0 - alpha)
 
-    def shift_slopes(x: DiscreteRv):
+    def shift_slopes(x: DiscreteRv, tilt: float = 0.0):
         ref, u, mass, k, start = _cvar2_segments(x)
         # segment j - 1 at index j, between 1 - b = 1 below the mean at index 0
         # and 1 - b = 0 past ess sup at index n: k, u, and 1 - b at its start and end
@@ -265,7 +265,7 @@ def _cvar2_shift_slopes(alpha: float):
             j = np.stack((np.searchsorted(start, d, side="left"), np.searchsorted(start, d, side="right")))
             kj, uj, tj = k_[j], u_[j], top[j]
             w = np.divide(kj, d - uj, out=tj.copy(), where=d > uj)
-            return -scale * np.minimum(np.maximum(w, end[j]), tj)
+            return tilt - scale * np.minimum(np.maximum(w, end[j]), tj)
 
         return slopes
 
@@ -371,13 +371,13 @@ def make_catalog_quadrangle(spec: CatalogSpec) -> Quadrangle:
 
 
 def _l2_shift_slopes(lam: float):
-    """C -> the left and right slopes of C -> lam * ||X - C||_2 =
-    lam * sqrt(Var X + (E X - C)^2) at every C of an array:
-    lam (C - E X) / sqrt(Var X + (E X - C)^2), and -lam and lam at the kink of
-    a constant X.  The variance is taken from values centred at a reference
-    atom."""
+    """C -> the left and right slopes of C -> tilt * C + lam * ||X - C||_2 =
+    tilt * C + lam * sqrt(Var X + (E X - C)^2) at every C of an array:
+    tilt + lam (C - E X) / sqrt(Var X + (E X - C)^2), and tilt - lam and
+    tilt + lam at the kink of a constant X.  The variance is taken from values
+    centred at a reference atom."""
 
-    def shift_slopes(x: DiscreteRv):
+    def shift_slopes(x: DiscreteRv, tilt: float = 0.0):
         sums = SortedSums(x)
         sd = np.sqrt(np.dot(x.probs, (sums.u - sums.mean_u) ** 2))
 
@@ -385,7 +385,7 @@ def _l2_shift_slopes(lam: float):
             gap = np.asarray(cs, dtype=float) - sums.ref - sums.mean_u
             norm = np.hypot(sd, gap)
             right = lam * np.divide(gap, norm, out=np.ones_like(norm), where=norm > 0.0)
-            return np.stack((np.where(norm > 0.0, right, -lam), right))
+            return tilt + np.stack((np.where(norm > 0.0, right, -lam), right))
 
         return slopes
 
@@ -448,9 +448,10 @@ def _qsa_breakpoints(x: DiscreteRv) -> np.ndarray:
 
 
 def _cvar_norm_shift_slopes(alpha: float):
-    """C -> the left and right slopes of C -> (1 - alpha) CVaR_alpha(|X - C|)
-    at every C of an array: the mass of the top 1 - alpha of |X - C| taken
-    below C minus that taken above, 0 within the CDF tolerance.
+    """C -> the left and right slopes of C -> tilt * C + (1 - alpha)
+    CVaR_alpha(|X - C|) at every C of an array: tilt plus the mass of the top
+    1 - alpha of |X - C| taken below C minus that taken above, that difference
+    0 within the CDF tolerance.
 
     That top is the bottom s and the top m - s of the mass, m = 1 - alpha,
     where the window [q(s), q(s + alpha)] of the quantile function is centred
@@ -461,7 +462,7 @@ def _cvar_norm_shift_slopes(alpha: float):
     """
     m = 1.0 - alpha
 
-    def shift_slopes(x: DiscreteRv):
+    def shift_slopes(x: DiscreteRv, tilt: float = 0.0):
         v, cum = x.values, np.cumsum(x.probs)[:-1]
         levels = np.concatenate((cum, cum - alpha))
         order = np.argsort(levels, kind="stable")
@@ -474,7 +475,7 @@ def _cvar_norm_shift_slopes(alpha: float):
             cs = np.asarray(cs, dtype=float)
             below = starts[np.stack((np.searchsorted(mids, cs, "left"), np.searchsorted(mids, cs, "right")))]
             gap = below - (m - below)
-            return np.where(np.abs(gap) <= tol, 0.0, gap)
+            return tilt + np.where(np.abs(gap) <= tol, 0.0, gap)
 
         return slopes
 

@@ -24,7 +24,7 @@ from riskquad.constructions import (
     regret_to_risk,
     scale_quadrangle,
 )
-from riskquad.core import DiscreteRv, StatInterval, cdf_tol, cvar_direct
+from riskquad.core import DiscreteRv, StatInterval, cdf_tol, cvar_direct, sample_rvs
 from riskquad.measures import (
     CatalogSpec,
     cvar2_regret,
@@ -517,9 +517,9 @@ def test_batched_search_builds_the_kernel_once_per_search():
     built, calls = [], []
 
     def counted(shift_slopes):
-        def build(x):
+        def build(x, tilt=0.0):
             built.append(1)
-            at = shift_slopes(x)
+            at = shift_slopes(x, tilt)
 
             def slopes(cs):
                 calls.append(np.size(cs))
@@ -537,3 +537,16 @@ def test_batched_search_builds_the_kernel_once_per_search():
         assert len(built) == 1
         # one call brackets both crossings among the atoms, and each round narrows both at once
         assert len(calls) <= 12, len(calls)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("expectile_mse", {"q": 0.7}), ("standard_mean", {"lam": 1.0}), ("cvar2", {"alpha": 0.5}), ("qsa", {"alpha": 0.5})],
+)
+def test_regret_route_statistic_is_the_error_route_one_at_every_scale(family, params):
+    # the regret is the mean-centred error: its tilt meets the risk's before any slope, so no O(s) part cancels
+    q = make_catalog_quadrangle(CatalogSpec(family, params))
+    for s in (1e-12, 1e-9, 1.0, 1e9):
+        for x in sample_rvs(np.random.default_rng(7), 12):
+            xs = x.scale(s)
+            assert regret_to_risk(q.regret_fn, xs)[1] == project_error(q.error_fn, xs)[1], (s, x)
