@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -175,7 +176,7 @@ def build_quadrangle(spec: dict) -> Quadrangle:
         params = spec.get("params", {})
         if "beta" not in params:
             raise ValueError(f"phi {spec['phi']!r} takes param 'beta', got {sorted(params)}")
-        return make_divergence_quadrangle(_divergence(spec, "beta"), params["beta"])
+        return make_divergence_quadrangle(_divergence(spec, "beta"), _finite("beta", params["beta"]))
     raise ValueError("spec must carry 'family' or 'phi'")
 
 
@@ -308,7 +309,7 @@ def _portfolio(args):
 def _dro(args):
     scen, probs = ingest_scenarios_csv(args.input_path)
     spec = args.spec or {}
-    tau = spec.get("tau", args.params.get("tau", 1.0))
+    tau = _finite("tau", spec.get("tau", args.params.get("tau", 1.0)))
     sol = dro_solve(DroProblem(scen, _divergence(spec, "tau"), tau, probs=probs, target_mean=args.target_mean), steps=args.max_iter)
     return {
         "weights": [fmt12(c) for c in sol.weights],
@@ -427,8 +428,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(text: Optional[str]) -> Optional[list[float]]:
-    return [float(t) for t in text.split(",")] if text else None
+def _finite(option: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{option} must be a finite number, got {value!r}")
+    return value
+
+
+def _grid(text: Optional[str], option: str) -> Optional[list[float]]:
+    return [_finite(option, float(t)) for t in text.split(",")] if text else None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -441,8 +448,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if val is not None:
             args.params[key] = val
     try:
+        for key, val in args.params.items():
+            _finite(f"--{key}", val)
+        if args.target_mean is not None:
+            _finite("--target-mean", args.target_mean)
         args.spec = _parse_spec(args, args.params)
-        args.taus, args.epsilons = _grid(args.taus), _grid(args.epsilons)
+        args.taus, args.epsilons = _grid(args.taus, "--taus"), _grid(args.epsilons, "--epsilons")
         payload, code = COMMANDS[args.command](args)
         _emit(args, payload)
         return code

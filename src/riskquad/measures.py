@@ -8,6 +8,7 @@ piecewise-linear mean family, and the biased mean family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -48,7 +49,8 @@ __all__ = [
     "CATALOG_FAMILIES",
 ]
 
-# a parameter's domain, where it has one: the test its value must pass, and the message when it fails
+# a parameter's domain within the finite numbers, where it has one: the test its value must pass, and the
+# message when it fails
 _DOMAINS = {
     "lam": (lambda v: v > 0.0, "lam must be positive"),
     "alpha": (lambda v: 0.0 < v < 1.0, "alpha must lie in (0,1)"),
@@ -78,6 +80,8 @@ class CatalogSpec:
         if got != wanted:
             raise ValueError(f"family {self.family!r} takes params {sorted(wanted)}, got {sorted(got)}")
         for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
             if name in _DOMAINS and not _DOMAINS[name][0](value):
                 raise ValueError(_DOMAINS[name][1])
 

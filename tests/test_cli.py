@@ -363,8 +363,32 @@ def test_missing_parameter_is_named(data_csv, capsys, argv, message):
         (["epi", "--alpha", "-0.5"], "alpha"),
         (["envelope", "--family", "quantile"], "alpha"),
         (["envelope", "--family", "expectile_pl"], "K"),
+        (["eval", "--family", "standard_mean", "--lam", "inf", "--format", "json"], "lam"),
+        (["family", "--taus", "inf"], "taus"),
+        (["eval", "--phi", "kl", "--beta", "nan"], "beta"),
+        (["family", "--phi", "kl", "--taus", "nan"], "taus"),
+        (["dro", "--phi", "kl", "--tau", "nan"], "tau"),
+        (["eval", "--family", "qsau", "--eps", "inf"], "eps"),
+        (["epi", "--epsilons", "nan"], "epsilons"),
+        (["eval", "--family", "biased_mean", "--x=-inf"], "x"),
+        (["portfolio", "--target-mean", "nan"], "target-mean"),
     ],
-    ids=["envelope-alpha-1", "epi-alpha-1", "epi-alpha-negative", "envelope-no-alpha", "envelope-no-K"],
+    ids=[
+        "envelope-alpha-1",
+        "epi-alpha-1",
+        "epi-alpha-negative",
+        "envelope-no-alpha",
+        "envelope-no-K",
+        "eval-lam-inf",
+        "family-taus-inf",
+        "eval-beta-nan",
+        "family-taus-nan",
+        "dro-tau-nan",
+        "eval-eps-inf",
+        "epi-epsilons-nan",
+        "eval-x-minus-inf",
+        "portfolio-target-mean-nan",
+    ],
 )
 def test_bad_or_missing_parameter_exits_1_naming_it(u5_csv, capsys, argv, name):
     # exit 2 is kept for a solve that does not converge

@@ -49,6 +49,13 @@ def test_spec_validation():
         CatalogSpec("qsau", {"eps": -0.1})
 
 
+@pytest.mark.parametrize("family, name", [("standard_mean", "lam"), ("quantile", "alpha"), ("qsau", "eps"), ("biased_mean", "x")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_a_parameter_that_is_not_finite(family, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        CatalogSpec(family, {name: value})
+
+
 def test_quantile_family_values():
     q = make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.6}))
     assert q.risk(U5) == pytest.approx(4.5, abs=1e-12)
