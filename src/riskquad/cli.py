@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 
+# the quadrangle and ball parameters, each a float option of its name, in the help text's order
+_PARAMS = ("alpha", "q", "eps", "beta", "lam", "K", "x", "tau")
+
 
 def fmt12(v: float) -> float:
     """Round-trip a float through 12 significant digits."""
@@ -370,7 +373,7 @@ COMMANDS = {
 }
 
 
-def _parse_spec(args, params: dict) -> Optional[dict]:
+def _parse_spec(args) -> Optional[dict]:
     spec = None
     if args.spec:
         if args.spec.strip().startswith("{"):
@@ -380,7 +383,7 @@ def _parse_spec(args, params: dict) -> Optional[dict]:
                 spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError(f"spec must be a JSON object, got {spec!r}")
-    inline = {k: v for k, v in params.items() if k != "tau"}
+    inline = {k: v for k, v in args.params.items() if k != "tau"}
     if spec is None and (args.family or args.phi):
         spec = {"phi": args.phi, "params": inline} if args.phi else {"family": args.family, "params": inline}
     if spec is not None and args.tau is not None:
@@ -403,14 +406,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--spec", help="JSON spec or path to one")
     common.add_argument("--family", choices=sorted(CATALOG))
     common.add_argument("--phi", choices=PHI_REGISTRY)
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--q", type=float)
-    common.add_argument("--eps", type=float)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--lam", type=float)
-    common.add_argument("--K", dest="big_k", type=float)
-    common.add_argument("--x", type=float)
-    common.add_argument("--tau", type=float)
+    for key in _PARAMS:
+        common.add_argument(f"--{key}", type=float, metavar="BIG_K" if key == "K" else None)
     common.add_argument("--taus", help="comma-separated tau grid")
     common.add_argument("--epsilons", help="comma-separated epsilon grid")
     common.add_argument("--model", choices=NAMED_MODELS)
@@ -428,8 +425,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(option: str, value: float) -> float:
-    if not math.isfinite(value):
+def _finite(option: str, value: Optional[float]) -> Optional[float]:
+    if value is not None and not math.isfinite(value):
         raise ValueError(f"{option} must be a finite number, got {value!r}")
     return value
 
@@ -442,17 +439,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.family and args.phi:
         _parser().error("argument --phi: not allowed with argument --family")
-    args.params = {}
-    for key in ("alpha", "q", "eps", "beta", "lam", "K", "x", "tau"):
-        val = getattr(args, "big_k" if key == "K" else key)
-        if val is not None:
-            args.params[key] = val
     try:
-        for key, val in args.params.items():
-            _finite(f"--{key}", val)
-        if args.target_mean is not None:
-            _finite("--target-mean", args.target_mean)
-        args.spec = _parse_spec(args, args.params)
+        args.params = {key: _finite(f"--{key}", getattr(args, key)) for key in _PARAMS if getattr(args, key) is not None}
+        _finite("--target-mean", args.target_mean)
+        args.spec = _parse_spec(args)
         args.taus, args.epsilons = _grid(args.taus, "--taus"), _grid(args.epsilons, "--epsilons")
         payload, code = COMMANDS[args.command](args)
         _emit(args, payload)

@@ -293,9 +293,7 @@ def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, fla
     """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over.
 
     Its shift slopes at tilt t are scale times f's at (t - tilt) / scale, so
-    t - tilt is formed before it meets a slope: a mean-centred error's slopes
-    at the risk's tilt 1 are the error's own, with no 1 added and taken off.
-    """
+    t - tilt is formed before it meets a slope and nothing is added and taken off."""
     ss, sg = f.shift_slopes, f.subgradient
 
     def shift_slopes(x, t=0.0):

@@ -6,6 +6,10 @@ Its sublevel balls define worst-case-expectation families; equivalently the
 perspective transform of the conjugate parent produces the same positively
 homogeneous family.  For a budget beta > 0 the scaled construction yields a
 complete quadrangle whose regret is inf_l l*(beta + E[phi*(X/l)]).
+
+The named divergence functions are one table keyed by name, of builders called
+with the level q; ``make_divergence`` looks a name up in it, and
+``PHI_REGISTRY`` is its keys.
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ Families: scaled standard-deviation (mean-based), quantile (CVaR), second-order
 CVaR, quantile symmetric average (CVaR-norm), its union variant (Vapnik /
 epsilon-insensitive), expectile in squared and piecewise-linear form, the
 piecewise-linear mean family, and the biased mean family.
+
+The catalog is one table, ``CATALOG``, keyed by family: each entry holds the
+family's constructor, its parameters with the values ``riskquad check`` runs,
+and its risk envelope where it has one.  ``CATALOG_FAMILIES`` is derived from
+it.  ``CatalogSpec`` checks each parameter against a table of domains keyed by
+parameter, after refusing one that is not finite.
 """
 
 from __future__ import annotations
@@ -49,8 +55,7 @@ __all__ = [
     "CATALOG_FAMILIES",
 ]
 
-# a parameter's domain within the finite numbers, where it has one: the test its value must pass, and the
-# message when it fails
+# a finite parameter's domain, where it has one: the test its value must pass, and the message when it fails
 _DOMAINS = {
     "lam": (lambda v: v > 0.0, "lam must be positive"),
     "alpha": (lambda v: 0.0 < v < 1.0, "alpha must lie in (0,1)"),
