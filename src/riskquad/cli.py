@@ -29,6 +29,7 @@ from .checks import run_quadrangle_checks
 from .constructions import Quadrangle
 from .divergence import (
     PHI_REGISTRY,
+    DivergenceFn,
     StochasticDivergenceJ,
     family_eval_envelope,
     make_divergence,
@@ -183,7 +184,7 @@ def build_quadrangle(spec: dict) -> Quadrangle:
     raise ValueError("spec must carry 'family' or 'phi'")
 
 
-def _divergence(spec: dict, skip: str):
+def _divergence(spec: dict, skip: str) -> DivergenceFn:
     """The spec's named divergence, kl by default, built from its params other than ``skip``."""
     params = {k: v for k, v in spec.get("params", {}).items() if k != skip}
     return make_divergence(spec.get("phi", "kl"), **params)
@@ -256,7 +257,7 @@ def _envelope(args):
     cat = CatalogSpec(spec["family"], spec.get("params", {}))
     q = make_catalog_quadrangle(cat)
     x = ingest_rv_csv(args.input_path)
-    env = CATALOG[cat.family].envelope(*cat.args, x.probs)
+    env = CATALOG[cat.family].envelope(probs=x.probs, **cat.params)
     rep = dual_axiom_check(env, rng=np.random.default_rng(args.seed))
     sup, _ = envelope_sup(env, x.values)
     return {

@@ -190,7 +190,7 @@ PHI_REGISTRY = tuple(_DIVERGENCES)
 
 def make_divergence(name: str, q: Optional[float] = None) -> DivergenceFn:
     """Named divergence functions with verified conjugates."""
-    if name not in _DIVERGENCES:
+    if name not in PHI_REGISTRY:  # a tuple, so a name that cannot be hashed is refused here too
         raise ValueError(f"unknown divergence {name!r}")
     return _DIVERGENCES[name](q)
 

@@ -90,11 +90,6 @@ class CatalogSpec:
             if name in _DOMAINS and not _DOMAINS[name][0](value):
                 raise ValueError(_DOMAINS[name][1])
 
-    @property
-    def args(self) -> tuple:
-        """The parameters' values in the family's order."""
-        return tuple(self.params[k] for k in CATALOG[self.family].params)
-
 
 # -- scalar losses for the expectation-type families -------------------------------
 
@@ -376,7 +371,7 @@ def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
 
 def make_catalog_quadrangle(spec: CatalogSpec) -> Quadrangle:
     """Instantiate a catalog family with its printed closed forms."""
-    return CATALOG[spec.family].make(*spec.args)
+    return CATALOG[spec.family].make(**spec.params)
 
 
 def _l2_shift_slopes(lam: float):
@@ -553,14 +548,14 @@ def _expectile_mse(q: float) -> Quadrangle:
     )
 
 
-def _expectile_pl(k: float) -> Quadrangle:
-    q = _expectile_q_from_k(k)
-    spec = MomentMaxSpec(((-1.0, 0.0, 0.0), (0.0, 1.0 / k, 0.0)))
-    err = error_from_moment_max(spec, Flags(True, True, False), label=f"expectile_pl_error({k:g})")
+def _expectile_pl(K: float) -> Quadrangle:
+    q = _expectile_q_from_k(K)
+    spec = MomentMaxSpec(((-1.0, 0.0, 0.0), (0.0, 1.0 / K, 0.0)))
+    err = error_from_moment_max(spec, Flags(True, True, False), label=f"expectile_pl_error({K:g})")
     return complete_quadrangle(
         err,
         lambda x: StatInterval.point(expectile_value(x, q)),
-        f"expectile_pl({k:g})",
+        f"expectile_pl({K:g})",
         risk=lambda x: expectile_value(x, q),
         deviation=lambda x: expectile_value(x.shift(-x.mean()), q),
     )
@@ -574,24 +569,24 @@ def _mean_pl() -> Quadrangle:
     )
 
 
-def _biased_mean(x0: float) -> Quadrangle:
-    xp, xn = max(x0, 0.0), max(-x0, 0.0)
+def _biased_mean(x: float) -> Quadrangle:
+    xp, xn = max(x, 0.0), max(-x, 0.0)
     spec = MomentMaxSpec(((-1.0, 1.0, -xp), (0.0, 1.0, -xn)))
-    err = error_from_moment_max(spec, Flags(x0 == 0.0, True, False), label=f"superexpectation_error({x0:g})")
+    err = error_from_moment_max(spec, Flags(x == 0.0, True, False), label=f"superexpectation_error({x:g})")
     return complete_quadrangle(
         err,
-        lambda x: StatInterval.point(x0 + x.mean()),
-        f"biased_mean({x0:g})",
-        deviation=lambda x: x.shift(-x.mean() - x0).mean_pos() - xn,
+        lambda y: StatInterval.point(x + y.mean()),
+        f"biased_mean({x:g})",
+        deviation=lambda y: y.shift(-y.mean() - x).mean_pos() - xn,
     )
 
 
 @dataclass(frozen=True)
 class CatalogFamily:
-    """One family of the catalog: ``make(*params)`` builds its quadrangle,
-    ``params`` maps its parameters, in order, to the values ``riskquad check``
-    runs, and ``envelope(*params, probs)``, where the family has one, builds
-    its risk envelope on atoms of masses ``probs``."""
+    """One family of the catalog: ``make(**params)`` builds its quadrangle,
+    ``params`` maps its parameters to the values ``riskquad check`` runs, and
+    ``envelope(probs=..., **params)``, where the family has one, builds its
+    risk envelope on atoms of masses ``probs``."""
 
     make: Callable[..., Quadrangle]
     params: dict
@@ -605,7 +600,7 @@ CATALOG = {
     "qsa": CatalogFamily(_qsa, {"alpha": 0.5}),
     "qsau": CatalogFamily(_qsau, {"eps": 0.25}),
     "expectile_mse": CatalogFamily(_expectile_mse, {"q": 0.75}),
-    "expectile_pl": CatalogFamily(_expectile_pl, {"K": 0.5}, lambda k, p: expectile_envelope(_expectile_q_from_k(k), p)),
+    "expectile_pl": CatalogFamily(_expectile_pl, {"K": 0.5}, lambda K, probs: expectile_envelope(_expectile_q_from_k(K), probs)),
     "mean_pl": CatalogFamily(_mean_pl, {}, mean_abs_risk_envelope),
     "biased_mean": CatalogFamily(_biased_mean, {"x": 0.5}),
 }

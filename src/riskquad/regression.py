@@ -206,7 +206,7 @@ def named_quadrangle(model: str, **params) -> Quadrangle:
     quantile(alpha), expectile_pl(K), expectile_mse(q), svr(eps) on the qsau
     family, mean_pl, biased_mean(x).
     """
-    if model not in _MODEL_FAMILY:
+    if model not in NAMED_MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {NAMED_MODELS}")
     family = _MODEL_FAMILY[model]
     return make_catalog_quadrangle(CatalogSpec(family, {k: v for k, v in params.items() if k in CATALOG_FAMILIES[family]}))
