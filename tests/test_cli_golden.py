@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from riskquad.cli import COMMANDS
+from riskquad.cli import COMMANDS, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "cli_golden.json"
@@ -63,8 +63,6 @@ def cases() -> list[list[str]]:
 
 def run(argv: list[str], workdir: pathlib.Path) -> dict:
     """``cli.main(argv)`` run in ``workdir`` on the three inputs."""
-    from riskquad.cli import main
-
     for name, text in FILES.items():
         (workdir / name).write_text(text)
     (workdir / OUTPUT).unlink(missing_ok=True)
