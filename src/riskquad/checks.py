@@ -20,17 +20,11 @@ class CheckResult:
     detail: str
 
 
-def run_quadrangle_checks(
-    q: Quadrangle,
-    rng: Optional[np.random.Generator] = None,
-    n_rvs: int = 20,
-    span: float = 3.0,
-    check_routes: bool = True,
-) -> list[CheckResult]:
+def run_quadrangle_checks(q: Quadrangle, rng: Optional[np.random.Generator] = None, n_rvs: int = 20) -> list[CheckResult]:
     """Constant fidelity, the mean-centering identities, route agreement of the
     two argmin intervals, translation covariance, and the declared flags."""
     rng = rng or np.random.default_rng(0)
-    rvs = sample_rvs(rng, n_rvs, span=span)
+    rvs = sample_rvs(rng, n_rvs)
     results: list[CheckResult] = []
 
     worst = 0.0
@@ -49,7 +43,7 @@ def run_quadrangle_checks(
         worst = max(worst, abs(q.risk(x) - q.deviation(x) - m), abs(q.regret(x) - q.error(x) - m))
     results.append(CheckResult("mean_centering", worst <= 1e-9, f"max gap {worst:.2e}"))
 
-    if check_routes and q.error_fn is not None and q.regret_fn is not None:
+    if q.error_fn is not None and q.regret_fn is not None:
         worst_i = worst_v = 0.0
         for x in rvs:
             d1, s1 = project_error(q.error_fn, x)

@@ -80,8 +80,8 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
     header = [c.strip().lower() for c in rows[0]]
     has_header = "value" in header
     body = rows[1:] if has_header else rows
-    if has_header and "prob" in header:
-        vi, pi = header.index("value"), header.index("prob")
+    if has_header:
+        vi, pi = header.index("value"), header.index("prob") if "prob" in header else None
     else:
         vi, pi = 0, None
     if not body:
@@ -172,8 +172,9 @@ def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     return mat[:, keep], probs
 
 
-def build_quadrangle(spec: dict) -> Quadrangle:
+def build_quadrangle(spec: Optional[dict]) -> Quadrangle:
     """From a JSON spec {family|phi, params {...}}."""
+    spec = spec or {}
     if "family" in spec:
         return make_catalog_quadrangle(CatalogSpec(spec["family"], dict(spec.get("params", {}))))
     if "phi" in spec:
@@ -181,7 +182,7 @@ def build_quadrangle(spec: dict) -> Quadrangle:
         if "beta" not in params:
             raise ValueError(f"phi {spec['phi']!r} takes param 'beta', got {sorted(params)}")
         return make_divergence_quadrangle(_divergence(spec, "beta"), _finite("beta", params["beta"]))
-    raise ValueError("spec must carry 'family' or 'phi'")
+    raise ValueError("give a quadrangle: --family, --phi, or a --spec that carries 'family' or 'phi'")
 
 
 def _divergence(spec: dict, skip: str) -> DivergenceFn:
@@ -347,6 +348,8 @@ def _epi(args):
 
 
 def _check(args):
+    if args.spec and "family" not in args.spec:
+        raise ValueError("check runs catalog families only: give --family, or a --spec that carries 'family'")
     if args.spec:
         specs = [CatalogSpec(args.spec["family"], dict(args.spec.get("params", {})))]
     else:

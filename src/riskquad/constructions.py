@@ -701,20 +701,18 @@ def _shift_minimum(f: Functional, x: DiscreteRv, tilt: float, tol: float, want_i
     return fstar, flat_interval(lambda c: g(c) - offset, cstar, fstar - offset)
 
 
-def project_error(err: ErrorFn, x: DiscreteRv, tol: float = 1e-10) -> tuple[float, StatInterval]:
+def project_error(err: ErrorFn, x: DiscreteRv) -> tuple[float, StatInterval]:
     """D(X) = min_C E(X - C) together with the full argmin interval."""
-    return _shift_minimum(err, x, 0.0, tol, True, "error")
+    return _shift_minimum(err, x, 0.0, 1e-10, True, "error")
 
 
-def regret_to_risk(
-    v: RegretFn, x: DiscreteRv, tol: float = 1e-10, want_interval: bool = True
-) -> tuple[float, StatInterval]:
+def regret_to_risk(v: RegretFn, x: DiscreteRv, want_interval: bool = True) -> tuple[float, StatInterval]:
     """R(X) = min_C {C + V(X - C)} together with the full argmin interval.
 
     ``want_interval=False`` skips the flat-set recovery and returns a point
     interval at the located minimizer (cheaper when only the value matters).
     """
-    return _shift_minimum(v, x, 1.0, tol, want_interval, "regret objective")
+    return _shift_minimum(v, x, 1.0, 1e-10, want_interval, "regret objective")
 
 
 # -- quadrangle bundle --------------------------------------------------------------

@@ -176,36 +176,35 @@ def _cvar2_segments(x: DiscreteRv):
     return ref, u, mass, k, u + k / mass[:-1]
 
 
-def _cvar2_whole(x: DiscreteRv, u, mass, k, j: int) -> float:
-    """The integral of CVaR_b - ref over the whole segments j.., from
-    ``_cvar2_segments``: p_i u_i + k_i log(m_i / m_{i+1}) on segment i, and
-    p_i u_i on the last, where CVaR_b is ess sup throughout."""
+def _cvar2_tail(x: DiscreteRv, u, mass, k, j: int, w: float) -> float:
+    """The integral of CVaR_b - ref over 1 - b in (0, w], from
+    ``_cvar2_segments`` and the first segment j with m_j <= w: p_i u_i +
+    k_i log(m_i / m_{i+1}) on each whole segment i >= j, p_i u_i on the last,
+    where CVaR_b is ess sup throughout, and u_i (w - m_j) + k_i log(w / m_j)
+    on the part of segment i = j - 1 from 1 - b = m_j up to w."""
     p = x.probs
-    return float(np.dot(p[j:], u[j:]) + np.dot(k[j:-1], np.log1p(p[j:-1] / mass[j + 1 : -1])))
-
-
-def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
-    """(1/(1-alpha)) * integral of CVaR_beta over (alpha, 1), exactly.
-
-    With w = 1 - alpha, the integral is ref w plus the whole segments j..
-    above alpha (m_j <= w) and the part of segment j - 1 from 1 - b = m_j
-    up to w.
-    """
-    ref, u, mass, k, _ = _cvar2_segments(x)
-    w = 1.0 - alpha
-    j = int(np.count_nonzero(mass > w))
     part = 0.0
     if j > 0:
         i = j - 1
         part = u[i] * (w - mass[j]) + (k[i] * np.log(w / mass[j]) if j < x.n_atoms else 0.0)
-    return float(ref + (part + _cvar2_whole(x, u, mass, k, j)) / w)
+    return float(part + (np.dot(p[j:], u[j:]) + np.dot(k[j:-1], np.log1p(p[j:-1] / mass[j + 1 : -1]))))
+
+
+def cvar2_risk(x: DiscreteRv, alpha: float) -> float:
+    """(1/(1-alpha)) * integral of CVaR_beta over (alpha, 1), exactly: ref
+    plus the tail integral (``_cvar2_tail``) up to 1 - b = 1 - alpha over
+    1 - alpha."""
+    ref, u, mass, k, _ = _cvar2_segments(x)
+    w = 1.0 - alpha
+    j = int(np.count_nonzero(mass > w))
+    return float(ref + _cvar2_tail(x, u, mass, k, j, w) / w)
 
 
 def _cvar2_root(x: DiscreteRv):
-    """``_cvar2_segments`` with d = -ref, the index j of the first segment
+    """``_cvar2_segments`` less its starts, the index j of the first segment
     wholly above C = 0, by one ``searchsorted`` over the segment starts, and
     w = 1 - b* for the root b* of CVaR_b = 0: k_i / (-ref - u_i) on the
-    segment j - 1 that holds it when 0 < j < n, 1 and 0 at the ends."""
+    segment i = j - 1 that holds it when 0 < j < n, 1 and 0 at the ends."""
     ref, u, mass, k, start = _cvar2_segments(x)
     d = -ref
     j = int(np.searchsorted(start, d, side="right"))
@@ -213,19 +212,15 @@ def _cvar2_root(x: DiscreteRv):
     if 0 < j < x.n_atoms:
         i = j - 1
         w = min(max(k[i] / (d - u[i]), mass[j]), mass[i]) if d > u[i] else mass[i]
-    return d, u, mass, k, j, w
+    return ref, u, mass, k, j, w
 
 
 def cvar2_regret(x: DiscreteRv, alpha: float) -> float:
-    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly: the
-    partial log-integral from b* (``_cvar2_root``) to its segment's end plus
-    the integrals of the whole segments above it."""
-    d, u, mass, k, j, w = _cvar2_root(x)
-    part = 0.0
-    if 0 < j < x.n_atoms:
-        i = j - 1
-        part = (u[i] - d) * (w - mass[j]) + k[i] * np.log(w / mass[j])
-    return float((part + _cvar2_whole(x, u, mass, k, j) - d * mass[j]) / (1.0 - alpha))
+    """(1/(1-alpha)) * integral of [CVaR_beta]_+ over (0, 1), exactly: with
+    w = 1 - b* at the root b* (``_cvar2_root``), ref w plus the tail integral
+    (``_cvar2_tail``) up to w."""
+    ref, u, mass, k, j, w = _cvar2_root(x)
+    return float((ref * w + _cvar2_tail(x, u, mass, k, j, w)) / (1.0 - alpha))
 
 
 def _cvar2_regret_subgradient(x: DiscreteRv, alpha: float) -> np.ndarray:
@@ -292,6 +287,19 @@ def _alpha_breakpoints(x: DiscreteRv) -> np.ndarray:
     return np.unique(np.concatenate(([0.0], a[(a > 0.0) & (a < 1.0)])))
 
 
+def _merge(pieces, gap: float) -> list[StatInterval]:
+    """The union of the intervals (lo, hi), in order of lo, as disjoint
+    intervals: each one that starts within ``gap`` of the end of the last
+    joins it."""
+    out: list[list[float]] = []
+    for lo, hi in pieces:
+        if out and lo <= out[-1][1] + gap:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [StatInterval(lo, hi) for lo, hi in out]
+
+
 def alpha_set(x: DiscreteRv, eps: float) -> list[StatInterval]:
     """The set of levels alpha in [0,1) whose symmetric quantile half-spread covers eps.
 
@@ -305,27 +313,13 @@ def alpha_set(x: DiscreteRv, eps: float) -> list[StatInterval]:
     bps = _alpha_breakpoints(x)
     # candidate points: breakpoints and midpoints of the cells between them
     edges = list(bps) + [1.0]
-    qualifying = []
-    for i, a in enumerate(edges[:-1]):
-        nxt = edges[i + 1]
-        here = _half_spread_interval(x, a).contains(eps, tol=1e-12)
-        mid_a = 0.5 * (a + nxt)
-        mid = _half_spread_interval(x, mid_a).contains(eps, tol=1e-12)
-        qualifying.append((a, nxt, here, mid))
-    intervals: list[list[float]] = []
-
-    def push(lo, hi):
-        if intervals and lo <= intervals[-1][1] + 1e-15:
-            intervals[-1][1] = max(intervals[-1][1], hi)
-        else:
-            intervals.append([lo, hi])
-
-    for a, nxt, here, mid in qualifying:
-        if here:
-            push(a, a)
-        if mid:
-            push(a, nxt if nxt < 1.0 else nxt - 1e-12)
-    return [StatInterval(lo, hi) for lo, hi in intervals]
+    pieces = []
+    for a, nxt in zip(edges[:-1], edges[1:]):
+        if _half_spread_interval(x, a).contains(eps, tol=1e-12):
+            pieces.append((a, a))
+        if _half_spread_interval(x, 0.5 * (a + nxt)).contains(eps, tol=1e-12):
+            pieces.append((a, nxt if nxt < 1.0 else nxt - 1e-12))
+    return _merge(pieces, 1e-15)
 
 
 def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
@@ -356,14 +350,7 @@ def qsau_statistic_union(x: DiscreteRv, eps: float) -> list[StatInterval]:
             push(a)
             if b is not None:
                 push(0.5 * (a + b))
-    merged = sorted((lo, hi) for lo, hi in out)
-    final: list[list[float]] = []
-    for lo, hi in merged:
-        if final and lo <= final[-1][1] + 1e-12:
-            final[-1][1] = max(final[-1][1], hi)
-        else:
-            final.append([lo, hi])
-    return [StatInterval(lo, hi) for lo, hi in final]
+    return _merge(sorted(out), 1e-12)
 
 
 # -- the catalog --------------------------------------------------------------------------
@@ -443,12 +430,20 @@ def _cvar2(alpha: float) -> Quadrangle:
     )
 
 
-def _qsa_breakpoints(x: DiscreteRv) -> np.ndarray:
-    """The atoms and their pairwise midpoints, 0.5 * (x_i + x_j) for i <= j,
-    unsorted."""
-    v = x.values
-    i, j = np.triu_indices(v.size)
-    return 0.5 * (v[i] + v[j])
+def _qsa_windows(x: DiscreteRv, alpha: float):
+    """The midpoints ``mids`` of the windows [q(s), q(s + alpha)] of the
+    quantile function, s in [0, m] with m = 1 - alpha, and the levels
+    ``starts`` at which each starts, then m.  The levels at which either end
+    steps to its next atom split [0, m] into at most 2n - 1 pieces, each with
+    a pair of atoms whose midpoint grows along them: the sorted shifts at
+    which C -> (1 - alpha) CVaR_alpha(|X - C|) can change slope."""
+    m = 1.0 - alpha
+    v, cum = x.values, np.cumsum(x.probs)[:-1]
+    levels = np.concatenate((cum, cum - alpha))
+    order = np.argsort(levels, kind="stable")
+    i = np.concatenate(([0], np.cumsum(order < cum.size)))
+    mids = 0.5 * (v[i] + v[np.arange(order.size + 1) - i])
+    return mids, np.concatenate(([0.0], np.clip(levels[order], 0.0, m), [m]))
 
 
 def _cvar_norm_shift_slopes(alpha: float):
@@ -459,20 +454,13 @@ def _cvar_norm_shift_slopes(alpha: float):
 
     That top is the bottom s and the top m - s of the mass, m = 1 - alpha,
     where the window [q(s), q(s + alpha)] of the quantile function is centred
-    on C.  The levels at which either end steps to its next atom split [0, m]
-    into pieces, each with a pair of atoms whose midpoint, the float of
-    ``_qsa_breakpoints``, grows along them: s starts the first piece whose
-    midpoint is above C (at least C for the left slope), one searchsorted.
+    on C: s starts the first window of ``_qsa_windows`` whose midpoint is
+    above C (at least C for the left slope), one searchsorted.
     """
     m = 1.0 - alpha
 
     def shift_slopes(x: DiscreteRv, tilt: float = 0.0):
-        v, cum = x.values, np.cumsum(x.probs)[:-1]
-        levels = np.concatenate((cum, cum - alpha))
-        order = np.argsort(levels, kind="stable")
-        i = np.concatenate(([0], np.cumsum(order < cum.size)))
-        mids = 0.5 * (v[i] + v[np.arange(order.size + 1) - i])
-        starts = np.concatenate(([0.0], np.clip(levels[order], 0.0, m), [m]))
+        mids, starts = _qsa_windows(x, alpha)
         tol = cdf_tol(x.n_atoms)
 
         def slopes(cs):
@@ -500,7 +488,7 @@ def _qsa(alpha: float) -> Quadrangle:
         fn=lambda x: (1.0 - alpha) * cvar_direct(x.abs(), alpha),
         flags=Flags(True, True, False),
         label=f"cvar_norm({alpha:g})",
-        shift_breakpoints=_qsa_breakpoints,
+        shift_breakpoints=lambda x: _qsa_windows(x, alpha)[0],
         shift_slopes=_cvar_norm_shift_slopes(alpha),
         subgradient=lambda x: _cvar_norm_subgradient(x, alpha),
     )

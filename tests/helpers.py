@@ -50,6 +50,16 @@ def cvar_norm_shift_values(x, alpha):
     return lambda cs: map_chunks(rows, np.asarray(cs, dtype=float), x.n_atoms)
 
 
+def qsa_pairwise_midpoints(x):
+    """The atoms and their pairwise midpoints, 0.5 * (x_i + x_j) for i <= j:
+    every shift at which C -> (1 - alpha) CVaR_alpha(|X - C|) can change
+    slope, O(n^2) of them.  The candidate set the qsa projections scanned
+    before their window midpoints."""
+    v = x.values
+    i, j = np.triu_indices(v.size)
+    return np.unique(0.5 * (v[i] + v[j]))
+
+
 def within(a, b, rel=1e-12):
     """|a - b| <= rel * (1 + |b|)."""
     return abs(a - b) <= rel * (1.0 + abs(b))

@@ -118,6 +118,20 @@ def test_ingest_reads_every_cell_as_float_does(tmp_path):
         ingest_dataset_csv(str(ds))
 
 
+def test_value_column_is_read_by_its_place_in_the_header(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text("id,value\n10,1\n20,2\n")
+    rv = ingest_rv_csv(str(path))
+    assert rv.values.tolist() == [1.0, 2.0]
+    assert rv.probs.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("command", ["eval", "statistic"])
+def test_a_command_given_no_quadrangle_asks_for_one(u5_csv, capsys, command):
+    assert main([command, "--input", u5_csv]) == 1
+    assert capsys.readouterr().err == "error: give a quadrangle: --family, --phi, or a --spec that carries 'family' or 'phi'\n"
+
+
 def test_eval_command(u5_csv, capsys):
     code = main(["eval", "--family", "quantile", "--alpha", "0.6", "--input", u5_csv, "--format", "json"])
     assert code == 0
@@ -282,6 +296,11 @@ def test_check_command_single_family(u5_csv, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is True
+
+
+def test_check_given_a_divergence_runs_catalog_families_only(capsys):
+    assert main(["check", "--phi", "kl", "--beta", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: check runs catalog families only: give --family, or a --spec that carries 'family'\n"
 
 
 def test_json_round_trip_and_determinism(u5_csv, capsys):

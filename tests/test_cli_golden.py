@@ -4,7 +4,9 @@ stderr (the working directory read as ``<dir>``), the exit code and any
 
 The cases are the README's CLI lines in table and JSON format on three small
 inputs, plus a ``--spec`` JSON, an ``--output`` file, an ``--output`` into a
-missing directory, a usage error, a missing parameter and an unreadable input.
+missing directory, a usage error, a missing parameter, an unreadable input,
+commands given no quadrangle, a value column read by its header and ``check``
+given a divergence.
 Re-record the fixture, only where an output is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -29,6 +31,7 @@ FILES = {
     "rv.csv": "value,prob\n-1,0.2\n0.5,0.3\n2,0.4\n3,0.1\n",
     "data.csv": "x1,x2,y\n0,1,1.1\n1,0,1.9\n2,1,4.2\n3,2,6.1\n1,3,3.8\n4,1,8.3\n2,2,5.0\n0,4,2.9\n",
     "scenarios.csv": "0.02,0.01,-0.01\n-0.03,0.02,0.01\n0.05,-0.01,0.00\n0.01,0.03,0.02\n-0.02,-0.02,0.04\n",
+    "ids.csv": "id,value\n10,1\n20,2\n",
 }
 OUTPUT = "report.json"
 
@@ -58,11 +61,15 @@ def cases() -> list[list[str]]:
         ["eval", "--family", "nosuch", "--input", "rv.csv"],
         ["regress", "--model", "quantile", "--input", "data.csv"],
         ["eval", "--family", "mean_pl", "--input", "missing.csv"],
+        ["eval", "--input", "rv.csv"],
+        ["statistic", "--input", "rv.csv"],
+        ["eval", "--family", "mean_pl", "--input", "ids.csv"],
+        ["check", "--phi", "kl", "--beta", "0.5"],
     ]
 
 
 def run(argv: list[str], workdir: pathlib.Path) -> dict:
-    """``cli.main(argv)`` run in ``workdir`` on the three inputs."""
+    """``cli.main(argv)`` run in ``workdir`` on the four inputs."""
     for name, text in FILES.items():
         (workdir / name).write_text(text)
     (workdir / OUTPUT).unlink(missing_ok=True)

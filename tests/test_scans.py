@@ -1,8 +1,9 @@
 """One-pass array scans against the per-point paths they replace.
 
 The per-breakpoint ``argmin_interval_pwl`` route, the loss pieces', moment-max
-terms' and qsa's segment slopes in exact arithmetic, qsa's row-sort scan, the per-segment cvar2 loops, the
-per-atom expectile loop, the golden-section search with ``flat_interval`` and
+terms' and qsa's segment slopes in exact arithmetic, qsa's row-sort scan and
+its pairwise-midpoint candidates, the per-segment cvar2 loops, the per-atom
+expectile loop, the golden-section search with ``flat_interval`` and
 difference quotients of the scalar functionals are kept here as oracles.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from riskquad.constructions import (
     RegretFn,
+    _pwl_shift_argmin,
     _shift_scan,
     mean_center_error,
     mean_center_regret,
@@ -34,7 +36,7 @@ from riskquad.measures import (
 )
 from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex, pwl_argmin_interval, pwl_grid
 
-from helpers import cvar_norm_shift_values, random_rvs
+from helpers import cvar_norm_shift_values, qsa_pairwise_midpoints, random_rvs
 
 # -- oracles ---------------------------------------------------------------------------
 
@@ -330,6 +332,42 @@ def test_qsa_projections_at_1000_atoms_are_the_quantile_statistic():
                 value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
                 assert interval == q.statistic(x), (scale, grid, tilt)
                 assert abs(value - closed) <= 1e-12 * m, (scale, grid, tilt)
+
+
+def test_qsa_window_midpoints_match_the_pairwise_midpoint_scan():
+    # the scan over all O(n^2) pairwise midpoints with the same slopes finds the
+    # same interval; on a flat stretch where it holds more candidates than the
+    # window midpoints, its least value may round differently
+    rng = np.random.default_rng(31)
+    for alpha in (0.1, 0.5, 0.9):
+        q = make_catalog_quadrangle(CatalogSpec("qsa", {"alpha": alpha}))
+        for scale in (1e-12, 1.0, 1e9):
+            for n in (1, 2, 3, 5, 8, 13, 40, 120, 299):
+                for grid in (False, True):
+                    z = rng.standard_normal(n)
+                    vals = scale * (rng.uniform(-3.0, 3.0) + (np.round(z * 4) if grid else z))
+                    x = DiscreteRv(vals, None if grid else rng.dirichlet(np.ones(n)))
+                    full = qsa_pairwise_midpoints(x)
+                    for f, tilt in ((q.error_fn, 0.0), (q.regret_fn, 1.0)):
+                        value, interval = (project_error if tilt == 0.0 else regret_to_risk)(f, x)
+                        own, slopes = _shift_scan(f, x, tilt)
+                        want, want_interval = _pwl_shift_argmin(lambda c: tilt * c + f.fn(x.shift(-c)), full, slopes)
+                        assert interval == want_interval, (alpha, scale, n, grid, tilt)
+                        inside = [pts[(pts >= interval.lo) & (pts <= interval.hi)].tolist() for pts in (own, full)]
+                        near = 0.0 if inside[0] == inside[1] else n * np.spacing(float(np.max(np.abs(vals))))
+                        assert abs(value - want) <= near, (alpha, scale, n, grid, tilt)
+
+
+def test_qsa_projections_at_100000_atoms_stay_linear():
+    # at most 2n - 1 window midpoints, where the n(n + 1)/2 pairwise midpoints would not fit in memory
+    rng = np.random.default_rng(5)
+    q = make_catalog_quadrangle(CatalogSpec("qsa", {"alpha": 0.5}))
+    x = DiscreteRv(rng.standard_normal(100_000), rng.dirichlet(np.ones(100_000)))
+    assert _shift_breakpoints(q.error_fn, x).size <= 2 * x.n_atoms - 1
+    dev, interval = project_error(q.error_fn, x)
+    risk, risk_interval = regret_to_risk(q.regret_fn, x)
+    assert interval == risk_interval == q.statistic(x)
+    assert abs(risk - x.mean() - dev) <= 1e-13 * float(np.max(np.abs(x.values)))
 
 
 # -- piecewise-linear projections across scales ---------------------------------------------
