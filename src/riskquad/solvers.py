@@ -7,12 +7,13 @@ bracket and call), exact argmin intervals for piecewise-linear
 convex functions, projected subgradient descent, a deterministic
 compass search (the derivative-free route of ``conjugate_eval``), Kelley's
 cutting planes (``cutting_planes``, the one solver of the convex decisions
-without an exact route: it certifies its value by a gap), and a bounded
-dual simplex LP solver on a dense tableau: numpy rank-1 pivots, a start
-basis of the rows' unit columns with each boxed column at the bound its cost
-favours, a dual phase 1 on the same engine where a free or one-sided column
-is not dual feasible there, the bound-flipping ratio test (Bland's rule
-through runs of stalled steps) and the rows' multipliers.
+without an exact route: it certifies its value by a gap, and its masters
+share one tableau, each round's cuts appended as rows to the last optimal
+basis), and a bounded dual simplex LP solver on a dense tableau: numpy
+rank-1 pivots, a start basis of the rows' unit columns with each boxed column
+at the bound its cost favours, a dual phase 1 on the same engine where a free
+or one-sided column is not dual feasible there, the bound-flipping ratio test
+(Bland's rule through runs of stalled steps) and the rows' multipliers.
 """
 
 from __future__ import annotations
@@ -566,6 +567,8 @@ class CuttingPlaneResult:
     value: float
     gap: float
     rounds: int
+    # tableau pivots summed over the masters, their cold starts included
+    pivots: int
 
 
 def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500, scale: float = 1.0, constraint=None, widen=()) -> CuttingPlaneResult:
@@ -574,24 +577,27 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
     intercept c of a cut, f(y) >= g.y + c, exact at x.  The LP master min t
     s.t. t >= every cut, in units of ``scale`` so its tolerances are
     unitless, gives a lower bound and the next x; the best evaluated value
-    is the upper bound, and ``gap``, upper - lower, certifies it.  The
-    master's value only rises as cuts join, so t is bounded below by the
-    last lower bound, which keeps the master's start dual feasible.  x0 is a
-    candidate only where it meets the rows.  ``constraint(x)`` gives h(x) and
-    a subgradient of a convex h, whose tangent row joins the master where
-    h(x) > 0 (the oracle then reports a value that a feasible point derived
-    from x attains).  The rounds stop when the gap closes, when the master
-    returns an x already evaluated (its feasibility tolerance hides cuts that
-    differ by less), or after ``rounds`` rounds.  A stop with the best x on a
-    face of the box in a coordinate of ``widen`` widens the box there
-    fourfold, cuts kept, unless the last widening did not lower the value.
+    is the upper bound, and ``gap``, upper - lower, certifies it.  One
+    tableau holds every master: a round appends its rows to the last optimal
+    basis (``_Tableau.add_row``), which keeps the master's start dual
+    feasible, and raises t's lower bound to the last lower bound, as the
+    master's value only rises.  x0 is a candidate only where it meets the
+    rows.  ``constraint(x)`` gives h(x) and a subgradient of a convex h,
+    whose tangent row joins the master where h(x) > 0 (the oracle then
+    reports a value that a feasible point derived from x attains).  The
+    rounds stop when the gap closes, when the master returns an x already
+    evaluated (its feasibility tolerance hides cuts that differ by less), or
+    after ``rounds`` rounds.  A stop with the best x on a face of the box in
+    a coordinate of ``widen`` widens the box there fourfold, cuts kept,
+    unless the last widening did not lower the value; t is free again then,
+    so the next master is built cold on all the rows.
     """
     n = np.size(x0)
     bounds = list(bounds) + [(None, None)]
     a_eq_lp = None if a_eq is None else np.hstack((a_eq, np.zeros((len(a_eq), 1))))
-    rows, rhs = [], []
+    cuts = []
     upper, lower, widened_at = math.inf, -math.inf, math.inf
-    x_best = None
+    x_best, tab, pivots = None, None, 0
     evaluated = set()
     x = np.asarray(x0, dtype=float)
     candidate = a_eq is None or bool(np.all(np.abs(a_eq @ x - b_eq) <= 1e-12 * (1.0 + np.abs(b_eq))))
@@ -600,18 +606,25 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
         value, g, c = oracle(x)
         if candidate and value < upper:
             upper, x_best = value, x
-        rows.append(np.append(g / scale, -1.0))
-        rhs.append((0.0 - c) / scale)
+        new = [(np.append(g / scale, -1.0), (0.0 - c) / scale)]
         h, gh = (0.0, None) if constraint is None else constraint(x)
         if h > 0.0:
-            rows.append(np.append(gh, 0.0))
-            rhs.append(float(gh @ x) - h)
-        bounds[-1] = (lower / scale if lower > -math.inf else None, None)
-        sol = solve_lp(LpProblem(np.append(np.zeros(n), 1.0), a_eq_lp, b_eq, np.asarray(rows), np.asarray(rhs), bounds))
-        if sol.status != "optimal":
-            raise RuntimeError(f"cutting-plane master LP {sol.status}")
-        lower = max(lower, sol.objective * scale)
-        x, candidate = sol.x[:n], True
+            new.append((np.append(gh, 0.0), float(gh @ x) - h))
+        cuts.extend(new)
+        bounds[-1] = (lower / scale, None)
+        if tab is None:
+            tab = _tableau(LpProblem(np.append(np.zeros(n), 1.0), a_eq_lp, b_eq, np.array([a for a, _ in cuts]), np.array([b for _, b in cuts]), bounds))
+        else:
+            for a, b in new:
+                tab.add_row(a, b)
+            tab.lo[n] = bounds[-1][0]
+        status = "infeasible" if tab is None else tab.solve()
+        if status != "optimal":
+            raise RuntimeError(f"cutting-plane master LP {status}")
+        pivots += tab.pivots
+        z = np.clip(tab.x[: n + 1], tab.lo[: n + 1], tab.hi[: n + 1])
+        lower = max(lower, float(z[n]) * scale)
+        x, candidate = z[:n], True
         if x_best is None or not (upper - lower <= _GAP_REL * (1.0 + abs(upper)) or x.tobytes() in evaluated):
             continue
         face = [i for i in widen if min(x_best[i] - bounds[i][0], bounds[i][1] - x_best[i]) <= 1e-9 * (bounds[i][1] - bounds[i][0])]
@@ -620,10 +633,10 @@ def cutting_planes(oracle, x0, bounds, a_eq=None, b_eq=None, rounds: int = 2500,
         for i in face:
             lo, hi = bounds[i]
             bounds[i] = (lo - 1.5 * (hi - lo), hi + 1.5 * (hi - lo))
-        lower, widened_at = -math.inf, upper
+        lower, widened_at, tab = -math.inf, upper, None
     if x_best is None:
         raise RuntimeError("cutting planes stopped before a feasible evaluation")
-    return CuttingPlaneResult(x_best, upper, max(upper - lower, 0.0), k)
+    return CuttingPlaneResult(x_best, upper, max(upper - lower, 0.0), k, pivots)
 
 
 # -- bounded dual simplex LP ---------------------------------------------------
@@ -697,7 +710,9 @@ class _Tableau:
     ``side`` is +1 on a nonbasic column at its lower bound, -1 at its upper
     one and 0 on a basic, fixed or free one.  The basis stays dual feasible:
     d side >= 0, and d = 0 on a free nonbasic column; a basic outside its
-    range leaves."""
+    range leaves.  A <= row appended to an optimal tableau (``add_row``)
+    keeps it dual feasible, and so does a finite bound moved to another
+    finite value, so ``solve`` goes on from the basis it holds."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         m, n = a.shape
@@ -711,15 +726,32 @@ class _Tableau:
         self.basis = n + np.arange(m)
         self.basic = np.zeros(n + m, dtype=bool)
         self.basic[self.basis] = True
-        self.pivots = self.flips = 0
 
     @property
     def m(self) -> int:
         return self.basis.size
 
+    def add_row(self, a: np.ndarray, b: float) -> None:
+        """Append the row a.x <= b, its slack basic: with a_B a's entries on
+        the basics, B'^-1 = [[B^-1, 0], [-a_B B^-1, 1]], so the new tableau
+        row is [a 0 1] less a_B times the rows of B^-1 [A I], and the reduced
+        costs, and with them dual feasibility, do not change."""
+        m, n = self.m, self.a.shape[1]
+        t = np.zeros((m + 2, n + m + 1))
+        t[:m, :-1], t[-1, :-1] = self.t[:m], self.t[m]
+        row = np.concatenate((a, np.zeros(m)))
+        t[m, :-1] = row - row[self.basis] @ self.t[:m]
+        t[m, -1] = 1.0
+        self.t = t
+        self.a, self.abs_a = np.vstack((self.a, a)), np.vstack((self.abs_a, np.abs(a)))
+        self.b, self.c = np.append(self.b, b), np.append(self.c, 0.0)
+        self.lo, self.hi = np.append(self.lo, 0.0), np.append(self.hi, math.inf)
+        self.basis, self.basic = np.append(self.basis, n + m), np.append(self.basic, True)
+
     def solve(self) -> str:
-        """Phase 2 from the slack basis where it is dual feasible; otherwise
-        the same engine first solves the auxiliary problem (Fourer 1994;
+        """Phase 2 from the basis held where it is dual feasible (its pivots
+        and flips counted from 0, and at most _MAX_PIVOTS); otherwise the
+        same engine first solves the auxiliary problem (Fourer 1994;
         Koberstein & Suhl 2007) of b = 0 with free columns on [-1, 1],
         one-sided ones on [0, 1] or [-1, 0] and boxed ones on [0, 0], whose
         optimum is minus the least sum of dual infeasibilities, so 0 where a
@@ -727,6 +759,7 @@ class _Tableau:
         dual feasible at any basis, tells an unbounded problem from an
         infeasible one."""
         lo, hi, b = self.lo, self.hi, self.b
+        self.pivots = self.flips = 0
         if self.dual_infeasible(lo, hi).any():
             self.phase(np.where(np.isfinite(lo), 0.0, -1.0), np.where(np.isfinite(hi), 0.0, 1.0), np.zeros_like(b))
             if self.dual_infeasible(lo, hi).any():
@@ -977,6 +1010,26 @@ def solve_lp(p: LpProblem) -> LpSolution:
     the multipliers are recomputed on the final basis from B^-1, each refined
     once by its residual.
     """
+    tab = _tableau(p)
+    if tab is None:
+        return LpSolution("infeasible", None, None)
+    status = tab.solve()
+    if status != "optimal":
+        return LpSolution(status, None, None, pivots=tab.pivots, flips=tab.flips)
+    n = tab.a.shape[1]
+    x = np.clip(tab.x[:n], tab.lo[:n], tab.hi[:n])
+    duals = tab.duals()
+    alt, steps = tab.alternates()
+    columns = tuple(sorted({int(j) for j in alt if j < n}))
+    # the dual step on row r moves y along B^-T e_r, row r of B^-1
+    moved = (np.abs(tab.t[steps, n:]) > _PIV_TOL).any(axis=0)
+    return LpSolution("optimal", x, float(tab.c[:n] @ x), columns, tab.pivots, duals, tuple(moved.nonzero()[0].tolist()), tab.flips)
+
+
+def _tableau(p: LpProblem) -> Optional[_Tableau]:
+    """The slack-basis tableau of p in standard form: [A_eq; A_ub] with each
+    row's unit column, fixed at 0 on an equality row and on [0, inf) on a
+    <= row; None where a lower bound passes its upper one."""
     c = np.asarray(p.c, dtype=float)
     n = c.size
     a_eq = np.asarray(p.a_eq, dtype=float).reshape(-1, n) if p.a_eq is not None else np.zeros((0, n))
@@ -990,22 +1043,6 @@ def solve_lp(p: LpProblem) -> LpSolution:
     lo = np.where(np.isnan(bounds[:, 0]), -math.inf, bounds[:, 0])
     hi = np.where(np.isnan(bounds[:, 1]), math.inf, bounds[:, 1])
     if (lo > hi).any():
-        return LpSolution("infeasible", None, None)
-    m = b_eq.size + b_ub.size
-    tab = _Tableau(
-        np.vstack((a_eq, a_ub)),
-        np.concatenate((b_eq, b_ub)),
-        c,
-        np.concatenate((lo, np.zeros(m))),
-        np.concatenate((hi, np.zeros(b_eq.size), np.full(b_ub.size, math.inf))),
-    )
-    status = tab.solve()
-    if status != "optimal":
-        return LpSolution(status, None, None, pivots=tab.pivots, flips=tab.flips)
-    x = np.clip(tab.x[:n], lo, hi)
-    duals = tab.duals()
-    alt, steps = tab.alternates()
-    columns = tuple(sorted({int(j) for j in alt if j < n}))
-    # the dual step on row r moves y along B^-T e_r, row r of B^-1
-    moved = (np.abs(tab.t[steps, n:]) > _PIV_TOL).any(axis=0)
-    return LpSolution("optimal", x, float(c @ x), columns, tab.pivots, duals, tuple(moved.nonzero()[0].tolist()), tab.flips)
+        return None
+    unit_hi = np.concatenate((np.zeros(b_eq.size), np.full(b_ub.size, math.inf)))
+    return _Tableau(np.vstack((a_eq, a_ub)), np.concatenate((b_eq, b_ub)), c, np.concatenate((lo, np.zeros_like(unit_hi))), np.concatenate((hi, unit_hi)))

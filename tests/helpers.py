@@ -1,12 +1,13 @@
 """Shared sampling helpers for the test suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 
 from riskquad.core import DiscreteRv, SortedSums, map_chunks, sample_rvs
 from riskquad.divergence import StochasticDivergenceJ, family_eval_envelope, make_divergence_quadrangle
-from riskquad.solvers import LpProblem, compass_search, solve_lp
+from riskquad.solvers import _GAP_REL, CuttingPlaneResult, LpProblem, compass_search, solve_lp
 
 
 def random_rv(rng, max_atoms=8, span=3.0, offset=0.0):
@@ -230,3 +231,48 @@ def dro_envelope_value(p, w):
     j = StochasticDivergenceJ.from_phi(p.phi, normalized=True)
     val, _ = family_eval_envelope(j, p.tau, DiscreteRv(-(p.scenarios @ np.asarray(w)), p.probs))
     return val
+
+
+def cutting_planes_cold(oracle, x0, bounds, a_eq=None, b_eq=None, rounds=2500, scale=1.0, constraint=None, widen=()):
+    """``cutting_planes`` with every master solved by ``solve_lp`` from the
+    slack basis on all the rows so far: the oracle of the warm masters.  The
+    same rounds, stops and widening; ``pivots`` sums the masters' pivots."""
+    n = np.size(x0)
+    bounds = list(bounds) + [(None, None)]
+    a_eq_lp = None if a_eq is None else np.hstack((a_eq, np.zeros((len(a_eq), 1))))
+    rows, rhs = [], []
+    upper, lower, widened_at = math.inf, -math.inf, math.inf
+    x_best, pivots = None, 0
+    evaluated = set()
+    x = np.asarray(x0, dtype=float)
+    candidate = a_eq is None or bool(np.all(np.abs(a_eq @ x - b_eq) <= 1e-12 * (1.0 + np.abs(b_eq))))
+    for k in range(1, max(rounds, 1) + 1):
+        evaluated.add(x.tobytes())
+        value, g, c = oracle(x)
+        if candidate and value < upper:
+            upper, x_best = value, x
+        rows.append(np.append(g / scale, -1.0))
+        rhs.append((0.0 - c) / scale)
+        h, gh = (0.0, None) if constraint is None else constraint(x)
+        if h > 0.0:
+            rows.append(np.append(gh, 0.0))
+            rhs.append(float(gh @ x) - h)
+        bounds[-1] = (lower / scale if lower > -math.inf else None, None)
+        sol = solve_lp(LpProblem(np.append(np.zeros(n), 1.0), a_eq_lp, b_eq, np.asarray(rows), np.asarray(rhs), bounds))
+        if sol.status != "optimal":
+            raise RuntimeError(f"cutting-plane master LP {sol.status}")
+        pivots += sol.pivots
+        lower = max(lower, sol.objective * scale)
+        x, candidate = sol.x[:n], True
+        if x_best is None or not (upper - lower <= _GAP_REL * (1.0 + abs(upper)) or x.tobytes() in evaluated):
+            continue
+        face = [i for i in widen if min(x_best[i] - bounds[i][0], bounds[i][1] - x_best[i]) <= 1e-9 * (bounds[i][1] - bounds[i][0])]
+        if not face or upper >= widened_at - _GAP_REL * (1.0 + abs(upper)):
+            break
+        for i in face:
+            lo, hi = bounds[i]
+            bounds[i] = (lo - 1.5 * (hi - lo), hi + 1.5 * (hi - lo))
+        lower, widened_at = -math.inf, upper
+    if x_best is None:
+        raise RuntimeError("cutting planes stopped before a feasible evaluation")
+    return CuttingPlaneResult(x_best, upper, max(upper - lower, 0.0), k, pivots)

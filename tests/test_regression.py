@@ -200,6 +200,24 @@ def test_cutting_plane_fits_match_the_spectral_lp(family, seed, n, d):
         assert fit.objective == pytest.approx(0.8758833331, abs=1e-10)
 
 
+@pytest.mark.parametrize("family,budget", [("cvar2", 1000), ("qsa", 500)])
+def test_cutting_plane_fits_keep_within_a_pivot_budget(family, budget, monkeypatch):
+    # every master goes on from the last one's basis: a round costs a pivot or
+    # two where a master from the slack basis took about 140 at 1000 x 5
+    import riskquad.regression as regression
+
+    runs = []
+    planes = regression.cutting_planes
+    monkeypatch.setattr(regression, "cutting_planes", lambda *args, **kw: runs.append(planes(*args, **kw)) or runs[-1])
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((1000, 5))
+    y = 1.0 + x @ rng.uniform(-2.0, 2.0, 5) + rng.standard_t(3, 1000)
+    fit = fit_linear(make_catalog_quadrangle(CatalogSpec(family, {"alpha": 0.5})).error_fn, Dataset(x, y))
+    (res,) = runs
+    assert res.pivots <= budget
+    assert 0.0 <= fit.gap <= 1e-10 * (1.0 + abs(fit.objective))
+
+
 def test_least_squares_routes_are_exact():
     # standard_mean: the normal equations; expectile_mse: least squares weighted
     # by the signs of an optimal residual, which are its own fixed point

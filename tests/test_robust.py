@@ -11,7 +11,6 @@ from riskquad.constructions import regret_to_risk
 from riskquad.divergence import DivergenceFn, _kl_risk, make_divergence
 from riskquad.dual import cvar_envelope
 from riskquad.measures import CatalogSpec, make_catalog_quadrangle
-from riskquad.solvers import solve_lp
 from riskquad.robust import (
     DroProblem,
     EpiSpec,
@@ -29,7 +28,7 @@ from riskquad.robust import (
 import riskquad.robust as robust
 from riskquad.divergence import make_divergence_quadrangle
 
-from helpers import LP_FAMILIES, cvar2_rank_weights, cvar_rank_weights, dro_envelope_value, epi_l2_slsqp, highs_affine, inf_convolution, random_rv, spectral_lp, within
+from helpers import LP_FAMILIES, cutting_planes_cold, cvar2_rank_weights, cvar_rank_weights, dro_envelope_value, epi_l2_slsqp, highs_affine, inf_convolution, random_rv, spectral_lp, within
 
 
 def _cvar_spec(alpha, probs, epsilon, kernel="quadratic", lam=1.0):
@@ -375,22 +374,50 @@ def test_dro_certificate_brackets_the_weight_grid(m, phi, log_tau, draw):
     _certified(sol, min(dro_envelope_value(prob, [w1, 1.0 - w1]) for w1 in np.linspace(0.0, 1.0, 201)))
 
 
-def test_dro_stops_when_the_master_repeats_a_decision(monkeypatch):
+def test_dro_stops_when_the_master_repeats_a_decision(planes):
     # at this optimum two losses tie; the master LP's pivot tolerance hides the
     # last few 1e-12 of the cut there, and it returns the same weights again
-    import riskquad.solvers as solvers
-
-    solves = []
-
-    def counting(problem):
-        solves.append(problem)
-        return solve_lp(problem)
-
-    monkeypatch.setattr(solvers, "solve_lp", counting)
     scen = np.random.default_rng(431).uniform(-1.0, 1.5, size=(4, 2))
     sol = dro_solve(DroProblem(scen, make_divergence("kl"), 1.0))
-    assert len(solves) <= 10
+    (res,) = planes
+    assert res.rounds <= 10
     assert 0.0 <= sol.route_gap <= 1e-10 * (1.0 + abs(sol.value))
+
+
+@pytest.mark.parametrize("phi", ["kl", "tv"])
+@pytest.mark.parametrize("unit", [1.0, 1e-2])
+def test_dro_masters_build_one_tableau_and_take_no_more_rounds_than_cold_ones(phi, unit, planes, monkeypatch):
+    # the benchmark's descent instances: 12 scenarios of 3 assets drawn from
+    # default_rng(0) as the annual returns mu + 0.12 N(0, 1), mu in [0.02,
+    # 0.10], and the daily ones 1e-2 of them, at tau = 1.  Every round's
+    # master goes on from the last basis, so the solve builds one tableau
+    import riskquad.solvers as solvers
+
+    built, pivots = [], []
+
+    class Counting(solvers._Tableau):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+        def solve(self):
+            status = super().solve()
+            pivots.append(self.pivots)
+            return status
+
+    monkeypatch.setattr(solvers, "_Tableau", Counting)
+    rng = np.random.default_rng(0)
+    mu = rng.uniform(0.02, 0.10, size=3)
+    scen = unit * (mu + 0.12 * rng.standard_normal((12, 3)))
+    prob = DroProblem(scen, make_divergence(phi), 1.0)
+    sol = dro_solve(prob, steps=4000)
+    (warm,) = planes
+    assert len(built) == 1 and len(pivots) == warm.rounds and warm.pivots == sum(pivots)
+    runs = []
+    monkeypatch.setattr(robust, "cutting_planes", lambda *args, **kw: runs.append(cutting_planes_cold(*args, **kw)) or runs[-1])
+    cold = dro_solve(prob, steps=4000)
+    assert warm.rounds <= runs[0].rounds
+    assert abs(sol.value - cold.value) <= sol.route_gap + cold.route_gap + 1e-12 * (1.0 + abs(sol.value))
 
 
 @pytest.mark.parametrize("phi", ["kl", "pearson", "tv"])

@@ -27,6 +27,8 @@ from riskquad.solvers import (
 from riskquad.constructions import error_from_loss, project_error, Flags
 from riskquad.measures import CatalogSpec, koenker_bassett_loss, make_catalog_quadrangle, vapnik_loss
 
+from helpers import cutting_planes_cold
+
 
 def test_scalar_quadratic():
     x, v = minimize_scalar_convex(lambda c: (c - 3.0) ** 2)
@@ -229,6 +231,75 @@ def test_cutting_planes_take_a_start_off_the_rows_as_no_candidate():
     oracle = _max_affine(np.array([[1.0, 0.0]]), np.array([0.0]))
     res = cutting_planes(oracle, np.full(2, 0.5), [(0.0, None)] * 2, np.array([[1.0, 1.0], [1.0, 0.0]]), [1.0, 0.9])
     assert res.value == pytest.approx(0.9) and res.x[0] == pytest.approx(0.9)
+
+
+def _disk_min(slopes, icpts):
+    """min over the unit disk of max_k (s_k.x + b_k) in two dimensions, the
+    least value at the points where a minimizer can sit: a vertex of three
+    pieces inside the disk, each piece's tangent point -s_k / |s_k|, and
+    where the line on which two pieces tie meets the circle."""
+    pts = [-slopes / np.linalg.norm(slopes, axis=1, keepdims=True)]
+    for i, j in itertools.combinations(range(len(icpts)), 2):
+        u = slopes[i] - slopes[j]
+        r, nu = (icpts[j] - icpts[i]) / np.linalg.norm(u), u / np.linalg.norm(u)
+        if abs(r) <= 1.0:
+            pts.append(r * nu + np.outer([-1.0, 1.0], [-nu[1], nu[0]]) * math.sqrt(1.0 - r * r))
+    triples = np.array(list(itertools.combinations(range(len(icpts)), 3)))
+    system = np.concatenate((slopes[triples], -np.ones(triples.shape + (1,))), axis=2)
+    ok = np.abs(np.linalg.det(system)) > 1e-9
+    vertex = np.linalg.solve(system[ok], -icpts[triples[ok]][..., None])[:, :2, 0]
+    pts.append(vertex[np.linalg.norm(vertex, axis=1) <= 1.0])
+    pts = np.vstack(pts)
+    return float(np.min(np.max(pts @ slopes.T + icpts, axis=1)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["box", "simplex", "simplex_mean", "widen", "disk"]), st.integers(2, 6), st.integers(3, 40))
+def test_warm_masters_match_the_cold_route_and_the_epigraph_lp(seed, case, d, pieces):
+    # every master of the warm route goes on from the last one's basis, the
+    # cold route's starts from the slack basis on all the rows; both bracket
+    # the minimum by [value - gap, value].  The epigraph LP min t, t >= s_k.x
+    # + b_k, is the reference (HiGHS, to its 1e-9 tolerance), and over the
+    # disk the least value at the candidate minimizers (_disk_min)
+    rng = np.random.default_rng(seed)
+    d = 2 if case == "disk" else d
+    slopes, icpts = rng.normal(size=(pieces, d)), rng.normal(size=pieces)
+    x0, bounds, a_eq, b_eq, kw = np.zeros(d), [(-1.0, 1.0)] * d, None, None, {}
+    if case == "widen":
+        # pieces 3 |x_i - o_i| about a centre o mostly outside the box keep the minimum finite
+        centre = rng.uniform(-5.0, 5.0, size=d)
+        slopes = np.vstack((slopes, 3.0 * np.eye(d), -3.0 * np.eye(d)))
+        icpts = np.concatenate((icpts, -3.0 * centre, 3.0 * centre))
+        kw = {"widen": range(d)}
+    elif case.startswith("simplex"):
+        x0, bounds, a_eq, b_eq = np.full(d, 1.0 / d), [(0.0, None)] * d, np.ones((1, d)), np.ones(1)
+        if case == "simplex_mean":
+            means = rng.normal(size=d)
+            a_eq, b_eq = np.vstack((a_eq, means)), np.array([1.0, rng.uniform(means.min(), means.max())])
+    if case == "disk":
+        # the pieces moved to a centre mostly outside the disk put the minimum on the circle
+        icpts = icpts - slopes @ rng.uniform(-3.0, 3.0, size=2)
+        kw = {"constraint": lambda x: (float(np.linalg.norm(x)) - 1.0, x / max(float(np.linalg.norm(x)), 1.0))}
+    pieces_at = _max_affine(slopes, icpts)
+
+    def oracle(x):
+        # over the disk each point is evaluated at its radial scaling into it, and its tangent row cuts it off
+        return pieces_at(x / max(1.0, float(np.linalg.norm(x))) if case == "disk" else x)
+
+    warm = cutting_planes(oracle, x0, bounds, a_eq, b_eq, **kw)
+    cold = cutting_planes_cold(oracle, x0, bounds, a_eq, b_eq, **kw)
+    assert abs(warm.value - cold.value) <= warm.gap + cold.gap + 1e-12 * (1.0 + abs(warm.value))
+    if case == "disk":
+        ref = _disk_min(slopes, icpts)
+    else:
+        free = [(None, None)] * d if case == "widen" else bounds
+        lp = linprog(np.append(np.zeros(d), 1.0), A_ub=np.hstack((slopes, -np.ones((len(icpts), 1)))), b_ub=-icpts,
+                     A_eq=None if a_eq is None else np.hstack((a_eq, np.zeros((len(a_eq), 1)))), b_eq=b_eq,
+                     bounds=free + [(None, None)], method="highs")
+        assert lp.status == 0
+        ref = lp.fun
+    for res in (warm, cold):
+        assert res.value - res.gap - 1e-9 <= ref <= res.value + 1e-9
 
 
 # -- LP ------------------------------------------------------------------------
