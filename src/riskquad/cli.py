@@ -9,7 +9,10 @@ The commands are one table, ``COMMANDS``, of runners keyed by name: each takes
 the parsed arguments and returns its report and exit code.  ``main`` parses
 the arguments, resolves the quadrangle spec, its parameters and the grids
 once, runs the command's runner and emits its report, mapping each exception
-to its exit code; the parser's subcommands are the table's keys.
+to its exit code; the parser's subcommands are the table's keys.  The three
+CSV forms (r.v.s, datasets, scenarios) go through one table reader: every
+cell a form reads must be a finite number, else the command exits 1 with one
+line naming the file and line.
 """
 
 from __future__ import annotations
@@ -55,64 +58,59 @@ def fmt12(v: float) -> float:
     return float(f"{v:.12g}")
 
 
-def _as_matrix(rows, width: int = 0) -> Optional[np.ndarray]:
-    """The rows as one float matrix in one conversion, or None when they are
-    ragged, narrower than ``width`` or hold a cell that is not a number, for
-    the caller's per-row loop to name the line."""
-    try:
-        mat = np.array(rows, dtype=float)
-    except ValueError:
-        return None
-    return mat if mat.shape[1] >= width else None
-
-
-def _read_rows(path: str) -> list[list[str]]:
-    """The CSV's rows that hold a cell that is not blank."""
+def _read_table(path: str, has_header) -> tuple[Optional[list[str]], list[list[str]]]:
+    """The CSV's rows that hold a cell that is not blank, as (header, body):
+    the first row is the header where ``has_header(row)`` says so, else None."""
     with open(path, newline="") as fh:
-        return [r for r in csv.reader(fh) if any(map(str.strip, r))]
+        rows = [r for r in csv.reader(fh) if any(map(str.strip, r))]
+    return (rows[0], rows[1:]) if rows and has_header(rows[0]) else (None, rows)
+
+
+def _floats(path: str, header: Optional[list[str]], body: list[list[str]], cells=None) -> np.ndarray:
+    """The body as one float matrix: every cell of rows as long as the table's
+    first row or, given (column, label) ``cells``, those columns only.  Only
+    when the one conversion or its finite check fails are the rows walked: the
+    first bad, non-finite or missing cell or ragged row raises
+    InvalidDistribution naming the file and line (a label's ``{}`` takes the row)."""
+    width, every = len(header or body[0]), cells is None
+    cols = range(width) if every else [c for c, _ in cells]
+    try:
+        mat = np.array(body, dtype=float)
+    except ValueError:
+        mat = None
+    if mat is not None and np.isfinite(mat).all() and (mat.shape[1] == width if every else mat.shape[1] > max(cols)):
+        return mat if every else mat.take(cols, axis=1)
+    cells = cells or [(i, "non-numeric cell") for i in cols]
+    for lineno, row in enumerate(body, start=1 if header is None else 2):
+        if every and len(row) != width:
+            raise InvalidDistribution(f"{path}:{lineno}: ragged row {row!r}, the first row's width is {width}")
+        for col, label in cells:
+            try:
+                v = float(row[col])
+            except (ValueError, IndexError) as exc:
+                raise InvalidDistribution(f"{path}:{lineno}: {label.format(row)}") from exc
+            if not math.isfinite(v):
+                raise InvalidDistribution(f"{path}:{lineno}: non-finite cell {row!r}")
+    # every cell read is a finite number: a cell of a column not read was at fault
+    return np.array([[float(row[c]) for c in cols] for row in body])
 
 
 def ingest_rv_csv(path: str) -> DiscreteRv:
     """Read atoms from a CSV with header value,prob (or a single value column)."""
-    rows = _read_rows(path)
-    if not rows:
-        raise InvalidDistribution(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0]]
-    has_header = "value" in header
-    body = rows[1:] if has_header else rows
-    if has_header:
-        vi, pi = header.index("value"), header.index("prob") if "prob" in header else None
-    else:
-        vi, pi = 0, None
+    header, body = _read_table(path, lambda row: "value" in [c.strip().lower() for c in row])
     if not body:
-        raise InvalidDistribution(f"{path}: no data rows")
-    first = 2 if has_header else 1
-    mat = _as_matrix(body, 1 + max(vi, pi or 0))
-    if mat is None:
-        for lineno, row in enumerate(body, start=first):
-            try:
-                float(row[vi])
-            except (ValueError, IndexError) as exc:
-                raise InvalidDistribution(f"{path}:{lineno}: bad value cell {row!r}") from exc
-            if pi is not None:
-                try:
-                    p = float(row[pi])
-                except (ValueError, IndexError) as exc:
-                    raise InvalidDistribution(f"{path}:{lineno}: bad prob cell {row!r}") from exc
-                if p < 0:
-                    raise InvalidDistribution(f"{path}:{lineno}: negative prob {p}")
-        # ragged rows or a bad cell outside the value and prob columns
-        mat = np.array([[float(row[vi])] + ([] if pi is None else [float(row[pi])]) for row in body])
-        vi, pi = 0, None if pi is None else 1
-    values = mat[:, vi]
-    if pi is None:
-        rv = DiscreteRv(values)
-        delta = 0.0
+        raise InvalidDistribution(f"{path}: {'empty file' if header is None else 'no data rows'}")
+    names = [c.strip().lower() for c in header or ["value"]]
+    cells = [(names.index(name), f"bad {name} cell {{!r}}") for name in ("value", "prob") if name in names]
+    mat = _floats(path, header, body, cells)
+    values = mat[:, 0]
+    if len(cells) == 1:
+        rv, delta = DiscreteRv(values), 0.0
     else:
-        probs = mat[:, pi]
+        probs = mat[:, 1]
         negative = np.flatnonzero(probs < 0)
         if negative.size:
-            raise InvalidDistribution(f"{path}:{first + negative[0]}: negative prob {float(probs[negative[0]])}")
+            raise InvalidDistribution(f"{path}:{2 + negative[0]}: negative prob {float(probs[negative[0]])}")
         # summed one by one in row order, so the rescaled masses keep the bits the per-row reading gave
         total = sum(probs.tolist())
         delta = abs(total - 1.0)
@@ -126,50 +124,34 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
 
 def ingest_dataset_csv(path: str, target: Optional[str] = None) -> Dataset:
     """CSV with a header row; the target column defaults to the last one."""
-    rows = _read_rows(path)
-    if len(rows) < 2:
+    header, body = _read_table(path, lambda row: True)
+    if not body:
         raise ValueError(f"{path}: need a header and at least one data row")
-    header = [c.strip() for c in rows[0]]
-    tcol = header.index(target) if target else len(header) - 1
-    wcol = header.index("weight") if "weight" in header else None
-    mat = _as_matrix(rows[1:], 1 + max(tcol, wcol or 0))
-    if mat is not None:
-        keep = [i for i in range(mat.shape[1]) if i not in (tcol, wcol)]
-        return Dataset(mat[:, keep], mat[:, tcol], mat[:, wcol] if wcol is not None else None)
-    # ragged rows or a cell that is not a number: row by row, naming the line
-    feats, ys, ws = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-        ys.append(vals[tcol])
-        if wcol is not None:
-            ws.append(vals[wcol])
-        feats.append([v for i, v in enumerate(vals) if i not in (tcol, wcol)])
-    return Dataset(np.asarray(feats), np.asarray(ys), np.asarray(ws) if ws else None)
+    names = [c.strip() for c in header]
+    tcol = names.index(target) if target else len(names) - 1
+    wcol = names.index("weight") if "weight" in names else None
+    mat = _floats(path, header, body)
+    keep = [i for i in range(mat.shape[1]) if i not in (tcol, wcol)]
+    return Dataset(mat[:, keep], mat[:, tcol], mat[:, wcol] if wcol is not None else None)
+
+
+def _not_a_number(row: list[str]) -> bool:
+    try:
+        float(row[0])
+    except ValueError:
+        return True
+    return False
 
 
 def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    rows = _read_rows(path)
-    try:
-        float(rows[0][0])
-        body, pcol = rows, None
-    except (ValueError, IndexError):
-        header = [c.strip().lower() for c in rows[0]] if rows else []
-        body = rows[1:]
-        pcol = header.index("prob") if "prob" in header else None
+    header, body = _read_table(path, _not_a_number)
     if not body:
         raise ValueError(f"{path}: need at least one data row")
-    mat = _as_matrix(body)
-    if mat is None:
-        # ragged rows or a cell that is not a number: the per-row reading raises as it did
-        mat = np.asarray([[float(c) for c in r] for r in body])
-    if pcol is None:
+    names = [c.strip().lower() for c in header or ()]
+    mat = _floats(path, header, body)
+    if "prob" not in names:
         return mat, None
-    probs = mat[:, pcol]
-    keep = [i for i in range(mat.shape[1]) if i != pcol]
-    return mat[:, keep], probs
+    return np.delete(mat, names.index("prob"), axis=1), mat[:, names.index("prob")]
 
 
 def build_quadrangle(spec: Optional[dict]) -> Quadrangle:

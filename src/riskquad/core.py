@@ -120,8 +120,8 @@ class DiscreteRv:
     def n_atoms(self) -> int:
         return self.values.size
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return self.values[-1] - self.values[0] <= tol
+    def is_constant(self) -> bool:
+        return self.values[-1] == self.values[0]
 
     def atom_index(self, values) -> np.ndarray:
         """The atom that each of ``values``, those this r.v. was built from, was

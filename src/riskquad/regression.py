@@ -50,7 +50,8 @@ NAMED_MODELS = tuple(_MODEL_FAMILY)
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations (rows) of regressors plus a target, with atom weights."""
+    """Observations (rows) of regressors plus a target, with atom weights; a
+    non-finite entry is refused."""
 
     features: np.ndarray
     target: np.ndarray
@@ -63,10 +64,15 @@ class Dataset:
             f = f.T
         if f.shape[0] != t.size:
             raise ValueError("row counts of features and target disagree")
+        for name, a in (("features", f), ("target", t)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         if weights is None:
             w = np.full(t.size, 1.0 / t.size)
         else:
             w = np.asarray(weights, dtype=float).ravel()
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite")
             if w.size != t.size:
                 raise ValueError("weights length mismatch")
             if np.any(w < 0):
@@ -128,7 +134,7 @@ def _sign_weighted_least_squares(weights, design: np.ndarray, y: np.ndarray, p: 
     raise RuntimeError("sign-weighted least squares: the residual signs did not settle in 100 solves")
 
 
-def _fit_planes(err: ErrorFn, design: np.ndarray, y: np.ndarray, p: np.ndarray, steps: int):
+def _fit_planes(err: ErrorFn, design: np.ndarray, y: np.ndarray, p: np.ndarray):
     """min err(y - D theta) by ``cutting_planes`` in coordinates v of the
     design's column space, D theta = D theta_ls + scale U v, U orthonormal
     and scale max|y - D theta_ls| (max|y| on a perfect fit), so v and the
@@ -144,14 +150,14 @@ def _fit_planes(err: ErrorFn, design: np.ndarray, y: np.ndarray, p: np.ndarray, 
     # a positively homogeneous error runs on Z / scale, its value scaled back
     unit = scale if err.flags.positively_homogeneous else 1.0
     oracle = affine_cut_oracle(err, (scale / unit) * u, resid / unit, p, np.zeros(r))
-    res = cutting_planes(oracle, np.zeros(r), [(-width, width)] * r, rounds=steps, scale=scale / unit, widen=range(r))
+    res = cutting_planes(oracle, np.zeros(r), [(-width, width)] * r, rounds=500, scale=scale / unit, widen=range(r))
     return basis @ (u.T @ y + scale * res.x), unit * res.value, unit * res.gap
 
 
-def fit_linear(err: ErrorFn, data: Dataset, steps: int = 500) -> FitResult:
+def fit_linear(err: ErrorFn, data: Dataset) -> FitResult:
     """Minimize err(Y - c0 - X.c) over intercept and coefficients, by the
     first route err's data allows: the exact dual program, sign-weighted least
-    squares, or cutting planes (at most ``steps`` rounds) on its
+    squares, or cutting planes (at most 500 rounds) on its
     subgradient.  Raises ValueError where err carries none of these."""
     nonunique, gap = False, 0.0
     # theta = (intercept, slopes), the residuals y - [1, X] theta
@@ -161,7 +167,7 @@ def fit_linear(err: ErrorFn, data: Dataset, steps: int = 500) -> FitResult:
     elif err.square_weights is not None:
         beta, objective = _sign_weighted_least_squares(err.square_weights, design, data.target, data.weights), None
     else:
-        beta, objective, gap = _fit_planes(err, design, data.target, data.weights, steps)
+        beta, objective, gap = _fit_planes(err, design, data.target, data.weights)
     resid = _residual_rv(data, beta[0], beta[1:])
     _, stat = project_error(err, resid)
     return FitResult(
@@ -195,9 +201,9 @@ def regression_equivalence_check(err: ErrorFn, data: Dataset) -> dict:
     }
 
 
-def track_statistic(fit: FitResult, quartet: Quadrangle, tol: float = 1e-7) -> bool:
-    """Whether zero lies in the quadrangle statistic of the fitted residual."""
-    return quartet.statistic(fit.residual_rv).contains(0.0, tol=tol)
+def track_statistic(fit: FitResult, quartet: Quadrangle) -> bool:
+    """Whether zero lies, to 1e-7, in the quadrangle statistic of the fitted residual."""
+    return quartet.statistic(fit.residual_rv).contains(0.0, tol=1e-7)
 
 
 def named_quadrangle(model: str, **params) -> Quadrangle:
@@ -217,10 +223,10 @@ def fit_named(model: str, data: Dataset, **params) -> FitResult:
     return fit_linear(named_quadrangle(model, **params).error_fn, data)
 
 
-def nu_svc(alpha: float, data: Dataset, steps: int = 500) -> tuple[np.ndarray, float, float]:
+def nu_svc(alpha: float, data: Dataset) -> tuple[np.ndarray, float, float]:
     """Soft-margin classification: minimize the alpha-tail average of the
     margin loss -y (w.x + w0) over the unit ball in w, by ``cutting_planes``
-    (at most ``steps`` rounds) on its Rockafellar-Uryasev form
+    (at most 500 rounds) on its Rockafellar-Uryasev form
     C + E[(loss - C)_+]/(1 - alpha) over theta = (w, w0, C), with ||w|| <= 1
     as tangent cuts (Takeda & Sugiyama 2008).  The form is positively
     homogeneous in theta, so each round evaluates theta scaled into the
@@ -249,7 +255,7 @@ def nu_svc(alpha: float, data: Dataset, steps: int = 500) -> tuple[np.ndarray, f
         return nb - 1.0, np.append(theta[:d] / max(nb, 1.0), [0.0, 0.0])
 
     bounds = [(-1.0, 1.0)] * d + [(-2.0, 2.0)] * 2
-    res = cutting_planes(lambda theta: oracle(into_ball(theta)), np.zeros(d + 2), bounds, rounds=steps, constraint=ball, widen=(d, d + 1))
+    res = cutting_planes(lambda theta: oracle(into_ball(theta)), np.zeros(d + 2), bounds, rounds=500, constraint=ball, widen=(d, d + 1))
     if res.gap > 1e-4 * (1.0 + abs(res.value)):
         raise RuntimeError(f"nu-SVC cutting planes ended at gap {span * res.gap:.3g}")
     theta = into_ball(res.x)

@@ -82,8 +82,10 @@ def _scenario_probs(probs, m: int) -> np.ndarray:
 def _weight_rows(s: np.ndarray, p: np.ndarray, target: Optional[float]):
     """The simplex row and, given a target mean return, the mean row, both in
     units of scale = max|s|, so an LP's tolerances are unitless; returns the
-    rows, their right sides and the scale.  A target outside the assets'
-    mean returns is rejected."""
+    rows, their right sides and the scale.  Non-finite returns, or a target
+    outside the assets' mean returns, are rejected."""
+    if not np.isfinite(s).all():
+        raise ValueError("scenario returns must be finite")
     scale, means = float(np.max(np.abs(s))) or 1.0, p @ s
     if target is None:
         return np.ones((1, s.shape[1])), np.ones(1), scale

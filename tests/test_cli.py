@@ -126,6 +126,55 @@ def test_value_column_is_read_by_its_place_in_the_header(tmp_path):
     assert rv.probs.tolist() == [0.5, 0.5]
 
 
+RV = ["eval", "--family", "quantile", "--alpha", "0.5"]
+REGRESS = ["regress", "--model", "quantile", "--alpha", "0.5"]
+SCENARIOS = {"portfolio": ["portfolio"], "dro": ["dro", "--phi", "kl", "--tau", "0.3"]}
+# each form and cell it reads: the command, the CSV with {} for the cell, and the cell's line
+CELLS = {
+    "rv-value": (RV, "value,prob\n1,0.5\n{},0.5\n", 3),
+    "rv-prob": (RV, "value,prob\n1,0.5\n2,{}\n", 3),
+    "rv-value-only": (RV, "value\n{}\n2\n", 2),
+    "dataset-feature": (REGRESS, "x1,x2,y\n0,1,1\n{},0,2\n2,1,3\n", 3),
+    "dataset-target": (REGRESS, "x1,y\n0,1\n1,2\n2,{}\n", 4),
+    "dataset-weight": (REGRESS, "x1,weight,y\n0,{},1\n1,0.5,2\n", 2),
+}
+for name, argv in SCENARIOS.items():
+    CELLS[f"{name}-return"] = (argv, "a1,a2\n0.02,0.01\n{},0.02\n", 3)
+    CELLS[f"{name}-headless-return"] = (argv, "0.02,{}\n0.01,0.03\n", 1)
+    CELLS[f"{name}-prob"] = (argv, "a1,a2,prob\n0.02,0.01,0.5\n-0.03,0.02,{}\n", 3)
+RAGGED = {
+    "rv": (RV, "value,prob\n1,0.5\n2\n", 3),
+    "dataset-long": (REGRESS, "x1,y\n0,1\n1,2,3\n", 3),
+    "dataset-short": (REGRESS, "x1,x2,y\n0,1,1\n1,2\n", 3),
+    **{name: (argv, "a1,a2\n0.02,0.01\n0.03\n", 3) for name, argv in SCENARIOS.items()},
+    **{f"{name}-text": (argv, text.format("x"), line) for name, (argv, text, line) in CELLS.items()},
+}
+
+
+def _one_error_line(capfd, path, line):
+    out, err = capfd.readouterr()
+    # file descriptor 1 stays empty: no report, and nothing written beneath sys.stdout as LAPACK's DLASCL note was
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:{line}: "), err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, text, line", CELLS.values(), ids=CELLS)
+def test_a_non_finite_cell_exits_1_naming_its_file_and_line(tmp_path, capfd, cell, argv, text, line):
+    path = tmp_path / "in.csv"
+    path.write_text(text.format(cell))
+    assert main(argv + ["--input", str(path)]) == 1
+    _one_error_line(capfd, path, line)
+
+
+@pytest.mark.parametrize("argv, text, line", RAGGED.values(), ids=RAGGED)
+def test_a_ragged_row_or_text_cell_exits_1_naming_its_file_and_line(tmp_path, capfd, argv, text, line):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(argv + ["--input", str(path)]) == 1
+    _one_error_line(capfd, path, line)
+
+
 @pytest.mark.parametrize("command", ["eval", "statistic"])
 def test_a_command_given_no_quadrangle_asks_for_one(u5_csv, capsys, command):
     assert main([command, "--input", u5_csv]) == 1

@@ -5,8 +5,8 @@ stderr (the working directory read as ``<dir>``), the exit code and any
 The cases are the README's CLI lines in table and JSON format on three small
 inputs, plus a ``--spec`` JSON, an ``--output`` file, an ``--output`` into a
 missing directory, a usage error, a missing parameter, an unreadable input,
-commands given no quadrangle, a value column read by its header and ``check``
-given a divergence.
+commands given no quadrangle, a value column read by its header, ``check``
+given a divergence and a non-finite cell in each of the three CSV forms.
 Re-record the fixture, only where an output is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -32,6 +32,9 @@ FILES = {
     "data.csv": "x1,x2,y\n0,1,1.1\n1,0,1.9\n2,1,4.2\n3,2,6.1\n1,3,3.8\n4,1,8.3\n2,2,5.0\n0,4,2.9\n",
     "scenarios.csv": "0.02,0.01,-0.01\n-0.03,0.02,0.01\n0.05,-0.01,0.00\n0.01,0.03,0.02\n-0.02,-0.02,0.04\n",
     "ids.csv": "id,value\n10,1\n20,2\n",
+    "nan_rv.csv": "value,prob\n-1,0.5\nnan,0.5\n",
+    "inf_data.csv": "x1,weight,y\n0,0.5,1.1\n1,inf,1.9\n",
+    "inf_scenarios.csv": "0.02,0.01\n-inf,0.02\n",
 }
 OUTPUT = "report.json"
 
@@ -65,11 +68,14 @@ def cases() -> list[list[str]]:
         ["statistic", "--input", "rv.csv"],
         ["eval", "--family", "mean_pl", "--input", "ids.csv"],
         ["check", "--phi", "kl", "--beta", "0.5"],
+        ["eval", "--family", "mean_pl", "--input", "nan_rv.csv"],
+        ["regress", "--model", "quantile", "--alpha", "0.5", "--input", "inf_data.csv"],
+        ["portfolio", "--input", "inf_scenarios.csv"],
     ]
 
 
 def run(argv: list[str], workdir: pathlib.Path) -> dict:
-    """``cli.main(argv)`` run in ``workdir`` on the four inputs."""
+    """``cli.main(argv)`` run in ``workdir`` on the inputs of ``FILES``."""
     for name, text in FILES.items():
         (workdir / name).write_text(text)
     (workdir / OUTPUT).unlink(missing_ok=True)

@@ -35,6 +35,17 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1)), [1.0, 2.0], weights=[-0.1, 1.1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["features", "target", "weights"])
+def test_dataset_refuses_a_non_finite_entry_naming_it(capfd, name, bad):
+    # a nan weight passed the sum test (every comparison with nan is false) and reached LAPACK
+    arrays = {"features": np.array([[0.0], [1.0], [2.0]]), "target": np.array([1.0, 2.0, 4.0]), "weights": np.full(3, 1.0 / 3.0)}
+    arrays[name][1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        Dataset(**arrays)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_perfect_linear_data_zero_objective():
     rng = np.random.default_rng(0)
     X = rng.uniform(-2, 2, size=(8, 1))

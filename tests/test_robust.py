@@ -672,6 +672,17 @@ def test_bad_scenario_probabilities_rejected(probs):
         DroProblem(scen, make_divergence("kl"), 0.3, probs=probs)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scenario_returns_are_refused(capfd, bad):
+    # inf once warned in the scale's divide and failed in LAPACK, a validation error read as a solver fault
+    scen = np.array([[0.1, -0.05], [0.02, bad], [-0.04, 0.03]])
+    with pytest.raises(ValueError, match="^scenario returns must be finite$"):
+        portfolio_optimize(make_catalog_quadrangle(CatalogSpec("quantile", {"alpha": 0.8})), scen)
+    with pytest.raises(ValueError, match="^scenario returns must be finite$"):
+        dro_solve(DroProblem(scen, make_divergence("kl"), 0.3))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_bare_callable_portfolio_keeps_its_mean_row(planes):
     # the cutting planes keep the simplex and the mean row as rows of their
     # master, so their weights meet the row and cannot beat the LP of the same
