@@ -58,15 +58,18 @@ def fmt12(v: float) -> float:
     return float(f"{v:.12g}")
 
 
-def _read_table(path: str, has_header) -> tuple[Optional[list[str]], list[list[str]]]:
-    """The CSV's rows that hold a cell that is not blank, as (header, body):
-    the first row is the header where ``has_header(row)`` says so, else None."""
+def _read_table(path: str, has_header) -> tuple[Optional[list[str]], list[list[str]], list[int]]:
+    """The CSV's rows that hold a cell that is not blank, as (header, body,
+    the file's line of each body row): the first row is the header where
+    ``has_header(row)`` says so, else None."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(map(str.strip, r))]
-    return (rows[0], rows[1:]) if rows and has_header(rows[0]) else (None, rows)
+        reader = csv.reader(fh)
+        numbered = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+    lines, rows = [n for n, _ in numbered], [row for _, row in numbered]
+    return (rows[0], rows[1:], lines[1:]) if rows and has_header(rows[0]) else (None, rows, lines)
 
 
-def _floats(path: str, header: Optional[list[str]], body: list[list[str]], cells=None) -> np.ndarray:
+def _floats(path: str, header: Optional[list[str]], body: list[list[str]], lines: list[int], cells=None) -> np.ndarray:
     """The body as one float matrix: every cell of rows as long as the table's
     first row or, given (column, label) ``cells``, those columns only.  Only
     when the one conversion or its finite check fails are the rows walked: the
@@ -81,7 +84,7 @@ def _floats(path: str, header: Optional[list[str]], body: list[list[str]], cells
     if mat is not None and np.isfinite(mat).all() and (mat.shape[1] == width if every else mat.shape[1] > max(cols)):
         return mat if every else mat.take(cols, axis=1)
     cells = cells or [(i, "non-numeric cell") for i in cols]
-    for lineno, row in enumerate(body, start=1 if header is None else 2):
+    for lineno, row in zip(lines, body):
         if every and len(row) != width:
             raise InvalidDistribution(f"{path}:{lineno}: ragged row {row!r}, the first row's width is {width}")
         for col, label in cells:
@@ -97,12 +100,12 @@ def _floats(path: str, header: Optional[list[str]], body: list[list[str]], cells
 
 def ingest_rv_csv(path: str) -> DiscreteRv:
     """Read atoms from a CSV with header value,prob (or a single value column)."""
-    header, body = _read_table(path, lambda row: "value" in [c.strip().lower() for c in row])
+    header, body, lines = _read_table(path, lambda row: "value" in [c.strip().lower() for c in row])
     if not body:
         raise InvalidDistribution(f"{path}: {'empty file' if header is None else 'no data rows'}")
     names = [c.strip().lower() for c in header or ["value"]]
     cells = [(names.index(name), f"bad {name} cell {{!r}}") for name in ("value", "prob") if name in names]
-    mat = _floats(path, header, body, cells)
+    mat = _floats(path, header, body, lines, cells)
     values = mat[:, 0]
     if len(cells) == 1:
         rv, delta = DiscreteRv(values), 0.0
@@ -110,7 +113,7 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
         probs = mat[:, 1]
         negative = np.flatnonzero(probs < 0)
         if negative.size:
-            raise InvalidDistribution(f"{path}:{2 + negative[0]}: negative prob {float(probs[negative[0]])}")
+            raise InvalidDistribution(f"{path}:{lines[negative[0]]}: negative prob {float(probs[negative[0]])}")
         # summed one by one in row order, so the rescaled masses keep the bits the per-row reading gave
         total = sum(probs.tolist())
         delta = abs(total - 1.0)
@@ -124,13 +127,13 @@ def ingest_rv_csv(path: str) -> DiscreteRv:
 
 def ingest_dataset_csv(path: str, target: Optional[str] = None) -> Dataset:
     """CSV with a header row; the target column defaults to the last one."""
-    header, body = _read_table(path, lambda row: True)
+    header, body, lines = _read_table(path, lambda row: True)
     if not body:
         raise ValueError(f"{path}: need a header and at least one data row")
     names = [c.strip() for c in header]
     tcol = names.index(target) if target else len(names) - 1
     wcol = names.index("weight") if "weight" in names else None
-    mat = _floats(path, header, body)
+    mat = _floats(path, header, body, lines)
     keep = [i for i in range(mat.shape[1]) if i not in (tcol, wcol)]
     return Dataset(mat[:, keep], mat[:, tcol], mat[:, wcol] if wcol is not None else None)
 
@@ -144,11 +147,11 @@ def _not_a_number(row: list[str]) -> bool:
 
 
 def ingest_scenarios_csv(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    header, body = _read_table(path, _not_a_number)
+    header, body, lines = _read_table(path, _not_a_number)
     if not body:
         raise ValueError(f"{path}: need at least one data row")
     names = [c.strip().lower() for c in header or ()]
-    mat = _floats(path, header, body)
+    mat = _floats(path, header, body, lines)
     if "prob" not in names:
         return mat, None
     return np.delete(mat, names.index("prob"), axis=1), mat[:, names.index("prob")]

@@ -447,14 +447,12 @@ def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, r
 
 def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
     """The kl density ball: EVaR, inf_l l * (tau + ln E e^{X/l}) by ``_kl_risk``,
-    and the exponential tilt Q = e^{X/l*} / E e^{X/l*} at its multiplier."""
+    and the exponential tilt Q = w / E w, w = e^{(X - ess sup X)/l*}, at its
+    multiplier (the point mass on ess sup X at l* = 0)."""
     if not normalized:
         return _envelope_sup_phi(div, x, tau=tau)[:2]
-    val, lam = _kl_risk(x, tau)
-    if lam == 0.0:
-        return val, _envelope_limit(div, x, row=(x.probs, 1.0))
-    w = np.exp((x.values - x.values[-1]) / lam)
-    return val, w / float(np.dot(x.probs, w))
+    val, _, w, mean_w = _kl_risk(x, tau)
+    return val, w / mean_w
 
 
 def _pearson_shift(x: DiscreteRv, a: float) -> tuple[float, float]:
@@ -599,8 +597,9 @@ def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
     )
 
 
-def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
-    """Entropic-tail risk (EVaR) inf_l l*(beta + ln E[exp(X/l)]) and the optimal l.
+def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float, np.ndarray, float]:
+    """Entropic-tail risk (EVaR) inf_l l*(beta + ln E[exp(X/l)]), the optimal
+    l, and the tilt's weights w = e^{(X - ess sup X)/l} at it with E w.
 
     The objective's slope in l is beta - KL(Q_l) for the tilt Q_l ~ e^{X/l},
     whose divergence falls from -ln P(ess sup X) as l -> 0 to 0 as l -> inf,
@@ -608,12 +607,13 @@ def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
     starts from the gaps of X, below which the tilt is the point mass, so the
     search does not depend on the units of X.  Exponentials are shifted by
     ess sup X throughout; when the point mass lies within the budget the
-    ess-sup limit is returned with l = 0.
+    ess-sup limit is returned with l = 0, and w is there the point mass's
+    indicator of ess sup X.
     """
     v, p = x.values, x.probs
     vmax = float(v[-1])
     if x.is_constant() or beta >= -math.log(float(p[-1])):
-        return vmax, 0.0
+        return vmax, 0.0, (v == vmax).astype(float), float(p[-1])
     u = v - vmax
 
     def slope(t: float) -> float:
@@ -631,15 +631,20 @@ def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float]:
             break
         hi += 2.0
     lam = math.exp(bisect_root(slope, lo, hi, iters=200))
-    return vmax + lam * (beta + math.log(float(np.dot(p, np.exp(u / lam))))), lam
+    w = np.exp(u / lam)
+    mean_w = float(np.dot(p, w))
+    return vmax + lam * (beta + math.log(mean_w)), lam, w, mean_w
 
 
 def make_divergence_quadrangle(div: DivergenceFn, beta: float) -> Quadrangle:
     """The quadrangle generated by a divergence function at budget beta.
 
     The regret is the phi-regret, by ``perspective_inf``, and the error its
-    mean-centred form; ``div.closed_forms`` replace members by exact routes,
-    and without them the risk and statistic come from projecting the regret.
+    mean-centred form; ``div.closed_forms`` replace members by exact routes.
+    Without them the statistic comes from projecting the regret, and so does
+    the risk unless phi has a worst-case density (``conj_grad`` or an
+    ``envelope_route``): then the risk is the support of its density ball,
+    sup{E[QX] : E[phi(Q)] <= beta, E[Q] = 1}, by ``family_eval_envelope``.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -649,7 +654,11 @@ def make_divergence_quadrangle(div: DivergenceFn, beta: float) -> Quadrangle:
     if div.closed_forms is not None:
         forms.update(div.closed_forms(div, beta))
     else:
-        forms["risk"] = lambda x: regret_to_risk(v_regret, x)[0]
+        if div.conj_grad is not None or div.envelope_route is not None:
+            ball = StochasticDivergenceJ.from_phi(div, normalized=True)
+            forms["risk"] = lambda x: family_eval_envelope(ball, beta, x)[0]
+        else:
+            forms["risk"] = lambda x: regret_to_risk(v_regret, x)[0]
         forms["statistic"] = lambda x: regret_to_risk(v_regret, x)[1]
         label += "|generic"
     return complete_quadrangle(label=label, **forms)
@@ -657,12 +666,9 @@ def make_divergence_quadrangle(div: DivergenceFn, beta: float) -> Quadrangle:
 
 def _kl_forms(div: DivergenceFn, beta: float) -> dict:
     def statistic(x):
-        _, lam = _kl_risk(x, beta)
-        if lam == 0.0:
-            return StatInterval.point(float(x.values[-1]))
-        v, p = x.values, x.probs
-        vmax = float(v[-1])
-        return StatInterval.point(vmax + lam * math.log(float(np.dot(p, np.exp((v - vmax) / lam)))))
+        _, lam, _, mean_w = _kl_risk(x, beta)
+        vmax = float(x.values[-1])
+        return StatInterval.point(vmax + lam * math.log(mean_w) if lam > 0.0 else vmax)
 
     return {"risk": lambda x: _kl_risk(x, beta)[0], "statistic": statistic}
 

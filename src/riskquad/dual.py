@@ -34,14 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Envelope:
-    """Dual set of density vectors Q, polyhedral or membership-oracle.
-
-    Polyhedral data is expressed directly on the q coordinates (probability
-    weights are baked into the rows); ``contains`` reads it.  ``argmax(d)``,
-    where the set's own geometry gives it, returns the exact maximizer of
-    d.Q over the set with its value, from the order of r = d/p; without it
-    d.Q is maximized by ``solve_lp`` on the rows, or by ``ascend_envelope``
-    on a membership oracle.
+    """Dual set of density vectors Q: a box lb <= Q <= ub and rows a_eq.Q = b_eq
+    on the q coordinates (probability weights baked into the rows), cut by a
+    membership test ``member`` where the set has one; ``contains`` reads all
+    three.  ``argmax(d)``, where the set's own geometry gives it, returns the
+    exact maximizer of d.Q over the set with its value, from the order of
+    r = d/p; without it d.Q is maximized by ``solve_lp`` on the box and rows,
+    or by ``ascend_envelope`` on a membership test.
     """
 
     kind: str  # "risk" | "regret" | "deviation" | "error"
@@ -49,8 +48,6 @@ class Envelope:
     label: str = ""
     a_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
-    a_ub: Optional[np.ndarray] = None
-    b_ub: Optional[np.ndarray] = None
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
     member: Optional[Callable[[np.ndarray], bool]] = None
@@ -63,22 +60,21 @@ class Envelope:
 
     @property
     def polyhedral(self) -> bool:
+        """The box and rows are the whole set: no ``member`` cuts them."""
         return self.member is None
 
     def contains(self, q: np.ndarray, tol: float = 1e-9) -> bool:
         q = np.asarray(q, dtype=float)
-        if self.member is not None:
-            return bool(self.member(q))
-        ok = True
-        if self.a_eq is not None:
-            ok &= bool(np.all(np.abs(self.a_eq @ q - self.b_eq) <= tol))
-        if self.a_ub is not None:
-            ok &= bool(np.all(self.a_ub @ q <= self.b_ub + tol))
-        if self.lb is not None:
-            ok &= bool(np.all(q >= self.lb - tol))
-        if self.ub is not None:
-            ok &= bool(np.all(q <= self.ub + tol))
-        return ok
+        ok = self.a_eq is None or bool(np.all(np.abs(self.a_eq @ q - self.b_eq) <= tol))
+        ok = ok and (self.lb is None or bool(np.all(q >= self.lb - tol)))
+        ok = ok and (self.ub is None or bool(np.all(q <= self.ub + tol)))
+        return ok and (self.member is None or bool(self.member(q)))
+
+
+def _density_row(p: np.ndarray, label: str, argmax, ub=None, member=None) -> Envelope:
+    """The risk envelope {0 <= Q <= ub : E[Q] = 1} cut by ``member``."""
+    row = dict(a_eq=p.reshape(1, -1), b_eq=np.ones(1), lb=np.zeros(p.size), ub=ub)
+    return Envelope(kind="risk", probs=p, label=label, member=member, argmax=argmax, **row)
 
 
 def cvar_envelope(alpha: float, probs) -> Envelope:
@@ -86,17 +82,8 @@ def cvar_envelope(alpha: float, probs) -> Envelope:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"cvar level alpha must lie in [0,1), got {alpha}")
     p = np.asarray(probs, dtype=float)
-    m = p.size
-    return Envelope(
-        kind="risk",
-        probs=p,
-        label=f"cvar({alpha:g})",
-        a_eq=p.reshape(1, -1),
-        b_eq=np.ones(1),
-        lb=np.zeros(m),
-        ub=np.full(m, 1.0 / (1.0 - alpha)),
-        argmax=lambda d: _cvar_argmax(d, p, 1.0 / (1.0 - alpha)),
-    )
+    cap = 1.0 / (1.0 - alpha)
+    return _density_row(p, f"cvar({alpha:g})", lambda d: _cvar_argmax(d, p, cap), ub=np.full(p.size, cap))
 
 
 def _by_ratio(direction, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,63 +119,38 @@ def _two_level_argmax(direction, p: np.ndarray, level) -> tuple[float, np.ndarra
 
 
 def mean_envelope(probs) -> Envelope:
-    """The singleton {1}."""
+    """The singleton {1}: the box [1, 1], on which d.Q is the sum of d."""
     p = np.asarray(probs, dtype=float)
-    m = p.size
-    eye = np.eye(m)
-    return Envelope(
-        kind="risk",
-        probs=p,
-        label="mean",
-        a_eq=eye,
-        b_eq=np.ones(m),
-    )
-
-
-def _pair_rows(m: int, a: float, b: float) -> np.ndarray:
-    """One row a e_i + b e_j for each ordered pair i != j, i major."""
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
-    return a * np.eye(m)[i] + b * np.eye(m)[j]
+    ones = np.ones(p.size)
+    return Envelope(kind="risk", probs=p, label="mean", lb=ones, ub=ones, argmax=lambda d: (float(np.sum(d)), np.ones(p.size)))
 
 
 def mean_abs_risk_envelope(probs) -> Envelope:
-    """{Q : E[Q] = 1, Q_i - Q_j <= 1}, the dual set of E[X - EX]_+ + E[X]."""
+    """{Q >= 0 : E[Q] = 1, Q_i - Q_j <= 1}, the dual set of E[X - EX]_+ + E[X]:
+    the pair constraints read max Q - min Q <= 1."""
     p = np.asarray(probs, dtype=float)
-    m = p.size
-    rows = _pair_rows(m, 1.0, -1.0)
-    return Envelope(
-        kind="risk",
-        probs=p,
-        label="mean_abs",
-        a_eq=p.reshape(1, -1),
-        b_eq=np.ones(1),
-        a_ub=np.asarray(rows),
-        b_ub=np.ones(len(rows)),
-        lb=np.zeros(m),
+    return _density_row(
+        p,
+        "mean_abs",
         # Q_k = (1 - C_k) + 1[top k]
-        argmax=lambda d: _two_level_argmax(d, p, lambda c: (1.0 - c, 2.0 - c)),
+        lambda d: _two_level_argmax(d, p, lambda c: (1.0 - c, 2.0 - c)),
+        member=lambda q: float(np.max(q) - np.min(q)) <= 1.0 + 1e-9,
     )
 
 
 def expectile_envelope(q_level: float, probs) -> Envelope:
-    """{Q >= 0 : E[Q] = 1, (1-q) Q_i <= q Q_j}, coherent for q > 1/2."""
+    """{Q >= 0 : E[Q] = 1, (1-q) Q_i <= q Q_j}, coherent for q > 1/2: the pair
+    constraints read (1-q) max Q - q min Q <= 0."""
     if not 0.5 < q_level < 1.0:
         raise ValueError("expectile envelope requires q in (1/2, 1)")
     p = np.asarray(probs, dtype=float)
-    m = p.size
-    rows = _pair_rows(m, 1.0 - q_level, -q_level)
     beta = q_level / (1.0 - q_level)
-    return Envelope(
-        kind="risk",
-        probs=p,
-        label=f"expectile({q_level:g})",
-        a_eq=p.reshape(1, -1),
-        b_eq=np.ones(1),
-        a_ub=np.asarray(rows),
-        b_ub=np.zeros(len(rows)),
-        lb=np.zeros(m),
+    return _density_row(
+        p,
+        f"expectile({q_level:g})",
         # Q_k = t_k (1 + (beta - 1) 1[top k]), t_k = 1/(1 + (beta - 1) C_k)
-        argmax=lambda d: _two_level_argmax(d, p, lambda c: (1.0 / (1.0 + (beta - 1.0) * c), beta / (1.0 + (beta - 1.0) * c))),
+        lambda d: _two_level_argmax(d, p, lambda c: (1.0 / (1.0 + (beta - 1.0) * c), beta / (1.0 + (beta - 1.0) * c))),
+        member=lambda q: (1.0 - q_level) * float(np.max(q)) - q_level * float(np.min(q)) <= 1e-9,
     )
 
 
@@ -343,14 +305,14 @@ def _sample_envelope_points(env: Envelope, rng: np.random.Generator, n: int) -> 
 def envelope_sup_direction(env: Envelope, direction) -> tuple[float, Optional[np.ndarray]]:
     """Maximize an arbitrary linear objective (not probability weighted):
     by the envelope's ``argmax`` where it has one, else by ``solve_lp`` on
-    its rows."""
+    its box and rows."""
     if env.argmax is not None:
         return env.argmax(direction)
     d = np.asarray(direction, dtype=float)
     if not env.polyhedral:
         raise ValueError("direction maximization needs a polyhedral envelope")
     bounds = [(None if env.lb is None else env.lb[i], None if env.ub is None else env.ub[i]) for i in range(d.size)]
-    sol = solve_lp(LpProblem(c=-d, a_eq=env.a_eq, b_eq=env.b_eq, a_ub=env.a_ub, b_ub=env.b_ub, bounds=bounds))
+    sol = solve_lp(LpProblem(c=-d, a_eq=env.a_eq, b_eq=env.b_eq, bounds=bounds))
     if sol.status != "optimal":
         return math.nan, None
     return -sol.objective, sol.x

@@ -165,7 +165,7 @@ def _epi_data(spec: EpiSpec, x: DiscreteRv):
     be built on X's sorted atoms: its row a positive multiple of their
     probabilities."""
     env, conj = spec.base_envelope, spec.kernel_conj
-    box_row = env is not None and env.polyhedral and env.a_ub is None and env.a_eq is not None and env.a_eq.shape[0] == 1
+    box_row = env is not None and env.polyhedral and env.a_eq is not None and env.a_eq.shape[0] == 1
     conj_ok = isinstance(conj, (DivergenceFn, tuple))
     missing = [name for name, ok in (("a box-plus-row base envelope", box_row), ("a kernel conjugate", conj_ok)) if not ok]
     if missing:

@@ -67,9 +67,37 @@ def within(a, b, rel=1e-12):
 
 
 def generic_divergence_quadrangle(div, beta):
-    """The quadrangle of ``div`` at ``beta`` without its closed forms: the
-    phi-regret projected by golden section, the oracle for the closed routes."""
-    return make_divergence_quadrangle(dataclasses.replace(div, closed_forms=None), beta)
+    """The quadrangle of ``div`` at ``beta`` without its closed forms or its
+    envelope route: the phi-regret projected by golden section, and the risk
+    on the per-atom parametric maximizer of the density ball where phi has
+    ``conj_grad``, the oracle for the closed routes."""
+    return make_divergence_quadrangle(dataclasses.replace(div, closed_forms=None, envelope_route=None), beta)
+
+
+def pair_rows(m, a, b, bound):
+    """The pair constraints a Q_i + b Q_j <= bound as (a_ub, b_ub), one row for
+    each ordered pair i != j, i major: m(m - 1) dense rows of width m.  The
+    mean_abs envelope's max Q - min Q <= 1 is (1, -1, 1), the expectile
+    envelope's (1 - q) max Q - q min Q <= 0 is (1 - q, -q, 0)."""
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    rows = a * np.eye(m)[i] + b * np.eye(m)[j]
+    return rows, np.full(len(rows), float(bound))
+
+
+def pair_rows_contain(env, rows, q, tol=1e-9):
+    """Membership in the envelope's box and row cut by the pair rows, at
+    ``contains``' tolerance: the oracle for its membership test."""
+    a_ub, b_ub = rows
+    return dataclasses.replace(env, member=None).contains(q, tol) and bool(np.all(a_ub @ q <= b_ub + tol))
+
+
+def pair_rows_lp(env, direction, rows):
+    """max direction.Q over the envelope's box and row cut by the pair rows, by
+    ``solve_lp``: the oracle for its ``argmax``."""
+    bounds = [(lo, None) for lo in env.lb]
+    sol = solve_lp(LpProblem(c=-np.asarray(direction, dtype=float), a_eq=env.a_eq, b_eq=env.b_eq, a_ub=rows[0], b_ub=rows[1], bounds=bounds))
+    assert sol.status == "optimal", sol.status
+    return -sol.objective
 
 
 def inf_convolution(outer, kernel, epsilon, x, starts=1, seed=0):

@@ -181,7 +181,7 @@ def test_05_divergence_closed_forms():
     for _ in range(8):
         x = random_rv(rng, span=2.0)
         beta = float(rng.uniform(0.2, 1.0))
-        val, lam = _kl_risk(x, beta)
+        val, lam = _kl_risk(x, beta)[:2]
         if lam > 0:
             v, p = x.values, x.probs
             mgf = float(np.dot(p, np.exp((v - v[-1]) / lam)))

@@ -167,6 +167,23 @@ def test_a_non_finite_cell_exits_1_naming_its_file_and_line(tmp_path, capfd, cel
     _one_error_line(capfd, path, line)
 
 
+# each form with blank rows above its bad row: the line is the file's own, blank rows counted
+BLANK_ROWS = {
+    "rv": (RV, "value,prob\n1,0.5\n\n,\nnan,0.5\n", 5),
+    "rv-negative-prob": (RV, "value,prob\n\n0,-0.5\n1,1.5\n", 3),
+    "dataset": (REGRESS, "x1,y\n0,1\n\n1,abc\n", 4),
+    "scenarios": (SCENARIOS["portfolio"], "0.1,0.2\n\n0.3,inf\n", 3),
+}
+
+
+@pytest.mark.parametrize("argv, text, line", BLANK_ROWS.values(), ids=BLANK_ROWS)
+def test_blank_rows_keep_the_line_numbers_of_the_file(tmp_path, capfd, argv, text, line):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(argv + ["--input", str(path)]) == 1
+    _one_error_line(capfd, path, line)
+
+
 @pytest.mark.parametrize("argv, text, line", RAGGED.values(), ids=RAGGED)
 def test_a_ragged_row_or_text_cell_exits_1_naming_its_file_and_line(tmp_path, capfd, argv, text, line):
     path = tmp_path / "in.csv"

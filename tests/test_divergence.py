@@ -511,7 +511,7 @@ def test_kl_quadrangle_stationarity():
 
     rng = np.random.default_rng(5)
     for x in random_rvs(rng, 5, span=2.0):
-        val, lam = _kl_risk(x, beta)
+        val, lam = _kl_risk(x, beta)[:2]
         assert gen.risk(x) == pytest.approx(val, abs=1e-6)
         if lam > 0:
             v, p = x.values, x.probs
@@ -655,6 +655,19 @@ def test_closed_routes_agree_with_the_generic_oracle(name, level):
         closed, gen = make_divergence_quadrangle(div, beta), generic_divergence_quadrangle(div, beta)
         for s in (1e-3, 1.0, 1e3):
             _assert_routes_agree(closed, gen, x.scale(s))
+
+
+@pytest.mark.parametrize("name, want", [("kl", 2.43570981622), ("pearson", 2.15442279903)])
+def test_generic_risk_is_its_density_ball_at_every_scale(name, want):
+    # the generic risk, the support of the density ball, scales with X where
+    # projecting the phi-regret by golden section read 5.562 for kl at s = 1e-12
+    div = make_divergence(name)
+    closed, gen = make_divergence_quadrangle(div, 0.5), generic_divergence_quadrangle(div, 0.5)
+    for s in (1e-12, 1e-9, 1.0, 1e9):
+        x = DiscreteRv(s * np.array([-1.0, 0.5, 2.0, 3.0]), np.array([0.1, 0.4, 0.3, 0.2]))
+        ref = closed.risk(x) / s
+        assert abs(ref - want) <= 1e-11 * want, (s, ref)
+        assert abs(gen.risk(x) / s - ref) <= 1e-14 * abs(ref), (s, gen.risk(x) / s, ref)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskquad.core import DiscreteRv, cvar_direct, expectation
 from riskquad.dual import (
@@ -17,9 +18,9 @@ from riskquad.dual import (
     mean_envelope,
     stddev_deviation_envelope,
 )
-from riskquad.measures import CatalogSpec, expectile_value, make_catalog_quadrangle
+from riskquad.measures import CATALOG, CatalogSpec, expectile_value, make_catalog_quadrangle
 
-from helpers import random_rv, random_rvs
+from helpers import pair_rows, pair_rows_contain, pair_rows_lp, random_rv, random_rvs
 
 
 def test_cvar_support_equals_primal():
@@ -99,25 +100,29 @@ def _argmax_cases(rng, tiny):
 
 def _argmax_envelopes(rng, p, x):
     """cvar at alpha 0, 0.5 and 0.99, mean_abs and an expectile envelope on
-    masses p, each with its primal risk of X."""
+    masses p, each with its primal risk of X and its pair rows (None for
+    cvar, a box and a row)."""
     rv = DiscreteRv(x, p)
     q_level = float(rng.uniform(0.51, 0.99))
     mean_pl = make_catalog_quadrangle(CatalogSpec("mean_pl", {}))
-    envs = [(cvar_envelope(alpha, p), cvar_direct(rv, alpha)) for alpha in (0.0, 0.5, 0.99)]
-    return envs + [(mean_abs_risk_envelope(p), mean_pl.risk(rv)), (expectile_envelope(q_level, p), expectile_value(rv, q_level))]
+    envs = [(cvar_envelope(alpha, p), cvar_direct(rv, alpha), None) for alpha in (0.0, 0.5, 0.99)]
+    return envs + [
+        (mean_abs_risk_envelope(p), mean_pl.risk(rv), pair_rows(p.size, 1.0, -1.0, 1.0)),
+        (expectile_envelope(q_level, p), expectile_value(rv, q_level), pair_rows(p.size, 1.0 - q_level, -q_level, 0.0)),
+    ]
 
 
 @pytest.mark.parametrize("tiny", [False, True], ids=["dirichlet", "masses-to-1e-12"])
 def test_envelope_argmax_is_the_exact_maximizer(tiny):
     # the vertex scans against the primal risk, and against solve_lp on the
-    # envelope's own rows with the direction at unit scale; their Q lies in
-    # the set and has E[Q] = 1.  Masses below solve_lp's pivot tolerance
-    # (1e-9) leave its atoms at their starting bound, so the LP is compared
-    # only on unfloored masses
+    # envelope's box and row, cut by its pair rows where it has them, with
+    # the direction at unit scale; their Q lies in the set and has E[Q] = 1.
+    # Masses below solve_lp's pivot tolerance (1e-9) leave its atoms at their
+    # starting bound, so the LP is compared only on unfloored masses
     rng = np.random.default_rng(29)
     for x, p, s in _argmax_cases(rng, tiny):
         d = p * x
-        for env, primal in _argmax_envelopes(rng, p, x):
+        for env, primal, rows in _argmax_envelopes(rng, p, x):
             v, q = env.argmax(d)
             tol = 1e-12 * (s + abs(v))
             assert abs(v - primal) <= tol, (env.label, v, primal)
@@ -125,8 +130,53 @@ def test_envelope_argmax_is_the_exact_maximizer(tiny):
             assert env.contains(q) and abs(float(p @ q) - 1.0) <= 1e-12, env.label
             if not tiny:
                 unit = float(np.max(np.abs(d))) or 1.0
-                lp, _ = envelope_sup_direction(dataclasses.replace(env, argmax=None), d / unit)
+                if rows is None:
+                    lp, _ = envelope_sup_direction(dataclasses.replace(env, argmax=None), d / unit)
+                else:
+                    lp = pair_rows_lp(env, d / unit, rows)
                 assert abs(v - unit * lp) <= tol, (env.label, v, unit * lp)
+
+
+@st.composite
+def _membership_cases(draw):
+    """A mean_abs or expectile envelope on 1 to 8 atoms with its pair rows, and
+    a density to test: an argmax output, its 1e-10 relative perturbation, or
+    a random Q on the row E[Q] = 1 with tied entries, its spread exactly at
+    the bound, within 1e-12 or 1e-8 of it, or scaled off it."""
+    m = draw(st.integers(1, 8))
+    p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    p /= p.sum()
+    if draw(st.booleans()):
+        env, rows, ratio = mean_abs_risk_envelope(p), pair_rows(m, 1.0, -1.0, 1.0), None
+    else:
+        q_level = draw(st.floats(0.51, 0.99))
+        env, rows, ratio = expectile_envelope(q_level, p), pair_rows(m, 1.0 - q_level, -q_level, 0.0), q_level / (1.0 - q_level)
+    how = draw(st.sampled_from(["argmax", "perturbed", "random"]))
+    if how != "random":
+        q = env.argmax(np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))))[1]
+        if how == "perturbed":
+            q = q * (1.0 + 1e-10 * np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m, max_size=m))))
+        return env, rows, q
+    # levels u in [0, 1], ties from a coarse grid, with the ends 0 and 1 both taken where m > 1
+    u = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=m, max_size=m)))
+    if m > 1:
+        u[:2] = 0.0, 1.0
+    spread = draw(st.sampled_from([1.0, 1.0, 0.5, 1.5, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-8, 1.0 - 1e-8]))
+    if ratio is None:
+        q = 1.0 + spread * (u - float(p @ u))  # max Q - min Q = spread
+    else:
+        q = 1.0 + (spread * ratio - 1.0) * u  # max Q / min Q = spread * ratio
+        q /= float(p @ q)
+    return env, rows, q
+
+
+@given(_membership_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_envelope_membership_matches_the_pair_rows(case):
+    # the O(m) tests max Q - min Q <= 1 and (1 - q) max Q - q min Q <= 0
+    # against the m(m - 1) pair rows they replace, at the same tolerance
+    env, rows, q = case
+    assert env.contains(q) == pair_rows_contain(env, rows, q), (env.label, q)
 
 
 def test_stddev_argmax_is_the_scaled_deviation():
@@ -139,6 +189,27 @@ def test_stddev_argmax_is_the_scaled_deviation():
         assert abs(v - 1.3 * sigma) <= 1e-12 * (s + v)
         assert abs(float(np.dot(p, q * x)) - v) <= 1e-12 * (s + v)
         assert env.contains(q)
+
+
+def test_catalog_envelopes_at_100000_atoms():
+    # box, row, membership test and argmax are all O(m): at 10^5 atoms the
+    # m(m - 1) pair rows of mean_abs and expectile, or the m x m identity of
+    # the mean, would not fit in memory
+    rng = np.random.default_rng(7)
+    x = DiscreteRv(rng.standard_normal(100_000), rng.dirichlet(np.ones(100_000)))
+    for family, params in (("quantile", {"alpha": 0.7}), ("mean_pl", {}), ("expectile_pl", {"K": 0.5})):
+        env = CATALOG[family].envelope(probs=x.probs, **params)
+        sup, q = envelope_sup(env, x.values)
+        risk = make_catalog_quadrangle(CatalogSpec(family, params)).risk(x)
+        assert abs(sup - risk) <= 1e-12 * (1.0 + abs(risk)), (family, sup, risk)
+        assert env.contains(q), family
+        assert dual_axiom_check(env).passed, family
+    env = mean_envelope(x.probs)
+    sup, q = envelope_sup(env, x.values)
+    assert abs(sup - x.mean()) <= 1e-12 * (1.0 + abs(x.mean()))
+    assert env.contains(q)
+    rep = dual_axiom_check(env)
+    assert rep.clauses["center_membership"] and rep.clauses["hyperplane"] and not rep.clauses["separation"]
 
 
 # -- conjugates ----------------------------------------------------------------
