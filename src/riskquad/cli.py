@@ -41,7 +41,7 @@ from .divergence import (
 from .dual import cvar_envelope, dual_axiom_check, envelope_sup
 from .measures import CATALOG, CatalogSpec, make_catalog_quadrangle
 from .regression import Dataset, NAMED_MODELS, fit_linear, named_quadrangle, track_statistic
-from .robust import DroProblem, EpiSpec, dro_solve, epi_risk_dual, epi_risk_primal, kernel_quadratic_regret, portfolio_optimize
+from .robust import DroProblem, EpiSpec, PortfolioGapError, dro_solve, epi_risk_dual, epi_risk_primal, kernel_quadratic_regret, portfolio_optimize
 
 __all__ = ["main", "COMMANDS", "ingest_rv_csv", "fmt12"]
 
@@ -292,7 +292,12 @@ def _regress(args):
 def _portfolio(args):
     scen, probs = ingest_scenarios_csv(args.input_path)
     q = build_quadrangle(args.spec or {"family": "quantile", "params": {"alpha": 0.8}})
-    w, v = portfolio_optimize(q, scen, probs=probs, target_mean=args.target_mean, steps=args.max_iter)
+    try:
+        w, v = portfolio_optimize(q, scen, probs=probs, target_mean=args.target_mean, steps=args.max_iter)
+    except PortfolioGapError as exc:
+        # the rounds ran out: the last weights are still reported, with their gap
+        print(f"solver: {exc}", file=sys.stderr)
+        return {"weights": [fmt12(c) for c in exc.weights], "risk": fmt12(exc.risk), "gap": fmt12(exc.gap)}, EXIT_SOLVER
     return {"weights": [fmt12(c) for c in w], "risk": fmt12(v)}, EXIT_OK
 
 

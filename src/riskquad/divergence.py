@@ -32,7 +32,7 @@ from .constructions import (
     regret_to_risk,
 )
 from .dual import ascend_envelope
-from .solvers import bisect_root, minimize_scalar_convex, widen_root
+from .solvers import minimize_scalar_convex, widen_root
 
 __all__ = [
     "DivergenceFn",
@@ -537,7 +537,8 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
     the worst case.  Otherwise phi-generated balls take their divergence's
     ``envelope_route`` (closed forms for kl, pearson and tv); a phi without
     one goes straight to the per-atom parametric maximizer
-    ``_envelope_sup_phi``, which tries the limit itself.  Other J fall back
+    ``_envelope_sup_phi``, which tries the limit itself and needs
+    ``conj_grad``: a phi with neither raises ValueError.  Other J fall back
     to a projected ascent with budget bisection toward the center.
     """
     if tau <= 0:
@@ -548,6 +549,8 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
         return _envelope_sup_generic(j, tau, x, normalized)
     row = (x.probs, 1.0) if normalized else None
     if div.envelope_route is None:
+        if div.conj_grad is None:
+            raise ValueError(f"phi {div.label!r} has neither conj_grad nor an envelope_route: no worst-case density for its ball")
         return _envelope_sup_phi(div, x, row=row, tau=tau)[:2]
     q = _envelope_limit(div, x, row=row)
     if q is not None and divergence_value(div, q, x.probs) <= tau:
@@ -597,43 +600,110 @@ def _phi_regret(div: DivergenceFn, beta: float) -> RegretFn:
     )
 
 
+# The kl slope g = beta - KL(Q_l) is ln sum(w) less E_Q[u] / l, each rounded to
+# eps times its size and ln sum(w) to eps at least: |g| below _KL_FLOOR times
+# (1 + |ln sum(w)| + |E_Q u| / l) is rounding, and so is a budget below
+# _KL_FLOOR.  For l >= range(X), KL(Q_l) <= (range / l)^2 / 8 (Hoeffding's
+# lemma), below _KL_FLOOR past ln l = ln(range) + _KL_FLAT: the end of the
+# slope's meaningful range, where the bracket stops widening.
+_KL_FLOOR = 2.0 * float(np.finfo(float).eps)
+_KL_FLAT = 0.5 * math.log(1.0 / (8.0 * _KL_FLOOR))
+
+
+def _kl_slope(p: np.ndarray, u: np.ndarray, beta: float, t: float) -> tuple[float, float]:
+    """The slope g(t) = beta - KL(Q_l) of l*(beta + ln E e^{u/l}) in l, at
+    l = e^t, and its derivative g'(t) = Var_Q(u) / l^2, from one tilt
+    w = p e^{u/l} of Q_l = w / sum(w).  A g within its rounding is 0."""
+    lam = math.exp(t)
+    w = p * np.exp(u / lam)
+    s = float(w.sum())
+    mean = float(np.dot(w, u)) / s
+    log_s, tilt = math.log(s), mean / lam
+    g = beta + log_s - tilt
+    if abs(g) <= _KL_FLOOR * (1.0 + abs(log_s) + abs(tilt)):
+        g = 0.0
+    return g, float(np.dot(w, (u - mean) ** 2)) / s / lam / lam
+
+
+def _kl_limit(p: np.ndarray, u: np.ndarray, vmax: float, beta: float, mean: float, var: float):
+    """``_kl_risk`` as l -> inf, where EVaR = E X + l beta + Var X / (2 l) + O(l^-2):
+    E X + sqrt(2 beta Var X), at most ess sup X, at l = sqrt(Var X / (2 beta))."""
+    _, lam, w, mean_w = _kl_at(p, u, vmax, beta, math.sqrt(var / (2.0 * beta)))
+    return min(vmax, vmax + mean + math.sqrt(2.0 * beta * var)), lam, w, mean_w
+
+
 def _kl_risk(x: DiscreteRv, beta: float) -> tuple[float, float, np.ndarray, float]:
     """Entropic-tail risk (EVaR) inf_l l*(beta + ln E[exp(X/l)]), the optimal
     l, and the tilt's weights w = e^{(X - ess sup X)/l} at it with E w.
 
     The objective's slope in l is beta - KL(Q_l) for the tilt Q_l ~ e^{X/l},
-    whose divergence falls from -ln P(ess sup X) as l -> 0 to 0 as l -> inf,
-    so the optimal l is bisected on the slope's sign in log l.  The bracket
-    starts from the gaps of X, below which the tilt is the point mass, so the
-    search does not depend on the units of X.  Exponentials are shifted by
-    ess sup X throughout; when the point mass lies within the budget the
-    ess-sup limit is returned with l = 0, and w is there the point mass's
-    indicator of ess sup X.
+    whose divergence falls from -ln P(ess sup X) as l -> 0 to 0 as l -> inf.
+    Its root is found by Newton's method in t = ln l on ``_kl_slope``, whose
+    derivative, the tilt's variance over l^2, comes from the same pass; a step
+    that would leave the bracket of the slope's sign bisects it instead.  The
+    bracket starts from the gaps of X, below which the tilt is the point mass,
+    so the search does not depend on the units of X, and the first point is
+    the Gaussian multiplier sqrt(Var X / (2 beta)) clamped into it.
+    Exponentials are shifted by ess sup X throughout; when the point mass lies
+    within the budget the ess-sup limit is returned with l = 0, and w is there
+    the point mass's indicator of ess sup X.  Where the root lies beyond the
+    slope's meaningful range (``_KL_FLOOR``) the l -> inf limit of
+    ``_kl_limit`` is returned.
     """
     v, p = x.values, x.probs
     vmax = float(v[-1])
     if x.is_constant() or beta >= -math.log(float(p[-1])):
         return vmax, 0.0, (v == vmax).astype(float), float(p[-1])
     u = v - vmax
-
-    def slope(t: float) -> float:
-        lam = math.exp(t)
-        w = p * np.exp(u / lam)
-        s = float(w.sum())
-        return beta + math.log(s) - float(np.dot(w, u)) / (lam * s)
-
+    mean = float(np.dot(p, u))
+    var = float(np.dot(p, (u - mean) ** 2))
+    if beta <= _KL_FLOOR:
+        return _kl_limit(p, u, vmax, beta, mean, var)
     # at l = gap/800 every weight but the top atom's underflows to 0: the tilt is
-    # the point mass, outside the budget, and the slope is negative
+    # the point mass, outside the budget, and the slope is negative.  The top
+    # of the bracket, l = range(X), is taken on trust until a positive slope
+    # is seen: a step beyond it tries it, and a negative slope there moves it
+    # up by 2 in ln l, up to the end of the slope's meaningful range
     lo = math.log(-float(u[-2]) / 800.0)
     hi = math.log(-float(u[0]))
-    for _ in range(400):
-        if slope(hi) >= 0.0:
+    flat, seen = hi + _KL_FLAT, False
+    guess = 0.5 * math.log(var / (2.0 * beta)) if var > 0.0 else math.inf
+    t = min(max(guess, lo), hi)
+    for _ in range(200):
+        g, dg = _kl_slope(p, u, beta, t)
+        if g == 0.0:
             break
-        hi += 2.0
-    lam = math.exp(bisect_root(slope, lo, hi, iters=200))
-    w = np.exp(u / lam)
-    mean_w = float(np.dot(p, w))
-    return vmax + lam * (beta + math.log(mean_w)), lam, w, mean_w
+        if g > 0.0:
+            hi, seen = t, True
+        elif t < hi:
+            lo = t
+        elif hi >= flat:
+            return _kl_limit(p, u, vmax, beta, mean, var)  # negative by rounding alone
+        else:
+            lo, hi = hi, min(hi + 2.0, flat)
+            t = min(max(guess, lo), hi)
+            continue
+        step = g / dg if 0.0 < dg < math.inf else math.inf
+        # the step is tested before the bracket: near the root t - step may
+        # land on an end of the bracket, which is no reason to bisect
+        if abs(step) <= 4.0 * math.ulp(t):
+            t -= step
+            break
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi) if seen else hi
+            if seen and (t == lo or t == hi):
+                break  # adjacent floats: the root lies between them
+    return _kl_at(p, u, vmax, beta, math.exp(t))
+
+
+def _kl_at(p: np.ndarray, u: np.ndarray, vmax: float, beta: float, lam: float):
+    """``_kl_risk``'s objective at l = lam with w and E w.  ln E e^{u/l} is
+    log1p(E[e^{u/l} - 1]), a sum of terms of one sign: its rounding is relative,
+    and does not grow with l as that of ln E w, a logarithm of about 1, does."""
+    em = np.expm1(u / lam)
+    w = 1.0 + em
+    return vmax + lam * (beta + math.log1p(float(np.dot(p, em)))), lam, w, float(np.dot(p, w))
 
 
 def make_divergence_quadrangle(div: DivergenceFn, beta: float) -> Quadrangle:
@@ -666,9 +736,9 @@ def make_divergence_quadrangle(div: DivergenceFn, beta: float) -> Quadrangle:
 
 def _kl_forms(div: DivergenceFn, beta: float) -> dict:
     def statistic(x):
-        _, lam, _, mean_w = _kl_risk(x, beta)
-        vmax = float(x.values[-1])
-        return StatInterval.point(vmax + lam * math.log(mean_w) if lam > 0.0 else vmax)
+        # l ln E e^{X/l} at the optimal l, the risk less its budget term l beta
+        val, lam = _kl_risk(x, beta)[:2]
+        return StatInterval.point(val - lam * beta)
 
     return {"risk": lambda x: _kl_risk(x, beta)[0], "statistic": statistic}
 

@@ -37,7 +37,8 @@ class Envelope:
     """Dual set of density vectors Q: a box lb <= Q <= ub and rows a_eq.Q = b_eq
     on the q coordinates (probability weights baked into the rows), cut by a
     membership test ``member`` where the set has one; ``contains`` reads all
-    three.  ``argmax(d)``, where the set's own geometry gives it, returns the
+    three, to one tolerance ``tol`` that ``member(q, tol)`` is given too.
+    ``argmax(d)``, where the set's own geometry gives it, returns the
     exact maximizer of d.Q over the set with its value, from the order of
     r = d/p; without it d.Q is maximized by ``solve_lp`` on the box and rows,
     or by ``ascend_envelope`` on a membership test.
@@ -50,7 +51,7 @@ class Envelope:
     b_eq: Optional[np.ndarray] = None
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
-    member: Optional[Callable[[np.ndarray], bool]] = None
+    member: Optional[Callable[[np.ndarray, float], bool]] = None
     argmax: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     @property
@@ -68,7 +69,7 @@ class Envelope:
         ok = self.a_eq is None or bool(np.all(np.abs(self.a_eq @ q - self.b_eq) <= tol))
         ok = ok and (self.lb is None or bool(np.all(q >= self.lb - tol)))
         ok = ok and (self.ub is None or bool(np.all(q <= self.ub + tol)))
-        return ok and (self.member is None or bool(self.member(q)))
+        return ok and (self.member is None or bool(self.member(q, tol)))
 
 
 def _density_row(p: np.ndarray, label: str, argmax, ub=None, member=None) -> Envelope:
@@ -134,7 +135,7 @@ def mean_abs_risk_envelope(probs) -> Envelope:
         "mean_abs",
         # Q_k = (1 - C_k) + 1[top k]
         lambda d: _two_level_argmax(d, p, lambda c: (1.0 - c, 2.0 - c)),
-        member=lambda q: float(np.max(q) - np.min(q)) <= 1.0 + 1e-9,
+        member=lambda q, tol: float(np.max(q) - np.min(q)) <= 1.0 + tol,
     )
 
 
@@ -150,7 +151,7 @@ def expectile_envelope(q_level: float, probs) -> Envelope:
         f"expectile({q_level:g})",
         # Q_k = t_k (1 + (beta - 1) 1[top k]), t_k = 1/(1 + (beta - 1) C_k)
         lambda d: _two_level_argmax(d, p, lambda c: (1.0 / (1.0 + (beta - 1.0) * c), beta / (1.0 + (beta - 1.0) * c))),
-        member=lambda q: (1.0 - q_level) * float(np.max(q)) - q_level * float(np.min(q)) <= 1e-9,
+        member=lambda q, tol: (1.0 - q_level) * float(np.max(q)) - q_level * float(np.min(q)) <= tol,
     )
 
 
@@ -158,11 +159,11 @@ def stddev_deviation_envelope(lam: float, probs) -> Envelope:
     """{Q : E[Q] = 0, ||Q||_2 <= lam}, the dual set of lam * sigma(X)."""
     p = np.asarray(probs, dtype=float)
 
-    def member(q):
+    def member(q, tol):
         q = np.asarray(q, dtype=float)
-        if abs(float(np.dot(p, q))) > 1e-9:
+        if abs(float(np.dot(p, q))) > tol:
             return False
-        return float(np.dot(p, q * q)) <= lam * lam + 1e-9
+        return float(np.dot(p, q * q)) <= lam * lam + tol
 
     def argmax(direction):
         # Q = lam (r - E r)/sigma(r), r = d/p, centred on its first entry so a constant r gives 0
@@ -263,7 +264,9 @@ def envelope_extract(
     """Envelope of a positively homogeneous closed convex functional.
 
     Known catalog envelopes pass through; otherwise a membership oracle is
-    built from the conjugate (inside iff conjugate value <= 1e-8).  Sampled
+    built from the conjugate over values in [-20, 20]^m: inside iff the
+    conjugate value is at most 20 tol, the most that a Q within tol of the
+    set in each coordinate reaches.  Sampled
     positive homogeneity is a precondition.
     """
     p = np.asarray(probs, dtype=float)
@@ -279,8 +282,8 @@ def envelope_extract(
     if known is not None:
         return known
 
-    def member(q):
-        return conjugate_eval(f, q, p, box=20.0) <= 1e-8
+    def member(q, tol):
+        return conjugate_eval(f, q, p, box=20.0) <= 20.0 * tol
 
     return Envelope(kind=kind, probs=p, label=label or "oracle", member=member)
 

@@ -36,6 +36,7 @@ __all__ = [
     "epi_regret_fn",
     "epi_regret_divroot",
     "portfolio_optimize",
+    "PortfolioGapError",
     "kernel_quadratic_regret",
     "kernel_l2_regret",
 ]
@@ -271,6 +272,15 @@ def kernel_l2_regret(lam: float = 1.0) -> tuple[Callable, tuple[DivergenceFn, fl
 # -- portfolio front end ----------------------------------------------------------
 
 
+class PortfolioGapError(RuntimeError):
+    """``portfolio_optimize``'s cutting planes ended above their gap: the
+    last weights, their risk and the gap, for a report that says so."""
+
+    def __init__(self, weights: np.ndarray, risk: float, gap: float):
+        super().__init__(f"portfolio cutting planes ended at gap {gap:.3g}")
+        self.weights, self.risk, self.gap = weights, risk, gap
+
+
 def portfolio_optimize(
     risk,
     returns,
@@ -288,7 +298,7 @@ def portfolio_optimize(
     ``cutting_planes`` (at most ``steps`` rounds) on V's subgradient, C in a
     box over the losses' range that widens while C lies on its face.  Raises
     ValueError for a bare risk callable or a regret with neither, and
-    RuntimeError when the rounds end with a gap above 1e-4 (1 + |value|).
+    PortfolioGapError when the rounds end with a gap above 1e-4 (1 + |value|).
     """
     s = np.atleast_2d(np.asarray(returns, dtype=float))
     m, n_assets = s.shape
@@ -312,5 +322,5 @@ def portfolio_optimize(
     x0 = np.append(np.full(n_assets, 1.0 / n_assets), 0.0)
     res = cutting_planes(oracle, x0, bounds + [(-scale / unit, scale / unit)], a_eq, b_eq, steps, scale / unit, widen=(n_assets,))
     if res.gap > 1e-4 * (1.0 + abs(res.value)):
-        raise RuntimeError(f"portfolio cutting planes ended at gap {unit * res.gap:.3g}")
+        raise PortfolioGapError(res.x[:n_assets], unit * res.value, unit * res.gap)
     return res.x[:n_assets], unit * res.value

@@ -46,7 +46,6 @@ __all__ = [
     "CuttingPlaneResult",
     "cutting_planes",
     "solve_lp",
-    "bisect_root",
     "widen_root",
 ]
 
@@ -399,13 +398,9 @@ def argmin_interval_pwl(f, breakpoints) -> StatInterval:
     return pwl_argmin_interval(pts, np.array([fn(c) for c in pts]))
 
 
-def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:
-    """Root of a scalar function with g(lo), g(hi) of opposite sign (or zero)."""
-    return _bisect_bracket(g, lo, g(lo), hi, g(hi), iters)
-
-
 def _bisect_bracket(g, lo: float, glo: float, hi: float, ghi: float, iters: int) -> float:
-    """``bisect_root`` with the values at both ends already known."""
+    """Root of a scalar function by bisection, with g(lo) and g(hi), already
+    known, of opposite sign (or zero)."""
     if glo == 0.0:
         return lo
     if ghi == 0.0:

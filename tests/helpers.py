@@ -4,10 +4,11 @@ import dataclasses
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from riskquad.core import DiscreteRv, SortedSums, map_chunks, sample_rvs
 from riskquad.divergence import StochasticDivergenceJ, family_eval_envelope, make_divergence_quadrangle
-from riskquad.solvers import _GAP_REL, CuttingPlaneResult, LpProblem, compass_search, solve_lp
+from riskquad.solvers import _GAP_REL, CuttingPlaneResult, LpProblem, _bisect_bracket, compass_search, solve_lp
 
 
 def random_rv(rng, max_atoms=8, span=3.0, offset=0.0):
@@ -16,6 +17,23 @@ def random_rv(rng, max_atoms=8, span=3.0, offset=0.0):
 
 def random_rvs(rng, n, **kw):
     return sample_rvs(rng, n, **kw)
+
+
+SCALES = [1e-9, 1e-3, 1.0, 1e3, 1e9]
+
+
+@st.composite
+def wide_rvs(draw):
+    """1 to 1000 atoms at scales 1e-9..1e9, offsets up to 1e6 scales, masses down to 1e-12."""
+    n = draw(st.sampled_from([1, 1, 2, 3, 5, 8, 13, 40, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-1.0, 1.0, n)
+    if draw(st.booleans()):
+        z = np.round(z * 8.0) / 8.0
+    raw = rng.choice([1e-12, 1e-6, 0.3, 1.0, 2.5], n)
+    scale = draw(st.sampled_from(SCALES))
+    offset = scale * draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, -1e6, 1e6]))
+    return DiscreteRv(offset + scale * z, raw / raw.sum())
 
 
 def interval_gap(a, b):
@@ -64,6 +82,42 @@ def qsa_pairwise_midpoints(x):
 def within(a, b, rel=1e-12):
     """|a - b| <= rel * (1 + |b|)."""
     return abs(a - b) <= rel * (1.0 + abs(b))
+
+
+def bisect_root(g, lo: float, hi: float, iters: int = 100) -> float:
+    """Root of a scalar function with g(lo), g(hi) of opposite sign (or zero)."""
+    return _bisect_bracket(g, lo, g(lo), hi, g(hi), iters)
+
+
+def kl_risk_bisect(x, beta):
+    """``divergence._kl_risk`` by 200-step bisection in ln l on the sign of the
+    slope beta - KL(Q_l), with a pass over the atoms per step: the search that
+    Newton's method on the tilt's variance replaced.  The bracket and the
+    ess-sup branch are the same; a slope still negative after 400 widenings
+    of the bracket's top overflows."""
+    v, p = x.values, x.probs
+    vmax = float(v[-1])
+    if x.is_constant() or beta >= -math.log(float(p[-1])):
+        return vmax, 0.0, (v == vmax).astype(float), float(p[-1])
+    u = v - vmax
+
+    def slope(t):
+        lam = math.exp(t)
+        w = p * np.exp(u / lam)
+        s = float(w.sum())
+        return beta + math.log(s) - float(np.dot(w, u)) / (lam * s)
+
+    lo = math.log(-float(u[-2]) / 800.0)
+    hi = math.log(-float(u[0]))
+    for _ in range(400):
+        if slope(hi) >= 0.0:
+            break
+        hi += 2.0
+    lam = math.exp(bisect_root(slope, lo, hi, iters=200))
+    w = np.exp(u / lam)
+    # ln E w as log1p(E[w - 1]): the rounding of ln(E w), a logarithm of about
+    # 1, is eps whatever l, and l times it outgrows 1e-12 max|X| where l >> range
+    return vmax + lam * (beta + math.log1p(float(np.dot(p, np.expm1(u / lam))))), lam, w, float(np.dot(p, w))
 
 
 def generic_divergence_quadrangle(div, beta):

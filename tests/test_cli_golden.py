@@ -6,7 +6,8 @@ The cases are the README's CLI lines in table and JSON format on three small
 inputs, plus a ``--spec`` JSON, an ``--output`` file, an ``--output`` into a
 missing directory, a usage error, a missing parameter, an unreadable input,
 commands given no quadrangle, a value column read by its header, ``check``
-given a divergence and a non-finite cell in each of the three CSV forms.
+given a divergence, a non-finite cell in each of the three CSV forms and a
+portfolio whose cutting planes run out of rounds.
 Re-record the fixture, only where an output is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -71,6 +72,7 @@ def cases() -> list[list[str]]:
         ["eval", "--family", "mean_pl", "--input", "nan_rv.csv"],
         ["regress", "--model", "quantile", "--alpha", "0.5", "--input", "inf_data.csv"],
         ["portfolio", "--input", "inf_scenarios.csv"],
+        ["portfolio", "--family", "cvar2", "--alpha", "0.5", "--max-iter", "2", "--input", "scenarios.csv"],
     ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from riskquad.core import DiscreteRv, StatInterval, cvar_direct, ess_bounds, expectation
 from riskquad.constructions import RegretFn, project_error, regret_to_risk
+from riskquad import divergence
 from riskquad.checks import run_quadrangle_checks
 from riskquad.divergence import (
     DivergenceFn,
@@ -30,7 +31,7 @@ from riskquad.measures import CatalogSpec, expectile_value, make_catalog_quadran
 from riskquad.robust import kernel_quadratic_regret
 from riskquad.solvers import LpProblem, solve_lp
 
-from helpers import generic_divergence_quadrangle, random_rv, random_rvs
+from helpers import generic_divergence_quadrangle, kl_risk_bisect, random_rv, random_rvs, wide_rvs
 
 U5 = DiscreteRv.uniform([1, 2, 3, 4, 5])
 SYM = DiscreteRv([-1, 1], [0.5, 0.5])
@@ -154,6 +155,15 @@ def test_closed_envelope_routes_match_the_parametric_route(name, case):
     tol = 1e-11 * (1.0 + float(np.max(np.abs(x.values))))
     assert abs(val - want) <= tol
     _check_worst_case(div, tau, x, val, q, tol)
+
+
+def test_envelope_of_a_phi_with_no_worst_case_route_names_what_it_lacks():
+    # tv's phi is linear on each side of 1: per atom, q z - phi(q) has no
+    # maximizer to search for, and without its closed route the ball has none
+    tv = dataclasses.replace(make_divergence("tv"), envelope_route=None)
+    x = DiscreteRv([-1.0, 0.5, 2.0, 3.0], [0.1, 0.4, 0.3, 0.2])
+    with pytest.raises(ValueError, match="phi 'tv' has neither conj_grad nor an envelope_route"):
+        family_eval_envelope(StochasticDivergenceJ.from_phi(tv, normalized=True), 0.5, x)
 
 
 # the parametric route: extended_pearson, gen_extended_pearson(0.3) and kl
@@ -574,6 +584,53 @@ def test_closed_forms_ride_on_the_divergence_not_its_label():
     assert not q.label.endswith("|generic")
     x = DiscreteRv([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
     assert q.risk(x) == _kl_risk(x, 0.5)[0]
+
+
+# -- EVaR's multiplier: Newton on the tilt's variance against the bisection oracle --
+
+# an input whose budget lies below the kl slope's rounding: the slope stays
+# negative to the end of its meaningful range, where bisection's widening of
+# its bracket once ran until exp(ln l) overflowed
+FLOOR_VALUES = [-25072.43247198949, -20772.158047693658, -4283.540709420372, -4062.1214626506576,
+                835.4365534614718, 13478.689690111849, 21582.371258947176, 28929.21047529919]
+FLOOR_MASS, FLOOR_BETA = 2.0924978679528735e-13, 7.524708992502402e-17
+
+
+@given(wide_rvs(), st.floats(-8.0, math.log10(0.999)))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_kl_newton_matches_the_bisection_oracle(x, log_share):
+    # every budget short of the point mass's divergence, down to 1e-8 of it
+    beta = 10.0**log_share * -math.log(float(np.max(x.probs)))
+    top = float(np.max(np.abs(x.values)))
+    val, lam, w, mean_w = _kl_risk(x, beta)
+    assert x.mean() - 1e-14 * top <= val <= x.values[-1]
+    assert mean_w == float(np.dot(x.probs, w))
+    if beta > divergence._KL_FLOOR:
+        want = kl_risk_bisect(x, beta)[0]
+        assert abs(val - want) <= 1e-12 * top, (val, want, lam)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_kl_budget_below_the_slopes_rounding_gives_the_large_l_limit(scale):
+    x = DiscreteRv(np.array(FLOOR_VALUES) * scale, [FLOOR_MASS] * 7 + [1.0 - 7.0 * FLOOR_MASS])
+    q = make_divergence_quadrangle(make_divergence("kl"), FLOOR_BETA)
+    lo, hi = x.mean(), float(x.values[-1])
+    risk, stat = q.risk(x), q.statistic(x)
+    # E X + sqrt(2 beta Var X) and E X + sqrt(beta Var X / 2), inside [E X, ess sup X]
+    assert risk == pytest.approx(lo + math.sqrt(2.0 * FLOOR_BETA * x.variance()), abs=1e-15 * hi)
+    assert stat.lo == stat.hi == pytest.approx(lo + math.sqrt(0.5 * FLOOR_BETA * x.variance()), abs=1e-15 * hi)
+    assert lo <= stat.lo <= risk <= hi
+
+
+def test_kl_risk_100000_atoms():
+    rng = np.random.default_rng(11)
+    x = DiscreteRv(rng.standard_normal(100_000), rng.dirichlet(np.ones(100_000)))
+    top = float(np.max(np.abs(x.values)))
+    for beta in (1e-4, 0.5, 4.0):
+        val, lam = _kl_risk(x, beta)[:2]
+        want, want_lam = kl_risk_bisect(x, beta)[:2]
+        assert abs(val - want) <= 1e-12 * top, beta
+        assert abs(lam - want_lam) <= 1e-9 * want_lam, beta
 
 
 def test_gep_level_is_kept_at_full_precision():

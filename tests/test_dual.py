@@ -179,6 +179,21 @@ def test_envelope_membership_matches_the_pair_rows(case):
     assert env.contains(q) == pair_rows_contain(env, rows, q), (env.label, q)
 
 
+@pytest.mark.parametrize(
+    "env, q",
+    [
+        # max Q - min Q and (1 - q) max Q - q min Q exceed their bounds by 1e-7 and 5e-8
+        (mean_abs_risk_envelope([0.5, 0.5]), [0.5 - 5e-8, 1.5 + 5e-8]),
+        (expectile_envelope(0.75, [0.5, 0.5]), [0.5 - 5e-8, 1.5 + 5e-8]),
+        # the box 0 <= Q <= 2, left by 5e-8 at both ends
+        (cvar_envelope(0.5, [0.5, 0.5]), [-5e-8, 2.0 + 5e-8]),
+    ],
+)
+def test_membership_and_box_share_one_tolerance(env, q):
+    assert env.contains(q, tol=1e-6)
+    assert not env.contains(q)
+
+
 def test_stddev_argmax_is_the_scaled_deviation():
     # E[QX] = lam sigma(X), and Q lies in the ball
     rng = np.random.default_rng(31)

@@ -36,7 +36,7 @@ from riskquad.measures import (
 )
 from riskquad.solvers import argmin_interval_pwl, flat_interval, minimize_scalar_convex, pwl_argmin_interval, pwl_grid
 
-from helpers import cvar_norm_shift_values, qsa_pairwise_midpoints, random_rvs
+from helpers import SCALES, cvar_norm_shift_values, qsa_pairwise_midpoints, random_rvs, wide_rvs
 
 # -- oracles ---------------------------------------------------------------------------
 
@@ -231,9 +231,6 @@ def loop_expectile(x, q):
 
 
 # -- inputs: scales 1e-9..1e9, offsets up to 1e6 spreads, tiny masses, single atoms ----------
-
-SCALES = [1e-9, 1e-3, 1.0, 1e3, 1e9]
-
 
 @st.composite
 def shifted_rvs(draw, max_atoms=14):
@@ -473,20 +470,6 @@ def golden_oracle(f, x, tilt):
     tstar, hstar = minimize_scalar_convex(h, tol=1e-10, hint=x.mean() - ref)
     flat = flat_interval(h, tstar, hstar)
     return hstar + offset, StatInterval(ref + flat.lo, ref + flat.hi)
-
-
-@st.composite
-def wide_rvs(draw):
-    """1 to 1000 atoms at scales 1e-9..1e9, offsets up to 1e6 scales, masses down to 1e-12."""
-    n = draw(st.sampled_from([1, 1, 2, 3, 5, 8, 13, 40, 1000]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    z = rng.uniform(-1.0, 1.0, n)
-    if draw(st.booleans()):
-        z = np.round(z * 8.0) / 8.0
-    raw = rng.choice([1e-12, 1e-6, 0.3, 1.0, 2.5], n)
-    scale = draw(st.sampled_from(SCALES))
-    offset = scale * draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, -1e6, 1e6]))
-    return DiscreteRv(offset + scale * z, raw / raw.sum())
 
 
 SMOOTH = [

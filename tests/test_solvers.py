@@ -12,7 +12,6 @@ from riskquad.solvers import (
     NonConvexError,
     UnboundedObjectiveError,
     argmin_interval_pwl,
-    bisect_root,
     compass_search,
     cutting_planes,
     flat_interval,
@@ -27,7 +26,7 @@ from riskquad.solvers import (
 from riskquad.constructions import error_from_loss, project_error, Flags
 from riskquad.measures import CatalogSpec, koenker_bassett_loss, make_catalog_quadrangle, vapnik_loss
 
-from helpers import cutting_planes_cold
+from helpers import bisect_root, cutting_planes_cold
 
 
 def test_scalar_quadratic():
