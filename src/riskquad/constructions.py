@@ -38,6 +38,7 @@ __all__ = [
     "ErrorFn",
     "RegretFn",
     "Functional",
+    "ShiftSlopes",
     "Quadrangle",
     "SubregularityError",
     "error_from_loss",
@@ -221,6 +222,21 @@ class MomentMaxSpec:
 
 
 @dataclass(frozen=True)
+class ShiftSlopes:
+    """A slope evaluator of ``Functional.shift_slopes`` with what its form
+    tells of its pieces: ``fn(cs)`` gives the rows of left and right slopes,
+    ``kinks`` the sorted C at which their formula changes and ``crossing`` a
+    predicted C at which they cross 0, each None where the form gives none."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    kinks: Optional[np.ndarray] = None
+    crossing: Optional[float] = None
+
+    def __call__(self, cs):
+        return self.fn(cs)
+
+
+@dataclass(frozen=True)
 class Functional:
     """An error (nonnegative, zero at 0) or a regret (V >= E) functional.
 
@@ -232,8 +248,13 @@ class Functional:
     C -> tilt * C + f(X - C), nondecreasing in C, at every C of an array, the
     tilt added once so that a slope reads 0 where it cancels: a smooth
     functional's slope crossing, and, with shift breakpoints, the slopes of
-    the segments between them.  ``subgradient(x)`` is a density g on the
-    atoms of X with f(Y) >= f(X) + E[(Y - X) g] for every Y on them.
+    the segments between them.  A smooth functional's evaluator may be a
+    ``ShiftSlopes`` that carries its kinks, which then bracket the crossing
+    in place of the atoms, and its predicted crossing, where the search
+    starts; the crossing found is the one the slopes fix, whatever the
+    prediction (``_stat_from_derivatives``).  ``subgradient(x)`` is a
+    density g on the atoms of X with f(Y) >= f(X) + E[(Y - X) g] for every
+    Y on them.
     ``square_weights`` (w_-, w_+) makes f a nondecreasing function of
     E[w_- Z_-^2 + w_+ Z_+^2], minimized over an affine family by least squares.
     """
@@ -293,12 +314,13 @@ def _affine_functional(f: Functional, scale: float = 1.0, tilt: float = 0.0, fla
     """scale * f(X) + tilt * E[X] for scale > 0, with the structure of f carried over.
 
     Its shift slopes at tilt t are scale times f's at (t - tilt) / scale, so
-    t - tilt is formed before it meets a slope and nothing is added and taken off."""
+    t - tilt is formed before it meets a slope and nothing is added and taken off,
+    with the same kinks and predicted crossing."""
     ss, sg = f.shift_slopes, f.subgradient
 
     def shift_slopes(x, t=0.0):
         at = ss(x, (t - tilt) / scale)
-        return lambda cs: scale * at(cs)
+        return ShiftSlopes(lambda cs: scale * at(cs), getattr(at, "kinks", None), getattr(at, "crossing", None))
 
     return Functional(
         fn=lambda x: scale * f.fn(x) + tilt * x.mean(),
@@ -630,10 +652,16 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
     convex objective at every C of an array.  Its argmin set is
     {C : s_-(C) <= 0 <= s_+(C)} = [lo, hi], with lo the least C at which
     s_+ >= 0 and hi the greatest at which s_- <= 0.  One call brackets both
-    among up to K atoms; where that does not, a second adds a fan of steps
-    of 4^j spreads beyond the ends.  A bracket end at which the slope jumps
+    among up to K probes; where that does not, a second adds a fan of steps
+    of 4^j spreads beyond the ends.  The probes are the slopes' ``kinks``
+    where they carry them (a ``ShiftSlopes``), as the atoms are otherwise:
+    the C at which the slopes' formula changes, so that a bracket between
+    two holds one smooth piece.  A bracket end at which the slope jumps
     across 0 (s_- < 0 <= s_+ for lo, s_- <= 0 < s_+ for hi) is the crossing
-    itself; the others are narrowed together by ``ksection_crossings``.
+    itself; the others are narrowed together by ``ksection_crossings``,
+    whose first round starts from the slopes' predicted ``crossing`` where
+    they carry one.  The prediction places probes only: the ends are the
+    last floats at which the criterion holds, wherever it is predicted.
 
     Slopes that come from a ``loss`` cost O(n) a point, so they take as few
     points a row as fill a batched temporary; others take K.
@@ -642,8 +670,10 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
     k = KSECTION if loss is None else min(KSECTION, max(4, chunk_rows(v.size) // 2))
     width = float(v[-1] - v[0]) or max(1.0, abs(float(v[0])))
     fan = width * 4.0 ** np.arange(48)
-    atoms = v[np.unique(np.linspace(0.0, v.size - 1, min(v.size, k)).round().astype(int))]
-    for pts in (atoms, np.concatenate(((v[0] - fan)[::-1], atoms, v[-1] + fan))):
+    kinks, guess = getattr(slopes, "kinks", None), getattr(slopes, "crossing", None)
+    kinks = v if kinks is None else kinks
+    probes = kinks[np.unique(np.linspace(0.0, kinks.size - 1, min(kinks.size, k)).round().astype(int))]
+    for pts in (probes, np.concatenate(((probes[0] - fan)[::-1], probes, probes[-1] + fan))):
         left, right = slopes(pts)
         i = int(np.argmax(right >= 0.0))
         j = pts.size - 1 - int(np.argmax(left[::-1] <= 0.0))
@@ -662,7 +692,8 @@ def _stat_from_derivatives(slopes, x: DiscreteRv, loss: Optional[ScalarLoss] = N
 
     # the criterion at each end as a limit from inside its bracket
     ends = ([left[i], -right[j]], [right[lo_out], -left[hi_out]])
-    lo, hi = (float(c) for c in ksection_crossings(crit, pts[[i, j]], pts[[lo_out, hi_out]], k, ends))
+    guess = None if guess is None else np.full(2, guess)
+    lo, hi = (float(c) for c in ksection_crossings(crit, pts[[i, j]], pts[[lo_out, hi_out]], k, ends, guess))
     if hi < lo:
         lo = hi = 0.5 * (lo + hi)
     return StatInterval(lo, hi)

@@ -65,9 +65,11 @@ class DivergenceFn:
     one) and its closed forms, each called with the DivergenceFn it serves:
     ``closed_forms(div, beta)`` gives the quadrangle members for
     ``complete_quadrangle`` and ``envelope_route(div, tau, x, normalized)``
-    the worst-case expectation with its density (``family_eval_envelope``
-    has already ruled out ``_envelope_limit``, on the density ball the point
-    mass on ess sup X where dom phi is [0, inf)).
+    the worst-case expectation with its density, the budget-free
+    ``_envelope_limit`` included where it lies in the ball (on the density
+    ball the point mass on ess sup X where dom phi is [0, inf)): kl's
+    route decides it in its multiplier search, and pearson's and tv's test
+    it first (``_limit_in_ball``).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -445,6 +447,15 @@ def _envelope_constant(div: DivergenceFn, tau: float, c: float, p: np.ndarray, r
     return c * qstar, np.full_like(p, qstar)
 
 
+def _limit_in_ball(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> Optional[tuple[float, np.ndarray]]:
+    """``_envelope_limit`` with E[QX] where it lies in the ball, whose worst
+    case it then is; None where it does not."""
+    q = _envelope_limit(div, x, row=(x.probs, 1.0) if normalized else None)
+    if q is None or divergence_value(div, q, x.probs) > tau:
+        return None
+    return float(np.dot(x.probs, q * x.values)), q
+
+
 def _envelope_kl(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool) -> tuple[float, np.ndarray]:
     """The kl density ball: EVaR, inf_l l * (tau + ln E e^{X/l}) by ``_kl_risk``,
     and the exponential tilt Q = w / E w, w = e^{(X - ess sup X)/l*}, at its
@@ -490,6 +501,9 @@ def _envelope_pearson(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: 
     """The Pearson density ball in its shifted form min_c c + sqrt((1 + tau) E(X - c)_+^2)
     by ``_pearson_shift``, and the density Q = (X - c*)_+ / E(X - c*)_+, which is
     sqrt(1 + tau) (X - c*)_+ / ||(X - c*)_+||_2 at the minimizer c*."""
+    limit = _limit_in_ball(div, tau, x, normalized)
+    if limit is not None:
+        return limit
     if not normalized:
         return _envelope_sup_phi(div, x, tau=tau)[:2]
     v, p = x.values, x.probs
@@ -517,6 +531,9 @@ def _envelope_tv(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool)
     Without the density constraint the budget first lowers atoms toward Q = 0,
     from the bottom up while -x_i > max(ess sup X, 0), each by at most its
     mass; what is left raises ess sup X when it is positive."""
+    limit = _limit_in_ball(div, tau, x, normalized)
+    if limit is not None:
+        return limit
     v, p = x.values, x.probs
     if normalized:
         budget = rise = 0.5 * tau  # below 1 - P(ess sup) once the point mass is ruled out
@@ -532,14 +549,14 @@ def _envelope_tv(div: DivergenceFn, tau: float, x: DiscreteRv, normalized: bool)
 def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) -> tuple[float, np.ndarray]:
     """sup{ E[QX] : J(Q) <= tau } over densities, with the maximizing density.
 
-    On a phi-generated ball the maximizer of E[QX] over dom phi with no
-    budget, ``_envelope_limit``, comes first: when it lies in the ball it is
-    the worst case.  Otherwise phi-generated balls take their divergence's
-    ``envelope_route`` (closed forms for kl, pearson and tv); a phi without
-    one goes straight to the per-atom parametric maximizer
-    ``_envelope_sup_phi``, which tries the limit itself and needs
-    ``conj_grad``: a phi with neither raises ValueError.  Other J fall back
-    to a projected ascent with budget bisection toward the center.
+    A phi-generated ball takes its divergence's ``envelope_route`` (closed
+    forms for kl, pearson and tv), which decides itself whether the maximizer
+    of E[QX] over dom phi with no budget, ``_envelope_limit``, lies in the
+    ball and is then the worst case; a phi without one goes straight to the
+    per-atom parametric maximizer ``_envelope_sup_phi``, which tries the
+    limit itself and needs ``conj_grad``: a phi with neither raises
+    ValueError.  Other J fall back to a projected ascent with budget
+    bisection toward the center.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -547,15 +564,11 @@ def family_eval_envelope(j: StochasticDivergenceJ, tau: float, x: DiscreteRv) ->
     div = j.phi
     if div is None:
         return _envelope_sup_generic(j, tau, x, normalized)
-    row = (x.probs, 1.0) if normalized else None
-    if div.envelope_route is None:
-        if div.conj_grad is None:
-            raise ValueError(f"phi {div.label!r} has neither conj_grad nor an envelope_route: no worst-case density for its ball")
-        return _envelope_sup_phi(div, x, row=row, tau=tau)[:2]
-    q = _envelope_limit(div, x, row=row)
-    if q is not None and divergence_value(div, q, x.probs) <= tau:
-        return float(np.dot(x.probs, q * x.values)), q
-    return div.envelope_route(div, tau, x, normalized)
+    if div.envelope_route is not None:
+        return div.envelope_route(div, tau, x, normalized)
+    if div.conj_grad is None:
+        raise ValueError(f"phi {div.label!r} has neither conj_grad nor an envelope_route: no worst-case density for its ball")
+    return _envelope_sup_phi(div, x, row=(x.probs, 1.0) if normalized else None, tau=tau)[:2]
 
 
 def _envelope_sup_generic(j, tau, x, normalized) -> tuple[float, np.ndarray]:

@@ -28,6 +28,7 @@ from .constructions import (
     Quadrangle,
     RegretFn,
     ScalarLoss,
+    ShiftSlopes,
     complete_quadrangle,
     error_from_loss,
     error_from_moment_max,
@@ -247,12 +248,20 @@ def _cvar2_shift_slopes(alpha: float):
     ``searchsorted`` over the segment starts, with ties counted above for >=
     and below for >, finds the segment of its end b*: 1 - b* = k_i / (C - ref
     - u_i) there, clipped to the segment.  Below the first start the set is
-    all of (0, 1); past the last it is empty.
+    all of (0, 1); past the last it is empty.  So the kinks are the starts,
+    ess sup X the last (the atom itself: ref + u_n can round an ulp below
+    it), and the slopes cross 0 at the CVaR of tail mass 1 - b* =
+    tilt (1 - alpha), ref + u_i + k_i / (1 - b*) on the segment i that holds it.
     """
     scale = 1.0 / (1.0 - alpha)
 
     def shift_slopes(x: DiscreteRv, tilt: float = 0.0):
         ref, u, mass, k, start = _cvar2_segments(x)
+        kinks = ref + start
+        kinks[-1] = x.values[-1]
+        w = tilt * (1.0 - alpha)
+        i = int(np.count_nonzero(mass > w)) - 1
+        crossing = float(ref + u[i] + k[i] / w) if w > 0.0 and i >= 0 else None
         # segment j - 1 at index j, between 1 - b = 1 below the mean at index 0
         # and 1 - b = 0 past ess sup at index n: k, u, and 1 - b at its start and end
         k_, u_ = np.append(0.0, k), np.append(0.0, u)
@@ -266,7 +275,7 @@ def _cvar2_shift_slopes(alpha: float):
             w = np.divide(kj, d - uj, out=tj.copy(), where=d > uj)
             return tilt - scale * np.minimum(np.maximum(w, end[j]), tj)
 
-        return slopes
+        return ShiftSlopes(slopes, kinks, crossing)
 
     return shift_slopes
 
@@ -366,7 +375,8 @@ def _l2_shift_slopes(lam: float):
     tilt * C + lam * sqrt(Var X + (E X - C)^2) at every C of an array:
     tilt + lam (C - E X) / sqrt(Var X + (E X - C)^2), and tilt - lam and
     tilt + lam at the kink of a constant X.  The variance is taken from values
-    centred at a reference atom."""
+    centred at a reference atom.  The slopes cross 0 where (C - E X) / sd =
+    r / sqrt(1 - r^2), r = -tilt / lam, when |r| < 1."""
 
     def shift_slopes(x: DiscreteRv, tilt: float = 0.0):
         sums = SortedSums(x)
@@ -378,7 +388,9 @@ def _l2_shift_slopes(lam: float):
             right = lam * np.divide(gap, norm, out=np.ones_like(norm), where=norm > 0.0)
             return tilt + np.stack((np.where(norm > 0.0, right, -lam), right))
 
-        return slopes
+        r = -tilt / lam
+        crossing = float(sums.ref + sums.mean_u + r * sd / math.sqrt(1.0 - r * r)) if abs(r) < 1.0 else None
+        return ShiftSlopes(slopes, crossing=crossing)
 
     return shift_slopes
 

@@ -229,7 +229,8 @@ def _round_fractions(k: int):
     around a predicted point at distances spread geometrically between one
     even step and ``_NEAR_FLOOR`` of it (a lone pair sits midway, at the
     square root); ``blind`` takes their place, between the even points, when
-    there is no prediction.
+    there is no prediction, and each near point's that would fall on or past
+    an end of the bracket.
     """
     pairs = (k - k // 2) // 2
     n_even = k - 2 * pairs
@@ -239,7 +240,7 @@ def _round_fractions(k: int):
     return even, np.concatenate((-near, near)), blind
 
 
-def ksection_crossings(crit, inner, outer, k: int = KSECTION, ends=None) -> np.ndarray:
+def ksection_crossings(crit, inner, outer, k: int = KSECTION, ends=None, guess=None) -> np.ndarray:
     """For each bracket i, the last point on the way from ``inner[i]`` to
     ``outer[i]`` at which ``crit`` is >= 0, narrowed until the bracket ends are
     adjacent floats.
@@ -252,7 +253,11 @@ def ksection_crossings(crit, inner, outer, k: int = KSECTION, ends=None) -> np.n
     criterion close to linear there is settled in a few rounds.  ``ends``
     holds crit's values at ``inner`` and ``outer``, or its limits there from
     inside the bracket, when the caller has them, so the first round
-    predicts too.
+    predicts too.  The first round predicts ``guess[i]`` instead, where the
+    caller gives one inside bracket i (nan for none): a root from the
+    criterion's own form, good where the criterion is far from linear across
+    the bracket.  Neither prediction moves the point returned, only the
+    number of rounds to it.
     """
     inner = np.array(inner, dtype=float)
     outer = np.array(outer, dtype=float)
@@ -272,7 +277,14 @@ def ksection_crossings(crit, inner, outer, k: int = KSECTION, ends=None) -> np.n
         drop = v_in - v_out
         known = drop > 0.0
         root = np.divide(v_in, drop, out=np.zeros(n), where=known)
-        window = np.where(known[:, None], np.minimum(np.maximum(root[:, None] + near, 0.0), 1.0), blind)
+        if guess is not None:
+            span = outer - inner
+            at = np.divide(np.asarray(guess, dtype=float) - inner, span, out=np.full(n, np.nan), where=span != 0.0)
+            inside = (at >= 0.0) & (at <= 1.0)
+            root, known, guess = np.where(inside, at, root), known | inside, None
+        # a point on an end would read the criterion there, not its limit from inside
+        window = root[:, None] + near
+        window = np.where(known[:, None] & (window > 0.0) & (window < 1.0), window, blind)
         frac = np.sort(np.concatenate((even, window), axis=1))
         pts = inner[:, None] + (outer - inner)[:, None] * frac
         vals = np.asarray(crit(pts), dtype=float)

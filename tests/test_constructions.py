@@ -10,7 +10,9 @@ from riskquad.constructions import (
     Flags,
     RegretFn,
     ScalarLoss,
+    ShiftSlopes,
     SubregularityError,
+    _stat_from_derivatives,
     check_monotone_error,
     error_from_coherent_risk,
     error_from_loss,
@@ -28,12 +30,13 @@ from riskquad.constructions import (
 from riskquad.measures import (
     CatalogSpec,
     asymmetric_mse_loss,
+    cvar2_risk,
     koenker_bassett_loss,
     make_catalog_quadrangle,
     vapnik_loss,
 )
 
-from helpers import highs_affine, interval_gap, primal_affine, random_rv, random_rvs
+from helpers import highs_affine, interval_gap, primal_affine, random_rv, random_rvs, wide_rvs
 
 SYM = DiscreteRv([-1, 1], [0.5, 0.5])
 U5 = DiscreteRv.uniform([1, 2, 3, 4, 5])
@@ -889,3 +892,100 @@ def test_decisions_match_the_primal_epigraph_oracle(case):
     if not nonunique:
         for t in (want_theta, highs_theta):
             assert np.allclose(theta, t, rtol=1e-12, atol=1e-12)
+
+
+# -- smooth shift crossings on the slopes' own pieces -------------------------------------
+
+# cvar2's slopes change form at the CVaR values of its segment starts, not at
+# the atoms: brackets between atoms straddled a kink and took 12 slope calls a
+# projection on the first two, 5 on the third
+KINK_RVS = [
+    (DiscreteRv([-1.0, 0.5, 2.0, 3.0], [0.1, 0.4, 0.3, 0.2]), 2.4),
+    (DiscreteRv([0.0, 1.0, 2.0, 3.5], [0.25] * 4), 2.75),
+    (DiscreteRv([0.0, 1.0, 2.0, 3.5, 4.0], [0.2] * 5), 3.4000000000000004),
+]
+
+
+def _counting_slopes(f, calls):
+    """f with each call of its slope evaluator counted, its kinks and predicted crossing kept."""
+
+    def build(x, tilt=0.0):
+        at = f.shift_slopes(x, tilt)
+
+        def counted(cs):
+            calls.append(1)
+            return at(cs)
+
+        return ShiftSlopes(counted, getattr(at, "kinks", None), getattr(at, "crossing", None))
+
+    return dataclasses.replace(f, shift_slopes=build)
+
+
+@pytest.mark.parametrize(
+    "family, params", [("cvar2", {"alpha": 0.5}), ("standard_mean", {"lam": 1.0}), ("expectile_mse", {"q": 0.7})]
+)
+def test_smooth_projections_take_three_slope_calls(family, params):
+    # one call brackets the crossing among the kinks, a round from the predicted
+    # crossing and one from the secant close it; cvar2 took 12 calls on the
+    # first two before, standard_mean 4 and expectile_mse 3
+    q = make_catalog_quadrangle(CatalogSpec(family, params))
+    for x, stat in KINK_RVS:
+        for f, run in ((q.error_fn, project_error), (q.regret_fn, regret_to_risk)):
+            calls = []
+            value, interval = run(_counting_slopes(f, calls), x)
+            assert (value, interval) == run(f, x)
+            assert len(calls) <= 3, (family, x, len(calls))
+            if family == "cvar2":
+                assert interval == StatInterval(stat, stat)
+
+
+# P(X = ess sup) >= 1 - alpha: ess sup's kink, were it taken as ref + u_n, which
+# rounds an ulp low here, put the statistic on that ulp and the risk 2.6e-14
+# max|X| off at alpha = 0.999
+ESS_SUP_TIE = DiscreteRv(
+    [-0.7297745599599573, -0.21209642748164043, 0.13049768669403305, 0.5720628474187884, 0.6671910432791875, 1.5748787479082431],
+    [0.43895103148132664, 0.03991457415187939, 0.018269060916261987, 0.23709061663684558, 0.16621865190122065, 0.09955606491246577],
+)
+
+
+def test_cvar2_kinks_are_its_segment_starts_up_to_ess_sup_itself():
+    f = make_catalog_quadrangle(CatalogSpec("cvar2", {"alpha": 0.5})).regret_fn
+    for x in [x for x, _ in KINK_RVS] + [ESS_SUP_TIE]:
+        slopes = f.shift_slopes(x, 1.0)
+        assert slopes.kinks[-1] == x.values[-1] and np.all(np.diff(slopes.kinks) >= 0.0)
+        assert slopes.kinks[0] == pytest.approx(x.mean(), rel=1e-15)
+        assert slopes.crossing == pytest.approx(cvar_direct(x, 0.5), rel=1e-15)
+
+
+@given(wide_rvs(), st.sampled_from([0.01, 0.5, 0.9, 0.999]))
+@example(ESS_SUP_TIE, 0.999)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cvar2_kink_route_matches_the_atom_probed_oracle(x, alpha):
+    q = make_catalog_quadrangle(CatalogSpec("cvar2", {"alpha": alpha}))
+    top = float(np.max(np.abs(x.values))) or 1.0
+    risk = cvar2_risk(x, alpha)
+    # E(X - C) = V(X - C) - E[X] + C sum(p), so D differs from R - E X by C (sum(p) - 1)
+    # where the masses' floats do not sum to 1
+    off = abs(math.fsum(x.probs) - 1.0)
+    for f, run, tilt, want in ((q.regret_fn, regret_to_risk, 1.0, risk), (q.error_fn, project_error, 0.0, risk - x.mean())):
+        value, interval = run(f, x)
+        # the oracle: the same slopes without their kinks and predicted crossing, probed at the atoms
+        oracle = _stat_from_derivatives(f.shift_slopes(x, tilt).fn, x)
+        for end, want_end in ((interval.lo, oracle.lo), (interval.hi, oracle.hi)):
+            assert abs(end - want_end) <= 2.0 * math.ulp(want_end), (end, want_end)
+        assert abs(value - want) <= 1e-15 * top + off * abs(interval.midpoint), (value, want)
+
+
+def test_cvar2_projections_100000_atoms():
+    rng = np.random.default_rng(3)
+    x = DiscreteRv(rng.standard_normal(100_000), rng.dirichlet(np.ones(100_000)))
+    top = float(np.max(np.abs(x.values)))
+    for alpha in (0.1, 0.5, 0.99):
+        q = make_catalog_quadrangle(CatalogSpec("cvar2", {"alpha": alpha}))
+        risk, stat = cvar2_risk(x, alpha), cvar_direct(x, alpha)
+        for f, run, want in ((q.regret_fn, regret_to_risk, risk), (q.error_fn, project_error, risk - x.mean())):
+            calls = []
+            value, interval = run(_counting_slopes(f, calls), x)
+            assert abs(value - want) <= 1e-12 * top, (alpha, value, want)
+            assert abs(interval.lo - stat) <= 1e-12 * top and abs(interval.hi - stat) <= 1e-12 * top, (alpha, interval, stat)
+            assert len(calls) <= 4, (alpha, len(calls))

@@ -848,9 +848,9 @@ def test_flat_interval_early_stop_is_bit_identical(centre, half, curv, shape, fr
     assert flat_interval(fn, cstar, fn(cstar)) == _flat_interval_100_steps(fn, cstar, fn(cstar))
 
 
-@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.floats(0.0, 1.0), st.sampled_from([2, 3, 64]))
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.floats(0.0, 1.0), st.sampled_from([2, 3, 64]), st.floats(0.0, 1.0))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_ksection_crossings_stop_at_the_last_float(a, b, frac, k):
+def test_ksection_crossings_stop_at_the_last_float(a, b, frac, k, guess_frac):
     root = a + frac * (b - a) if abs(b - a) < 1e300 else a
     # pred holds at a and fails at b
     assume(min(a, b) <= root <= max(a, b) and root != b)
@@ -860,10 +860,13 @@ def test_ksection_crossings_stop_at_the_last_float(a, b, frac, k):
         calls.append(pts.shape)
         return np.where(pts <= root if a < b else pts >= root, 1.0, -1.0)
 
-    got = ksection_crossings(crit, [a], [b], k)
-    # the last float from a toward b at which pred holds: the root itself
-    assert got[0] == root
-    # every round gains log2(k + 1) bits on a bracket of at most 2^2100 ulps
-    assert len(calls) <= 2 + 2100 / math.log2(k + 1) + 2
+    # a predicted root anywhere in the bracket, right or wrong, moves only the rounds
+    for guess in (None, [a + guess_frac * (b - a) if abs(b - a) < 1e300 else a]):
+        calls.clear()
+        got = ksection_crossings(crit, [a], [b], k, guess=guess)
+        # the last float from a toward b at which pred holds: the root itself
+        assert got[0] == root
+        # every round gains log2(k + 1) bits on a bracket of at most 2^2100 ulps
+        assert len(calls) <= 2 + 2100 / math.log2(k + 1) + 2
 
 
